@@ -21,7 +21,7 @@ from .design import VARIANT_FULL, VARIANTS, build_design
 from .errors import IntregError
 from .intervals import validate_tau
 from .lasso import RULE_MSE, RULES, fit_lasso
-from .lasso_ir import default_budget_grid, fit_lasso_ir, select_budget, to_fit_result
+from .lasso_ir import fit_lasso_ir, select_budget, to_fit_result
 from .least_squares import (
     METHOD_LASSO,
     METHOD_LASSO_IR,
@@ -144,7 +144,6 @@ def _execute(config: RunConfig) -> tuple[FitResult, object]:
             t = select_budget(
                 sample,
                 tau=config.tau,
-                t_grid=default_budget_grid(design),
                 folds=config.folds,
                 seed=config.seed,
                 variant=config.variant,

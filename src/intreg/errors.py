@@ -45,6 +45,14 @@ class PivotLimitExceeded(IntregError):
     """Complementary pivoting did not terminate within the pivot budget."""
 
 
+class RayTermination(IntregError, ArithmeticError):
+    """Complementary pivoting ray-terminated although the constraints are feasible."""
+
+
+class SubgradientGap(IntregError, ArithmeticError):
+    """Coordinate descent stopped short of the Lasso optimality condition."""
+
+
 class InfeasibleQp(IntregError):
     """The constraint system of a quadratic program is empty."""
 

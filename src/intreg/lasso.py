@@ -19,12 +19,12 @@ block's validation curve by a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .design import Coefficients, DesignSystem, build_design, regressor_blocks
-from .errors import FoldTooSmall, InfeasibleConstraints, InfeasibleQp
+from .errors import FoldTooSmall, InfeasibleConstraints, InfeasibleQp, SubgradientGap
 from .intervals import DEFAULT_TAU, Interval, IntervalSample, validate_tau
 from .least_squares import (
     METHOD_LASSO,
@@ -110,7 +110,7 @@ def fit_lasso_mid(design: DesignSystem, lam: float) -> np.ndarray:
     gap = mid_kkt_gap(design.fm, design.vm, lam, a)
     scale = 1.0 + float(np.max(np.abs(design.fm.T @ design.vm), initial=0.0))
     if gap > 1e-8 * scale:
-        raise ArithmeticError(f"coordinate descent left a subgradient gap of {gap}")
+        raise SubgradientGap(f"coordinate descent left a subgradient gap of {gap}")
     a[np.abs(a) <= 1e-12 * (1.0 + float(np.max(np.abs(a))))] = 0.0
     return a
 
@@ -161,38 +161,57 @@ def lambda_grid(design: DesignSystem, count: int = DEFAULT_GRID_SIZE, ratio: flo
 class LassoPath:
     """Cross-validation results for one coefficient block.
 
-    ``coefs`` holds the full-sample refit at every grid penalty (one row per
-    penalty).  The two blocks have different zeroing thresholds, hence
-    separate path objects rather than one shared grid.
+    The two blocks have different zeroing thresholds, hence separate path
+    objects rather than one shared grid.  For the full-sample coefficient
+    path, map :func:`fit_lasso_mid` or :func:`fit_lasso_spr` over
+    ``lambdas`` on the full-sample design.
     """
 
     block: str
     lambdas: np.ndarray
-    coefs: np.ndarray
     cv_mean: np.ndarray
     cv_stderr: np.ndarray
     lambda_mse: float
     lambda_1se: float
 
 
-def _fold_partition(n: int, folds: int, seed: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    return [np.sort(part) for part in np.array_split(rng.permutation(n), folds)]
-
-
-def _holdout_error(
-    train_design: DesignSystem,
-    a_m: np.ndarray,
-    a_s: np.ndarray,
-    test: IntervalSample,
+def _cv_errors(
+    sample: IntervalSample,
+    variant: str,
     tau: float,
-) -> float:
-    mid_side, spr_side = regressor_blocks(test, train_design.variant)
-    delta_mid = train_design.mean_y.mid - float(train_design.mean_mid_xebl @ a_m)
-    delta_spr = train_design.mean_y.spr - float(train_design.mean_spr_xebl @ a_s)
-    mid_hat = mid_side @ a_m + delta_mid
-    spr_hat = spr_side @ a_s + delta_spr
-    return _msd_arrays(test.mid_y - mid_hat, test.spr_y - spr_hat, tau)
+    folds: int,
+    seed: int,
+    fit_grid: Callable[[DesignSystem], Iterable[tuple[np.ndarray, np.ndarray]]],
+) -> np.ndarray:
+    """Held-out weighted squared errors, one row per fold, one column per grid point.
+
+    Folds are a seeded pseudorandom partition of the rows.  ``fit_grid``
+    receives each fold's training design and yields the midpoint and spread
+    blocks ``(a_m, a_s)`` fitted at every grid point; the intercept comes from
+    the training means, as in the full-sample fits.
+    """
+    n = sample.n
+    if folds < 2 or folds > n:
+        raise ValueError(f"folds must lie between 2 and {n}, got {folds}")
+    parts = np.array_split(np.random.default_rng(seed).permutation(n), folds)
+    errors = []
+    for f, held in enumerate(parts):
+        held = np.sort(held)
+        train_rows = np.setdiff1d(np.arange(n), held)
+        if train_rows.size < 2:
+            raise FoldTooSmall(f"fold {f} leaves only {train_rows.size} training rows")
+        train = build_design(sample.subset(train_rows), variant)
+        test = sample.subset(held)
+        mid_side, spr_side = regressor_blocks(test, variant)
+        row = []
+        for a_m, a_s in fit_grid(train):
+            delta_mid = train.mean_y.mid - float(train.mean_mid_xebl @ a_m)
+            delta_spr = train.mean_y.spr - float(train.mean_spr_xebl @ a_s)
+            mid_hat = mid_side @ a_m + delta_mid
+            spr_hat = spr_side @ a_s + delta_spr
+            row.append(_msd_arrays(test.mid_y - mid_hat, test.spr_y - spr_hat, tau))
+        errors.append(row)
+    return np.array(errors)
 
 
 def cross_validate(
@@ -216,43 +235,24 @@ def cross_validate(
     tau = validate_tau(tau)
     if block not in (BLOCK_MID, BLOCK_SPR):
         raise ValueError(f"block must be {BLOCK_MID!r} or {BLOCK_SPR!r}")
-    n = sample.n
-    if folds < 2 or folds > n:
-        raise ValueError(f"folds must lie between 2 and {n}, got {folds}")
-    full_design = build_design(sample, variant)
-    lambdas = lambda_grid(full_design, count, ratio, block)
-    parts = _fold_partition(n, folds, seed)
-    errors = np.empty((folds, lambdas.size))
-    all_rows = np.arange(n)
-    for f, held in enumerate(parts):
-        train_rows = np.setdiff1d(all_rows, held)
-        if train_rows.size < 2:
-            raise FoldTooSmall(f"fold {f} leaves only {train_rows.size} training rows")
-        train_design = build_design(sample.subset(train_rows), variant)
-        test = sample.subset(held)
+    lambdas = lambda_grid(build_design(sample, variant), count, ratio, block)
+
+    def fit_grid(train: DesignSystem):
         if block == BLOCK_MID:
-            a_s, _ = solve_spread_block(train_design, tau)
-            for i, lam in enumerate(lambdas):
-                a_m = fit_lasso_mid(train_design, lam)
-                errors[f, i] = _holdout_error(train_design, a_m, a_s, test, tau)
-        else:
-            a_m, _ = ols_mid(train_design)
-            for i, lam in enumerate(lambdas):
-                a_s = fit_lasso_spr(train_design, lam, tau)
-                errors[f, i] = _holdout_error(train_design, a_m, a_s, test, tau)
+            a_s, _ = solve_spread_block(train, tau)
+            return ((fit_lasso_mid(train, lam), a_s) for lam in lambdas)
+        a_m, _ = ols_mid(train)
+        return ((a_m, fit_lasso_spr(train, lam, tau)) for lam in lambdas)
+
+    errors = _cv_errors(sample, variant, tau, folds, seed, fit_grid)
     cv_mean = errors.mean(axis=0)
     cv_stderr = errors.std(axis=0, ddof=1) / np.sqrt(folds)
     best = int(np.argmin(cv_mean))
     threshold = cv_mean[best] + cv_stderr[best]
     one_se = int(np.flatnonzero(cv_mean <= threshold)[0])
-    if block == BLOCK_MID:
-        coefs = np.array([fit_lasso_mid(full_design, lam) for lam in lambdas])
-    else:
-        coefs = np.array([fit_lasso_spr(full_design, lam, tau) for lam in lambdas])
     return LassoPath(
         block=block,
         lambdas=lambdas,
-        coefs=coefs,
         cv_mean=cv_mean,
         cv_stderr=cv_stderr,
         lambda_mse=float(lambdas[best]),

@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .design import Coefficients, DesignSystem, build_design, regressor_blocks
-from .errors import FoldTooSmall
+from .design import Coefficients, DesignSystem, build_design
 from .intervals import DEFAULT_TAU, Interval, IntervalSample, validate_tau
+from .lasso import _cv_errors
 from .lcp import Qp, _solve_qp_full
 from .least_squares import METHOD_LASSO_IR, FitResult, _msd_arrays
 
@@ -186,33 +186,21 @@ def select_budget(
 ) -> float:
     """Budget minimizing the cross-validated weighted squared error.
 
-    Uses the same seeded fold partition as the Lasso cross-validation; ties
-    resolve to the earliest grid entry.
+    Shares the Lasso cross-validation's fold routine, so a seed gives the
+    same partition and the same held-out error as there; ties resolve to the
+    earliest grid entry.
     """
     tau = validate_tau(tau)
-    design = build_design(sample, variant)
     if t_grid is None:
-        t_grid = default_budget_grid(design)
+        t_grid = default_budget_grid(build_design(sample, variant))
     grid = [float(t) for t in t_grid]
     if not grid:
         raise ValueError("the budget grid must be nonempty")
-    n = sample.n
-    if folds < 2 or folds > n:
-        raise ValueError(f"folds must lie between 2 and {n}, got {folds}")
-    rng = np.random.default_rng(seed)
-    parts = [np.sort(p) for p in np.array_split(rng.permutation(n), folds)]
-    all_rows = np.arange(n)
-    errors = np.zeros((folds, len(grid)))
-    for f, held in enumerate(parts):
-        train_rows = np.setdiff1d(all_rows, held)
-        if train_rows.size < 2:
-            raise FoldTooSmall(f"fold {f} leaves only {train_rows.size} training rows")
-        train_design = build_design(sample.subset(train_rows), variant)
-        test = sample.subset(held)
-        mid_side, spr_side = regressor_blocks(test, variant)
-        for i, t in enumerate(grid):
-            fit = fit_lasso_ir(train_design, tau, t)
-            mid_hat = mid_side @ fit.a_m + fit.delta_mid
-            spr_hat = spr_side @ fit.a_s + fit.delta_spr
-            errors[f, i] = _msd_arrays(test.mid_y - mid_hat, test.spr_y - spr_hat, tau)
+
+    def fit_grid(train: DesignSystem):
+        for t in grid:
+            fit = fit_lasso_ir(train, tau, t)
+            yield fit.a_m, fit.a_s
+
+    errors = _cv_errors(sample, variant, tau, folds, seed, fit_grid)
     return grid[int(np.argmin(errors.mean(axis=0)))]

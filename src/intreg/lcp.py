@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import InfeasibleQp, PivotLimitExceeded, SingularQ
+from .errors import InfeasibleQp, PivotLimitExceeded, RayTermination, SingularQ
 
 # relative ridge added to Q before factorization; reported in diagnostics
 RIDGE_EPS = 1e-10
@@ -129,14 +129,17 @@ def _chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return solve_triangular(L.T, y, lower=False)
 
 
-def qp_to_lcp(qp: Qp) -> Lcp:
-    """Reduce a constrained QP to its multiplier complementarity system."""
-    L, _ = _ridge_factor(qp.Q)
-    qiR = _chol_solve(L, qp.R.T)
-    M = qp.R @ qiR
+def _reduce(qp: Qp, L: np.ndarray) -> Lcp:
+    """Multiplier complementarity system of a QP, given the Cholesky factor of its Hessian."""
+    M = qp.R @ _chol_solve(L, qp.R.T)
     M = 0.5 * (M + M.T)
     q = -(qp.R @ _chol_solve(L, qp.c)) - qp.r
     return Lcp(M, q)
+
+
+def qp_to_lcp(qp: Qp) -> Lcp:
+    """Reduce a constrained QP to its multiplier complementarity system."""
+    return _reduce(qp, _ridge_factor(qp.Q)[0])
 
 
 def _lexico_min_row(T: np.ndarray, rows: np.ndarray, lex_cols: np.ndarray, piv: Optional[np.ndarray]) -> int:
@@ -263,17 +266,20 @@ def _constraints_feasible(R: np.ndarray, r: np.ndarray) -> bool:
     return res.status != 2
 
 
+def _kkt(qp: Qp, z: np.ndarray, lam: np.ndarray) -> dict[str, float]:
+    """Worst stationarity, feasibility and complementarity residuals of ``(z, lam)``."""
+    grad = qp.Q @ z + qp.c - qp.R.T @ lam
+    slack = qp.R @ z - qp.r
+    return {
+        "kkt_stationarity": float(np.max(np.abs(grad), initial=0.0)),
+        "kkt_feasibility": max(0.0, -float(np.min(slack, initial=0.0))),
+        "kkt_complementarity": float(np.max(np.abs(lam * slack), initial=0.0)),
+    }
+
+
 def _kkt_score(qp: Qp, z: np.ndarray, lam: np.ndarray) -> float:
-    grad = qp.Q @ z + qp.c
-    if qp.num_constraints:
-        grad = grad - qp.R.T @ lam
-        slack = qp.R @ z - qp.r
-        feas = max(0.0, -float(np.min(slack, initial=0.0)))
-        comp = float(np.max(np.abs(lam * slack), initial=0.0))
-    else:
-        feas = comp = 0.0
     neg = max(0.0, -float(np.min(lam, initial=0.0)))
-    return max(float(np.max(np.abs(grad), initial=0.0)), feas, comp, neg)
+    return max(*_kkt(qp, z, lam).values(), neg)
 
 
 def _polish_active_set(qp: Qp, lam: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -316,31 +322,18 @@ def _solve_qp_full(qp: Qp, max_pivots: Optional[int] = None) -> tuple[np.ndarray
         z = _chol_solve(L, -qp.c)
         lam = np.zeros(0)
     else:
-        qiR = _chol_solve(L, qp.R.T)
-        M = qp.R @ qiR
-        M = 0.5 * (M + M.T)
-        q = -(qp.R @ _chol_solve(L, qp.c)) - qp.r
-        sol = lemke_solve(Lcp(M, q), max_pivots)
+        sol = lemke_solve(_reduce(qp, L), max_pivots)
         info["lemke_pivots"] = float(sol.pivots)
         if sol.status != SOLVED:
             if not _constraints_feasible(qp.R, qp.r):
                 raise InfeasibleQp("constraint system is empty")
-            raise ArithmeticError("complementary pivoting ray-terminated on a feasible program")
+            raise RayTermination("complementary pivoting ray-terminated on a feasible program")
         lam = sol.z
         z = _chol_solve(L, qp.R.T @ lam - qp.c)
         polished = _polish_active_set(qp, lam)
         if polished is not None and _kkt_score(qp, *polished) <= _kkt_score(qp, z, lam):
             z, lam = polished
-    grad = qp.Q @ z + qp.c
-    if qp.num_constraints:
-        grad = grad - qp.R.T @ lam
-        slack = qp.R @ z - qp.r
-        info["kkt_feasibility"] = max(0.0, -float(np.min(slack, initial=0.0)))
-        info["kkt_complementarity"] = float(np.max(np.abs(lam * slack), initial=0.0))
-    else:
-        info["kkt_feasibility"] = 0.0
-        info["kkt_complementarity"] = 0.0
-    info["kkt_stationarity"] = float(np.max(np.abs(grad), initial=0.0))
+    info.update(_kkt(qp, z, lam))
     return z, lam, info
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from intreg import FORMAT_MIDSPR, build_design, fit_lasso, fit_ls, write_sample
 from intreg.cli import RunConfig, build_parser, config_from_args, main, run
 
 from conftest import exact_fit_sample, random_sample
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+FIXTURE_CSV = str(FIXTURES / "synthetic59.csv")
 
 
 @pytest.fixture
@@ -130,6 +134,31 @@ class TestRun:
         assert {"b1_x1", "b2_x2", "delta_mid", "mse"} <= fields
 
 
+class TestDefaultCrossValidation:
+    """Default-CV selections on the frozen fixture, pinned to the last bit."""
+
+    LASSO = {
+        "full": (0.12682918143042346, 0.01606616306611472, 0.025666943407897734, 0.02579810492549524),
+        "model-m": (0.38731799439213144, 0.005785941793658468, 0.10635099547344437, 0.10641834815576082),
+    }
+    LASSO_IR = {"full": 2.0550426158510984, "model-m": 0.9176160325793862}
+
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_lasso_selection(self, variant):
+        cfg = RunConfig(input_path=FIXTURE_CSV, method="lasso", variant=variant, output_format="json")
+        report = json.loads(run(cfg))
+        lambda_mid, lambda_spr, mid_error, spr_error = self.LASSO[variant]
+        assert report["lambda_mid"] == lambda_mid
+        assert report["lambda_spr"] == lambda_spr
+        assert report["diagnostics"]["cv_mid_min_error"] == pytest.approx(mid_error, rel=1e-12)
+        assert report["diagnostics"]["cv_spr_min_error"] == pytest.approx(spr_error, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_lasso_ir_selection(self, variant):
+        cfg = RunConfig(input_path=FIXTURE_CSV, method="lasso-ir", variant=variant, output_format="json")
+        assert json.loads(run(cfg))["t"] == self.LASSO_IR[variant]
+
+
 class TestMain:
     def test_success_exit_code(self, sample_csv, capsys):
         assert main(["--input-path", sample_csv, "--method", "ls"]) == 0
@@ -142,6 +171,15 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error code=InvertedInterval")
+        assert err.count("\n") == 1
+
+    def test_solver_failure_is_one_error_line(self, capsys):
+        # 20 rows, one of them with spread 0: the spread block's feasible set
+        # is {0} and complementary pivoting ray-terminates on it
+        code = main(["--input-path", str(FIXTURES / "zero_spread20.csv"), "--method", "ls"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error code=RayTermination")
         assert err.count("\n") == 1
 
     def test_missing_file(self, capsys):

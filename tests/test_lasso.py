@@ -11,8 +11,9 @@ from intreg import (
     fit_lasso_spr,
     fit_ls,
     lambda_grid,
+    select_budget,
 )
-from intreg.errors import FoldTooSmall
+from intreg.errors import FoldTooSmall, IntregError, SubgradientGap
 from intreg.lasso import lasso_cd, mid_kkt_gap, soft_threshold
 
 from conftest import exact_fit_sample, random_sample
@@ -65,6 +66,17 @@ class TestBlockFits:
         assert np.all(fit_lasso_mid(d, 1.5 * lam_mid) == 0.0)
         assert np.all(fit_lasso_spr(d, lam_spr, 0.5) == 0.0)
         assert np.all(fit_lasso_spr(d, 1.5 * lam_spr, 0.5) == 0.0)
+
+    def test_subgradient_gap_is_typed_error(self, monkeypatch):
+        import intreg.lasso
+
+        s = random_sample(3, n=10)
+        d = build_design(s, "full")
+        monkeypatch.setattr(intreg.lasso, "lasso_cd", lambda F, v, lam: np.zeros(F.shape[1]))
+        with pytest.raises(SubgradientGap) as info:
+            fit_lasso_mid(d, 0.0)
+        assert isinstance(info.value, IntregError) and isinstance(info.value, ArithmeticError)
+        assert info.value.code == "SubgradientGap"
 
     def test_negative_penalty_rejected(self):
         s = random_sample(3, n=10)
@@ -182,7 +194,6 @@ class TestCrossValidate:
         p1 = cross_validate(s, "full", 0.5, folds=4, seed=7, block="mid", count=12)
         p2 = cross_validate(s, "full", 0.5, folds=4, seed=7, block="mid", count=12)
         assert np.array_equal(p1.cv_mean, p2.cv_mean)
-        assert np.array_equal(p1.coefs, p2.coefs)
         assert p1.lambda_mse == p2.lambda_mse and p1.lambda_1se == p2.lambda_1se
 
     def test_one_se_never_below_mse_choice(self):
@@ -214,15 +225,18 @@ class TestCrossValidate:
 
     def test_fold_bounds_validation(self):
         s = random_sample(11, n=10)
-        with pytest.raises(ValueError):
-            cross_validate(s, "full", 0.5, folds=1, seed=0)
-        with pytest.raises(ValueError):
-            cross_validate(s, "full", 0.5, folds=11, seed=0)
+        for folds in (1, 11):
+            with pytest.raises(ValueError):
+                cross_validate(s, "full", 0.5, folds=folds, seed=0)
+            with pytest.raises(ValueError):
+                select_budget(s, 0.5, folds=folds, seed=0)
 
     def test_training_side_too_small(self):
         s = random_sample(12, n=2, k=1, noise=0.1)
         with pytest.raises(FoldTooSmall):
             cross_validate(s, "full", 0.5, folds=2, seed=0, count=3)
+        with pytest.raises(FoldTooSmall):
+            select_budget(s, 0.5, folds=2, seed=0)
 
 
 class TestFitLasso:
