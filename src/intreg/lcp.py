@@ -17,6 +17,14 @@ Pivot selection is lexicographic, which rules out cycling on degenerate
 tableaus.  A solved basis is re-solved directly against (M, q) before the
 solution is returned, so the reported values do not carry accumulated
 elimination error.
+
+The QP solver pivots on a working set of rows rather than on all of them:
+in the estimators' programs there is one row per observation but only a
+handful bind.  Starting from the unconstrained minimizer, each round adds
+the most violated rows to the working set and solves the working set's LCP
+exactly, until no other row is violated; the working set only grows, so
+the rounds are finitely many.  The final iterate is polished and certified
+(KKT residuals) against every row.
 """
 
 from __future__ import annotations
@@ -315,21 +323,36 @@ def _polish_active_set(qp: Qp, lam: np.ndarray) -> Optional[tuple[np.ndarray, np
 
 
 def _solve_qp_full(qp: Qp, max_pivots: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Primal solution, multipliers and solver diagnostics for a QP."""
+    """Primal solution, multipliers and solver diagnostics for a QP.
+
+    Constraint generation: starting from the unconstrained minimizer, each
+    round adds up to ``num_vars`` of the most violated rows to a working set
+    and solves the LCP of the working set alone, until no row outside it is
+    violated.  ``max_pivots`` bounds each round; ``lemke_pivots`` sums them.
+    The polish step and the reported residuals use every row.
+    """
     L, ridge = _ridge_factor(qp.Q)
     info = {"ridge_used": float(ridge), "lemke_pivots": 0.0}
-    if qp.num_constraints == 0:
-        z = _chol_solve(L, -qp.c)
-        lam = np.zeros(0)
-    else:
-        sol = lemke_solve(_reduce(qp, L), max_pivots)
-        info["lemke_pivots"] = float(sol.pivots)
+    lam = np.zeros(qp.num_constraints)
+    z = _chol_solve(L, -qp.c)
+    in_work = np.zeros(qp.num_constraints, dtype=bool)
+    tol = 1e-12 * (1.0 + np.abs(qp.r))
+    while True:
+        slack = qp.R @ z - qp.r
+        violated = np.flatnonzero((slack < -tol) & ~in_work)
+        if violated.size == 0:
+            break
+        in_work[violated[np.argsort(slack[violated], kind="stable")[: qp.num_vars]]] = True
+        work = np.flatnonzero(in_work)
+        sol = lemke_solve(_reduce(Qp(qp.Q, qp.c, qp.R[work], qp.r[work]), L), max_pivots)
+        info["lemke_pivots"] += float(sol.pivots)
         if sol.status != SOLVED:
             if not _constraints_feasible(qp.R, qp.r):
                 raise InfeasibleQp("constraint system is empty")
             raise RayTermination("complementary pivoting ray-terminated on a feasible program")
-        lam = sol.z
+        lam[work] = sol.z
         z = _chol_solve(L, qp.R.T @ lam - qp.c)
+    if qp.num_constraints:
         polished = _polish_active_set(qp, lam)
         if polished is not None and _kkt_score(qp, *polished) <= _kkt_score(qp, z, lam):
             z, lam = polished
@@ -340,8 +363,10 @@ def _solve_qp_full(qp: Qp, max_pivots: Optional[int] = None) -> tuple[np.ndarray
 def solve_qp(qp: Qp, max_pivots: Optional[int] = None) -> np.ndarray:
     """Minimizer of an inequality-constrained convex QP via Lemke pivoting.
 
-    Raises :class:`InfeasibleQp` when pivoting ray-terminates and an
-    independent linear-programming probe confirms the constraint set is
+    Solves on a growing working set of violated rows (see
+    :func:`_solve_qp_full`), so ``max_pivots`` bounds each round.  Raises
+    :class:`InfeasibleQp` when pivoting ray-terminates and an independent
+    linear-programming probe on all rows confirms the constraint set is
     empty.
     """
     return _solve_qp_full(qp, max_pivots)[0]

@@ -41,6 +41,25 @@ def random_sample(seed, n=30, k=2, noise=0.4):
     return simulate(n, k, b_true, noise=noise, seed=seed + 1000)
 
 
+def split_model_sample(seed, n, k=3, spread_noise=0.3):
+    """Sparse split-model sample with symmetric spread noise clipped at 0.
+
+    About half of the rows sit above their planted spread, so the spread
+    domination rows bind.
+    """
+    rng = np.random.default_rng(seed)
+    b1, b2, b3, b4 = (np.zeros(k) for _ in range(4))
+    b1[:3] = [1.5, -1.0, 0.5]
+    b2[:3] = [0.8, 0.3, 0.5]
+    b3[:2] = [0.2, 0.4]
+    b4[:2] = [0.4, -0.3]
+    mid_x = rng.normal(0.0, 1.0, (n, k))
+    spr_x = rng.uniform(0.2, 1.2, (n, k))
+    mid_y = mid_x @ b1 + spr_x @ b4 + 0.5 + rng.normal(0.0, 0.5, n)
+    spr_y = np.maximum(spr_x @ b2 + np.abs(mid_x) @ b3 + rng.uniform(-spread_noise, spread_noise, n), 0.0)
+    return IntervalSample(mid_y, spr_y, mid_x, spr_x)
+
+
 def random_feasible_qp(rng, m, p):
     """SPD quadratic with a feasible inequality system."""
     A = rng.normal(size=(m + 2, m))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intreg import FORMAT_MIDSPR, build_design, fit_lasso, fit_ls, write_sample
+from intreg import FORMAT_MIDSPR, build_design, fit_lasso, fit_ls, ingest, write_sample
 from intreg.cli import RunConfig, build_parser, config_from_args, main, run
 
 from conftest import exact_fit_sample, random_sample
@@ -69,8 +69,6 @@ class TestRun:
         assert report["config"]["method"] == "ls"
 
     def test_json_matches_library_fit(self, sample_csv):
-        from intreg import ingest
-
         cfg = RunConfig(input_path=sample_csv, method="ls", output_format="json")
         report = json.loads(run(cfg))
         res = fit_ls(build_design(ingest(sample_csv), "full"), 0.5)
@@ -82,8 +80,6 @@ class TestRun:
         assert run(cfg) == run(cfg)
 
     def test_explicit_lambdas_reproduce_library_call(self, sample_csv):
-        from intreg import ingest
-
         cfg = RunConfig(
             input_path=sample_csv, method="lasso", lambda_mid=0.4, lambda_spr=0.03,
             output_format="json",
@@ -173,14 +169,34 @@ class TestMain:
         assert err.startswith("error code=InvertedInterval")
         assert err.count("\n") == 1
 
-    def test_solver_failure_is_one_error_line(self, capsys):
-        # 20 rows, one of them with spread 0: the spread block's feasible set
-        # is {0} and complementary pivoting ray-terminates on it
+    def test_solver_failure_is_one_error_line(self, monkeypatch, capsys):
+        # a ray termination on a feasible program is a solver failure, and
+        # reaches the CLI as one error line (this fixture's spread block has
+        # violated rows, so it reaches the Lemke solver)
+        import intreg.lcp as lcp
+
+        def ray(lcp_, max_pivots=None):
+            return lcp.LcpSolution(np.zeros(lcp_.dim), lcp_.q.copy(), lcp.RAY_TERMINATION, 1)
+
+        monkeypatch.setattr(lcp, "lemke_solve", ray)
         code = main(["--input-path", str(FIXTURES / "zero_spread20.csv"), "--method", "ls"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error code=RayTermination")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_zero_spread_rows_fit_at_zero(self, variant, capsys):
+        # 20 rows, one of them with spread 0: the spread block's feasible set
+        # is {0}
+        path = str(FIXTURES / "zero_spread20.csv")
+        code = main(["--input-path", path, "--method", "ls", "--variant", variant, "--output-format", "json"])
+        assert code == 0
+        b = json.loads(capsys.readouterr().out)["coefficients"]
+        assert b["b2"] == [0.0, 0.0, 0.0] and b["b3"] == [0.0, 0.0, 0.0]
+        sample = ingest(path)
+        fitted = sample.spr_x @ np.array(b["b2"]) + np.abs(sample.mid_x) @ np.array(b["b3"])
+        assert np.all(fitted <= sample.spr_y)
 
     def test_missing_file(self, capsys):
         code = main(["--input-path", "/nonexistent/nope.csv"])

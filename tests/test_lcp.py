@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from intreg import Lcp, Qp, lemke_solve, qp_to_lcp, solve_qp
+import intreg.lasso_ir as lasso_ir
+import intreg.lcp as lcp
+import intreg.least_squares as least_squares
+from intreg import Lcp, Qp, build_design, lemke_solve, qp_to_lcp, solve_qp
 from intreg.errors import InfeasibleQp, PivotLimitExceeded, SingularQ
+from intreg.lasso import fit_lasso_spr
 from intreg.lcp import SOLVED
 from intreg.oracle import brute_force_qp
 
-from conftest import random_feasible_qp
+from conftest import random_feasible_qp, split_model_sample
 
 
 def assert_lcp_invariants(lcp, sol):
@@ -141,3 +145,81 @@ class TestSolveQp:
     def test_unconstrained(self):
         qp = Qp(np.eye(2), np.array([-3.0, 4.0]), np.zeros((0, 2)), np.zeros(0))
         assert np.allclose(solve_qp(qp), [3.0, -4.0], atol=1e-10)
+
+
+def full_dimension_solve(qp):
+    """Lemke on every row at once, z = Q^{-1}(R' lam - c), then the same
+    active-set polish: the solve that the working set replaces."""
+    sol = lemke_solve(qp_to_lcp(qp))
+    assert sol.status == SOLVED
+    L, _ = lcp._ridge_factor(qp.Q)
+    lam = sol.z
+    z = lcp._chol_solve(L, qp.R.T @ lam - qp.c)
+    polished = lcp._polish_active_set(qp, lam)
+    if polished is not None and lcp._kkt_score(qp, *polished) <= lcp._kkt_score(qp, z, lam):
+        z, lam = polished
+    return z, lam
+
+
+def record_lemke_dims(monkeypatch):
+    dims = []
+
+    def record(lcp_, max_pivots=None):
+        dims.append(lcp_.dim)
+        return lemke_solve(lcp_, max_pivots)
+
+    monkeypatch.setattr(lcp, "lemke_solve", record)
+    return dims
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_caller_qps_match_full_dimension_solve(self, n, monkeypatch):
+        # the spread block (ls and lasso) and the lasso-ir joint QP at t = 0
+        # and t > 0, as their callers build them
+        design = build_design(split_model_sample(n, n), "full")
+        qps = []
+
+        def record(qp, max_pivots=None):
+            qps.append(qp)
+            return lcp._solve_qp_full(qp, max_pivots)
+
+        monkeypatch.setattr(least_squares, "_solve_qp_full", record)
+        monkeypatch.setattr(lasso_ir, "_solve_qp_full", record)
+        least_squares.solve_spread_block(design, 0.5)
+        fit_lasso_spr(design, 0.05)
+        lasso_ir.fit_lasso_ir(design, 0.5, 0.0)
+        lasso_ir.fit_lasso_ir(design, 0.5, 0.3)
+        monkeypatch.undo()
+        assert len(qps) == 4
+        dims = record_lemke_dims(monkeypatch)
+        for qp in qps:
+            dims.clear()
+            z, lam, _ = lcp._solve_qp_full(qp)
+            assert max(dims) < qp.num_constraints
+            z_ref, lam_ref = full_dimension_solve(qp)
+            assert np.count_nonzero(lam_ref) > 0
+            assert np.array_equal(lam > 0, lam_ref > 0)
+            assert np.max(np.abs(z - z_ref)) <= 1e-10 * np.max(np.abs(z_ref))
+
+    def test_infeasibility_outside_first_working_set(self, monkeypatch):
+        # the two most violated rows at the unconstrained minimizer (0, 0)
+        # are consistent; z1 >= 1 and z1 <= 0.5 contradict each other and
+        # enter the working set only in later rounds
+        R = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
+        qp = Qp(np.eye(2), np.zeros(2), R, np.array([10.0, 9.0, 1.0, -0.5]))
+        dims = record_lemke_dims(monkeypatch)
+        with pytest.raises(InfeasibleQp):
+            solve_qp(qp)
+        assert dims == [2, 3, 4]
+
+    def test_spread_block_scales_to_100k_rows(self, monkeypatch):
+        # the full-dimension tableau would hold (n + 6) x (2n + 14) floats,
+        # about 160 GB; the working set keeps every Lemke call small
+        n = 100_000
+        design = build_design(split_model_sample(3, n), "full")
+        dims = record_lemke_dims(monkeypatch)
+        _, info = least_squares.solve_spread_block(design, 0.5)
+        assert dims and max(dims) <= 5 * design.block_width
+        for key in ("kkt_stationarity", "kkt_feasibility", "kkt_complementarity"):
+            assert info[key] <= 1e-8 * (1 + n)
