@@ -144,7 +144,7 @@ def main():
           np.maximum(active_set_optimum(pen_qp), 0.0), 1e-9)
     from intreg import fit_lasso
 
-    lasso = fit_lasso(sample, "model-m", TAU, lambda_mid=LAMBDA_MID, lambda_spr=LAMBDA_SPR)
+    lasso = fit_lasso(design_m, TAU, lambda_mid=LAMBDA_MID, lambda_spr=LAMBDA_SPR)
     record("lasso_model-m", lasso, {"lambda_mid": LAMBDA_MID, "lambda_spr": LAMBDA_SPR})
     print(f"  grid anchors: mid lam_max {lambda_grid(design_m, 2, 0.5, 'mid')[0]:.4f}, "
           f"spr lam_max {lambda_grid(design_m, 2, 0.5, 'spr')[0]:.4f}")

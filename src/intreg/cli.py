@@ -117,18 +117,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def _reported_mse(result: FitResult, sample, config: RunConfig) -> float:
     if config.mse_convention == MSE_DTAU:
         return result.mse
-    return mean_squared_unweighted(sample.y_list(), result.fitted)
+    return mean_squared_unweighted(sample.mid_y, sample.spr_y, result.fitted_mid, result.fitted_spr)
 
 
 def _execute(config: RunConfig) -> tuple[FitResult, object]:
     sample = sample_io.ingest(config.input_path, config.format)
+    design = build_design(sample, config.variant)
     if config.method == METHOD_LS:
-        design = build_design(sample, config.variant)
         result = fit_ls(design, config.tau)
     elif config.method == METHOD_LASSO:
         result = fit_lasso(
-            sample,
-            variant=config.variant,
+            design,
             tau=config.tau,
             rule=config.lambda_rule,
             folds=config.folds,
@@ -137,17 +136,9 @@ def _execute(config: RunConfig) -> tuple[FitResult, object]:
             lambda_spr=config.lambda_spr,
         )
     else:
-        design = build_design(sample, config.variant)
-        if config.t_budget is not None:
-            t = config.t_budget
-        else:
-            t = select_budget(
-                sample,
-                tau=config.tau,
-                folds=config.folds,
-                seed=config.seed,
-                variant=config.variant,
-            )
+        t = config.t_budget
+        if t is None:
+            t = select_budget(design, tau=config.tau, folds=config.folds, seed=config.seed)
         result = to_fit_result(design, fit_lasso_ir(design, config.tau, t), config.tau)
     return result, sample
 

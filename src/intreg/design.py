@@ -57,24 +57,29 @@ class DesignSystem:
     """Centered design matrices and the spread feasibility system of a sample.
 
     ``fm``/``fs`` are the column-centered midpoint-side and spread-side
-    regressor matrices, ``vm``/``vs`` the centered responses.  The raw pieces
-    ``spr_x``, ``abs_mid_x`` and ``spr_y`` define the spread constraints, and
-    the stored column means recover uncentered predictions and the intercept.
+    regressor matrices, ``vm``/``vs`` the centered responses.  ``sample`` is
+    the read-only sample they were built from; its raw spreads and absolute
+    midpoints define the spread constraints, and the stored column means
+    recover uncentered predictions and the intercept.
     """
 
+    sample: IntervalSample
     variant: str
     fm: np.ndarray
     fs: np.ndarray
     vm: np.ndarray
     vs: np.ndarray
-    spr_x: np.ndarray
-    abs_mid_x: np.ndarray
-    spr_y: np.ndarray
     mean_mid_xebl: np.ndarray
     mean_spr_xebl: np.ndarray
     mean_y: Interval
-    n: int
-    k: int
+
+    @property
+    def n(self) -> int:
+        return self.sample.n
+
+    @property
+    def k(self) -> int:
+        return self.sample.k
 
     @property
     def block_width(self) -> int:
@@ -83,9 +88,7 @@ class DesignSystem:
     @property
     def gamma_matrix(self) -> np.ndarray:
         """Uncentered spread-side regressor matrix used by the constraints."""
-        if self.variant == VARIANT_FULL:
-            return np.hstack([self.spr_x, self.abs_mid_x])
-        return self.spr_x
+        return regressor_blocks(self.sample, self.variant)[1]
 
     def spread_constraints(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``R a >= r`` encoding nonnegativity and spread domination.
@@ -97,7 +100,7 @@ class DesignSystem:
         g = self.gamma_matrix
         w = g.shape[1]
         R = np.vstack([np.eye(w), -g])
-        r = np.concatenate([np.zeros(w), -self.spr_y])
+        r = np.concatenate([np.zeros(w), -self.sample.spr_y])
         return R, r
 
 
@@ -113,24 +116,16 @@ def build_design(sample: IntervalSample, variant: str = VARIANT_FULL) -> DesignS
     mid_side, spr_side = regressor_blocks(sample, variant)
     mean_mid = mid_side.mean(axis=0)
     mean_spr = spr_side.mean(axis=0)
-    fm = mid_side - mean_mid
-    fs = spr_side - mean_spr
-    vm = sample.mid_y - sample.mid_y.mean()
-    vs = sample.spr_y - sample.spr_y.mean()
     return DesignSystem(
+        sample=sample,
         variant=variant,
-        fm=fm,
-        fs=fs,
-        vm=vm,
-        vs=vs,
-        spr_x=sample.spr_x.copy(),
-        abs_mid_x=np.abs(sample.mid_x),
-        spr_y=sample.spr_y.copy(),
+        fm=mid_side - mean_mid,
+        fs=spr_side - mean_spr,
+        vm=sample.mid_y - sample.mid_y.mean(),
+        vs=sample.spr_y - sample.spr_y.mean(),
         mean_mid_xebl=mean_mid,
         mean_spr_xebl=mean_spr,
         mean_y=Interval(float(sample.mid_y.mean()), float(sample.spr_y.mean())),
-        n=sample.n,
-        k=sample.k,
     )
 
 

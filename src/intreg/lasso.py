@@ -13,7 +13,9 @@ depends only on the midpoint block and a spread part that depends only on
 the spread block, so the two validation curves can be minimized separately.
 When scanning one block, the other block is held at its unpenalized
 least-squares solution on the same training fold, which only shifts that
-block's validation curve by a constant.
+block's validation curve by a constant.  One fold pass serves both blocks:
+each fold's training design and held-out rows are built once, both blocks'
+grids are scanned on them, and the error matrix is split by block.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ import numpy as np
 
 from .design import Coefficients, DesignSystem, build_design, regressor_blocks
 from .errors import FoldTooSmall, InfeasibleConstraints, InfeasibleQp, SubgradientGap
-from .intervals import DEFAULT_TAU, Interval, IntervalSample, validate_tau
+from .intervals import DEFAULT_TAU, Interval, validate_tau
 from .least_squares import (
     METHOD_LASSO,
     FitResult,
+    _fit_result,
     _msd_arrays,
     estimate_intercept,
-    fitted_intervals,
     ols_mid,
     solve_spread_block,
 )
@@ -42,6 +44,7 @@ RULES = (RULE_MSE, RULE_ONE_SE)
 
 BLOCK_MID = "mid"
 BLOCK_SPR = "spr"
+BLOCKS = (BLOCK_MID, BLOCK_SPR)
 
 DEFAULT_GRID_SIZE = 100
 DEFAULT_GRID_RATIO = 1e-3
@@ -176,8 +179,7 @@ class LassoPath:
 
 
 def _cv_errors(
-    sample: IntervalSample,
-    variant: str,
+    design: DesignSystem,
     tau: float,
     folds: int,
     seed: int,
@@ -185,11 +187,13 @@ def _cv_errors(
 ) -> np.ndarray:
     """Held-out weighted squared errors, one row per fold, one column per grid point.
 
-    Folds are a seeded pseudorandom partition of the rows.  ``fit_grid``
-    receives each fold's training design and yields the midpoint and spread
-    blocks ``(a_m, a_s)`` fitted at every grid point; the intercept comes from
-    the training means, as in the full-sample fits.
+    Folds are a seeded pseudorandom partition of the rows of
+    ``design.sample``.  ``fit_grid`` receives each fold's training design and
+    yields the midpoint and spread blocks ``(a_m, a_s)`` fitted at every grid
+    point; the intercept comes from the training means, as in the
+    full-sample fits.
     """
+    sample = design.sample
     n = sample.n
     if folds < 2 or folds > n:
         raise ValueError(f"folds must lie between 2 and {n}, got {folds}")
@@ -200,9 +204,9 @@ def _cv_errors(
         train_rows = np.setdiff1d(np.arange(n), held)
         if train_rows.size < 2:
             raise FoldTooSmall(f"fold {f} leaves only {train_rows.size} training rows")
-        train = build_design(sample.subset(train_rows), variant)
+        train = build_design(sample.subset(train_rows), design.variant)
         test = sample.subset(held)
-        mid_side, spr_side = regressor_blocks(test, variant)
+        mid_side, spr_side = regressor_blocks(test, design.variant)
         row = []
         for a_m, a_s in fit_grid(train):
             delta_mid = train.mean_y.mid - float(train.mean_mid_xebl @ a_m)
@@ -215,54 +219,61 @@ def _cv_errors(
 
 
 def cross_validate(
-    sample: IntervalSample,
-    variant: str = "full",
+    design: DesignSystem,
     tau: float = DEFAULT_TAU,
     folds: int = 5,
     seed: int = 0,
-    block: str = BLOCK_MID,
+    blocks: tuple[str, ...] = BLOCKS,
     count: int = DEFAULT_GRID_SIZE,
     ratio: float = DEFAULT_GRID_RATIO,
-) -> LassoPath:
-    """K-fold cross-validation of one block's penalty.
+) -> tuple[LassoPath, ...]:
+    """K-fold cross-validation of each requested block's penalty.
 
-    Fold assignment is a seeded pseudorandom partition, so identical seeds
-    give identical paths.  Per penalty, ``cv_mean`` is the mean held-out
-    weighted squared error and ``cv_stderr`` its standard error across
-    folds; the selected penalties are the error minimizer and the largest
-    penalty within one standard error of it.
+    Returns one path per entry of ``blocks``, in that order, all computed in
+    one pass over the folds.  Fold assignment is a seeded pseudorandom
+    partition, so identical seeds give identical paths.  Per penalty,
+    ``cv_mean`` is the mean held-out weighted squared error and
+    ``cv_stderr`` its standard error across folds; the selected penalties
+    are the error minimizer and the largest penalty within one standard
+    error of it.
     """
     tau = validate_tau(tau)
-    if block not in (BLOCK_MID, BLOCK_SPR):
-        raise ValueError(f"block must be {BLOCK_MID!r} or {BLOCK_SPR!r}")
-    lambdas = lambda_grid(build_design(sample, variant), count, ratio, block)
+    if not blocks or any(block not in BLOCKS for block in blocks):
+        raise ValueError(f"blocks must be a nonempty tuple drawn from {BLOCKS}, got {blocks!r}")
+    grids = [lambda_grid(design, count, ratio, block) for block in blocks]
 
     def fit_grid(train: DesignSystem):
-        if block == BLOCK_MID:
-            a_s, _ = solve_spread_block(train, tau)
-            return ((fit_lasso_mid(train, lam), a_s) for lam in lambdas)
-        a_m, _ = ols_mid(train)
-        return ((a_m, fit_lasso_spr(train, lam, tau)) for lam in lambdas)
+        for block, lambdas in zip(blocks, grids):
+            if block == BLOCK_MID:
+                a_s, _ = solve_spread_block(train, tau)
+                for lam in lambdas:
+                    yield fit_lasso_mid(train, lam), a_s
+            else:
+                a_m, _ = ols_mid(train)
+                for lam in lambdas:
+                    yield a_m, fit_lasso_spr(train, lam, tau)
 
-    errors = _cv_errors(sample, variant, tau, folds, seed, fit_grid)
-    cv_mean = errors.mean(axis=0)
-    cv_stderr = errors.std(axis=0, ddof=1) / np.sqrt(folds)
-    best = int(np.argmin(cv_mean))
-    threshold = cv_mean[best] + cv_stderr[best]
-    one_se = int(np.flatnonzero(cv_mean <= threshold)[0])
-    return LassoPath(
-        block=block,
-        lambdas=lambdas,
-        cv_mean=cv_mean,
-        cv_stderr=cv_stderr,
-        lambda_mse=float(lambdas[best]),
-        lambda_1se=float(lambdas[one_se]),
-    )
+    errors = _cv_errors(design, tau, folds, seed, fit_grid)
+    paths = []
+    for block, lambdas, block_errors in zip(blocks, grids, np.split(errors, len(blocks), axis=1)):
+        cv_mean = block_errors.mean(axis=0)
+        cv_stderr = block_errors.std(axis=0, ddof=1) / np.sqrt(folds)
+        best = int(np.argmin(cv_mean))
+        threshold = cv_mean[best] + cv_stderr[best]
+        one_se = int(np.flatnonzero(cv_mean <= threshold)[0])
+        paths.append(LassoPath(
+            block=block,
+            lambdas=lambdas,
+            cv_mean=cv_mean,
+            cv_stderr=cv_stderr,
+            lambda_mse=float(lambdas[best]),
+            lambda_1se=float(lambdas[one_se]),
+        ))
+    return tuple(paths)
 
 
 def fit_lasso(
-    sample: IntervalSample,
-    variant: str = "full",
+    design: DesignSystem,
     tau: float = DEFAULT_TAU,
     rule: str = RULE_MSE,
     folds: int = 5,
@@ -275,36 +286,26 @@ def fit_lasso(
     """Lasso fit with independently selected per-block penalties.
 
     Explicit ``lambda_mid`` / ``lambda_spr`` values skip cross-validation
-    for that block.  The intercept is never penalized; it is recovered from
-    the refit exactly as in the least-squares fit.
+    for that block; the blocks left open share one cross-validation pass.
+    The intercept is never penalized; it is recovered from the refit exactly
+    as in the least-squares fit.
     """
     tau = validate_tau(tau)
     if rule not in RULES:
         raise ValueError(f"rule must be one of {RULES}, got {rule!r}")
-    design = build_design(sample, variant)
+    penalties = {BLOCK_MID: lambda_mid, BLOCK_SPR: lambda_spr}
+    open_blocks = tuple(block for block in BLOCKS if penalties[block] is None)
     diagnostics: dict[str, float] = {}
-    if lambda_mid is None:
-        path = cross_validate(sample, variant, tau, folds, seed, BLOCK_MID, count, ratio)
-        lambda_mid = path.lambda_mse if rule == RULE_MSE else path.lambda_1se
-        diagnostics["cv_mid_min_error"] = float(np.min(path.cv_mean))
-    if lambda_spr is None:
-        path = cross_validate(sample, variant, tau, folds, seed, BLOCK_SPR, count, ratio)
-        lambda_spr = path.lambda_mse if rule == RULE_MSE else path.lambda_1se
-        diagnostics["cv_spr_min_error"] = float(np.min(path.cv_mean))
-    lambda_mid = float(lambda_mid)
-    lambda_spr = float(lambda_spr)
+    if open_blocks:
+        for path in cross_validate(design, tau, folds, seed, open_blocks, count, ratio):
+            penalties[path.block] = path.lambda_mse if rule == RULE_MSE else path.lambda_1se
+            diagnostics[f"cv_{path.block}_min_error"] = float(np.min(path.cv_mean))
+    lambda_mid = float(penalties[BLOCK_MID])
+    lambda_spr = float(penalties[BLOCK_SPR])
     a_m = fit_lasso_mid(design, lambda_mid)
     a_s = fit_lasso_spr(design, lambda_spr, tau)
     coefs = Coefficients.from_blocks(a_m, a_s, Interval(0.0, 0.0), design.variant, design.k)
     coefs = coefs.with_delta(estimate_intercept(design, coefs))
     diagnostics["mid_kkt_gap"] = mid_kkt_gap(design.fm, design.vm, lambda_mid, a_m)
-    mse = _msd_arrays(design.vm - design.fm @ a_m, design.vs - design.fs @ a_s, tau)
-    return FitResult(
-        coefficients=coefs,
-        method=METHOD_LASSO,
-        lambda_mid=lambda_mid,
-        lambda_spr=lambda_spr,
-        fitted=fitted_intervals(design, a_m, a_s),
-        mse=mse,
-        diagnostics=diagnostics,
-    )
+    return _fit_result(design, coefs, a_m, a_s, tau, METHOD_LASSO, lambda_mid=lambda_mid,
+                       lambda_spr=lambda_spr, diagnostics=diagnostics)

@@ -19,11 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .design import Coefficients, DesignSystem, build_design
-from .intervals import DEFAULT_TAU, Interval, IntervalSample, validate_tau
+from .design import Coefficients, DesignSystem
+from .intervals import DEFAULT_TAU, Interval, validate_tau
 from .lasso import _cv_errors
 from .lcp import Qp, _solve_qp_full
-from .least_squares import METHOD_LASSO_IR, FitResult, _msd_arrays
+from .least_squares import METHOD_LASSO_IR, FitResult, _fit_result
 
 
 @dataclass
@@ -130,7 +130,7 @@ def fit_lasso_ir(design: DesignSystem, tau: float = DEFAULT_TAU, t: float = 0.0)
         a_a=a_a,
         t=t,
         fitted_spr_nonneg=bool(np.all(fitted_spr >= -1e-9)),
-        hukuhara_residuals_exist=bool(np.all(design.spr_y - fitted_spr >= -1e-9)),
+        hukuhara_residuals_exist=bool(np.all(design.sample.spr_y - fitted_spr >= -1e-9)),
         delta_mid=delta_mid,
         delta_spr=delta_spr,
         objective=objective,
@@ -142,29 +142,19 @@ def to_fit_result(design: DesignSystem, fit: LassoIrFit, tau: float = DEFAULT_TA
     """Package a budgeted-offset fit in the common result shape.
 
     The error is computed from the raw fitted spreads even when some are
-    negative; the interval views clamp spreads at zero and the flags record
-    that this happened.
+    negative; the reported fitted spreads are clamped at zero and the flags
+    record that this happened.
     """
     tau = validate_tau(tau)
     a_s = fit.a_s
     delta = Interval(fit.delta_mid, max(0.0, fit.delta_spr))
     coefs = Coefficients.from_blocks(fit.a_m, a_s, delta, design.variant, design.k, check_nonneg=False)
-    mid_hat = design.fm @ fit.a_m + design.mean_y.mid
-    spr_hat = design.fs @ a_s + design.mean_y.spr
-    fitted = [Interval(m, max(0.0, s)) for m, s in zip(mid_hat, spr_hat)]
-    mse = _msd_arrays(design.vm - design.fm @ fit.a_m, design.vs - design.fs @ a_s, tau)
     diagnostics = dict(fit.diagnostics)
     diagnostics["fitted_spr_nonneg"] = float(fit.fitted_spr_nonneg)
     diagnostics["hukuhara_residuals_exist"] = float(fit.hukuhara_residuals_exist)
     diagnostics["delta_spr_raw"] = fit.delta_spr
-    return FitResult(
-        coefficients=coefs,
-        method=METHOD_LASSO_IR,
-        t_budget=fit.t,
-        fitted=fitted,
-        mse=mse,
-        diagnostics=diagnostics,
-    )
+    return _fit_result(design, coefs, fit.a_m, a_s, tau, METHOD_LASSO_IR, t_budget=fit.t,
+                       diagnostics=diagnostics)
 
 
 def default_budget_grid(design: DesignSystem, count: int = 20, ratio: float = 1e-3) -> list[float]:
@@ -177,12 +167,11 @@ def default_budget_grid(design: DesignSystem, count: int = 20, ratio: float = 1e
 
 
 def select_budget(
-    sample: IntervalSample,
+    design: DesignSystem,
     tau: float = DEFAULT_TAU,
     t_grid: Optional[Sequence[float]] = None,
     folds: int = 5,
     seed: int = 0,
-    variant: str = "full",
 ) -> float:
     """Budget minimizing the cross-validated weighted squared error.
 
@@ -192,7 +181,7 @@ def select_budget(
     """
     tau = validate_tau(tau)
     if t_grid is None:
-        t_grid = default_budget_grid(build_design(sample, variant))
+        t_grid = default_budget_grid(design)
     grid = [float(t) for t in t_grid]
     if not grid:
         raise ValueError("the budget grid must be nonempty")
@@ -202,5 +191,5 @@ def select_budget(
             fit = fit_lasso_ir(train, tau, t)
             yield fit.a_m, fit.a_s
 
-    errors = _cv_errors(sample, variant, tau, folds, seed, fit_grid)
+    errors = _cv_errors(design, tau, folds, seed, fit_grid)
     return grid[int(np.argmin(errors.mean(axis=0)))]

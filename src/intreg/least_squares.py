@@ -32,15 +32,20 @@ _ZERO_SNAP = 1e-10
 
 @dataclass
 class FitResult:
-    """A fitted model: coefficients, selection parameters and diagnostics."""
+    """A fitted model: coefficients, selection parameters and diagnostics.
+
+    ``fitted_mid`` and ``fitted_spr`` are the fitted midpoints and spreads
+    over the training rows, intercept included, with spreads clamped at 0.
+    """
 
     coefficients: Coefficients
     method: str
+    fitted_mid: np.ndarray
+    fitted_spr: np.ndarray
+    mse: float
     lambda_mid: float = 0.0
     lambda_spr: float = 0.0
     t_budget: float = 0.0
-    fitted: list[Interval] = field(default_factory=list)
-    mse: float = 0.0
     diagnostics: dict[str, float] = field(default_factory=dict)
 
 
@@ -58,13 +63,14 @@ def mean_squared_dtau(y: Sequence[Interval], y_hat: Sequence[Interval], tau: flo
     return _msd_arrays(dm, ds, tau)
 
 
-def mean_squared_unweighted(y: Sequence[Interval], y_hat: Sequence[Interval]) -> float:
-    """Mean of squared midpoint plus squared spread residuals (no weights)."""
-    if len(y) != len(y_hat):
-        raise LengthMismatch(f"got {len(y)} observed but {len(y_hat)} fitted intervals")
-    dm = np.array([a.mid - b.mid for a, b in zip(y, y_hat)])
-    ds = np.array([a.spr - b.spr for a, b in zip(y, y_hat)])
-    return float(np.mean(dm**2 + ds**2))
+def mean_squared_unweighted(mid_y: np.ndarray, spr_y: np.ndarray, mid_hat: np.ndarray, spr_hat: np.ndarray) -> float:
+    """Mean of squared midpoint plus squared spread residuals (no weights).
+
+    Takes the observed and the fitted midpoints and spreads as arrays.
+    """
+    if len(mid_y) != len(mid_hat):
+        raise LengthMismatch(f"got {len(mid_y)} observed but {len(mid_hat)} fitted intervals")
+    return float(np.mean((mid_y - mid_hat) ** 2 + (spr_y - spr_hat) ** 2))
 
 
 def ols_mid(design: DesignSystem) -> tuple[np.ndarray, int]:
@@ -76,14 +82,13 @@ def ols_mid(design: DesignSystem) -> tuple[np.ndarray, int]:
 def spread_qp(design: DesignSystem, tau: float, lam: float = 0.0) -> Qp:
     """The spread-block QP at weight ``tau`` with an optional linear L1 term.
 
-    On the feasible cone every coefficient is nonnegative, so an L1 penalty
-    is the linear term ``lam * sum(a)``; with ``lam = 0`` this is the plain
-    least-squares spread problem scaled by ``2 tau``.
+    The objective is ``tau ||vs - fs a||^2 + 2 tau lam sum(a)``: on the
+    feasible cone every coefficient is nonnegative, so the L1 penalty is
+    linear, and the minimizer is that of ``1/2 ||vs - fs a||^2 + lam ||a||_1``.
     """
     fs = design.fs
-    scale = 2.0 * tau if lam == 0.0 else 1.0
-    Q = scale * (fs.T @ fs)
-    c = -scale * (fs.T @ design.vs) + lam
+    Q = 2.0 * tau * (fs.T @ fs)
+    c = 2.0 * tau * (lam - fs.T @ design.vs)
     R, r = design.spread_constraints()
     return Qp(Q, c, R, r)
 
@@ -124,11 +129,23 @@ def estimate_intercept(design: DesignSystem, coefs: Coefficients) -> Interval:
     return hukuhara_diff(design.mean_y, mean_fitted)
 
 
-def fitted_intervals(design: DesignSystem, a_m: np.ndarray, a_s: np.ndarray) -> list[Interval]:
-    """Fitted intervals over the training rows, intercept included."""
-    mid_hat = design.fm @ a_m + design.mean_y.mid
-    spr_hat = design.fs @ a_s + design.mean_y.spr
-    return [Interval(m, max(0.0, s)) for m, s in zip(mid_hat, spr_hat)]
+def _fit_result(design: DesignSystem, coefs: Coefficients, a_m: np.ndarray, a_s: np.ndarray,
+                tau: float, method: str, **fields) -> FitResult:
+    """Package block solutions with their fitted values and weighted error.
+
+    The error is measured on the raw fitted spreads; only the reported
+    fitted spreads are clamped at 0.
+    """
+    mid_part = design.fm @ a_m
+    spr_part = design.fs @ a_s
+    return FitResult(
+        coefficients=coefs,
+        method=method,
+        fitted_mid=mid_part + design.mean_y.mid,
+        fitted_spr=np.maximum(spr_part + design.mean_y.spr, 0.0),
+        mse=_msd_arrays(design.vm - mid_part, design.vs - spr_part, tau),
+        **fields,
+    )
 
 
 def fit_ls(design: DesignSystem, tau: float = DEFAULT_TAU) -> FitResult:
@@ -145,12 +162,4 @@ def fit_ls(design: DesignSystem, tau: float = DEFAULT_TAU) -> FitResult:
     diagnostics["degenerate_design"] = float(rank < design.block_width)
     coefs = Coefficients.from_blocks(a_m, a_s, Interval(0.0, 0.0), design.variant, design.k)
     coefs = coefs.with_delta(estimate_intercept(design, coefs))
-    fitted = fitted_intervals(design, a_m, a_s)
-    mse = _msd_arrays(design.vm - design.fm @ a_m, design.vs - design.fs @ a_s, tau)
-    return FitResult(
-        coefficients=coefs,
-        method=METHOD_LS,
-        fitted=fitted,
-        mse=mse,
-        diagnostics=diagnostics,
-    )
+    return _fit_result(design, coefs, a_m, a_s, tau, METHOD_LS, diagnostics=diagnostics)

@@ -60,6 +60,11 @@ def split_model_sample(seed, n, k=3, spread_noise=0.3):
     return IntervalSample(mid_y, spr_y, mid_x, spr_x)
 
 
+def fitted_intervals(result):
+    """The fitted rows of a fit result as intervals."""
+    return [Interval(m, s) for m, s in zip(result.fitted_mid, result.fitted_spr)]
+
+
 def random_feasible_qp(rng, m, p):
     """SPD quadratic with a feasible inequality system."""
     A = rng.normal(size=(m + 2, m))

@@ -200,7 +200,9 @@ def _check_bloodpressure_fit(result, spec, sample, convention):
     assert np.max(np.abs(got - expected)) <= spec["coefficients_tol"], (
         f"coefficients {got} vs {expected}"
     )
-    mse = result.mse if convention == "dtau" else mean_squared_unweighted(sample.y_list(), result.fitted)
+    mse = result.mse if convention == "dtau" else mean_squared_unweighted(
+        sample.mid_y, sample.spr_y, result.fitted_mid, result.fitted_spr
+    )
     assert abs(mse - spec["mse"]) <= spec["mse_rel_tol"] * spec["mse"], (
         f"mse {mse} vs {spec['mse']}"
     )
@@ -223,7 +225,7 @@ def test_criterion_5_reference_dataset_reproduction():
     for key in ("lasso_fixed", "lasso_fixed_sparse"):
         fit_spec = spec["fits"][key]
         res = fit_lasso(
-            sample, variant, tau,
+            design, tau,
             lambda_mid=fit_spec["lambda_mid"], lambda_spr=fit_spec["lambda_spr"],
         )
         _check_bloodpressure_fit(res, fit_spec, sample, convention)
@@ -253,7 +255,7 @@ def test_criterion_6_frozen_synthetic_fixture():
 
     lasso_spec = expected["fits"]["lasso_model-m"]
     check(lasso_spec, fit_lasso(
-        sample, "model-m", tau,
+        build_design(sample, "model-m"), tau,
         lambda_mid=lasso_spec["lambda_mid"], lambda_spr=lasso_spec["lambda_spr"],
     ))
 

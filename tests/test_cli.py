@@ -85,7 +85,7 @@ class TestRun:
             output_format="json",
         )
         report = json.loads(run(cfg))
-        res = fit_lasso(ingest(sample_csv), "full", 0.5, lambda_mid=0.4, lambda_spr=0.03)
+        res = fit_lasso(build_design(ingest(sample_csv), "full"), 0.5, lambda_mid=0.4, lambda_spr=0.03)
         assert report["lambda_mid"] == 0.4 and report["lambda_spr"] == 0.03
         assert report["coefficients"]["b2"] == [float(v) for v in res.coefficients.b2]
 
@@ -153,6 +153,45 @@ class TestDefaultCrossValidation:
     def test_lasso_ir_selection(self, variant):
         cfg = RunConfig(input_path=FIXTURE_CSV, method="lasso-ir", variant=variant, output_format="json")
         assert json.loads(run(cfg))["t"] == self.LASSO_IR[variant]
+
+
+class TestDesignBuiltOnce:
+    """A CLI run centers the full sample once, plus once per training fold."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import sys
+
+        import intreg.design
+
+        original = intreg.design.build_design
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        bound = [module for name, module in list(sys.modules.items())
+                 if (name == "intreg" or name.startswith("intreg."))
+                 and getattr(module, "build_design", None) is original]
+        assert intreg.design in bound
+        for module in bound:
+            monkeypatch.setattr(module, "build_design", counting)
+        return calls
+
+    @pytest.mark.parametrize("method, extra, expected", [
+        ("ls", [], 1),
+        ("lasso", [], 1 + 5),
+        ("lasso", ["--folds", "3"], 1 + 3),
+        ("lasso", ["--lambda-mid", "0.4"], 1 + 5),
+        ("lasso", ["--lambda-mid", "0.4", "--lambda-spr", "0.03"], 1),
+        ("lasso-ir", [], 1 + 5),
+        ("lasso-ir", ["--folds", "3"], 1 + 3),
+        ("lasso-ir", ["--t-budget", "0.1"], 1),
+    ])
+    def test_build_design_calls(self, sample_csv, calls, capsys, method, extra, expected):
+        assert main(["--input-path", sample_csv, "--method", method, *extra]) == 0
+        assert len(calls) == expected
 
 
 class TestMain:

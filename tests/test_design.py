@@ -25,8 +25,8 @@ class TestBuildDesign:
         x = [[iv(0, 2)], [iv(2, 4)]]
         y = [iv(0, 1), iv(1, 2)]
         d = build_design(IntervalSample.from_intervals(y, x), VARIANT_FULL)
-        assert np.allclose(d.spr_x[:, 0], [1.0, 1.0])
-        assert np.allclose(d.abs_mid_x[:, 0], [1.0, 3.0])
+        assert np.allclose(d.gamma_matrix[:, 0], [1.0, 1.0])  # spr x
+        assert np.allclose(d.gamma_matrix[:, 1], [1.0, 3.0])  # |mid x|
         assert np.allclose(d.fm[:, 0], [-1.0, 1.0])
 
     def test_degenerate_spreads_zero_out_spread_side(self):

@@ -16,7 +16,7 @@ from intreg import (
 from intreg.errors import FoldTooSmall, IntregError, SubgradientGap
 from intreg.lasso import lasso_cd, mid_kkt_gap, soft_threshold
 
-from conftest import exact_fit_sample, random_sample
+from conftest import exact_fit_sample, fitted_intervals, random_sample
 
 
 class TestLassoCd:
@@ -191,8 +191,9 @@ class TestLambdaGrid:
 class TestCrossValidate:
     def test_identical_seeds_identical_paths(self):
         s = random_sample(10, n=20, k=2)
-        p1 = cross_validate(s, "full", 0.5, folds=4, seed=7, block="mid", count=12)
-        p2 = cross_validate(s, "full", 0.5, folds=4, seed=7, block="mid", count=12)
+        d = build_design(s, "full")
+        (p1,) = cross_validate(d, 0.5, folds=4, seed=7, blocks=("mid",), count=12)
+        (p2,) = cross_validate(d, 0.5, folds=4, seed=7, blocks=("mid",), count=12)
         assert np.array_equal(p1.cv_mean, p2.cv_mean)
         assert p1.lambda_mse == p2.lambda_mse and p1.lambda_1se == p2.lambda_1se
 
@@ -200,7 +201,7 @@ class TestCrossValidate:
         for seed in range(3):
             s = random_sample(20 + seed, n=18, k=2)
             for block in ("mid", "spr"):
-                path = cross_validate(s, "full", 0.5, folds=3, seed=seed, block=block, count=15)
+                (path,) = cross_validate(build_design(s, "full"), 0.5, folds=3, seed=seed, blocks=(block,), count=15)
                 assert path.lambda_1se >= path.lambda_mse
                 assert np.all(path.cv_stderr >= 0.0)
 
@@ -218,33 +219,53 @@ class TestCrossValidate:
                 - float(d_tr.mean_mid_xebl @ a_m)
             )
             assert mid_pred == pytest.approx(s.mid_y[j], abs=1e-7)
-        path = cross_validate(s, "full", 0.5, folds=s.n, seed=0, block="mid", count=20)
+        (path,) = cross_validate(build_design(s, "full"), 0.5, folds=s.n, seed=0, blocks=("mid",), count=20)
         # error shrinks toward zero as the penalty vanishes, so the smallest
         # grid point wins
         assert path.lambda_mse == path.lambdas[-1]
 
+    @pytest.mark.parametrize("folds", [4, 20])
+    def test_joint_pass_equals_single_block_calls(self, folds):
+        d = build_design(random_sample(17, n=20, k=2), "full")
+        joint = cross_validate(d, 0.5, folds=folds, seed=7, blocks=("mid", "spr"), count=12)
+        single = [cross_validate(d, 0.5, folds=folds, seed=7, blocks=(block,), count=12)[0]
+                  for block in ("mid", "spr")]
+        assert [path.block for path in joint] == ["mid", "spr"]
+        for got, want in zip(joint, single):
+            for name in ("lambdas", "cv_mean", "cv_stderr", "lambda_mse", "lambda_1se"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        reverse = cross_validate(d, 0.5, folds=folds, seed=7, blocks=("spr", "mid"), count=12)
+        assert np.array_equal(reverse[0].cv_mean, joint[1].cv_mean)
+        assert np.array_equal(reverse[1].cv_mean, joint[0].cv_mean)
+
+    def test_blocks_validation(self):
+        d = build_design(random_sample(18, n=10), "full")
+        for blocks in ((), ("mid", "both"), ("intercept",)):
+            with pytest.raises(ValueError):
+                cross_validate(d, 0.5, folds=2, seed=0, blocks=blocks, count=3)
+
     def test_fold_bounds_validation(self):
-        s = random_sample(11, n=10)
+        d = build_design(random_sample(11, n=10), "full")
         for folds in (1, 11):
             with pytest.raises(ValueError):
-                cross_validate(s, "full", 0.5, folds=folds, seed=0)
+                cross_validate(d, 0.5, folds=folds, seed=0)
             with pytest.raises(ValueError):
-                select_budget(s, 0.5, folds=folds, seed=0)
+                select_budget(d, 0.5, folds=folds, seed=0)
 
     def test_training_side_too_small(self):
-        s = random_sample(12, n=2, k=1, noise=0.1)
+        d = build_design(random_sample(12, n=2, k=1, noise=0.1), "full")
         with pytest.raises(FoldTooSmall):
-            cross_validate(s, "full", 0.5, folds=2, seed=0, count=3)
+            cross_validate(d, 0.5, folds=2, seed=0, count=3)
         with pytest.raises(FoldTooSmall):
-            select_budget(s, 0.5, folds=2, seed=0)
+            select_budget(d, 0.5, folds=2, seed=0)
 
 
 class TestFitLasso:
     def test_explicit_penalties_skip_cross_validation(self):
         s = random_sample(13, n=20, k=2)
-        res = fit_lasso(s, "full", 0.5, lambda_mid=0.3, lambda_spr=0.05)
-        assert res.lambda_mid == 0.3 and res.lambda_spr == 0.05
         d = build_design(s, "full")
+        res = fit_lasso(d, 0.5, lambda_mid=0.3, lambda_spr=0.05)
+        assert res.lambda_mid == 0.3 and res.lambda_spr == 0.05
         assert np.allclose(res.coefficients.mid_stack("full"), fit_lasso_mid(d, 0.3), atol=1e-12)
         assert np.allclose(
             res.coefficients.spread_stack("full"), fit_lasso_spr(d, 0.05, 0.5), atol=1e-12
@@ -252,8 +273,9 @@ class TestFitLasso:
 
     def test_seeded_run_is_deterministic(self):
         s = random_sample(14, n=20, k=2)
-        r1 = fit_lasso(s, "full", 0.5, rule="1se", folds=4, seed=3, count=10)
-        r2 = fit_lasso(s, "full", 0.5, rule="1se", folds=4, seed=3, count=10)
+        d = build_design(s, "full")
+        r1 = fit_lasso(d, 0.5, rule="1se", folds=4, seed=3, count=10)
+        r2 = fit_lasso(d, 0.5, rule="1se", folds=4, seed=3, count=10)
         assert r1.lambda_mid == r2.lambda_mid and r1.lambda_spr == r2.lambda_spr
         assert np.array_equal(r1.coefficients.b1, r2.coefficients.b1)
         assert r1.mse == r2.mse
@@ -266,18 +288,18 @@ class TestFitLasso:
         mid_y = mid_x @ [2.0, -1.0] + rng.normal(0, 0.2, n)
         spr_y = 1.0 + rng.uniform(0, 0.3, n)  # unrelated to the regressors
         s = IntervalSample(mid_y, spr_y, mid_x, spr_x)
-        res = fit_lasso(s, "full", 0.5, rule="1se", folds=5, seed=1, count=40)
+        res = fit_lasso(build_design(s, "full"), 0.5, rule="1se", folds=5, seed=1, count=40)
         assert np.all(res.coefficients.b2 == 0.0)
         assert np.all(res.coefficients.b3 == 0.0)
 
     def test_invalid_rule(self):
         s = random_sample(15, n=12)
         with pytest.raises(ValueError):
-            fit_lasso(s, "full", 0.5, rule="median")
+            fit_lasso(build_design(s, "full"), 0.5, rule="median")
 
     def test_mse_recomputable(self):
         from intreg import mean_squared_dtau
 
         s = random_sample(16, n=18, k=2)
-        res = fit_lasso(s, "full", 0.5, lambda_mid=0.2, lambda_spr=0.02)
-        assert res.mse == pytest.approx(mean_squared_dtau(s.y_list(), res.fitted, 0.5), abs=1e-10)
+        res = fit_lasso(build_design(s, "full"), 0.5, lambda_mid=0.2, lambda_spr=0.02)
+        assert res.mse == pytest.approx(mean_squared_dtau(s.y_list(), fitted_intervals(res), 0.5), abs=1e-10)

@@ -94,7 +94,7 @@ class TestToFitResult:
         assert res.method == "lasso-ir"
         assert res.t_budget == 0.1
         assert np.allclose(res.coefficients.b2, fit.a_s)
-        assert len(res.fitted) == d.n
+        assert len(res.fitted_mid) == len(res.fitted_spr) == d.n
         assert res.diagnostics["hukuhara_residuals_exist"] == 0.0
         # raw-spread error recomputed by hand
         a_s = fit.a_s
@@ -104,20 +104,31 @@ class TestToFitResult:
         assert res.mse == pytest.approx(expected, rel=1e-12)
 
 
+    def test_fitted_spreads_clamped_at_zero(self):
+        d = build_design(adversarial_sample(), "model-m")
+        fit = fit_lasso_ir(d, 0.5, 0.1)
+        res = to_fit_result(d, fit, 0.5)
+        raw = d.fs @ fit.a_s + d.mean_y.spr
+        assert np.min(raw) < 0.0
+        assert np.array_equal(res.fitted_spr, np.maximum(raw, 0.0))
+        assert np.array_equal(res.fitted_mid, d.fm @ fit.a_m + d.mean_y.mid)
+
+
 class TestSelectBudget:
     def test_singleton_grid(self):
         s = simulate(15, 1, Coefficients(
             b1=[1.0], b2=[1.0], b3=[0.0], b4=[0.0], delta=Interval(0, 0.2)
         ), noise=0.2, seed=7)
-        assert select_budget(s, 0.5, [0.25], folds=3, seed=0, variant="model-m") == 0.25
+        assert select_budget(build_design(s, "model-m"), 0.5, [0.25], folds=3, seed=0) == 0.25
 
     def test_deterministic_selection(self):
         s = simulate(24, 2, Coefficients(
             b1=[1.0, 0.5], b2=[1.5, 0.2], b3=[0.0, 0.0], b4=[0.0, 0.0], delta=Interval(0, 0.3)
         ), noise=0.3, seed=8)
         grid = [0.0, 0.1, 0.5, 2.0]
-        t1 = select_budget(s, 0.5, grid, folds=4, seed=5, variant="model-m")
-        t2 = select_budget(s, 0.5, grid, folds=4, seed=5, variant="model-m")
+        d = build_design(s, "model-m")
+        t1 = select_budget(d, 0.5, grid, folds=4, seed=5)
+        t2 = select_budget(d, 0.5, grid, folds=4, seed=5)
         assert t1 == t2
 
     def test_diverging_slopes_need_budget(self):
@@ -129,7 +140,7 @@ class TestSelectBudget:
         mid_y = 1.0 * mid_x[:, 0] + rng.normal(0, 0.05, n)
         spr_y = 3.0 * spr_x[:, 0] + rng.uniform(0, 0.05, n)
         s = IntervalSample(mid_y, spr_y, mid_x, spr_x)
-        chosen = select_budget(s, 0.5, [0.0, 2.5], folds=5, seed=0, variant="model-m")
+        chosen = select_budget(build_design(s, "model-m"), 0.5, [0.0, 2.5], folds=5, seed=0)
         assert chosen == 2.5
 
     def test_empty_grid_rejected(self):
@@ -137,7 +148,7 @@ class TestSelectBudget:
             b1=[1.0], b2=[1.0], b3=[0.0], b4=[0.0], delta=Interval(0, 0.2)
         ), noise=0.2, seed=9)
         with pytest.raises(ValueError):
-            select_budget(s, 0.5, [], folds=3, seed=0)
+            select_budget(build_design(s, "full"), 0.5, [], folds=3, seed=0)
 
     def test_default_grid_shape(self):
         s = simulate(18, 2, Coefficients(

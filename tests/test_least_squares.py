@@ -15,7 +15,7 @@ from intreg.errors import LengthMismatch
 from intreg.least_squares import spread_qp
 from intreg.oracle import brute_force_qp
 
-from conftest import exact_fit_sample, random_sample
+from conftest import exact_fit_sample, fitted_intervals, random_sample
 
 
 def iv(a, b):
@@ -73,7 +73,7 @@ class TestFitLs:
             d = build_design(s, "full")
             res = fit_ls(d, 0.5)
             fitted_spread_part = d.gamma_matrix @ res.coefficients.spread_stack("full")
-            assert np.all(fitted_spread_part <= d.spr_y + 1e-8)
+            assert np.all(fitted_spread_part <= d.sample.spr_y + 1e-8)
 
     def test_objective_below_feasible_probes(self, rng):
         s = random_sample(31, n=15, k=1)
@@ -86,7 +86,7 @@ class TestFitLs:
             probe = rng.uniform(0, 1, 2)
             # shrink until the spread-domination rows hold
             g = d.gamma_matrix @ probe
-            over = np.max(g / np.maximum(d.spr_y, 1e-12))
+            over = np.max(g / np.maximum(d.sample.spr_y, 1e-12))
             if over > 1.0:
                 probe = probe / (over * 1.0001)
             assert np.all(R @ probe >= r - 1e-10)
@@ -175,11 +175,13 @@ class TestMeanSquaredDtau:
     def test_unweighted_is_double_the_balanced_metric(self):
         y = [iv(0, 2), iv(1, 5), iv(-1, 0)]
         y_hat = [iv(0.5, 2.5), iv(0, 5), iv(-1, 1)]
-        assert mean_squared_unweighted(y, y_hat) == pytest.approx(
+        mids = lambda ivs: np.array([a.mid for a in ivs])
+        sprs = lambda ivs: np.array([a.spr for a in ivs])
+        assert mean_squared_unweighted(mids(y), sprs(y), mids(y_hat), sprs(y_hat)) == pytest.approx(
             2.0 * mean_squared_dtau(y, y_hat, 0.5), rel=1e-14
         )
 
     def test_recomputable_from_fit_result(self):
         s = random_sample(44, n=18, k=2)
         res = fit_ls(build_design(s, "full"), 0.5)
-        assert res.mse == pytest.approx(mean_squared_dtau(s.y_list(), res.fitted, 0.5), abs=1e-10)
+        assert res.mse == pytest.approx(mean_squared_dtau(s.y_list(), fitted_intervals(res), 0.5), abs=1e-10)
