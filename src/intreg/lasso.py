@@ -2,10 +2,11 @@
 penalty selection.
 
 The midpoint block is a plain Lasso solved by cyclic coordinate descent with
-soft thresholding.  The spread block keeps the same inequality constraints as
-the least-squares fit; on that feasible cone every coefficient is
-nonnegative, so the L1 penalty is a linear term and the penalized problem is
-solved exactly by the same complementary-pivoting QP machinery.
+soft thresholding on the block's Gram statistics.  The spread block keeps
+the same inequality constraints as the least-squares fit; on that feasible
+cone every coefficient is nonnegative, so the L1 penalty is a linear term
+and the penalized problem is solved exactly by the same
+complementary-pivoting QP machinery.
 
 The two blocks are penalized and cross-validated independently.  This is
 sound because the weighted squared error splits into a midpoint part that
@@ -16,12 +17,19 @@ least-squares solution on the same training fold, which only shifts that
 block's validation curve by a constant.  One fold pass serves both blocks:
 each fold's training design and held-out rows are built once, both blocks'
 grids are scanned on them, and the error matrix is split by block.
+
+Each fold walks a block's decreasing grid as a path: coordinate descent
+starts from the previous penalty's coefficients, and the spread QP's working
+set from the rows that bound the previous penalty's solution.  Every grid
+point is still checked on its own (the midpoint subgradient-gap test and
+zero snap; the spread QP's polish against every constraint row), and a
+single fit is the same routine started from zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +41,7 @@ from .least_squares import (
     FitResult,
     _fit_result,
     _msd_arrays,
+    _spread_block,
     estimate_intercept,
     ols_mid,
     solve_spread_block,
@@ -54,33 +63,41 @@ def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def lasso_cd(F: np.ndarray, v: np.ndarray, lam: float, max_sweeps: int = 50_000, tol: float = 1e-13) -> np.ndarray:
+def lasso_cd(F: np.ndarray, v: np.ndarray, lam: float, max_sweeps: int = 50_000, tol: float = 1e-13,
+             start: Optional[np.ndarray] = None) -> np.ndarray:
     """Cyclic coordinate descent for ``1/2 ||v - F a||^2 + lam ||a||_1``.
 
-    Columns with zero norm keep a zero coefficient.  Iterates until the
-    largest coordinate update falls below ``tol`` relative to the coefficient
-    scale.
+    Runs on the Gram statistics ``G = F'F`` and ``b = F'v`` alone: it keeps
+    the correlations ``b - G a`` of every column with the residual and moves
+    them by one column of ``G`` per changed coordinate, so a sweep costs
+    ``w^2`` scalar operations whatever the number of rows.  Starts from
+    ``start`` (zero when None); columns with zero norm keep their starting
+    coefficient.  Iterates until the largest coordinate update falls below
+    ``tol`` relative to the coefficient scale.
     """
     F = np.asarray(F, dtype=float)
-    v = np.asarray(v, dtype=float)
-    col_sq = np.sum(F * F, axis=0)
-    a = np.zeros(F.shape[1])
-    resid = v.copy()
+    G = F.T @ F
+    a = np.zeros(G.shape[0]) if start is None else np.array(start, dtype=float)
+    corr = (F.T @ np.asarray(v, dtype=float) - G @ a).tolist()
+    a = a.tolist()
+    gram = G.tolist()
     for _ in range(max_sweeps):
         biggest = 0.0
-        for j in range(F.shape[1]):
-            if col_sq[j] <= 0.0:
+        for j, g_j in enumerate(gram):
+            g_jj = g_j[j]
+            if g_jj <= 0.0:
                 continue
             old = a[j]
-            rho = F[:, j] @ resid + col_sq[j] * old
-            new = float(soft_threshold(np.asarray(rho), lam)) / col_sq[j]
+            rho = corr[j] + g_jj * old
+            new = (rho - lam) / g_jj if rho > lam else (rho + lam) / g_jj if rho < -lam else 0.0
             if new != old:
-                resid -= (new - old) * F[:, j]
+                step = new - old
+                corr = [c - step * g for c, g in zip(corr, g_j)]
                 a[j] = new
-                biggest = max(biggest, abs(new - old))
-        if biggest <= tol * (1.0 + float(np.max(np.abs(a), initial=0.0))):
+                biggest = max(biggest, abs(step))
+        if biggest <= tol * (1.0 + max(map(abs, a), default=0.0)):
             break
-    return a
+    return np.array(a)
 
 
 def mid_kkt_gap(F: np.ndarray, v: np.ndarray, lam: float, a: np.ndarray) -> float:
@@ -106,16 +123,22 @@ def fit_lasso_mid(design: DesignSystem, lam: float) -> np.ndarray:
     penalty at or above the zeroing threshold returns the zero vector
     exactly.
     """
+    return _lasso_mid(design, lam)[0]
+
+
+def _lasso_mid(design: DesignSystem, lam: float, start: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
+    """:func:`fit_lasso_mid` with coordinate descent started from ``start``;
+    also returns the subgradient gap that certifies the snapped solution."""
     lam = float(lam)
     if lam < 0.0:
         raise ValueError("the penalty must be nonnegative")
-    a = lasso_cd(design.fm, design.vm, lam)
+    a = lasso_cd(design.fm, design.vm, lam, start=start)
+    a[np.abs(a) <= 1e-12 * (1.0 + float(np.max(np.abs(a), initial=0.0)))] = 0.0
     gap = mid_kkt_gap(design.fm, design.vm, lam, a)
     scale = 1.0 + float(np.max(np.abs(design.fm.T @ design.vm), initial=0.0))
     if gap > 1e-8 * scale:
         raise SubgradientGap(f"coordinate descent left a subgradient gap of {gap}")
-    a[np.abs(a) <= 1e-12 * (1.0 + float(np.max(np.abs(a))))] = 0.0
-    return a
+    return a, gap
 
 
 def fit_lasso_spr(design: DesignSystem, lam: float, tau: float = DEFAULT_TAU) -> np.ndarray:
@@ -126,15 +149,40 @@ def fit_lasso_spr(design: DesignSystem, lam: float, tau: float = DEFAULT_TAU) ->
     the argument is accepted for interface symmetry with the fit entry
     points.
     """
+    return _lasso_spr(design, lam, tau)[0]
+
+
+def _lasso_spr(design: DesignSystem, lam: float, tau: float,
+               work: Sequence[int] = ()) -> tuple[np.ndarray, dict, np.ndarray]:
+    """:func:`fit_lasso_spr` with the QP's working set started at the
+    constraint rows ``work``; also returns the QP diagnostics and the rows
+    with a positive multiplier."""
     lam = float(lam)
     if lam < 0.0:
         raise ValueError("the penalty must be nonnegative")
     validate_tau(tau)
     try:
-        a_s, _ = solve_spread_block(design, tau, lam)
+        return _spread_block(design, tau, lam, work)
     except InfeasibleQp as exc:
         raise InfeasibleConstraints("spread constraint system is empty") from exc
-    return a_s
+
+
+def _mid_path(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[np.ndarray]:
+    """Midpoint-block solutions along a decreasing penalty grid, each
+    coordinate descent started from the previous point's solution."""
+    a_m = None
+    for lam in lambdas:
+        a_m, _ = _lasso_mid(design, lam, a_m)
+        yield a_m
+
+
+def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> Iterator[np.ndarray]:
+    """Spread-block solutions along a decreasing penalty grid, each QP's
+    working set started at the rows that bound the previous point."""
+    work = ()
+    for lam in lambdas:
+        a_s, _, work = _lasso_spr(design, lam, tau, work)
+        yield a_s
 
 
 def lambda_grid(design: DesignSystem, count: int = DEFAULT_GRID_SIZE, ratio: float = DEFAULT_GRID_RATIO, block: str = BLOCK_MID) -> np.ndarray:
@@ -246,12 +294,12 @@ def cross_validate(
         for block, lambdas in zip(blocks, grids):
             if block == BLOCK_MID:
                 a_s, _ = solve_spread_block(train, tau)
-                for lam in lambdas:
-                    yield fit_lasso_mid(train, lam), a_s
+                for a_m in _mid_path(train, lambdas):
+                    yield a_m, a_s
             else:
                 a_m, _ = ols_mid(train)
-                for lam in lambdas:
-                    yield a_m, fit_lasso_spr(train, lam, tau)
+                for a_s in _spr_path(train, lambdas, tau):
+                    yield a_m, a_s
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)
     paths = []
@@ -302,10 +350,11 @@ def fit_lasso(
             diagnostics[f"cv_{path.block}_min_error"] = float(np.min(path.cv_mean))
     lambda_mid = float(penalties[BLOCK_MID])
     lambda_spr = float(penalties[BLOCK_SPR])
-    a_m = fit_lasso_mid(design, lambda_mid)
-    a_s = fit_lasso_spr(design, lambda_spr, tau)
+    a_m, mid_gap = _lasso_mid(design, lambda_mid)
+    a_s, spr_info, _ = _lasso_spr(design, lambda_spr, tau)
+    diagnostics["mid_kkt_gap"] = mid_gap
+    diagnostics.update(spr_info)
     coefs = Coefficients.from_blocks(a_m, a_s, Interval(0.0, 0.0), design.variant, design.k)
     coefs = coefs.with_delta(estimate_intercept(design, coefs))
-    diagnostics["mid_kkt_gap"] = mid_kkt_gap(design.fm, design.vm, lambda_mid, a_m)
     return _fit_result(design, coefs, a_m, a_s, tau, METHOD_LASSO, lambda_mid=lambda_mid,
                        lambda_spr=lambda_spr, diagnostics=diagnostics)

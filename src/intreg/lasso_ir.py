@@ -9,13 +9,15 @@ exist; the result records both conditions as flags instead of failing.
 
 The joint problem is convex: with the offset split into its positive and
 negative parts it becomes a quadratic program with linear constraints, solved
-by the same complementary-pivoting machinery as the other estimators.
+by the same complementary-pivoting machinery as the other estimators.  The
+budget is cross-validated on the Lasso folds; along the grid each ``t > 0``
+program starts its working set at the rows that bound the previous one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -93,6 +95,14 @@ def fit_lasso_ir(design: DesignSystem, tau: float = DEFAULT_TAU, t: float = 0.0)
     equal the midpoint coefficients exactly; that case is solved directly in
     the midpoint block alone.
     """
+    return _fit_lasso_ir(design, tau, t)[0]
+
+
+def _fit_lasso_ir(design: DesignSystem, tau: float, t: float,
+                  work: Sequence[int] = ()) -> tuple[LassoIrFit, np.ndarray]:
+    """:func:`fit_lasso_ir` with the QP's working set started at the
+    constraint rows ``work``; also returns the rows with a positive
+    multiplier."""
     tau = validate_tau(tau)
     t = float(t)
     if t < 0.0:
@@ -105,11 +115,11 @@ def fit_lasso_ir(design: DesignSystem, tau: float = DEFAULT_TAU, t: float = 0.0)
         Q = 2.0 * ((1.0 - tau) * hm + tau * hs)
         c = -2.0 * ((1.0 - tau) * design.fm.T @ design.vm + tau * design.fs.T @ design.vs)
         qp = Qp(Q, c, g, np.zeros(g.shape[0]))
-        a_m, _, info = _solve_qp_full(qp)
+        a_m, mult, info = _solve_qp_full(qp, work=work)
         a_a = np.zeros(w)
     else:
         qp = _joint_qp(design, tau, t)
-        u, _, info = _solve_qp_full(qp)
+        u, mult, info = _solve_qp_full(qp, work=work)
         a_m = u[:w]
         plus = np.maximum(u[w : 2 * w], 0.0)
         minus = np.maximum(u[2 * w :], 0.0)
@@ -125,7 +135,7 @@ def fit_lasso_ir(design: DesignSystem, tau: float = DEFAULT_TAU, t: float = 0.0)
     diagnostics = dict(info)
     diagnostics["budget_used"] = float(np.sum(np.abs(a_a)))
     diagnostics["fitted_spr_min"] = float(np.min(fitted_spr))
-    return LassoIrFit(
+    fit = LassoIrFit(
         a_m=a_m,
         a_a=a_a,
         t=t,
@@ -136,6 +146,7 @@ def fit_lasso_ir(design: DesignSystem, tau: float = DEFAULT_TAU, t: float = 0.0)
         objective=objective,
         diagnostics=diagnostics,
     )
+    return fit, np.flatnonzero(mult > 0.0)
 
 
 def to_fit_result(design: DesignSystem, fit: LassoIrFit, tau: float = DEFAULT_TAU) -> FitResult:
@@ -166,6 +177,18 @@ def default_budget_grid(design: DesignSystem, count: int = 20, ratio: float = 1e
     return [0.0] + list(np.geomspace(ratio * t_max, t_max, count))
 
 
+def _budget_path(design: DesignSystem, tau: float, grid: Sequence[float]) -> Iterator[LassoIrFit]:
+    """Fits along a budget grid.  The ``t > 0`` programs share one row
+    layout, so each one's working set starts at the rows that bound the
+    previous ``t > 0`` point."""
+    work = ()
+    for t in grid:
+        fit, active = _fit_lasso_ir(design, tau, t, work if t > 0.0 else ())
+        if t > 0.0:
+            work = active
+        yield fit
+
+
 def select_budget(
     design: DesignSystem,
     tau: float = DEFAULT_TAU,
@@ -187,8 +210,7 @@ def select_budget(
         raise ValueError("the budget grid must be nonempty")
 
     def fit_grid(train: DesignSystem):
-        for t in grid:
-            fit = fit_lasso_ir(train, tau, t)
+        for fit in _budget_path(train, tau, grid):
             yield fit.a_m, fit.a_s
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)

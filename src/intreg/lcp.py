@@ -24,13 +24,16 @@ handful bind.  Starting from the unconstrained minimizer, each round adds
 the most violated rows to the working set and solves the working set's LCP
 exactly, until no other row is violated; the working set only grows, so
 the rounds are finitely many.  The final iterate is polished and certified
-(KKT residuals) against every row.
+(KKT residuals) against every row.  Along a grid of neighbouring programs
+(a penalty or budget path) the working set starts at the rows that bound
+the previous program, which usually leaves one Lemke solve per program;
+Lemke itself still starts from its artificial variable every time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -137,17 +140,19 @@ def _chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return solve_triangular(L.T, y, lower=False)
 
 
-def _reduce(qp: Qp, L: np.ndarray) -> Lcp:
-    """Multiplier complementarity system of a QP, given the Cholesky factor of its Hessian."""
-    M = qp.R @ _chol_solve(L, qp.R.T)
+def _reduce(R: np.ndarray, r: np.ndarray, L: np.ndarray, qc: np.ndarray) -> Lcp:
+    """Multiplier complementarity system of the rows ``R z >= r`` of a QP,
+    given the Cholesky factor ``L`` of its Hessian and ``qc = Q^{-1} c``."""
+    M = R @ _chol_solve(L, R.T)
     M = 0.5 * (M + M.T)
-    q = -(qp.R @ _chol_solve(L, qp.c)) - qp.r
+    q = -(R @ qc) - r
     return Lcp(M, q)
 
 
 def qp_to_lcp(qp: Qp) -> Lcp:
     """Reduce a constrained QP to its multiplier complementarity system."""
-    return _reduce(qp, _ridge_factor(qp.Q)[0])
+    L = _ridge_factor(qp.Q)[0]
+    return _reduce(qp.R, qp.r, L, _chol_solve(L, qp.c))
 
 
 def _lexico_min_row(T: np.ndarray, rows: np.ndarray, lex_cols: np.ndarray, piv: Optional[np.ndarray]) -> int:
@@ -322,7 +327,8 @@ def _polish_active_set(qp: Qp, lam: np.ndarray) -> Optional[tuple[np.ndarray, np
     return z, np.maximum(lam_full, 0.0)
 
 
-def _solve_qp_full(qp: Qp, max_pivots: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, dict]:
+def _solve_qp_full(qp: Qp, max_pivots: Optional[int] = None,
+                   work: Sequence[int] = ()) -> tuple[np.ndarray, np.ndarray, dict]:
     """Primal solution, multipliers and solver diagnostics for a QP.
 
     Constraint generation: starting from the unconstrained minimizer, each
@@ -330,28 +336,43 @@ def _solve_qp_full(qp: Qp, max_pivots: Optional[int] = None) -> tuple[np.ndarray
     and solves the LCP of the working set alone, until no row outside it is
     violated.  ``max_pivots`` bounds each round; ``lemke_pivots`` sums them.
     The polish step and the reported residuals use every row.
+
+    ``work`` names rows that start in the working set when the unconstrained
+    minimizer is infeasible (a path of related QPs passes the rows that
+    bound the previous one); the first round then solves on them before any
+    row is added.  If Lemke ray-terminates on such a working set, the
+    program is solved again from an empty one.
     """
     L, ridge = _ridge_factor(qp.Q)
     info = {"ridge_used": float(ridge), "lemke_pivots": 0.0}
     lam = np.zeros(qp.num_constraints)
-    z = _chol_solve(L, -qp.c)
-    in_work = np.zeros(qp.num_constraints, dtype=bool)
+    qc = _chol_solve(L, qp.c)
+    z = -qc
     tol = 1e-12 * (1.0 + np.abs(qp.r))
+    slack = qp.R @ z - qp.r
+    in_work = np.zeros(qp.num_constraints, dtype=bool)
+    if np.any(slack < -tol):
+        in_work[np.asarray(work, dtype=int)] = True
     while True:
-        slack = qp.R @ z - qp.r
+        if in_work.any():
+            rows = np.flatnonzero(in_work)
+            sol = lemke_solve(_reduce(qp.R[rows], qp.r[rows], L, qc), max_pivots)
+            info["lemke_pivots"] += float(sol.pivots)
+            if sol.status != SOLVED:
+                if len(work):
+                    # rows carried over from a neighbouring program can be
+                    # degenerate here; decide from an empty working set
+                    return _solve_qp_full(qp, max_pivots)
+                if not _constraints_feasible(qp.R, qp.r):
+                    raise InfeasibleQp("constraint system is empty")
+                raise RayTermination("complementary pivoting ray-terminated on a feasible program")
+            lam[rows] = sol.z
+            z = _chol_solve(L, qp.R.T @ lam - qp.c)
+            slack = qp.R @ z - qp.r
         violated = np.flatnonzero((slack < -tol) & ~in_work)
         if violated.size == 0:
             break
         in_work[violated[np.argsort(slack[violated], kind="stable")[: qp.num_vars]]] = True
-        work = np.flatnonzero(in_work)
-        sol = lemke_solve(_reduce(Qp(qp.Q, qp.c, qp.R[work], qp.r[work]), L), max_pivots)
-        info["lemke_pivots"] += float(sol.pivots)
-        if sol.status != SOLVED:
-            if not _constraints_feasible(qp.R, qp.r):
-                raise InfeasibleQp("constraint system is empty")
-            raise RayTermination("complementary pivoting ray-terminated on a feasible program")
-        lam[work] = sol.z
-        z = _chol_solve(L, qp.R.T @ lam - qp.c)
     if qp.num_constraints:
         polished = _polish_active_set(qp, lam)
         if polished is not None and _kkt_score(qp, *polished) <= _kkt_score(qp, z, lam):

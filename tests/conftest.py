@@ -3,7 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from intreg import Coefficients, Interval, IntervalSample, Qp, simulate
+import intreg.lcp
+from intreg import Coefficients, Interval, IntervalSample, Qp, lemke_solve, simulate
 
 SESSION_T0 = time.monotonic()
 
@@ -63,6 +64,18 @@ def split_model_sample(seed, n, k=3, spread_noise=0.3):
 def fitted_intervals(result):
     """The fitted rows of a fit result as intervals."""
     return [Interval(m, s) for m, s in zip(result.fitted_mid, result.fitted_spr)]
+
+
+def record_lemke_dims(monkeypatch):
+    """Patch the QP solver's Lemke calls to record each LCP's dimension."""
+    dims = []
+
+    def record(lcp_, max_pivots=None):
+        dims.append(lcp_.dim)
+        return lemke_solve(lcp_, max_pivots)
+
+    monkeypatch.setattr(intreg.lcp, "lemke_solve", record)
+    return dims
 
 
 def random_feasible_qp(rng, m, p):

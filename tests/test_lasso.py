@@ -13,10 +13,12 @@ from intreg import (
     lambda_grid,
     select_budget,
 )
+import intreg.lasso
 from intreg.errors import FoldTooSmall, IntregError, SubgradientGap
-from intreg.lasso import lasso_cd, mid_kkt_gap, soft_threshold
+from intreg.lasso import _mid_path, _spr_path, lasso_cd, mid_kkt_gap, soft_threshold
+from intreg.least_squares import solve_spread_block
 
-from conftest import exact_fit_sample, fitted_intervals, random_sample
+from conftest import exact_fit_sample, fitted_intervals, random_sample, record_lemke_dims, split_model_sample
 
 
 class TestLassoCd:
@@ -44,6 +46,15 @@ class TestLassoCd:
         a = lasso_cd(F, v, 0.7)
         assert mid_kkt_gap(F, v, 0.7, a) <= 1e-10
 
+    def test_start_at_the_solution_stays_there(self, rng):
+        F = rng.normal(size=(40, 5))
+        v = F @ np.array([2.0, 0.0, -1.0, 0.5, 0.0]) + rng.normal(size=40)
+        a = lasso_cd(F, v, 1.5)
+        assert np.max(np.abs(lasso_cd(F, v, 1.5, start=a) - a)) <= 1e-12 * np.max(np.abs(a))
+        # a start far from the solution reaches the same optimum
+        far = lasso_cd(F, v, 1.5, start=np.full(5, 10.0))
+        assert np.max(np.abs(far - a)) <= 1e-10 * np.max(np.abs(a))
+
 
 class TestBlockFits:
     def test_zero_penalty_matches_least_squares(self):
@@ -68,11 +79,9 @@ class TestBlockFits:
         assert np.all(fit_lasso_spr(d, 1.5 * lam_spr, 0.5) == 0.0)
 
     def test_subgradient_gap_is_typed_error(self, monkeypatch):
-        import intreg.lasso
-
         s = random_sample(3, n=10)
         d = build_design(s, "full")
-        monkeypatch.setattr(intreg.lasso, "lasso_cd", lambda F, v, lam: np.zeros(F.shape[1]))
+        monkeypatch.setattr(intreg.lasso, "lasso_cd", lambda F, v, lam, start=None: np.zeros(F.shape[1]))
         with pytest.raises(SubgradientGap) as info:
             fit_lasso_mid(d, 0.0)
         assert isinstance(info.value, IntregError) and isinstance(info.value, ArithmeticError)
@@ -297,9 +306,69 @@ class TestFitLasso:
         with pytest.raises(ValueError):
             fit_lasso(build_design(s, "full"), 0.5, rule="median")
 
+    def test_reports_carry_both_block_certificates(self):
+        d = build_design(split_model_sample(31, 100), "full")
+        res = fit_lasso(d, 0.5, lambda_mid=0.2, lambda_spr=0.05)
+        a_m = res.coefficients.mid_stack("full")
+        assert res.diagnostics["mid_kkt_gap"] == mid_kkt_gap(d.fm, d.vm, 0.2, a_m)
+        _, info = solve_spread_block(d, 0.5, 0.05)
+        assert info["lemke_pivots"] > 0
+        for key in ("kkt_stationarity", "kkt_feasibility", "kkt_complementarity", "lemke_pivots", "ridge_used"):
+            assert res.diagnostics[key] == info[key], key
+        for key in ("kkt_stationarity", "kkt_feasibility", "kkt_complementarity"):
+            assert res.diagnostics[key] <= 1e-8 * (1 + d.n), key
+
     def test_mse_recomputable(self):
         from intreg import mean_squared_dtau
 
         s = random_sample(16, n=18, k=2)
         res = fit_lasso(build_design(s, "full"), 0.5, lambda_mid=0.2, lambda_spr=0.02)
         assert res.mse == pytest.approx(mean_squared_dtau(s.y_list(), fitted_intervals(res), 0.5), abs=1e-10)
+
+
+class TestPathwiseCrossValidation:
+    """Each fold walks its penalty grid from the previous point's solution."""
+
+    @pytest.mark.parametrize("n", [100, 200])
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_warm_paths_equal_cold_fits(self, n, variant):
+        d = build_design(split_model_sample(n + 1, n), variant)
+        mid_grid = lambda_grid(d, 100, 1e-3, "mid")
+        for lam, warm in zip(mid_grid, _mid_path(d, mid_grid)):
+            cold = fit_lasso_mid(d, lam)
+            assert np.array_equal(warm == 0.0, cold == 0.0)
+            assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
+        spr_grid = lambda_grid(d, 100, 1e-3, "spr")
+        for lam, warm in zip(spr_grid, _spr_path(d, spr_grid, 0.5)):
+            cold = fit_lasso_spr(d, lam, 0.5)
+            assert np.array_equal(warm == 0.0, cold == 0.0)
+            assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
+
+    def test_spread_grid_makes_about_one_lemke_call_per_point(self, monkeypatch):
+        # cold starts make about twice as many calls (973 on this sample)
+        d = build_design(split_model_sample(1, 100), "full")
+        calls = record_lemke_dims(monkeypatch)
+        cross_validate(d, 0.5, folds=5, seed=0, blocks=("spr",), count=100)
+        assert 0 < len(calls) <= 1.1 * 5 * 100
+        assert max(calls) < d.n
+
+    def test_midpoint_descent_starts_cold_once_per_fold(self, monkeypatch):
+        d = build_design(split_model_sample(1, 100), "full")
+        starts = []
+
+        def record(F, v, lam, start=None):
+            starts.append(start)
+            return lasso_cd(F, v, lam, start=start)
+
+        monkeypatch.setattr(intreg.lasso, "lasso_cd", record)
+        cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)
+        assert len(starts) == 5 * 100
+        assert sum(start is None for start in starts) == 5
+
+    def test_every_grid_point_is_still_certified(self, monkeypatch):
+        # zeros solve at most the top of a fold's grid; starting each point
+        # from the previous one must not skip a point's subgradient test
+        d = build_design(split_model_sample(2, 100), "full")
+        monkeypatch.setattr(intreg.lasso, "lasso_cd", lambda F, v, lam, start=None: np.zeros(F.shape[1]))
+        with pytest.raises(SubgradientGap):
+            cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)

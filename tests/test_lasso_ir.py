@@ -12,7 +12,9 @@ from intreg import (
     simulate,
     to_fit_result,
 )
-from intreg.lasso_ir import default_budget_grid
+from intreg.lasso_ir import _budget_path, default_budget_grid
+
+from conftest import record_lemke_dims, split_model_sample
 
 
 def adversarial_sample(n=12):
@@ -159,3 +161,26 @@ class TestSelectBudget:
         assert grid[0] == 0.0
         assert len(grid) == 21
         assert all(grid[i] < grid[i + 1] for i in range(len(grid) - 1))
+
+
+class TestBudgetPath:
+    """The t > 0 budgets start each QP from the rows that bound the previous one."""
+
+    @pytest.mark.parametrize("n", [100, 200])
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_warm_path_equals_cold_fits(self, n, variant):
+        d = build_design(split_model_sample(n + 2, n), variant)
+        grid = default_budget_grid(d)
+        for t, warm in zip(grid, _budget_path(d, 0.5, grid)):
+            cold = fit_lasso_ir(d, 0.5, t)
+            assert np.array_equal(warm.a_a == 0.0, cold.a_a == 0.0)
+            for got, want in ((warm.a_m, cold.a_m), (warm.a_a, cold.a_a)):
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
+
+    def test_about_one_lemke_call_per_budget(self, monkeypatch):
+        # the t = 0 program of each fold starts cold; cold starts throughout
+        # make 406 calls on this sample
+        d = build_design(split_model_sample(1, 100), "full")
+        calls = record_lemke_dims(monkeypatch)
+        select_budget(d, 0.5, folds=5, seed=0)
+        assert 0 < len(calls) <= 1.25 * 5 * len(default_budget_grid(d))

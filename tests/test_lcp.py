@@ -7,10 +7,10 @@ import intreg.least_squares as least_squares
 from intreg import Lcp, Qp, build_design, lemke_solve, qp_to_lcp, solve_qp
 from intreg.errors import InfeasibleQp, PivotLimitExceeded, SingularQ
 from intreg.lasso import fit_lasso_spr
-from intreg.lcp import SOLVED
+from intreg.lcp import RAY_TERMINATION, SOLVED, LcpSolution
 from intreg.oracle import brute_force_qp
 
-from conftest import random_feasible_qp, split_model_sample
+from conftest import random_feasible_qp, record_lemke_dims, split_model_sample
 
 
 def assert_lcp_invariants(lcp, sol):
@@ -161,17 +161,6 @@ def full_dimension_solve(qp):
     return z, lam
 
 
-def record_lemke_dims(monkeypatch):
-    dims = []
-
-    def record(lcp_, max_pivots=None):
-        dims.append(lcp_.dim)
-        return lemke_solve(lcp_, max_pivots)
-
-    monkeypatch.setattr(lcp, "lemke_solve", record)
-    return dims
-
-
 class TestWorkingSet:
     @pytest.mark.parametrize("n", [200, 2000])
     def test_caller_qps_match_full_dimension_solve(self, n, monkeypatch):
@@ -180,9 +169,9 @@ class TestWorkingSet:
         design = build_design(split_model_sample(n, n), "full")
         qps = []
 
-        def record(qp, max_pivots=None):
+        def record(qp, max_pivots=None, work=()):
             qps.append(qp)
-            return lcp._solve_qp_full(qp, max_pivots)
+            return lcp._solve_qp_full(qp, max_pivots, work)
 
         monkeypatch.setattr(least_squares, "_solve_qp_full", record)
         monkeypatch.setattr(lasso_ir, "_solve_qp_full", record)
@@ -201,6 +190,45 @@ class TestWorkingSet:
             assert np.count_nonzero(lam_ref) > 0
             assert np.array_equal(lam > 0, lam_ref > 0)
             assert np.max(np.abs(z - z_ref)) <= 1e-10 * np.max(np.abs(z_ref))
+
+    def test_carried_rows_need_one_lemke_call(self, monkeypatch):
+        # a working set that starts at the optimum's binding rows is solved
+        # in one round, to the cold solution
+        design = build_design(split_model_sample(5, 300), "full")
+        qp = least_squares.spread_qp(design, 0.5, 0.05)
+        dims = record_lemke_dims(monkeypatch)
+        z, lam, _ = lcp._solve_qp_full(qp)
+        assert len(dims) > 1
+        dims.clear()
+        z_warm, lam_warm, _ = lcp._solve_qp_full(qp, work=np.flatnonzero(lam > 0))
+        assert dims == [np.count_nonzero(lam > 0)]
+        assert np.array_equal(lam_warm > 0, lam > 0)
+        assert np.max(np.abs(z_warm - z)) <= 1e-10 * np.max(np.abs(z))
+
+    def test_feasible_unconstrained_minimizer_skips_carried_rows(self, monkeypatch):
+        qp = Qp(np.eye(2), np.array([-1.0, -1.0]), np.eye(2), np.zeros(2))
+        dims = record_lemke_dims(monkeypatch)
+        z, lam, _ = lcp._solve_qp_full(qp, work=[0, 1])
+        assert dims == []
+        assert np.array_equal(z, [1.0, 1.0]) and np.array_equal(lam, [0.0, 0.0])
+
+    def test_ray_termination_on_carried_rows_restarts_cold(self, monkeypatch):
+        design = build_design(split_model_sample(6, 200), "full")
+        qp = least_squares.spread_qp(design, 0.5, 0.05)
+        z, lam, info = lcp._solve_qp_full(qp)
+        dims = []
+
+        def fail_first(lcp_, max_pivots=None):
+            dims.append(lcp_.dim)
+            if len(dims) == 1:
+                return LcpSolution(np.zeros(lcp_.dim), lcp_.q.copy(), RAY_TERMINATION, 1)
+            return lemke_solve(lcp_, max_pivots)
+
+        monkeypatch.setattr(lcp, "lemke_solve", fail_first)
+        work = np.flatnonzero(lam > 0)
+        z_again, lam_again, info_again = lcp._solve_qp_full(qp, work=work)
+        assert dims[0] == work.size and len(dims) > 1
+        assert np.array_equal(z_again, z) and np.array_equal(lam_again, lam) and info_again == info
 
     def test_infeasibility_outside_first_working_set(self, monkeypatch):
         # the two most violated rows at the unconstrained minimizer (0, 0)
