@@ -50,7 +50,7 @@ class RayTermination(IntregError, ArithmeticError):
 
 
 class SubgradientGap(IntregError, ArithmeticError):
-    """Coordinate descent stopped short of the Lasso optimality condition."""
+    """A midpoint Lasso solution failed its subgradient certificate."""
 
 
 class InfeasibleQp(IntregError):
@@ -82,7 +82,7 @@ class EmptyFile(IntregError):
 
 
 class NonNumericCell(IntregError):
-    """A CSV cell could not be parsed as a number."""
+    """A CSV cell is not a finite number."""
 
     def __init__(self, row: int, column: str, value: str):
         super().__init__(f"non-numeric value {value!r} at data row {row}, column {column!r}")

@@ -54,20 +54,20 @@ def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
     if not data:
         raise EmptyFile(f"{path} has a header but no data rows")
     variables = ["y"] + [f"x{i}" for i in range(1, k + 1)]
-    first = np.empty((len(data), k + 1))
-    second = np.empty((len(data), k + 1))
+    values = np.empty((len(data), len(header)))
     for j, row in enumerate(data, start=1):
         if len(row) != len(header):
             raise MalformedHeader(f"data row {j} has {len(row)} cells, expected {len(header)}")
         for c, cell in enumerate(row):
             try:
-                value = float(cell)
+                values[j - 1, c] = float(cell)
             except ValueError:
                 raise NonNumericCell(j, header[c], cell) from None
-            if c % 2 == 0:
-                first[j - 1, c // 2] = value
-            else:
-                second[j - 1, c // 2] = value
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        j, c = bad[0]
+        raise NonNumericCell(int(j) + 1, header[c], data[j][c])
+    first, second = values[:, 0::2], values[:, 1::2]
     if fmt == FORMAT_MIDSPR:
         mid, spr = first, second
         for j in range(len(data)):

@@ -1,11 +1,12 @@
 """L1-penalized estimation of both coefficient blocks with cross-validated
 penalty selection.
 
-The midpoint block is a plain Lasso solved by cyclic coordinate descent with
-soft thresholding on the block's Gram statistics.  The spread block keeps
-the same inequality constraints as the least-squares fit; on that feasible
-cone every coefficient is nonnegative, so the L1 penalty is a linear term
-and the penalized problem is solved exactly by the same
+The midpoint block is a plain Lasso whose optimality conditions, in the
+positive and negative parts of its coefficients, form a linear
+complementarity problem that Lemke pivoting solves exactly.  The spread
+block keeps the same inequality constraints as the least-squares fit; on
+that feasible cone every coefficient is nonnegative, so the L1 penalty is a
+linear term and the penalized problem is solved exactly by the
 complementary-pivoting QP machinery.
 
 The two blocks are penalized and cross-validated independently.  This is
@@ -18,12 +19,13 @@ block's validation curve by a constant.  One fold pass serves both blocks:
 each fold's training design and held-out rows are built once, both blocks'
 grids are scanned on them, and the error matrix is split by block.
 
-Each fold walks a block's decreasing grid as a path: coordinate descent
-starts from the previous penalty's coefficients, and the spread QP's working
-set from the rows that bound the previous penalty's solution.  Every grid
-point is still checked on its own (the midpoint subgradient-gap test and
-zero snap; the spread QP's polish against every constraint row), and a
-single fit is the same routine started from zero.
+Each fold walks a block's decreasing grid as a path: the midpoint solution
+is first tried on the previous penalty's sign pattern (one linear solve,
+kept only when it meets the optimality conditions exactly), and the spread
+QP's working set starts from the rows that bound the previous penalty's
+solution.  Every grid point is still checked on its own (the midpoint
+subgradient-gap test and zero snap; the spread QP's polish against every
+constraint row), and a single fit is the same routine without a start.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .design import Coefficients, DesignSystem, build_design, regressor_blocks
-from .errors import FoldTooSmall, InfeasibleConstraints, InfeasibleQp, SubgradientGap
+from .errors import FoldTooSmall, InfeasibleConstraints, InfeasibleQp, RayTermination, SubgradientGap
 from .intervals import DEFAULT_TAU, Interval, validate_tau
+from .lcp import SOLVED, Lcp, lemke_solve
 from .least_squares import (
     METHOD_LASSO,
     FitResult,
@@ -63,41 +66,41 @@ def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def lasso_cd(F: np.ndarray, v: np.ndarray, lam: float, max_sweeps: int = 50_000, tol: float = 1e-13,
-             start: Optional[np.ndarray] = None) -> np.ndarray:
-    """Cyclic coordinate descent for ``1/2 ||v - F a||^2 + lam ||a||_1``.
+def lasso_lemke(F: np.ndarray, v: np.ndarray, lam: float, start: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exact minimizer of ``1/2 ||v - F a||^2 + lam ||a||_1``.
 
-    Runs on the Gram statistics ``G = F'F`` and ``b = F'v`` alone: it keeps
-    the correlations ``b - G a`` of every column with the residual and moves
-    them by one column of ``G`` per changed coordinate, so a sweep costs
-    ``w^2`` scalar operations whatever the number of rows.  Starts from
-    ``start`` (zero when None); columns with zero norm keep their starting
-    coefficient.  Iterates until the largest coordinate update falls below
-    ``tol`` relative to the coefficient scale.
+    With ``G = F'F``, ``b = F'v`` and ``a = a+ - a-``, the optimality
+    conditions are the complementarity system of ``M = [[G, -G], [-G, G]]``
+    and ``q = [lam - b; lam + b]`` in ``(a+, a-) >= 0``; ``M`` is positive
+    semidefinite, so Lemke pivoting solves it exactly.  Dividing both by
+    ``max(diag G)`` leaves the solution unchanged and makes the pivot
+    tolerance independent of the data scale.  ``lam = 0`` is least squares.
+
+    Given ``start`` with signs ``s`` and support ``A``, the solution of
+    ``G_AA a_A = b_A - lam s_A`` is returned when its signs are exactly ``s``
+    and ``|b_j - G_j a| <= lam`` off the support: these are the optimality
+    conditions, checked without tolerance.
     """
-    F = np.asarray(F, dtype=float)
+    if lam == 0.0:
+        return np.linalg.lstsq(F, v, rcond=None)[0]
     G = F.T @ F
-    a = np.zeros(G.shape[0]) if start is None else np.array(start, dtype=float)
-    corr = (F.T @ np.asarray(v, dtype=float) - G @ a).tolist()
-    a = a.tolist()
-    gram = G.tolist()
-    for _ in range(max_sweeps):
-        biggest = 0.0
-        for j, g_j in enumerate(gram):
-            g_jj = g_j[j]
-            if g_jj <= 0.0:
-                continue
-            old = a[j]
-            rho = corr[j] + g_jj * old
-            new = (rho - lam) / g_jj if rho > lam else (rho + lam) / g_jj if rho < -lam else 0.0
-            if new != old:
-                step = new - old
-                corr = [c - step * g for c, g in zip(corr, g_j)]
-                a[j] = new
-                biggest = max(biggest, abs(step))
-        if biggest <= tol * (1.0 + max(map(abs, a), default=0.0)):
-            break
-    return np.array(a)
+    b = F.T @ v
+    if start is not None:
+        s = np.sign(start)
+        on = s != 0.0
+        a = np.zeros(b.size)
+        try:
+            a[on] = np.linalg.solve(G[np.ix_(on, on)], b[on] - lam * s[on])
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.array_equal(np.sign(a), s) and np.all(np.abs(b[~on] - G[~on] @ a) <= lam):
+                return a
+    scale = float(np.max(np.diag(G), initial=0.0)) or 1.0
+    sol = lemke_solve(Lcp(np.block([[G, -G], [-G, G]]) / scale, np.concatenate([lam - b, lam + b]) / scale))
+    if sol.status != SOLVED:
+        raise RayTermination("complementary pivoting ray-terminated on a midpoint Lasso")
+    return sol.z[: b.size] - sol.z[b.size :]
 
 
 def mid_kkt_gap(F: np.ndarray, v: np.ndarray, lam: float, a: np.ndarray) -> float:
@@ -107,13 +110,8 @@ def mid_kkt_gap(F: np.ndarray, v: np.ndarray, lam: float, a: np.ndarray) -> floa
     the correlation to sit exactly at ``lam`` with the matching sign.
     """
     g = F.T @ (v - F @ a)
-    gap = 0.0
-    for j in range(a.size):
-        if a[j] != 0.0:
-            gap = max(gap, abs(g[j] - lam * np.sign(a[j])))
-        else:
-            gap = max(gap, max(0.0, abs(g[j]) - lam))
-    return float(gap)
+    gap = np.where(a != 0.0, np.abs(g - lam * np.sign(a)), np.maximum(np.abs(g) - lam, 0.0))
+    return float(np.max(gap, initial=0.0))
 
 
 def fit_lasso_mid(design: DesignSystem, lam: float) -> np.ndarray:
@@ -127,17 +125,17 @@ def fit_lasso_mid(design: DesignSystem, lam: float) -> np.ndarray:
 
 
 def _lasso_mid(design: DesignSystem, lam: float, start: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
-    """:func:`fit_lasso_mid` with coordinate descent started from ``start``;
+    """:func:`fit_lasso_mid` that first tries the sign pattern of ``start``;
     also returns the subgradient gap that certifies the snapped solution."""
     lam = float(lam)
     if lam < 0.0:
         raise ValueError("the penalty must be nonnegative")
-    a = lasso_cd(design.fm, design.vm, lam, start=start)
+    a = lasso_lemke(design.fm, design.vm, lam, start)
     a[np.abs(a) <= 1e-12 * (1.0 + float(np.max(np.abs(a), initial=0.0)))] = 0.0
     gap = mid_kkt_gap(design.fm, design.vm, lam, a)
     scale = 1.0 + float(np.max(np.abs(design.fm.T @ design.vm), initial=0.0))
     if gap > 1e-8 * scale:
-        raise SubgradientGap(f"coordinate descent left a subgradient gap of {gap}")
+        raise SubgradientGap(f"the midpoint Lasso solution left a subgradient gap of {gap}")
     return a, gap
 
 
@@ -168,8 +166,8 @@ def _lasso_spr(design: DesignSystem, lam: float, tau: float,
 
 
 def _mid_path(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[np.ndarray]:
-    """Midpoint-block solutions along a decreasing penalty grid, each
-    coordinate descent started from the previous point's solution."""
+    """Midpoint-block solutions along a decreasing penalty grid, each point
+    first tried on the previous point's sign pattern."""
     a_m = None
     for lam in lambdas:
         a_m, _ = _lasso_mid(design, lam, a_m)

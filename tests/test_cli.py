@@ -208,6 +208,21 @@ class TestMain:
         assert err.startswith("error code=InvertedInterval")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
+    @pytest.mark.parametrize("fmt, header", [
+        ("midspr", "mid_y,spr_y,mid_x1,spr_x1"),
+        ("infsup", "inf_y,sup_y,inf_x1,sup_x1"),
+    ])
+    def test_non_finite_cell_is_named(self, tmp_path, capsys, fmt, header, cell):
+        # the first non-finite cell in file order is reported, not a later one
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1.0,2.0,0.0,1.0\n1.0,2.0,-{cell},{cell}\n{cell},2.0,0.0,1.0\n")
+        code = main(["--input-path", str(path), "--format", fmt])
+        err = capsys.readouterr().err
+        column = header.split(",")[2]
+        assert code == 1
+        assert err == f"error code=NonNumericCell detail=non-numeric value '-{cell}' at data row 2, column '{column}'\n"
+
     def test_solver_failure_is_one_error_line(self, monkeypatch, capsys):
         # a ray termination on a feasible program is a solver failure, and
         # reaches the CLI as one error line (this fixture's spread block has

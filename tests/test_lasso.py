@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from intreg import (
     select_budget,
 )
 import intreg.lasso
-from intreg.errors import FoldTooSmall, IntregError, SubgradientGap
-from intreg.lasso import _mid_path, _spr_path, lasso_cd, mid_kkt_gap, soft_threshold
+from intreg.errors import FoldTooSmall, IntregError, RayTermination, SubgradientGap
+from intreg.lasso import _mid_path, _spr_path, lasso_lemke, mid_kkt_gap, soft_threshold
+from intreg.lcp import RAY_TERMINATION, LcpSolution, lemke_solve
 from intreg.least_squares import solve_spread_block
 
 from conftest import exact_fit_sample, fitted_intervals, random_sample, record_lemke_dims, split_model_sample
@@ -33,26 +36,44 @@ class TestLassoCd:
         beta = F.T @ v
         for lam in (0.0, 0.1, 0.5, 2.0):
             expected = soft_threshold(beta, lam)
-            got = lasso_cd(F, v, lam)
+            got = lasso_lemke(F, v, lam)
             assert np.allclose(got, expected, atol=1e-10)
 
     def test_zero_columns_stay_zero(self):
         F = np.zeros((5, 2))
-        assert np.array_equal(lasso_cd(F, np.ones(5), 0.5), np.zeros(2))
+        assert np.array_equal(lasso_lemke(F, np.ones(5), 0.5), np.zeros(2))
 
     def test_certificate_gap(self, rng):
         F = rng.normal(size=(25, 3))
         v = rng.normal(size=25)
-        a = lasso_cd(F, v, 0.7)
+        a = lasso_lemke(F, v, 0.7)
         assert mid_kkt_gap(F, v, 0.7, a) <= 1e-10
+
+    def test_certificate_equals_per_coordinate_loop(self, rng):
+        def loop_gap(F, v, lam, a):
+            g = F.T @ (v - F @ a)
+            gap = 0.0
+            for j in range(a.size):
+                if a[j] != 0.0:
+                    gap = max(gap, abs(g[j] - lam * np.sign(a[j])))
+                else:
+                    gap = max(gap, max(0.0, abs(g[j]) - lam))
+            return float(gap)
+
+        for _ in range(200):
+            F = rng.normal(size=(9, 5))
+            v = rng.normal(size=9)
+            a = rng.normal(size=5) * (rng.random(5) < 0.5)
+            for lam in (0.0, rng.exponential(), 1e3):
+                assert mid_kkt_gap(F, v, lam, a) == loop_gap(F, v, lam, a)
 
     def test_start_at_the_solution_stays_there(self, rng):
         F = rng.normal(size=(40, 5))
         v = F @ np.array([2.0, 0.0, -1.0, 0.5, 0.0]) + rng.normal(size=40)
-        a = lasso_cd(F, v, 1.5)
-        assert np.max(np.abs(lasso_cd(F, v, 1.5, start=a) - a)) <= 1e-12 * np.max(np.abs(a))
+        a = lasso_lemke(F, v, 1.5)
+        assert np.max(np.abs(lasso_lemke(F, v, 1.5, start=a) - a)) <= 1e-12 * np.max(np.abs(a))
         # a start far from the solution reaches the same optimum
-        far = lasso_cd(F, v, 1.5, start=np.full(5, 10.0))
+        far = lasso_lemke(F, v, 1.5, start=np.full(5, 10.0))
         assert np.max(np.abs(far - a)) <= 1e-10 * np.max(np.abs(a))
 
 
@@ -81,11 +102,20 @@ class TestBlockFits:
     def test_subgradient_gap_is_typed_error(self, monkeypatch):
         s = random_sample(3, n=10)
         d = build_design(s, "full")
-        monkeypatch.setattr(intreg.lasso, "lasso_cd", lambda F, v, lam, start=None: np.zeros(F.shape[1]))
+        monkeypatch.setattr(intreg.lasso, "lasso_lemke", lambda F, v, lam, start=None: np.zeros(F.shape[1]))
         with pytest.raises(SubgradientGap) as info:
-            fit_lasso_mid(d, 0.0)
+            fit_lasso_mid(d, 0.5 * lambda_grid(d, 2, 0.5, "mid")[0])
         assert isinstance(info.value, IntregError) and isinstance(info.value, ArithmeticError)
         assert info.value.code == "SubgradientGap"
+
+    def test_ray_termination_is_typed_error(self, monkeypatch):
+        def ray(lcp_, max_pivots=None):
+            return LcpSolution(np.zeros(lcp_.dim), lcp_.q.copy(), RAY_TERMINATION, 1)
+
+        d = build_design(random_sample(3, n=10), "full")
+        monkeypatch.setattr(intreg.lasso, "lemke_solve", ray)
+        with pytest.raises(RayTermination):
+            fit_lasso_mid(d, 0.5 * lambda_grid(d, 2, 0.5, "mid")[0])
 
     def test_negative_penalty_rejected(self):
         s = random_sample(3, n=10)
@@ -165,6 +195,48 @@ class TestObjectiveCertificates:
                 qp = spread_qp(d, 0.5, lam)
                 oracle = brute_force_qp(qp)
                 assert qp.objective(a) <= qp.objective(oracle) + 1e-6
+
+
+def with_mid_x3(sample, mid_x3):
+    mid_x = sample.mid_x.copy()
+    mid_x[:, 2] = mid_x3
+    return IntervalSample(sample.mid_y, sample.spr_y, mid_x, sample.spr_x)
+
+
+class TestExactMidpointSolver:
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_near_collinear_midpoints_certify(self, seed):
+        # mid_x3 = mid_x2 + 1e-6 noise makes the midpoint Gram nearly singular
+        s = split_model_sample(seed, 40)
+        noise = np.random.default_rng(seed + 1).normal(size=40)
+        d = build_design(with_mid_x3(s, s.mid_x[:, 1] + 1e-6 * noise), "full")
+        t0 = time.perf_counter()
+        res = fit_lasso(d)
+        assert time.perf_counter() - t0 <= 5.0
+        scale = 1.0 + np.max(np.abs(d.fm.T @ d.vm))
+        assert res.diagnostics["mid_kkt_gap"] <= 1e-8 * scale
+
+    def test_duplicate_column_reaches_the_optimum(self):
+        # the split between the two equal columns is not unique, the
+        # optimal objective is
+        s = split_model_sample(5, 8)
+        d = build_design(with_mid_x3(s, s.mid_x[:, 1]), "full")
+        lambdas = lambda_grid(d, 6, 1e-2, "mid")
+        for lam, warm in zip(lambdas, _mid_path(d, lambdas)):
+            _, oracle_obj = sign_pattern_lasso(d.fm, d.vm, lam)
+            for a in (fit_lasso_mid(d, lam), warm):
+                obj = 0.5 * np.sum((d.vm - d.fm @ a) ** 2) + lam * np.sum(np.abs(a))
+                assert obj == pytest.approx(oracle_obj, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("factor", [1e-6, 1e4])
+    def test_solution_does_not_depend_on_the_data_scale(self, factor):
+        s = split_model_sample(6, 60)
+        d = build_design(s, "full")
+        scaled = build_design(IntervalSample(factor * s.mid_y, factor * s.spr_y, factor * s.mid_x, factor * s.spr_x), "full")
+        for lam in lambda_grid(d, 5, 1e-2, "mid"):
+            a = fit_lasso_mid(d, lam)
+            a_scaled = fit_lasso_mid(scaled, factor**2 * lam)
+            assert np.max(np.abs(a_scaled - a)) <= 1e-10 * np.max(np.abs(a), initial=1.0)
 
 
 class TestLambdaGrid:
@@ -352,23 +424,25 @@ class TestPathwiseCrossValidation:
         assert 0 < len(calls) <= 1.1 * 5 * 100
         assert max(calls) < d.n
 
-    def test_midpoint_descent_starts_cold_once_per_fold(self, monkeypatch):
-        d = build_design(split_model_sample(1, 100), "full")
-        starts = []
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_midpoint_grid_pivots_only_where_the_signs_change(self, variant, monkeypatch):
+        # a point whose solution keeps the previous point's sign pattern is
+        # one linear solve; Lemke runs only where the pattern changes
+        d = build_design(split_model_sample(1, 100), variant)
+        calls = []
 
-        def record(F, v, lam, start=None):
-            starts.append(start)
-            return lasso_cd(F, v, lam, start=start)
+        def record(lcp_, max_pivots=None):
+            calls.append(lcp_.dim)
+            return lemke_solve(lcp_, max_pivots)
 
-        monkeypatch.setattr(intreg.lasso, "lasso_cd", record)
+        monkeypatch.setattr(intreg.lasso, "lemke_solve", record)
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)
-        assert len(starts) == 5 * 100
-        assert sum(start is None for start in starts) == 5
+        assert 5 <= len(calls) <= 100
 
     def test_every_grid_point_is_still_certified(self, monkeypatch):
         # zeros solve at most the top of a fold's grid; starting each point
         # from the previous one must not skip a point's subgradient test
         d = build_design(split_model_sample(2, 100), "full")
-        monkeypatch.setattr(intreg.lasso, "lasso_cd", lambda F, v, lam, start=None: np.zeros(F.shape[1]))
+        monkeypatch.setattr(intreg.lasso, "lasso_lemke", lambda F, v, lam, start=None: np.zeros(F.shape[1]))
         with pytest.raises(SubgradientGap):
             cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)
