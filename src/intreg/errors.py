@@ -92,7 +92,8 @@ class NonNumericCell(IntregError):
 
 
 class InvertedInterval(IntregError):
-    """A parsed interval has its endpoints reversed or a negative spread."""
+    """A parsed interval has its endpoints reversed, a negative spread, or a
+    midpoint or spread that overflows."""
 
     def __init__(self, row: int, variable: str, detail: str = ""):
         message = f"invalid interval for {variable!r} at data row {row}"

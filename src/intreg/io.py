@@ -75,14 +75,19 @@ def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
                 if spr[j, v] < 0.0:
                     raise InvertedInterval(j + 1, variables[v], f"negative spread {spr[j, v]}")
     else:
-        for j in range(len(data)):
-            for v in range(k + 1):
-                if first[j, v] > second[j, v]:
-                    raise InvertedInterval(
-                        j + 1, variables[v], f"inf {first[j, v]} exceeds sup {second[j, v]}"
-                    )
-        mid = (first + second) / 2.0
-        spr = (second - first) / 2.0
+        with np.errstate(over="ignore"):
+            mid = (first + second) / 2.0
+            spr = (second - first) / 2.0
+        bad = np.argwhere((first > second) | ~np.isfinite(mid) | ~np.isfinite(spr))
+        if bad.size:
+            j, v = bad[0]
+            lo, hi = first[j, v], second[j, v]
+            if lo > hi:
+                detail = f"inf {lo} exceeds sup {hi}"
+            else:
+                what = "spread" if np.isfinite(mid[j, v]) else "midpoint"
+                detail = f"the {what} of inf {lo} and sup {hi} overflows"
+            raise InvertedInterval(int(j) + 1, variables[v], detail)
     return IntervalSample(mid[:, 0], spr[:, 0], mid[:, 1:], spr[:, 1:])
 
 

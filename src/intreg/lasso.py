@@ -19,35 +19,39 @@ block's validation curve by a constant.  One fold pass serves both blocks:
 each fold's training design and held-out rows are built once, both blocks'
 grids are scanned on them, and the error matrix is split by block.
 
-Each fold walks a block's decreasing grid as a path: the midpoint solution
+Each fold walks a block's decreasing grid as a path.  The midpoint solution
 is first tried on the previous penalty's sign pattern (one linear solve,
-kept only when it meets the optimality conditions exactly), and the spread
-QP's working set starts from the rows that bound the previous penalty's
-solution.  Every grid point is still checked on its own (the midpoint
-subgradient-gap test and zero snap; the spread QP's polish against every
-constraint row), and a single fit is the same routine without a start.
+kept only when it meets the optimality conditions exactly).  The penalty
+enters the spread QP's linear term alone, so the spread grid is walked by
+exact active-set continuation: each point is first solved on the binding
+rows of the last breakpoint and kept only when its slacks, multipliers and
+KKT residuals over every constraint row pass; Lemke runs only where the set
+of binding rows changes.  Every grid point is still checked on its own (the
+midpoint subgradient-gap test and zero snap; the spread QP's certificate
+against every row), and a single fit is the same solver without a path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .design import Coefficients, DesignSystem, build_design, regressor_blocks
 from .errors import FoldTooSmall, InfeasibleConstraints, InfeasibleQp, RayTermination, SubgradientGap
 from .intervals import DEFAULT_TAU, Interval, validate_tau
-from .lcp import SOLVED, Lcp, lemke_solve
+from .lcp import SOLVED, Lcp, _qp_path, lemke_solve
 from .least_squares import (
     METHOD_LASSO,
     FitResult,
     _fit_result,
     _msd_arrays,
-    _spread_block,
+    _snap_spread,
     estimate_intercept,
     ols_mid,
     solve_spread_block,
+    spread_qp,
 )
 
 RULE_MSE = "mse"
@@ -150,17 +154,14 @@ def fit_lasso_spr(design: DesignSystem, lam: float, tau: float = DEFAULT_TAU) ->
     return _lasso_spr(design, lam, tau)[0]
 
 
-def _lasso_spr(design: DesignSystem, lam: float, tau: float,
-               work: Sequence[int] = ()) -> tuple[np.ndarray, dict, np.ndarray]:
-    """:func:`fit_lasso_spr` with the QP's working set started at the
-    constraint rows ``work``; also returns the QP diagnostics and the rows
-    with a positive multiplier."""
+def _lasso_spr(design: DesignSystem, lam: float, tau: float) -> tuple[np.ndarray, dict]:
+    """:func:`fit_lasso_spr` that also returns the QP diagnostics."""
     lam = float(lam)
     if lam < 0.0:
         raise ValueError("the penalty must be nonnegative")
     validate_tau(tau)
     try:
-        return _spread_block(design, tau, lam, work)
+        return solve_spread_block(design, tau, lam)
     except InfeasibleQp as exc:
         raise InfeasibleConstraints("spread constraint system is empty") from exc
 
@@ -175,12 +176,24 @@ def _mid_path(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[np.nda
 
 
 def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> Iterator[np.ndarray]:
-    """Spread-block solutions along a decreasing penalty grid, each QP's
-    working set started at the rows that bound the previous point."""
-    work = ()
-    for lam in lambdas:
-        a_s, _, work = _lasso_spr(design, lam, tau, work)
-        yield a_s
+    """Spread-block solutions along a decreasing penalty grid.
+
+    The penalty enters the QP's linear term alone, so the grid is one QP
+    family solved by active-set continuation (:func:`intreg.lcp._qp_path`).
+    """
+    qp = spread_qp(design, tau)
+    if float(np.trace(qp.Q)) == 0.0:
+        # no spread signal: every penalty gives the zero solution
+        for _ in lambdas:
+            yield np.zeros(design.block_width)
+        return
+    g = design.fs.T @ design.vs
+    try:
+        # the linear term exactly as spread_qp forms it, so a point equals its single fit
+        for a_s, _, _ in _qp_path(qp.Q, qp.R, lambda lam: (2.0 * tau * (lam - g), qp.r), lambdas):
+            yield _snap_spread(a_s)
+    except InfeasibleQp as exc:
+        raise InfeasibleConstraints("spread constraint system is empty") from exc
 
 
 def lambda_grid(design: DesignSystem, count: int = DEFAULT_GRID_SIZE, ratio: float = DEFAULT_GRID_RATIO, block: str = BLOCK_MID) -> np.ndarray:
@@ -349,7 +362,7 @@ def fit_lasso(
     lambda_mid = float(penalties[BLOCK_MID])
     lambda_spr = float(penalties[BLOCK_SPR])
     a_m, mid_gap = _lasso_mid(design, lambda_mid)
-    a_s, spr_info, _ = _lasso_spr(design, lambda_spr, tau)
+    a_s, spr_info = _lasso_spr(design, lambda_spr, tau)
     diagnostics["mid_kkt_gap"] = mid_gap
     diagnostics.update(spr_info)
     coefs = Coefficients.from_blocks(a_m, a_s, Interval(0.0, 0.0), design.variant, design.k)

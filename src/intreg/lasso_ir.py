@@ -10,8 +10,10 @@ exist; the result records both conditions as flags instead of failing.
 The joint problem is convex: with the offset split into its positive and
 negative parts it becomes a quadratic program with linear constraints, solved
 by the same complementary-pivoting machinery as the other estimators.  The
-budget is cross-validated on the Lasso folds; along the grid each ``t > 0``
-program starts its working set at the rows that bound the previous one.
+budget is cross-validated on the Lasso folds.  It enters only the
+right-hand side of the budget row, so the ``t > 0`` programs of the grid are
+walked by exact active-set continuation: Lemke runs only where the set of
+binding rows changes, and every point is certified against every row.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .design import Coefficients, DesignSystem
 from .intervals import DEFAULT_TAU, Interval, validate_tau
 from .lasso import _cv_errors
-from .lcp import Qp, _solve_qp_full
+from .lcp import Qp, _qp_path, _solve_qp_full
 from .least_squares import METHOD_LASSO_IR, FitResult, _fit_result
 
 
@@ -95,39 +97,36 @@ def fit_lasso_ir(design: DesignSystem, tau: float = DEFAULT_TAU, t: float = 0.0)
     equal the midpoint coefficients exactly; that case is solved directly in
     the midpoint block alone.
     """
-    return _fit_lasso_ir(design, tau, t)[0]
-
-
-def _fit_lasso_ir(design: DesignSystem, tau: float, t: float,
-                  work: Sequence[int] = ()) -> tuple[LassoIrFit, np.ndarray]:
-    """:func:`fit_lasso_ir` with the QP's working set started at the
-    constraint rows ``work``; also returns the rows with a positive
-    multiplier."""
     tau = validate_tau(tau)
     t = float(t)
     if t < 0.0:
         raise ValueError("the budget must be nonnegative")
-    w = design.block_width
+    if t > 0.0:
+        u, _, info = _solve_qp_full(_joint_qp(design, tau, t))
+        return _joint_fit(design, tau, t, u, info)
     g = design.gamma_matrix
-    if t == 0.0:
-        hm = design.fm.T @ design.fm
-        hs = design.fs.T @ design.fs
-        Q = 2.0 * ((1.0 - tau) * hm + tau * hs)
-        c = -2.0 * ((1.0 - tau) * design.fm.T @ design.vm + tau * design.fs.T @ design.vs)
-        qp = Qp(Q, c, g, np.zeros(g.shape[0]))
-        a_m, mult, info = _solve_qp_full(qp, work=work)
-        a_a = np.zeros(w)
-    else:
-        qp = _joint_qp(design, tau, t)
-        u, mult, info = _solve_qp_full(qp, work=work)
-        a_m = u[:w]
-        plus = np.maximum(u[w : 2 * w], 0.0)
-        minus = np.maximum(u[2 * w :], 0.0)
-        a_a = plus - minus
+    hm = design.fm.T @ design.fm
+    hs = design.fs.T @ design.fs
+    Q = 2.0 * ((1.0 - tau) * hm + tau * hs)
+    c = -2.0 * ((1.0 - tau) * design.fm.T @ design.vm + tau * design.fs.T @ design.vs)
+    a_m, _, info = _solve_qp_full(Qp(Q, c, g, np.zeros(g.shape[0])))
+    return _ir_fit(design, tau, t, a_m, np.zeros(design.block_width), info)
+
+
+def _joint_fit(design: DesignSystem, tau: float, t: float, u: np.ndarray, info: dict) -> LassoIrFit:
+    """Package the joint QP's solution ``u = (a_m, offset+, offset-)``."""
+    w = design.block_width
+    a_a = np.maximum(u[w : 2 * w], 0.0) - np.maximum(u[2 * w :], 0.0)
+    return _ir_fit(design, tau, t, u[:w], a_a, info)
+
+
+def _ir_fit(design: DesignSystem, tau: float, t: float, a_m: np.ndarray, a_a: np.ndarray,
+            info: dict) -> LassoIrFit:
+    """The fit, intercept and honesty flags of the midpoint block and offset."""
     a_s = a_m + a_a
     delta_mid = design.mean_y.mid - float(design.mean_mid_xebl @ a_m)
     delta_spr = design.mean_y.spr - float(design.mean_spr_xebl @ a_s)
-    fitted_spr = g @ a_s + delta_spr
+    fitted_spr = design.gamma_matrix @ a_s + delta_spr
     objective = float(
         (1.0 - tau) * np.sum((design.vm - design.fm @ a_m) ** 2)
         + tau * np.sum((design.vs - design.fs @ a_s) ** 2)
@@ -135,7 +134,7 @@ def _fit_lasso_ir(design: DesignSystem, tau: float, t: float,
     diagnostics = dict(info)
     diagnostics["budget_used"] = float(np.sum(np.abs(a_a)))
     diagnostics["fitted_spr_min"] = float(np.min(fitted_spr))
-    fit = LassoIrFit(
+    return LassoIrFit(
         a_m=a_m,
         a_a=a_a,
         t=t,
@@ -146,7 +145,6 @@ def _fit_lasso_ir(design: DesignSystem, tau: float, t: float,
         objective=objective,
         diagnostics=diagnostics,
     )
-    return fit, np.flatnonzero(mult > 0.0)
 
 
 def to_fit_result(design: DesignSystem, fit: LassoIrFit, tau: float = DEFAULT_TAU) -> FitResult:
@@ -178,15 +176,18 @@ def default_budget_grid(design: DesignSystem, count: int = 20, ratio: float = 1e
 
 
 def _budget_path(design: DesignSystem, tau: float, grid: Sequence[float]) -> Iterator[LassoIrFit]:
-    """Fits along a budget grid.  The ``t > 0`` programs share one row
-    layout, so each one's working set starts at the rows that bound the
-    previous ``t > 0`` point."""
-    work = ()
+    """Fits along a budget grid.  The ``t > 0`` programs share the joint QP
+    but for the budget, which is the right-hand side of its last row, so they
+    are walked by active-set continuation (see :func:`intreg.lcp._qp_path`)."""
+    qp = _joint_qp(design, tau, 0.0)
+    joint = _qp_path(qp.Q, qp.R, lambda t: (qp.c, np.concatenate([qp.r[:-1], [-t]])),
+                     [t for t in grid if t > 0.0])
     for t in grid:
-        fit, active = _fit_lasso_ir(design, tau, t, work if t > 0.0 else ())
         if t > 0.0:
-            work = active
-        yield fit
+            u, _, info = next(joint)
+            yield _joint_fit(design, tau, t, u, info)
+        else:
+            yield fit_lasso_ir(design, tau, t)
 
 
 def select_budget(

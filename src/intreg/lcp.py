@@ -24,16 +24,24 @@ handful bind.  Starting from the unconstrained minimizer, each round adds
 the most violated rows to the working set and solves the working set's LCP
 exactly, until no other row is violated; the working set only grows, so
 the rounds are finitely many.  The final iterate is polished and certified
-(KKT residuals) against every row.  Along a grid of neighbouring programs
-(a penalty or budget path) the working set starts at the rows that bound
-the previous program, which usually leaves one Lemke solve per program;
-Lemke itself still starts from its artificial variable every time.
+(KKT residuals) against every row.
+
+Along a grid of programs that share Q and R and whose linear term and
+right-hand side are affine in one parameter (a penalty or budget path), the
+solution on a fixed active set is affine in that parameter as well, so
+neighbouring grid points mostly share their active set.  The path routine
+solves each grid point first on the active set of the last breakpoint, by
+the polish step's equality solve, and keeps that point only when every
+slack and every multiplier has the right sign and the point's KKT residuals
+over every row pass.  Only where the active set changes (a breakpoint) does
+it run the working-set Lemke solve, warm-started at the rows that bind the
+previous point and reusing one Cholesky factor of the shared Hessian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -279,10 +287,12 @@ def _constraints_feasible(R: np.ndarray, r: np.ndarray) -> bool:
     return res.status != 2
 
 
-def _kkt(qp: Qp, z: np.ndarray, lam: np.ndarray) -> dict[str, float]:
-    """Worst stationarity, feasibility and complementarity residuals of ``(z, lam)``."""
-    grad = qp.Q @ z + qp.c - qp.R.T @ lam
-    slack = qp.R @ z - qp.r
+def _kkt(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
+         z: np.ndarray, lam: np.ndarray) -> dict[str, float]:
+    """Worst stationarity, feasibility and complementarity residuals of
+    ``(z, lam)`` for the QP ``(Q, c, R, r)``."""
+    grad = Q @ z + c - R.T @ lam
+    slack = R @ z - r
     return {
         "kkt_stationarity": float(np.max(np.abs(grad), initial=0.0)),
         "kkt_feasibility": max(0.0, -float(np.min(slack, initial=0.0))),
@@ -292,7 +302,38 @@ def _kkt(qp: Qp, z: np.ndarray, lam: np.ndarray) -> dict[str, float]:
 
 def _kkt_score(qp: Qp, z: np.ndarray, lam: np.ndarray) -> float:
     neg = max(0.0, -float(np.min(lam, initial=0.0)))
-    return max(*_kkt(qp, z, lam).values(), neg)
+    return max(*_kkt(qp.Q, qp.c, qp.R, qp.r, z, lam).values(), neg)
+
+
+def _active_rows(lam: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rows whose multiplier is positive beyond roundoff, and the multiplier scale."""
+    scale = 1.0 + float(np.max(np.abs(lam), initial=0.0))
+    return np.flatnonzero(lam > 1e-10 * scale), scale
+
+
+def _active_set_solve(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
+                      active: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Least-squares solution of the KKT equality system of the rows ``active``,
+    ``Qz + c = A'lam_A`` and ``Az = r_A`` with ``A = R[active]``.
+
+    Returns the primal point, the multipliers on every row (zero off the
+    active set) and the system's worst residual relative to its right-hand
+    side.
+    """
+    m = Q.shape[0]
+    s = active.size
+    kkt = np.zeros((m + s, m + s))
+    kkt[:m, :m] = Q
+    if s:
+        A = R[active]
+        kkt[:m, m:] = A.T
+        kkt[m:, :m] = A
+    rhs = np.concatenate([-c, r[active]])
+    sol, _, _, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    lam = np.zeros(R.shape[0])
+    lam[active] = -sol[m:]
+    gap = float(np.max(np.abs(kkt @ sol - rhs))) / (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
+    return sol[:m], lam, gap
 
 
 def _polish_active_set(qp: Qp, lam: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -303,32 +344,15 @@ def _polish_active_set(qp: Qp, lam: np.ndarray) -> Optional[tuple[np.ndarray, np
     conditioning loss from the multiplier-space reduction.  Returns None when
     the system is inconsistent or the multiplier signs reject the active set.
     """
-    scale = 1.0 + float(np.max(np.abs(lam), initial=0.0))
-    active = np.flatnonzero(lam > 1e-10 * scale)
-    m = qp.num_vars
-    s = active.size
-    kkt = np.zeros((m + s, m + s))
-    kkt[:m, :m] = qp.Q
-    if s:
-        A = qp.R[active]
-        kkt[:m, m:] = A.T
-        kkt[m:, :m] = A
-    rhs = np.concatenate([-qp.c, qp.r[active]])
-    sol, _, _, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    if not np.all(np.isfinite(sol)):
-        return None
-    if float(np.max(np.abs(kkt @ sol - rhs))) > 1e-8 * (1.0 + float(np.max(np.abs(rhs), initial=0.0))):
-        return None
-    z = sol[:m]
-    lam_full = np.zeros(qp.num_constraints)
-    lam_full[active] = -sol[m:]
-    if float(np.min(lam_full, initial=0.0)) < -1e-8 * scale:
+    active, scale = _active_rows(lam)
+    z, lam_full, gap = _active_set_solve(qp.Q, qp.c, qp.R, qp.r, active)
+    if not gap <= 1e-8 or float(np.min(lam_full, initial=0.0)) < -1e-8 * scale:
         return None
     return z, np.maximum(lam_full, 0.0)
 
 
-def _solve_qp_full(qp: Qp, max_pivots: Optional[int] = None,
-                   work: Sequence[int] = ()) -> tuple[np.ndarray, np.ndarray, dict]:
+def _solve_qp_full(qp: Qp, max_pivots: Optional[int] = None, work: Sequence[int] = (),
+                   factor: Optional[tuple[np.ndarray, float]] = None) -> tuple[np.ndarray, np.ndarray, dict]:
     """Primal solution, multipliers and solver diagnostics for a QP.
 
     Constraint generation: starting from the unconstrained minimizer, each
@@ -341,9 +365,11 @@ def _solve_qp_full(qp: Qp, max_pivots: Optional[int] = None,
     minimizer is infeasible (a path of related QPs passes the rows that
     bound the previous one); the first round then solves on them before any
     row is added.  If Lemke ray-terminates on such a working set, the
-    program is solved again from an empty one.
+    program is solved again from an empty one.  ``factor`` is the
+    ``(L, ridge)`` pair of :func:`_ridge_factor` for ``qp.Q``, when a path of
+    programs sharing the Hessian has it already.
     """
-    L, ridge = _ridge_factor(qp.Q)
+    L, ridge = _ridge_factor(qp.Q) if factor is None else factor
     info = {"ridge_used": float(ridge), "lemke_pivots": 0.0}
     lam = np.zeros(qp.num_constraints)
     qc = _chol_solve(L, qp.c)
@@ -362,7 +388,7 @@ def _solve_qp_full(qp: Qp, max_pivots: Optional[int] = None,
                 if len(work):
                     # rows carried over from a neighbouring program can be
                     # degenerate here; decide from an empty working set
-                    return _solve_qp_full(qp, max_pivots)
+                    return _solve_qp_full(qp, max_pivots, factor=(L, ridge))
                 if not _constraints_feasible(qp.R, qp.r):
                     raise InfeasibleQp("constraint system is empty")
                 raise RayTermination("complementary pivoting ray-terminated on a feasible program")
@@ -377,8 +403,58 @@ def _solve_qp_full(qp: Qp, max_pivots: Optional[int] = None,
         polished = _polish_active_set(qp, lam)
         if polished is not None and _kkt_score(qp, *polished) <= _kkt_score(qp, z, lam):
             z, lam = polished
-    info.update(_kkt(qp, z, lam))
+    info.update(_kkt(qp.Q, qp.c, qp.R, qp.r, z, lam))
     return z, lam, info
+
+
+def _hold_active_set(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray, active: np.ndarray,
+                     ridge: float) -> Optional[tuple[np.ndarray, np.ndarray, dict]]:
+    """Solution, multipliers and diagnostics of the QP ``(Q, c, R, r)`` on a
+    known active set, or None when that set is not optimal for it.
+
+    The point solves the active set's KKT equality system, as the polish
+    step does; solving it afresh rather than stepping along the affine
+    solution makes the point equal, bit for bit, to the polished solution of
+    a single fit on the same active set.  It is the QP's solution when every
+    slack passes the working-set loop's feasibility test and every multiplier
+    is nonnegative; it is returned only if its KKT residuals over every row
+    are also within ``1e-8 (1 + rows)``.
+    """
+    z, lam, _ = _active_set_solve(Q, c, R, r, active)
+    if not (np.all(R @ z - r >= -1e-12 * (1.0 + np.abs(r))) and np.all(lam >= 0.0)):
+        return None
+    kkt = _kkt(Q, c, R, r, z, lam)
+    if not all(value <= 1e-8 * (1.0 + R.shape[0]) for value in kkt.values()):
+        return None
+    return z, lam, {"ridge_used": float(ridge), "lemke_pivots": 0.0, **kkt}
+
+
+def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.ndarray, np.ndarray]],
+             thetas: Iterable[float]) -> Iterator[tuple[np.ndarray, np.ndarray, dict]]:
+    """Solutions, multipliers and diagnostics of a family of QPs along a grid.
+
+    The QPs share ``Q`` and ``R``; ``terms(theta)`` gives the linear term
+    ``c`` and the right-hand side ``r`` at a grid point.  When these are
+    affine in ``theta``, so is the solution on a fixed active set, and
+    neighbouring grid points mostly share it.  Each point is therefore first
+    solved on the active set of the last breakpoint
+    (:func:`_hold_active_set`); a point where that fails is a breakpoint,
+    solved by :func:`_solve_qp_full` with the working set started at the
+    rows that bind the previous point and with the Hessian factored once for
+    the whole path.
+    """
+    factor = active = None
+    work: Sequence[int] = ()
+    for theta in thetas:
+        c, r = terms(theta)
+        found = None if active is None else _hold_active_set(Q, c, R, r, active, factor[1])
+        if found is None:
+            if factor is None:
+                factor = _ridge_factor(Q)
+            found = _solve_qp_full(Qp(Q, c, R, r), work=work, factor=factor)
+            active = _active_rows(found[1])[0]
+        work = np.flatnonzero(found[1] > 0.0)
+        yield found
 
 
 def solve_qp(qp: Qp, max_pivots: Optional[int] = None) -> np.ndarray:

@@ -102,14 +102,6 @@ def _snap_spread(a_s: np.ndarray) -> np.ndarray:
 
 def solve_spread_block(design: DesignSystem, tau: float, lam: float = 0.0) -> tuple[np.ndarray, dict]:
     """Spread-block solution under the feasibility cone, with diagnostics."""
-    a_s, info, _ = _spread_block(design, tau, lam)
-    return a_s, info
-
-
-def _spread_block(design: DesignSystem, tau: float, lam: float,
-                  work: Sequence[int] = ()) -> tuple[np.ndarray, dict, np.ndarray]:
-    """:func:`solve_spread_block` with the QP's working set started at the
-    constraint rows ``work``; also returns the rows with a positive multiplier."""
     qp = spread_qp(design, tau, lam)
     if float(np.trace(qp.Q)) == 0.0:
         # no spread signal at all: the objective is constant (or linear with
@@ -117,9 +109,9 @@ def _spread_block(design: DesignSystem, tau: float, lam: float,
         w = design.block_width
         return np.zeros(w), {"ridge_used": 0.0, "lemke_pivots": 0.0,
                              "kkt_stationarity": 0.0, "kkt_feasibility": 0.0,
-                             "kkt_complementarity": 0.0}, np.zeros(0, dtype=int)
-    a_s, mult, info = _solve_qp_full(qp, work=work)
-    return _snap_spread(a_s), info, np.flatnonzero(mult > 0.0)
+                             "kkt_complementarity": 0.0}
+    a_s, _, info = _solve_qp_full(qp)
+    return _snap_spread(a_s), info
 
 
 def estimate_intercept(design: DesignSystem, coefs: Coefficients) -> Interval:

@@ -3,7 +3,9 @@ import time
 import numpy as np
 import pytest
 
+import intreg.lasso_ir
 import intreg.lcp
+import intreg.least_squares
 from intreg import Coefficients, Interval, IntervalSample, Qp, lemke_solve, simulate
 
 SESSION_T0 = time.monotonic()
@@ -76,6 +78,42 @@ def record_lemke_dims(monkeypatch):
 
     monkeypatch.setattr(intreg.lcp, "lemke_solve", record)
     return dims
+
+
+def record_qp_solves(monkeypatch):
+    """Patch every binding of the working-set QP solver to record the QPs it solves."""
+    calls = []
+    solve = intreg.lcp._solve_qp_full
+
+    def record(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    for module in (intreg.lcp, intreg.least_squares, intreg.lasso_ir):
+        monkeypatch.setattr(module, "_solve_qp_full", record)
+    return calls
+
+
+def corrupt_continuation_steps(monkeypatch, corrupt):
+    """Make every continuation step of ``lcp._qp_path`` propose a wrong point:
+    its primal point shifted (``corrupt="primal"``) or its multipliers
+    negated (``"multipliers"``).  The polish step of the QP solver, which
+    shares the active-set solve, is left alone."""
+    hold = intreg.lcp._hold_active_set
+    solve = intreg.lcp._active_set_solve
+
+    def wrong(Q, c, R, r, active):
+        z, lam, gap = solve(Q, c, R, r, active)
+        if corrupt == "primal":
+            return z + 1e-3 * (1.0 + np.max(np.abs(z))), lam, gap
+        return z, -lam, gap
+
+    def step(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(intreg.lcp, "_active_set_solve", wrong)
+            return hold(*args)
+
+    monkeypatch.setattr(intreg.lcp, "_hold_active_set", step)
 
 
 def random_feasible_qp(rng, m, p):

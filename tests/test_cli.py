@@ -223,6 +223,21 @@ class TestMain:
         assert code == 1
         assert err == f"error code=NonNumericCell detail=non-numeric value '-{cell}' at data row 2, column '{column}'\n"
 
+    @pytest.mark.parametrize("second, third, detail", [
+        ("1e308,1.7e308", "-1.7e308,1.7e308", "the midpoint of inf 1e+308 and sup 1.7e+308 overflows"),
+        ("-1.7e308,1.7e308", "1e308,1.7e308", "the spread of inf -1.7e+308 and sup 1.7e+308 overflows"),
+    ])
+    def test_overflowing_endpoints_are_named(self, tmp_path, capsys, recwarn, second, third, detail):
+        # finite endpoints whose midpoint or spread overflows: the first such
+        # interval in file order is named, and numpy warns about nothing
+        path = tmp_path / "huge.csv"
+        path.write_text(f"inf_y,sup_y,inf_x1,sup_x1\n1.0,2.0,0.0,1.0\n1.0,2.0,{second}\n{third},0.0,1.0\n")
+        code = main(["--input-path", str(path), "--format", "infsup"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error code=InvertedInterval detail=invalid interval for 'x1' at data row 2: {detail}\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_solver_failure_is_one_error_line(self, monkeypatch, capsys):
         # a ray termination on a feasible program is a solver failure, and
         # reaches the CLI as one error line (this fixture's spread block has

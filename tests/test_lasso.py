@@ -21,7 +21,8 @@ from intreg.lasso import _mid_path, _spr_path, lasso_lemke, mid_kkt_gap, soft_th
 from intreg.lcp import RAY_TERMINATION, LcpSolution, lemke_solve
 from intreg.least_squares import solve_spread_block
 
-from conftest import exact_fit_sample, fitted_intervals, random_sample, record_lemke_dims, split_model_sample
+from conftest import (corrupt_continuation_steps, exact_fit_sample, fitted_intervals, random_sample,
+                      record_lemke_dims, record_qp_solves, split_model_sample)
 
 
 class TestLassoCd:
@@ -423,6 +424,28 @@ class TestPathwiseCrossValidation:
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("spr",), count=100)
         assert 0 < len(calls) <= 1.1 * 5 * 100
         assert max(calls) < d.n
+
+    def test_spread_grid_solves_qps_only_at_breakpoints(self, monkeypatch):
+        # continuation solves a QP only where the set of binding rows changes:
+        # 38 solves for the 500 grid points on this sample (7.6 per fold)
+        d = build_design(split_model_sample(1, 100), "full")
+        calls = record_qp_solves(monkeypatch)
+        cross_validate(d, 0.5, folds=5, seed=0, blocks=("spr",), count=100)
+        assert 5 <= len(calls) <= 57
+
+    @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
+    def test_failed_continuation_step_falls_back_to_lemke(self, corrupt, monkeypatch):
+        # a continuation step that fails its checks makes its grid point a
+        # breakpoint, solved as a single fit would be
+        d = build_design(split_model_sample(101, 100), "full")
+        grid = lambda_grid(d, 100, 1e-3, "spr")
+        cold = [fit_lasso_spr(d, lam, 0.5) for lam in grid]
+        corrupt_continuation_steps(monkeypatch, corrupt)
+        calls = record_qp_solves(monkeypatch)
+        for want, got in zip(cold, _spr_path(d, grid, 0.5)):
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
+        assert len(calls) == len(grid)
 
     @pytest.mark.parametrize("variant", ["full", "model-m"])
     def test_midpoint_grid_pivots_only_where_the_signs_change(self, variant, monkeypatch):

@@ -14,7 +14,7 @@ from intreg import (
 )
 from intreg.lasso_ir import _budget_path, default_budget_grid
 
-from conftest import record_lemke_dims, split_model_sample
+from conftest import corrupt_continuation_steps, record_lemke_dims, record_qp_solves, split_model_sample
 
 
 def adversarial_sample(n=12):
@@ -184,3 +184,27 @@ class TestBudgetPath:
         calls = record_lemke_dims(monkeypatch)
         select_budget(d, 0.5, folds=5, seed=0)
         assert 0 < len(calls) <= 1.25 * 5 * len(default_budget_grid(d))
+
+    def test_budget_grid_solves_qps_only_at_breakpoints(self, monkeypatch):
+        # continuation solves a QP only where the set of binding rows changes:
+        # 36 solves for the 105 grid points on this sample (per fold, the
+        # t = 0 fit and about 6 of the 20 budgets t > 0)
+        d = build_design(split_model_sample(1, 100), "full")
+        calls = record_qp_solves(monkeypatch)
+        select_budget(d, 0.5, folds=5, seed=0)
+        assert 5 <= len(calls) <= 54
+
+    @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
+    def test_failed_continuation_step_falls_back_to_lemke(self, corrupt, monkeypatch):
+        # a continuation step that fails its checks makes its grid point a
+        # breakpoint, solved as a single fit would be
+        d = build_design(split_model_sample(103, 100), "full")
+        grid = default_budget_grid(d)
+        cold = [fit_lasso_ir(d, 0.5, t) for t in grid]
+        corrupt_continuation_steps(monkeypatch, corrupt)
+        calls = record_qp_solves(monkeypatch)
+        for want, got in zip(cold, _budget_path(d, 0.5, grid)):
+            assert np.array_equal(got.a_a == 0.0, want.a_a == 0.0)
+            for a, b in ((got.a_m, want.a_m), (got.a_a, want.a_a)):
+                assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b), initial=0.0)
+        assert len(calls) == len(grid)

@@ -10,7 +10,7 @@ from intreg.lasso import fit_lasso_spr
 from intreg.lcp import RAY_TERMINATION, SOLVED, LcpSolution
 from intreg.oracle import brute_force_qp
 
-from conftest import random_feasible_qp, record_lemke_dims, split_model_sample
+from conftest import random_feasible_qp, record_lemke_dims, record_qp_solves, split_model_sample
 
 
 def assert_lcp_invariants(lcp, sol):
@@ -251,3 +251,64 @@ class TestWorkingSet:
         assert dims and max(dims) <= 5 * design.block_width
         for key in ("kkt_stationarity", "kkt_feasibility", "kkt_complementarity"):
             assert info[key] <= 1e-8 * (1 + n)
+
+
+def affine_family(rng, m=4, p=40):
+    """A feasible QP whose linear term and right-hand side both move with
+    theta; r only decreases, so every program on theta >= 0 is feasible."""
+    qp = random_feasible_qp(rng, m, p)
+    dc = rng.normal(size=m)
+    dr = -rng.uniform(0.0, 0.3, p)
+    return qp, lambda theta: (qp.c + theta * dc, qp.r + theta * dr)
+
+
+class TestQpPath:
+    def test_path_equals_single_solves(self, rng, monkeypatch):
+        thetas = np.linspace(0.0, 3.0, 60)
+        for _ in range(5):
+            qp, terms = affine_family(rng)
+            cold = [lcp._solve_qp_full(Qp(qp.Q, c, qp.R, r)) for c, r in map(terms, thetas)]
+            calls = record_qp_solves(monkeypatch)
+            path = list(lcp._qp_path(qp.Q, qp.R, terms, thetas))
+            monkeypatch.undo()
+            assert 1 <= len(calls) <= len(thetas) // 4
+            for (z, lam, info), (z_cold, lam_cold, _) in zip(path, cold):
+                assert np.array_equal(lam > 0, lam_cold > 0)
+                assert np.max(np.abs(z - z_cold)) <= 1e-10 * (1.0 + np.max(np.abs(z_cold)))
+                assert max(info[k] for k in info if k.startswith("kkt_")) <= 1e-8
+
+    def test_no_point_skips_its_certificate(self, rng, monkeypatch):
+        # with every certificate reported as failing, no continuation step
+        # is accepted and every grid point is solved by the QP solver
+        qp, terms = affine_family(rng)
+        thetas = np.linspace(0.0, 3.0, 30)
+        kkt = lcp._kkt
+
+        def failing(*args):
+            return dict(kkt(*args), kkt_stationarity=1.0)
+
+        monkeypatch.setattr(lcp, "_kkt", failing)
+        calls = record_qp_solves(monkeypatch)
+        assert len(list(lcp._qp_path(qp.Q, qp.R, terms, thetas))) == len(thetas)
+        assert len(calls) == len(thetas)
+
+    def test_step_keeps_the_working_set_feasibility_test(self):
+        # min 1/2 |z|^2 - z_1 subject to z_1 <= 1 - 1e-9: on the empty active
+        # set the step lands 1e-9 outside the row, which the KKT bound
+        # 1e-8 (1 + rows) would let through but the slack test rejects
+        Q, c = np.eye(2), np.array([-1.0, 0.0])
+        R, r = np.array([[-1.0, 0.0]]), np.array([-(1.0 - 1e-9)])
+        assert lcp._hold_active_set(Q, c, R, r, np.array([], dtype=int), 0.0) is None
+        z, lam, info = lcp._hold_active_set(Q, c, R, r, np.array([0]), 0.0)
+        assert z == pytest.approx([1.0 - 1e-9, 0.0], abs=1e-15)
+        assert lam == pytest.approx([1e-9], abs=1e-15)
+        assert info["lemke_pivots"] == 0.0
+
+    def test_hessian_is_factored_once_per_path(self, rng, monkeypatch):
+        qp, terms = affine_family(rng)
+        factors = []
+        ridge_factor = lcp._ridge_factor
+        monkeypatch.setattr(lcp, "_ridge_factor", lambda Q: factors.append(1) or ridge_factor(Q))
+        calls = record_qp_solves(monkeypatch)
+        list(lcp._qp_path(qp.Q, qp.R, terms, np.linspace(0.0, 3.0, 60)))
+        assert len(calls) > 1 and factors == [1]
