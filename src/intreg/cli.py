@@ -97,21 +97,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name)
         if value is not None and value < 0.0:
             raise ValueError(f"--{name.replace('_', '-')} must be nonnegative")
-    return RunConfig(
-        input_path=args.input_path,
-        format=args.format,
-        method=args.method,
-        variant=args.variant,
-        tau=args.tau,
-        lambda_rule=args.lambda_rule if args.lambda_rule is not None else RULE_MSE,
-        lambda_mid=args.lambda_mid,
-        lambda_spr=args.lambda_spr,
-        t_budget=args.t_budget,
-        folds=args.folds,
-        seed=args.seed,
-        mse_convention=args.mse_convention,
-        output_format=args.output_format,
-    )
+    return RunConfig(**dict(vars(args), lambda_rule=args.lambda_rule or RULE_MSE))
 
 
 def _reported_mse(result: FitResult, sample, config: RunConfig) -> float:

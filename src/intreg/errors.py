@@ -57,10 +57,6 @@ class InfeasibleQp(IntregError):
     """The constraint system of a quadratic program is empty."""
 
 
-class InfeasibleConstraints(IntregError):
-    """The constrained Lasso constraint system admits no feasible point."""
-
-
 class FoldTooSmall(IntregError):
     """A cross-validation split leaves fewer than two training rows."""
 

@@ -54,15 +54,21 @@ def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
     if not data:
         raise EmptyFile(f"{path} has a header but no data rows")
     variables = ["y"] + [f"x{i}" for i in range(1, k + 1)]
-    values = np.empty((len(data), len(header)))
-    for j, row in enumerate(data, start=1):
-        if len(row) != len(header):
-            raise MalformedHeader(f"data row {j} has {len(row)} cells, expected {len(header)}")
-        for c, cell in enumerate(row):
-            try:
-                values[j - 1, c] = float(cell)
-            except ValueError:
-                raise NonNumericCell(j, header[c], cell) from None
+    try:
+        values = np.array(data, dtype=float)
+    except ValueError:
+        values = np.empty(0)
+    if values.shape != (len(data), len(header)):
+        # a short or long row, or a cell that does not parse: name the first
+        values = np.empty((len(data), len(header)))
+        for j, row in enumerate(data, start=1):
+            if len(row) != len(header):
+                raise MalformedHeader(f"data row {j} has {len(row)} cells, expected {len(header)}")
+            for c, cell in enumerate(row):
+                try:
+                    values[j - 1, c] = float(cell)
+                except ValueError:
+                    raise NonNumericCell(j, header[c], cell) from None
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         j, c = bad[0]
@@ -70,10 +76,10 @@ def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
     first, second = values[:, 0::2], values[:, 1::2]
     if fmt == FORMAT_MIDSPR:
         mid, spr = first, second
-        for j in range(len(data)):
-            for v in range(k + 1):
-                if spr[j, v] < 0.0:
-                    raise InvertedInterval(j + 1, variables[v], f"negative spread {spr[j, v]}")
+        bad = np.argwhere(spr < 0.0)
+        if bad.size:
+            j, v = bad[0]
+            raise InvertedInterval(int(j) + 1, variables[v], f"negative spread {spr[j, v]}")
     else:
         with np.errstate(over="ignore"):
             mid = (first + second) / 2.0

@@ -23,12 +23,13 @@ Each fold walks a block's decreasing grid as a path.  The midpoint solution
 is first tried on the previous penalty's sign pattern (one linear solve,
 kept only when it meets the optimality conditions exactly).  The penalty
 enters the spread QP's linear term alone, so the spread grid is walked by
-exact active-set continuation: each point is first solved on the binding
+exact active-set continuation (the spread block's one solver, in
+:mod:`intreg.least_squares`): each point is first solved on the binding
 rows of the last breakpoint and kept only when its slacks, multipliers and
 KKT residuals over every constraint row pass; Lemke runs only where the set
 of binding rows changes.  Every grid point is still checked on its own (the
 midpoint subgradient-gap test and zero snap; the spread QP's certificate
-against every row), and a single fit is the same solver without a path.
+against every row), and a single fit is the one-point grid.
 """
 
 from __future__ import annotations
@@ -39,19 +40,18 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .design import Coefficients, DesignSystem, build_design, regressor_blocks
-from .errors import FoldTooSmall, InfeasibleConstraints, InfeasibleQp, RayTermination, SubgradientGap
+from .errors import FoldTooSmall, RayTermination, SubgradientGap
 from .intervals import DEFAULT_TAU, Interval, validate_tau
-from .lcp import SOLVED, Lcp, _qp_path, lemke_solve
+from .lcp import SOLVED, Lcp, lemke_solve
 from .least_squares import (
     METHOD_LASSO,
     FitResult,
     _fit_result,
     _msd_arrays,
-    _snap_spread,
+    _spr_path,
     estimate_intercept,
     ols_mid,
     solve_spread_block,
-    spread_qp,
 )
 
 RULE_MSE = "mse"
@@ -151,19 +151,7 @@ def fit_lasso_spr(design: DesignSystem, lam: float, tau: float = DEFAULT_TAU) ->
     the argument is accepted for interface symmetry with the fit entry
     points.
     """
-    return _lasso_spr(design, lam, tau)[0]
-
-
-def _lasso_spr(design: DesignSystem, lam: float, tau: float) -> tuple[np.ndarray, dict]:
-    """:func:`fit_lasso_spr` that also returns the QP diagnostics."""
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError("the penalty must be nonnegative")
-    validate_tau(tau)
-    try:
-        return solve_spread_block(design, tau, lam)
-    except InfeasibleQp as exc:
-        raise InfeasibleConstraints("spread constraint system is empty") from exc
+    return solve_spread_block(design, validate_tau(tau), lam)[0]
 
 
 def _mid_path(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[np.ndarray]:
@@ -173,27 +161,6 @@ def _mid_path(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[np.nda
     for lam in lambdas:
         a_m, _ = _lasso_mid(design, lam, a_m)
         yield a_m
-
-
-def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> Iterator[np.ndarray]:
-    """Spread-block solutions along a decreasing penalty grid.
-
-    The penalty enters the QP's linear term alone, so the grid is one QP
-    family solved by active-set continuation (:func:`intreg.lcp._qp_path`).
-    """
-    qp = spread_qp(design, tau)
-    if float(np.trace(qp.Q)) == 0.0:
-        # no spread signal: every penalty gives the zero solution
-        for _ in lambdas:
-            yield np.zeros(design.block_width)
-        return
-    g = design.fs.T @ design.vs
-    try:
-        # the linear term exactly as spread_qp forms it, so a point equals its single fit
-        for a_s, _, _ in _qp_path(qp.Q, qp.R, lambda lam: (2.0 * tau * (lam - g), qp.r), lambdas):
-            yield _snap_spread(a_s)
-    except InfeasibleQp as exc:
-        raise InfeasibleConstraints("spread constraint system is empty") from exc
 
 
 def lambda_grid(design: DesignSystem, count: int = DEFAULT_GRID_SIZE, ratio: float = DEFAULT_GRID_RATIO, block: str = BLOCK_MID) -> np.ndarray:
@@ -309,7 +276,7 @@ def cross_validate(
                     yield a_m, a_s
             else:
                 a_m, _ = ols_mid(train)
-                for a_s in _spr_path(train, lambdas, tau):
+                for a_s, _ in _spr_path(train, lambdas, tau):
                     yield a_m, a_s
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)
@@ -362,7 +329,7 @@ def fit_lasso(
     lambda_mid = float(penalties[BLOCK_MID])
     lambda_spr = float(penalties[BLOCK_SPR])
     a_m, mid_gap = _lasso_mid(design, lambda_mid)
-    a_s, spr_info = _lasso_spr(design, lambda_spr, tau)
+    a_s, spr_info = solve_spread_block(design, tau, lambda_spr)
     diagnostics["mid_kkt_gap"] = mid_gap
     diagnostics.update(spr_info)
     coefs = Coefficients.from_blocks(a_m, a_s, Interval(0.0, 0.0), design.variant, design.k)

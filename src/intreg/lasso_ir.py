@@ -13,7 +13,8 @@ by the same complementary-pivoting machinery as the other estimators.  The
 budget is cross-validated on the Lasso folds.  It enters only the
 right-hand side of the budget row, so the ``t > 0`` programs of the grid are
 walked by exact active-set continuation: Lemke runs only where the set of
-binding rows changes, and every point is certified against every row.
+binding rows changes, and every point is certified against every row.  A
+single fit is the one-point budget grid.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .design import Coefficients, DesignSystem
 from .intervals import DEFAULT_TAU, Interval, validate_tau
 from .lasso import _cv_errors
-from .lcp import Qp, _qp_path, _solve_qp_full
+from .lcp import Qp, _qp_path
 from .least_squares import METHOD_LASSO_IR, FitResult, _fit_result
 
 
@@ -91,38 +92,15 @@ def _joint_qp(design: DesignSystem, tau: float, t: float) -> Qp:
 
 
 def fit_lasso_ir(design: DesignSystem, tau: float = DEFAULT_TAU, t: float = 0.0) -> LassoIrFit:
-    """Fit the budgeted-offset estimator at a fixed budget.
+    """Fit the budgeted-offset estimator at a fixed budget, the one-point
+    budget grid.
 
     With ``t = 0`` the offset is identically zero, so the spread coefficients
-    equal the midpoint coefficients exactly; that case is solved directly in
-    the midpoint block alone.
+    equal the midpoint coefficients exactly.
     """
     tau = validate_tau(tau)
     t = float(t)
-    if t < 0.0:
-        raise ValueError("the budget must be nonnegative")
-    if t > 0.0:
-        u, _, info = _solve_qp_full(_joint_qp(design, tau, t))
-        return _joint_fit(design, tau, t, u, info)
-    g = design.gamma_matrix
-    hm = design.fm.T @ design.fm
-    hs = design.fs.T @ design.fs
-    Q = 2.0 * ((1.0 - tau) * hm + tau * hs)
-    c = -2.0 * ((1.0 - tau) * design.fm.T @ design.vm + tau * design.fs.T @ design.vs)
-    a_m, _, info = _solve_qp_full(Qp(Q, c, g, np.zeros(g.shape[0])))
-    return _ir_fit(design, tau, t, a_m, np.zeros(design.block_width), info)
-
-
-def _joint_fit(design: DesignSystem, tau: float, t: float, u: np.ndarray, info: dict) -> LassoIrFit:
-    """Package the joint QP's solution ``u = (a_m, offset+, offset-)``."""
-    w = design.block_width
-    a_a = np.maximum(u[w : 2 * w], 0.0) - np.maximum(u[2 * w :], 0.0)
-    return _ir_fit(design, tau, t, u[:w], a_a, info)
-
-
-def _ir_fit(design: DesignSystem, tau: float, t: float, a_m: np.ndarray, a_a: np.ndarray,
-            info: dict) -> LassoIrFit:
-    """The fit, intercept and honesty flags of the midpoint block and offset."""
+    a_m, a_a, info = next(_budget_path(design, tau, [t]))
     a_s = a_m + a_a
     delta_mid = design.mean_y.mid - float(design.mean_mid_xebl @ a_m)
     delta_spr = design.mean_y.spr - float(design.mean_spr_xebl @ a_s)
@@ -175,19 +153,35 @@ def default_budget_grid(design: DesignSystem, count: int = 20, ratio: float = 1e
     return [0.0] + list(np.geomspace(ratio * t_max, t_max, count))
 
 
-def _budget_path(design: DesignSystem, tau: float, grid: Sequence[float]) -> Iterator[LassoIrFit]:
-    """Fits along a budget grid.  The ``t > 0`` programs share the joint QP
-    but for the budget, which is the right-hand side of its last row, so they
-    are walked by active-set continuation (see :func:`intreg.lcp._qp_path`)."""
-    qp = _joint_qp(design, tau, 0.0)
-    joint = _qp_path(qp.Q, qp.R, lambda t: (qp.c, np.concatenate([qp.r[:-1], [-t]])),
-                     [t for t in grid if t > 0.0])
+def _budget_path(design: DesignSystem, tau: float,
+                 grid: Sequence[float]) -> Iterator[tuple[np.ndarray, np.ndarray, dict]]:
+    """Midpoint block, offset and QP diagnostics along a budget grid.
+
+    The ``t > 0`` programs share the joint QP but for the budget, which is
+    the right-hand side of its last row, so they are walked by active-set
+    continuation (see :func:`intreg.lcp._qp_path`).  At ``t = 0`` the offset
+    is zero and the program is the midpoint block alone, under the rows that
+    keep the tied fitted spreads nonnegative.
+    """
+    w = design.block_width
+    positive = [t for t in grid if t > 0.0]
+    if positive:
+        qp = _joint_qp(design, tau, 0.0)
+        joint = _qp_path(qp.Q, qp.R, lambda t: (qp.c, np.concatenate([qp.r[:-1], [-t]])), positive)
     for t in grid:
+        if t < 0.0:
+            raise ValueError("the budget must be nonnegative")
         if t > 0.0:
             u, _, info = next(joint)
-            yield _joint_fit(design, tau, t, u, info)
+            yield u[:w], np.maximum(u[w : 2 * w], 0.0) - np.maximum(u[2 * w :], 0.0), info
         else:
-            yield fit_lasso_ir(design, tau, t)
+            g = design.gamma_matrix
+            hm = design.fm.T @ design.fm
+            hs = design.fs.T @ design.fs
+            Q = 2.0 * ((1.0 - tau) * hm + tau * hs)
+            c = -2.0 * ((1.0 - tau) * design.fm.T @ design.vm + tau * design.fs.T @ design.vs)
+            a_m, _, info = next(_qp_path(Q, g, lambda _: (c, np.zeros(g.shape[0])), [t]))
+            yield a_m, np.zeros(w), info
 
 
 def select_budget(
@@ -211,8 +205,8 @@ def select_budget(
         raise ValueError("the budget grid must be nonempty")
 
     def fit_grid(train: DesignSystem):
-        for fit in _budget_path(train, tau, grid):
-            yield fit.a_m, fit.a_s
+        for a_m, a_a, _ in _budget_path(train, tau, grid):
+            yield a_m, a_m + a_a
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)
     return grid[int(np.argmin(errors.mean(axis=0)))]

@@ -35,7 +35,9 @@ the polish step's equality solve, and keeps that point only when every
 slack and every multiplier has the right sign and the point's KKT residuals
 over every row pass.  Only where the active set changes (a breakpoint) does
 it run the working-set Lemke solve, warm-started at the rows that bind the
-previous point and reusing one Cholesky factor of the shared Hessian.
+previous point and reusing one Cholesky factor of the shared Hessian.  The
+estimators solve every constrained block through this path routine; a
+single program is the one-point grid.
 """
 
 from __future__ import annotations
@@ -351,14 +353,14 @@ def _polish_active_set(qp: Qp, lam: np.ndarray) -> Optional[tuple[np.ndarray, np
     return z, np.maximum(lam_full, 0.0)
 
 
-def _solve_qp_full(qp: Qp, max_pivots: Optional[int] = None, work: Sequence[int] = (),
+def _solve_qp_full(qp: Qp, work: Sequence[int] = (),
                    factor: Optional[tuple[np.ndarray, float]] = None) -> tuple[np.ndarray, np.ndarray, dict]:
     """Primal solution, multipliers and solver diagnostics for a QP.
 
     Constraint generation: starting from the unconstrained minimizer, each
     round adds up to ``num_vars`` of the most violated rows to a working set
     and solves the LCP of the working set alone, until no row outside it is
-    violated.  ``max_pivots`` bounds each round; ``lemke_pivots`` sums them.
+    violated.  ``lemke_pivots`` sums the rounds' pivots.
     The polish step and the reported residuals use every row.
 
     ``work`` names rows that start in the working set when the unconstrained
@@ -382,13 +384,13 @@ def _solve_qp_full(qp: Qp, max_pivots: Optional[int] = None, work: Sequence[int]
     while True:
         if in_work.any():
             rows = np.flatnonzero(in_work)
-            sol = lemke_solve(_reduce(qp.R[rows], qp.r[rows], L, qc), max_pivots)
+            sol = lemke_solve(_reduce(qp.R[rows], qp.r[rows], L, qc))
             info["lemke_pivots"] += float(sol.pivots)
             if sol.status != SOLVED:
                 if len(work):
                     # rows carried over from a neighbouring program can be
                     # degenerate here; decide from an empty working set
-                    return _solve_qp_full(qp, max_pivots, factor=(L, ridge))
+                    return _solve_qp_full(qp, factor=(L, ridge))
                 if not _constraints_feasible(qp.R, qp.r):
                     raise InfeasibleQp("constraint system is empty")
                 raise RayTermination("complementary pivoting ray-terminated on a feasible program")
@@ -457,13 +459,12 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
         yield found
 
 
-def solve_qp(qp: Qp, max_pivots: Optional[int] = None) -> np.ndarray:
+def solve_qp(qp: Qp) -> np.ndarray:
     """Minimizer of an inequality-constrained convex QP via Lemke pivoting.
 
     Solves on a growing working set of violated rows (see
-    :func:`_solve_qp_full`), so ``max_pivots`` bounds each round.  Raises
-    :class:`InfeasibleQp` when pivoting ray-terminates and an independent
-    linear-programming probe on all rows confirms the constraint set is
-    empty.
+    :func:`_solve_qp_full`).  Raises :class:`InfeasibleQp` when pivoting
+    ray-terminates and an independent linear-programming probe on all rows
+    confirms the constraint set is empty.
     """
-    return _solve_qp_full(qp, max_pivots)[0]
+    return _solve_qp_full(qp)[0]

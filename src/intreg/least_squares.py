@@ -6,19 +6,24 @@ over the feasible cone (nonnegative coefficients, fitted spreads dominated
 by observed spreads) solved exactly through the complementarity machinery.
 The interval intercept is recovered last as the Hukuhara difference between
 the mean response and the mean fitted part.
+
+The spread block has one solver, the penalty path shared with the Lasso: an
+L1 penalty enters the spread QP's linear term alone, so a grid of penalties
+is one QP family walked by active-set continuation, and a single fit (the
+unpenalized one here, a fixed penalty in the Lasso) is the one-point grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .design import Coefficients, DesignSystem
 from .errors import LengthMismatch
 from .intervals import DEFAULT_TAU, Interval, hukuhara_diff, validate_tau
-from .lcp import Qp, _solve_qp_full
+from .lcp import Qp, _qp_path
 
 METHOD_LS = "ls"
 METHOD_LASSO = "lasso"
@@ -100,18 +105,32 @@ def _snap_spread(a_s: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def solve_spread_block(design: DesignSystem, tau: float, lam: float = 0.0) -> tuple[np.ndarray, dict]:
-    """Spread-block solution under the feasibility cone, with diagnostics."""
-    qp = spread_qp(design, tau, lam)
+def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> Iterator[tuple[np.ndarray, dict]]:
+    """Spread-block solutions and QP diagnostics along a penalty grid.
+
+    The penalty enters the QP's linear term alone, so the grid is one QP
+    family solved by active-set continuation (:func:`intreg.lcp._qp_path`).
+    """
+    qp = spread_qp(design, tau)
     if float(np.trace(qp.Q)) == 0.0:
         # no spread signal at all: the objective is constant (or linear with
         # nonnegative slope) over the cone, and zero is always feasible
-        w = design.block_width
-        return np.zeros(w), {"ridge_used": 0.0, "lemke_pivots": 0.0,
-                             "kkt_stationarity": 0.0, "kkt_feasibility": 0.0,
-                             "kkt_complementarity": 0.0}
-    a_s, _, info = _solve_qp_full(qp)
-    return _snap_spread(a_s), info
+        for _ in lambdas:
+            yield np.zeros(design.block_width), {"ridge_used": 0.0, "lemke_pivots": 0.0,
+                                                 "kkt_stationarity": 0.0, "kkt_feasibility": 0.0,
+                                                 "kkt_complementarity": 0.0}
+        return
+    g = design.fs.T @ design.vs
+    # the linear term exactly as spread_qp forms it
+    for a_s, _, info in _qp_path(qp.Q, qp.R, lambda lam: (2.0 * tau * (lam - g), qp.r), lambdas):
+        yield _snap_spread(a_s), info
+
+
+def solve_spread_block(design: DesignSystem, tau: float, lam: float = 0.0) -> tuple[np.ndarray, dict]:
+    """Spread-block solution under the feasibility cone, with diagnostics."""
+    if lam < 0.0:
+        raise ValueError("the penalty must be nonnegative")
+    return next(_spr_path(design, [lam], tau))
 
 
 def estimate_intercept(design: DesignSystem, coefs: Coefficients) -> Interval:

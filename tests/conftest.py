@@ -3,9 +3,7 @@ import time
 import numpy as np
 import pytest
 
-import intreg.lasso_ir
 import intreg.lcp
-import intreg.least_squares
 from intreg import Coefficients, Interval, IntervalSample, Qp, lemke_solve, simulate
 
 SESSION_T0 = time.monotonic()
@@ -81,7 +79,7 @@ def record_lemke_dims(monkeypatch):
 
 
 def record_qp_solves(monkeypatch):
-    """Patch every binding of the working-set QP solver to record the QPs it solves."""
+    """Patch the working-set QP solver to record the QPs it solves."""
     calls = []
     solve = intreg.lcp._solve_qp_full
 
@@ -89,8 +87,7 @@ def record_qp_solves(monkeypatch):
         calls.append(args[0])
         return solve(*args, **kwargs)
 
-    for module in (intreg.lcp, intreg.least_squares, intreg.lasso_ir):
-        monkeypatch.setattr(module, "_solve_qp_full", record)
+    monkeypatch.setattr(intreg.lcp, "_solve_qp_full", record)
     return calls
 
 

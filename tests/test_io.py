@@ -77,6 +77,23 @@ class TestIngest:
         with pytest.raises(MalformedHeader):
             ingest(p, FORMAT_MIDSPR)
 
+    @pytest.mark.parametrize("bad, error, message", [
+        ({5: "1,0.5,x,0.25", 7: "1,0.5,2"}, NonNumericCell,
+         "non-numeric value 'x' at data row 5, column 'mid_x1'"),
+        ({2: "1,0.5,2", 4: "1,abc,2,0.25"}, MalformedHeader, "data row 2 has 3 cells, expected 4"),
+        ({1: "nan,0.5,2,0.25", 3: "1,0.5,abc,0.25"}, NonNumericCell,
+         "non-numeric value 'abc' at data row 3, column 'mid_x1'"),
+        (dict.fromkeys(range(1, 8), "1,0.5,2,0.25,9"), MalformedHeader, "data row 1 has 5 cells, expected 4"),
+        ({2: "1,0.5,2,-0.25", 3: "1,-0.5,2,0.25"}, InvertedInterval,
+         "invalid interval for 'x1' at data row 2: negative spread -0.25"),
+    ])
+    def test_first_bad_row_in_file_order_is_named(self, tmp_path, bad, error, message):
+        p = tmp_path / "s.csv"
+        write_lines(p, ["mid_y,spr_y,mid_x1,spr_x1"] + [bad.get(j, "1,0.5,2,0.25") for j in range(1, 8)])
+        with pytest.raises(error) as exc:
+            ingest(p, FORMAT_MIDSPR)
+        assert str(exc.value) == message
+
 
 class TestRoundTrip:
     def test_midspr_roundtrip_is_exact(self, tmp_path):

@@ -17,9 +17,9 @@ from intreg import (
 )
 import intreg.lasso
 from intreg.errors import FoldTooSmall, IntregError, RayTermination, SubgradientGap
-from intreg.lasso import _mid_path, _spr_path, lasso_lemke, mid_kkt_gap, soft_threshold
+from intreg.lasso import _mid_path, lasso_lemke, mid_kkt_gap, soft_threshold
 from intreg.lcp import RAY_TERMINATION, LcpSolution, lemke_solve
-from intreg.least_squares import solve_spread_block
+from intreg.least_squares import _spr_path, solve_spread_block
 
 from conftest import (corrupt_continuation_steps, exact_fit_sample, fitted_intervals, random_sample,
                       record_lemke_dims, record_qp_solves, split_model_sample)
@@ -412,7 +412,7 @@ class TestPathwiseCrossValidation:
             assert np.array_equal(warm == 0.0, cold == 0.0)
             assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
         spr_grid = lambda_grid(d, 100, 1e-3, "spr")
-        for lam, warm in zip(spr_grid, _spr_path(d, spr_grid, 0.5)):
+        for lam, (warm, _) in zip(spr_grid, _spr_path(d, spr_grid, 0.5)):
             cold = fit_lasso_spr(d, lam, 0.5)
             assert np.array_equal(warm == 0.0, cold == 0.0)
             assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
@@ -442,7 +442,7 @@ class TestPathwiseCrossValidation:
         cold = [fit_lasso_spr(d, lam, 0.5) for lam in grid]
         corrupt_continuation_steps(monkeypatch, corrupt)
         calls = record_qp_solves(monkeypatch)
-        for want, got in zip(cold, _spr_path(d, grid, 0.5)):
+        for want, (got, _) in zip(cold, _spr_path(d, grid, 0.5)):
             assert np.array_equal(got == 0.0, want == 0.0)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
         assert len(calls) == len(grid)

@@ -171,10 +171,10 @@ class TestBudgetPath:
     def test_warm_path_equals_cold_fits(self, n, variant):
         d = build_design(split_model_sample(n + 2, n), variant)
         grid = default_budget_grid(d)
-        for t, warm in zip(grid, _budget_path(d, 0.5, grid)):
+        for t, (a_m, a_a, _) in zip(grid, _budget_path(d, 0.5, grid)):
             cold = fit_lasso_ir(d, 0.5, t)
-            assert np.array_equal(warm.a_a == 0.0, cold.a_a == 0.0)
-            for got, want in ((warm.a_m, cold.a_m), (warm.a_a, cold.a_a)):
+            assert np.array_equal(a_a == 0.0, cold.a_a == 0.0)
+            for got, want in ((a_m, cold.a_m), (a_a, cold.a_a)):
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
 
     def test_about_one_lemke_call_per_budget(self, monkeypatch):
@@ -203,8 +203,8 @@ class TestBudgetPath:
         cold = [fit_lasso_ir(d, 0.5, t) for t in grid]
         corrupt_continuation_steps(monkeypatch, corrupt)
         calls = record_qp_solves(monkeypatch)
-        for want, got in zip(cold, _budget_path(d, 0.5, grid)):
-            assert np.array_equal(got.a_a == 0.0, want.a_a == 0.0)
-            for a, b in ((got.a_m, want.a_m), (got.a_a, want.a_a)):
+        for want, (a_m, a_a, _) in zip(cold, _budget_path(d, 0.5, grid)):
+            assert np.array_equal(a_a == 0.0, want.a_a == 0.0)
+            for a, b in ((a_m, want.a_m), (a_a, want.a_a)):
                 assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b), initial=0.0)
         assert len(calls) == len(grid)

@@ -168,13 +168,13 @@ class TestWorkingSet:
         # and t > 0, as their callers build them
         design = build_design(split_model_sample(n, n), "full")
         qps = []
+        solve = lcp._solve_qp_full
 
-        def record(qp, max_pivots=None, work=()):
+        def record(qp, **kwargs):
             qps.append(qp)
-            return lcp._solve_qp_full(qp, max_pivots, work)
+            return solve(qp, **kwargs)
 
-        monkeypatch.setattr(least_squares, "_solve_qp_full", record)
-        monkeypatch.setattr(lasso_ir, "_solve_qp_full", record)
+        monkeypatch.setattr(lcp, "_solve_qp_full", record)
         least_squares.solve_spread_block(design, 0.5)
         fit_lasso_spr(design, 0.05)
         lasso_ir.fit_lasso_ir(design, 0.5, 0.0)
