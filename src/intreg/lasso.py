@@ -19,9 +19,12 @@ block's validation curve by a constant.  One fold pass serves both blocks:
 each fold's training design and held-out rows are built once, both blocks'
 grids are scanned on them, and the error matrix is split by block.
 
-Each fold walks a block's decreasing grid as a path.  The midpoint solution
-is first tried on the previous penalty's sign pattern (one linear solve,
-kept only when it meets the optimality conditions exactly).  The penalty
+Each fold walks a block's decreasing grid as a path.  The midpoint Gram
+statistics ``F'F`` and ``F'v`` do not depend on the penalty and are formed
+once per path; each midpoint solution is first tried on the previous
+penalty's sign pattern (one linear solve, kept only when it meets the
+optimality conditions exactly), and Lemke runs on the Gram form only where
+the pattern changes.  The penalty
 enters the spread QP's linear term alone, so the spread grid is walked by
 exact active-set continuation (the spread block's one solver, in
 :mod:`intreg.least_squares`): each point is first solved on the binding
@@ -87,14 +90,18 @@ def lasso_lemke(F: np.ndarray, v: np.ndarray, lam: float, start: Optional[np.nda
     """
     if lam == 0.0:
         return np.linalg.lstsq(F, v, rcond=None)[0]
-    G = F.T @ F
-    b = F.T @ v
+    return _lasso_gram(F.T @ F, F.T @ v, lam, start)
+
+
+def _lasso_gram(G: np.ndarray, b: np.ndarray, lam: float, start: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`lasso_lemke` at ``lam > 0`` from the Gram statistics
+    ``G = F'F`` and ``b = F'v``, which a penalty path forms once."""
     if start is not None:
         s = np.sign(start)
         on = s != 0.0
         a = np.zeros(b.size)
         try:
-            a[on] = np.linalg.solve(G[np.ix_(on, on)], b[on] - lam * s[on])
+            a[on] = np.linalg.solve(G[on][:, on], b[on] - lam * s[on])
         except np.linalg.LinAlgError:
             pass
         else:
@@ -125,22 +132,7 @@ def fit_lasso_mid(design: DesignSystem, lam: float) -> np.ndarray:
     penalty at or above the zeroing threshold returns the zero vector
     exactly.
     """
-    return _lasso_mid(design, lam)[0]
-
-
-def _lasso_mid(design: DesignSystem, lam: float, start: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
-    """:func:`fit_lasso_mid` that first tries the sign pattern of ``start``;
-    also returns the subgradient gap that certifies the snapped solution."""
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError("the penalty must be nonnegative")
-    a = lasso_lemke(design.fm, design.vm, lam, start)
-    a[np.abs(a) <= 1e-12 * (1.0 + float(np.max(np.abs(a), initial=0.0)))] = 0.0
-    gap = mid_kkt_gap(design.fm, design.vm, lam, a)
-    scale = 1.0 + float(np.max(np.abs(design.fm.T @ design.vm), initial=0.0))
-    if gap > 1e-8 * scale:
-        raise SubgradientGap(f"the midpoint Lasso solution left a subgradient gap of {gap}")
-    return a, gap
+    return next(_mid_fits(design, [lam]))[0]
 
 
 def fit_lasso_spr(design: DesignSystem, lam: float, tau: float = DEFAULT_TAU) -> np.ndarray:
@@ -154,12 +146,36 @@ def fit_lasso_spr(design: DesignSystem, lam: float, tau: float = DEFAULT_TAU) ->
     return solve_spread_block(design, validate_tau(tau), lam)[0]
 
 
-def _mid_path(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[np.ndarray]:
+def _mid_fits(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[tuple[np.ndarray, float]]:
     """Midpoint-block solutions along a decreasing penalty grid, each point
-    first tried on the previous point's sign pattern."""
-    a_m = None
+    first tried on the previous point's sign pattern, and the subgradient
+    gap that certifies each snapped solution; a single fit is the one-point
+    grid.
+
+    The Gram statistics and the certificate's scale do not depend on the
+    penalty, so they are formed once per grid; the gap itself is computed
+    from the design.
+    """
+    F, v = design.fm, design.vm
+    G = F.T @ F
+    b = F.T @ v
+    bound = 1e-8 * (1.0 + float(np.max(np.abs(b), initial=0.0)))
+    a = None
     for lam in lambdas:
-        a_m, _ = _lasso_mid(design, lam, a_m)
+        lam = float(lam)
+        if lam < 0.0:
+            raise ValueError("the penalty must be nonnegative")
+        a = ols_mid(design)[0] if lam == 0.0 else _lasso_gram(G, b, lam, a)
+        a[np.abs(a) <= 1e-12 * (1.0 + float(np.max(np.abs(a), initial=0.0)))] = 0.0
+        gap = mid_kkt_gap(F, v, lam, a)
+        if gap > bound:
+            raise SubgradientGap(f"the midpoint Lasso solution left a subgradient gap of {gap}")
+        yield a, gap
+
+
+def _mid_path(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[np.ndarray]:
+    """Midpoint-block solutions along a decreasing penalty grid (see :func:`_mid_fits`)."""
+    for a_m, _ in _mid_fits(design, lambdas):
         yield a_m
 
 
@@ -328,7 +344,7 @@ def fit_lasso(
             diagnostics[f"cv_{path.block}_min_error"] = float(np.min(path.cv_mean))
     lambda_mid = float(penalties[BLOCK_MID])
     lambda_spr = float(penalties[BLOCK_SPR])
-    a_m, mid_gap = _lasso_mid(design, lambda_mid)
+    a_m, mid_gap = next(_mid_fits(design, [lambda_mid]))
     a_s, spr_info = solve_spread_block(design, tau, lambda_spr)
     diagnostics["mid_kkt_gap"] = mid_gap
     diagnostics.update(spr_info)

@@ -33,11 +33,17 @@ neighbouring grid points mostly share their active set.  The path routine
 solves each grid point first on the active set of the last breakpoint, by
 the polish step's equality solve, and keeps that point only when every
 slack and every multiplier has the right sign and the point's KKT residuals
-over every row pass.  Only where the active set changes (a breakpoint) does
-it run the working-set Lemke solve, warm-started at the rows that bind the
-previous point and reusing one Cholesky factor of the shared Hessian.  The
-estimators solve every constrained block through this path routine; a
-single program is the one-point grid.
+over every row pass.  That equality system depends on the active set alone,
+so its matrix is factored once per active set (a pseudo-inverse from one
+singular value decomposition, the minimum-norm solution least squares
+would give) and each grid point on it costs one matrix-vector product; the
+polish step solves through the same routine, so a point kept on the path
+equals the single fit on the same active set bit for bit.  Only where the
+active set changes (a breakpoint) does the path run the working-set Lemke
+solve, warm-started at the rows that bind the previous point and reusing
+one Cholesky factor of the shared Hessian.  The estimators solve every
+constrained block through this path routine; a single program is the
+one-point grid.
 """
 
 from __future__ import annotations
@@ -289,12 +295,11 @@ def _constraints_feasible(R: np.ndarray, r: np.ndarray) -> bool:
     return res.status != 2
 
 
-def _kkt(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
-         z: np.ndarray, lam: np.ndarray) -> dict[str, float]:
+def _kkt(Q: np.ndarray, c: np.ndarray, R: np.ndarray, z: np.ndarray, lam: np.ndarray,
+         slack: np.ndarray) -> dict[str, float]:
     """Worst stationarity, feasibility and complementarity residuals of
-    ``(z, lam)`` for the QP ``(Q, c, R, r)``."""
+    ``(z, lam)`` for the QP ``(Q, c, R, r)``, given the slack ``Rz - r``."""
     grad = Q @ z + c - R.T @ lam
-    slack = R @ z - r
     return {
         "kkt_stationarity": float(np.max(np.abs(grad), initial=0.0)),
         "kkt_feasibility": max(0.0, -float(np.min(slack, initial=0.0))),
@@ -302,9 +307,10 @@ def _kkt(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
     }
 
 
-def _kkt_score(qp: Qp, z: np.ndarray, lam: np.ndarray) -> float:
+def _kkt_score(kkt: dict[str, float], lam: np.ndarray) -> float:
+    """Worst of the residuals ``kkt`` and of the multipliers' negative parts."""
     neg = max(0.0, -float(np.min(lam, initial=0.0)))
-    return max(*_kkt(qp.Q, qp.c, qp.R, qp.r, z, lam).values(), neg)
+    return max(*kkt.values(), neg)
 
 
 def _active_rows(lam: np.ndarray) -> tuple[np.ndarray, float]:
@@ -313,14 +319,15 @@ def _active_rows(lam: np.ndarray) -> tuple[np.ndarray, float]:
     return np.flatnonzero(lam > 1e-10 * scale), scale
 
 
-def _active_set_solve(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
-                      active: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Least-squares solution of the KKT equality system of the rows ``active``,
-    ``Qz + c = A'lam_A`` and ``Az = r_A`` with ``A = R[active]``.
+def _kkt_factor(Q: np.ndarray, R: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The KKT equality matrix ``K = [[Q, A'], [A, 0]]`` of the rows
+    ``active`` (``A = R[active]``) and its pseudo-inverse.
 
-    Returns the primal point, the multipliers on every row (zero off the
-    active set) and the system's worst residual relative to its right-hand
-    side.
+    The pseudo-inverse comes from one singular value decomposition with the
+    cutoff of ``np.linalg.lstsq`` (singular values at most ``eps dim
+    sigma_max`` count as zero), so every right-hand side gets the minimum-norm
+    least-squares solution, also when ``Q`` is singular or rows of ``A``
+    depend on each other.
     """
     m = Q.shape[0]
     s = active.size
@@ -330,12 +337,25 @@ def _active_set_solve(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray
         A = R[active]
         kkt[:m, m:] = A.T
         kkt[m:, :m] = A
-    rhs = np.concatenate([-c, r[active]])
-    sol, _, _, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    lam = np.zeros(R.shape[0])
+    U, sv, Vt = np.linalg.svd(kkt)
+    keep = sv > np.finfo(float).eps * (m + s) * sv[0]
+    return kkt, (Vt[keep].T / sv[keep]) @ U[:, keep].T
+
+
+def _active_set_solve(pinv: np.ndarray, c: np.ndarray, r: np.ndarray,
+                      active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solution of the KKT equality system ``Qz + c = A'lam_A``, ``Az = r_A``
+    of the rows ``active``, given the pseudo-inverse of its matrix
+    (:func:`_kkt_factor`).
+
+    Returns the primal point and the multipliers on every row (zero off the
+    active set).
+    """
+    m = c.size
+    sol = pinv @ np.concatenate([-c, r[active]])
+    lam = np.zeros(r.size)
     lam[active] = -sol[m:]
-    gap = float(np.max(np.abs(kkt @ sol - rhs))) / (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
-    return sol[:m], lam, gap
+    return sol[:m], lam
 
 
 def _polish_active_set(qp: Qp, lam: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -347,7 +367,11 @@ def _polish_active_set(qp: Qp, lam: np.ndarray) -> Optional[tuple[np.ndarray, np
     the system is inconsistent or the multiplier signs reject the active set.
     """
     active, scale = _active_rows(lam)
-    z, lam_full, gap = _active_set_solve(qp.Q, qp.c, qp.R, qp.r, active)
+    kkt, pinv = _kkt_factor(qp.Q, qp.R, active)
+    z, lam_full = _active_set_solve(pinv, qp.c, qp.r, active)
+    rhs = np.concatenate([-qp.c, qp.r[active]])
+    residual = kkt @ np.concatenate([z, -lam_full[active]]) - rhs
+    gap = float(np.max(np.abs(residual))) / (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
     if not gap <= 1e-8 or float(np.min(lam_full, initial=0.0)) < -1e-8 * scale:
         return None
     return z, np.maximum(lam_full, 0.0)
@@ -401,31 +425,38 @@ def _solve_qp_full(qp: Qp, work: Sequence[int] = (),
         if violated.size == 0:
             break
         in_work[violated[np.argsort(slack[violated], kind="stable")[: qp.num_vars]]] = True
+    kkt = _kkt(qp.Q, qp.c, qp.R, z, lam, slack)
     if qp.num_constraints:
         polished = _polish_active_set(qp, lam)
-        if polished is not None and _kkt_score(qp, *polished) <= _kkt_score(qp, z, lam):
-            z, lam = polished
-    info.update(_kkt(qp.Q, qp.c, qp.R, qp.r, z, lam))
+        if polished is not None:
+            z_p, lam_p = polished
+            kkt_p = _kkt(qp.Q, qp.c, qp.R, z_p, lam_p, qp.R @ z_p - qp.r)
+            if _kkt_score(kkt_p, lam_p) <= _kkt_score(kkt, lam):
+                z, lam, kkt = z_p, lam_p, kkt_p
+    info.update(kkt)
     return z, lam, info
 
 
 def _hold_active_set(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray, active: np.ndarray,
-                     ridge: float) -> Optional[tuple[np.ndarray, np.ndarray, dict]]:
+                     pinv: np.ndarray, ridge: float) -> Optional[tuple[np.ndarray, np.ndarray, dict]]:
     """Solution, multipliers and diagnostics of the QP ``(Q, c, R, r)`` on a
     known active set, or None when that set is not optimal for it.
 
-    The point solves the active set's KKT equality system, as the polish
-    step does; solving it afresh rather than stepping along the affine
-    solution makes the point equal, bit for bit, to the polished solution of
-    a single fit on the same active set.  It is the QP's solution when every
+    The point solves the active set's KKT equality system through ``pinv``,
+    the pseudo-inverse of its matrix from :func:`_kkt_factor`, which a path
+    forms once per active set; the polish step solves through the same
+    routine, so the point equals, bit for bit, the polished solution of a
+    single fit on the same active set (rather than stepping along the affine
+    solution, whose rounding differs).  It is the QP's solution when every
     slack passes the working-set loop's feasibility test and every multiplier
     is nonnegative; it is returned only if its KKT residuals over every row
     are also within ``1e-8 (1 + rows)``.
     """
-    z, lam, _ = _active_set_solve(Q, c, R, r, active)
-    if not (np.all(R @ z - r >= -1e-12 * (1.0 + np.abs(r))) and np.all(lam >= 0.0)):
+    z, lam = _active_set_solve(pinv, c, r, active)
+    slack = R @ z - r
+    if not (np.all(slack >= -1e-12 * (1.0 + np.abs(r))) and np.all(lam >= 0.0)):
         return None
-    kkt = _kkt(Q, c, R, r, z, lam)
+    kkt = _kkt(Q, c, R, z, lam, slack)
     if not all(value <= 1e-8 * (1.0 + R.shape[0]) for value in kkt.values()):
         return None
     return z, lam, {"ridge_used": float(ridge), "lemke_pivots": 0.0, **kkt}
@@ -440,21 +471,26 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
     affine in ``theta``, so is the solution on a fixed active set, and
     neighbouring grid points mostly share it.  Each point is therefore first
     solved on the active set of the last breakpoint
-    (:func:`_hold_active_set`); a point where that fails is a breakpoint,
-    solved by :func:`_solve_qp_full` with the working set started at the
-    rows that bind the previous point and with the Hessian factored once for
-    the whole path.
+    (:func:`_hold_active_set`), whose KKT matrix is factored once, when the
+    first point after the breakpoint arrives; a point where that fails is a
+    breakpoint, solved by :func:`_solve_qp_full` with the working set
+    started at the rows that bind the previous point and with the Hessian
+    factored once for the whole path.
     """
-    factor = active = None
+    factor = active = pinv = None
     work: Sequence[int] = ()
     for theta in thetas:
         c, r = terms(theta)
-        found = None if active is None else _hold_active_set(Q, c, R, r, active, factor[1])
+        found = None
+        if active is not None:
+            if pinv is None:
+                pinv = _kkt_factor(Q, R, active)[1]
+            found = _hold_active_set(Q, c, R, r, active, pinv, factor[1])
         if found is None:
             if factor is None:
                 factor = _ridge_factor(Q)
             found = _solve_qp_full(Qp(Q, c, R, r), work=work, factor=factor)
-            active = _active_rows(found[1])[0]
+            active, pinv = _active_rows(found[1])[0], None
         work = np.flatnonzero(found[1] > 0.0)
         yield found
 

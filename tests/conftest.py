@@ -99,11 +99,11 @@ def corrupt_continuation_steps(monkeypatch, corrupt):
     hold = intreg.lcp._hold_active_set
     solve = intreg.lcp._active_set_solve
 
-    def wrong(Q, c, R, r, active):
-        z, lam, gap = solve(Q, c, R, r, active)
+    def wrong(pinv, c, r, active):
+        z, lam = solve(pinv, c, r, active)
         if corrupt == "primal":
-            return z + 1e-3 * (1.0 + np.max(np.abs(z))), lam, gap
-        return z, -lam, gap
+            return z + 1e-3 * (1.0 + np.max(np.abs(z))), lam
+        return z, -lam
 
     def step(*args):
         with monkeypatch.context() as patch:

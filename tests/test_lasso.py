@@ -103,7 +103,7 @@ class TestBlockFits:
     def test_subgradient_gap_is_typed_error(self, monkeypatch):
         s = random_sample(3, n=10)
         d = build_design(s, "full")
-        monkeypatch.setattr(intreg.lasso, "lasso_lemke", lambda F, v, lam, start=None: np.zeros(F.shape[1]))
+        monkeypatch.setattr(intreg.lasso, "_lasso_gram", lambda G, b, lam, start=None: np.zeros(b.size))
         with pytest.raises(SubgradientGap) as info:
             fit_lasso_mid(d, 0.5 * lambda_grid(d, 2, 0.5, "mid")[0])
         assert isinstance(info.value, IntregError) and isinstance(info.value, ArithmeticError)
@@ -462,10 +462,24 @@ class TestPathwiseCrossValidation:
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)
         assert 5 <= len(calls) <= 100
 
+    def test_midpoint_gram_is_formed_once_per_path(self, monkeypatch):
+        d = build_design(split_model_sample(1, 100), "full")
+        grams = []
+        gram = intreg.lasso._lasso_gram
+
+        def record(G, b, lam, start=None):
+            grams.append((id(G), id(b)))
+            return gram(G, b, lam, start)
+
+        monkeypatch.setattr(intreg.lasso, "_lasso_gram", record)
+        grid = lambda_grid(d, 100, 1e-3, "mid")
+        assert len(list(_mid_path(d, grid))) == len(grams) == len(grid)
+        assert len(set(grams)) == 1
+
     def test_every_grid_point_is_still_certified(self, monkeypatch):
         # zeros solve at most the top of a fold's grid; starting each point
         # from the previous one must not skip a point's subgradient test
         d = build_design(split_model_sample(2, 100), "full")
-        monkeypatch.setattr(intreg.lasso, "lasso_lemke", lambda F, v, lam, start=None: np.zeros(F.shape[1]))
+        monkeypatch.setattr(intreg.lasso, "_lasso_gram", lambda G, b, lam, start=None: np.zeros(b.size))
         with pytest.raises(SubgradientGap):
             cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import intreg.lasso_ir as lasso_ir
 import intreg.lcp as lcp
 import intreg.least_squares as least_squares
-from intreg import Lcp, Qp, build_design, lemke_solve, qp_to_lcp, solve_qp
+from intreg import Lcp, Qp, build_design, ingest, lemke_solve, qp_to_lcp, solve_qp
 from intreg.errors import InfeasibleQp, PivotLimitExceeded, SingularQ
 from intreg.lasso import fit_lasso_spr
 from intreg.lcp import RAY_TERMINATION, SOLVED, LcpSolution
@@ -156,7 +158,11 @@ def full_dimension_solve(qp):
     lam = sol.z
     z = lcp._chol_solve(L, qp.R.T @ lam - qp.c)
     polished = lcp._polish_active_set(qp, lam)
-    if polished is not None and lcp._kkt_score(qp, *polished) <= lcp._kkt_score(qp, z, lam):
+
+    def score(z, lam):
+        return lcp._kkt_score(lcp._kkt(qp.Q, qp.c, qp.R, z, lam, qp.R @ z - qp.r), lam)
+
+    if polished is not None and score(*polished) <= score(z, lam):
         z, lam = polished
     return z, lam
 
@@ -298,8 +304,13 @@ class TestQpPath:
         # 1e-8 (1 + rows) would let through but the slack test rejects
         Q, c = np.eye(2), np.array([-1.0, 0.0])
         R, r = np.array([[-1.0, 0.0]]), np.array([-(1.0 - 1e-9)])
-        assert lcp._hold_active_set(Q, c, R, r, np.array([], dtype=int), 0.0) is None
-        z, lam, info = lcp._hold_active_set(Q, c, R, r, np.array([0]), 0.0)
+
+        def hold(active):
+            active = np.array(active, dtype=int)
+            return lcp._hold_active_set(Q, c, R, r, active, lcp._kkt_factor(Q, R, active)[1], 0.0)
+
+        assert hold([]) is None
+        z, lam, info = hold([0])
         assert z == pytest.approx([1.0 - 1e-9, 0.0], abs=1e-15)
         assert lam == pytest.approx([1e-9], abs=1e-15)
         assert info["lemke_pivots"] == 0.0
@@ -312,3 +323,66 @@ class TestQpPath:
         calls = record_qp_solves(monkeypatch)
         list(lcp._qp_path(qp.Q, qp.R, terms, np.linspace(0.0, 3.0, 60)))
         assert len(calls) > 1 and factors == [1]
+
+    def test_kkt_is_factored_once_per_breakpoint(self, rng, monkeypatch):
+        # the continuation factors the active set's KKT matrix when the first
+        # point after a breakpoint arrives; every other factorization is a
+        # breakpoint's polish step
+        qp, terms = affine_family(rng)
+        factors, polishes = [], []
+        kkt_factor, polish = lcp._kkt_factor, lcp._polish_active_set
+        monkeypatch.setattr(lcp, "_kkt_factor", lambda *args: factors.append(1) or kkt_factor(*args))
+        monkeypatch.setattr(lcp, "_polish_active_set", lambda *args: polishes.append(1) or polish(*args))
+        calls = record_qp_solves(monkeypatch)
+        breakpoints = []
+        for i, _ in enumerate(lcp._qp_path(qp.Q, qp.R, terms, np.linspace(0.0, 3.0, 60))):
+            if len(calls) > len(breakpoints):
+                breakpoints.append(i)
+        assert len(polishes) == len(breakpoints) > 1
+        assert len(factors) - len(polishes) == sum(i < 59 for i in breakpoints)
+        factors.clear()
+        polishes.clear()
+        list(lcp._qp_path(qp.Q, qp.R, terms, [1.0]))
+        assert factors == polishes == [1]
+
+
+class TestKktFactor:
+    """The factored active-set solve gives ``np.linalg.lstsq``'s minimum-norm
+    solution of the KKT equality system."""
+
+    @staticmethod
+    def assert_matches_lstsq(Q, c, R, r, active):
+        kkt, pinv = lcp._kkt_factor(Q, R, active)
+        z, lam = lcp._active_set_solve(pinv, c, r, active)
+        want = np.linalg.lstsq(kkt, np.concatenate([-c, r[active]]), rcond=None)[0]
+        got = np.concatenate([z, -lam[active]])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.count_nonzero(lam) <= active.size
+
+    def test_random_positive_definite_active_sets(self, rng):
+        for _ in range(20):
+            qp = random_feasible_qp(rng, 5, 30)
+            active = np.sort(rng.choice(30, size=rng.integers(0, 6), replace=False))
+            self.assert_matches_lstsq(qp.Q, qp.c, qp.R, qp.r, active)
+
+    def test_duplicated_row(self, rng):
+        qp = random_feasible_qp(rng, 4, 10)
+        R = np.vstack([qp.R, qp.R[3]])
+        r = np.append(qp.r, qp.r[3])
+        active = np.array([1, 3, 10])
+        assert np.linalg.matrix_rank(lcp._kkt_factor(qp.Q, R, active)[0]) == 4 + 2
+        self.assert_matches_lstsq(qp.Q, qp.c, R, r, active)
+
+    @pytest.mark.parametrize("t", [0.05, 0.5])
+    def test_singular_joint_hessian(self, t):
+        # lasso-ir's Hessian over (midpoints, offset+, offset-) is singular;
+        # the active bound rows make the KKT matrix regular, the empty set
+        # leaves it singular
+        sample = ingest(Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv")
+        qp = lasso_ir._joint_qp(build_design(sample, "full"), 0.5, t)
+        assert np.linalg.matrix_rank(qp.Q) < qp.num_vars
+        _, lam, _ = lcp._solve_qp_full(qp)
+        active = lcp._active_rows(lam)[0]
+        assert active.size
+        for rows in (active, np.array([], dtype=int)):
+            self.assert_matches_lstsq(qp.Q, qp.c, qp.R, qp.r, rows)
