@@ -173,12 +173,6 @@ def _mid_fits(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[tuple[
         yield a, gap
 
 
-def _mid_path(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[np.ndarray]:
-    """Midpoint-block solutions along a decreasing penalty grid (see :func:`_mid_fits`)."""
-    for a_m, _ in _mid_fits(design, lambdas):
-        yield a_m
-
-
 def lambda_grid(design: DesignSystem, count: int = DEFAULT_GRID_SIZE, ratio: float = DEFAULT_GRID_RATIO, block: str = BLOCK_MID) -> np.ndarray:
     """Log-spaced decreasing penalty grid from the smallest all-zero penalty.
 
@@ -288,7 +282,7 @@ def cross_validate(
         for block, lambdas in zip(blocks, grids):
             if block == BLOCK_MID:
                 a_s, _ = solve_spread_block(train, tau)
-                for a_m in _mid_path(train, lambdas):
+                for a_m, _ in _mid_fits(train, lambdas):
                     yield a_m, a_s
             else:
                 a_m, _ = ols_mid(train)

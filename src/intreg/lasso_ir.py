@@ -28,7 +28,7 @@ from .design import Coefficients, DesignSystem
 from .intervals import DEFAULT_TAU, Interval, validate_tau
 from .lasso import _cv_errors
 from .lcp import Qp, _qp_path
-from .least_squares import METHOD_LASSO_IR, FitResult, _fit_result
+from .least_squares import METHOD_LASSO_IR, FitResult, _fit_result, ols_mid
 
 
 @dataclass
@@ -146,8 +146,7 @@ def to_fit_result(design: DesignSystem, fit: LassoIrFit, tau: float = DEFAULT_TA
 
 def default_budget_grid(design: DesignSystem, count: int = 20, ratio: float = 1e-3) -> list[float]:
     """Zero plus ``count`` log-spaced budgets up to the least-squares L1 scale."""
-    a, _, _, _ = np.linalg.lstsq(design.fm, design.vm, rcond=None)
-    t_max = float(np.sum(np.abs(a)))
+    t_max = float(np.sum(np.abs(ols_mid(design)[0])))
     if t_max <= 0.0:
         return [0.0]
     return [0.0] + list(np.geomspace(ratio * t_max, t_max, count))
@@ -164,10 +163,10 @@ def _budget_path(design: DesignSystem, tau: float,
     keep the tied fitted spreads nonnegative.
     """
     w = design.block_width
-    positive = [t for t in grid if t > 0.0]
-    if positive:
-        qp = _joint_qp(design, tau, 0.0)
-        joint = _qp_path(qp.Q, qp.R, lambda t: (qp.c, np.concatenate([qp.r[:-1], [-t]])), positive)
+    n = design.n
+    qp = _joint_qp(design, tau, 0.0)
+    joint = _qp_path(qp.Q, qp.R, lambda t: (qp.c, np.concatenate([qp.r[:-1], [-t]])),
+                     [t for t in grid if t > 0.0])
     for t in grid:
         if t < 0.0:
             raise ValueError("the budget must be nonnegative")
@@ -175,12 +174,8 @@ def _budget_path(design: DesignSystem, tau: float,
             u, _, info = next(joint)
             yield u[:w], np.maximum(u[w : 2 * w], 0.0) - np.maximum(u[2 * w :], 0.0), info
         else:
-            g = design.gamma_matrix
-            hm = design.fm.T @ design.fm
-            hs = design.fs.T @ design.fs
-            Q = 2.0 * ((1.0 - tau) * hm + tau * hs)
-            c = -2.0 * ((1.0 - tau) * design.fm.T @ design.vm + tau * design.fs.T @ design.vs)
-            a_m, _, info = next(_qp_path(Q, g, lambda _: (c, np.zeros(g.shape[0])), [t]))
+            # the midpoint block under the spread rows, sliced from the joint QP
+            a_m, _, info = next(_qp_path(qp.Q[:w, :w], qp.R[:n, :w], lambda _: (qp.c[:w], qp.r[:n]), [t]))
             yield a_m, np.zeros(w), info
 
 

@@ -23,27 +23,27 @@ in the estimators' programs there is one row per observation but only a
 handful bind.  Starting from the unconstrained minimizer, each round adds
 the most violated rows to the working set and solves the working set's LCP
 exactly, until no other row is violated; the working set only grows, so
-the rounds are finitely many.  The final iterate is polished and certified
-(KKT residuals) against every row.
+the rounds are finitely many.  The loop returns Lemke's iterate.
 
 Along a grid of programs that share Q and R and whose linear term and
 right-hand side are affine in one parameter (a penalty or budget path), the
 solution on a fixed active set is affine in that parameter as well, so
-neighbouring grid points mostly share their active set.  The path routine
-solves each grid point first on the active set of the last breakpoint, by
-the polish step's equality solve, and keeps that point only when every
-slack and every multiplier has the right sign and the point's KKT residuals
-over every row pass.  That equality system depends on the active set alone,
-so its matrix is factored once per active set (a pseudo-inverse from one
-singular value decomposition, the minimum-norm solution least squares
-would give) and each grid point on it costs one matrix-vector product; the
-polish step solves through the same routine, so a point kept on the path
-equals the single fit on the same active set bit for bit.  Only where the
-active set changes (a breakpoint) does the path run the working-set Lemke
-solve, warm-started at the rows that bind the previous point and reusing
-one Cholesky factor of the shared Hessian.  The estimators solve every
-constrained block through this path routine; a single program is the
-one-point grid.
+neighbouring grid points mostly share their active set (the grid-sampled
+parametric LCP of Cottle, Pang & Stone, 1992, section 4.5).  The path
+routine is the one place that solves on an active set.  Where the active
+set changes (a breakpoint) it runs the working-set Lemke solve, warm-started
+at the last breakpoint's active set and reusing one Cholesky factor of the
+shared Hessian; it then factors the KKT equality matrix of the iterate's
+active set once (a pseudo-inverse from one singular value decomposition,
+the minimum-norm solution least squares would give) and polishes with it:
+the equality solve against the original Hessian removes the ridge bias of
+pivoting.  The same active set and factor serve the grid points that
+follow, each solved first on that set by one matrix-vector product and
+kept only when every slack and every multiplier has the right sign and the
+point's KKT residuals over every row pass; they also start the next
+breakpoint's working set.  Every point is certified (KKT residuals) against
+every row.  The estimators solve every constrained block through this path
+routine; a single program is the one-point grid.
 """
 
 from __future__ import annotations
@@ -319,9 +319,9 @@ def _active_rows(lam: np.ndarray) -> tuple[np.ndarray, float]:
     return np.flatnonzero(lam > 1e-10 * scale), scale
 
 
-def _kkt_factor(Q: np.ndarray, R: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The KKT equality matrix ``K = [[Q, A'], [A, 0]]`` of the rows
-    ``active`` (``A = R[active]``) and its pseudo-inverse.
+def _kkt_factor(Q: np.ndarray, R: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of the KKT equality matrix ``[[Q, A'], [A, 0]]`` of the
+    rows ``active`` (``A = R[active]``).
 
     The pseudo-inverse comes from one singular value decomposition with the
     cutoff of ``np.linalg.lstsq`` (singular values at most ``eps dim
@@ -333,13 +333,11 @@ def _kkt_factor(Q: np.ndarray, R: np.ndarray, active: np.ndarray) -> tuple[np.nd
     s = active.size
     kkt = np.zeros((m + s, m + s))
     kkt[:m, :m] = Q
-    if s:
-        A = R[active]
-        kkt[:m, m:] = A.T
-        kkt[m:, :m] = A
+    kkt[:m, m:] = R[active].T
+    kkt[m:, :m] = R[active]
     U, sv, Vt = np.linalg.svd(kkt)
     keep = sv > np.finfo(float).eps * (m + s) * sv[0]
-    return kkt, (Vt[keep].T / sv[keep]) @ U[:, keep].T
+    return (Vt[keep].T / sv[keep]) @ U[:, keep].T
 
 
 def _active_set_solve(pinv: np.ndarray, c: np.ndarray, r: np.ndarray,
@@ -358,38 +356,20 @@ def _active_set_solve(pinv: np.ndarray, c: np.ndarray, r: np.ndarray,
     return sol[:m], lam
 
 
-def _polish_active_set(qp: Qp, lam: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Re-solve the KKT equality system of the multiplier-identified active set.
-
-    Pivoting works against the ridge-regularized Hessian; resolving the final
-    active set against the original one removes both the ridge bias and any
-    conditioning loss from the multiplier-space reduction.  Returns None when
-    the system is inconsistent or the multiplier signs reject the active set.
-    """
-    active, scale = _active_rows(lam)
-    kkt, pinv = _kkt_factor(qp.Q, qp.R, active)
-    z, lam_full = _active_set_solve(pinv, qp.c, qp.r, active)
-    rhs = np.concatenate([-qp.c, qp.r[active]])
-    residual = kkt @ np.concatenate([z, -lam_full[active]]) - rhs
-    gap = float(np.max(np.abs(residual))) / (1.0 + float(np.max(np.abs(rhs), initial=0.0)))
-    if not gap <= 1e-8 or float(np.min(lam_full, initial=0.0)) < -1e-8 * scale:
-        return None
-    return z, np.maximum(lam_full, 0.0)
-
-
 def _solve_qp_full(qp: Qp, work: Sequence[int] = (),
                    factor: Optional[tuple[np.ndarray, float]] = None) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Primal solution, multipliers and solver diagnostics for a QP.
+    """Lemke's iterate for a QP: primal point, multipliers and solver
+    diagnostics (``ridge_used``, and ``lemke_pivots`` summed over rounds).
 
     Constraint generation: starting from the unconstrained minimizer, each
     round adds up to ``num_vars`` of the most violated rows to a working set
     and solves the LCP of the working set alone, until no row outside it is
-    violated.  ``lemke_pivots`` sums the rounds' pivots.
-    The polish step and the reported residuals use every row.
+    violated.  The point carries the ridge bias of the factored Hessian;
+    :func:`_qp_path` polishes it and certifies it against every row.
 
     ``work`` names rows that start in the working set when the unconstrained
-    minimizer is infeasible (a path of related QPs passes the rows that
-    bound the previous one); the first round then solves on them before any
+    minimizer is infeasible (a path of related QPs passes the last
+    breakpoint's active set); the first round then solves on them before any
     row is added.  If Lemke ray-terminates on such a working set, the
     program is solved again from an empty one.  ``factor`` is the
     ``(L, ridge)`` pair of :func:`_ridge_factor` for ``qp.Q``, when a path of
@@ -423,43 +403,8 @@ def _solve_qp_full(qp: Qp, work: Sequence[int] = (),
             slack = qp.R @ z - qp.r
         violated = np.flatnonzero((slack < -tol) & ~in_work)
         if violated.size == 0:
-            break
+            return z, lam, info
         in_work[violated[np.argsort(slack[violated], kind="stable")[: qp.num_vars]]] = True
-    kkt = _kkt(qp.Q, qp.c, qp.R, z, lam, slack)
-    if qp.num_constraints:
-        polished = _polish_active_set(qp, lam)
-        if polished is not None:
-            z_p, lam_p = polished
-            kkt_p = _kkt(qp.Q, qp.c, qp.R, z_p, lam_p, qp.R @ z_p - qp.r)
-            if _kkt_score(kkt_p, lam_p) <= _kkt_score(kkt, lam):
-                z, lam, kkt = z_p, lam_p, kkt_p
-    info.update(kkt)
-    return z, lam, info
-
-
-def _hold_active_set(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray, active: np.ndarray,
-                     pinv: np.ndarray, ridge: float) -> Optional[tuple[np.ndarray, np.ndarray, dict]]:
-    """Solution, multipliers and diagnostics of the QP ``(Q, c, R, r)`` on a
-    known active set, or None when that set is not optimal for it.
-
-    The point solves the active set's KKT equality system through ``pinv``,
-    the pseudo-inverse of its matrix from :func:`_kkt_factor`, which a path
-    forms once per active set; the polish step solves through the same
-    routine, so the point equals, bit for bit, the polished solution of a
-    single fit on the same active set (rather than stepping along the affine
-    solution, whose rounding differs).  It is the QP's solution when every
-    slack passes the working-set loop's feasibility test and every multiplier
-    is nonnegative; it is returned only if its KKT residuals over every row
-    are also within ``1e-8 (1 + rows)``.
-    """
-    z, lam = _active_set_solve(pinv, c, r, active)
-    slack = R @ z - r
-    if not (np.all(slack >= -1e-12 * (1.0 + np.abs(r))) and np.all(lam >= 0.0)):
-        return None
-    kkt = _kkt(Q, c, R, z, lam, slack)
-    if not all(value <= 1e-8 * (1.0 + R.shape[0]) for value in kkt.values()):
-        return None
-    return z, lam, {"ridge_used": float(ridge), "lemke_pivots": 0.0, **kkt}
 
 
 def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.ndarray, np.ndarray]],
@@ -469,38 +414,55 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
     The QPs share ``Q`` and ``R``; ``terms(theta)`` gives the linear term
     ``c`` and the right-hand side ``r`` at a grid point.  When these are
     affine in ``theta``, so is the solution on a fixed active set, and
-    neighbouring grid points mostly share it.  Each point is therefore first
-    solved on the active set of the last breakpoint
-    (:func:`_hold_active_set`), whose KKT matrix is factored once, when the
-    first point after the breakpoint arrives; a point where that fails is a
-    breakpoint, solved by :func:`_solve_qp_full` with the working set
-    started at the rows that bind the previous point and with the Hessian
-    factored once for the whole path.
+    neighbouring grid points mostly share it.
+
+    Each point is first solved on the active set of the last breakpoint,
+    through the pseudo-inverse of that set's KKT matrix, and kept when every
+    slack passes the working-set loop's ``>= -1e-12 (1 + |r|)`` test, every
+    multiplier is nonnegative and its KKT residuals over every row are
+    within ``1e-8 (1 + rows)``.  A point where that fails is a breakpoint,
+    solved by :func:`_solve_qp_full` with the working set started at the
+    last breakpoint's active set and the Hessian factored once for the whole
+    path.  The rows that bind Lemke's iterate (:func:`_active_rows`) become
+    the new active set; its KKT matrix is factored once, and the equality
+    solve on it (the polish) replaces the iterate when its multipliers are
+    nonnegative up to ``1e-8`` of their scale (the small negative ones are
+    clipped to 0) and its worst residual is no larger than the iterate's.
     """
     factor = active = pinv = None
-    work: Sequence[int] = ()
     for theta in thetas:
         c, r = terms(theta)
-        found = None
         if active is not None:
-            if pinv is None:
-                pinv = _kkt_factor(Q, R, active)[1]
-            found = _hold_active_set(Q, c, R, r, active, pinv, factor[1])
-        if found is None:
-            if factor is None:
-                factor = _ridge_factor(Q)
-            found = _solve_qp_full(Qp(Q, c, R, r), work=work, factor=factor)
-            active, pinv = _active_rows(found[1])[0], None
-        work = np.flatnonzero(found[1] > 0.0)
-        yield found
+            z, lam = _active_set_solve(pinv, c, r, active)
+            slack = R @ z - r
+            if np.all(slack >= -1e-12 * (1.0 + np.abs(r))) and np.all(lam >= 0.0):
+                kkt = _kkt(Q, c, R, z, lam, slack)
+                if all(value <= 1e-8 * (1.0 + R.shape[0]) for value in kkt.values()):
+                    yield z, lam, {"ridge_used": float(factor[1]), "lemke_pivots": 0.0, **kkt}
+                    continue
+        if factor is None:
+            factor = _ridge_factor(Q)
+        z, lam, info = _solve_qp_full(Qp(Q, c, R, r), work=() if active is None else active, factor=factor)
+        kkt = _kkt(Q, c, R, z, lam, R @ z - r)
+        active, scale = _active_rows(lam)
+        pinv = _kkt_factor(Q, R, active)
+        z_p, lam_p = _active_set_solve(pinv, c, r, active)
+        if float(np.min(lam_p, initial=0.0)) >= -1e-8 * scale:
+            lam_p = np.maximum(lam_p, 0.0)
+            kkt_p = _kkt(Q, c, R, z_p, lam_p, R @ z_p - r)
+            if _kkt_score(kkt_p, lam_p) <= _kkt_score(kkt, lam):
+                z, lam, kkt = z_p, lam_p, kkt_p
+        info.update(kkt)
+        yield z, lam, info
 
 
 def solve_qp(qp: Qp) -> np.ndarray:
     """Minimizer of an inequality-constrained convex QP via Lemke pivoting.
 
-    Solves on a growing working set of violated rows (see
-    :func:`_solve_qp_full`).  Raises :class:`InfeasibleQp` when pivoting
-    ray-terminates and an independent linear-programming probe on all rows
-    confirms the constraint set is empty.
+    The one-point path (:func:`_qp_path`): a working-set Lemke solve (see
+    :func:`_solve_qp_full`), polished on its active set.  Raises
+    :class:`InfeasibleQp` when pivoting ray-terminates and an independent
+    linear-programming probe on all rows confirms the constraint set is
+    empty.
     """
-    return _solve_qp_full(qp)[0]
+    return next(_qp_path(qp.Q, qp.R, lambda _: (qp.c, qp.r), [0.0]))[0]

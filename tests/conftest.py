@@ -94,23 +94,27 @@ def record_qp_solves(monkeypatch):
 def corrupt_continuation_steps(monkeypatch, corrupt):
     """Make every continuation step of ``lcp._qp_path`` propose a wrong point:
     its primal point shifted (``corrupt="primal"``) or its multipliers
-    negated (``"multipliers"``).  The polish step of the QP solver, which
-    shares the active-set solve, is left alone."""
-    hold = intreg.lcp._hold_active_set
+    negated (``"multipliers"``).  A breakpoint's polish, the one active-set
+    solve that directly follows a KKT factorization, is left alone."""
+    factor = intreg.lcp._kkt_factor
     solve = intreg.lcp._active_set_solve
+    polish = [False]
 
-    def wrong(pinv, c, r, active):
+    def factored(*args):
+        polish[0] = True
+        return factor(*args)
+
+    def step(pinv, c, r, active):
         z, lam = solve(pinv, c, r, active)
+        if polish[0]:
+            polish[0] = False
+            return z, lam
         if corrupt == "primal":
             return z + 1e-3 * (1.0 + np.max(np.abs(z))), lam
         return z, -lam
 
-    def step(*args):
-        with monkeypatch.context() as patch:
-            patch.setattr(intreg.lcp, "_active_set_solve", wrong)
-            return hold(*args)
-
-    monkeypatch.setattr(intreg.lcp, "_hold_active_set", step)
+    monkeypatch.setattr(intreg.lcp, "_kkt_factor", factored)
+    monkeypatch.setattr(intreg.lcp, "_active_set_solve", step)
 
 
 def random_feasible_qp(rng, m, p):

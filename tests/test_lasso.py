@@ -17,7 +17,7 @@ from intreg import (
 )
 import intreg.lasso
 from intreg.errors import FoldTooSmall, IntregError, RayTermination, SubgradientGap
-from intreg.lasso import _mid_path, lasso_lemke, mid_kkt_gap, soft_threshold
+from intreg.lasso import _mid_fits, lasso_lemke, mid_kkt_gap, soft_threshold
 from intreg.lcp import RAY_TERMINATION, LcpSolution, lemke_solve
 from intreg.least_squares import _spr_path, solve_spread_block
 
@@ -223,7 +223,7 @@ class TestExactMidpointSolver:
         s = split_model_sample(5, 8)
         d = build_design(with_mid_x3(s, s.mid_x[:, 1]), "full")
         lambdas = lambda_grid(d, 6, 1e-2, "mid")
-        for lam, warm in zip(lambdas, _mid_path(d, lambdas)):
+        for lam, (warm, _) in zip(lambdas, _mid_fits(d, lambdas)):
             _, oracle_obj = sign_pattern_lasso(d.fm, d.vm, lam)
             for a in (fit_lasso_mid(d, lam), warm):
                 obj = 0.5 * np.sum((d.vm - d.fm @ a) ** 2) + lam * np.sum(np.abs(a))
@@ -407,7 +407,7 @@ class TestPathwiseCrossValidation:
     def test_warm_paths_equal_cold_fits(self, n, variant):
         d = build_design(split_model_sample(n + 1, n), variant)
         mid_grid = lambda_grid(d, 100, 1e-3, "mid")
-        for lam, warm in zip(mid_grid, _mid_path(d, mid_grid)):
+        for lam, (warm, _) in zip(mid_grid, _mid_fits(d, mid_grid)):
             cold = fit_lasso_mid(d, lam)
             assert np.array_equal(warm == 0.0, cold == 0.0)
             assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
@@ -473,7 +473,7 @@ class TestPathwiseCrossValidation:
 
         monkeypatch.setattr(intreg.lasso, "_lasso_gram", record)
         grid = lambda_grid(d, 100, 1e-3, "mid")
-        assert len(list(_mid_path(d, grid))) == len(grams) == len(grid)
+        assert len(list(_mid_fits(d, grid))) == len(grams) == len(grid)
         assert len(set(grams)) == 1
 
     def test_every_grid_point_is_still_certified(self, monkeypatch):

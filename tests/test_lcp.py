@@ -135,11 +135,9 @@ class TestSolveQp:
             solve_qp(qp)
 
     def test_kkt_stationarity(self, rng):
-        from intreg.lcp import _solve_qp_full
-
         for i in range(20):
             qp = random_feasible_qp(rng, m=3, p=5)
-            z, lam, info = _solve_qp_full(qp)
+            z, lam, info = one_point_path(qp)
             assert info["kkt_stationarity"] <= 1e-8
             assert info["kkt_feasibility"] <= 1e-8
             assert np.min(lam, initial=0.0) >= -1e-9
@@ -147,6 +145,11 @@ class TestSolveQp:
     def test_unconstrained(self):
         qp = Qp(np.eye(2), np.array([-3.0, 4.0]), np.zeros((0, 2)), np.zeros(0))
         assert np.allclose(solve_qp(qp), [3.0, -4.0], atol=1e-10)
+
+
+def one_point_path(qp):
+    """Solution, multipliers and diagnostics of one QP, the one-point path."""
+    return next(lcp._qp_path(qp.Q, qp.R, lambda _: (qp.c, qp.r), [0.0]))
 
 
 def full_dimension_solve(qp):
@@ -157,13 +160,14 @@ def full_dimension_solve(qp):
     L, _ = lcp._ridge_factor(qp.Q)
     lam = sol.z
     z = lcp._chol_solve(L, qp.R.T @ lam - qp.c)
-    polished = lcp._polish_active_set(qp, lam)
+    active, scale = lcp._active_rows(lam)
+    z_p, lam_p = lcp._active_set_solve(lcp._kkt_factor(qp.Q, qp.R, active), qp.c, qp.r, active)
 
     def score(z, lam):
         return lcp._kkt_score(lcp._kkt(qp.Q, qp.c, qp.R, z, lam, qp.R @ z - qp.r), lam)
 
-    if polished is not None and score(*polished) <= score(z, lam):
-        z, lam = polished
+    if np.min(lam_p) >= -1e-8 * scale and score(z_p, np.maximum(lam_p, 0.0)) <= score(z, lam):
+        z, lam = z_p, np.maximum(lam_p, 0.0)
     return z, lam
 
 
@@ -190,7 +194,7 @@ class TestWorkingSet:
         dims = record_lemke_dims(monkeypatch)
         for qp in qps:
             dims.clear()
-            z, lam, _ = lcp._solve_qp_full(qp)
+            z, lam, _ = one_point_path(qp)
             assert max(dims) < qp.num_constraints
             z_ref, lam_ref = full_dimension_solve(qp)
             assert np.count_nonzero(lam_ref) > 0
@@ -212,9 +216,13 @@ class TestWorkingSet:
         assert np.max(np.abs(z_warm - z)) <= 1e-10 * np.max(np.abs(z))
 
     def test_feasible_unconstrained_minimizer_skips_carried_rows(self, monkeypatch):
-        qp = Qp(np.eye(2), np.array([-1.0, -1.0]), np.eye(2), np.zeros(2))
+        # the second program's breakpoint starts from the first one's active
+        # set, rows 0 and 1, but its unconstrained minimizer is feasible
         dims = record_lemke_dims(monkeypatch)
-        z, lam, _ = lcp._solve_qp_full(qp, work=[0, 1])
+        path = lcp._qp_path(np.eye(2), np.eye(2), lambda sign: (sign * np.ones(2), np.zeros(2)), [1.0, -1.0])
+        assert np.array_equal(next(path)[1], [1.0, 1.0])
+        dims.clear()
+        z, lam, _ = next(path)
         assert dims == []
         assert np.array_equal(z, [1.0, 1.0]) and np.array_equal(lam, [0.0, 0.0])
 
@@ -273,7 +281,7 @@ class TestQpPath:
         thetas = np.linspace(0.0, 3.0, 60)
         for _ in range(5):
             qp, terms = affine_family(rng)
-            cold = [lcp._solve_qp_full(Qp(qp.Q, c, qp.R, r)) for c, r in map(terms, thetas)]
+            cold = [one_point_path(Qp(qp.Q, c, qp.R, r)) for c, r in map(terms, thetas)]
             calls = record_qp_solves(monkeypatch)
             path = list(lcp._qp_path(qp.Q, qp.R, terms, thetas))
             monkeypatch.undo()
@@ -298,22 +306,20 @@ class TestQpPath:
         assert len(list(lcp._qp_path(qp.Q, qp.R, terms, thetas))) == len(thetas)
         assert len(calls) == len(thetas)
 
-    def test_step_keeps_the_working_set_feasibility_test(self):
-        # min 1/2 |z|^2 - z_1 subject to z_1 <= 1 - 1e-9: on the empty active
-        # set the step lands 1e-9 outside the row, which the KKT bound
-        # 1e-8 (1 + rows) would let through but the slack test rejects
-        Q, c = np.eye(2), np.array([-1.0, 0.0])
-        R, r = np.array([[-1.0, 0.0]]), np.array([-(1.0 - 1e-9)])
-
-        def hold(active):
-            active = np.array(active, dtype=int)
-            return lcp._hold_active_set(Q, c, R, r, active, lcp._kkt_factor(Q, R, active)[1], 0.0)
-
-        assert hold([]) is None
-        z, lam, info = hold([0])
-        assert z == pytest.approx([1.0 - 1e-9, 0.0], abs=1e-15)
-        assert lam == pytest.approx([1e-9], abs=1e-15)
-        assert info["lemke_pivots"] == 0.0
+    def test_step_keeps_the_working_set_feasibility_test(self, monkeypatch):
+        # min 1/2 |z|^2 - z_1 subject to z_1 <= 2, then z_1 <= 1 - 1e-9 twice:
+        # on the first point's empty active set the step lands 1e-9 outside
+        # the row, which the KKT bound 1e-8 (1 + rows) would let through but
+        # the slack test rejects; the third point steps on the row
+        Q, c, R = np.eye(2), np.array([-1.0, 0.0]), np.array([[-1.0, 0.0]])
+        bounds = [2.0, 1.0 - 1e-9, 1.0 - 1e-9]
+        calls = record_qp_solves(monkeypatch)
+        path = list(lcp._qp_path(Q, R, lambda i: (c, np.array([-bounds[i]])), range(3)))
+        assert len(calls) == 2
+        for z, lam, info in path[1:]:
+            assert z == pytest.approx([1.0 - 1e-9, 0.0], abs=1e-15)
+            assert lam == pytest.approx([1e-9], abs=1e-15)
+        assert path[1][2]["lemke_pivots"] > 0.0 and path[2][2]["lemke_pivots"] == 0.0
 
     def test_hessian_is_factored_once_per_path(self, rng, monkeypatch):
         qp, terms = affine_family(rng)
@@ -325,25 +331,59 @@ class TestQpPath:
         assert len(calls) > 1 and factors == [1]
 
     def test_kkt_is_factored_once_per_breakpoint(self, rng, monkeypatch):
-        # the continuation factors the active set's KKT matrix when the first
-        # point after a breakpoint arrives; every other factorization is a
-        # breakpoint's polish step
+        # a breakpoint factors its active set's KKT matrix once; the polish
+        # and the continuation steps that follow share that factor
         qp, terms = affine_family(rng)
-        factors, polishes = [], []
-        kkt_factor, polish = lcp._kkt_factor, lcp._polish_active_set
+        factors = []
+        kkt_factor = lcp._kkt_factor
         monkeypatch.setattr(lcp, "_kkt_factor", lambda *args: factors.append(1) or kkt_factor(*args))
-        monkeypatch.setattr(lcp, "_polish_active_set", lambda *args: polishes.append(1) or polish(*args))
         calls = record_qp_solves(monkeypatch)
-        breakpoints = []
-        for i, _ in enumerate(lcp._qp_path(qp.Q, qp.R, terms, np.linspace(0.0, 3.0, 60))):
-            if len(calls) > len(breakpoints):
-                breakpoints.append(i)
-        assert len(polishes) == len(breakpoints) > 1
-        assert len(factors) - len(polishes) == sum(i < 59 for i in breakpoints)
+        list(lcp._qp_path(qp.Q, qp.R, terms, np.linspace(0.0, 3.0, 60)))
+        assert len(factors) == len(calls) > 1
         factors.clear()
-        polishes.clear()
+        calls.clear()
         list(lcp._qp_path(qp.Q, qp.R, terms, [1.0]))
-        assert factors == polishes == [1]
+        assert len(factors) == len(calls) == 1
+
+    def test_breakpoint_starts_at_the_last_active_set(self, monkeypatch):
+        # the rows carried into a breakpoint's working set are the previous
+        # breakpoint's active set, not the rows with a positive multiplier:
+        # on this budget path a degenerate row's polished multiplier is
+        # roundoff of about 4e-17, which must not decide the working set
+        sample = ingest(Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv")
+        design = build_design(sample, "model-m")
+        paths, current = [], []
+        path, solve = lasso_ir._qp_path, lcp._solve_qp_full
+
+        def new_path(*args):
+            # the budget path interleaves two paths; each records its own
+            points, breakpoints = path(*args), []
+            paths.append(breakpoints)
+            while True:
+                current[:] = [breakpoints]
+                point = next(points, None)
+                if point is None:
+                    return
+                yield point
+
+        def record(qp, work=(), factor=None):
+            z, lam, info = solve(qp, work, factor)
+            current[0].append((np.asarray(work, dtype=int), lcp._active_rows(lam)[0]))
+            return z, lam, info
+
+        monkeypatch.setattr(lasso_ir, "_qp_path", new_path)
+        monkeypatch.setattr(lcp, "_solve_qp_full", record)
+        lasso_ir.select_budget(design, 0.5)
+        assert sum(len(p) > 1 for p in paths) > 1
+        for breakpoints in paths:
+            assert breakpoints[0][0].size == 0
+            for (_, last), (work, _) in zip(breakpoints, breakpoints[1:]):
+                assert np.array_equal(work, last)
+
+
+def kkt_matrix(Q, A):
+    """The KKT equality matrix ``[[Q, A'], [A, 0]]``."""
+    return np.block([[Q, A.T], [A, np.zeros((A.shape[0], A.shape[0]))]])
 
 
 class TestKktFactor:
@@ -352,9 +392,8 @@ class TestKktFactor:
 
     @staticmethod
     def assert_matches_lstsq(Q, c, R, r, active):
-        kkt, pinv = lcp._kkt_factor(Q, R, active)
-        z, lam = lcp._active_set_solve(pinv, c, r, active)
-        want = np.linalg.lstsq(kkt, np.concatenate([-c, r[active]]), rcond=None)[0]
+        z, lam = lcp._active_set_solve(lcp._kkt_factor(Q, R, active), c, r, active)
+        want = np.linalg.lstsq(kkt_matrix(Q, R[active]), np.concatenate([-c, r[active]]), rcond=None)[0]
         got = np.concatenate([z, -lam[active]])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.count_nonzero(lam) <= active.size
@@ -370,7 +409,7 @@ class TestKktFactor:
         R = np.vstack([qp.R, qp.R[3]])
         r = np.append(qp.r, qp.r[3])
         active = np.array([1, 3, 10])
-        assert np.linalg.matrix_rank(lcp._kkt_factor(qp.Q, R, active)[0]) == 4 + 2
+        assert np.linalg.matrix_rank(kkt_matrix(qp.Q, R[active])) == 4 + 2
         self.assert_matches_lstsq(qp.Q, qp.c, R, r, active)
 
     @pytest.mark.parametrize("t", [0.05, 0.5])
