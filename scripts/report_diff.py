@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Compare the CLI reports of two source trees on a fixed set of 444 runs.
+
+The run set:
+
+* ``ls``, ``lasso`` and ``lasso-ir`` x ``full`` and ``model-m`` on both
+  fixtures, ``tests/fixtures/synthetic59.csv`` and ``zero_spread20.csv``;
+* the same six configurations on ``generate(s, i, n, 3)`` from
+  ``bench/workloads.py``, for s in {1, 7}, i < 6 and n in {30, 60, 100, 150,
+  400};
+* the same six configurations on ``generate(77, i, 60, 3,
+  spread_noise=1.0)``, i < 6, at ``--tau`` 0.5 and 0.3.
+
+The samples are written once to a temporary directory, so both trees read
+identical input paths.  Each tree runs every report (JSON output) in its own
+Python process, with ``<tree>/src`` first on the import path, and counts its
+Lemke calls and pivots: the QP calls (spread block and ``lasso-ir``), and the
+midpoint block's per-point solves and one-run paths.
+
+Prints every report field that moved, with its relative size
+``|new - old| / max(|old|, |new|)``, every run whose exit code or stderr
+moved, and both trees' Lemke totals.  Exits 1 when anything moved beyond the
+``--allow FIELD=REL`` tolerances (a field is named by its last key), 0
+otherwise.
+
+Run from the repository root, for example against a checkout of the parent
+commit made with ``git archive``:
+
+    python scripts/report_diff.py ../parent . --allow cv_mid_min_error=1e-12
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+METHODS = ("ls", "lasso", "lasso-ir")
+VARIANTS = ("full", "model-m")
+
+
+def run_set(workdir: Path) -> list[tuple[str, list[str]]]:
+    """Write the generated samples under ``workdir``; return ``(label, argv)`` per run."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import generate, write_csv
+
+    inputs = [(path.stem, str(path), ()) for path in
+              (ROOT / "tests/fixtures/synthetic59.csv", ROOT / "tests/fixtures/zero_spread20.csv")]
+    for s in (1, 7):
+        for i in range(6):
+            for n in (30, 60, 100, 150, 400):
+                path = workdir / f"gen_{s}_{i}_{n}.csv"
+                write_csv(path, generate(s, i, n, 3), "midspr")
+                inputs.append((path.stem, str(path), ()))
+    for i in range(6):
+        path = workdir / f"gen_77_{i}_60.csv"
+        write_csv(path, generate(77, i, 60, 3, spread_noise=1.0), "midspr")
+        for tau in ("0.5", "0.3"):
+            inputs.append((f"{path.stem}_tau{tau}", str(path), ("--tau", tau)))
+    return [(f"{label}/{method}/{variant}",
+             ["--input-path", path, "--method", method, "--variant", variant, "--output-format", "json", *extra])
+            for label, path, extra in inputs for method in METHODS for variant in VARIANTS]
+
+
+def worker(runs_path: str, out_path: str) -> None:
+    """Run every report of ``runs_path`` in this process and write the results."""
+    import intreg.cli
+    import intreg.lasso as lasso
+    import intreg.lcp as lcp
+
+    counts: Counter = Counter()
+    block = ["qp"]
+    pivot = lcp._pivot
+
+    def counted_pivot(*args):
+        counts[f"{block[0]}_pivots"] += 1
+        return pivot(*args)
+
+    def count_calls(module, name, which):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[f"{which}_{name.strip('_')}_calls"] += 1
+            outer, block[0] = block[0], which
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                block[0] = outer
+
+        setattr(module, name, counted)
+
+    lcp._pivot = counted_pivot
+    count_calls(lcp, "lemke_solve", "qp")
+    count_calls(lasso, "lemke_solve", "mid")
+    if hasattr(lasso, "_lemke_path"):
+        count_calls(lasso, "_lemke_path", "mid")
+    results = {}
+    for label, argv in json.loads(Path(runs_path).read_text()):
+        counts.clear()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = intreg.cli.main(argv)
+        results[label] = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "counts": dict(counts)}
+    Path(out_path).write_text(json.dumps(results))
+
+
+def leaves(value, prefix=""):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{prefix}.{key}" if prefix else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from leaves(item, f"{prefix}[{i}]")
+    else:
+        yield prefix, value
+
+
+def relative(old, new) -> float:
+    if isinstance(old, (int, float)) and isinstance(new, (int, float)):
+        return abs(new - old) / max(abs(old), abs(new))
+    return float("inf")
+
+
+def compare(old: dict, new: dict, allow: dict[str, float]) -> int:
+    moved = refused = 0
+    for label in old:
+        a, b = old[label], new[label]
+        if a["code"] != b["code"] or a["stderr"] != b["stderr"]:
+            refused += 1
+            print(f"{label}: exit {a['code']} -> {b['code']}, stderr {a['stderr']!r} -> {b['stderr']!r}")
+        if a["stdout"] == b["stdout"]:
+            continue
+        moved += 1
+        fields_a = dict(leaves(json.loads(a["stdout"]))) if a["stdout"] else {}
+        fields_b = dict(leaves(json.loads(b["stdout"]))) if b["stdout"] else {}
+        for field in sorted(fields_a.keys() | fields_b.keys()):
+            va, vb = fields_a.get(field), fields_b.get(field)
+            if va != vb:
+                rel = relative(va, vb)
+                name = field.rsplit(".", 1)[-1].split("[")[0]
+                refused += rel > allow.get(name, -1.0)
+                print(f"{label}: {field} {va!r} -> {vb!r} (relative {rel:.2g})")
+    print(f"{len(old)} runs: {len(old) - moved} byte-identical, {moved} moved, {refused} moves beyond tolerance; "
+          f"nonzero exits {sum(r['code'] != 0 for r in old.values())} -> {sum(r['code'] != 0 for r in new.values())}")
+    for tree, results in (("old", old), ("new", new)):
+        totals = sum((Counter(r["counts"]) for r in results.values()), Counter())
+        print(f"{tree} tree: " + ", ".join(f"{key} {totals[key]}" for key in sorted(totals)))
+    qp_keys = ("qp_lemke_solve_calls", "qp_pivots")
+    differ = [label for label in old if any(old[label]["counts"].get(k, 0) != new[label]["counts"].get(k, 0)
+                                            for k in qp_keys)]
+    print(f"runs whose QP Lemke calls or pivots differ: {len(differ)}", *differ[:20])
+    return 1 if refused else 0
+
+
+def main() -> int:
+    if len(sys.argv) == 4 and sys.argv[1] == "--worker":
+        worker(sys.argv[2], sys.argv[3])
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path, help="source tree of the reference reports")
+    parser.add_argument("new", type=Path, help="source tree of the reports under test")
+    parser.add_argument("--allow", action="append", default=[], metavar="FIELD=REL",
+                        help="tolerate moves of FIELD up to REL relative (repeatable)")
+    args = parser.parse_args()
+    allow = {name: float(rel) for name, rel in (item.split("=", 1) for item in args.allow)}
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        runs = workdir / "runs.json"
+        runs.write_text(json.dumps(run_set(workdir)))
+        results = []
+        for tree in (args.old, args.new):
+            out = workdir / f"{len(results)}.json"
+            env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "PYTHONHASHSEED": "0",
+                   "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+            subprocess.run([sys.executable, __file__, "--worker", str(runs), str(out)], check=True, env=env)
+            results.append(json.loads(out.read_text()))
+    return compare(*results, allow)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

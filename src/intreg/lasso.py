@@ -21,12 +21,10 @@ grids are scanned on them, and the error matrix is split by block.
 
 Each fold walks a block's decreasing grid as a path.  The midpoint Gram
 statistics ``F'F`` and ``F'v`` do not depend on the penalty and are formed
-once per path; each midpoint solution is first tried on the previous
-penalty's sign pattern (one linear solve, kept only when it meets the
-optimality conditions exactly), and Lemke runs on the Gram form only where
-the pattern changes.  The penalty
-enters the spread QP's linear term alone, so the spread grid is walked by
-exact active-set continuation (the spread block's one solver, in
+once per path, and the penalty moves the midpoint LCP along Lemke's covering
+vector, so one Lemke run walks the whole midpoint grid.  The penalty enters
+the spread QP's linear term alone, so the spread grid is walked by exact
+active-set continuation (the spread block's one solver, in
 :mod:`intreg.least_squares`): each point is first solved on the binding
 rows of the last breakpoint and kept only when its slacks, multipliers and
 KKT residuals over every constraint row pass; Lemke runs only where the set
@@ -45,7 +43,7 @@ import numpy as np
 from .design import Coefficients, DesignSystem, build_design, regressor_blocks
 from .errors import FoldTooSmall, RayTermination, SubgradientGap
 from .intervals import DEFAULT_TAU, Interval, validate_tau
-from .lcp import SOLVED, Lcp, lemke_solve
+from .lcp import SOLVED, Lcp, _lemke_path, lemke_solve
 from .least_squares import (
     METHOD_LASSO,
     FitResult,
@@ -73,7 +71,7 @@ def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def lasso_lemke(F: np.ndarray, v: np.ndarray, lam: float, start: Optional[np.ndarray] = None) -> np.ndarray:
+def lasso_lemke(F: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
     """Exact minimizer of ``1/2 ||v - F a||^2 + lam ||a||_1``.
 
     With ``G = F'F``, ``b = F'v`` and ``a = a+ - a-``, the optimality
@@ -82,47 +80,43 @@ def lasso_lemke(F: np.ndarray, v: np.ndarray, lam: float, start: Optional[np.nda
     semidefinite, so Lemke pivoting solves it exactly.  Dividing both by
     ``max(diag G)`` leaves the solution unchanged and makes the pivot
     tolerance independent of the data scale.  ``lam = 0`` is least squares.
-
-    Given ``start`` with signs ``s`` and support ``A``, the solution of
-    ``G_AA a_A = b_A - lam s_A`` is returned when its signs are exactly ``s``
-    and ``|b_j - G_j a| <= lam`` off the support: these are the optimality
-    conditions, checked without tolerance.
     """
     if lam == 0.0:
         return np.linalg.lstsq(F, v, rcond=None)[0]
-    return _lasso_gram(F.T @ F, F.T @ v, lam, start)
+    return _lasso_gram(F.T @ F, F.T @ v, np.array([lam]))[0]
 
 
-def _lasso_gram(G: np.ndarray, b: np.ndarray, lam: float, start: Optional[np.ndarray] = None) -> np.ndarray:
-    """:func:`lasso_lemke` at ``lam > 0`` from the Gram statistics
-    ``G = F'F`` and ``b = F'v``, which a penalty path forms once."""
-    if start is not None:
-        s = np.sign(start)
-        on = s != 0.0
-        a = np.zeros(b.size)
-        try:
-            a[on] = np.linalg.solve(G[on][:, on], b[on] - lam * s[on])
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            if np.array_equal(np.sign(a), s) and np.all(np.abs(b[~on] - G[~on] @ a) <= lam):
-                return a
+def _lasso_gram(G: np.ndarray, b: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """:func:`lasso_lemke` at each of the positive ``lambdas``, one row each,
+    from the Gram statistics ``G = F'F`` and ``b = F'v``.  As ``q = [-b; b] +
+    lam 1`` moves along Lemke's covering vector, one Lemke run walks a grid
+    (:func:`intreg.lcp._lemke_path`); a single penalty, or one the run does
+    not reach, is solved on its own."""
     scale = float(np.max(np.diag(G), initial=0.0)) or 1.0
-    sol = lemke_solve(Lcp(np.block([[G, -G], [-G, G]]) / scale, np.concatenate([lam - b, lam + b]) / scale))
-    if sol.status != SOLVED:
-        raise RayTermination("complementary pivoting ray-terminated on a midpoint Lasso")
-    return sol.z[: b.size] - sol.z[b.size :]
+    M = np.block([[G, -G], [-G, G]]) / scale
+    Z, reached = np.zeros((lambdas.size, M.shape[0])), np.zeros(lambdas.size, dtype=bool)
+    if lambdas.size > 1:
+        Z, reached = _lemke_path(Lcp(M, np.concatenate([-b, b]) / scale), lambdas / scale)
+    for i in np.flatnonzero(~reached):
+        sol = lemke_solve(Lcp(M, np.concatenate([lambdas[i] - b, lambdas[i] + b]) / scale))
+        if sol.status != SOLVED:
+            raise RayTermination("complementary pivoting ray-terminated on a midpoint Lasso")
+        Z[i] = sol.z
+    return Z[:, : b.size] - Z[:, b.size :]
 
 
-def mid_kkt_gap(F: np.ndarray, v: np.ndarray, lam: float, a: np.ndarray) -> float:
+def mid_kkt_gap(F: np.ndarray, v: np.ndarray, lam: float | np.ndarray, a: np.ndarray) -> float | np.ndarray:
     """Worst violation of the subgradient optimality condition.
 
     Zero coordinates need ``|F_j'(v - Fa)| <= lam``; active coordinates need
-    the correlation to sit exactly at ``lam`` with the matching sign.
+    the correlation to sit exactly at ``lam`` with the matching sign.  A stack
+    of solutions ``a``, one per row, with their ``lam`` gives one gap per row.
     """
-    g = F.T @ (v - F @ a)
+    lam = np.asarray(lam, dtype=float)[..., None]
+    g = (F.T @ ((v if a.ndim == 1 else v[:, None]) - F @ a.T)).T
     gap = np.where(a != 0.0, np.abs(g - lam * np.sign(a)), np.maximum(np.abs(g) - lam, 0.0))
-    return float(np.max(gap, initial=0.0))
+    gaps = np.max(gap, axis=-1, initial=0.0)
+    return float(gaps) if a.ndim == 1 else gaps
 
 
 def fit_lasso_mid(design: DesignSystem, lam: float) -> np.ndarray:
@@ -147,30 +141,27 @@ def fit_lasso_spr(design: DesignSystem, lam: float, tau: float = DEFAULT_TAU) ->
 
 
 def _mid_fits(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[tuple[np.ndarray, float]]:
-    """Midpoint-block solutions along a decreasing penalty grid, each point
-    first tried on the previous point's sign pattern, and the subgradient
+    """Midpoint-block solutions along a penalty grid, and the subgradient
     gap that certifies each snapped solution; a single fit is the one-point
-    grid.
-
-    The Gram statistics and the certificate's scale do not depend on the
-    penalty, so they are formed once per grid; the gap itself is computed
-    from the design.
+    grid.  ``F'F``, ``F'v`` and the certificate's bound are formed once per
+    grid, and the gaps of all points come from one matrix product.
     """
+    lambdas = np.fromiter(lambdas, dtype=float)
+    if not np.all(lambdas >= 0.0):
+        raise ValueError("the penalty must be nonnegative")
     F, v = design.fm, design.vm
-    G = F.T @ F
-    b = F.T @ v
+    G, b = F.T @ F, F.T @ v
     bound = 1e-8 * (1.0 + float(np.max(np.abs(b), initial=0.0)))
-    a = None
-    for lam in lambdas:
-        lam = float(lam)
-        if lam < 0.0:
-            raise ValueError("the penalty must be nonnegative")
-        a = ols_mid(design)[0] if lam == 0.0 else _lasso_gram(G, b, lam, a)
-        a[np.abs(a) <= 1e-12 * (1.0 + float(np.max(np.abs(a), initial=0.0)))] = 0.0
-        gap = mid_kkt_gap(F, v, lam, a)
-        if gap > bound:
+    A = np.empty((lambdas.size, b.size))
+    on = lambdas > 0.0
+    A[on] = _lasso_gram(G, b, lambdas[on])
+    if not on.all():
+        A[~on] = ols_mid(design)[0]
+    A[np.abs(A) <= 1e-12 * (1.0 + np.max(np.abs(A), axis=1, initial=0.0, keepdims=True))] = 0.0
+    for a, gap in zip(A, mid_kkt_gap(F, v, lambdas, A)):
+        if not gap <= bound:
             raise SubgradientGap(f"the midpoint Lasso solution left a subgradient gap of {gap}")
-        yield a, gap
+        yield a, float(gap)
 
 
 def lambda_grid(design: DesignSystem, count: int = DEFAULT_GRID_SIZE, ratio: float = DEFAULT_GRID_RATIO, block: str = BLOCK_MID) -> np.ndarray:

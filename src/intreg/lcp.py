@@ -14,9 +14,13 @@ with M = R Q^{-1} R' and q = -R Q^{-1} c - r.  Given the multipliers, the
 primal solution is z = Q^{-1}(R' lam - c).
 
 Pivot selection is lexicographic, which rules out cycling on degenerate
-tableaus.  A solved basis is re-solved directly against (M, q) before the
-solution is returned, so the reported values do not carry accumulated
-elimination error.
+tableaus; the plain minimum ratio decides alone unless rows tie on it.  One
+pivot loop yields every basis of a run.  The solver reads the last one and
+re-solves it directly against (M, q), so the reported values do not carry
+accumulated elimination error.  The path reads all of them: the artificial
+variable z0 moves q along the covering vector 1, so one run solves the LCPs
+(M, q + t 1) for every t it passes, each by interpolation between the two
+bases around it (the homotopy path of Osborne, Presnell & Turlach, 2000).
 
 The QP solver pivots on a working set of rows rather than on all of them:
 in the estimators' programs there is one row per observation but only a
@@ -30,20 +34,16 @@ right-hand side are affine in one parameter (a penalty or budget path), the
 solution on a fixed active set is affine in that parameter as well, so
 neighbouring grid points mostly share their active set (the grid-sampled
 parametric LCP of Cottle, Pang & Stone, 1992, section 4.5).  The path
-routine is the one place that solves on an active set.  Where the active
-set changes (a breakpoint) it runs the working-set Lemke solve, warm-started
-at the last breakpoint's active set and reusing one Cholesky factor of the
-shared Hessian; it then factors the KKT equality matrix of the iterate's
-active set once (a pseudo-inverse from one singular value decomposition,
-the minimum-norm solution least squares would give) and polishes with it:
-the equality solve against the original Hessian removes the ridge bias of
-pivoting.  The same active set and factor serve the grid points that
-follow, each solved first on that set by one matrix-vector product and
-kept only when every slack and every multiplier has the right sign and the
-point's KKT residuals over every row pass; they also start the next
-breakpoint's working set.  Every point is certified (KKT residuals) against
-every row.  The estimators solve every constrained block through this path
-routine; a single program is the one-point grid.
+routine is the one place that solves on an active set.  At a breakpoint,
+where that set changes, it runs the working-set Lemke solve, started at the
+last breakpoint's active set with one Cholesky factor of the shared
+Hessian, then factors the KKT equality matrix of the iterate's active set
+once (a minimum-norm pseudo-inverse from one singular value decomposition)
+and polishes with it, which removes the ridge bias of pivoting.  Each grid
+point that follows is solved on that set by one matrix-vector product and
+kept only when every slack and multiplier has the right sign and its KKT
+residuals over every row pass.  Every point is certified against every row;
+a single program is the one-point grid.
 """
 
 from __future__ import annotations
@@ -175,8 +175,15 @@ def _lexico_min_row(T: np.ndarray, rows: np.ndarray, lex_cols: np.ndarray, piv: 
     """Row whose (rhs, identity-block) vector is lexicographically smallest.
 
     When ``piv`` is given each row's vector is divided by its pivot entry
-    first, which is the classic lexicographic minimum-ratio test.
+    first, which is the classic lexicographic minimum-ratio test.  Only rows
+    tied at the smallest plain ratio are compared on the whole vector.
     """
+    ratio = T[rows, lex_cols[0]] if piv is None else T[rows, lex_cols[0]] / piv
+    tied = ratio == ratio.min()  # none if a ratio is NaN: then every row competes
+    if tied.any():
+        rows, piv = rows[tied], None if piv is None else piv[tied]
+    if rows.size == 1:
+        return int(rows[0])
     vals = T[np.ix_(rows, lex_cols)]
     if piv is not None:
         vals = vals / piv[:, None]
@@ -202,11 +209,9 @@ def _candidate_score(M: np.ndarray, q: np.ndarray, z: np.ndarray) -> float:
 
 def _extract_solution(M: np.ndarray, q: np.ndarray, basis: np.ndarray, rhs_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = q.size
-    z = np.zeros(d)
-    for i, var in enumerate(basis):
-        if var >= d:
-            z[var - d] = rhs_vals[i]
-    z = np.maximum(z, 0.0)
+    x = np.zeros(2 * d + 1)
+    x[basis] = rhs_vals
+    z = np.maximum(x[d : 2 * d], 0.0)
     # re-solve the complementary basis directly to purge elimination error
     active = np.flatnonzero(z > 0.0)
     if active.size:
@@ -221,6 +226,36 @@ def _extract_solution(M: np.ndarray, q: np.ndarray, basis: np.ndarray, rhs_vals:
             if _candidate_score(M, q, cand) <= _candidate_score(M, q, z):
                 z = cand
     return z, M @ z + q
+
+
+def _lemke_pivots(M: np.ndarray, q: np.ndarray, max_pivots: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Lemke's pivots on the LCP ``(M, q)``: the tableau and the basis after
+    each, updated in place.  Tableau columns are ``w`` (``0..d-1``), ``z``
+    (``d..2d-1``), the artificial ``z0`` (``2d``) and the right-hand side,
+    which holds the basic values.  Ends when ``z0`` leaves the basis, or when
+    no entry can pivot (ray termination: ``z0`` stays basic)."""
+    d = q.size
+    art = 2 * d
+    T = np.hstack([np.eye(d), -M, np.full((d, 1), -1.0), q[:, None]])
+    basis = np.arange(d)
+    lex_cols = np.concatenate(([art + 1], np.arange(d)))
+    # z0 enters first, against the lexicographically smallest (most negative) row
+    row, entering, pivots = _lexico_min_row(T, np.arange(d), lex_cols, None), art, 0
+    while True:
+        _pivot(T, row, entering)
+        pivots += 1
+        leaving, basis[row] = int(basis[row]), entering
+        yield T, basis
+        if leaving == art:
+            return
+        entering = leaving + d if leaving < d else leaving - d
+        col = T[:, entering]
+        eligible = np.flatnonzero(col > PIVOT_EPS)
+        if eligible.size == 0:
+            return
+        if pivots >= max_pivots:
+            raise PivotLimitExceeded(f"no termination within {max_pivots} pivots")
+        row = _lexico_min_row(T, eligible, lex_cols, col[eligible])
 
 
 def lemke_solve(lcp: Lcp, max_pivots: Optional[int] = None, track_bases: bool = False) -> LcpSolution:
@@ -239,47 +274,41 @@ def lemke_solve(lcp: Lcp, max_pivots: Optional[int] = None, track_bases: bool = 
     visited = [] if track_bases else None
     if d == 0 or float(np.min(q, initial=0.0)) >= 0.0:
         return LcpSolution(np.zeros(d), q.copy(), SOLVED, 0, visited)
-
-    # column ids: w_i -> i, z_i -> d + i, artificial covering variable -> 2d
-    art = 2 * d
-    rhs = 2 * d + 1
-    T = np.empty((d, 2 * d + 2))
-    T[:, :d] = np.eye(d)
-    T[:, d : 2 * d] = -M
-    T[:, art] = -1.0
-    T[:, rhs] = q
-    basis = np.arange(d)
-    lex_cols = np.concatenate(([rhs], np.arange(d)))
-
-    # initial pivot: the artificial variable enters against the row with the
-    # lexicographically smallest (most negative) right-hand side
-    row = _lexico_min_row(T, np.arange(d), lex_cols, None)
-    _pivot(T, row, art)
-    leaving = int(basis[row])
-    basis[row] = art
-    if track_bases:
-        visited.append(frozenset(basis.tolist()))
-    entering = leaving + d if leaving < d else leaving - d
-    pivots = 1
-
-    while True:
-        col = T[:, entering]
-        eligible = np.flatnonzero(col > PIVOT_EPS)
-        if eligible.size == 0:
-            return LcpSolution(np.zeros(d), q.copy(), RAY_TERMINATION, pivots, visited)
-        if pivots >= max_pivots:
-            raise PivotLimitExceeded(f"no termination within {max_pivots} pivots")
-        row = _lexico_min_row(T, eligible, lex_cols, col[eligible])
-        _pivot(T, row, entering)
+    pivots = 0
+    for T, basis in _lemke_pivots(M, q, max_pivots):
         pivots += 1
-        leaving = int(basis[row])
-        basis[row] = entering
         if track_bases:
             visited.append(frozenset(basis.tolist()))
-        if leaving == art:
-            z, w = _extract_solution(M, q, basis, T[:, rhs])
-            return LcpSolution(z, w, SOLVED, pivots, visited)
-        entering = leaving + d if leaving < d else leaving - d
+    if 2 * d in basis:
+        return LcpSolution(np.zeros(d), q.copy(), RAY_TERMINATION, pivots, visited)
+    z, w = _extract_solution(M, q, basis, T[:, -1])
+    return LcpSolution(z, w, SOLVED, pivots, visited)
+
+
+def _lemke_path(lcp: Lcp, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of the LCPs ``(M, q + t 1)`` at the positive ``ts`` from one
+    Lemke run on ``(M, q)``, one row per ``t``, and a mask of the ``t`` reached.
+    The run stops at the first basis with ``z0 <= min(ts)``, or sooner, short
+    of the smaller ``t``, if ``z0`` rises, it ray-terminates or its budget ends."""
+    d = lcp.dim
+    z0, z = -float(np.min(lcp.q, initial=0.0)), np.zeros(d)
+    out, reached = np.zeros((ts.size, d)), ts >= z0
+    try:
+        for T, basis in _lemke_pivots(lcp.M, lcp.q, 50 * max(d, 1)):
+            x = np.zeros(2 * d + 1)
+            x[basis] = T[:, -1]
+            if x[-1] > z0:
+                break
+            edge = (ts < z0) & (ts >= x[-1])
+            z_next = np.maximum(x[d:-1], 0.0)
+            out[edge] = z_next + (z - z_next) * ((ts[edge] - x[-1]) / (z0 - x[-1]))[:, None]
+            reached |= edge
+            z0, z = x[-1], z_next
+            if z0 <= ts.min():
+                break
+    except PivotLimitExceeded:
+        pass
+    return out, reached
 
 
 def _constraints_feasible(R: np.ndarray, r: np.ndarray) -> bool:

@@ -16,6 +16,7 @@ from intreg import (
     select_budget,
 )
 import intreg.lasso
+import intreg.lcp
 from intreg.errors import FoldTooSmall, IntregError, RayTermination, SubgradientGap
 from intreg.lasso import _mid_fits, lasso_lemke, mid_kkt_gap, soft_threshold
 from intreg.lcp import RAY_TERMINATION, LcpSolution, lemke_solve
@@ -51,8 +52,7 @@ class TestLassoCd:
         assert mid_kkt_gap(F, v, 0.7, a) <= 1e-10
 
     def test_certificate_equals_per_coordinate_loop(self, rng):
-        def loop_gap(F, v, lam, a):
-            g = F.T @ (v - F @ a)
+        def loop_gap(g, lam, a):
             gap = 0.0
             for j in range(a.size):
                 if a[j] != 0.0:
@@ -64,18 +64,15 @@ class TestLassoCd:
         for _ in range(200):
             F = rng.normal(size=(9, 5))
             v = rng.normal(size=9)
-            a = rng.normal(size=5) * (rng.random(5) < 0.5)
-            for lam in (0.0, rng.exponential(), 1e3):
-                assert mid_kkt_gap(F, v, lam, a) == loop_gap(F, v, lam, a)
-
-    def test_start_at_the_solution_stays_there(self, rng):
-        F = rng.normal(size=(40, 5))
-        v = F @ np.array([2.0, 0.0, -1.0, 0.5, 0.0]) + rng.normal(size=40)
-        a = lasso_lemke(F, v, 1.5)
-        assert np.max(np.abs(lasso_lemke(F, v, 1.5, start=a) - a)) <= 1e-12 * np.max(np.abs(a))
-        # a start far from the solution reaches the same optimum
-        far = lasso_lemke(F, v, 1.5, start=np.full(5, 10.0))
-        assert np.max(np.abs(far - a)) <= 1e-10 * np.max(np.abs(a))
+            A = rng.normal(size=(3, 5)) * (rng.random((3, 5)) < 0.5)
+            lams = np.array([0.0, rng.exponential(), 1e3])
+            # the stacked form correlates every row in one matrix product
+            stacked = mid_kkt_gap(F, v, lams, A)
+            g_stacked = (F.T @ (v[:, None] - F @ A.T)).T
+            assert stacked.shape == (3,)
+            for a, g, lam, gap in zip(A, g_stacked, lams, stacked):
+                assert mid_kkt_gap(F, v, lam, a) == loop_gap(F.T @ (v - F @ a), lam, a)
+                assert gap == loop_gap(g, lam, a)
 
 
 class TestBlockFits:
@@ -103,11 +100,17 @@ class TestBlockFits:
     def test_subgradient_gap_is_typed_error(self, monkeypatch):
         s = random_sample(3, n=10)
         d = build_design(s, "full")
-        monkeypatch.setattr(intreg.lasso, "_lasso_gram", lambda G, b, lam, start=None: np.zeros(b.size))
+        monkeypatch.setattr(intreg.lasso, "_lasso_gram", lambda G, b, lambdas: np.zeros((lambdas.size, b.size)))
         with pytest.raises(SubgradientGap) as info:
             fit_lasso_mid(d, 0.5 * lambda_grid(d, 2, 0.5, "mid")[0])
         assert isinstance(info.value, IntregError) and isinstance(info.value, ArithmeticError)
         assert info.value.code == "SubgradientGap"
+
+    def test_nan_solution_fails_its_certificate(self, monkeypatch):
+        d = build_design(random_sample(3, n=10), "full")
+        monkeypatch.setattr(intreg.lasso, "_lasso_gram", lambda G, b, lambdas: np.full((lambdas.size, b.size), np.nan))
+        with pytest.raises(SubgradientGap):
+            fit_lasso_mid(d, 0.5 * lambda_grid(d, 2, 0.5, "mid")[0])
 
     def test_ray_termination_is_typed_error(self, monkeypatch):
         def ray(lcp_, max_pivots=None):
@@ -121,8 +124,9 @@ class TestBlockFits:
     def test_negative_penalty_rejected(self):
         s = random_sample(3, n=10)
         d = build_design(s, "full")
-        with pytest.raises(ValueError):
-            fit_lasso_mid(d, -0.1)
+        for lam in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                fit_lasso_mid(d, lam)
         with pytest.raises(ValueError):
             fit_lasso_spr(d, -0.1, 0.5)
 
@@ -400,7 +404,8 @@ class TestFitLasso:
 
 
 class TestPathwiseCrossValidation:
-    """Each fold walks its penalty grid from the previous point's solution."""
+    """Each fold walks its penalty grids as paths: the midpoint grid in one
+    Lemke run, the spread grid by active-set continuation."""
 
     @pytest.mark.parametrize("n", [100, 200])
     @pytest.mark.parametrize("variant", ["full", "model-m"])
@@ -447,39 +452,87 @@ class TestPathwiseCrossValidation:
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
         assert len(calls) == len(grid)
 
+    @pytest.mark.parametrize("k", [10, 20])
+    def test_wide_midpoint_paths_equal_cold_fits(self, k):
+        d = build_design(split_model_sample(k, 200, k), "full")
+        grid = lambda_grid(d, 100, 1e-3, "mid")
+        for lam, (warm, _) in zip(grid, _mid_fits(d, grid)):
+            cold = fit_lasso_mid(d, lam)
+            assert np.array_equal(warm == 0.0, cold == 0.0)
+            assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
+
     @pytest.mark.parametrize("variant", ["full", "model-m"])
     def test_midpoint_grid_pivots_only_where_the_signs_change(self, variant, monkeypatch):
-        # a point whose solution keeps the previous point's sign pattern is
-        # one linear solve; Lemke runs only where the pattern changes
+        # one Lemke run per fold walks the whole grid, pivoting where a
+        # coefficient enters or leaves the support; no grid point is solved
+        # on its own
         d = build_design(split_model_sample(1, 100), variant)
-        calls = []
+        runs, solves = [], []
+        path = intreg.lasso._lemke_path
 
-        def record(lcp_, max_pivots=None):
-            calls.append(lcp_.dim)
+        def record_run(lcp_, ts):
+            runs.append(ts.size)
+            return path(lcp_, ts)
+
+        def record_solve(lcp_, max_pivots=None):
+            solves.append(lcp_.dim)
             return lemke_solve(lcp_, max_pivots)
 
-        monkeypatch.setattr(intreg.lasso, "lemke_solve", record)
+        monkeypatch.setattr(intreg.lasso, "_lemke_path", record_run)
+        monkeypatch.setattr(intreg.lasso, "lemke_solve", record_solve)
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)
-        assert 5 <= len(calls) <= 100
+        assert runs == [100] * 5
+        assert solves == []
 
     def test_midpoint_gram_is_formed_once_per_path(self, monkeypatch):
         d = build_design(split_model_sample(1, 100), "full")
         grams = []
         gram = intreg.lasso._lasso_gram
 
-        def record(G, b, lam, start=None):
-            grams.append((id(G), id(b)))
-            return gram(G, b, lam, start)
+        def record(G, b, lambdas):
+            grams.append(lambdas.size)
+            return gram(G, b, lambdas)
 
         monkeypatch.setattr(intreg.lasso, "_lasso_gram", record)
         grid = lambda_grid(d, 100, 1e-3, "mid")
-        assert len(list(_mid_fits(d, grid))) == len(grams) == len(grid)
-        assert len(set(grams)) == 1
+        assert len(list(_mid_fits(d, grid))) == len(grid)
+        assert grams == [len(grid)]
+        grams.clear()
+        cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)
+        assert grams == [100] * 5
+
+    @pytest.mark.parametrize("failure", ["ray-termination", "rising-z0"])
+    def test_failed_path_falls_back_to_cold_fits(self, failure, monkeypatch):
+        # a run that ray-terminates, or along which z0 rises, leaves the rest
+        # of the grid to one cold solve per point
+        d = build_design(split_model_sample(101, 100), "full")
+        grid = lambda_grid(d, 100, 1e-3, "mid")
+        cold = [fit_lasso_mid(d, lam) for lam in grid]
+        pivots = intreg.lcp._lemke_pivots
+        runs = []
+
+        def failing(M, q, max_pivots):
+            runs.append(q.size)
+            for step, (T, basis) in enumerate(pivots(M, q, max_pivots)):
+                if len(runs) == 1 and step == 4:
+                    if failure == "ray-termination":
+                        return
+                    T = T.copy()
+                    T[basis == 2 * q.size, -1] *= 2.0
+                yield T, basis
+
+        monkeypatch.setattr(intreg.lcp, "_lemke_pivots", failing)
+        for want, (got, _) in zip(cold, _mid_fits(d, grid)):
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
+        # the path reached the top of the grid, the cold solves the rest
+        assert 1 < len(runs) < 1 + len(grid)
 
     def test_every_grid_point_is_still_certified(self, monkeypatch):
-        # zeros solve at most the top of a fold's grid; starting each point
-        # from the previous one must not skip a point's subgradient test
+        # zeros solve at most the top of a fold's grid; interpolating each
+        # point on the path must not skip a point's subgradient test
         d = build_design(split_model_sample(2, 100), "full")
-        monkeypatch.setattr(intreg.lasso, "_lasso_gram", lambda G, b, lam, start=None: np.zeros(b.size))
+        monkeypatch.setattr(intreg.lasso, "_lemke_path",
+                            lambda lcp_, ts: (np.zeros((ts.size, lcp_.dim)), np.ones(ts.size, dtype=bool)))
         with pytest.raises(SubgradientGap):
             cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)

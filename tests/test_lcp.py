@@ -111,6 +111,52 @@ class TestLemkeSolve:
             assert len(sol.visited_bases) == len(set(sol.visited_bases))
 
 
+    def test_ratio_test_picks_the_row_of_the_whole_lexicographic_sort(self, rng, monkeypatch):
+        # the plain minimum ratio decides unless rows tie on it exactly; only
+        # then are the tied rows sorted on the whole vector, so the pivot
+        # sequence is the one of sorting every eligible row
+        ties = []
+
+        def full_sort(T, rows, lex_cols, piv):
+            vals = T[np.ix_(rows, lex_cols)]
+            if piv is not None:
+                vals = vals / piv[:, None]
+            ties.append(np.count_nonzero(vals[:, 0] == vals[:, 0].min()) > 1)
+            order = np.lexsort(tuple(vals[:, j] for j in range(vals.shape[1] - 1, -1, -1)))
+            return int(rows[order[0]])
+
+        lcps = []
+        for i in range(10):
+            m = int(rng.integers(2, 4))
+            A = rng.normal(size=(m, m))
+            base = rng.normal(size=(2, m))
+            R = np.vstack([base, base, np.eye(m)])
+            r = np.concatenate([np.zeros(4), -np.ones(m)])
+            lcps.append(qp_to_lcp(Qp(A @ A.T + np.eye(m), rng.normal(size=m), R, r)))
+        for i in range(30):
+            # small integers tie ratios exactly
+            d = int(rng.integers(2, 7))
+            A = rng.integers(-2, 3, size=(d, d)).astype(float)
+            lcps.append(Lcp(A @ A.T + np.eye(d) * rng.integers(0, 2), -rng.integers(0, 3, size=d).astype(float)))
+        for lcp_ in lcps:
+            got = lemke_solve(lcp_, track_bases=True)
+            with monkeypatch.context() as patched:
+                patched.setattr(lcp, "_lexico_min_row", full_sort)
+                want = lemke_solve(lcp_, track_bases=True)
+            assert got.status == want.status and got.pivots == want.pivots
+            assert got.visited_bases == want.visited_bases
+            assert np.array_equal(got.z, want.z)
+        assert sum(ties) >= 20
+        for _ in range(200):
+            T = rng.integers(-3, 4, size=(6, 9)).astype(float)
+            rows = np.flatnonzero(rng.random(6) < 0.7)
+            if rows.size == 0:
+                continue
+            lex_cols = np.concatenate(([8], np.arange(6)))
+            for piv in (None, rng.integers(1, 4, size=rows.size).astype(float)):
+                assert lcp._lexico_min_row(T, rows, lex_cols, piv) == full_sort(T, rows, lex_cols, piv)
+
+
 class TestSolveQp:
     def test_interior_optimum(self):
         z = solve_qp(Qp(np.eye(2), np.array([-1.0, -1.0]), np.eye(2), np.zeros(2)))
