@@ -4,11 +4,17 @@ Two column layouts are supported: mid/spr pairs (``mid_y, spr_y, mid_x1,
 spr_x1, ...``) and endpoint pairs (``inf_y, sup_y, inf_x1, sup_x1, ...``).
 Floats are written with full precision, so writing and re-ingesting a sample
 reproduces it exactly.
+
+The dialect is the ``csv`` module's default (``"`` quotes; LF, CRLF or CR line
+ends; blank or whitespace-only lines skipped), with any cell that ``float`` reads
+as finite, ``1_000`` and non-ASCII digits too. One ``np.loadtxt`` pass parses a
+clean file; any other goes to the per-cell row loop, which alone raises parse errors.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,30 +42,35 @@ def expected_header(k: int, fmt: str) -> list[str]:
     return header
 
 
+def _rows(fh):
+    return (row for row in csv.reader(fh) if any(cell.strip() for cell in row))
+
+
 def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
-    """Read an interval sample from a headed CSV file."""
+    """Read a headed CSV file in the module's dialect; only the row loop raises parse errors."""
     validate_format(fmt)
     path = Path(path)
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
-    if not rows:
-        raise EmptyFile(f"{path} has no content")
-    header = [cell.strip() for cell in rows[0]]
-    if len(header) < 4 or len(header) % 2 != 0:
-        raise MalformedHeader(f"expected pairs of columns for y and k regressors, got {header}")
-    k = len(header) // 2 - 1
-    if header != expected_header(k, fmt):
-        raise MalformedHeader(f"expected header {expected_header(k, fmt)}, got {header}")
-    data = rows[1:]
-    if not data:
-        raise EmptyFile(f"{path} has a header but no data rows")
-    variables = ["y"] + [f"x{i}" for i in range(1, k + 1)]
-    try:
-        values = np.array(data, dtype=float)
-    except ValueError:
-        values = np.empty(0)
-    if values.shape != (len(data), len(header)):
-        # a short or long row, or a cell that does not parse: name the first
+        rows = _rows(fh)
+        header = next(rows, None)
+        if header is None:
+            raise EmptyFile(f"{path} has no content")
+        header = [cell.strip() for cell in header]
+        if len(header) < 4 or len(header) % 2 != 0:
+            raise MalformedHeader(f"expected pairs of columns for y and k regressors, got {header}")
+        k = len(header) // 2 - 1
+        if header != expected_header(k, fmt):
+            raise MalformedHeader(f"expected header {expected_header(k, fmt)}, got {header}")
+        values = _fast_values(fh, len(header)) if fh.seekable() else None
+        if values is None:
+            if fh.seekable():  # the fast pass read on: restart after the header
+                fh.seek(0)
+                rows = _rows(fh)
+                next(rows)
+            data = list(rows)
+    if values is None:
+        if not data:
+            raise EmptyFile(f"{path} has a header but no data rows")
         values = np.empty((len(data), len(header)))
         for j, row in enumerate(data, start=1):
             if len(row) != len(header):
@@ -69,10 +80,11 @@ def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
                     values[j - 1, c] = float(cell)
                 except ValueError:
                     raise NonNumericCell(j, header[c], cell) from None
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        j, c = bad[0]
-        raise NonNumericCell(int(j) + 1, header[c], data[j][c])
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            j, c = bad[0]
+            raise NonNumericCell(int(j) + 1, header[c], data[j][c])
+    variables = ["y"] + [f"x{i}" for i in range(1, k + 1)]
     first, second = values[:, 0::2], values[:, 1::2]
     if fmt == FORMAT_MIDSPR:
         mid, spr = first, second
@@ -97,23 +109,25 @@ def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
     return IntervalSample(mid[:, 0], spr[:, 0], mid[:, 1:], spr[:, 1:])
 
 
+def _fast_values(fh, width: int):
+    """The rows left in ``fh`` from one ``np.loadtxt`` pass; None leaves them to the row loop."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"', comments=None)
+        except (ValueError, Warning):
+            return None
+    return values if values.shape[1] == width and np.isfinite(values).all() else None
+
+
 def write_sample(sample: IntervalSample, path, fmt: str = FORMAT_MIDSPR) -> None:
     """Write an interval sample as CSV in the requested layout."""
     validate_format(fmt)
-    k = sample.k
+    mid = np.column_stack([sample.mid_y, sample.mid_x])
+    spr = np.column_stack([sample.spr_y, sample.spr_x])
+    cells = np.empty((sample.n, 2 * mid.shape[1]))
+    cells[:, 0::2], cells[:, 1::2] = (mid, spr) if fmt == FORMAT_MIDSPR else (mid - spr, mid + spr)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(expected_header(k, fmt))
-        for j in range(sample.n):
-            if fmt == FORMAT_MIDSPR:
-                cells = [sample.mid_y[j], sample.spr_y[j]]
-                for i in range(k):
-                    cells += [sample.mid_x[j, i], sample.spr_x[j, i]]
-            else:
-                cells = [sample.mid_y[j] - sample.spr_y[j], sample.mid_y[j] + sample.spr_y[j]]
-                for i in range(k):
-                    cells += [
-                        sample.mid_x[j, i] - sample.spr_x[j, i],
-                        sample.mid_x[j, i] + sample.spr_x[j, i],
-                    ]
-            writer.writerow([repr(float(c)) for c in cells])
+        writer.writerow(expected_header(sample.k, fmt))
+        writer.writerows([repr(c) for c in row] for row in cells.tolist())

@@ -1,14 +1,28 @@
+import csv
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intreg import FORMAT_INFSUP, FORMAT_MIDSPR, IntervalSample, ingest, write_sample
 from intreg.errors import EmptyFile, InvertedInterval, MalformedHeader, NonNumericCell
+from intreg.io import expected_header
 
 from conftest import random_sample
 
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
+
+
+def assert_same_sample(got, want):
+    for name in ("mid_y", "spr_y", "mid_x", "spr_x"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 class TestIngest:
@@ -94,6 +108,64 @@ class TestIngest:
             ingest(p, FORMAT_MIDSPR)
         assert str(exc.value) == message
 
+    # each file is the two rows of PLAIN in another spelling the csv module accepts
+    PLAIN = "mid_y,spr_y,mid_x1,spr_x1\n1,0.5,2,0.25\n1000,1,3,0.5\n"
+
+    @pytest.mark.parametrize("text", [
+        "mid_y,spr_y,mid_x1,spr_x1\n1,0.5,2,0.25\n   \n1000,1,3,0.5\n",
+        "mid_y,spr_y,mid_x1,spr_x1\n\t\t\n1,0.5,2,0.25\n1000,1,3,0.5\n\t\n",
+        "mid_y,spr_y,mid_x1,spr_x1\n , \n1,0.5,2,0.25\n1000,1,3,0.5\n , , , \n",
+        "\n  \n , \nmid_y,spr_y,mid_x1,spr_x1\n1,0.5,2,0.25\n1000,1,3,0.5\n",
+        "mid_y,spr_y,mid_x1,spr_x1\n1,0.5,2,0.25\n1_000,1,3,0.5\n",
+        "mid_y,spr_y,mid_x1,spr_x1\n\u0661,0.5,2,0.25\n1000,1,3,0.5\n",
+        "mid_y,spr_y,mid_x1,spr_x1\r\n1,0.5,2,0.25\r\n1000,1,3,0.5\r\n",
+        "mid_y,spr_y,mid_x1,spr_x1\r1,0.5,2,0.25\r1000,1,3,0.5\r",
+        '"mid_y", spr_y ,mid_x1,spr_x1\n"1", 0.5 ,"2.0",0.25\n 1000.0,"1",\t3,"0.5 "\n',
+        "mid_y,spr_y,mid_x1,spr_x1\n1,0.5,2,0.25\n1000,1,3,0.5",
+    ], ids=["spaces-line", "tab-line", "comma-line", "blank-before-header", "underscore", "arabic-indic",
+            "crlf", "lone-cr", "quoted-padded", "no-final-newline"])
+    def test_dialect_gives_the_plain_sample(self, tmp_path, text):
+        plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+        plain.write_text(self.PLAIN)
+        odd.write_bytes(text.encode("utf-8"))
+        assert_same_sample(ingest(odd, FORMAT_MIDSPR), ingest(plain, FORMAT_MIDSPR))
+
+    def test_header_only_warns_nothing(self, tmp_path):
+        p = tmp_path / "s.csv"
+        write_lines(p, ["", "mid_y,spr_y,mid_x1,spr_x1", "  "])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyFile, match="has a header but no data rows"):
+                ingest(p, FORMAT_MIDSPR)
+
+    def test_infinity_cell_is_named(self, tmp_path):
+        p = tmp_path / "s.csv"
+        write_lines(p, ["mid_y,spr_y,mid_x1,spr_x1", "1,0.5,2,0.25", "1,0.5,Infinity,0.25", "1,0.5,2,0.25"])
+        with pytest.raises(NonNumericCell) as exc:
+            ingest(p, FORMAT_MIDSPR)
+        assert str(exc.value) == "non-numeric value 'Infinity' at data row 2, column 'mid_x1'"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("row, want", [
+        ("1,0.5,2,0.25", None),
+        ("1,0.5,x,0.25", "non-numeric value 'x' at data row 3, column 'mid_x1'"),
+    ])
+    def test_pipe_input(self, tmp_path, row, want):
+        # a pipe cannot be reread, so the row loop reads it after the header
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(self.PLAIN + row + "\n",))
+        writer.start()
+        try:
+            if want is None:
+                assert ingest(fifo, FORMAT_MIDSPR).n == 3
+            else:
+                with pytest.raises(NonNumericCell) as exc:
+                    ingest(fifo, FORMAT_MIDSPR)
+                assert str(exc.value) == want
+        finally:
+            writer.join()
+
 
 class TestRoundTrip:
     def test_midspr_roundtrip_is_exact(self, tmp_path):
@@ -127,3 +199,84 @@ class TestRoundTrip:
         back = ingest(p, FORMAT_INFSUP)
         np.testing.assert_allclose(back.mid_y, s.mid_y, rtol=0, atol=1e-12)
         np.testing.assert_allclose(back.spr_y, s.spr_y, rtol=0, atol=1e-12)
+
+
+class TestWriteSample:
+    @staticmethod
+    def reference_write(sample, path, fmt):
+        # the per-row writer that the array assembly replaced
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(expected_header(sample.k, fmt))
+            for j in range(sample.n):
+                if fmt == FORMAT_MIDSPR:
+                    cells = [sample.mid_y[j], sample.spr_y[j]]
+                    for i in range(sample.k):
+                        cells += [sample.mid_x[j, i], sample.spr_x[j, i]]
+                else:
+                    cells = [sample.mid_y[j] - sample.spr_y[j], sample.mid_y[j] + sample.spr_y[j]]
+                    for i in range(sample.k):
+                        cells += [sample.mid_x[j, i] - sample.spr_x[j, i], sample.mid_x[j, i] + sample.spr_x[j, i]]
+                writer.writerow([repr(float(c)) for c in cells])
+
+    @pytest.mark.parametrize("fmt", [FORMAT_MIDSPR, FORMAT_INFSUP])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_bytes_match_the_row_loop(self, tmp_path, fmt, k):
+        s = random_sample(40 + k, n=31, k=k)
+        write_sample(s, tmp_path / "new.csv", fmt)
+        self.reference_write(s, tmp_path / "ref.csv", fmt)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _outcome(path, fmt):
+    try:
+        s = ingest(path, fmt)
+    except Exception as exc:  # the error type and message are the compared result
+        return type(exc), str(exc)
+    return tuple((a.shape, a.tobytes()) for a in (s.mid_y, s.spr_y, s.mid_x, s.spr_x))
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise ValueError("fast parse forced off")
+
+
+# numbers in the spellings either parser may take or refuse, wrapped in
+# padding or quotes, beside junk runs over the same characters; most rows
+# have the header's width and nonnegative values, so many files are samples
+_JUNK = st.lists(st.sampled_from([*"0123456789.eE+-_ \t,\"\r\n", "nan", "inf", "\u0661"]), max_size=12).map("".join)
+_NUMBER = st.one_of(
+    st.floats(min_value=0.0, max_value=1e6).map(repr),
+    st.integers(0, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.6e}"),
+    st.sampled_from(["1_000", "\u0661", "\u0661.5", "nan", "inf", "-0", ".5", "5.", "+1e3"]),
+)
+_PAD = st.sampled_from(["", "", " ", "\t", "  "])
+_CELL = st.one_of(
+    _NUMBER, _NUMBER,
+    st.builds(lambda a, x, b: a + x + b, _PAD, _NUMBER, _PAD),
+    st.builds(lambda a, x, b: f'"{a}{x}{b}"', _PAD, _NUMBER, _PAD),
+    _JUNK,
+)
+_ROW = st.one_of(st.lists(_CELL, min_size=4, max_size=4), st.lists(_CELL, min_size=3, max_size=5)).map(",".join)
+_EOL = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_files(draw):
+    fmt = draw(st.sampled_from([FORMAT_MIDSPR, FORMAT_INFSUP]))
+    lines = [",".join(expected_header(1, fmt))] + draw(st.lists(st.one_of(_ROW, _ROW, _ROW, _JUNK), max_size=6))
+    ends = [draw(_EOL) for _ in lines[1:]] + [draw(st.sampled_from(["", "\n", "\r\n", "\r"]))]
+    return fmt, draw(st.sampled_from(["", "\n", " \r\n"])) + "".join(map(str.__add__, lines, ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=csv_files())
+def test_fast_parse_agrees_with_the_row_loop(tmp_path_factory, case):
+    fmt, text = case
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = _outcome(path, fmt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", _no_loadtxt)
+        slow = _outcome(path, fmt)
+    assert fast == slow
