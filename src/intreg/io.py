@@ -43,7 +43,18 @@ def expected_header(k: int, fmt: str) -> list[str]:
 
 
 def _rows(fh):
-    return (row for row in csv.reader(fh) if any(cell.strip() for cell in row))
+    """The non-blank csv rows of ``fh``.  A row the csv module refuses (a
+    cell over its field size limit, say) is a :class:`MalformedHeader` that
+    names it: the header, or the data row in the numbering of the other
+    parse errors."""
+    j = 0
+    try:
+        for row in csv.reader(fh):
+            if any(cell.strip() for cell in row):
+                yield row
+                j += 1
+    except csv.Error as exc:
+        raise MalformedHeader(f"{f'data row {j}' if j else 'the header'} cannot be read: {exc}") from None
 
 
 def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
@@ -67,9 +78,13 @@ def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
                 fh.seek(0)
                 rows = _rows(fh)
                 next(rows)
-            data = list(rows)
+            data, unreadable = [], None
+            try:
+                data.extend(rows)
+            except MalformedHeader as exc:  # named after the bad rows before it
+                unreadable = exc
     if values is None:
-        if not data:
+        if not data and unreadable is None:
             raise EmptyFile(f"{path} has a header but no data rows")
         values = np.empty((len(data), len(header)))
         for j, row in enumerate(data, start=1):
@@ -84,6 +99,8 @@ def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
         if bad.size:
             j, c = bad[0]
             raise NonNumericCell(int(j) + 1, header[c], data[j][c])
+        if unreadable is not None:
+            raise unreadable
     variables = ["y"] + [f"x{i}" for i in range(1, k + 1)]
     first, second = values[:, 0::2], values[:, 1::2]
     if fmt == FORMAT_MIDSPR:

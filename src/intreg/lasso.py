@@ -25,12 +25,14 @@ once per path, and the penalty moves the midpoint LCP along Lemke's covering
 vector, so one Lemke run walks the whole midpoint grid.  The penalty enters
 the spread QP's linear term alone, so the spread grid is walked by exact
 active-set continuation (the spread block's one solver, in
-:mod:`intreg.least_squares`): each point is first solved on the binding
-rows of the last breakpoint and kept only when its slacks, multipliers and
-KKT residuals over every constraint row pass; Lemke runs only where the set
-of binding rows changes.  Every grid point is still checked on its own (the
-midpoint subgradient-gap test and zero snap; the spread QP's certificate
-against every row), and a single fit is the one-point grid.
+:mod:`intreg.least_squares`): the points after a breakpoint are solved
+together on its binding rows, and the leading run whose slacks,
+multipliers and KKT residuals over every constraint row pass is kept;
+Lemke runs only where the set of binding rows changes.  Every grid point is
+still checked on its own (the midpoint subgradient-gap test and zero snap;
+the spread QP's certificate against every row), and a single fit is the
+one-point grid.  Each fold hands its fits over as one stack per block, so
+its held-out errors for the whole grid are one matrix product per block.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .least_squares import (
     METHOD_LASSO,
     FitResult,
     _fit_result,
-    _msd_arrays,
     _spr_path,
     estimate_intercept,
     ols_mid,
@@ -210,15 +211,16 @@ def _cv_errors(
     tau: float,
     folds: int,
     seed: int,
-    fit_grid: Callable[[DesignSystem], Iterable[tuple[np.ndarray, np.ndarray]]],
+    fit_grid: Callable[[DesignSystem], tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
     """Held-out weighted squared errors, one row per fold, one column per grid point.
 
     Folds are a seeded pseudorandom partition of the rows of
     ``design.sample``.  ``fit_grid`` receives each fold's training design and
-    yields the midpoint and spread blocks ``(a_m, a_s)`` fitted at every grid
-    point; the intercept comes from the training means, as in the
-    full-sample fits.
+    returns the midpoint and spread blocks fitted at every grid point as two
+    stacks ``(A_m, A_s)``, one row per point; the intercept comes from the
+    training means, as in the full-sample fits.  A fold's held-out
+    predictions for the whole grid are one matrix product per block.
     """
     sample = design.sample
     n = sample.n
@@ -234,14 +236,12 @@ def _cv_errors(
         train = build_design(sample.subset(train_rows), design.variant)
         test = sample.subset(held)
         mid_side, spr_side = regressor_blocks(test, design.variant)
-        row = []
-        for a_m, a_s in fit_grid(train):
-            delta_mid = train.mean_y.mid - float(train.mean_mid_xebl @ a_m)
-            delta_spr = train.mean_y.spr - float(train.mean_spr_xebl @ a_s)
-            mid_hat = mid_side @ a_m + delta_mid
-            spr_hat = spr_side @ a_s + delta_spr
-            row.append(_msd_arrays(test.mid_y - mid_hat, test.spr_y - spr_hat, tau))
-        errors.append(row)
+        A_m, A_s = fit_grid(train)
+        delta_mid = train.mean_y.mid - A_m @ train.mean_mid_xebl
+        delta_spr = train.mean_y.spr - A_s @ train.mean_spr_xebl
+        res_mid = test.mid_y - (A_m @ mid_side.T + delta_mid[:, None])
+        res_spr = test.spr_y - (A_s @ spr_side.T + delta_spr[:, None])
+        errors.append(np.mean((1.0 - tau) * res_mid**2 + tau * res_spr**2, axis=1))
     return np.array(errors)
 
 
@@ -270,15 +270,16 @@ def cross_validate(
     grids = [lambda_grid(design, count, ratio, block) for block in blocks]
 
     def fit_grid(train: DesignSystem):
+        A_m, A_s = [], []
         for block, lambdas in zip(blocks, grids):
+            # the other block is held at its least-squares fit on the fold
             if block == BLOCK_MID:
-                a_s, _ = solve_spread_block(train, tau)
-                for a_m, _ in _mid_fits(train, lambdas):
-                    yield a_m, a_s
+                A_s += [solve_spread_block(train, tau)[0]] * lambdas.size
+                A_m += [a_m for a_m, _ in _mid_fits(train, lambdas)]
             else:
-                a_m, _ = ols_mid(train)
-                for a_s, _ in _spr_path(train, lambdas, tau):
-                    yield a_m, a_s
+                A_m += [ols_mid(train)[0]] * lambdas.size
+                A_s += [a_s for a_s, _ in _spr_path(train, lambdas, tau)]
+        return np.array(A_m), np.array(A_s)
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)
     paths = []

@@ -200,8 +200,9 @@ def select_budget(
         raise ValueError("the budget grid must be nonempty")
 
     def fit_grid(train: DesignSystem):
-        for a_m, a_a, _ in _budget_path(train, tau, grid):
-            yield a_m, a_m + a_a
+        fits = list(_budget_path(train, tau, grid))
+        A_m = np.array([a_m for a_m, _, _ in fits])
+        return A_m, A_m + np.array([a_a for _, a_a, _ in fits])
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)
     return grid[int(np.argmin(errors.mean(axis=0)))]

@@ -39,11 +39,13 @@ where that set changes, it runs the working-set Lemke solve, started at the
 last breakpoint's active set with one Cholesky factor of the shared
 Hessian, then factors the KKT equality matrix of the iterate's active set
 once (a minimum-norm pseudo-inverse from one singular value decomposition)
-and polishes with it, which removes the ridge bias of pivoting.  Each grid
-point that follows is solved on that set by one matrix-vector product and
-kept only when every slack and multiplier has the right sign and its KKT
-residuals over every row pass.  Every point is certified against every row;
-a single program is the one-point grid.
+and polishes with it, which removes the ridge bias of pivoting.  The grid
+points that follow are solved on that set together, one per row of a stack
+and in one matrix product, and certified as a stack; the leading run of
+points whose slacks and multipliers have the right sign and whose KKT
+residuals over every row pass is kept, and the first that fails is the
+next breakpoint.  Every point is certified against every row; a single
+program is the one-point grid.
 """
 
 from __future__ import annotations
@@ -325,15 +327,18 @@ def _constraints_feasible(R: np.ndarray, r: np.ndarray) -> bool:
 
 
 def _kkt(Q: np.ndarray, c: np.ndarray, R: np.ndarray, z: np.ndarray, lam: np.ndarray,
-         slack: np.ndarray) -> dict[str, float]:
+         slack: np.ndarray) -> dict[str, float | np.ndarray]:
     """Worst stationarity, feasibility and complementarity residuals of
-    ``(z, lam)`` for the QP ``(Q, c, R, r)``, given the slack ``Rz - r``."""
-    grad = Q @ z + c - R.T @ lam
-    return {
-        "kkt_stationarity": float(np.max(np.abs(grad), initial=0.0)),
-        "kkt_feasibility": max(0.0, -float(np.min(slack, initial=0.0))),
-        "kkt_complementarity": float(np.max(np.abs(lam * slack), initial=0.0)),
+    ``(z, lam)`` for the QP ``(Q, c, R, r)``, given the slack ``Rz - r``.  A
+    stack of points, one per row of ``c``, ``z``, ``lam`` and ``slack``,
+    gives one residual per row."""
+    grad = (Q @ z.T).T + c - (R.T @ lam.T).T
+    kkt = {
+        "kkt_stationarity": np.max(np.abs(grad), axis=-1, initial=0.0),
+        "kkt_feasibility": np.fmax(0.0, -np.min(slack, axis=-1, initial=0.0)),
+        "kkt_complementarity": np.max(np.abs(lam * slack), axis=-1, initial=0.0),
     }
+    return {key: float(value) for key, value in kkt.items()} if z.ndim == 1 else kkt
 
 
 def _kkt_score(kkt: dict[str, float], lam: np.ndarray) -> float:
@@ -376,13 +381,14 @@ def _active_set_solve(pinv: np.ndarray, c: np.ndarray, r: np.ndarray,
     (:func:`_kkt_factor`).
 
     Returns the primal point and the multipliers on every row (zero off the
-    active set).
+    active set).  A stack of programs, one ``(c, r)`` per row, is solved in
+    one matrix product and gives one point and one multiplier vector per row.
     """
-    m = c.size
-    sol = pinv @ np.concatenate([-c, r[active]])
-    lam = np.zeros(r.size)
-    lam[active] = -sol[m:]
-    return sol[:m], lam
+    m = c.shape[-1]
+    sol = (pinv @ np.concatenate([-c, r[..., active]], axis=-1).T).T
+    lam = np.zeros(r.shape)
+    lam[..., active] = -sol[..., m:]
+    return sol[..., :m], lam
 
 
 def _solve_qp_full(qp: Qp, work: Sequence[int] = (),
@@ -445,33 +451,30 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
     affine in ``theta``, so is the solution on a fixed active set, and
     neighbouring grid points mostly share it.
 
-    Each point is first solved on the active set of the last breakpoint,
-    through the pseudo-inverse of that set's KKT matrix, and kept when every
+    After each breakpoint, every later grid point is solved on that
+    breakpoint's active set in one matrix product, through the
+    pseudo-inverse of the set's KKT matrix.  A point is kept when every
     slack passes the working-set loop's ``>= -1e-12 (1 + |r|)`` test, every
     multiplier is nonnegative and its KKT residuals over every row are
-    within ``1e-8 (1 + rows)``.  A point where that fails is a breakpoint,
-    solved by :func:`_solve_qp_full` with the working set started at the
-    last breakpoint's active set and the Hessian factored once for the whole
+    within ``1e-8 (1 + rows)``; the points before the first one that fails
+    are kept, and that one is the next breakpoint.  A breakpoint is solved
+    by :func:`_solve_qp_full` with the working set started at the last
+    breakpoint's active set and the Hessian factored once for the whole
     path.  The rows that bind Lemke's iterate (:func:`_active_rows`) become
     the new active set; its KKT matrix is factored once, and the equality
     solve on it (the polish) replaces the iterate when its multipliers are
     nonnegative up to ``1e-8`` of their scale (the small negative ones are
     clipped to 0) and its worst residual is no larger than the iterate's.
     """
-    factor = active = pinv = None
-    for theta in thetas:
-        c, r = terms(theta)
-        if active is not None:
-            z, lam = _active_set_solve(pinv, c, r, active)
-            slack = R @ z - r
-            if np.all(slack >= -1e-12 * (1.0 + np.abs(r))) and np.all(lam >= 0.0):
-                kkt = _kkt(Q, c, R, z, lam, slack)
-                if all(value <= 1e-8 * (1.0 + R.shape[0]) for value in kkt.values()):
-                    yield z, lam, {"ridge_used": float(factor[1]), "lemke_pivots": 0.0, **kkt}
-                    continue
-        if factor is None:
-            factor = _ridge_factor(Q)
-        z, lam, info = _solve_qp_full(Qp(Q, c, R, r), work=() if active is None else active, factor=factor)
+    points = [terms(theta) for theta in thetas]
+    if not points:
+        return
+    C, RHS = np.array([c for c, _ in points]), np.array([r for _, r in points])
+    bound = 1e-8 * (1.0 + R.shape[0])
+    factor, active, i = _ridge_factor(Q), (), 0
+    while i < len(points):
+        c, r = C[i], RHS[i]
+        z, lam, info = _solve_qp_full(Qp(Q, c, R, r), work=active, factor=factor)
         kkt = _kkt(Q, c, R, z, lam, R @ z - r)
         active, scale = _active_rows(lam)
         pinv = _kkt_factor(Q, R, active)
@@ -483,6 +486,21 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
                 z, lam, kkt = z_p, lam_p, kkt_p
         info.update(kkt)
         yield z, lam, info
+        i += 1
+        if i == len(points):
+            return
+        # the later points on this active set, as one stack
+        Z, LAM = _active_set_solve(pinv, C[i:], RHS[i:], active)
+        slack = (R @ Z.T).T - RHS[i:]
+        kkt = _kkt(Q, C[i:], R, Z, LAM, slack)
+        ok = np.all(slack >= -1e-12 * (1.0 + np.abs(RHS[i:])), axis=1) & np.all(LAM >= 0.0, axis=1)
+        for value in kkt.values():
+            ok &= value <= bound
+        run = ok.size if ok.all() else int(np.argmin(ok))
+        for j in range(run):
+            yield Z[j], LAM[j], {"ridge_used": float(factor[1]), "lemke_pivots": 0.0,
+                                 **{key: float(value[j]) for key, value in kkt.items()}}
+        i += run
 
 
 def solve_qp(qp: Qp) -> np.ndarray:

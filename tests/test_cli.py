@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -236,6 +237,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error code=InvertedInterval detail=invalid interval for 'x1' at data row 2: {detail}\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_cell_over_the_csv_field_limit_is_one_error_line(self, tmp_path, capsys, recwarn):
+        # the later bad row sends the file to the csv row loop, where the
+        # long cell of data row 2 is over the csv module's field size limit
+        path = tmp_path / "long.csv"
+        long = "0." + "0" * csv.field_size_limit() + "1"
+        path.write_text(f"mid_y,spr_y,mid_x1,spr_x1\n1,0.5,2,0.25\n{long},0.5,2,0.25\n1,x,2,0.25\n")
+        code = main(["--input-path", str(path), "--method", "ls"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error code=MalformedHeader detail=data row 2 cannot be read: "
+                       f"field larger than field limit ({csv.field_size_limit()})\n")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_solver_failure_is_one_error_line(self, monkeypatch, capsys):

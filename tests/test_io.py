@@ -15,6 +15,10 @@ from intreg.io import expected_header
 from conftest import random_sample
 
 
+# a data row whose first cell is over the csv module's field size limit
+LONG_ROW = "0." + "0" * csv.field_size_limit() + "1,0.5,2,0.25"
+
+
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
 
@@ -100,6 +104,10 @@ class TestIngest:
         (dict.fromkeys(range(1, 8), "1,0.5,2,0.25,9"), MalformedHeader, "data row 1 has 5 cells, expected 4"),
         ({2: "1,0.5,2,-0.25", 3: "1,-0.5,2,0.25"}, InvertedInterval,
          "invalid interval for 'x1' at data row 2: negative spread -0.25"),
+        ({2: LONG_ROW, 4: "1,x,2,0.25"}, MalformedHeader,
+         f"data row 2 cannot be read: field larger than field limit ({csv.field_size_limit()})"),
+        ({1: "1,0.5,x,0.25", 3: LONG_ROW}, NonNumericCell, "non-numeric value 'x' at data row 1, column 'mid_x1'"),
+        ({2: "1,0.5,2", 5: LONG_ROW}, MalformedHeader, "data row 2 has 3 cells, expected 4"),
     ])
     def test_first_bad_row_in_file_order_is_named(self, tmp_path, bad, error, message):
         p = tmp_path / "s.csv"
@@ -144,6 +152,12 @@ class TestIngest:
         with pytest.raises(NonNumericCell) as exc:
             ingest(p, FORMAT_MIDSPR)
         assert str(exc.value) == "non-numeric value 'Infinity' at data row 2, column 'mid_x1'"
+
+    def test_header_over_the_csv_field_limit_is_named(self, tmp_path):
+        p = tmp_path / "s.csv"
+        write_lines(p, ["mid_y,spr_y,mid_x1," + "s" * (csv.field_size_limit() + 1), "1,0.5,2,0.25"])
+        with pytest.raises(MalformedHeader, match="^the header cannot be read: field larger than field limit"):
+            ingest(p, FORMAT_MIDSPR)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("row, want", [

@@ -536,3 +536,74 @@ class TestPathwiseCrossValidation:
                             lambda lcp_, ts: (np.zeros((ts.size, lcp_.dim)), np.ones(ts.size, dtype=bool)))
         with pytest.raises(SubgradientGap):
             cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)
+
+
+def per_point_cv_errors(design, tau, folds, seed, fit_grid):
+    """The held-out error matrix one grid point at a time: per fold and point,
+    the intercept from the training means and the mean weighted squared
+    error of the held-out rows."""
+    from intreg.design import regressor_blocks
+    from intreg.least_squares import _msd_arrays
+
+    sample = design.sample
+    errors = []
+    for held in np.array_split(np.random.default_rng(seed).permutation(sample.n), folds):
+        held = np.sort(held)
+        train = build_design(sample.subset(np.setdiff1d(np.arange(sample.n), held)), design.variant)
+        test = sample.subset(held)
+        mid_side, spr_side = regressor_blocks(test, design.variant)
+        row = []
+        for a_m, a_s in zip(*fit_grid(train)):
+            mid_hat = mid_side @ a_m + train.mean_y.mid - float(train.mean_mid_xebl @ a_m)
+            spr_hat = spr_side @ a_s + train.mean_y.spr - float(train.mean_spr_xebl @ a_s)
+            row.append(_msd_arrays(test.mid_y - mid_hat, test.spr_y - spr_hat, tau))
+        errors.append(row)
+    return np.array(errors)
+
+
+class TestCvErrorMatrix:
+    """Each fold's held-out errors for the whole grid come from one matrix
+    product per block, equal to the per-point errors."""
+
+    @staticmethod
+    def capture(monkeypatch, module):
+        # record the fold routine's error matrix and its per-point reference
+        seen = []
+        cv_errors = intreg.lasso._cv_errors
+
+        def record(design, tau, folds, seed, fit_grid):
+            errors = cv_errors(design, tau, folds, seed, fit_grid)
+            seen.append((errors, per_point_cv_errors(design, tau, folds, seed, fit_grid)))
+            return errors
+
+        monkeypatch.setattr(module, "_cv_errors", record)
+        return seen
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_cross_validate_matches_per_point_errors(self, seed, variant, monkeypatch):
+        d = build_design(split_model_sample(seed, 100), variant)
+        seen = self.capture(monkeypatch, intreg.lasso)
+        paths = cross_validate(d, 0.5, folds=5, seed=0, count=100)
+        (errors, reference), = seen
+        assert errors.shape == reference.shape == (5, 200)
+        assert np.max(np.abs(errors - reference) / reference) <= 1e-13
+        for path, block_errors in zip(paths, np.split(reference, 2, axis=1)):
+            cv_mean = block_errors.mean(axis=0)
+            cv_stderr = block_errors.std(axis=0, ddof=1) / np.sqrt(5)
+            best = int(np.argmin(cv_mean))
+            assert path.lambda_mse == path.lambdas[best]
+            assert path.lambda_1se == path.lambdas[np.flatnonzero(cv_mean <= cv_mean[best] + cv_stderr[best])[0]]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_select_budget_matches_per_point_errors(self, seed, monkeypatch):
+        import intreg.lasso_ir
+
+        d = build_design(split_model_sample(seed, 100), "full")
+        seen = self.capture(monkeypatch, intreg.lasso_ir)
+        grid = intreg.lasso_ir.default_budget_grid(d)
+        t = select_budget(d, 0.5, folds=5, seed=0)
+        (errors, reference), = seen
+        assert errors.shape == reference.shape == (5, len(grid))
+        assert np.max(np.abs(errors - reference) / reference) <= 1e-13
+        assert t == grid[int(np.argmin(reference.mean(axis=0)))]

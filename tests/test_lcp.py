@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import intreg.lasso as lasso
 import intreg.lasso_ir as lasso_ir
 import intreg.lcp as lcp
 import intreg.least_squares as least_squares
@@ -425,6 +426,78 @@ class TestQpPath:
             assert breakpoints[0][0].size == 0
             for (_, last), (work, _) in zip(breakpoints, breakpoints[1:]):
                 assert np.array_equal(work, last)
+
+    @pytest.mark.parametrize("path", ["spread", "budget"])
+    def test_one_stacked_solve_per_breakpoint(self, path, monkeypatch):
+        # the points after a breakpoint are solved in one stacked call; the
+        # only one-point solves are the breakpoints' polishes
+        design = build_design(split_model_sample(1, 100), "full")
+        solve, stacked, single = lcp._active_set_solve, [], []
+
+        def record(pinv, c, r, active):
+            (stacked if c.ndim == 2 else single).append(len(c))
+            return solve(pinv, c, r, active)
+
+        monkeypatch.setattr(lcp, "_active_set_solve", record)
+        calls = record_qp_solves(monkeypatch)
+        if path == "spread":
+            grid = lasso.lambda_grid(design, 100, 1e-3, "spr")
+            points = list(least_squares._spr_path(design, grid, 0.5))
+        else:
+            grid = lasso_ir.default_budget_grid(design)
+            points = list(lasso_ir._budget_path(design, 0.5, grid))
+        assert len(points) == len(grid)
+        assert 1 < len(calls) < len(grid) // 2
+        assert len(single) == len(calls)
+        assert len(stacked) <= len(calls)
+
+
+class TestStackedHelpers:
+    """A stack of programs, one per row, gives the one-program results row by
+    row, and the same continuation decisions."""
+
+    @staticmethod
+    def accepted(R, r, lam, slack, kkt):
+        # the three tests of a continuation step in lcp._qp_path
+        bound = 1e-8 * (1.0 + R.shape[0])
+        return bool(np.all(slack >= -1e-12 * (1.0 + np.abs(r))) and np.all(lam >= 0.0)
+                    and all(value <= bound for value in kkt.values()))
+
+    def test_stack_equals_rows(self, rng):
+        thetas = np.linspace(0.0, 3.0, 60)
+        decisions = []
+        for _ in range(5):
+            qp, terms = affine_family(rng)
+            C = np.array([terms(theta)[0] for theta in thetas])
+            RHS = np.array([terms(theta)[1] for theta in thetas])
+            for theta in (0.0, 1.5, 3.0):
+                # the active set of a breakpoint at theta
+                c, r = terms(theta)
+                _, lam, _ = one_point_path(Qp(qp.Q, c, qp.R, r))
+                active = lcp._active_rows(lam)[0]
+                pinv = lcp._kkt_factor(qp.Q, qp.R, active)
+                Z, LAM = lcp._active_set_solve(pinv, C, RHS, active)
+                SLACK = (qp.R @ Z.T).T - RHS
+                KKT = lcp._kkt(qp.Q, C, qp.R, Z, LAM, SLACK)
+                for i, (c, r) in enumerate(zip(C, RHS)):
+                    z, lam = lcp._active_set_solve(pinv, c, r, active)
+                    scale = np.max(np.abs(pinv)) * (np.max(np.abs(c)) + np.max(np.abs(r)))
+                    assert np.max(np.abs(Z[i] - z)) <= 1e-14 * scale
+                    assert np.max(np.abs(LAM[i] - lam)) <= 1e-14 * scale
+                    assert np.array_equal(LAM[i] == 0.0, lam == 0.0)
+                    slack = qp.R @ z - r
+                    kkt = lcp._kkt(qp.Q, c, qp.R, z, lam, slack)
+                    # the residuals of the stacked point itself, one at a time
+                    row = lcp._kkt(qp.Q, c, qp.R, Z[i], LAM[i], SLACK[i])
+                    terms_scale = 1.0 + max(np.max(np.abs(v)) for v in (qp.Q @ Z[i], c, qp.R.T @ LAM[i]))
+                    for key, value in row.items():
+                        assert isinstance(value, float)
+                        assert abs(KKT[key][i] - value) <= 1e-14 * terms_scale
+                    decision = self.accepted(qp.R, r, lam, slack, kkt)
+                    assert self.accepted(qp.R, r, LAM[i], SLACK[i], {k: v[i] for k, v in KKT.items()}) == decision
+                    decisions.append(decision)
+        # both decisions occur
+        assert 0 < sum(decisions) < len(decisions)
 
 
 def kkt_matrix(Q, A):
