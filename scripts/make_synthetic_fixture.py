@@ -11,10 +11,20 @@ optimality certificates before being written:
 * the budgeted-offset fit against its KKT certificate.
 
 Run from the repository root:  python scripts/make_synthetic_fixture.py
+
+With ``--check`` nothing under ``tests/fixtures`` is written: the fixture is
+regenerated in a temporary directory, the CSV must equal the committed one
+byte for byte, and the expected results must carry the same fits, keys and
+settings (seed, noise, penalties, budget).  Their fitted numbers are left to
+the acceptance suite's 1e-9 gate: the committed file was written by older
+code, and regenerating it moves their last digits by about 1e-15.  Exits 1
+otherwise.
 """
 
+import argparse
 import json
 import sys
+import tempfile
 from itertools import product
 from pathlib import Path
 
@@ -31,7 +41,6 @@ from intreg import (  # noqa: E402
     fit_lasso_ir,
     fit_ls,
     simulate,
-    to_fit_result,
     write_sample,
 )
 from intreg.lasso import fit_lasso_mid, fit_lasso_spr, lambda_grid  # noqa: E402
@@ -48,7 +57,10 @@ T_BUDGET = 0.10
 
 FIXTURE_DIR = ROOT / "tests" / "fixtures"
 CSV_PATH = FIXTURE_DIR / "synthetic59.csv"
-EXPECTED_PATH = FIXTURE_DIR / "synthetic59_expected.json"
+CSV_NAME = "synthetic59.csv"
+EXPECTED_NAME = "synthetic59_expected.json"
+# per-fit numbers that the acceptance suite checks to 1e-9
+FITTED_FIELDS = ("b1", "b2", "b3", "b4", "delta_mid", "delta_spr", "mse")
 
 
 def sign_pattern_lasso(F, v, lam):
@@ -85,7 +97,9 @@ def check(label, a, b, tol):
         raise SystemExit(f"verification failed for {label}")
 
 
-def main():
+def generate(out_dir: Path) -> None:
+    """Write the sample and its verified expected results under ``out_dir``."""
+    csv_path, expected_path = out_dir / CSV_NAME, out_dir / EXPECTED_NAME
     b_true = Coefficients(
         b1=[1.3, -0.6],
         b2=[0.9, 0.25],
@@ -94,9 +108,9 @@ def main():
         delta=Interval(0.4, 0.3),
     )
     sample = simulate(N, K, b_true, noise=NOISE, seed=SEED)
-    FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
-    write_sample(sample, CSV_PATH, FORMAT_MIDSPR)
-    print(f"wrote {CSV_PATH}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_sample(sample, csv_path, FORMAT_MIDSPR)
+    print(f"wrote {csv_path}")
 
     expected = {
         "seed": SEED,
@@ -155,13 +169,49 @@ def main():
     print(f"  budgeted offset: kkt stationarity {stat:.3e}, complementarity {comp:.3e}")
     if stat > 1e-8 or comp > 1e-8:
         raise SystemExit("budgeted-offset fit failed its optimality certificate")
-    if np.sum(np.abs(ir.a_a)) > T_BUDGET + 1e-10:
+    if ir.diagnostics["budget_used"] > T_BUDGET + 1e-10:
         raise SystemExit("budget certificate violated")
-    record("lasso-ir_model-m", to_fit_result(design_m, ir, TAU), {"t": T_BUDGET})
+    record("lasso-ir_model-m", ir, {"t": T_BUDGET})
 
-    EXPECTED_PATH.write_text(json.dumps(expected, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {EXPECTED_PATH}")
+    expected_path.write_text(json.dumps(expected, sort_keys=True, indent=2) + "\n")
+    print(f"wrote {expected_path}")
+
+
+def settings(expected: dict) -> dict:
+    """The expected results with each fit's fitted numbers blanked (keys kept)."""
+    fits = {name: {key: None if key in FITTED_FIELDS else value for key, value in fit.items()}
+            for name, fit in expected["fits"].items()}
+    return {**expected, "fits": fits}
+
+
+def check_committed() -> int:
+    """Regenerate in a temporary directory and compare with the committed fixture."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp)
+        generate(out_dir)
+        failures = []
+        if (out_dir / CSV_NAME).read_bytes() != (FIXTURE_DIR / CSV_NAME).read_bytes():
+            failures.append(f"{CSV_NAME} differs from the committed file")
+        got = json.loads((out_dir / EXPECTED_NAME).read_text())
+        want = json.loads((FIXTURE_DIR / EXPECTED_NAME).read_text())
+        if settings(got) != settings(want):
+            failures.append(f"{EXPECTED_NAME}: fits, keys or settings differ from the committed file")
+    for failure in failures:
+        print(f"MISMATCH {failure}")
+    print(f"fixture check: {'FAILED' if failures else 'ok'} ({CSV_NAME} byte for byte, "
+          f"{EXPECTED_NAME} fits and settings)")
+    return 1 if failures else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare a regenerated fixture with the committed one; write nothing")
+    if parser.parse_args().check:
+        return check_committed()
+    generate(FIXTURE_DIR)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

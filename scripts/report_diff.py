@@ -19,7 +19,8 @@ midpoint block's per-point solves and one-run paths.
 
 Prints every report field that moved, with its relative size
 ``|new - old| / max(|old|, |new|)``, every run whose exit code or stderr
-moved, and both trees' Lemke totals.  Exits 1 when anything moved beyond the
+moved, both trees' Lemke totals, and the runs whose QP or midpoint Lemke
+calls or pivots differ.  Exits 1 when anything moved beyond the
 ``--allow FIELD=REL`` tolerances (a field is named by its last key), 0
 otherwise.
 
@@ -153,10 +154,11 @@ def compare(old: dict, new: dict, allow: dict[str, float]) -> int:
     for tree, results in (("old", old), ("new", new)):
         totals = sum((Counter(r["counts"]) for r in results.values()), Counter())
         print(f"{tree} tree: " + ", ".join(f"{key} {totals[key]}" for key in sorted(totals)))
-    qp_keys = ("qp_lemke_solve_calls", "qp_pivots")
-    differ = [label for label in old if any(old[label]["counts"].get(k, 0) != new[label]["counts"].get(k, 0)
-                                            for k in qp_keys)]
-    print(f"runs whose QP Lemke calls or pivots differ: {len(differ)}", *differ[:20])
+    for block, keys in (("QP", ("qp_lemke_solve_calls", "qp_pivots")),
+                        ("midpoint", ("mid_lemke_path_calls", "mid_lemke_solve_calls", "mid_pivots"))):
+        differ = [label for label in old if any(old[label]["counts"].get(k, 0) != new[label]["counts"].get(k, 0)
+                                                for k in keys)]
+        print(f"runs whose {block} Lemke calls or pivots differ: {len(differ)}", *differ[:20])
     return 1 if refused else 0
 
 

@@ -38,7 +38,7 @@ from .lasso import (
     fit_lasso_spr,
     lambda_grid,
 )
-from .lasso_ir import LassoIrFit, fit_lasso_ir, select_budget, to_fit_result
+from .lasso_ir import fit_lasso_ir, select_budget
 from .lcp import Lcp, LcpSolution, Qp, lemke_solve, qp_to_lcp, solve_qp
 from .least_squares import (
     FitResult,
@@ -60,7 +60,6 @@ __all__ = [
     "FitResult",
     "Interval",
     "IntervalSample",
-    "LassoIrFit",
     "LassoPath",
     "Lcp",
     "LcpSolution",
@@ -93,7 +92,6 @@ __all__ = [
     "select_budget",
     "simulate",
     "solve_qp",
-    "to_fit_result",
     "validate_tau",
     "write_sample",
 ]

@@ -21,7 +21,7 @@ from .design import VARIANT_FULL, VARIANTS, build_design
 from .errors import IntregError
 from .intervals import validate_tau
 from .lasso import RULE_MSE, RULES, fit_lasso
-from .lasso_ir import fit_lasso_ir, select_budget, to_fit_result
+from .lasso_ir import fit_lasso_ir
 from .least_squares import (
     METHOD_LASSO,
     METHOD_LASSO_IR,
@@ -122,10 +122,7 @@ def _execute(config: RunConfig) -> tuple[FitResult, object]:
             lambda_spr=config.lambda_spr,
         )
     else:
-        t = config.t_budget
-        if t is None:
-            t = select_budget(design, tau=config.tau, folds=config.folds, seed=config.seed)
-        result = to_fit_result(design, fit_lasso_ir(design, config.tau, t), config.tau)
+        result = fit_lasso_ir(design, config.tau, config.t_budget, config.folds, config.seed)
     return result, sample
 
 

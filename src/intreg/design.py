@@ -16,7 +16,7 @@ coefficients to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +27,9 @@ from .intervals import Interval, IntervalSample
 VARIANT_FULL = "full"
 VARIANT_MODEL_M = "model-m"
 VARIANTS = (VARIANT_FULL, VARIANT_MODEL_M)
+
+# spread coefficients this far below zero are rejected; closer ones are clipped
+_NONNEG_TOL = 1e-9
 
 
 def validate_variant(variant: str) -> str:
@@ -167,7 +170,6 @@ class Coefficients:
         variant: str,
         k: int,
         check_nonneg: bool = True,
-        tol: float = 1e-9,
     ) -> "Coefficients":
         """Assemble from the stacked midpoint-side and spread-side solutions."""
         validate_variant(variant)
@@ -184,7 +186,7 @@ class Coefficients:
             b1, b4 = a_m, np.zeros(k)
             b2, b3 = a_s, np.zeros(k)
         if check_nonneg:
-            if np.min(b2, initial=0.0) < -tol or np.min(b3, initial=0.0) < -tol:
+            if np.min(b2, initial=0.0) < -_NONNEG_TOL or np.min(b3, initial=0.0) < -_NONNEG_TOL:
                 raise ValueError("spread coefficients must be nonnegative")
             b2 = np.maximum(b2, 0.0)
             b3 = np.maximum(b3, 0.0)
@@ -203,9 +205,6 @@ class Coefficients:
         if variant == VARIANT_FULL:
             return np.concatenate([self.b2, self.b3])
         return self.b2.copy()
-
-    def with_delta(self, delta: Interval) -> "Coefficients":
-        return replace(self, delta=delta)
 
 
 def predict(coefs: Coefficients, x: Sequence[Interval]) -> Interval:

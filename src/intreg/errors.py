@@ -33,10 +33,6 @@ class DegenerateSample(IntregError):
     """Too few observations to build a centered design."""
 
 
-class DegenerateDesign(IntregError):
-    """A design matrix is rank deficient beyond what a fit can absorb."""
-
-
 class SingularQ(IntregError):
     """A quadratic form is numerically singular even after regularization."""
 

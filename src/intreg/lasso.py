@@ -42,9 +42,9 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .design import Coefficients, DesignSystem, build_design, regressor_blocks
+from .design import DesignSystem, build_design, regressor_blocks
 from .errors import FoldTooSmall, RayTermination, SubgradientGap
-from .intervals import DEFAULT_TAU, Interval, validate_tau
+from .intervals import DEFAULT_TAU, validate_tau
 from .lcp import SOLVED, Lcp, _lemke_path, lemke_solve
 from .least_squares import (
     METHOD_LASSO,
@@ -334,7 +334,5 @@ def fit_lasso(
     a_s, spr_info = solve_spread_block(design, tau, lambda_spr)
     diagnostics["mid_kkt_gap"] = mid_gap
     diagnostics.update(spr_info)
-    coefs = Coefficients.from_blocks(a_m, a_s, Interval(0.0, 0.0), design.variant, design.k)
-    coefs = coefs.with_delta(estimate_intercept(design, coefs))
-    return _fit_result(design, coefs, a_m, a_s, tau, METHOD_LASSO, lambda_mid=lambda_mid,
-                       lambda_spr=lambda_spr, diagnostics=diagnostics)
+    return _fit_result(design, a_m, a_s, estimate_intercept(design, a_m, a_s), tau, METHOD_LASSO,
+                       lambda_mid=lambda_mid, lambda_spr=lambda_spr, diagnostics=diagnostics)

@@ -19,41 +19,15 @@ single fit is the one-point budget grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .design import Coefficients, DesignSystem
+from .design import DesignSystem
 from .intervals import DEFAULT_TAU, Interval, validate_tau
 from .lasso import _cv_errors
 from .lcp import Qp, _qp_path
 from .least_squares import METHOD_LASSO_IR, FitResult, _fit_result, ols_mid
-
-
-@dataclass
-class LassoIrFit:
-    """Budgeted-offset fit: midpoint block, offset, and honesty flags.
-
-    ``fitted_spr_nonneg`` records whether all fitted spreads (intercept
-    included) are nonnegative on the sample; ``hukuhara_residuals_exist``
-    records whether every interval residual exists.  ``delta_spr`` may be
-    negative, which is exactly the ill-definedness the flags expose.
-    """
-
-    a_m: np.ndarray
-    a_a: np.ndarray
-    t: float
-    fitted_spr_nonneg: bool
-    hukuhara_residuals_exist: bool
-    delta_mid: float
-    delta_spr: float
-    objective: float
-    diagnostics: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def a_s(self) -> np.ndarray:
-        return self.a_m + self.a_a
 
 
 def _joint_qp(design: DesignSystem, tau: float, t: float) -> Qp:
@@ -91,57 +65,35 @@ def _joint_qp(design: DesignSystem, tau: float, t: float) -> Qp:
     return Qp(Q, c, R, r)
 
 
-def fit_lasso_ir(design: DesignSystem, tau: float = DEFAULT_TAU, t: float = 0.0) -> LassoIrFit:
-    """Fit the budgeted-offset estimator at a fixed budget, the one-point
-    budget grid.
+def fit_lasso_ir(design: DesignSystem, tau: float = DEFAULT_TAU, t: Optional[float] = None,
+                 folds: int = 5, seed: int = 0) -> FitResult:
+    """Fit the budgeted-offset estimator at budget ``t``, the one-point
+    budget grid; without ``t``, at the budget :func:`select_budget` picks
+    on ``folds`` and ``seed``.
 
     With ``t = 0`` the offset is identically zero, so the spread coefficients
-    equal the midpoint coefficients exactly.
+    equal the midpoint coefficients exactly.  Nothing bounds the fitted
+    spreads by the observed ones, so the diagnostics flag the consequences:
+    ``fitted_spr_nonneg`` and ``hukuhara_residuals_exist`` (1 or 0), with
+    ``fitted_spr_min``, the offset's L1 norm ``budget_used`` and the raw
+    spread intercept ``delta_spr_raw``.  The error is measured on the raw
+    fitted spreads; the reported intercept and fitted spreads are clamped.
     """
     tau = validate_tau(tau)
-    t = float(t)
+    t = select_budget(design, tau, folds=folds, seed=seed) if t is None else float(t)
     a_m, a_a, info = next(_budget_path(design, tau, [t]))
     a_s = a_m + a_a
     delta_mid = design.mean_y.mid - float(design.mean_mid_xebl @ a_m)
     delta_spr = design.mean_y.spr - float(design.mean_spr_xebl @ a_s)
     fitted_spr = design.gamma_matrix @ a_s + delta_spr
-    objective = float(
-        (1.0 - tau) * np.sum((design.vm - design.fm @ a_m) ** 2)
-        + tau * np.sum((design.vs - design.fs @ a_s) ** 2)
-    )
     diagnostics = dict(info)
     diagnostics["budget_used"] = float(np.sum(np.abs(a_a)))
     diagnostics["fitted_spr_min"] = float(np.min(fitted_spr))
-    return LassoIrFit(
-        a_m=a_m,
-        a_a=a_a,
-        t=t,
-        fitted_spr_nonneg=bool(np.all(fitted_spr >= -1e-9)),
-        hukuhara_residuals_exist=bool(np.all(design.sample.spr_y - fitted_spr >= -1e-9)),
-        delta_mid=delta_mid,
-        delta_spr=delta_spr,
-        objective=objective,
-        diagnostics=diagnostics,
-    )
-
-
-def to_fit_result(design: DesignSystem, fit: LassoIrFit, tau: float = DEFAULT_TAU) -> FitResult:
-    """Package a budgeted-offset fit in the common result shape.
-
-    The error is computed from the raw fitted spreads even when some are
-    negative; the reported fitted spreads are clamped at zero and the flags
-    record that this happened.
-    """
-    tau = validate_tau(tau)
-    a_s = fit.a_s
-    delta = Interval(fit.delta_mid, max(0.0, fit.delta_spr))
-    coefs = Coefficients.from_blocks(fit.a_m, a_s, delta, design.variant, design.k, check_nonneg=False)
-    diagnostics = dict(fit.diagnostics)
-    diagnostics["fitted_spr_nonneg"] = float(fit.fitted_spr_nonneg)
-    diagnostics["hukuhara_residuals_exist"] = float(fit.hukuhara_residuals_exist)
-    diagnostics["delta_spr_raw"] = fit.delta_spr
-    return _fit_result(design, coefs, fit.a_m, a_s, tau, METHOD_LASSO_IR, t_budget=fit.t,
-                       diagnostics=diagnostics)
+    diagnostics["fitted_spr_nonneg"] = float(np.all(fitted_spr >= -1e-9))
+    diagnostics["hukuhara_residuals_exist"] = float(np.all(design.sample.spr_y - fitted_spr >= -1e-9))
+    diagnostics["delta_spr_raw"] = delta_spr
+    return _fit_result(design, a_m, a_s, Interval(delta_mid, max(0.0, delta_spr)), tau, METHOD_LASSO_IR,
+                       check_nonneg=False, t_budget=t, diagnostics=diagnostics)
 
 
 def default_budget_grid(design: DesignSystem, count: int = 20, ratio: float = 1e-3) -> list[float]:

@@ -391,55 +391,57 @@ def _active_set_solve(pinv: np.ndarray, c: np.ndarray, r: np.ndarray,
     return sol[..., :m], lam
 
 
-def _solve_qp_full(qp: Qp, work: Sequence[int] = (),
+def _solve_qp_full(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray, work: Sequence[int] = (),
                    factor: Optional[tuple[np.ndarray, float]] = None) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Lemke's iterate for a QP: primal point, multipliers and solver
-    diagnostics (``ridge_used``, and ``lemke_pivots`` summed over rounds).
+    """Lemke's iterate for the QP ``(Q, c, R, r)`` of :class:`Qp`, taken as
+    valid float arrays: primal point, multipliers and solver diagnostics
+    (``ridge_used``, and ``lemke_pivots`` summed over rounds).
 
     Constraint generation: starting from the unconstrained minimizer, each
-    round adds up to ``num_vars`` of the most violated rows to a working set
-    and solves the LCP of the working set alone, until no row outside it is
-    violated.  The point carries the ridge bias of the factored Hessian;
-    :func:`_qp_path` polishes it and certifies it against every row.
+    round adds up to one row per variable, the most violated ones, to a
+    working set and solves the LCP of the working set alone, until no row
+    outside it is violated.  The point carries the ridge bias of the
+    factored Hessian; :func:`_qp_path` polishes it and certifies it against
+    every row.
 
     ``work`` names rows that start in the working set when the unconstrained
     minimizer is infeasible (a path of related QPs passes the last
     breakpoint's active set); the first round then solves on them before any
     row is added.  If Lemke ray-terminates on such a working set, the
     program is solved again from an empty one.  ``factor`` is the
-    ``(L, ridge)`` pair of :func:`_ridge_factor` for ``qp.Q``, when a path of
+    ``(L, ridge)`` pair of :func:`_ridge_factor` for ``Q``, when a path of
     programs sharing the Hessian has it already.
     """
-    L, ridge = _ridge_factor(qp.Q) if factor is None else factor
+    L, ridge = _ridge_factor(Q) if factor is None else factor
     info = {"ridge_used": float(ridge), "lemke_pivots": 0.0}
-    lam = np.zeros(qp.num_constraints)
-    qc = _chol_solve(L, qp.c)
+    lam = np.zeros(R.shape[0])
+    qc = _chol_solve(L, c)
     z = -qc
-    tol = 1e-12 * (1.0 + np.abs(qp.r))
-    slack = qp.R @ z - qp.r
-    in_work = np.zeros(qp.num_constraints, dtype=bool)
+    tol = 1e-12 * (1.0 + np.abs(r))
+    slack = R @ z - r
+    in_work = np.zeros(R.shape[0], dtype=bool)
     if np.any(slack < -tol):
         in_work[np.asarray(work, dtype=int)] = True
     while True:
         if in_work.any():
             rows = np.flatnonzero(in_work)
-            sol = lemke_solve(_reduce(qp.R[rows], qp.r[rows], L, qc))
+            sol = lemke_solve(_reduce(R[rows], r[rows], L, qc))
             info["lemke_pivots"] += float(sol.pivots)
             if sol.status != SOLVED:
                 if len(work):
                     # rows carried over from a neighbouring program can be
                     # degenerate here; decide from an empty working set
-                    return _solve_qp_full(qp, factor=(L, ridge))
-                if not _constraints_feasible(qp.R, qp.r):
+                    return _solve_qp_full(Q, c, R, r, factor=(L, ridge))
+                if not _constraints_feasible(R, r):
                     raise InfeasibleQp("constraint system is empty")
                 raise RayTermination("complementary pivoting ray-terminated on a feasible program")
             lam[rows] = sol.z
-            z = _chol_solve(L, qp.R.T @ lam - qp.c)
-            slack = qp.R @ z - qp.r
+            z = _chol_solve(L, R.T @ lam - c)
+            slack = R @ z - r
         violated = np.flatnonzero((slack < -tol) & ~in_work)
         if violated.size == 0:
             return z, lam, info
-        in_work[violated[np.argsort(slack[violated], kind="stable")[: qp.num_vars]]] = True
+        in_work[violated[np.argsort(slack[violated], kind="stable")[: Q.shape[0]]]] = True
 
 
 def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.ndarray, np.ndarray]],
@@ -449,7 +451,9 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
     The QPs share ``Q`` and ``R``; ``terms(theta)`` gives the linear term
     ``c`` and the right-hand side ``r`` at a grid point.  When these are
     affine in ``theta``, so is the solution on a fixed active set, and
-    neighbouring grid points mostly share it.
+    neighbouring grid points mostly share it.  The arrays are taken as
+    given: callers build them through :class:`Qp`, which checks them once
+    per path rather than at every breakpoint.
 
     After each breakpoint, every later grid point is solved on that
     breakpoint's active set in one matrix product, through the
@@ -474,7 +478,7 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
     factor, active, i = _ridge_factor(Q), (), 0
     while i < len(points):
         c, r = C[i], RHS[i]
-        z, lam, info = _solve_qp_full(Qp(Q, c, R, r), work=active, factor=factor)
+        z, lam, info = _solve_qp_full(Q, c, R, r, work=active, factor=factor)
         kkt = _kkt(Q, c, R, z, lam, R @ z - r)
         active, scale = _active_rows(lam)
         pinv = _kkt_factor(Q, R, active)

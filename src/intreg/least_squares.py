@@ -133,14 +133,13 @@ def solve_spread_block(design: DesignSystem, tau: float, lam: float = 0.0) -> tu
     return next(_spr_path(design, [lam], tau))
 
 
-def estimate_intercept(design: DesignSystem, coefs: Coefficients) -> Interval:
-    """Hukuhara difference between the mean response and the mean fitted part.
+def estimate_intercept(design: DesignSystem, a_m: np.ndarray, a_s: np.ndarray) -> Interval:
+    """Hukuhara difference between the mean response and the mean fitted part
+    of the midpoint and spread blocks ``a_m`` and ``a_s``.
 
     Exists whenever the spread constraints hold on average, which every
     feasible fit guarantees.
     """
-    a_m = coefs.mid_stack(design.variant)
-    a_s = coefs.spread_stack(design.variant)
     mean_fitted = Interval(
         float(design.mean_mid_xebl @ a_m),
         max(0.0, float(design.mean_spr_xebl @ a_s)),
@@ -148,17 +147,20 @@ def estimate_intercept(design: DesignSystem, coefs: Coefficients) -> Interval:
     return hukuhara_diff(design.mean_y, mean_fitted)
 
 
-def _fit_result(design: DesignSystem, coefs: Coefficients, a_m: np.ndarray, a_s: np.ndarray,
-                tau: float, method: str, **fields) -> FitResult:
-    """Package block solutions with their fitted values and weighted error.
+def _fit_result(design: DesignSystem, a_m: np.ndarray, a_s: np.ndarray, delta: Interval, tau: float,
+                method: str, check_nonneg: bool = True, **fields) -> FitResult:
+    """Package block solutions and an intercept with their coefficients,
+    fitted values and weighted error; the one place every estimator's
+    result is built.
 
     The error is measured on the raw fitted spreads; only the reported
-    fitted spreads are clamped at 0.
+    fitted spreads are clamped at 0.  ``check_nonneg=False`` keeps spread
+    coefficients that are unconstrained, as the comparison estimator's are.
     """
     mid_part = design.fm @ a_m
     spr_part = design.fs @ a_s
     return FitResult(
-        coefficients=coefs,
+        coefficients=Coefficients.from_blocks(a_m, a_s, delta, design.variant, design.k, check_nonneg),
         method=method,
         fitted_mid=mid_part + design.mean_y.mid,
         fitted_spr=np.maximum(spr_part + design.mean_y.spr, 0.0),
@@ -179,6 +181,5 @@ def fit_ls(design: DesignSystem, tau: float = DEFAULT_TAU) -> FitResult:
     diagnostics = dict(info)
     diagnostics["fm_rank"] = float(rank)
     diagnostics["degenerate_design"] = float(rank < design.block_width)
-    coefs = Coefficients.from_blocks(a_m, a_s, Interval(0.0, 0.0), design.variant, design.k)
-    coefs = coefs.with_delta(estimate_intercept(design, coefs))
-    return _fit_result(design, coefs, a_m, a_s, tau, METHOD_LS, diagnostics=diagnostics)
+    return _fit_result(design, a_m, a_s, estimate_intercept(design, a_m, a_s), tau, METHOD_LS,
+                       diagnostics=diagnostics)

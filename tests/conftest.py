@@ -84,7 +84,7 @@ def record_qp_solves(monkeypatch):
     solve = intreg.lcp._solve_qp_full
 
     def record(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(intreg.lcp.Qp(*args[:4]))
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(intreg.lcp, "_solve_qp_full", record)

@@ -30,7 +30,6 @@ from intreg import (
     qp_to_lcp,
     simulate,
     solve_qp,
-    to_fit_result,
 )
 from intreg.lasso import fit_lasso_mid, fit_lasso_spr, lambda_grid
 from intreg.least_squares import mean_squared_unweighted
@@ -230,8 +229,7 @@ def test_criterion_5_reference_dataset_reproduction():
         )
         _check_bloodpressure_fit(res, fit_spec, sample, convention)
     ir_spec = spec["fits"]["lasso_ir"]
-    ir = to_fit_result(design, fit_lasso_ir(design, tau, ir_spec["t"]), tau)
-    _check_bloodpressure_fit(ir, ir_spec, sample, convention)
+    _check_bloodpressure_fit(fit_lasso_ir(design, tau, ir_spec["t"]), ir_spec, sample, convention)
     report(5, "reference dataset reproduction")
 
 
@@ -261,7 +259,7 @@ def test_criterion_6_frozen_synthetic_fixture():
 
     ir_spec = expected["fits"]["lasso-ir_model-m"]
     design_m = build_design(sample, "model-m")
-    check(ir_spec, to_fit_result(design_m, fit_lasso_ir(design_m, tau, ir_spec["t"]), tau))
+    check(ir_spec, fit_lasso_ir(design_m, tau, ir_spec["t"]))
     report(6, "frozen synthetic fixture at 1e-9")
 
 
@@ -274,12 +272,18 @@ def test_criterion_7_budgeted_offset_behaviour():
     ), noise=0.3, seed=7007)
     design = build_design(sample, "model-m")
     tied = fit_lasso_ir(design, 0.5, 0.0)
-    assert np.array_equal(tied.a_a, np.zeros(2))
-    assert np.array_equal(tied.a_s, tied.a_m)
+    assert tied.diagnostics["budget_used"] == 0.0
+    assert np.array_equal(tied.coefficients.b2, tied.coefficients.b1)
 
-    # objective nonincreasing over a 20-point budget grid
+    # objective, recomputed from the returned blocks, nonincreasing over a
+    # 20-point budget grid
+    def objective(result):
+        a_m, a_s = result.coefficients.b1, result.coefficients.b2
+        return ((1.0 - 0.5) * np.sum((design.vm - design.fm @ a_m) ** 2)
+                + 0.5 * np.sum((design.vs - design.fs @ a_s) ** 2))
+
     grid = np.linspace(0.0, 1.5, 20)
-    objectives = [fit_lasso_ir(design, 0.5, t).objective for t in grid]
+    objectives = [objective(fit_lasso_ir(design, 0.5, t)) for t in grid]
     assert all(objectives[i + 1] <= objectives[i] + 1e-8 for i in range(len(objectives) - 1))
 
     # adversarial data: the fit returns but flags the ill-defined residuals
@@ -287,9 +291,9 @@ def test_criterion_7_budgeted_offset_behaviour():
     mid_x = np.arange(1.0, n + 1).reshape(-1, 1)
     spr_x = np.tile([1.0, 3.0], n // 2).reshape(-1, 1)
     bad = IntervalSample(2.0 * mid_x[:, 0], np.ones(n), mid_x, spr_x)
-    flagged = fit_lasso_ir(build_design(bad, "model-m"), 0.5, 0.1)
-    assert not flagged.hukuhara_residuals_exist
-    assert not flagged.fitted_spr_nonneg
+    flagged = fit_lasso_ir(build_design(bad, "model-m"), 0.5, 0.1).diagnostics
+    assert flagged["hukuhara_residuals_exist"] == 0.0
+    assert flagged["fitted_spr_nonneg"] == 0.0
 
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"criterion 7 took {elapsed:.1f}s"

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,15 @@ from intreg import (
     build_design,
     fit_lasso_ir,
     fit_ls,
+    ingest,
     select_budget,
     simulate,
-    to_fit_result,
 )
 from intreg.lasso_ir import _budget_path, default_budget_grid
 
 from conftest import corrupt_continuation_steps, record_lemke_dims, record_qp_solves, split_model_sample
+
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv"
 
 
 def adversarial_sample(n=12):
@@ -25,6 +29,26 @@ def adversarial_sample(n=12):
     return IntervalSample(2.0 * mid_x[:, 0], np.ones(n), mid_x, spr_x)
 
 
+def blocks(design, result):
+    """Midpoint block, spread block and offset of a lasso-ir fit."""
+    a_m = result.coefficients.mid_stack(design.variant)
+    a_s = result.coefficients.spread_stack(design.variant)
+    return a_m, a_s, a_s - a_m
+
+
+def objective(design, result, tau):
+    """The weighted squared error the budgeted-offset QP minimizes."""
+    a_m, a_s, _ = blocks(design, result)
+    return float((1.0 - tau) * np.sum((design.vm - design.fm @ a_m) ** 2)
+                 + tau * np.sum((design.vs - design.fs @ a_s) ** 2))
+
+
+def one_point_fit(design, t):
+    """Midpoint block, offset and diagnostics of a single fit at budget ``t``,
+    as ``fit_lasso_ir`` solves it, before packaging: the one-point grid."""
+    return next(_budget_path(design, 0.5, [t]))
+
+
 class TestFitLassoIr:
     def test_zero_budget_ties_blocks_exactly(self):
         s = simulate(20, 2, Coefficients(
@@ -32,8 +56,9 @@ class TestFitLassoIr:
         ), noise=0.3, seed=4)
         d = build_design(s, "model-m")
         fit = fit_lasso_ir(d, 0.5, 0.0)
-        assert np.array_equal(fit.a_a, np.zeros(2))
-        assert np.array_equal(fit.a_s, fit.a_m)
+        a_m, a_s, _ = blocks(d, fit)
+        assert fit.diagnostics["budget_used"] == 0.0
+        assert np.array_equal(a_s, a_m)
 
     def test_budget_certificate(self):
         s = simulate(25, 2, Coefficients(
@@ -41,21 +66,21 @@ class TestFitLassoIr:
         ), noise=0.3, seed=5)
         d = build_design(s, "model-m")
         for t in (0.05, 0.2, 1.0):
-            fit = fit_lasso_ir(d, 0.5, t)
-            assert np.sum(np.abs(fit.a_a)) <= t + 1e-8
+            a_a = blocks(d, fit_lasso_ir(d, 0.5, t))[2]
+            assert np.sum(np.abs(a_a)) <= t + 1e-8
 
     def test_objective_nonincreasing_in_budget(self):
         d = build_design(adversarial_sample(), "model-m")
         grid = np.linspace(0.0, 2.0, 12)
-        objs = [fit_lasso_ir(d, 0.5, t).objective for t in grid]
+        objs = [objective(d, fit_lasso_ir(d, 0.5, t), 0.5) for t in grid]
         assert all(objs[i + 1] <= objs[i] + 1e-8 for i in range(len(objs) - 1))
 
     def test_flags_expose_ill_defined_fit(self):
         d = build_design(adversarial_sample(), "model-m")
-        fit = fit_lasso_ir(d, 0.5, 0.1)
-        assert not fit.fitted_spr_nonneg
-        assert not fit.hukuhara_residuals_exist
-        assert fit.delta_spr < 0.0
+        diagnostics = fit_lasso_ir(d, 0.5, 0.1).diagnostics
+        assert diagnostics["fitted_spr_nonneg"] == 0.0
+        assert diagnostics["hukuhara_residuals_exist"] == 0.0
+        assert diagnostics["delta_spr_raw"] < 0.0
 
     def test_negative_budget_rejected(self):
         d = build_design(adversarial_sample(), "model-m")
@@ -72,48 +97,60 @@ class TestFitLassoIr:
         tau = 0.5
         full = fit_ls(build_design(s, "full"), tau)
         d_m = build_design(s, "model-m")
-        ir = fit_lasso_ir(d_m, tau, 10.0)  # generous budget
+        obj_ir = objective(d_m, fit_lasso_ir(d_m, tau, 10.0), tau)  # generous budget
         a_m_full = full.coefficients.mid_stack("full")
         a_s_full = full.coefficients.spread_stack("full")
         d_f = build_design(s, "full")
         obj_full = (1 - tau) * np.sum((d_f.vm - d_f.fm @ a_m_full) ** 2) + tau * np.sum(
             (d_f.vs - d_f.fs @ a_s_full) ** 2
         )
-        assert ir.objective > obj_full * (1.0 + 1e-6)
+        assert obj_ir > obj_full * (1.0 + 1e-6)
 
     def test_nonnegative_fitted_spreads_enforced_presample(self):
         d = build_design(adversarial_sample(), "model-m")
         for t in (0.0, 0.3, 1.0):
-            fit = fit_lasso_ir(d, 0.5, t)
-            assert np.min(d.gamma_matrix @ fit.a_s) >= -1e-8
+            a_s = blocks(d, fit_lasso_ir(d, 0.5, t))[1]
+            assert np.min(d.gamma_matrix @ a_s) >= -1e-8
 
 
 class TestToFitResult:
+    """The lasso-ir fit packaged as a FitResult, as every estimator's is."""
+
     def test_packaging_and_mse(self):
         d = build_design(adversarial_sample(), "model-m")
-        fit = fit_lasso_ir(d, 0.5, 0.1)
-        res = to_fit_result(d, fit, 0.5)
+        res = fit_lasso_ir(d, 0.5, 0.1)
+        a_m, a_a, _ = one_point_fit(d, 0.1)
+        a_s = a_m + a_a
         assert res.method == "lasso-ir"
         assert res.t_budget == 0.1
-        assert np.allclose(res.coefficients.b2, fit.a_s)
+        assert np.allclose(res.coefficients.b1, a_m)
+        assert np.allclose(res.coefficients.b2, a_s)
         assert len(res.fitted_mid) == len(res.fitted_spr) == d.n
         assert res.diagnostics["hukuhara_residuals_exist"] == 0.0
         # raw-spread error recomputed by hand
-        a_s = fit.a_s
-        mid_res = d.vm - d.fm @ fit.a_m
+        mid_res = d.vm - d.fm @ a_m
         spr_res = d.vs - d.fs @ a_s
         expected = np.mean(0.5 * mid_res**2 + 0.5 * spr_res**2)
         assert res.mse == pytest.approx(expected, rel=1e-12)
 
-
     def test_fitted_spreads_clamped_at_zero(self):
         d = build_design(adversarial_sample(), "model-m")
-        fit = fit_lasso_ir(d, 0.5, 0.1)
-        res = to_fit_result(d, fit, 0.5)
-        raw = d.fs @ fit.a_s + d.mean_y.spr
+        res = fit_lasso_ir(d, 0.5, 0.1)
+        a_m, a_a, _ = one_point_fit(d, 0.1)
+        raw = d.fs @ (a_m + a_a) + d.mean_y.spr
         assert np.min(raw) < 0.0
         assert np.array_equal(res.fitted_spr, np.maximum(raw, 0.0))
-        assert np.array_equal(res.fitted_mid, d.fm @ fit.a_m + d.mean_y.mid)
+        assert np.array_equal(res.fitted_mid, d.fm @ a_m + d.mean_y.mid)
+
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_default_budget_is_the_cross_validated_one(self, variant):
+        d = build_design(ingest(FIXTURE), variant)
+        t = select_budget(d)
+        default, explicit = fit_lasso_ir(d), fit_lasso_ir(d, t=t)
+        assert default.t_budget == explicit.t_budget == t
+        for name in ("b1", "b2", "b3", "b4"):
+            assert np.array_equal(getattr(default.coefficients, name), getattr(explicit.coefficients, name))
+        assert default.coefficients.delta == explicit.coefficients.delta
 
 
 class TestSelectBudget:
@@ -172,9 +209,9 @@ class TestBudgetPath:
         d = build_design(split_model_sample(n + 2, n), variant)
         grid = default_budget_grid(d)
         for t, (a_m, a_a, _) in zip(grid, _budget_path(d, 0.5, grid)):
-            cold = fit_lasso_ir(d, 0.5, t)
-            assert np.array_equal(a_a == 0.0, cold.a_a == 0.0)
-            for got, want in ((a_m, cold.a_m), (a_a, cold.a_a)):
+            cold_m, cold_a, _ = one_point_fit(d, t)
+            assert np.array_equal(a_a == 0.0, cold_a == 0.0)
+            for got, want in ((a_m, cold_m), (a_a, cold_a)):
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
 
     def test_about_one_lemke_call_per_budget(self, monkeypatch):
@@ -200,11 +237,11 @@ class TestBudgetPath:
         # breakpoint, solved as a single fit would be
         d = build_design(split_model_sample(103, 100), "full")
         grid = default_budget_grid(d)
-        cold = [fit_lasso_ir(d, 0.5, t) for t in grid]
+        cold = [one_point_fit(d, t) for t in grid]
         corrupt_continuation_steps(monkeypatch, corrupt)
         calls = record_qp_solves(monkeypatch)
-        for want, (a_m, a_a, _) in zip(cold, _budget_path(d, 0.5, grid)):
-            assert np.array_equal(a_a == 0.0, want.a_a == 0.0)
-            for a, b in ((a_m, want.a_m), (a_a, want.a_a)):
+        for (cold_m, cold_a, _), (a_m, a_a, _) in zip(cold, _budget_path(d, 0.5, grid)):
+            assert np.array_equal(a_a == 0.0, cold_a == 0.0)
+            for a, b in ((a_m, cold_m), (a_a, cold_a)):
                 assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b), initial=0.0)
         assert len(calls) == len(grid)

@@ -227,9 +227,9 @@ class TestWorkingSet:
         qps = []
         solve = lcp._solve_qp_full
 
-        def record(qp, **kwargs):
-            qps.append(qp)
-            return solve(qp, **kwargs)
+        def record(Q, c, R, r, **kwargs):
+            qps.append(Qp(Q, c, R, r))
+            return solve(Q, c, R, r, **kwargs)
 
         monkeypatch.setattr(lcp, "_solve_qp_full", record)
         least_squares.solve_spread_block(design, 0.5)
@@ -254,10 +254,10 @@ class TestWorkingSet:
         design = build_design(split_model_sample(5, 300), "full")
         qp = least_squares.spread_qp(design, 0.5, 0.05)
         dims = record_lemke_dims(monkeypatch)
-        z, lam, _ = lcp._solve_qp_full(qp)
+        z, lam, _ = lcp._solve_qp_full(qp.Q, qp.c, qp.R, qp.r)
         assert len(dims) > 1
         dims.clear()
-        z_warm, lam_warm, _ = lcp._solve_qp_full(qp, work=np.flatnonzero(lam > 0))
+        z_warm, lam_warm, _ = lcp._solve_qp_full(qp.Q, qp.c, qp.R, qp.r, work=np.flatnonzero(lam > 0))
         assert dims == [np.count_nonzero(lam > 0)]
         assert np.array_equal(lam_warm > 0, lam > 0)
         assert np.max(np.abs(z_warm - z)) <= 1e-10 * np.max(np.abs(z))
@@ -276,7 +276,7 @@ class TestWorkingSet:
     def test_ray_termination_on_carried_rows_restarts_cold(self, monkeypatch):
         design = build_design(split_model_sample(6, 200), "full")
         qp = least_squares.spread_qp(design, 0.5, 0.05)
-        z, lam, info = lcp._solve_qp_full(qp)
+        z, lam, info = lcp._solve_qp_full(qp.Q, qp.c, qp.R, qp.r)
         dims = []
 
         def fail_first(lcp_, max_pivots=None):
@@ -287,7 +287,7 @@ class TestWorkingSet:
 
         monkeypatch.setattr(lcp, "lemke_solve", fail_first)
         work = np.flatnonzero(lam > 0)
-        z_again, lam_again, info_again = lcp._solve_qp_full(qp, work=work)
+        z_again, lam_again, info_again = lcp._solve_qp_full(qp.Q, qp.c, qp.R, qp.r, work=work)
         assert dims[0] == work.size and len(dims) > 1
         assert np.array_equal(z_again, z) and np.array_equal(lam_again, lam) and info_again == info
 
@@ -413,8 +413,8 @@ class TestQpPath:
                     return
                 yield point
 
-        def record(qp, work=(), factor=None):
-            z, lam, info = solve(qp, work, factor)
+        def record(Q, c, R, r, work=(), factor=None):
+            z, lam, info = solve(Q, c, R, r, work, factor)
             current[0].append((np.asarray(work, dtype=int), lcp._active_rows(lam)[0]))
             return z, lam, info
 
@@ -539,7 +539,7 @@ class TestKktFactor:
         sample = ingest(Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv")
         qp = lasso_ir._joint_qp(build_design(sample, "full"), 0.5, t)
         assert np.linalg.matrix_rank(qp.Q) < qp.num_vars
-        _, lam, _ = lcp._solve_qp_full(qp)
+        _, lam, _ = lcp._solve_qp_full(qp.Q, qp.c, qp.R, qp.r)
         active = lcp._active_rows(lam)[0]
         assert active.size
         for rows in (active, np.array([], dtype=int)):
