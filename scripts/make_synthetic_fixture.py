@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+# the brute-force oracle and the generator live beside the tests
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from intreg import (  # noqa: E402
     Coefficients,
@@ -40,12 +41,11 @@ from intreg import (  # noqa: E402
     build_design,
     fit_lasso_ir,
     fit_ls,
-    simulate,
     write_sample,
 )
 from intreg.lasso import fit_lasso_mid, fit_lasso_spr, lambda_grid  # noqa: E402
 from intreg.least_squares import spread_qp  # noqa: E402
-from intreg.oracle import active_set_optimum  # noqa: E402
+from oracle import active_set_optimum, simulate  # noqa: E402
 
 SEED = 20260810
 N, K = 59, 2

@@ -16,7 +16,6 @@ from .design import (
     VARIANT_FULL,
     VARIANT_MODEL_M,
     build_design,
-    predict,
 )
 from .intervals import (
     DEFAULT_TAU,
@@ -44,10 +43,8 @@ from .least_squares import (
     FitResult,
     estimate_intercept,
     fit_ls,
-    mean_squared_dtau,
     mean_squared_unweighted,
 )
-from .oracle import OracleReport, brute_force_qp, simulate
 
 __version__ = "0.1.0"
 
@@ -63,13 +60,11 @@ __all__ = [
     "LassoPath",
     "Lcp",
     "LcpSolution",
-    "OracleReport",
     "Qp",
     "VARIANT_FULL",
     "VARIANT_MODEL_M",
     "add_scaled",
     "aumann_mean",
-    "brute_force_qp",
     "build_design",
     "cross_validate",
     "dtau",
@@ -85,12 +80,9 @@ __all__ = [
     "ingest",
     "lambda_grid",
     "lemke_solve",
-    "mean_squared_dtau",
     "mean_squared_unweighted",
-    "predict",
     "qp_to_lcp",
     "select_budget",
-    "simulate",
     "solve_qp",
     "validate_tau",
     "write_sample",

@@ -202,13 +202,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        print(run(config))
+        # an overflow or invalid value inside the fit ends the run in one
+        # error line that names it, not in numpy warnings followed by
+        # whichever later check the non-finite numbers trip
+        with np.errstate(over="raise", invalid="raise"):
+            report = run(config)
     except IntregError as exc:
         print(f"error code={exc.code} detail={exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error code=InvalidArgument detail={exc}", file=sys.stderr)
         return 1
+    print(report)
     return 0
 
 

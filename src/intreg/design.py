@@ -17,7 +17,6 @@ coefficients to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -205,17 +204,6 @@ class Coefficients:
         if variant == VARIANT_FULL:
             return np.concatenate([self.b2, self.b3])
         return self.b2.copy()
-
-
-def predict(coefs: Coefficients, x: Sequence[Interval]) -> Interval:
-    """Predicted response interval for one row of regressor intervals."""
-    if len(x) != coefs.k:
-        raise DimensionMismatch(f"expected {coefs.k} regressors, got {len(x)}")
-    mid_x = np.array([iv.mid for iv in x])
-    spr_x = np.array([iv.spr for iv in x])
-    mid = float(mid_x @ coefs.b1 + spr_x @ coefs.b4 + coefs.delta.mid)
-    spr = float(spr_x @ coefs.b2 + np.abs(mid_x) @ coefs.b3 + coefs.delta.spr)
-    return Interval(mid, max(0.0, spr))
 
 
 def predict_arrays(coefs: Coefficients, mid_x: np.ndarray, spr_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -57,14 +57,6 @@ class FoldTooSmall(IntregError):
     """A cross-validation split leaves fewer than two training rows."""
 
 
-class InvalidTruth(IntregError):
-    """Planted coefficients violate the model's sign constraints."""
-
-
-class TooLarge(IntregError):
-    """An instance exceeds the brute-force oracle's size caps."""
-
-
 class MalformedHeader(IntregError):
     """A CSV header does not match the expected column schema."""
 

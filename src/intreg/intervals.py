@@ -151,8 +151,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class IntervalSample:
     """``n`` observations of a response interval and ``k`` regressor intervals.
 
-    Data are held as read-only float arrays in mid/spr form; interval views
-    are constructed on demand.
+    Data are held as read-only float arrays in mid/spr form.
     """
 
     def __init__(self, mid_y, spr_y, mid_x, spr_x, variable_names=None):
@@ -208,12 +207,6 @@ class IntervalSample:
     @property
     def k(self) -> int:
         return self.mid_x.shape[1]
-
-    def y_list(self) -> list[Interval]:
-        return [Interval(m, s) for m, s in zip(self.mid_y, self.spr_y)]
-
-    def x_row(self, j: int) -> list[Interval]:
-        return [Interval(m, s) for m, s in zip(self.mid_x[j], self.spr_x[j])]
 
     def subset(self, rows: Iterable[int]) -> "IntervalSample":
         idx = np.asarray(list(rows), dtype=int)

@@ -72,27 +72,20 @@ def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def lasso_lemke(F: np.ndarray, v: np.ndarray, lam: float) -> np.ndarray:
-    """Exact minimizer of ``1/2 ||v - F a||^2 + lam ||a||_1``.
-
-    With ``G = F'F``, ``b = F'v`` and ``a = a+ - a-``, the optimality
-    conditions are the complementarity system of ``M = [[G, -G], [-G, G]]``
-    and ``q = [lam - b; lam + b]`` in ``(a+, a-) >= 0``; ``M`` is positive
-    semidefinite, so Lemke pivoting solves it exactly.  Dividing both by
-    ``max(diag G)`` leaves the solution unchanged and makes the pivot
-    tolerance independent of the data scale.  ``lam = 0`` is least squares.
-    """
-    if lam == 0.0:
-        return np.linalg.lstsq(F, v, rcond=None)[0]
-    return _lasso_gram(F.T @ F, F.T @ v, np.array([lam]))[0]
-
-
 def _lasso_gram(G: np.ndarray, b: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """:func:`lasso_lemke` at each of the positive ``lambdas``, one row each,
-    from the Gram statistics ``G = F'F`` and ``b = F'v``.  As ``q = [-b; b] +
-    lam 1`` moves along Lemke's covering vector, one Lemke run walks a grid
-    (:func:`intreg.lcp._lemke_path`); a single penalty, or one the run does
-    not reach, is solved on its own."""
+    """Exact minimizers of ``1/2 ||v - F a||^2 + lam ||a||_1`` at each of the
+    positive ``lambdas``, one row each, from the Gram statistics ``G = F'F``
+    and ``b = F'v``.
+
+    With ``a = a+ - a-``, the optimality conditions are the complementarity
+    system of ``M = [[G, -G], [-G, G]]`` and ``q = [lam - b; lam + b]`` in
+    ``(a+, a-) >= 0``; ``M`` is positive semidefinite, so Lemke pivoting
+    solves it exactly.  Dividing both by ``max(diag G)`` leaves the solution
+    unchanged and makes the pivot tolerance independent of the data scale.
+    As ``q = [-b; b] + lam 1`` moves along Lemke's covering vector, one Lemke
+    run walks a grid (:func:`intreg.lcp._lemke_path`); a single penalty, or
+    one the run does not reach, is solved on its own.
+    """
     scale = float(np.max(np.diag(G), initial=0.0)) or 1.0
     M = np.block([[G, -G], [-G, G]]) / scale
     Z, reached = np.zeros((lambdas.size, M.shape[0])), np.zeros(lambdas.size, dtype=bool)
@@ -134,9 +127,10 @@ def fit_lasso_spr(design: DesignSystem, lam: float, tau: float = DEFAULT_TAU) ->
     """Spread-block Lasso under the feasibility cone.
 
     Solved exactly as a QP because the cone forces nonnegative coefficients,
-    making the penalty linear.  The minimizer does not depend on ``tau``;
-    the argument is accepted for interface symmetry with the fit entry
-    points.
+    making the penalty linear.  In exact arithmetic the minimizer does not
+    depend on ``tau``, but the QP is scaled by ``2 tau`` and Lemke's pivot
+    test is absolute, so ``tau`` can change the computed solution's rounding
+    and whether pivoting ray-terminates.
     """
     return solve_spread_block(design, validate_tau(tau), lam)[0]
 

@@ -16,7 +16,7 @@ unpenalized one here, a fixed penalty in the Lasso) is the one-point grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -58,16 +58,6 @@ def _msd_arrays(dm: np.ndarray, ds: np.ndarray, tau: float) -> float:
     return float(np.mean((1.0 - tau) * dm**2 + tau * ds**2))
 
 
-def mean_squared_dtau(y: Sequence[Interval], y_hat: Sequence[Interval], tau: float = DEFAULT_TAU) -> float:
-    """Mean squared weighted distance between observed and fitted intervals."""
-    tau = validate_tau(tau)
-    if len(y) != len(y_hat):
-        raise LengthMismatch(f"got {len(y)} observed but {len(y_hat)} fitted intervals")
-    dm = np.array([a.mid - b.mid for a, b in zip(y, y_hat)])
-    ds = np.array([a.spr - b.spr for a, b in zip(y, y_hat)])
-    return _msd_arrays(dm, ds, tau)
-
-
 def mean_squared_unweighted(mid_y: np.ndarray, spr_y: np.ndarray, mid_hat: np.ndarray, spr_hat: np.ndarray) -> float:
     """Mean of squared midpoint plus squared spread residuals (no weights).
 
@@ -84,6 +74,11 @@ def ols_mid(design: DesignSystem) -> tuple[np.ndarray, int]:
     return a, int(rank)
 
 
+def _spread_linear(tau: float, lam: float, g: np.ndarray) -> np.ndarray:
+    """The spread QP's linear term ``2 tau (lam - F_s' v_s)``, from ``g = F_s' v_s``."""
+    return 2.0 * tau * (lam - g)
+
+
 def spread_qp(design: DesignSystem, tau: float, lam: float = 0.0) -> Qp:
     """The spread-block QP at weight ``tau`` with an optional linear L1 term.
 
@@ -93,9 +88,8 @@ def spread_qp(design: DesignSystem, tau: float, lam: float = 0.0) -> Qp:
     """
     fs = design.fs
     Q = 2.0 * tau * (fs.T @ fs)
-    c = 2.0 * tau * (lam - fs.T @ design.vs)
     R, r = design.spread_constraints()
-    return Qp(Q, c, R, r)
+    return Qp(Q, _spread_linear(tau, lam, fs.T @ design.vs), R, r)
 
 
 def _snap_spread(a_s: np.ndarray) -> np.ndarray:
@@ -121,8 +115,7 @@ def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> Ite
                                                  "kkt_complementarity": 0.0}
         return
     g = design.fs.T @ design.vs
-    # the linear term exactly as spread_qp forms it
-    for a_s, _, info in _qp_path(qp.Q, qp.R, lambda lam: (2.0 * tau * (lam - g), qp.r), lambdas):
+    for a_s, _, info in _qp_path(qp.Q, qp.R, lambda lam: (_spread_linear(tau, lam, g), qp.r), lambdas):
         yield _snap_spread(a_s), info
 
 

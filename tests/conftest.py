@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import intreg.lcp
-from intreg import Coefficients, Interval, IntervalSample, Qp, lemke_solve, simulate
+from intreg import Coefficients, Interval, IntervalSample, Qp, lemke_solve
+
+from oracle import simulate
 
 SESSION_T0 = time.monotonic()
 
@@ -61,9 +63,12 @@ def split_model_sample(seed, n, k=3, spread_noise=0.3):
     return IntervalSample(mid_y, spr_y, mid_x, spr_x)
 
 
-def fitted_intervals(result):
-    """The fitted rows of a fit result as intervals."""
-    return [Interval(m, s) for m, s in zip(result.fitted_mid, result.fitted_spr)]
+def weighted_mse(sample, result, tau):
+    """A fit's weighted mean squared error, recomputed from the observed rows
+    and the fit result's fitted rows."""
+    dm = sample.mid_y - result.fitted_mid
+    ds = sample.spr_y - result.fitted_spr
+    return float(np.mean((1.0 - tau) * dm**2 + tau * ds**2))
 
 
 def record_lemke_dims(monkeypatch):

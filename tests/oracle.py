@@ -1,10 +1,11 @@
 """Brute-force reference solvers and a synthetic data generator for the test
-and acceptance suites.
+and acceptance suites and the fixture generator script.
 
 These deliberately share nothing with the production solvers beyond
 elementary matrix products: optima are found by enumerating active sets of
 the constraint system and solving each equality-restricted problem directly,
-so they are slow but independent.
+so they are slow but independent.  Imported as ``oracle`` with this
+directory on the import path, as ``conftest`` is.
 """
 
 from __future__ import annotations
@@ -16,15 +17,23 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .design import Coefficients
-from .errors import InfeasibleQp, InvalidTruth, TooLarge
-from .intervals import IntervalSample
-from .lcp import Qp
+from intreg.design import Coefficients
+from intreg.errors import InfeasibleQp, IntregError
+from intreg.intervals import IntervalSample
+from intreg.lcp import Qp
 
 BRUTE_FORCE_MAX_VARS = 6
 BRUTE_FORCE_MAX_CONSTRAINTS = 12
 
 _FEAS_TOL = 1e-9
+
+
+class InvalidTruth(IntregError):
+    """Planted coefficients violate the model's sign constraints."""
+
+
+class TooLarge(IntregError):
+    """An instance exceeds the brute-force oracle's size caps."""
 
 
 @dataclass

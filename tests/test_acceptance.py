@@ -28,15 +28,14 @@ from intreg import (
     ingest,
     lemke_solve,
     qp_to_lcp,
-    simulate,
     solve_qp,
 )
 from intreg.lasso import fit_lasso_mid, fit_lasso_spr, lambda_grid
 from intreg.least_squares import mean_squared_unweighted
 from intreg.lcp import SOLVED, Qp
-from intreg.oracle import OracleReport, brute_force_qp, write_reports
 
 from conftest import random_feasible_qp
+from oracle import OracleReport, brute_force_qp, simulate, write_reports
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"

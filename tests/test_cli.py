@@ -252,6 +252,28 @@ class TestMain:
                        f"field larger than field limit ({csv.field_size_limit()})\n")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("method", ["ls", "lasso", "lasso-ir"])
+    @pytest.mark.parametrize("magnitude", ["1e154", "-1e154", "1e160", "1e200", "1e308"])
+    def test_overflow_is_a_report_or_one_error_line(self, tmp_path, capsys, magnitude, method):
+        # one huge midpoint (data row 5, mid_x1) overflows the fit's products:
+        # the run either fits or ends in exactly one error line, never in a
+        # numpy warning or a traceback
+        rows = Path(FIXTURE_CSV).read_text().splitlines()
+        cells = rows[5].split(",")
+        cells[2] = magnitude
+        rows[5] = ",".join(cells)
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code = main(["--input-path", str(path), "--method", method, "--output-format", "json"])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == ""
+            json.loads(out)
+        else:
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error code=") and err.count("\n") == 1
+
     def test_solver_failure_is_one_error_line(self, monkeypatch, capsys):
         # a ray termination on a feasible program is a solver failure, and
         # reaches the CLI as one error line (this fixture's spread block has

@@ -8,7 +8,6 @@ from intreg import (
     VARIANT_FULL,
     VARIANT_MODEL_M,
     build_design,
-    predict,
 )
 from intreg.design import predict_arrays, regressor_blocks
 from intreg.errors import DegenerateSample, DimensionMismatch
@@ -85,23 +84,29 @@ class TestBuildDesign:
         assert np.all(R @ np.zeros(2 * s.k) >= r)
 
 
+def predict_row(coefs, x):
+    """``predict_arrays`` on one row of regressor intervals, as an interval."""
+    mid, spr = predict_arrays(coefs, [[a.mid for a in x]], [[a.spr for a in x]])
+    return Interval(float(mid[0]), float(spr[0]))
+
+
 class TestPredict:
     def test_intercept_only(self):
         coefs = Coefficients(
             b1=[0.0], b2=[0.0], b3=[0.0], b4=[0.0], delta=iv(-1, 1)
         )
-        assert predict(coefs, [iv(5, 9)]) == iv(-1, 1)
+        assert predict_row(coefs, [iv(5, 9)]) == iv(-1, 1)
 
     def test_doubling_slope(self):
         coefs = Coefficients(
             b1=[2.0], b2=[2.0], b3=[0.0], b4=[0.0], delta=Interval(0.0, 0.0)
         )
-        assert predict(coefs, [iv(1, 3)]) == iv(2, 6)
+        assert predict_row(coefs, [iv(1, 3)]) == iv(2, 6)
 
     def test_dimension_mismatch(self):
         coefs = Coefficients(b1=[1.0], b2=[0.0], b3=[0.0], b4=[0.0], delta=Interval(0, 0))
         with pytest.raises(DimensionMismatch):
-            predict(coefs, [iv(0, 1), iv(0, 1)])
+            predict_row(coefs, [iv(0, 1), iv(0, 1)])
 
     def test_matches_centered_reconstruction(self):
         # fitted values recovered from the centered system must equal the
@@ -131,9 +136,9 @@ class TestPredict:
         coefs = random_coefficients(rng, 3)
         mid, spr = predict_arrays(coefs, s.mid_x, s.spr_x)
         for j in range(s.n):
-            p = predict(coefs, s.x_row(j))
-            assert p.mid == pytest.approx(mid[j], rel=1e-14)
-            assert p.spr == pytest.approx(max(0.0, spr[j]), rel=1e-14)
+            mid_j, spr_j = predict_arrays(coefs, s.mid_x[j : j + 1], s.spr_x[j : j + 1])
+            assert mid_j[0] == pytest.approx(mid[j], rel=1e-14)
+            assert spr_j[0] == pytest.approx(spr[j], rel=1e-14)
 
 
 class TestCoefficients:

@@ -204,8 +204,8 @@ class TestIntervalSample:
         x = [[iv(0, 1), iv(2, 2)], [iv(-1, 1), iv(0, 4)]]
         s = IntervalSample.from_intervals(y, x)
         assert s.n == 2 and s.k == 2
-        assert s.y_list() == y
-        assert s.x_row(1) == x[1]
+        assert [Interval(m, r) for m, r in zip(s.mid_y, s.spr_y)] == y
+        assert [Interval(m, r) for m, r in zip(s.mid_x[1], s.spr_x[1])] == x[1]
 
     def test_subset_preserves_rows(self):
         y = [iv(0, 2), iv(1, 5), iv(2, 3)]
@@ -213,7 +213,7 @@ class TestIntervalSample:
         s = IntervalSample.from_intervals(y, x)
         sub = s.subset([2, 0])
         assert sub.n == 2
-        assert sub.y_list() == [y[2], y[0]]
+        assert [Interval(m, r) for m, r in zip(sub.mid_y, sub.spr_y)] == [y[2], y[0]]
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):

@@ -18,12 +18,17 @@ from intreg import (
 import intreg.lasso
 import intreg.lcp
 from intreg.errors import FoldTooSmall, IntregError, RayTermination, SubgradientGap
-from intreg.lasso import _mid_fits, lasso_lemke, mid_kkt_gap, soft_threshold
+from intreg.lasso import _lasso_gram, _mid_fits, mid_kkt_gap, soft_threshold
 from intreg.lcp import RAY_TERMINATION, LcpSolution, lemke_solve
 from intreg.least_squares import _spr_path, solve_spread_block
 
-from conftest import (corrupt_continuation_steps, exact_fit_sample, fitted_intervals, random_sample,
-                      record_lemke_dims, record_qp_solves, split_model_sample)
+from conftest import (corrupt_continuation_steps, exact_fit_sample, random_sample, record_lemke_dims,
+                      record_qp_solves, split_model_sample, weighted_mse)
+
+
+def lasso_exact(F, v, lam):
+    """The midpoint Lasso's exact minimizer at one penalty, from raw ``F`` and ``v``."""
+    return _lasso_gram(F.T @ F, F.T @ v, np.array([lam]))[0]
 
 
 class TestLassoCd:
@@ -38,17 +43,17 @@ class TestLassoCd:
         beta = F.T @ v
         for lam in (0.0, 0.1, 0.5, 2.0):
             expected = soft_threshold(beta, lam)
-            got = lasso_lemke(F, v, lam)
+            got = lasso_exact(F, v, lam)
             assert np.allclose(got, expected, atol=1e-10)
 
     def test_zero_columns_stay_zero(self):
         F = np.zeros((5, 2))
-        assert np.array_equal(lasso_lemke(F, np.ones(5), 0.5), np.zeros(2))
+        assert np.array_equal(lasso_exact(F, np.ones(5), 0.5), np.zeros(2))
 
     def test_certificate_gap(self, rng):
         F = rng.normal(size=(25, 3))
         v = rng.normal(size=25)
-        a = lasso_lemke(F, v, 0.7)
+        a = lasso_exact(F, v, 0.7)
         assert mid_kkt_gap(F, v, 0.7, a) <= 1e-10
 
     def test_certificate_equals_per_coordinate_loop(self, rng):
@@ -190,7 +195,7 @@ class TestObjectiveCertificates:
 
     def test_spread_block_matches_full_enumeration(self):
         from intreg.least_squares import spread_qp
-        from intreg.oracle import brute_force_qp
+        from oracle import brute_force_qp
 
         for seed in (71, 72):
             s = random_sample(seed, n=8, k=2)  # 2k + n = 12 constraints, cap-sized
@@ -396,11 +401,9 @@ class TestFitLasso:
             assert res.diagnostics[key] <= 1e-8 * (1 + d.n), key
 
     def test_mse_recomputable(self):
-        from intreg import mean_squared_dtau
-
         s = random_sample(16, n=18, k=2)
         res = fit_lasso(build_design(s, "full"), 0.5, lambda_mid=0.2, lambda_spr=0.02)
-        assert res.mse == pytest.approx(mean_squared_dtau(s.y_list(), fitted_intervals(res), 0.5), abs=1e-10)
+        assert res.mse == pytest.approx(weighted_mse(s, res, 0.5), abs=1e-10)
 
 
 class TestPathwiseCrossValidation:

@@ -12,11 +12,11 @@ from intreg import (
     fit_ls,
     ingest,
     select_budget,
-    simulate,
 )
 from intreg.lasso_ir import _budget_path, default_budget_grid
 
 from conftest import corrupt_continuation_steps, record_lemke_dims, record_qp_solves, split_model_sample
+from oracle import simulate
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv"
 

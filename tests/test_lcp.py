@@ -11,9 +11,9 @@ from intreg import Lcp, Qp, build_design, ingest, lemke_solve, qp_to_lcp, solve_
 from intreg.errors import InfeasibleQp, PivotLimitExceeded, SingularQ
 from intreg.lasso import fit_lasso_spr
 from intreg.lcp import RAY_TERMINATION, SOLVED, LcpSolution
-from intreg.oracle import brute_force_qp
 
 from conftest import random_feasible_qp, record_lemke_dims, record_qp_solves, split_model_sample
+from oracle import brute_force_qp
 
 
 def assert_lcp_invariants(lcp, sol):

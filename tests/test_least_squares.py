@@ -7,14 +7,13 @@ from intreg import (
     build_design,
     estimate_intercept,
     fit_ls,
-    mean_squared_dtau,
     mean_squared_unweighted,
 )
 from intreg.errors import LengthMismatch
-from intreg.least_squares import spread_qp
-from intreg.oracle import brute_force_qp
+from intreg.least_squares import _msd_arrays, spread_qp
 
-from conftest import exact_fit_sample, fitted_intervals, random_sample
+from conftest import exact_fit_sample, random_sample, weighted_mse
+from oracle import brute_force_qp
 
 
 def iv(a, b):
@@ -156,18 +155,9 @@ class TestEstimateIntercept:
 
 
 class TestMeanSquaredDtau:
-    def test_perfect_fit(self):
-        y = [iv(0, 2), iv(1, 3)]
-        assert mean_squared_dtau(y, list(y), 0.5) == 0.0
-
-    def test_constant_mid_offset(self):
-        y = [iv(0, 2), iv(1, 3), iv(-2, 0)]
-        y_hat = [Interval(a.mid + 1.0, a.spr) for a in y]
-        assert mean_squared_dtau(y, y_hat, 0.5) == pytest.approx(0.5, rel=1e-14)
-
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            mean_squared_dtau([iv(0, 1)], [iv(0, 1), iv(1, 2)], 0.5)
+            mean_squared_unweighted(np.zeros(1), np.zeros(1), np.zeros(2), np.zeros(2))
 
     def test_unweighted_is_double_the_balanced_metric(self):
         y = [iv(0, 2), iv(1, 5), iv(-1, 0)]
@@ -175,10 +165,10 @@ class TestMeanSquaredDtau:
         mids = lambda ivs: np.array([a.mid for a in ivs])
         sprs = lambda ivs: np.array([a.spr for a in ivs])
         assert mean_squared_unweighted(mids(y), sprs(y), mids(y_hat), sprs(y_hat)) == pytest.approx(
-            2.0 * mean_squared_dtau(y, y_hat, 0.5), rel=1e-14
+            2.0 * _msd_arrays(mids(y) - mids(y_hat), sprs(y) - sprs(y_hat), 0.5), rel=1e-14
         )
 
     def test_recomputable_from_fit_result(self):
         s = random_sample(44, n=18, k=2)
         res = fit_ls(build_design(s, "full"), 0.5)
-        assert res.mse == pytest.approx(mean_squared_dtau(s.y_list(), fitted_intervals(res), 0.5), abs=1e-10)
+        assert res.mse == pytest.approx(weighted_mse(s, res, 0.5), abs=1e-10)

@@ -3,11 +3,12 @@ import csv
 import numpy as np
 import pytest
 
-from intreg import Coefficients, Interval, Qp, build_design, fit_ls, simulate, solve_qp
-from intreg.errors import InfeasibleQp, InvalidTruth, TooLarge
-from intreg.oracle import OracleReport, active_set_optimum, brute_force_qp, write_reports
+from intreg import Coefficients, Interval, Qp, build_design, fit_ls, solve_qp
+from intreg.errors import InfeasibleQp
 
 from conftest import random_feasible_qp
+from oracle import (InvalidTruth, OracleReport, TooLarge, active_set_optimum, brute_force_qp, simulate,
+                    write_reports)
 
 
 class TestBruteForceQp:
