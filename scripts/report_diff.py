@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the CLI reports of two source trees on a fixed set of 444 runs.
+"""Compare the CLI reports of two source trees on a fixed set of 480 runs.
 
 The run set:
 
@@ -9,7 +9,9 @@ The run set:
   ``bench/workloads.py``, for s in {1, 7}, i < 6 and n in {30, 60, 100, 150,
   400};
 * the same six configurations on ``generate(77, i, 60, 3,
-  spread_noise=1.0)``, i < 6, at ``--tau`` 0.5 and 0.3.
+  spread_noise=1.0)``, i < 6, at ``--tau`` 0.5 and 0.3;
+* the same six configurations on the wide designs ``generate(7, i, n, 20)``,
+  for i < 3 and n in {300, 2000}.
 
 The samples are written once to a temporary directory, so both trees read
 identical input paths.  Each tree runs every report (JSON output) in its own
@@ -66,6 +68,11 @@ def run_set(workdir: Path) -> list[tuple[str, list[str]]]:
         write_csv(path, generate(77, i, 60, 3, spread_noise=1.0), "midspr")
         for tau in ("0.5", "0.3"):
             inputs.append((f"{path.stem}_tau{tau}", str(path), ("--tau", tau)))
+    for i in range(3):
+        for n in (300, 2000):
+            path = workdir / f"gen_7_{i}_{n}_k20.csv"
+            write_csv(path, generate(7, i, n, 20), "midspr")
+            inputs.append((path.stem, str(path), ()))
     return [(f"{label}/{method}/{variant}",
              ["--input-path", path, "--method", method, "--variant", variant, "--output-format", "json", *extra])
             for label, path, extra in inputs for method in METHODS for variant in VARIANTS]

@@ -42,7 +42,8 @@ class PivotLimitExceeded(IntregError):
 
 
 class RayTermination(IntregError, ArithmeticError):
-    """Complementary pivoting ray-terminated although the constraints are feasible."""
+    """Complementary pivoting ray-terminated on a ray that does not certify the
+    constraints empty."""
 
 
 class SubgradientGap(IntregError, ArithmeticError):

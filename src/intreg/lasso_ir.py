@@ -27,7 +27,7 @@ from .design import DesignSystem
 from .intervals import DEFAULT_TAU, Interval, validate_tau
 from .lasso import _cv_errors
 from .lcp import Qp, _qp_path
-from .least_squares import METHOD_LASSO_IR, FitResult, _fit_result, ols_mid
+from .least_squares import METHOD_LASSO_IR, FitResult, _fit_result, _snap_zeros, ols_mid
 
 
 def _joint_qp(design: DesignSystem, tau: float, t: float) -> Qp:
@@ -110,9 +110,10 @@ def _budget_path(design: DesignSystem, tau: float,
 
     The ``t > 0`` programs share the joint QP but for the budget, which is
     the right-hand side of its last row, so they are walked by active-set
-    continuation (see :func:`intreg.lcp._qp_path`).  At ``t = 0`` the offset
-    is zero and the program is the midpoint block alone, under the rows that
-    keep the tied fitted spreads nonnegative.
+    continuation (see :func:`intreg.lcp._qp_path`); offset entries within
+    roundoff of zero are snapped to exact zeros, as the spread block's are.
+    At ``t = 0`` the offset is zero and the program is the midpoint block
+    alone, under the rows that keep the tied fitted spreads nonnegative.
     """
     w = design.block_width
     n = design.n
@@ -124,7 +125,7 @@ def _budget_path(design: DesignSystem, tau: float,
             raise ValueError("the budget must be nonnegative")
         if t > 0.0:
             u, _, info = next(joint)
-            yield u[:w], np.maximum(u[w : 2 * w], 0.0) - np.maximum(u[2 * w :], 0.0), info
+            yield u[:w], _snap_zeros(np.maximum(u[w : 2 * w], 0.0) - np.maximum(u[2 * w :], 0.0)), info
         else:
             # the midpoint block under the spread rows, sliced from the joint QP
             a_m, _, info = next(_qp_path(qp.Q[:w, :w], qp.R[:n, :w], lambda _: (qp.c[:w], qp.r[:n]), [t]))

@@ -27,7 +27,9 @@ in the estimators' programs there is one row per observation but only a
 handful bind.  Starting from the unconstrained minimizer, each round adds
 the most violated rows to the working set and solves the working set's LCP
 exactly, until no other row is violated; the working set only grows, so
-the rounds are finitely many.  The loop returns Lemke's iterate.
+the rounds are finitely many.  The loop returns Lemke's iterate, or, when
+Lemke ray-terminates on a ray that is Farkas' certificate that the working
+set's rows have no common point (Eaves, 1971), reports the program empty.
 
 Along a grid of programs that share Q and R and whose linear term and
 right-hand side are affine in one parameter (a penalty or budget path), the
@@ -38,14 +40,15 @@ routine is the one place that solves on an active set.  At a breakpoint,
 where that set changes, it runs the working-set Lemke solve, started at the
 last breakpoint's active set with one Cholesky factor of the shared
 Hessian, then factors the KKT equality matrix of the iterate's active set
-once (a minimum-norm pseudo-inverse from one singular value decomposition)
-and polishes with it, which removes the ridge bias of pivoting.  The grid
-points that follow are solved on that set together, one per row of a stack
-and in one matrix product, and certified as a stack; the leading run of
-points whose slacks and multipliers have the right sign and whose KKT
-residuals over every row pass is kept, and the first that fails is the
-next breakpoint.  Every point is certified against every row; a single
-program is the one-point grid.
+(a minimum-norm pseudo-inverse from one singular value decomposition) and
+polishes with it, which removes the ridge bias of pivoting.  A row the
+polished point violates joins the set, which is factored and polished
+again, until no row is violated.  The grid points that follow are solved on
+that set together, one per row of a stack and in one matrix product, and
+certified as a stack; the leading run of points whose slacks and
+multipliers have the right sign and whose KKT residuals over every row pass
+is kept, and the first that fails is the next breakpoint.  Every point is
+certified against every row; a single program is the one-point grid.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InfeasibleQp, PivotLimitExceeded, RayTermination, SingularQ
 
@@ -139,7 +141,6 @@ class LcpSolution:
     w: np.ndarray
     status: str
     pivots: int
-    visited_bases: Optional[list] = None
 
 
 def _ridge_factor(Q: np.ndarray) -> tuple[np.ndarray, float]:
@@ -154,8 +155,7 @@ def _ridge_factor(Q: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    y = solve_triangular(L, b, lower=True)
-    return solve_triangular(L.T, y, lower=False)
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def _reduce(R: np.ndarray, r: np.ndarray, L: np.ndarray, qc: np.ndarray) -> Lcp:
@@ -260,31 +260,40 @@ def _lemke_pivots(M: np.ndarray, q: np.ndarray, max_pivots: int) -> Iterator[tup
         row = _lexico_min_row(T, eligible, lex_cols, col[eligible])
 
 
-def lemke_solve(lcp: Lcp, max_pivots: Optional[int] = None, track_bases: bool = False) -> LcpSolution:
+def lemke_solve(lcp: Lcp, max_pivots: Optional[int] = None) -> LcpSolution:
     """Solve an LCP by complementary pivoting with lexicographic tie-breaking.
 
-    Returns a solution with status ``solved``, or ``ray-termination`` when
-    the covering ray escapes (for the PSD systems produced by ``qp_to_lcp``
-    this certifies an empty constraint set).  Raises
-    :class:`PivotLimitExceeded` when the pivot budget, 50 per dimension by
-    default, runs out.
+    Returns a solution with status ``solved``, or ``ray-termination`` with
+    ``z`` the ``z`` part of the secondary ray the run escapes on: the
+    nonbasic member of the one nonbasic complementary pair whose column has
+    no entry above ``PIVOT_EPS`` grows, and the basic variables move along
+    that column.  For the PSD systems of ``qp_to_lcp`` the ray ``y`` has
+    ``R'y = 0`` and ``r'y > 0``, Farkas' certificate that the constraint set
+    is empty (Eaves, 1971).  Raises :class:`PivotLimitExceeded` when the
+    pivot budget, 50 per dimension by default, runs out.
     """
     M, q = lcp.M, lcp.q
     d = lcp.dim
     if max_pivots is None:
         max_pivots = 50 * max(d, 1)
-    visited = [] if track_bases else None
     if d == 0 or float(np.min(q, initial=0.0)) >= 0.0:
-        return LcpSolution(np.zeros(d), q.copy(), SOLVED, 0, visited)
+        return LcpSolution(np.zeros(d), q.copy(), SOLVED, 0)
     pivots = 0
     for T, basis in _lemke_pivots(M, q, max_pivots):
         pivots += 1
-        if track_bases:
-            visited.append(frozenset(basis.tolist()))
     if 2 * d in basis:
-        return LcpSolution(np.zeros(d), q.copy(), RAY_TERMINATION, pivots, visited)
+        return LcpSolution(_ray(T, basis, d), q.copy(), RAY_TERMINATION, pivots)
     z, w = _extract_solution(M, q, basis, T[:, -1])
-    return LcpSolution(z, w, SOLVED, pivots, visited)
+    return LcpSolution(z, w, SOLVED, pivots)
+
+
+def _ray(T: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:
+    """The ``z`` part of the ray that a run which ray-terminated escapes on."""
+    pair = int(np.setdiff1d(np.arange(d), basis[basis < 2 * d] % d)[0])  # no member basic
+    entering = pair + d if float(np.max(T[:, pair + d])) <= PIVOT_EPS else pair
+    x = np.zeros(2 * d + 1)
+    x[entering], x[basis] = 1.0, -T[:, entering]
+    return np.maximum(x[d : 2 * d], 0.0)
 
 
 def _lemke_path(lcp: Lcp, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,17 +322,13 @@ def _lemke_path(lcp: Lcp, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, reached
 
 
-def _constraints_feasible(R: np.ndarray, r: np.ndarray) -> bool:
-    from scipy.optimize import linprog
-
-    res = linprog(
-        np.zeros(R.shape[1]),
-        A_ub=-R,
-        b_ub=-(r - 1e-9),
-        bounds=[(None, None)] * R.shape[1],
-        method="highs",
-    )
-    return res.status != 2
+def _farkas(R: np.ndarray, r: np.ndarray, y: np.ndarray) -> bool:
+    """Whether ``y >= 0`` is Farkas' certificate that ``Rz >= r`` has no
+    solution: ``R'y = 0`` and ``r'y > 0``, both relative to ``sum(y)`` and
+    the largest entry of ``R`` and of ``r``."""
+    total = float(np.sum(y))
+    return (total > 0.0 and float(np.max(np.abs(R.T @ y))) <= 1e-9 * total * float(np.max(np.abs(R)))
+            and float(r @ y) > 1e-9 * total * float(np.max(np.abs(r))))
 
 
 def _kkt(Q: np.ndarray, c: np.ndarray, R: np.ndarray, z: np.ndarray, lam: np.ndarray,
@@ -402,13 +407,15 @@ def _solve_qp_full(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray, w
     working set and solves the LCP of the working set alone, until no row
     outside it is violated.  The point carries the ridge bias of the
     factored Hessian; :func:`_qp_path` polishes it and certifies it against
-    every row.
+    every row.  A ray termination whose ray is Farkas' certificate for the
+    working set (:func:`_farkas`) raises :class:`InfeasibleQp`.
 
     ``work`` names rows that start in the working set when the unconstrained
     minimizer is infeasible (a path of related QPs passes the last
     breakpoint's active set); the first round then solves on them before any
     row is added.  If Lemke ray-terminates on such a working set, the
-    program is solved again from an empty one.  ``factor`` is the
+    program is solved again from an empty one; from an empty one, a ray
+    that is no certificate raises :class:`RayTermination`.  ``factor`` is the
     ``(L, ridge)`` pair of :func:`_ridge_factor` for ``Q``, when a path of
     programs sharing the Hessian has it already.
     """
@@ -428,12 +435,12 @@ def _solve_qp_full(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray, w
             sol = lemke_solve(_reduce(R[rows], r[rows], L, qc))
             info["lemke_pivots"] += float(sol.pivots)
             if sol.status != SOLVED:
+                if _farkas(R[rows], r[rows], sol.z):
+                    raise InfeasibleQp("constraint system is empty")
                 if len(work):
                     # rows carried over from a neighbouring program can be
                     # degenerate here; decide from an empty working set
                     return _solve_qp_full(Q, c, R, r, factor=(L, ridge))
-                if not _constraints_feasible(R, r):
-                    raise InfeasibleQp("constraint system is empty")
                 raise RayTermination("complementary pivoting ray-terminated on a feasible program")
             lam[rows] = sol.z
             z = _chol_solve(L, R.T @ lam - c)
@@ -464,11 +471,15 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
     are kept, and that one is the next breakpoint.  A breakpoint is solved
     by :func:`_solve_qp_full` with the working set started at the last
     breakpoint's active set and the Hessian factored once for the whole
-    path.  The rows that bind Lemke's iterate (:func:`_active_rows`) become
-    the new active set; its KKT matrix is factored once, and the equality
-    solve on it (the polish) replaces the iterate when its multipliers are
-    nonnegative up to ``1e-8`` of their scale (the small negative ones are
-    clipped to 0) and its worst residual is no larger than the iterate's.
+    path.  The rows that bind Lemke's iterate (:func:`_active_rows`) start
+    the new active set; the equality solve on it (the polish) is repeated,
+    with every row it violates by the working-set loop's test added, until
+    it violates none (a singular Hessian's minimum-norm polish can violate
+    rows whose multiplier is roundoff at the iterate), and the continuation
+    walks on the final set.  The polish replaces the iterate when its
+    multipliers are nonnegative up to ``1e-8`` of their scale (the small
+    negative ones are clipped to 0) and its worst residual is no larger
+    than the iterate's.
     """
     points = [terms(theta) for theta in thetas]
     if not points:
@@ -481,8 +492,13 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
         z, lam, info = _solve_qp_full(Q, c, R, r, work=active, factor=factor)
         kkt = _kkt(Q, c, R, z, lam, R @ z - r)
         active, scale = _active_rows(lam)
-        pinv = _kkt_factor(Q, R, active)
-        z_p, lam_p = _active_set_solve(pinv, c, r, active)
+        while True:
+            pinv = _kkt_factor(Q, R, active)
+            z_p, lam_p = _active_set_solve(pinv, c, r, active)
+            violated = np.setdiff1d(np.flatnonzero(R @ z_p - r < -1e-12 * (1.0 + np.abs(r))), active)
+            if violated.size == 0:
+                break
+            active = np.union1d(active, violated)
         if float(np.min(lam_p, initial=0.0)) >= -1e-8 * scale:
             lam_p = np.maximum(lam_p, 0.0)
             kkt_p = _kkt(Q, c, R, z_p, lam_p, R @ z_p - r)
@@ -512,8 +528,8 @@ def solve_qp(qp: Qp) -> np.ndarray:
 
     The one-point path (:func:`_qp_path`): a working-set Lemke solve (see
     :func:`_solve_qp_full`), polished on its active set.  Raises
-    :class:`InfeasibleQp` when pivoting ray-terminates and an independent
-    linear-programming probe on all rows confirms the constraint set is
-    empty.
+    :class:`InfeasibleQp` when pivoting ray-terminates on a ray that is
+    Farkas' certificate that the constraint set is empty, and
+    :class:`RayTermination` when it ray-terminates on one that is not.
     """
     return next(_qp_path(qp.Q, qp.R, lambda _: (qp.c, qp.r), [0.0]))[0]

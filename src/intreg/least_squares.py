@@ -29,9 +29,9 @@ METHOD_LS = "ls"
 METHOD_LASSO = "lasso"
 METHOD_LASSO_IR = "lasso-ir"
 
-# spread coefficients within this relative distance of zero are snapped to
-# exact zeros; complementary pivoting resolves active bounds to far better
-# than this
+# spread coefficients and lasso-ir offsets within this relative distance of
+# zero are snapped to exact zeros; complementary pivoting resolves active
+# bounds to far better than this
 _ZERO_SNAP = 1e-10
 
 
@@ -92,11 +92,9 @@ def spread_qp(design: DesignSystem, tau: float, lam: float = 0.0) -> Qp:
     return Qp(Q, _spread_linear(tau, lam, fs.T @ design.vs), R, r)
 
 
-def _snap_spread(a_s: np.ndarray) -> np.ndarray:
-    tol = _ZERO_SNAP * (1.0 + float(np.max(np.abs(a_s), initial=0.0)))
-    out = a_s.copy()
-    out[np.abs(out) <= tol] = 0.0
-    return np.maximum(out, 0.0)
+def _snap_zeros(a: np.ndarray) -> np.ndarray:
+    tol = _ZERO_SNAP * (1.0 + float(np.max(np.abs(a), initial=0.0)))
+    return np.where(np.abs(a) <= tol, 0.0, a)
 
 
 def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> Iterator[tuple[np.ndarray, dict]]:
@@ -116,7 +114,7 @@ def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> Ite
         return
     g = design.fs.T @ design.vs
     for a_s, _, info in _qp_path(qp.Q, qp.R, lambda lam: (_spread_linear(tau, lam, g), qp.r), lambdas):
-        yield _snap_spread(a_s), info
+        yield np.maximum(_snap_zeros(a_s), 0.0), info
 
 
 def solve_spread_block(design: DesignSystem, tau: float, lam: float = 0.0) -> tuple[np.ndarray, dict]:

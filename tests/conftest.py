@@ -83,6 +83,11 @@ def record_lemke_dims(monkeypatch):
     return dims
 
 
+def lemke_bases(lcp_):
+    """The basis after each of Lemke's pivots on ``lcp_``, as frozensets."""
+    return [frozenset(basis.tolist()) for _, basis in intreg.lcp._lemke_pivots(lcp_.M, lcp_.q, 50 * lcp_.dim)]
+
+
 def record_qp_solves(monkeypatch):
     """Patch the working-set QP solver to record the QPs it solves."""
     calls = []

@@ -317,19 +317,20 @@ class TestMain:
         assert report["coefficients"]["b1"][0] == pytest.approx(2.0, abs=1e-7)
         assert report["mse"] <= 1e-10
 
-
-class TestOpenDefects:
-    """Reproduced defects, pinned as strict expected failures so that their
-    fix has to flip them."""
-
-    @pytest.mark.xfail(strict=True, reason="lasso-ir returns a fit whose kkt_feasibility 5.2e-7 exceeds its bound")
     def test_lasso_ir_fit_meets_its_certificate(self, tmp_path, capsys):
-        # the seed [1, 13] draws the sample bench/workloads.generate(1, 13, 30, 3)
+        # the seed [1, 13] draws the sample bench/workloads.generate(1, 13, 30, 3);
+        # its selected budget's polish must close over the offset rows it
+        # violates, or the ridge-biased Lemke iterate is reported
         path = tmp_path / "sample.csv"
         write_sample(split_model_sample([1, 13], 30), path, FORMAT_MIDSPR)
         assert main(["--input-path", str(path), "--method", "lasso-ir", "--output-format", "json"]) == 0
         diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
         assert max(diagnostics[key] for key in diagnostics if key.startswith("kkt_")) <= 1e-8 * (1 + 30)
+
+
+class TestOpenDefects:
+    """Reproduced defects, pinned as strict expected failures so that their
+    fix has to flip them."""
 
     @pytest.mark.xfail(strict=True, reason="cross-validated lasso raises RayTermination on zero-spread rows")
     def test_lasso_fits_zero_spread_rows(self, capsys):

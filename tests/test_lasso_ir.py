@@ -214,6 +214,16 @@ class TestBudgetPath:
             for got, want in ((a_m, cold_m), (a_a, cold_a)):
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
 
+    def test_every_budget_meets_its_certificate(self):
+        # the top budgets of these samples leave offset rows whose multiplier
+        # is roundoff out of the Lemke iterate's active rows; the polish must
+        # close over them, or the ridge-biased iterate is reported
+        bound = 1e-8 * (1 + 30)
+        for seed in ([s, i] for s in (1, 7) for i in range(20)):
+            d = build_design(split_model_sample(seed, 30), "full")
+            for t, (_, _, info) in zip(default_budget_grid(d), _budget_path(d, 0.5, default_budget_grid(d))):
+                assert max(info[k] for k in info if k.startswith("kkt_")) <= bound, (seed, t)
+
     def test_about_one_lemke_call_per_budget(self, monkeypatch):
         # the t = 0 program of each fold starts cold; cold starts throughout
         # make 406 calls on this sample

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import intreg
 import intreg.lasso as lasso
 import intreg.lasso_ir as lasso_ir
 import intreg.lcp as lcp
@@ -12,7 +16,7 @@ from intreg.errors import InfeasibleQp, PivotLimitExceeded, SingularQ
 from intreg.lasso import fit_lasso_spr
 from intreg.lcp import RAY_TERMINATION, SOLVED, LcpSolution
 
-from conftest import random_feasible_qp, record_lemke_dims, record_qp_solves, split_model_sample
+from conftest import lemke_bases, random_feasible_qp, record_lemke_dims, record_qp_solves, split_model_sample
 from oracle import brute_force_qp
 
 
@@ -96,6 +100,24 @@ class TestLemkeSolve:
         with pytest.raises(PivotLimitExceeded):
             lemke_solve(lcp, max_pivots=1)
 
+    def test_ray_is_a_farkas_certificate(self, rng):
+        # z >= 1 and -z >= 0 contradict each other: the ray y Lemke escapes
+        # on has R'y = 0 and r'y > 0
+        R, r = np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])
+        sol = lemke_solve(qp_to_lcp(Qp(np.eye(1), np.zeros(1), R, r)))
+        assert sol.status == RAY_TERMINATION
+        assert np.min(sol.z) >= 0.0 and np.sum(sol.z) > 0.0
+        assert np.max(np.abs(R.T @ sol.z)) <= 1e-12 * np.sum(sol.z) and r @ sol.z > 0.0
+        # a contradictory pair among random rows
+        for _ in range(20):
+            m, p = int(rng.integers(1, 5)), int(rng.integers(0, 5))
+            A, a, b = rng.normal(size=(m + 2, m)), rng.normal(size=m), rng.normal()
+            R = np.vstack([rng.normal(size=(p, m)), a, -a])
+            r = np.concatenate([rng.normal(size=p), [b, 0.5 - b]])
+            sol = lemke_solve(qp_to_lcp(Qp(A.T @ A + 0.5 * np.eye(m), rng.normal(size=m), R, r)))
+            assert sol.status == RAY_TERMINATION
+            assert lcp._farkas(R, r, sol.z)
+
     def test_no_basis_revisits_on_degenerate_instances(self, rng):
         # duplicated constraint rows and tied right-hand sides force ratio
         # ties; the lexicographic rule must never revisit a basis
@@ -107,9 +129,10 @@ class TestLemkeSolve:
             base = rng.normal(size=(2, m))
             R = np.vstack([base, base, np.eye(m)])
             r = np.concatenate([np.zeros(4), -np.ones(m)])
-            sol = lemke_solve(qp_to_lcp(Qp(Q, c, R, r)), track_bases=True)
-            assert sol.status == SOLVED
-            assert len(sol.visited_bases) == len(set(sol.visited_bases))
+            lcp_ = qp_to_lcp(Qp(Q, c, R, r))
+            assert lemke_solve(lcp_).status == SOLVED
+            bases = lemke_bases(lcp_)
+            assert len(bases) == len(set(bases))
 
 
     def test_ratio_test_picks_the_row_of_the_whole_lexicographic_sort(self, rng, monkeypatch):
@@ -140,12 +163,12 @@ class TestLemkeSolve:
             A = rng.integers(-2, 3, size=(d, d)).astype(float)
             lcps.append(Lcp(A @ A.T + np.eye(d) * rng.integers(0, 2), -rng.integers(0, 3, size=d).astype(float)))
         for lcp_ in lcps:
-            got = lemke_solve(lcp_, track_bases=True)
+            got, got_bases = lemke_solve(lcp_), lemke_bases(lcp_)
             with monkeypatch.context() as patched:
                 patched.setattr(lcp, "_lexico_min_row", full_sort)
-                want = lemke_solve(lcp_, track_bases=True)
+                want, want_bases = lemke_solve(lcp_), lemke_bases(lcp_)
             assert got.status == want.status and got.pivots == want.pivots
-            assert got.visited_bases == want.visited_bases
+            assert got_bases == want_bases
             assert np.array_equal(got.z, want.z)
         assert sum(ties) >= 20
         for _ in range(200):
@@ -180,6 +203,34 @@ class TestSolveQp:
         qp = Qp(np.eye(1), np.zeros(1), np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
         with pytest.raises(InfeasibleQp):
             solve_qp(qp)
+
+    def test_infeasibility_matches_the_oracle(self):
+        # every other QP carries a contradictory row pair; with up to 8
+        # random rows on at most 4 variables the others are often empty too
+        rng = np.random.default_rng(2024)
+        verdicts = []
+        for i in range(400):
+            m = int(rng.integers(1, 5))
+            p = int(rng.integers(1, 7 if i % 2 else 9))
+            A = rng.normal(size=(m + 2, m))
+            R, r = rng.normal(size=(p, m)), rng.normal(size=p)
+            if i % 2:
+                a, b = rng.normal(size=m), rng.normal()
+                R = np.vstack([R, a, -a])
+                r = np.concatenate([r, [b, rng.uniform(0.1, 1.0) - b]])
+            qp = Qp(A.T @ A + 0.5 * np.eye(m), rng.normal(size=m), R, r)
+            try:
+                brute_force_qp(qp)
+                empty = False
+            except InfeasibleQp:
+                empty = True
+            if empty:
+                with pytest.raises(InfeasibleQp):
+                    solve_qp(qp)
+            else:
+                assert np.min(qp.R @ solve_qp(qp) - qp.r) >= -1e-8
+            verdicts.append(empty)
+        assert 100 <= sum(verdicts) <= 350
 
     def test_kkt_stationarity(self, rng):
         for i in range(20):
@@ -368,6 +419,18 @@ class TestQpPath:
             assert lam == pytest.approx([1e-9], abs=1e-15)
         assert path[1][2]["lemke_pivots"] > 0.0 and path[2][2]["lemke_pivots"] == 0.0
 
+    def test_polish_closes_over_the_rows_it_violates(self):
+        # min 1/2 (u - v)^2 - (u - v)/2 over u, v >= 0: at Lemke's
+        # ridge-biased iterate (1/2, 0) the row v >= 0 has a multiplier of
+        # about 5e-11, below the active-row cutoff, and the minimum-norm
+        # polish on the empty set, (1/4, -1/4), violates it; the row joins
+        # the set and the polish on it is exact
+        Q, c = np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([-0.5, 0.5])
+        z, lam, info = one_point_path(Qp(Q, c, np.eye(2), np.zeros(2)))
+        assert z == pytest.approx([0.5, 0.0], abs=1e-15)
+        assert lam == pytest.approx([0.0, 0.0], abs=1e-15)
+        assert info["kkt_stationarity"] <= 1e-15 and info["kkt_feasibility"] <= 1e-15
+
     def test_hessian_is_factored_once_per_path(self, rng, monkeypatch):
         qp, terms = affine_family(rng)
         factors = []
@@ -378,8 +441,10 @@ class TestQpPath:
         assert len(calls) > 1 and factors == [1]
 
     def test_kkt_is_factored_once_per_breakpoint(self, rng, monkeypatch):
-        # a breakpoint factors its active set's KKT matrix once; the polish
-        # and the continuation steps that follow share that factor
+        # a breakpoint factors its active set's KKT matrix once (again only
+        # when its polish violates a row outside the set, which no point of
+        # this family does); the polish and the continuation steps that
+        # follow share that factor
         qp, terms = affine_family(rng)
         factors = []
         kkt_factor = lcp._kkt_factor
@@ -544,3 +609,13 @@ class TestKktFactor:
         assert active.size
         for rows in (active, np.array([], dtype=int)):
             self.assert_matches_lstsq(qp.Q, qp.c, qp.R, qp.r, rows)
+
+
+class TestNumpyOnly:
+    def test_import_loads_no_scipy(self):
+        # numpy is the one runtime dependency
+        code = ("import sys, intreg, intreg.cli; "
+                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'")
+        src = str(Path(intreg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
