@@ -17,12 +17,14 @@ The samples are written once to a temporary directory, so both trees read
 identical input paths.  Each tree runs every report (JSON output) in its own
 Python process, with ``<tree>/src`` first on the import path, and counts its
 Lemke calls and pivots: the QP calls (spread block and ``lasso-ir``), and the
-midpoint block's per-point solves and one-run paths.
+midpoint block's per-point solves and one-run paths.  It also counts the QP
+path's KKT factorizations (``qp_kkt_factor_calls``), which an active-set
+step makes in place of a Lemke run.
 
 Prints every report field that moved, with its relative size
 ``|new - old| / max(|old|, |new|)``, every run whose exit code or stderr
-moved, both trees' Lemke totals, and the runs whose QP or midpoint Lemke
-calls or pivots differ.  Exits 1 when anything moved beyond the
+moved, both trees' Lemke and factorization totals, and the runs whose QP or
+midpoint Lemke calls or pivots differ.  Exits 1 when anything moved beyond the
 ``--allow FIELD=REL`` tolerances (a field is named by its last key), 0
 otherwise.
 
@@ -107,6 +109,7 @@ def worker(runs_path: str, out_path: str) -> None:
 
     lcp._pivot = counted_pivot
     count_calls(lcp, "lemke_solve", "qp")
+    count_calls(lcp, "_kkt_factor", "qp")
     count_calls(lasso, "lemke_solve", "mid")
     if hasattr(lasso, "_lemke_path"):
         count_calls(lasso, "_lemke_path", "mid")

@@ -95,8 +95,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError("--lambda-rule is redundant when both penalties are explicit")
     for name in ("lambda_mid", "lambda_spr", "t_budget"):
         value = getattr(args, name)
-        if value is not None and value < 0.0:
-            raise ValueError(f"--{name.replace('_', '-')} must be nonnegative")
+        if value is not None and not 0.0 <= value < np.inf:
+            raise ValueError(f"--{name.replace('_', '-')} must be finite and nonnegative")
     return RunConfig(**dict(vars(args), lambda_rule=args.lambda_rule or RULE_MSE))
 
 

@@ -26,13 +26,16 @@ vector, so one Lemke run walks the whole midpoint grid.  The penalty enters
 the spread QP's linear term alone, so the spread grid is walked by exact
 active-set continuation (the spread block's one solver, in
 :mod:`intreg.least_squares`): the points after a breakpoint are solved
-together on its binding rows, and the leading run whose slacks,
-multipliers and KKT residuals over every constraint row pass is kept;
-Lemke runs only where the set of binding rows changes.  Every grid point is
-still checked on its own (the midpoint subgradient-gap test and zero snap;
-the spread QP's certificate against every row), and a single fit is the
-one-point grid.  Each fold hands its fits over as one stack per block, so
-its held-out errors for the whole grid are one matrix product per block.
+together on its binding rows, and the leading run whose outside rows'
+slacks, binding rows' multipliers and KKT residuals over every constraint
+row pass is kept; where a point fails, one row enters or leaves the set
+and the rest are solved on the new set.  Lemke runs only for a path's
+first point and for a point where that one-row step fails.  Every grid
+point is still checked on its own (the midpoint subgradient-gap test and
+zero snap; the spread QP's certificate against every row), and a single fit
+is the one-point grid.  Each fold hands its fits over as one stack per
+block, so its held-out errors for the whole grid are one matrix product per
+block.
 """
 
 from __future__ import annotations
@@ -142,8 +145,8 @@ def _mid_fits(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[tuple[
     grid, and the gaps of all points come from one matrix product.
     """
     lambdas = np.fromiter(lambdas, dtype=float)
-    if not np.all(lambdas >= 0.0):
-        raise ValueError("the penalty must be nonnegative")
+    if not np.all((lambdas >= 0.0) & (lambdas < np.inf)):
+        raise ValueError("the penalty must be finite and nonnegative")
     F, v = design.fm, design.vm
     G, b = F.T @ F, F.T @ v
     bound = 1e-8 * (1.0 + float(np.max(np.abs(b), initial=0.0)))

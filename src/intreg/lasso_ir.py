@@ -12,9 +12,12 @@ negative parts it becomes a quadratic program with linear constraints, solved
 by the same complementary-pivoting machinery as the other estimators.  The
 budget is cross-validated on the Lasso folds.  It enters only the
 right-hand side of the budget row, so the ``t > 0`` programs of the grid are
-walked by exact active-set continuation: Lemke runs only where the set of
-binding rows changes, and every point is certified against every row.  A
-single fit is the one-point budget grid.
+walked by exact active-set continuation: binding rows are judged by their
+multipliers and the others by their slacks, a point that fails is retried
+after one row enters or leaves the binding set, and Lemke runs only for a
+path's first point and for a point where that one-row step fails.  Every
+point is certified against every row.  A single fit is the one-point
+budget grid.
 """
 
 from __future__ import annotations
@@ -115,14 +118,14 @@ def _budget_path(design: DesignSystem, tau: float,
     At ``t = 0`` the offset is zero and the program is the midpoint block
     alone, under the rows that keep the tied fitted spreads nonnegative.
     """
+    if not all(0.0 <= t < np.inf for t in grid):
+        raise ValueError("the budget must be finite and nonnegative")
     w = design.block_width
     n = design.n
     qp = _joint_qp(design, tau, 0.0)
     joint = _qp_path(qp.Q, qp.R, lambda t: (qp.c, np.concatenate([qp.r[:-1], [-t]])),
                      [t for t in grid if t > 0.0])
     for t in grid:
-        if t < 0.0:
-            raise ValueError("the budget must be nonnegative")
         if t > 0.0:
             u, _, info = next(joint)
             yield u[:w], _snap_zeros(np.maximum(u[w : 2 * w], 0.0) - np.maximum(u[2 * w :], 0.0)), info

@@ -36,19 +36,25 @@ right-hand side are affine in one parameter (a penalty or budget path), the
 solution on a fixed active set is affine in that parameter as well, so
 neighbouring grid points mostly share their active set (the grid-sampled
 parametric LCP of Cottle, Pang & Stone, 1992, section 4.5).  The path
-routine is the one place that solves on an active set.  At a breakpoint,
-where that set changes, it runs the working-set Lemke solve, started at the
-last breakpoint's active set with one Cholesky factor of the shared
-Hessian, then factors the KKT equality matrix of the iterate's active set
-(a minimum-norm pseudo-inverse from one singular value decomposition) and
-polishes with it, which removes the ridge bias of pivoting.  A row the
-polished point violates joins the set, which is factored and polished
-again, until no row is violated.  The grid points that follow are solved on
-that set together, one per row of a stack and in one matrix product, and
-certified as a stack; the leading run of points whose slacks and
-multipliers have the right sign and whose KKT residuals over every row pass
-is kept, and the first that fails is the next breakpoint.  Every point is
-certified against every row; a single program is the one-point grid.
+routine is the one place that solves on an active set.  Lemke runs only for
+a path's first point and for a point where a one-row step fails: there the
+working-set Lemke solve starts at the active set the path last walked on,
+with one Cholesky factor of the shared Hessian; the KKT equality matrix of
+the iterate's active set is factored (a minimum-norm pseudo-inverse from
+one singular value decomposition) and the iterate polished with it, which
+removes the ridge bias of pivoting.  A row the polished point violates
+joins the set, which is factored and polished again, until no row is
+violated.  The grid points that follow are solved on that set together, one
+per row of a stack and in one matrix product, and certified as a stack: a
+row outside the set must keep a nonnegative slack, a row in it a
+nonnegative multiplier, and the KKT residuals over every row must pass.
+The leading run of points that pass is kept.  At the first that fails, the
+row that crosses zero first on the way from the last kept point enters the
+set, or leaves it (the parametric active-set step of Best, 1996), the new
+set is factored once, and the remaining points are solved and certified on
+it as a stack; only if the failed point fails again is it solved by Lemke.
+Every point is certified against every row; a single program is the
+one-point grid.
 """
 
 from __future__ import annotations
@@ -411,8 +417,8 @@ def _solve_qp_full(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray, w
     working set (:func:`_farkas`) raises :class:`InfeasibleQp`.
 
     ``work`` names rows that start in the working set when the unconstrained
-    minimizer is infeasible (a path of related QPs passes the last
-    breakpoint's active set); the first round then solves on them before any
+    minimizer is infeasible (a path of related QPs passes the active set it
+    last walked on); the first round then solves on them before any
     row is added.  If Lemke ray-terminates on such a working set, the
     program is solved again from an empty one; from an empty one, a ray
     that is no certificate raises :class:`RayTermination`.  ``factor`` is the
@@ -451,6 +457,22 @@ def _solve_qp_full(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray, w
         in_work[violated[np.argsort(slack[violated], kind="stable")[: Q.shape[0]]]] = True
 
 
+def _crossing_row(lam0: np.ndarray, slack0: np.ndarray, lam1: np.ndarray, slack1: np.ndarray,
+                  active: np.ndarray, tol: np.ndarray) -> Optional[int]:
+    """The row that crosses zero first on the segment from a kept point
+    ``(lam0, slack0)`` to a rejected one ``(lam1, slack1)`` solved on the rows
+    ``active``: a row outside the set whose slack fails the working-set
+    loop's test ``>= -tol``, or a row in the set whose multiplier is
+    negative.  ``None`` when no row fails either way."""
+    floor, start, end = -tol, slack0.copy(), slack1.copy()
+    floor[active], start[active], end[active] = 0.0, lam0[active], lam1[active]
+    fails = np.flatnonzero(end < floor)
+    if fails.size == 0:
+        return None
+    start = np.maximum(start[fails], 0.0)
+    return int(fails[np.argmin(start / (start - end[fails]))])
+
+
 def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.ndarray, np.ndarray]],
              thetas: Iterable[float]) -> Iterator[tuple[np.ndarray, np.ndarray, dict]]:
     """Solutions, multipliers and diagnostics of a family of QPs along a grid.
@@ -462,29 +484,41 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
     given: callers build them through :class:`Qp`, which checks them once
     per path rather than at every breakpoint.
 
-    After each breakpoint, every later grid point is solved on that
-    breakpoint's active set in one matrix product, through the
-    pseudo-inverse of the set's KKT matrix.  A point is kept when every
-    slack passes the working-set loop's ``>= -1e-12 (1 + |r|)`` test, every
-    multiplier is nonnegative and its KKT residuals over every row are
+    Lemke runs for the first grid point and for a point where a one-row
+    step fails (a breakpoint); every other point is solved on an active set
+    by one matrix product, through the pseudo-inverse of the set's KKT
+    matrix.  After a breakpoint, every later grid point is solved that way
+    on the breakpoint's active set, as one stack.  A point is kept when the
+    slack of every row outside the set passes the working-set loop's ``>=
+    -1e-12 (1 + |r|)`` test, the multiplier of every row in the set is
+    nonnegative (the slack of such a row is roundoff about zero, which the
+    sign test would misread) and its KKT residuals over every row are
     within ``1e-8 (1 + rows)``; the points before the first one that fails
-    are kept, and that one is the next breakpoint.  A breakpoint is solved
-    by :func:`_solve_qp_full` with the working set started at the last
-    breakpoint's active set and the Hessian factored once for the whole
-    path.  The rows that bind Lemke's iterate (:func:`_active_rows`) start
-    the new active set; the equality solve on it (the polish) is repeated,
-    with every row it violates by the working-set loop's test added, until
-    it violates none (a singular Hessian's minimum-norm polish can violate
-    rows whose multiplier is roundoff at the iterate), and the continuation
-    walks on the final set.  The polish replaces the iterate when its
-    multipliers are nonnegative up to ``1e-8`` of their scale (the small
-    negative ones are clipped to 0) and its worst residual is no larger
-    than the iterate's.
+    are kept.  For that point one step is tried: the row that crosses zero
+    first on the segment from the last kept point to it
+    (:func:`_crossing_row`) joins the set if it is outside, or leaves it,
+    and the remaining points are solved and certified on the new set the
+    same way.  If the failed point passes there, the leading run is kept and
+    the walk goes on from the new set; otherwise that point is a
+    breakpoint.  Steps are not repeated within one grid interval.
+
+    A breakpoint is solved by :func:`_solve_qp_full` with the working set
+    started at the active set the path last walked on and the Hessian
+    factored once for the whole path.  The rows that bind Lemke's iterate
+    (:func:`_active_rows`) start the new active set; the equality solve on
+    it (the polish) is repeated, with every row it violates by the
+    working-set loop's test added, until it violates none (a singular
+    Hessian's minimum-norm polish can violate rows whose multiplier is
+    roundoff at the iterate), and the walk goes on from the final set.  The
+    polish replaces the iterate when its multipliers are nonnegative up to
+    ``1e-8`` of their scale (the small negative ones are clipped to 0) and
+    its worst residual is no larger than the iterate's.
     """
     points = [terms(theta) for theta in thetas]
     if not points:
         return
     C, RHS = np.array([c for c, _ in points]), np.array([r for _, r in points])
+    tol = 1e-12 * (1.0 + np.abs(RHS))
     bound = 1e-8 * (1.0 + R.shape[0])
     factor, active, i = _ridge_factor(Q), (), 0
     while i < len(points):
@@ -495,7 +529,7 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
         while True:
             pinv = _kkt_factor(Q, R, active)
             z_p, lam_p = _active_set_solve(pinv, c, r, active)
-            violated = np.setdiff1d(np.flatnonzero(R @ z_p - r < -1e-12 * (1.0 + np.abs(r))), active)
+            violated = np.setdiff1d(np.flatnonzero(R @ z_p - r < -tol[i]), active)
             if violated.size == 0:
                 break
             active = np.union1d(active, violated)
@@ -507,20 +541,35 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
         info.update(kkt)
         yield z, lam, info
         i += 1
-        if i == len(points):
-            return
-        # the later points on this active set, as one stack
-        Z, LAM = _active_set_solve(pinv, C[i:], RHS[i:], active)
-        slack = (R @ Z.T).T - RHS[i:]
-        kkt = _kkt(Q, C[i:], R, Z, LAM, slack)
-        ok = np.all(slack >= -1e-12 * (1.0 + np.abs(RHS[i:])), axis=1) & np.all(LAM >= 0.0, axis=1)
-        for value in kkt.values():
-            ok &= value <= bound
-        run = ok.size if ok.all() else int(np.argmin(ok))
-        for j in range(run):
-            yield Z[j], LAM[j], {"ridge_used": float(factor[1]), "lemke_pivots": 0.0,
-                                 **{key: float(value[j]) for key, value in kkt.items()}}
-        i += run
+        # the later points as one stack on this active set, then on one-row
+        # steps from it, one per rejected point
+        kept, rows, step = (lam, R @ z - r), active, False
+        while i < len(points):
+            Z, LAM = _active_set_solve(pinv, C[i:], RHS[i:], rows)
+            slack = (R @ Z.T).T - RHS[i:]
+            kkt = _kkt(Q, C[i:], R, Z, LAM, slack)
+            passes = slack >= -tol[i:]
+            passes[:, rows] = True  # rows in the set are judged by their multipliers
+            ok = np.all(passes, axis=1) & np.all(LAM >= 0.0, axis=1)
+            for value in kkt.values():
+                ok &= value <= bound
+            run = ok.size if ok.all() else int(np.argmin(ok))
+            if step and run == 0:
+                break
+            active = rows
+            for j in range(run):
+                yield Z[j], LAM[j], {"ridge_used": float(factor[1]), "lemke_pivots": 0.0,
+                                     **{key: float(value[j]) for key, value in kkt.items()}}
+            i += run
+            if i == len(points):
+                return
+            if run:
+                kept = LAM[run - 1], slack[run - 1]
+            row = _crossing_row(*kept, LAM[run], slack[run], active, tol[i])
+            if row is None:
+                break
+            rows = np.setdiff1d(active, row) if row in active else np.union1d(active, row)
+            pinv, step = _kkt_factor(Q, R, rows), True
 
 
 def solve_qp(qp: Qp) -> np.ndarray:

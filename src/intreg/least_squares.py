@@ -119,8 +119,8 @@ def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> Ite
 
 def solve_spread_block(design: DesignSystem, tau: float, lam: float = 0.0) -> tuple[np.ndarray, dict]:
     """Spread-block solution under the feasibility cone, with diagnostics."""
-    if lam < 0.0:
-        raise ValueError("the penalty must be nonnegative")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("the penalty must be finite and nonnegative")
     return next(_spr_path(design, [lam], tau))
 
 

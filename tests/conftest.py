@@ -102,28 +102,21 @@ def record_qp_solves(monkeypatch):
 
 
 def corrupt_continuation_steps(monkeypatch, corrupt):
-    """Make every continuation step of ``lcp._qp_path`` propose a wrong point:
-    its primal point shifted (``corrupt="primal"``) or its multipliers
-    negated (``"multipliers"``).  A breakpoint's polish, the one active-set
-    solve that directly follows a KKT factorization, is left alone."""
-    factor = intreg.lcp._kkt_factor
+    """Make every stacked solve of ``lcp._qp_path``, a continuation on a
+    breakpoint's active set or a one-row step from it, propose wrong points:
+    their primal points shifted (``corrupt="primal"``) or their multipliers
+    negated (``"multipliers"``).  A breakpoint's polish, the one one-point
+    active-set solve, is left alone."""
     solve = intreg.lcp._active_set_solve
-    polish = [False]
-
-    def factored(*args):
-        polish[0] = True
-        return factor(*args)
 
     def step(pinv, c, r, active):
         z, lam = solve(pinv, c, r, active)
-        if polish[0]:
-            polish[0] = False
+        if c.ndim == 1:
             return z, lam
         if corrupt == "primal":
             return z + 1e-3 * (1.0 + np.max(np.abs(z))), lam
         return z, -lam
 
-    monkeypatch.setattr(intreg.lcp, "_kkt_factor", factored)
     monkeypatch.setattr(intreg.lcp, "_active_set_solve", step)
 
 

@@ -308,6 +308,21 @@ class TestMain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error code=InvalidArgument")
 
+    @pytest.mark.parametrize("method, option", [
+        ("lasso", "--lambda-mid"), ("lasso", "--lambda-spr"), ("lasso-ir", "--t-budget"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+    def test_non_finite_or_negative_penalty_is_one_error_line(self, sample_csv, capsys, method, option, value):
+        # a NaN budget must not pass for t = 0 (its report would carry
+        # "t": NaN, which is not JSON), nor a NaN penalty reach the fit
+        extra = ["--lambda-mid", "0.1"] if option == "--lambda-spr" else []
+        code = main(["--input-path", sample_csv, "--method", method, *extra, option, value,
+                     "--output-format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error code=InvalidArgument") and err.count("\n") == 1
+        assert "finite and nonnegative" in err
+
     def test_exact_fit_end_to_end(self, tmp_path, capsys):
         path = tmp_path / "exact.csv"
         write_sample(exact_fit_sample(n=8), path, FORMAT_MIDSPR)

@@ -19,6 +19,7 @@ import intreg.lasso
 import intreg.lcp
 from intreg.errors import FoldTooSmall, IntregError, RayTermination, SubgradientGap
 from intreg.lasso import _lasso_gram, _mid_fits, mid_kkt_gap, soft_threshold
+from intreg.lasso_ir import _budget_path, default_budget_grid
 from intreg.lcp import RAY_TERMINATION, LcpSolution, lemke_solve
 from intreg.least_squares import _spr_path, solve_spread_block
 
@@ -129,11 +130,13 @@ class TestBlockFits:
     def test_negative_penalty_rejected(self):
         s = random_sample(3, n=10)
         d = build_design(s, "full")
-        for lam in (-0.1, float("nan")):
-            with pytest.raises(ValueError):
+        for lam in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
                 fit_lasso_mid(d, lam)
-        with pytest.raises(ValueError):
-            fit_lasso_spr(d, -0.1, 0.5)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                fit_lasso_spr(d, lam, 0.5)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                fit_lasso(d, 0.5, lambda_mid=0.1, lambda_spr=lam)
 
     def test_spread_path_stays_feasible(self):
         s = random_sample(4, n=20, k=2)
@@ -434,12 +437,12 @@ class TestPathwiseCrossValidation:
         assert max(calls) < d.n
 
     def test_spread_grid_solves_qps_only_at_breakpoints(self, monkeypatch):
-        # continuation solves a QP only where the set of binding rows changes:
-        # 38 solves for the 500 grid points on this sample (7.6 per fold)
+        # Lemke solves a path's first point and a point where a one-row step
+        # fails: 8 solves for the 500 grid points on this sample
         d = build_design(split_model_sample(1, 100), "full")
         calls = record_qp_solves(monkeypatch)
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("spr",), count=100)
-        assert 5 <= len(calls) <= 57
+        assert 5 <= len(calls) <= 12
 
     @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
     def test_failed_continuation_step_falls_back_to_lemke(self, corrupt, monkeypatch):
@@ -461,6 +464,22 @@ class TestPathwiseCrossValidation:
         grid = lambda_grid(d, 100, 1e-3, "mid")
         for lam, (warm, _) in zip(grid, _mid_fits(d, grid)):
             cold = fit_lasso_mid(d, lam)
+            assert np.array_equal(warm == 0.0, cold == 0.0)
+            assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
+
+    @pytest.mark.parametrize("k", [10, 20])
+    def test_wide_spread_and_budget_paths_equal_cold_fits(self, k):
+        # on wide designs these paths make a few Lemke solves and reach
+        # every other point by continuation and one-row steps; each point
+        # must be the one-point path's fit, zero pattern included
+        d = build_design(split_model_sample(k, 200, k), "full")
+        grid = lambda_grid(d, 100, 1e-3, "spr")
+        pairs = [(warm, fit_lasso_spr(d, lam, 0.5)) for lam, (warm, _) in zip(grid, _spr_path(d, grid, 0.5))]
+        grid = default_budget_grid(d)
+        for t, (a_m, a_a, _) in zip(grid, _budget_path(d, 0.5, grid)):
+            cold_m, cold_a, _ = next(_budget_path(d, 0.5, [t]))
+            pairs += [(a_m, cold_m), (a_a, cold_a)]
+        for warm, cold in pairs:
             assert np.array_equal(warm == 0.0, cold == 0.0)
             assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
 

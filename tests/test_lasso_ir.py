@@ -83,9 +83,13 @@ class TestFitLassoIr:
         assert diagnostics["delta_spr_raw"] < 0.0
 
     def test_negative_budget_rejected(self):
+        # a NaN budget must not pass for t = 0, nor an infinite one reach the QP
         d = build_design(adversarial_sample(), "model-m")
-        with pytest.raises(ValueError):
-            fit_lasso_ir(d, 0.5, -0.1)
+        for t in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                fit_lasso_ir(d, 0.5, t)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                next(_budget_path(d, 0.5, [0.0, 0.1, t]))
 
     def test_cross_effects_out_of_reach(self):
         # data generated with a real midpoint<->spread cross effect: the full
@@ -233,13 +237,13 @@ class TestBudgetPath:
         assert 0 < len(calls) <= 1.25 * 5 * len(default_budget_grid(d))
 
     def test_budget_grid_solves_qps_only_at_breakpoints(self, monkeypatch):
-        # continuation solves a QP only where the set of binding rows changes:
-        # 36 solves for the 105 grid points on this sample (per fold, the
-        # t = 0 fit and about 6 of the 20 budgets t > 0)
+        # Lemke solves a path's first point and a point where a one-row step
+        # fails: 19 solves for the 105 grid points on this sample (per fold,
+        # the t = 0 fit, the first budget t > 0 and about 2 more)
         d = build_design(split_model_sample(1, 100), "full")
         calls = record_qp_solves(monkeypatch)
         select_budget(d, 0.5, folds=5, seed=0)
-        assert 5 <= len(calls) <= 54
+        assert 5 <= len(calls) <= 28
 
     @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
     def test_failed_continuation_step_falls_back_to_lemke(self, corrupt, monkeypatch):

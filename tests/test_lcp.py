@@ -365,6 +365,39 @@ class TestWorkingSet:
             assert info[key] <= 1e-8 * (1 + n)
 
 
+def record_path_events(monkeypatch):
+    """Patch the QP path's solvers to log, in order, each working-set Lemke
+    solve (``"lemke"``, with its starting working set), each KKT
+    factorization (``"factor"``, with its rows) and each active-set solve of
+    one point (``"single"``) or of a stack (``"stack"``), with its rows."""
+    events = []
+    solve, factor, active_solve = lcp._solve_qp_full, lcp._kkt_factor, lcp._active_set_solve
+
+    def lemke(Q, c, R, r, work=(), factor=None):
+        events.append(("lemke", np.asarray(work, dtype=int)))
+        return solve(Q, c, R, r, work, factor)
+
+    def factored(Q, R, active):
+        events.append(("factor", active))
+        return factor(Q, R, active)
+
+    def solved(pinv, c, r, active):
+        events.append(("single" if c.ndim == 1 else "stack", active))
+        return active_solve(pinv, c, r, active)
+
+    monkeypatch.setattr(lcp, "_solve_qp_full", lemke)
+    monkeypatch.setattr(lcp, "_kkt_factor", factored)
+    monkeypatch.setattr(lcp, "_active_set_solve", solved)
+    return events
+
+
+def steps(events):
+    """The one-row steps of a path's event log: the factorizations that
+    directly follow a stacked solve, as ``(rows before, rows after)``."""
+    return [(events[j - 1][1], rows) for j, (kind, rows) in enumerate(events)
+            if kind == "factor" and events[j - 1][0] == "stack"]
+
+
 def affine_family(rng, m=4, p=40):
     """A feasible QP whose linear term and right-hand side both move with
     theta; r only decreases, so every program on theta >= 0 is feasible."""
@@ -406,18 +439,57 @@ class TestQpPath:
 
     def test_step_keeps_the_working_set_feasibility_test(self, monkeypatch):
         # min 1/2 |z|^2 - z_1 subject to z_1 <= 2, then z_1 <= 1 - 1e-9 twice:
-        # on the first point's empty active set the step lands 1e-9 outside
-        # the row, which the KKT bound 1e-8 (1 + rows) would let through but
-        # the slack test rejects; the third point steps on the row
+        # on the first point's empty active set the continuation lands 1e-9
+        # outside the row, which the KKT bound 1e-8 (1 + rows) would let
+        # through but the slack test rejects; the one-row step adds the row,
+        # and both later points are solved on it
         Q, c, R = np.eye(2), np.array([-1.0, 0.0]), np.array([[-1.0, 0.0]])
         bounds = [2.0, 1.0 - 1e-9, 1.0 - 1e-9]
-        calls = record_qp_solves(monkeypatch)
+        events = record_path_events(monkeypatch)
         path = list(lcp._qp_path(Q, R, lambda i: (c, np.array([-bounds[i]])), range(3)))
-        assert len(calls) == 2
+        assert [kind for kind, _ in events] == ["lemke", "factor", "single", "stack", "factor", "stack"]
+        assert [(a.tolist(), b.tolist()) for a, b in steps(events)] == [([], [0])]
         for z, lam, info in path[1:]:
             assert z == pytest.approx([1.0 - 1e-9, 0.0], abs=1e-15)
             assert lam == pytest.approx([1e-9], abs=1e-15)
-        assert path[1][2]["lemke_pivots"] > 0.0 and path[2][2]["lemke_pivots"] == 0.0
+            assert info["lemke_pivots"] == 0.0
+
+    @pytest.mark.parametrize("thetas", [np.linspace(0.0, 3.0, 13), np.linspace(3.0, 0.0, 13)],
+                             ids=["row-enters", "row-leaves"])
+    def test_one_row_step_replaces_lemke(self, thetas, monkeypatch):
+        # min 1/2 |z|^2 - theta z_1 - z_2 / 2 subject to z_1 <= 1 and
+        # z_2 <= 2: the first row binds for theta > 1 only, the second never;
+        # walking theta up, the row enters mid-path, walking it down, it
+        # leaves, and either time one step on it replaces a Lemke solve
+        Q, R, r = np.eye(2), -np.eye(2), np.array([-1.0, -2.0])
+        terms = lambda theta: (np.array([-theta, -0.5]), r)
+        cold = [one_point_path(Qp(Q, terms(theta)[0], R, r)) for theta in thetas]
+        events = record_path_events(monkeypatch)
+        path = list(lcp._qp_path(Q, R, terms, thetas))
+        assert [kind for kind, _ in events].count("lemke") == 1 and events[0][0] == "lemke"
+        enters = thetas[0] < thetas[-1]
+        assert [(a.tolist(), b.tolist()) for a, b in steps(events)] == [([], [0]) if enters else ([0], [])]
+        for (z, lam, _), (z_cold, lam_cold, _) in zip(path, cold):
+            assert z == pytest.approx(z_cold, rel=1e-15, abs=1e-15)
+            assert lam == pytest.approx(lam_cold, rel=1e-15, abs=1e-15)
+
+    def test_active_rows_are_judged_by_their_multipliers(self, monkeypatch):
+        # at n = 2000, k = 20 the stacked solve leaves many rows of the set
+        # with a slack of -1e-12 relative or so, roundoff about zero; were
+        # they held to the slack sign test, these paths would make 29 and 20
+        # Lemke solves, not 1 and 4
+        design = build_design(split_model_sample(20, 2000, 20), "full")
+        calls = record_qp_solves(monkeypatch)
+        spread = list(least_squares._spr_path(design, lasso.lambda_grid(design, 100, 1e-3, "spr"), 0.5))
+        assert len(calls) <= 3
+        calls.clear()
+        budget = list(lasso_ir._budget_path(design, 0.5, lasso_ir.default_budget_grid(design)))
+        assert len(calls) <= 8
+        # every kept point still meets the certificate's bound on every row
+        qps = least_squares.spread_qp(design, 0.5), lasso_ir._joint_qp(design, 0.5, 0.0)
+        for points, qp in zip((spread, budget), qps):
+            for info in (point[-1] for point in points):
+                assert max(info[key] for key in info if key.startswith("kkt_")) <= 1e-8 * (1 + qp.num_constraints)
 
     def test_polish_closes_over_the_rows_it_violates(self):
         # min 1/2 (u - v)^2 - (u - v)/2 over u, v >= 0: at Lemke's
@@ -441,70 +513,75 @@ class TestQpPath:
         assert len(calls) > 1 and factors == [1]
 
     def test_kkt_is_factored_once_per_breakpoint(self, rng, monkeypatch):
-        # a breakpoint factors its active set's KKT matrix once (again only
-        # when its polish violates a row outside the set, which no point of
-        # this family does); the polish and the continuation steps that
-        # follow share that factor
+        # a breakpoint factors its active set's KKT matrix once, right after
+        # its Lemke solve (again only when its polish violates a row outside
+        # the set, which no point of this family does); the polish and the
+        # continuation that follow share that factor.  Every other
+        # factorization is a one-row step, right after the stacked solve
+        # whose first point it rejected, so factorizations are Lemke
+        # breakpoints plus steps tried
         qp, terms = affine_family(rng)
-        factors = []
-        kkt_factor = lcp._kkt_factor
-        monkeypatch.setattr(lcp, "_kkt_factor", lambda *args: factors.append(1) or kkt_factor(*args))
-        calls = record_qp_solves(monkeypatch)
+        events = record_path_events(monkeypatch)
         list(lcp._qp_path(qp.Q, qp.R, terms, np.linspace(0.0, 3.0, 60)))
-        assert len(factors) == len(calls) > 1
-        factors.clear()
-        calls.clear()
+        kinds = [kind for kind, _ in events]
+        tried = steps(events)
+        assert kinds.count("lemke") >= 1 and tried
+        assert kinds.count("factor") == kinds.count("lemke") + len(tried)
+        assert all(kinds[j + 1] == "factor" for j, kind in enumerate(kinds) if kind == "lemke")
+        for before, after in tried:
+            assert np.setxor1d(before, after).size == 1
+        events.clear()
         list(lcp._qp_path(qp.Q, qp.R, terms, [1.0]))
-        assert len(factors) == len(calls) == 1
+        assert [kind for kind, _ in events] == ["lemke", "factor", "single"]
 
     def test_breakpoint_starts_at_the_last_active_set(self, monkeypatch):
-        # the rows carried into a breakpoint's working set are the previous
-        # breakpoint's active set, not the rows with a positive multiplier:
-        # on this budget path a degenerate row's polished multiplier is
-        # roundoff of about 4e-17, which must not decide the working set
+        # the rows carried into a breakpoint's working set are the active set
+        # the path last walked on, the set of its last point's solve: not the
+        # rows with a positive multiplier (on this budget path a degenerate
+        # row's polished multiplier is roundoff of about 4e-17, which must
+        # not decide the working set), and not the set of a step that failed
         sample = ingest(Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv")
         design = build_design(sample, "model-m")
         paths, current = [], []
-        path, solve = lasso_ir._qp_path, lcp._solve_qp_full
+        path, solve, active_solve = lasso_ir._qp_path, lcp._solve_qp_full, lcp._active_set_solve
 
         def new_path(*args):
             # the budget path interleaves two paths; each records its own
-            points, breakpoints = path(*args), []
-            paths.append(breakpoints)
+            points, walk = path(*args), {"last": None, "walked": None, "works": []}
+            paths.append(walk)
             while True:
-                current[:] = [breakpoints]
+                current[:] = [walk]
                 point = next(points, None)
                 if point is None:
                     return
+                walk["walked"] = walk["last"]
                 yield point
 
+        def solved(pinv, c, r, active):
+            current[0]["last"] = active
+            return active_solve(pinv, c, r, active)
+
         def record(Q, c, R, r, work=(), factor=None):
-            z, lam, info = solve(Q, c, R, r, work, factor)
-            current[0].append((np.asarray(work, dtype=int), lcp._active_rows(lam)[0]))
-            return z, lam, info
+            current[0]["works"].append((np.asarray(work, dtype=int), current[0]["walked"]))
+            return solve(Q, c, R, r, work, factor)
 
         monkeypatch.setattr(lasso_ir, "_qp_path", new_path)
         monkeypatch.setattr(lcp, "_solve_qp_full", record)
+        monkeypatch.setattr(lcp, "_active_set_solve", solved)
         lasso_ir.select_budget(design, 0.5)
-        assert sum(len(p) > 1 for p in paths) > 1
-        for breakpoints in paths:
-            assert breakpoints[0][0].size == 0
-            for (_, last), (work, _) in zip(breakpoints, breakpoints[1:]):
-                assert np.array_equal(work, last)
+        assert sum(len(walk["works"]) > 1 for walk in paths) > 1
+        for walk in paths:
+            assert walk["works"][0][0].size == 0
+            for work, walked in walk["works"][1:]:
+                assert np.array_equal(work, walked)
 
     @pytest.mark.parametrize("path", ["spread", "budget"])
     def test_one_stacked_solve_per_breakpoint(self, path, monkeypatch):
-        # the points after a breakpoint are solved in one stacked call; the
-        # only one-point solves are the breakpoints' polishes
+        # the points after a breakpoint are solved in one stacked call, and
+        # again in one per one-row step; the only one-point solves are the
+        # breakpoints' polishes
         design = build_design(split_model_sample(1, 100), "full")
-        solve, stacked, single = lcp._active_set_solve, [], []
-
-        def record(pinv, c, r, active):
-            (stacked if c.ndim == 2 else single).append(len(c))
-            return solve(pinv, c, r, active)
-
-        monkeypatch.setattr(lcp, "_active_set_solve", record)
-        calls = record_qp_solves(monkeypatch)
+        events = record_path_events(monkeypatch)
         if path == "spread":
             grid = lasso.lambda_grid(design, 100, 1e-3, "spr")
             points = list(least_squares._spr_path(design, grid, 0.5))
@@ -512,9 +589,14 @@ class TestQpPath:
             grid = lasso_ir.default_budget_grid(design)
             points = list(lasso_ir._budget_path(design, 0.5, grid))
         assert len(points) == len(grid)
-        assert 1 < len(calls) < len(grid) // 2
-        assert len(single) == len(calls)
-        assert len(stacked) <= len(calls)
+        kinds = [kind for kind, _ in events]
+        lemke = kinds.count("lemke")
+        assert 1 <= lemke < len(grid) // 2
+        assert kinds.count("single") == lemke
+        stacked = [kinds[j - 1] for j, kind in enumerate(kinds) if kind == "stack"]
+        assert set(stacked) <= {"single", "factor"}
+        assert stacked.count("single") <= lemke
+        assert stacked.count("factor") == len(steps(events)) > 0
 
 
 class TestStackedHelpers:
