@@ -19,7 +19,10 @@ Python process, with ``<tree>/src`` first on the import path, and counts its
 Lemke calls and pivots: the QP calls (spread block and ``lasso-ir``), and the
 midpoint block's per-point solves and one-run paths.  It also counts the QP
 path's KKT factorizations (``qp_kkt_factor_calls``), which an active-set
-step makes in place of a Lemke run.
+step makes in place of a Lemke run, and its working-set Lemke solves
+(``qp_solve_qp_full_calls``, calls of ``lcp._solve_qp_full``): the cold
+start of each path or single fit, and each fallback at a point where a
+one-row step fails, including a restart from an empty working set.
 
 Prints every report field that moved, with its relative size
 ``|new - old| / max(|old|, |new|)``, every run whose exit code or stderr
@@ -110,6 +113,7 @@ def worker(runs_path: str, out_path: str) -> None:
     lcp._pivot = counted_pivot
     count_calls(lcp, "lemke_solve", "qp")
     count_calls(lcp, "_kkt_factor", "qp")
+    count_calls(lcp, "_solve_qp_full", "qp")
     count_calls(lasso, "lemke_solve", "mid")
     if hasattr(lasso, "_lemke_path"):
         count_calls(lasso, "_lemke_path", "mid")
@@ -164,7 +168,7 @@ def compare(old: dict, new: dict, allow: dict[str, float]) -> int:
     for tree, results in (("old", old), ("new", new)):
         totals = sum((Counter(r["counts"]) for r in results.values()), Counter())
         print(f"{tree} tree: " + ", ".join(f"{key} {totals[key]}" for key in sorted(totals)))
-    for block, keys in (("QP", ("qp_lemke_solve_calls", "qp_pivots")),
+    for block, keys in (("QP", ("qp_solve_qp_full_calls", "qp_lemke_solve_calls", "qp_pivots")),
                         ("midpoint", ("mid_lemke_path_calls", "mid_lemke_solve_calls", "mid_pivots"))):
         differ = [label for label in old if any(old[label]["counts"].get(k, 0) != new[label]["counts"].get(k, 0)
                                                 for k in keys)]

@@ -14,34 +14,30 @@ sound because the weighted squared error splits into a midpoint part that
 depends only on the midpoint block and a spread part that depends only on
 the spread block, so the two validation curves can be minimized separately.
 When scanning one block, the other block is held at its unpenalized
-least-squares solution on the same training fold, which only shifts that
-block's validation curve by a constant.  One fold pass serves both blocks:
-each fold's training design and held-out rows are built once, both blocks'
-grids are scanned on them, and the error matrix is split by block.
+least-squares fit on the same training fold, which only shifts that
+block's validation curve by a constant.  That fit is the zero-penalty end
+of the fold's path of the other block: each fold walks the spread grid with
+a zero appended even when only the midpoint block is scanned, so one pass
+over the folds serves both blocks and equals the single-block passes bit
+for bit.
 
 Each fold walks a block's decreasing grid as a path.  The midpoint Gram
-statistics ``F'F`` and ``F'v`` do not depend on the penalty and are formed
-once per path, and the penalty moves the midpoint LCP along Lemke's covering
-vector, so one Lemke run walks the whole midpoint grid.  The penalty enters
-the spread QP's linear term alone, so the spread grid is walked by exact
-active-set continuation (the spread block's one solver, in
-:mod:`intreg.least_squares`): the points after a breakpoint are solved
-together on its binding rows, and the leading run whose outside rows'
-slacks, binding rows' multipliers and KKT residuals over every constraint
-row pass is kept; where a point fails, one row enters or leaves the set
-and the rest are solved on the new set.  Lemke runs only for a path's
-first point and for a point where that one-row step fails.  Every grid
-point is still checked on its own (the midpoint subgradient-gap test and
-zero snap; the spread QP's certificate against every row), and a single fit
-is the one-point grid.  Each fold hands its fits over as one stack per
-block, so its held-out errors for the whole grid are one matrix product per
-block.
+statistics ``F'F`` and ``F'v`` are formed once per path, and the penalty
+moves the midpoint LCP along Lemke's covering vector, so one Lemke run
+walks the whole midpoint grid.  The penalty enters the spread QP's linear
+term alone, so the spread grid is walked by exact active-set continuation
+(:func:`intreg.lcp._qp_path`), with Lemke only at a path's first point and
+where a one-row step fails.  Every grid point is still checked on its own
+(the midpoint subgradient-gap test and zero snap; the spread QP's
+certificate against every row).  Both paths return their fits as stacks,
+one row per penalty, and a single fit is row 0 of the one-point grid, so a
+fold's held-out errors for the whole grid are one matrix product per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -123,7 +119,7 @@ def fit_lasso_mid(design: DesignSystem, lam: float) -> np.ndarray:
     penalty at or above the zeroing threshold returns the zero vector
     exactly.
     """
-    return next(_mid_fits(design, [lam]))[0]
+    return _mid_fits(design, [lam])[0][0]
 
 
 def fit_lasso_spr(design: DesignSystem, lam: float, tau: float = DEFAULT_TAU) -> np.ndarray:
@@ -138,11 +134,12 @@ def fit_lasso_spr(design: DesignSystem, lam: float, tau: float = DEFAULT_TAU) ->
     return solve_spread_block(design, validate_tau(tau), lam)[0]
 
 
-def _mid_fits(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[tuple[np.ndarray, float]]:
-    """Midpoint-block solutions along a penalty grid, and the subgradient
-    gap that certifies each snapped solution; a single fit is the one-point
-    grid.  ``F'F``, ``F'v`` and the certificate's bound are formed once per
-    grid, and the gaps of all points come from one matrix product.
+def _mid_fits(design: DesignSystem, lambdas: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint-block solutions along a penalty grid, one row per penalty
+    (a zero penalty's row is the minimum-norm least-squares fit), and the
+    subgradient gap that certifies each snapped solution.  ``F'F``, ``F'v``
+    and the certificate's bound are formed once per grid, and the gaps of
+    all points come from one matrix product.
     """
     lambdas = np.fromiter(lambdas, dtype=float)
     if not np.all((lambdas >= 0.0) & (lambdas < np.inf)):
@@ -156,10 +153,11 @@ def _mid_fits(design: DesignSystem, lambdas: Iterable[float]) -> Iterator[tuple[
     if not on.all():
         A[~on] = ols_mid(design)[0]
     A[np.abs(A) <= 1e-12 * (1.0 + np.max(np.abs(A), axis=1, initial=0.0, keepdims=True))] = 0.0
-    for a, gap in zip(A, mid_kkt_gap(F, v, lambdas, A)):
-        if not gap <= bound:
-            raise SubgradientGap(f"the midpoint Lasso solution left a subgradient gap of {gap}")
-        yield a, float(gap)
+    gaps = mid_kkt_gap(F, v, lambdas, A)
+    failed = np.flatnonzero(~(gaps <= bound))
+    if failed.size:
+        raise SubgradientGap(f"the midpoint Lasso solution left a subgradient gap of {gaps[failed[0]]}")
+    return A, gaps
 
 
 def lambda_grid(design: DesignSystem, count: int = DEFAULT_GRID_SIZE, ratio: float = DEFAULT_GRID_RATIO, block: str = BLOCK_MID) -> np.ndarray:
@@ -190,9 +188,10 @@ class LassoPath:
     """Cross-validation results for one coefficient block.
 
     The two blocks have different zeroing thresholds, hence separate path
-    objects rather than one shared grid.  For the full-sample coefficient
-    path, map :func:`fit_lasso_mid` or :func:`fit_lasso_spr` over
-    ``lambdas`` on the full-sample design.
+    objects rather than one shared grid.  ``lambdas`` is the grid without
+    the zero penalty that each fold's paths end in for the held block.  For
+    the full-sample coefficient path, map :func:`fit_lasso_mid` or
+    :func:`fit_lasso_spr` over ``lambdas`` on the full-sample design.
     """
 
     block: str
@@ -264,23 +263,22 @@ def cross_validate(
     tau = validate_tau(tau)
     if not blocks or any(block not in BLOCKS for block in blocks):
         raise ValueError(f"blocks must be a nonempty tuple drawn from {BLOCKS}, got {blocks!r}")
-    grids = [lambda_grid(design, count, ratio, block) for block in blocks]
+    grids = {block: lambda_grid(design, count, ratio, block) for block in BLOCKS}
+    mid_grid = [*grids[BLOCK_MID], 0.0] if BLOCK_MID in blocks else [0.0]
 
     def fit_grid(train: DesignSystem):
-        A_m, A_s = [], []
-        for block, lambdas in zip(blocks, grids):
-            # the other block is held at its least-squares fit on the fold
-            if block == BLOCK_MID:
-                A_s += [solve_spread_block(train, tau)[0]] * lambdas.size
-                A_m += [a_m for a_m, _ in _mid_fits(train, lambdas)]
-            else:
-                A_m += [ols_mid(train)[0]] * lambdas.size
-                A_s += [a_s for a_s, _ in _spr_path(train, lambdas, tau)]
+        spr = _spr_path(train, [*grids[BLOCK_SPR], 0.0], tau)[0]
+        mid = _mid_fits(train, mid_grid)[0]
+        # each scanned block's path, with the other block held at its
+        # zero-penalty end, the fold's least-squares fit
+        A_m = [row for block in blocks for row in (mid[:-1] if block == BLOCK_MID else [mid[-1]] * count)]
+        A_s = [row for block in blocks for row in (spr[:-1] if block == BLOCK_SPR else [spr[-1]] * count)]
         return np.array(A_m), np.array(A_s)
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)
     paths = []
-    for block, lambdas, block_errors in zip(blocks, grids, np.split(errors, len(blocks), axis=1)):
+    for block, block_errors in zip(blocks, np.split(errors, len(blocks), axis=1)):
+        lambdas = grids[block]
         cv_mean = block_errors.mean(axis=0)
         cv_stderr = block_errors.std(axis=0, ddof=1) / np.sqrt(folds)
         best = int(np.argmin(cv_mean))
@@ -327,9 +325,9 @@ def fit_lasso(
             diagnostics[f"cv_{path.block}_min_error"] = float(np.min(path.cv_mean))
     lambda_mid = float(penalties[BLOCK_MID])
     lambda_spr = float(penalties[BLOCK_SPR])
-    a_m, mid_gap = next(_mid_fits(design, [lambda_mid]))
+    (a_m,), (mid_gap,) = _mid_fits(design, [lambda_mid])
     a_s, spr_info = solve_spread_block(design, tau, lambda_spr)
-    diagnostics["mid_kkt_gap"] = mid_gap
+    diagnostics["mid_kkt_gap"] = float(mid_gap)
     diagnostics.update(spr_info)
     return _fit_result(design, a_m, a_s, estimate_intercept(design, a_m, a_s), tau, METHOD_LASSO,
                        lambda_mid=lambda_mid, lambda_spr=lambda_spr, diagnostics=diagnostics)

@@ -12,17 +12,15 @@ negative parts it becomes a quadratic program with linear constraints, solved
 by the same complementary-pivoting machinery as the other estimators.  The
 budget is cross-validated on the Lasso folds.  It enters only the
 right-hand side of the budget row, so the ``t > 0`` programs of the grid are
-walked by exact active-set continuation: binding rows are judged by their
-multipliers and the others by their slacks, a point that fails is retried
-after one row enters or leaves the binding set, and Lemke runs only for a
-path's first point and for a point where that one-row step fails.  Every
-point is certified against every row.  A single fit is the one-point
-budget grid.
+walked by exact active-set continuation (:func:`intreg.lcp._qp_path`), and
+every point is certified against every row.  The path returns the grid's
+fits as stacks, one row per budget, with the ``t = 0`` program solved once
+for every zero budget; a single fit is row 0 of the one-point budget grid.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -84,12 +82,12 @@ def fit_lasso_ir(design: DesignSystem, tau: float = DEFAULT_TAU, t: Optional[flo
     """
     tau = validate_tau(tau)
     t = select_budget(design, tau, folds=folds, seed=seed) if t is None else float(t)
-    a_m, a_a, info = next(_budget_path(design, tau, [t]))
+    (a_m,), (a_a,), info = _budget_path(design, tau, [t])
     a_s = a_m + a_a
     delta_mid = design.mean_y.mid - float(design.mean_mid_xebl @ a_m)
     delta_spr = design.mean_y.spr - float(design.mean_spr_xebl @ a_s)
     fitted_spr = design.gamma_matrix @ a_s + delta_spr
-    diagnostics = dict(info)
+    diagnostics = {key: float(value[0]) for key, value in info.items()}
     diagnostics["budget_used"] = float(np.sum(np.abs(a_a)))
     diagnostics["fitted_spr_min"] = float(np.min(fitted_spr))
     diagnostics["fitted_spr_nonneg"] = float(np.all(fitted_spr >= -1e-9))
@@ -108,31 +106,36 @@ def default_budget_grid(design: DesignSystem, count: int = 20, ratio: float = 1e
 
 
 def _budget_path(design: DesignSystem, tau: float,
-                 grid: Sequence[float]) -> Iterator[tuple[np.ndarray, np.ndarray, dict]]:
-    """Midpoint block, offset and QP diagnostics along a budget grid.
+                 grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Midpoint blocks, offsets and QP diagnostics along a budget grid, as
+    stacks with one row (one diagnostics entry) per budget.
 
     The ``t > 0`` programs share the joint QP but for the budget, which is
     the right-hand side of its last row, so they are walked by active-set
     continuation (see :func:`intreg.lcp._qp_path`); offset entries within
     roundoff of zero are snapped to exact zeros, as the spread block's are.
     At ``t = 0`` the offset is zero and the program is the midpoint block
-    alone, under the rows that keep the tied fitted spreads nonnegative.
+    alone, under the rows that keep the tied fitted spreads nonnegative,
+    solved once for every zero budget of the grid.
     """
-    if not all(0.0 <= t < np.inf for t in grid):
+    grid = np.fromiter(grid, dtype=float)
+    if not np.all((grid >= 0.0) & (grid < np.inf)):
         raise ValueError("the budget must be finite and nonnegative")
     w = design.block_width
-    n = design.n
     qp = _joint_qp(design, tau, 0.0)
-    joint = _qp_path(qp.Q, qp.R, lambda t: (qp.c, np.concatenate([qp.r[:-1], [-t]])),
-                     [t for t in grid if t > 0.0])
-    for t in grid:
-        if t > 0.0:
-            u, _, info = next(joint)
-            yield u[:w], _snap_zeros(np.maximum(u[w : 2 * w], 0.0) - np.maximum(u[2 * w :], 0.0)), info
-        else:
-            # the midpoint block under the spread rows, sliced from the joint QP
-            a_m, _, info = next(_qp_path(qp.Q[:w, :w], qp.R[:n, :w], lambda _: (qp.c[:w], qp.r[:n]), [t]))
-            yield a_m, np.zeros(w), info
+    on = grid > 0.0
+    RHS = np.tile(qp.r, (np.count_nonzero(on), 1))
+    RHS[:, -1] = -grid[on]
+    U, _, info = _qp_path(qp.Q, qp.R, np.broadcast_to(qp.c, (RHS.shape[0], qp.c.size)), RHS)
+    A_m, A_a = U[:, :w], _snap_zeros(np.maximum(U[:, w : 2 * w], 0.0) - np.maximum(U[:, 2 * w :], 0.0))
+    if on.all():
+        return A_m, A_a, info
+    # the midpoint block under the spread rows, sliced from the joint QP; grid
+    # point i is row rows[i] of the t > 0 stacks with this one appended
+    a_m, _, alone = _qp_path(qp.Q[:w, :w], qp.R[: design.n, :w], qp.c[None, :w], qp.r[None, : design.n])
+    rows = np.where(on, np.cumsum(on) - 1, A_m.shape[0])
+    return (np.vstack([A_m, a_m])[rows], np.vstack([A_a, np.zeros((1, w))])[rows],
+            {key: np.append(value, alone[key])[rows] for key, value in info.items()})
 
 
 def select_budget(
@@ -156,9 +159,8 @@ def select_budget(
         raise ValueError("the budget grid must be nonempty")
 
     def fit_grid(train: DesignSystem):
-        fits = list(_budget_path(train, tau, grid))
-        A_m = np.array([a_m for a_m, _, _ in fits])
-        return A_m, A_m + np.array([a_a for _, a_a, _ in fits])
+        A_m, A_a, _ = _budget_path(train, tau, grid)
+        return A_m, A_m + A_a
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)
     return grid[int(np.argmin(errors.mean(axis=0)))]

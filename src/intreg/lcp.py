@@ -36,31 +36,23 @@ right-hand side are affine in one parameter (a penalty or budget path), the
 solution on a fixed active set is affine in that parameter as well, so
 neighbouring grid points mostly share their active set (the grid-sampled
 parametric LCP of Cottle, Pang & Stone, 1992, section 4.5).  The path
-routine is the one place that solves on an active set.  Lemke runs only for
-a path's first point and for a point where a one-row step fails: there the
-working-set Lemke solve starts at the active set the path last walked on,
-with one Cholesky factor of the shared Hessian; the KKT equality matrix of
-the iterate's active set is factored (a minimum-norm pseudo-inverse from
-one singular value decomposition) and the iterate polished with it, which
-removes the ridge bias of pivoting.  A row the polished point violates
-joins the set, which is factored and polished again, until no row is
-violated.  The grid points that follow are solved on that set together, one
-per row of a stack and in one matrix product, and certified as a stack: a
-row outside the set must keep a nonnegative slack, a row in it a
-nonnegative multiplier, and the KKT residuals over every row must pass.
-The leading run of points that pass is kept.  At the first that fails, the
-row that crosses zero first on the way from the last kept point enters the
-set, or leaves it (the parametric active-set step of Best, 1996), the new
-set is factored once, and the remaining points are solved and certified on
-it as a stack; only if the failed point fails again is it solved by Lemke.
-Every point is certified against every row; a single program is the
-one-point grid.
+routine is the one place that solves on an active set.  It takes the grid
+as two stacks, the linear terms and the right-hand sides with one row per
+point, and returns its points as stacks: primal points, multipliers and one
+array per diagnostic.  A breakpoint is solved by the working-set Lemke loop
+with one Cholesky factor of the shared Hessian, then polished on its active
+set, whose KKT equality matrix is factored once (a minimum-norm
+pseudo-inverse), which removes the ridge bias of pivoting.  The points that
+follow are solved on that set as one stack and certified against every
+row; where one fails, one row enters or leaves the set (the parametric
+active-set step of Best, 1996), and only if the point fails again is it
+solved by Lemke.  A single program is row 0 of the one-point grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +66,9 @@ PIVOT_EPS = 1e-11
 
 SOLVED = "solved"
 RAY_TERMINATION = "ray-termination"
+
+# the diagnostics a QP path reports for each of its points
+PATH_DIAGNOSTICS = ("ridge_used", "lemke_pivots", "kkt_stationarity", "kkt_feasibility", "kkt_complementarity")
 
 
 @dataclass(frozen=True)
@@ -473,16 +468,16 @@ def _crossing_row(lam0: np.ndarray, slack0: np.ndarray, lam1: np.ndarray, slack1
     return int(fails[np.argmin(start / (start - end[fails]))])
 
 
-def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.ndarray, np.ndarray]],
-             thetas: Iterable[float]) -> Iterator[tuple[np.ndarray, np.ndarray, dict]]:
+def _qp_path(Q: np.ndarray, R: np.ndarray, C: np.ndarray,
+             RHS: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Solutions, multipliers and diagnostics of a family of QPs along a grid.
 
-    The QPs share ``Q`` and ``R``; ``terms(theta)`` gives the linear term
-    ``c`` and the right-hand side ``r`` at a grid point.  When these are
-    affine in ``theta``, so is the solution on a fixed active set, and
-    neighbouring grid points mostly share it.  The arrays are taken as
-    given: callers build them through :class:`Qp`, which checks them once
-    per path rather than at every breakpoint.
+    The QPs share ``Q`` and ``R``; grid point ``i`` has the linear term
+    ``C[i]`` and the right-hand side ``RHS[i]``, taken as given (callers
+    build them through :class:`Qp`, which checks them once per path).
+    Returns the stacks ``(Z, LAM, info)``, one row per point, with one array
+    in ``info`` per diagnostic (``ridge_used``, ``lemke_pivots``, ``kkt_*``);
+    an empty grid gives empty stacks.
 
     Lemke runs for the first grid point and for a point where a one-row
     step fails (a breakpoint); every other point is solved on an active set
@@ -514,16 +509,18 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
     ``1e-8`` of their scale (the small negative ones are clipped to 0) and
     its worst residual is no larger than the iterate's.
     """
-    points = [terms(theta) for theta in thetas]
-    if not points:
-        return
-    C, RHS = np.array([c for c, _ in points]), np.array([r for _, r in points])
+    n = C.shape[0]
+    Z, LAM = np.zeros((n, Q.shape[0])), np.zeros((n, R.shape[0]))
+    info = {key: np.zeros(n) for key in PATH_DIAGNOSTICS}
+    if n == 0:
+        return Z, LAM, info
     tol = 1e-12 * (1.0 + np.abs(RHS))
     bound = 1e-8 * (1.0 + R.shape[0])
     factor, active, i = _ridge_factor(Q), (), 0
-    while i < len(points):
+    info["ridge_used"][:] = factor[1]
+    while i < n:
         c, r = C[i], RHS[i]
-        z, lam, info = _solve_qp_full(Q, c, R, r, work=active, factor=factor)
+        z, lam, solved = _solve_qp_full(Q, c, R, r, work=active, factor=factor)
         kkt = _kkt(Q, c, R, z, lam, R @ z - r)
         active, scale = _active_rows(lam)
         while True:
@@ -538,38 +535,40 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, terms: Callable[[float], tuple[np.nda
             kkt_p = _kkt(Q, c, R, z_p, lam_p, R @ z_p - r)
             if _kkt_score(kkt_p, lam_p) <= _kkt_score(kkt, lam):
                 z, lam, kkt = z_p, lam_p, kkt_p
-        info.update(kkt)
-        yield z, lam, info
+        Z[i], LAM[i], info["lemke_pivots"][i] = z, lam, solved["lemke_pivots"]
+        for key, value in kkt.items():
+            info[key][i] = value
         i += 1
         # the later points as one stack on this active set, then on one-row
         # steps from it, one per rejected point
         kept, rows, step = (lam, R @ z - r), active, False
-        while i < len(points):
-            Z, LAM = _active_set_solve(pinv, C[i:], RHS[i:], rows)
-            slack = (R @ Z.T).T - RHS[i:]
-            kkt = _kkt(Q, C[i:], R, Z, LAM, slack)
+        while i < n:
+            Zs, LAMs = _active_set_solve(pinv, C[i:], RHS[i:], rows)
+            slack = (R @ Zs.T).T - RHS[i:]
+            kkt = _kkt(Q, C[i:], R, Zs, LAMs, slack)
             passes = slack >= -tol[i:]
             passes[:, rows] = True  # rows in the set are judged by their multipliers
-            ok = np.all(passes, axis=1) & np.all(LAM >= 0.0, axis=1)
+            ok = np.all(passes, axis=1) & np.all(LAMs >= 0.0, axis=1)
             for value in kkt.values():
                 ok &= value <= bound
             run = ok.size if ok.all() else int(np.argmin(ok))
             if step and run == 0:
                 break
             active = rows
-            for j in range(run):
-                yield Z[j], LAM[j], {"ridge_used": float(factor[1]), "lemke_pivots": 0.0,
-                                     **{key: float(value[j]) for key, value in kkt.items()}}
-            i += run
-            if i == len(points):
-                return
             if run:
-                kept = LAM[run - 1], slack[run - 1]
-            row = _crossing_row(*kept, LAM[run], slack[run], active, tol[i])
+                Z[i : i + run], LAM[i : i + run] = Zs[:run], LAMs[:run]
+                for key, value in kkt.items():
+                    info[key][i : i + run] = value[:run]
+                kept = LAMs[run - 1], slack[run - 1]
+                i += run
+            if i == n:
+                break
+            row = _crossing_row(*kept, LAMs[run], slack[run], active, tol[i])
             if row is None:
                 break
             rows = np.setdiff1d(active, row) if row in active else np.union1d(active, row)
             pinv, step = _kkt_factor(Q, R, rows), True
+    return Z, LAM, info
 
 
 def solve_qp(qp: Qp) -> np.ndarray:
@@ -581,4 +580,4 @@ def solve_qp(qp: Qp) -> np.ndarray:
     Farkas' certificate that the constraint set is empty, and
     :class:`RayTermination` when it ray-terminates on one that is not.
     """
-    return next(_qp_path(qp.Q, qp.R, lambda _: (qp.c, qp.r), [0.0]))[0]
+    return _qp_path(qp.Q, qp.R, qp.c[None], qp.r[None])[0][0]

@@ -9,21 +9,22 @@ the mean response and the mean fitted part.
 
 The spread block has one solver, the penalty path shared with the Lasso: an
 L1 penalty enters the spread QP's linear term alone, so a grid of penalties
-is one QP family walked by active-set continuation, and a single fit (the
-unpenalized one here, a fixed penalty in the Lasso) is the one-point grid.
+is one QP family walked by active-set continuation, returned as one stack
+with a row per penalty.  A single fit (the unpenalized one here, a fixed
+penalty in the Lasso) is row 0 of the one-point grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .design import Coefficients, DesignSystem
 from .errors import LengthMismatch
 from .intervals import DEFAULT_TAU, Interval, hukuhara_diff, validate_tau
-from .lcp import Qp, _qp_path
+from .lcp import PATH_DIAGNOSTICS, Qp, _qp_path
 
 METHOD_LS = "ls"
 METHOD_LASSO = "lasso"
@@ -93,35 +94,35 @@ def spread_qp(design: DesignSystem, tau: float, lam: float = 0.0) -> Qp:
 
 
 def _snap_zeros(a: np.ndarray) -> np.ndarray:
-    tol = _ZERO_SNAP * (1.0 + float(np.max(np.abs(a), initial=0.0)))
+    """Entries within ``_ZERO_SNAP`` of their row's scale set to exact zeros."""
+    tol = _ZERO_SNAP * (1.0 + np.max(np.abs(a), axis=-1, initial=0.0, keepdims=True))
     return np.where(np.abs(a) <= tol, 0.0, a)
 
 
-def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> Iterator[tuple[np.ndarray, dict]]:
-    """Spread-block solutions and QP diagnostics along a penalty grid.
+def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Spread-block solutions and QP diagnostics along a penalty grid, as
+    stacks with one row (one diagnostics entry) per penalty.
 
     The penalty enters the QP's linear term alone, so the grid is one QP
     family solved by active-set continuation (:func:`intreg.lcp._qp_path`).
     """
+    lambdas = np.fromiter(lambdas, dtype=float)
+    if not np.all((lambdas >= 0.0) & (lambdas < np.inf)):
+        raise ValueError("the penalty must be finite and nonnegative")
     qp = spread_qp(design, tau)
     if float(np.trace(qp.Q)) == 0.0:
         # no spread signal at all: the objective is constant (or linear with
         # nonnegative slope) over the cone, and zero is always feasible
-        for _ in lambdas:
-            yield np.zeros(design.block_width), {"ridge_used": 0.0, "lemke_pivots": 0.0,
-                                                 "kkt_stationarity": 0.0, "kkt_feasibility": 0.0,
-                                                 "kkt_complementarity": 0.0}
-        return
-    g = design.fs.T @ design.vs
-    for a_s, _, info in _qp_path(qp.Q, qp.R, lambda lam: (_spread_linear(tau, lam, g), qp.r), lambdas):
-        yield np.maximum(_snap_zeros(a_s), 0.0), info
+        return np.zeros((lambdas.size, design.block_width)), {key: np.zeros(lambdas.size) for key in PATH_DIAGNOSTICS}
+    C = _spread_linear(tau, lambdas[:, None], design.fs.T @ design.vs)
+    A, _, info = _qp_path(qp.Q, qp.R, C, np.broadcast_to(qp.r, (lambdas.size, qp.r.size)))
+    return np.maximum(_snap_zeros(A), 0.0), info
 
 
 def solve_spread_block(design: DesignSystem, tau: float, lam: float = 0.0) -> tuple[np.ndarray, dict]:
-    """Spread-block solution under the feasibility cone, with diagnostics."""
-    if not 0.0 <= lam < np.inf:
-        raise ValueError("the penalty must be finite and nonnegative")
-    return next(_spr_path(design, [lam], tau))
+    """Spread-block solution under the feasibility cone, with diagnostics: the one-point path."""
+    (a_s,), info = _spr_path(design, [lam], tau)
+    return a_s, {key: float(value[0]) for key, value in info.items()}
 
 
 def estimate_intercept(design: DesignSystem, a_m: np.ndarray, a_s: np.ndarray) -> Interval:

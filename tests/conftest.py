@@ -88,6 +88,11 @@ def lemke_bases(lcp_):
     return [frozenset(basis.tolist()) for _, basis in intreg.lcp._lemke_pivots(lcp_.M, lcp_.q, 50 * lcp_.dim)]
 
 
+def point_info(info, i=0):
+    """The diagnostics of point ``i`` of a QP path's ``info`` stack, as floats."""
+    return {key: float(value[i]) for key, value in info.items()}
+
+
 def record_qp_solves(monkeypatch):
     """Patch the working-set QP solver to record the QPs it solves."""
     calls = []

@@ -21,7 +21,7 @@ from intreg.errors import FoldTooSmall, IntregError, RayTermination, Subgradient
 from intreg.lasso import _lasso_gram, _mid_fits, mid_kkt_gap, soft_threshold
 from intreg.lasso_ir import _budget_path, default_budget_grid
 from intreg.lcp import RAY_TERMINATION, LcpSolution, lemke_solve
-from intreg.least_squares import _spr_path, solve_spread_block
+from intreg.least_squares import _spr_path, solve_spread_block, spread_qp
 
 from conftest import (corrupt_continuation_steps, exact_fit_sample, random_sample, record_lemke_dims,
                       record_qp_solves, split_model_sample, weighted_mse)
@@ -138,6 +138,14 @@ class TestBlockFits:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 fit_lasso(d, 0.5, lambda_mid=0.1, lambda_spr=lam)
 
+    def test_spread_path_checks_its_whole_grid(self):
+        # a bad penalty anywhere on the grid is refused, as the midpoint
+        # and budget paths refuse theirs, not solved into NaN coefficients
+        d = build_design(random_sample(3, n=10), "full")
+        for grid in ([0.1, float("nan")], [float("inf")], [0.1, -1.0]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                _spr_path(d, grid, 0.5)
+
     def test_spread_path_stays_feasible(self):
         s = random_sample(4, n=20, k=2)
         d = build_design(s, "full")
@@ -235,7 +243,7 @@ class TestExactMidpointSolver:
         s = split_model_sample(5, 8)
         d = build_design(with_mid_x3(s, s.mid_x[:, 1]), "full")
         lambdas = lambda_grid(d, 6, 1e-2, "mid")
-        for lam, (warm, _) in zip(lambdas, _mid_fits(d, lambdas)):
+        for lam, warm in zip(lambdas, _mid_fits(d, lambdas)[0]):
             _, oracle_obj = sign_pattern_lasso(d.fm, d.vm, lam)
             for a in (fit_lasso_mid(d, lam), warm):
                 obj = 0.5 * np.sum((d.vm - d.fm @ a) ** 2) + lam * np.sum(np.abs(a))
@@ -418,12 +426,12 @@ class TestPathwiseCrossValidation:
     def test_warm_paths_equal_cold_fits(self, n, variant):
         d = build_design(split_model_sample(n + 1, n), variant)
         mid_grid = lambda_grid(d, 100, 1e-3, "mid")
-        for lam, (warm, _) in zip(mid_grid, _mid_fits(d, mid_grid)):
+        for lam, warm in zip(mid_grid, _mid_fits(d, mid_grid)[0]):
             cold = fit_lasso_mid(d, lam)
             assert np.array_equal(warm == 0.0, cold == 0.0)
             assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
         spr_grid = lambda_grid(d, 100, 1e-3, "spr")
-        for lam, (warm, _) in zip(spr_grid, _spr_path(d, spr_grid, 0.5)):
+        for lam, warm in zip(spr_grid, _spr_path(d, spr_grid, 0.5)[0]):
             cold = fit_lasso_spr(d, lam, 0.5)
             assert np.array_equal(warm == 0.0, cold == 0.0)
             assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
@@ -436,9 +444,38 @@ class TestPathwiseCrossValidation:
         assert 0 < len(calls) <= 1.1 * 5 * 100
         assert max(calls) < d.n
 
+    def test_one_spread_path_per_fold(self, monkeypatch):
+        # the spread block held for the midpoint block's errors is the zero
+        # end of the fold's spread path, not a cold solve of its own: the
+        # folds start one working-set solve each from an empty set
+        d = build_design(split_model_sample(1, 100), "full")
+        works = []
+        solve = intreg.lcp._solve_qp_full
+
+        def record(Q, c, R, r, work=(), factor=None):
+            works.append(len(work))
+            return solve(Q, c, R, r, work, factor)
+
+        monkeypatch.setattr(intreg.lcp, "_solve_qp_full", record)
+        cross_validate(d, 0.5, folds=5, seed=0, count=100)
+        assert works.count(0) == 5
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_zero_end_is_the_least_squares_spread_fit(self, seed):
+        # on the training rows of each fold that cross_validate builds
+        d = build_design(split_model_sample(seed, 100), "full")
+        grid = [*lambda_grid(d, 100, 1e-3, "spr"), 0.0]
+        for held in np.array_split(np.random.default_rng(0).permutation(d.n), 5):
+            train = build_design(d.sample.subset(np.setdiff1d(np.arange(d.n), held)), "full")
+            want = solve_spread_block(train, 0.5)[0]
+            got = _spr_path(train, grid, 0.5)[0][-1]
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_spread_grid_solves_qps_only_at_breakpoints(self, monkeypatch):
         # Lemke solves a path's first point and a point where a one-row step
-        # fails: 8 solves for the 500 grid points on this sample
+        # fails: 8 solves for the 505 grid points on this sample, each
+        # fold's grid with its zero end
         d = build_design(split_model_sample(1, 100), "full")
         calls = record_qp_solves(monkeypatch)
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("spr",), count=100)
@@ -453,7 +490,7 @@ class TestPathwiseCrossValidation:
         cold = [fit_lasso_spr(d, lam, 0.5) for lam in grid]
         corrupt_continuation_steps(monkeypatch, corrupt)
         calls = record_qp_solves(monkeypatch)
-        for want, (got, _) in zip(cold, _spr_path(d, grid, 0.5)):
+        for want, got in zip(cold, _spr_path(d, grid, 0.5)[0]):
             assert np.array_equal(got == 0.0, want == 0.0)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
         assert len(calls) == len(grid)
@@ -462,7 +499,7 @@ class TestPathwiseCrossValidation:
     def test_wide_midpoint_paths_equal_cold_fits(self, k):
         d = build_design(split_model_sample(k, 200, k), "full")
         grid = lambda_grid(d, 100, 1e-3, "mid")
-        for lam, (warm, _) in zip(grid, _mid_fits(d, grid)):
+        for lam, warm in zip(grid, _mid_fits(d, grid)[0]):
             cold = fit_lasso_mid(d, lam)
             assert np.array_equal(warm == 0.0, cold == 0.0)
             assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
@@ -474,11 +511,11 @@ class TestPathwiseCrossValidation:
         # must be the one-point path's fit, zero pattern included
         d = build_design(split_model_sample(k, 200, k), "full")
         grid = lambda_grid(d, 100, 1e-3, "spr")
-        pairs = [(warm, fit_lasso_spr(d, lam, 0.5)) for lam, (warm, _) in zip(grid, _spr_path(d, grid, 0.5))]
+        pairs = [(warm, fit_lasso_spr(d, lam, 0.5)) for lam, warm in zip(grid, _spr_path(d, grid, 0.5)[0])]
         grid = default_budget_grid(d)
-        for t, (a_m, a_a, _) in zip(grid, _budget_path(d, 0.5, grid)):
-            cold_m, cold_a, _ = next(_budget_path(d, 0.5, [t]))
-            pairs += [(a_m, cold_m), (a_a, cold_a)]
+        for t, a_m, a_a in zip(grid, *_budget_path(d, 0.5, grid)[:2]):
+            cold_m, cold_a, _ = _budget_path(d, 0.5, [t])
+            pairs += [(a_m, cold_m[0]), (a_a, cold_a[0])]
         for warm, cold in pairs:
             assert np.array_equal(warm == 0.0, cold == 0.0)
             assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
@@ -517,7 +554,7 @@ class TestPathwiseCrossValidation:
 
         monkeypatch.setattr(intreg.lasso, "_lasso_gram", record)
         grid = lambda_grid(d, 100, 1e-3, "mid")
-        assert len(list(_mid_fits(d, grid))) == len(grid)
+        assert len(_mid_fits(d, grid)[0]) == len(grid)
         assert grams == [len(grid)]
         grams.clear()
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)
@@ -544,7 +581,7 @@ class TestPathwiseCrossValidation:
                 yield T, basis
 
         monkeypatch.setattr(intreg.lcp, "_lemke_pivots", failing)
-        for want, (got, _) in zip(cold, _mid_fits(d, grid)):
+        for want, got in zip(cold, _mid_fits(d, grid)[0]):
             assert np.array_equal(got == 0.0, want == 0.0)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
         # the path reached the top of the grid, the cold solves the rest
@@ -558,6 +595,23 @@ class TestPathwiseCrossValidation:
                             lambda lcp_, ts: (np.zeros((ts.size, lcp_.dim)), np.ones(ts.size, dtype=bool)))
         with pytest.raises(SubgradientGap):
             cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)
+
+
+@pytest.mark.parametrize("path", ["qp", "spread", "midpoint", "budget"])
+def test_empty_grid_gives_empty_stacks(path):
+    # an empty grid has no points: every stack has no rows, every
+    # diagnostics array no entries
+    d = build_design(random_sample(5, n=12), "full")
+    qp = spread_qp(d, 0.5)
+    w, p = d.block_width, qp.num_constraints
+    info = {key: (0,) for key in intreg.lcp.PATH_DIAGNOSTICS}
+    got, want = {
+        "qp": lambda: (intreg.lcp._qp_path(qp.Q, qp.R, np.zeros((0, w)), np.zeros((0, p))), [(0, w), (0, p), info]),
+        "spread": lambda: (_spr_path(d, [], 0.5), [(0, w), info]),
+        "midpoint": lambda: (_mid_fits(d, []), [(0, w), (0,)]),
+        "budget": lambda: (_budget_path(d, 0.5, []), [(0, w), (0, w), info]),
+    }[path]()
+    assert [{k: v.shape for k, v in x.items()} if isinstance(x, dict) else x.shape for x in got] == want
 
 
 def per_point_cv_errors(design, tau, folds, seed, fit_grid):

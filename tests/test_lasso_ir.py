@@ -15,7 +15,7 @@ from intreg import (
 )
 from intreg.lasso_ir import _budget_path, default_budget_grid
 
-from conftest import corrupt_continuation_steps, record_lemke_dims, record_qp_solves, split_model_sample
+from conftest import corrupt_continuation_steps, point_info, record_lemke_dims, record_qp_solves, split_model_sample
 from oracle import simulate
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv"
@@ -45,8 +45,10 @@ def objective(design, result, tau):
 
 def one_point_fit(design, t):
     """Midpoint block, offset and diagnostics of a single fit at budget ``t``,
-    as ``fit_lasso_ir`` solves it, before packaging: the one-point grid."""
-    return next(_budget_path(design, 0.5, [t]))
+    as ``fit_lasso_ir`` solves it, before packaging: row 0 of the one-point
+    grid."""
+    A_m, A_a, info = _budget_path(design, 0.5, [t])
+    return A_m[0], A_a[0], point_info(info)
 
 
 class TestFitLassoIr:
@@ -89,7 +91,7 @@ class TestFitLassoIr:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 fit_lasso_ir(d, 0.5, t)
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                next(_budget_path(d, 0.5, [0.0, 0.1, t]))
+                _budget_path(d, 0.5, [0.0, 0.1, t])
 
     def test_cross_effects_out_of_reach(self):
         # data generated with a real midpoint<->spread cross effect: the full
@@ -212,7 +214,7 @@ class TestBudgetPath:
     def test_warm_path_equals_cold_fits(self, n, variant):
         d = build_design(split_model_sample(n + 2, n), variant)
         grid = default_budget_grid(d)
-        for t, (a_m, a_a, _) in zip(grid, _budget_path(d, 0.5, grid)):
+        for t, a_m, a_a in zip(grid, *_budget_path(d, 0.5, grid)[:2]):
             cold_m, cold_a, _ = one_point_fit(d, t)
             assert np.array_equal(a_a == 0.0, cold_a == 0.0)
             for got, want in ((a_m, cold_m), (a_a, cold_a)):
@@ -225,8 +227,9 @@ class TestBudgetPath:
         bound = 1e-8 * (1 + 30)
         for seed in ([s, i] for s in (1, 7) for i in range(20)):
             d = build_design(split_model_sample(seed, 30), "full")
-            for t, (_, _, info) in zip(default_budget_grid(d), _budget_path(d, 0.5, default_budget_grid(d))):
-                assert max(info[k] for k in info if k.startswith("kkt_")) <= bound, (seed, t)
+            info = _budget_path(d, 0.5, default_budget_grid(d))[2]
+            for i, t in enumerate(default_budget_grid(d)):
+                assert max(info[k][i] for k in info if k.startswith("kkt_")) <= bound, (seed, t)
 
     def test_about_one_lemke_call_per_budget(self, monkeypatch):
         # the t = 0 program of each fold starts cold; cold starts throughout
@@ -254,7 +257,7 @@ class TestBudgetPath:
         cold = [one_point_fit(d, t) for t in grid]
         corrupt_continuation_steps(monkeypatch, corrupt)
         calls = record_qp_solves(monkeypatch)
-        for (cold_m, cold_a, _), (a_m, a_a, _) in zip(cold, _budget_path(d, 0.5, grid)):
+        for (cold_m, cold_a, _), a_m, a_a in zip(cold, *_budget_path(d, 0.5, grid)[:2]):
             assert np.array_equal(a_a == 0.0, cold_a == 0.0)
             for a, b in ((a_m, cold_m), (a_a, cold_a)):
                 assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b), initial=0.0)

@@ -16,7 +16,8 @@ from intreg.errors import InfeasibleQp, PivotLimitExceeded, SingularQ
 from intreg.lasso import fit_lasso_spr
 from intreg.lcp import RAY_TERMINATION, SOLVED, LcpSolution
 
-from conftest import lemke_bases, random_feasible_qp, record_lemke_dims, record_qp_solves, split_model_sample
+from conftest import (lemke_bases, point_info, random_feasible_qp, record_lemke_dims, record_qp_solves,
+                      split_model_sample)
 from oracle import brute_force_qp
 
 
@@ -246,8 +247,24 @@ class TestSolveQp:
 
 
 def one_point_path(qp):
-    """Solution, multipliers and diagnostics of one QP, the one-point path."""
-    return next(lcp._qp_path(qp.Q, qp.R, lambda _: (qp.c, qp.r), [0.0]))
+    """Solution, multipliers and diagnostics of one QP: row 0 of the
+    one-point path."""
+    Z, LAM, info = lcp._qp_path(qp.Q, qp.R, qp.c[None], qp.r[None])
+    return Z[0], LAM[0], point_info(info)
+
+
+def stacks(terms, thetas):
+    """The linear terms and right-hand sides ``terms(theta)`` of a grid, as
+    the two stacks ``lcp._qp_path`` takes."""
+    points = [terms(theta) for theta in thetas]
+    return np.array([c for c, _ in points]), np.array([r for _, r in points])
+
+
+def path_points(Q, R, terms, thetas):
+    """The points of ``lcp._qp_path`` along a grid, one ``(z, lam, info)``
+    per grid point, with float diagnostics."""
+    Z, LAM, info = lcp._qp_path(Q, R, *stacks(terms, thetas))
+    return [(Z[i], LAM[i], point_info(info, i)) for i in range(len(Z))]
 
 
 def full_dimension_solve(qp):
@@ -317,11 +334,14 @@ class TestWorkingSet:
         # the second program's breakpoint starts from the first one's active
         # set, rows 0 and 1, but its unconstrained minimizer is feasible
         dims = record_lemke_dims(monkeypatch)
-        path = lcp._qp_path(np.eye(2), np.eye(2), lambda sign: (sign * np.ones(2), np.zeros(2)), [1.0, -1.0])
-        assert np.array_equal(next(path)[1], [1.0, 1.0])
+        first = path_points(np.eye(2), np.eye(2), lambda sign: (sign * np.ones(2), np.zeros(2)), [1.0])
+        first_dims = list(dims)
         dims.clear()
-        z, lam, _ = next(path)
-        assert dims == []
+        path = path_points(np.eye(2), np.eye(2), lambda sign: (sign * np.ones(2), np.zeros(2)), [1.0, -1.0])
+        assert np.array_equal(first[0][1], [1.0, 1.0]) and np.array_equal(path[0][1], [1.0, 1.0])
+        # the second point adds no Lemke call to the first one's
+        assert first_dims and dims == first_dims
+        z, lam, _ = path[1]
         assert np.array_equal(z, [1.0, 1.0]) and np.array_equal(lam, [0.0, 0.0])
 
     def test_ray_termination_on_carried_rows_restarts_cold(self, monkeypatch):
@@ -414,7 +434,7 @@ class TestQpPath:
             qp, terms = affine_family(rng)
             cold = [one_point_path(Qp(qp.Q, c, qp.R, r)) for c, r in map(terms, thetas)]
             calls = record_qp_solves(monkeypatch)
-            path = list(lcp._qp_path(qp.Q, qp.R, terms, thetas))
+            path = path_points(qp.Q, qp.R, terms, thetas)
             monkeypatch.undo()
             assert 1 <= len(calls) <= len(thetas) // 4
             for (z, lam, info), (z_cold, lam_cold, _) in zip(path, cold):
@@ -434,7 +454,7 @@ class TestQpPath:
 
         monkeypatch.setattr(lcp, "_kkt", failing)
         calls = record_qp_solves(monkeypatch)
-        assert len(list(lcp._qp_path(qp.Q, qp.R, terms, thetas))) == len(thetas)
+        assert len(path_points(qp.Q, qp.R, terms, thetas)) == len(thetas)
         assert len(calls) == len(thetas)
 
     def test_step_keeps_the_working_set_feasibility_test(self, monkeypatch):
@@ -446,7 +466,7 @@ class TestQpPath:
         Q, c, R = np.eye(2), np.array([-1.0, 0.0]), np.array([[-1.0, 0.0]])
         bounds = [2.0, 1.0 - 1e-9, 1.0 - 1e-9]
         events = record_path_events(monkeypatch)
-        path = list(lcp._qp_path(Q, R, lambda i: (c, np.array([-bounds[i]])), range(3)))
+        path = path_points(Q, R, lambda i: (c, np.array([-bounds[i]])), range(3))
         assert [kind for kind, _ in events] == ["lemke", "factor", "single", "stack", "factor", "stack"]
         assert [(a.tolist(), b.tolist()) for a, b in steps(events)] == [([], [0])]
         for z, lam, info in path[1:]:
@@ -465,7 +485,7 @@ class TestQpPath:
         terms = lambda theta: (np.array([-theta, -0.5]), r)
         cold = [one_point_path(Qp(Q, terms(theta)[0], R, r)) for theta in thetas]
         events = record_path_events(monkeypatch)
-        path = list(lcp._qp_path(Q, R, terms, thetas))
+        path = path_points(Q, R, terms, thetas)
         assert [kind for kind, _ in events].count("lemke") == 1 and events[0][0] == "lemke"
         enters = thetas[0] < thetas[-1]
         assert [(a.tolist(), b.tolist()) for a, b in steps(events)] == [([], [0]) if enters else ([0], [])]
@@ -480,16 +500,15 @@ class TestQpPath:
         # Lemke solves, not 1 and 4
         design = build_design(split_model_sample(20, 2000, 20), "full")
         calls = record_qp_solves(monkeypatch)
-        spread = list(least_squares._spr_path(design, lasso.lambda_grid(design, 100, 1e-3, "spr"), 0.5))
+        spread = least_squares._spr_path(design, lasso.lambda_grid(design, 100, 1e-3, "spr"), 0.5)[-1]
         assert len(calls) <= 3
         calls.clear()
-        budget = list(lasso_ir._budget_path(design, 0.5, lasso_ir.default_budget_grid(design)))
+        budget = lasso_ir._budget_path(design, 0.5, lasso_ir.default_budget_grid(design))[-1]
         assert len(calls) <= 8
         # every kept point still meets the certificate's bound on every row
         qps = least_squares.spread_qp(design, 0.5), lasso_ir._joint_qp(design, 0.5, 0.0)
-        for points, qp in zip((spread, budget), qps):
-            for info in (point[-1] for point in points):
-                assert max(info[key] for key in info if key.startswith("kkt_")) <= 1e-8 * (1 + qp.num_constraints)
+        for info, qp in zip((spread, budget), qps):
+            assert max(np.max(info[key]) for key in info if key.startswith("kkt_")) <= 1e-8 * (1 + qp.num_constraints)
 
     def test_polish_closes_over_the_rows_it_violates(self):
         # min 1/2 (u - v)^2 - (u - v)/2 over u, v >= 0: at Lemke's
@@ -509,7 +528,7 @@ class TestQpPath:
         ridge_factor = lcp._ridge_factor
         monkeypatch.setattr(lcp, "_ridge_factor", lambda Q: factors.append(1) or ridge_factor(Q))
         calls = record_qp_solves(monkeypatch)
-        list(lcp._qp_path(qp.Q, qp.R, terms, np.linspace(0.0, 3.0, 60)))
+        lcp._qp_path(qp.Q, qp.R, *stacks(terms, np.linspace(0.0, 3.0, 60)))
         assert len(calls) > 1 and factors == [1]
 
     def test_kkt_is_factored_once_per_breakpoint(self, rng, monkeypatch):
@@ -522,7 +541,7 @@ class TestQpPath:
         # breakpoints plus steps tried
         qp, terms = affine_family(rng)
         events = record_path_events(monkeypatch)
-        list(lcp._qp_path(qp.Q, qp.R, terms, np.linspace(0.0, 3.0, 60)))
+        lcp._qp_path(qp.Q, qp.R, *stacks(terms, np.linspace(0.0, 3.0, 60)))
         kinds = [kind for kind, _ in events]
         tried = steps(events)
         assert kinds.count("lemke") >= 1 and tried
@@ -531,7 +550,7 @@ class TestQpPath:
         for before, after in tried:
             assert np.setxor1d(before, after).size == 1
         events.clear()
-        list(lcp._qp_path(qp.Q, qp.R, terms, [1.0]))
+        lcp._qp_path(qp.Q, qp.R, *stacks(terms, [1.0]))
         assert [kind for kind, _ in events] == ["lemke", "factor", "single"]
 
     def test_breakpoint_starts_at_the_last_active_set(self, monkeypatch):
@@ -545,24 +564,29 @@ class TestQpPath:
         paths, current = [], []
         path, solve, active_solve = lasso_ir._qp_path, lcp._solve_qp_full, lcp._active_set_solve
 
-        def new_path(*args):
-            # the budget path interleaves two paths; each records its own
-            points, walk = path(*args), {"last": None, "walked": None, "works": []}
+        def new_path(Q, R, C, RHS):
+            # the budget path walks two paths; each records its own
+            walk = {"rhs": RHS, "solves": [], "works": []}
             paths.append(walk)
-            while True:
-                current[:] = [walk]
-                point = next(points, None)
-                if point is None:
-                    return
-                walk["walked"] = walk["last"]
-                yield point
+            current[:] = [walk]
+            return path(Q, R, C, RHS)
 
         def solved(pinv, c, r, active):
-            current[0]["last"] = active
+            # the grid points a solve covers: a stack the rest of the grid,
+            # a one-point solve the breakpoint Lemke last solved
+            walk = current[0]
+            first = len(walk["rhs"]) - len(r) if r.ndim == 2 else walk["lemke_at"]
+            walk["solves"].append((first, len(walk["rhs"]) if r.ndim == 2 else first + 1, active))
             return active_solve(pinv, c, r, active)
 
         def record(Q, c, R, r, work=(), factor=None):
-            current[0]["works"].append((np.asarray(work, dtype=int), current[0]["walked"]))
+            walk = current[0]
+            i = int(np.flatnonzero(np.all(walk["rhs"] == r, axis=1))[0])
+            walk["lemke_at"] = i
+            # the set the path last walked on: that of the last solve
+            # covering the point before, the solve its value came from
+            covering = [active for first, end, active in walk["solves"] if first <= i - 1 < end]
+            walk["works"].append((np.asarray(work, dtype=int), covering[-1] if covering else None))
             return solve(Q, c, R, r, work, factor)
 
         monkeypatch.setattr(lasso_ir, "_qp_path", new_path)
@@ -584,10 +608,10 @@ class TestQpPath:
         events = record_path_events(monkeypatch)
         if path == "spread":
             grid = lasso.lambda_grid(design, 100, 1e-3, "spr")
-            points = list(least_squares._spr_path(design, grid, 0.5))
+            points = least_squares._spr_path(design, grid, 0.5)[0]
         else:
             grid = lasso_ir.default_budget_grid(design)
-            points = list(lasso_ir._budget_path(design, 0.5, grid))
+            points = lasso_ir._budget_path(design, 0.5, grid)[0]
         assert len(points) == len(grid)
         kinds = [kind for kind, _ in events]
         lemke = kinds.count("lemke")
