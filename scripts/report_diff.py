@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Compare the CLI reports of two source trees on a fixed set of 480 runs.
+"""Compare the CLI reports of two source trees on a fixed set of 800 runs.
 
 The run set:
 
-* ``ls``, ``lasso`` and ``lasso-ir`` x ``full`` and ``model-m`` on both
-  fixtures, ``tests/fixtures/synthetic59.csv`` and ``zero_spread20.csv``;
-* the same six configurations on ``generate(s, i, n, 3)`` from
+* ``ls``, ``lasso``, ``lasso-ir``, ``lasso --lambda-mid 0.05`` and ``lasso
+  --lambda-spr 0.05`` (the two single-block cross-validations) x ``full``
+  and ``model-m`` on both fixtures, ``tests/fixtures/synthetic59.csv`` and
+  ``zero_spread20.csv``;
+* the same ten configurations on ``generate(s, i, n, 3)`` from
   ``bench/workloads.py``, for s in {1, 7}, i < 6 and n in {30, 60, 100, 150,
   400};
-* the same six configurations on ``generate(77, i, 60, 3,
+* the same ten configurations on ``generate(77, i, 60, 3,
   spread_noise=1.0)``, i < 6, at ``--tau`` 0.5 and 0.3;
-* the same six configurations on the wide designs ``generate(7, i, n, 20)``,
+* the same ten configurations on the wide designs ``generate(7, i, n, 20)``,
   for i < 3 and n in {300, 2000}.
 
 The samples are written once to a temporary directory, so both trees read
@@ -51,7 +53,10 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-METHODS = ("ls", "lasso", "lasso-ir")
+# each method with its default selection, and the Lasso with one block's
+# penalty fixed, so that only the other block is cross-validated
+METHODS = (("ls",), ("lasso",), ("lasso-ir",),
+           ("lasso", "--lambda-mid", "0.05"), ("lasso", "--lambda-spr", "0.05"))
 VARIANTS = ("full", "model-m")
 
 
@@ -78,8 +83,8 @@ def run_set(workdir: Path) -> list[tuple[str, list[str]]]:
             path = workdir / f"gen_7_{i}_{n}_k20.csv"
             write_csv(path, generate(7, i, n, 20), "midspr")
             inputs.append((path.stem, str(path), ()))
-    return [(f"{label}/{method}/{variant}",
-             ["--input-path", path, "--method", method, "--variant", variant, "--output-format", "json", *extra])
+    return [(f"{label}/{'/'.join(method)}/{variant}",
+             ["--input-path", path, "--method", *method, "--variant", variant, "--output-format", "json", *extra])
             for label, path, extra in inputs for method in METHODS for variant in VARIANTS]
 
 

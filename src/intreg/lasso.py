@@ -15,13 +15,13 @@ depends only on the midpoint block and a spread part that depends only on
 the spread block, so the two validation curves can be minimized separately.
 When scanning one block, the other block is held at its unpenalized
 least-squares fit on the same training fold, which only shifts that
-block's validation curve by a constant.  That fit is the zero-penalty end
-of the fold's path of the other block: each fold walks the spread grid with
-a zero appended even when only the midpoint block is scanned, so one pass
-over the folds serves both blocks and equals the single-block passes bit
-for bit.
+block's validation curve by a constant.  That fit is the first row of the
+fold's path of the other block: each path starts at the zero penalty, the
+spread grid is walked upwards from it, and a block that is not scanned is
+fitted at zero alone, so one pass over the folds serves both blocks and
+equals the single-block passes bit for bit.
 
-Each fold walks a block's decreasing grid as a path.  The midpoint Gram
+Each fold walks a block's grid as a path.  The midpoint Gram
 statistics ``F'F`` and ``F'v`` are formed once per path, and the penalty
 moves the midpoint LCP along Lemke's covering vector, so one Lemke run
 walks the whole midpoint grid.  The penalty enters the spread QP's linear
@@ -188,10 +188,10 @@ class LassoPath:
     """Cross-validation results for one coefficient block.
 
     The two blocks have different zeroing thresholds, hence separate path
-    objects rather than one shared grid.  ``lambdas`` is the grid without
-    the zero penalty that each fold's paths end in for the held block.  For
-    the full-sample coefficient path, map :func:`fit_lasso_mid` or
-    :func:`fit_lasso_spr` over ``lambdas`` on the full-sample design.
+    objects rather than one shared grid.  ``lambdas`` is the decreasing grid
+    without the zero penalty that each fold's paths start at for the held
+    block.  For the full-sample coefficient path, map :func:`fit_lasso_mid`
+    or :func:`fit_lasso_spr` over ``lambdas`` on the full-sample design.
     """
 
     block: str
@@ -264,15 +264,15 @@ def cross_validate(
     if not blocks or any(block not in BLOCKS for block in blocks):
         raise ValueError(f"blocks must be a nonempty tuple drawn from {BLOCKS}, got {blocks!r}")
     grids = {block: lambda_grid(design, count, ratio, block) for block in BLOCKS}
-    mid_grid = [*grids[BLOCK_MID], 0.0] if BLOCK_MID in blocks else [0.0]
+    mid_grid = [0.0, *grids[BLOCK_MID]] if BLOCK_MID in blocks else [0.0]
+    spr_grid = [0.0, *grids[BLOCK_SPR][::-1]] if BLOCK_SPR in blocks else [0.0]
 
     def fit_grid(train: DesignSystem):
-        spr = _spr_path(train, [*grids[BLOCK_SPR], 0.0], tau)[0]
         mid = _mid_fits(train, mid_grid)[0]
-        # each scanned block's path, with the other block held at its
-        # zero-penalty end, the fold's least-squares fit
-        A_m = [row for block in blocks for row in (mid[:-1] if block == BLOCK_MID else [mid[-1]] * count)]
-        A_s = [row for block in blocks for row in (spr[:-1] if block == BLOCK_SPR else [spr[-1]] * count)]
+        spr = _spr_path(train, spr_grid, tau)[0]
+        # each scanned block's path, the other held at its zero-penalty row
+        A_m = [row for block in blocks for row in (mid[1:] if block == BLOCK_MID else [mid[0]] * count)]
+        A_s = [row for block in blocks for row in (spr[:0:-1] if block == BLOCK_SPR else [spr[0]] * count)]
         return np.array(A_m), np.array(A_s)
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)

@@ -303,6 +303,19 @@ class TestMain:
         fitted = sample.spr_x @ np.array(b["b2"]) + np.abs(sample.mid_x) @ np.array(b["b3"])
         assert np.all(fitted <= sample.spr_y)
 
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_lasso_fits_zero_spread_rows(self, variant, capsys):
+        # walked downwards, one fold's spread path met a grid point whose
+        # Lemke solve ray-terminated; walked upwards from the zero penalty,
+        # it reaches that point by active-set steps
+        path = str(FIXTURES / "zero_spread20.csv")
+        code = main(["--input-path", path, "--method", "lasso", "--variant", variant, "--output-format", "json"])
+        out, err = capsys.readouterr()
+        assert err == "" and code == 0
+        report = json.loads(out)
+        assert report["coefficients"]["b2"] == [0.0, 0.0, 0.0] and report["coefficients"]["b3"] == [0.0, 0.0, 0.0]
+        assert max(report["diagnostics"][key] for key in report["diagnostics"] if key.startswith("kkt_")) <= 1e-8 * 21
+
     def test_missing_file(self, capsys):
         code = main(["--input-path", "/nonexistent/nope.csv"])
         assert code == 1
@@ -341,14 +354,3 @@ class TestMain:
         assert main(["--input-path", str(path), "--method", "lasso-ir", "--output-format", "json"]) == 0
         diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
         assert max(diagnostics[key] for key in diagnostics if key.startswith("kkt_")) <= 1e-8 * (1 + 30)
-
-
-class TestOpenDefects:
-    """Reproduced defects, pinned as strict expected failures so that their
-    fix has to flip them."""
-
-    @pytest.mark.xfail(strict=True, reason="cross-validated lasso raises RayTermination on zero-spread rows")
-    def test_lasso_fits_zero_spread_rows(self, capsys):
-        code = main(["--input-path", str(FIXTURES / "zero_spread20.csv"), "--method", "lasso"])
-        assert capsys.readouterr().err == ""
-        assert code == 0

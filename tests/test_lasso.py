@@ -17,6 +17,7 @@ from intreg import (
 )
 import intreg.lasso
 import intreg.lcp
+import intreg.least_squares
 from intreg.errors import FoldTooSmall, IntregError, RayTermination, SubgradientGap
 from intreg.lasso import _lasso_gram, _mid_fits, mid_kkt_gap, soft_threshold
 from intreg.lasso_ir import _budget_path, default_budget_grid
@@ -430,11 +431,14 @@ class TestPathwiseCrossValidation:
             cold = fit_lasso_mid(d, lam)
             assert np.array_equal(warm == 0.0, cold == 0.0)
             assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
+        # the spread grid walked downwards, and upwards from zero as the
+        # folds of cross_validate walk it
         spr_grid = lambda_grid(d, 100, 1e-3, "spr")
-        for lam, warm in zip(spr_grid, _spr_path(d, spr_grid, 0.5)[0]):
-            cold = fit_lasso_spr(d, lam, 0.5)
-            assert np.array_equal(warm == 0.0, cold == 0.0)
-            assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
+        for grid in (spr_grid, np.concatenate([[0.0], spr_grid[::-1]])):
+            for lam, warm in zip(grid, _spr_path(d, grid, 0.5)[0]):
+                cold = fit_lasso_spr(d, lam, 0.5)
+                assert np.array_equal(warm == 0.0, cold == 0.0)
+                assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
 
     def test_spread_grid_makes_about_one_lemke_call_per_point(self, monkeypatch):
         # cold starts make about twice as many calls (973 on this sample)
@@ -446,8 +450,8 @@ class TestPathwiseCrossValidation:
 
     def test_one_spread_path_per_fold(self, monkeypatch):
         # the spread block held for the midpoint block's errors is the zero
-        # end of the fold's spread path, not a cold solve of its own: the
-        # folds start one working-set solve each from an empty set
+        # row the fold's spread path starts at, not a cold solve of its own:
+        # the folds start one working-set solve each from an empty set
         d = build_design(split_model_sample(1, 100), "full")
         works = []
         solve = intreg.lcp._solve_qp_full
@@ -460,22 +464,37 @@ class TestPathwiseCrossValidation:
         cross_validate(d, 0.5, folds=5, seed=0, count=100)
         assert works.count(0) == 5
 
+    def test_midpoint_pass_fits_the_spread_block_at_zero_alone(self, monkeypatch):
+        # with the spread block not scanned, each fold solves its spread QP
+        # at the zero penalty only, as a single fit does
+        d = build_design(split_model_sample(1, 100), "full")
+        grids = []
+        path = intreg.least_squares._qp_path
+
+        def record(Q, R, C, RHS):
+            grids.append(C.shape[0])
+            return path(Q, R, C, RHS)
+
+        monkeypatch.setattr(intreg.least_squares, "_qp_path", record)
+        cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)
+        assert grids == [1] * 5
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_zero_end_is_the_least_squares_spread_fit(self, seed):
-        # on the training rows of each fold that cross_validate builds
+        # on the training rows of each fold that cross_validate builds, and
+        # the grid it walks upwards from zero
         d = build_design(split_model_sample(seed, 100), "full")
-        grid = [*lambda_grid(d, 100, 1e-3, "spr"), 0.0]
+        grid = [0.0, *lambda_grid(d, 100, 1e-3, "spr")[::-1]]
         for held in np.array_split(np.random.default_rng(0).permutation(d.n), 5):
             train = build_design(d.sample.subset(np.setdiff1d(np.arange(d.n), held)), "full")
             want = solve_spread_block(train, 0.5)[0]
-            got = _spr_path(train, grid, 0.5)[0][-1]
-            assert np.array_equal(got == 0.0, want == 0.0)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            got = _spr_path(train, grid, 0.5)[0][0]
+            assert np.array_equal(got, want)
 
     def test_spread_grid_solves_qps_only_at_breakpoints(self, monkeypatch):
         # Lemke solves a path's first point and a point where a one-row step
         # fails: 8 solves for the 505 grid points on this sample, each
-        # fold's grid with its zero end
+        # fold's grid walked upwards from its zero row
         d = build_design(split_model_sample(1, 100), "full")
         calls = record_qp_solves(monkeypatch)
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("spr",), count=100)
