@@ -19,7 +19,8 @@ The samples are written once to a temporary directory, so both trees read
 identical input paths.  Each tree runs every report (JSON output) in its own
 Python process, with ``<tree>/src`` first on the import path, and counts its
 Lemke calls and pivots: the QP calls (spread block and ``lasso-ir``), and the
-midpoint block's per-point solves and one-run paths.  It also counts the QP
+midpoint block's one-run paths and, in a tree that has them, its per-point
+solves.  It also counts the QP
 path's KKT factorizations (``qp_kkt_factor_calls``), which an active-set
 step makes in place of a Lemke run, and its working-set Lemke solves
 (``qp_solve_qp_full_calls``, calls of ``lcp._solve_qp_full``): the cold
@@ -28,10 +29,13 @@ one-row step fails, including a restart from an empty working set.
 
 Prints every report field that moved, with its relative size
 ``|new - old| / max(|old|, |new|)``, every run whose exit code or stderr
-moved, both trees' Lemke and factorization totals, and the runs whose QP or
-midpoint Lemke calls or pivots differ.  Exits 1 when anything moved beyond the
-``--allow FIELD=REL`` tolerances (a field is named by its last key), 0
-otherwise.
+moved, how many runs now fail (exit 0 -> nonzero) and how many now fit
+(nonzero -> 0), both trees' Lemke and factorization totals, and the runs
+whose QP Lemke calls or pivots, midpoint Lemke calls or midpoint pivots
+differ.  Exits 2 when runs that now fit are the only difference; 1 when
+anything else moved beyond the ``--allow FIELD=REL`` tolerances (a field is
+named by its last key), any other move of an exit code or stderr included;
+0 otherwise, so never on a moved exit code.
 
 Run from the repository root, for example against a checkout of the parent
 commit made with ``git archive``:
@@ -119,9 +123,9 @@ def worker(runs_path: str, out_path: str) -> None:
     count_calls(lcp, "lemke_solve", "qp")
     count_calls(lcp, "_kkt_factor", "qp")
     count_calls(lcp, "_solve_qp_full", "qp")
-    count_calls(lasso, "lemke_solve", "mid")
-    if hasattr(lasso, "_lemke_path"):
-        count_calls(lasso, "_lemke_path", "mid")
+    for name in ("lemke_solve", "_lemke_path"):
+        if hasattr(lasso, name):
+            count_calls(lasso, name, "mid")
     results = {}
     for label, argv in json.loads(Path(runs_path).read_text()):
         counts.clear()
@@ -150,15 +154,20 @@ def relative(old, new) -> float:
 
 
 def compare(old: dict, new: dict, allow: dict[str, float]) -> int:
-    moved = refused = 0
+    moved = refused = now_fit = now_fail = 0
     for label in old:
         a, b = old[label], new[label]
         if a["code"] != b["code"] or a["stderr"] != b["stderr"]:
-            refused += 1
             print(f"{label}: exit {a['code']} -> {b['code']}, stderr {a['stderr']!r} -> {b['stderr']!r}")
+            fits = a["code"] != 0 and b["code"] == 0
+            now_fit += fits
+            now_fail += a["code"] == 0 and b["code"] != 0
+            refused += not fits
         if a["stdout"] == b["stdout"]:
             continue
         moved += 1
+        if a["code"] != b["code"]:
+            continue  # only one tree has a report
         fields_a = dict(leaves(json.loads(a["stdout"]))) if a["stdout"] else {}
         fields_b = dict(leaves(json.loads(b["stdout"]))) if b["stdout"] else {}
         for field in sorted(fields_a.keys() | fields_b.keys()):
@@ -169,16 +178,18 @@ def compare(old: dict, new: dict, allow: dict[str, float]) -> int:
                 refused += rel > allow.get(name, -1.0)
                 print(f"{label}: {field} {va!r} -> {vb!r} (relative {rel:.2g})")
     print(f"{len(old)} runs: {len(old) - moved} byte-identical, {moved} moved, {refused} moves beyond tolerance; "
-          f"nonzero exits {sum(r['code'] != 0 for r in old.values())} -> {sum(r['code'] != 0 for r in new.values())}")
+          f"nonzero exits {sum(r['code'] != 0 for r in old.values())} -> {sum(r['code'] != 0 for r in new.values())}, "
+          f"{now_fail} now fail (exit 0 -> nonzero), {now_fit} now fit (nonzero -> 0)")
     for tree, results in (("old", old), ("new", new)):
         totals = sum((Counter(r["counts"]) for r in results.values()), Counter())
         print(f"{tree} tree: " + ", ".join(f"{key} {totals[key]}" for key in sorted(totals)))
-    for block, keys in (("QP", ("qp_solve_qp_full_calls", "qp_lemke_solve_calls", "qp_pivots")),
-                        ("midpoint", ("mid_lemke_path_calls", "mid_lemke_solve_calls", "mid_pivots"))):
+    for what, keys in (("QP Lemke calls or pivots", ("qp_solve_qp_full_calls", "qp_lemke_solve_calls", "qp_pivots")),
+                       ("midpoint Lemke calls", ("mid_lemke_path_calls", "mid_lemke_solve_calls")),
+                       ("midpoint pivots", ("mid_pivots",))):
         differ = [label for label in old if any(old[label]["counts"].get(k, 0) != new[label]["counts"].get(k, 0)
                                                 for k in keys)]
-        print(f"runs whose {block} Lemke calls or pivots differ: {len(differ)}", *differ[:20])
-    return 1 if refused else 0
+        print(f"runs whose {what} differ: {len(differ)}", *differ[:20])
+    return 1 if refused else 2 if now_fit else 0
 
 
 def main() -> int:

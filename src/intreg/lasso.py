@@ -24,8 +24,9 @@ equals the single-block passes bit for bit.
 Each fold walks a block's grid as a path.  The midpoint Gram
 statistics ``F'F`` and ``F'v`` are formed once per path, and the penalty
 moves the midpoint LCP along Lemke's covering vector, so one Lemke run
-walks the whole midpoint grid.  The penalty enters the spread QP's linear
-term alone, so the spread grid is walked by exact active-set continuation
+walks the whole midpoint grid; a single penalty is the one-point run.  The
+penalty enters the spread QP's linear term alone, so the spread grid is
+walked by exact active-set continuation
 (:func:`intreg.lcp._qp_path`), with Lemke only at a path's first point and
 where a one-row step fails.  Every grid point is still checked on its own
 (the midpoint subgradient-gap test and zero snap; the spread QP's
@@ -44,7 +45,7 @@ import numpy as np
 from .design import DesignSystem, build_design, regressor_blocks
 from .errors import FoldTooSmall, RayTermination, SubgradientGap
 from .intervals import DEFAULT_TAU, validate_tau
-from .lcp import SOLVED, Lcp, _lemke_path, lemke_solve
+from .lcp import Lcp, _lemke_path
 from .least_squares import (
     METHOD_LASSO,
     FitResult,
@@ -82,19 +83,15 @@ def _lasso_gram(G: np.ndarray, b: np.ndarray, lambdas: np.ndarray) -> np.ndarray
     solves it exactly.  Dividing both by ``max(diag G)`` leaves the solution
     unchanged and makes the pivot tolerance independent of the data scale.
     As ``q = [-b; b] + lam 1`` moves along Lemke's covering vector, one Lemke
-    run walks a grid (:func:`intreg.lcp._lemke_path`); a single penalty, or
-    one the run does not reach, is solved on its own.
+    run reads every penalty, one or many (:func:`intreg.lcp._lemke_path`);
+    a run that ray-terminates before it reaches them all raises
+    :class:`RayTermination`.
     """
     scale = float(np.max(np.diag(G), initial=0.0)) or 1.0
     M = np.block([[G, -G], [-G, G]]) / scale
-    Z, reached = np.zeros((lambdas.size, M.shape[0])), np.zeros(lambdas.size, dtype=bool)
-    if lambdas.size > 1:
-        Z, reached = _lemke_path(Lcp(M, np.concatenate([-b, b]) / scale), lambdas / scale)
-    for i in np.flatnonzero(~reached):
-        sol = lemke_solve(Lcp(M, np.concatenate([lambdas[i] - b, lambdas[i] + b]) / scale))
-        if sol.status != SOLVED:
-            raise RayTermination("complementary pivoting ray-terminated on a midpoint Lasso")
-        Z[i] = sol.z
+    Z, reached = _lemke_path(Lcp(M, np.concatenate([-b, b]) / scale), lambdas / scale)
+    if not reached.all():
+        raise RayTermination("complementary pivoting ray-terminated on a midpoint Lasso")
     return Z[:, : b.size] - Z[:, b.size :]
 
 

@@ -34,35 +34,22 @@ from .least_squares import METHOD_LASSO_IR, FitResult, _fit_result, _snap_zeros,
 def _joint_qp(design: DesignSystem, tau: float, t: float) -> Qp:
     """QP over (midpoint block, offset+ part, offset- part)."""
     w = design.block_width
-    hm = design.fm.T @ design.fm
-    hs = design.fs.T @ design.fs
-    gm = design.fm.T @ design.vm
-    gs = design.fs.T @ design.vs
     g = design.gamma_matrix
-    n = g.shape[0]
-    Q = np.zeros((3 * w, 3 * w))
-    Q[:w, :w] = 2.0 * ((1.0 - tau) * hm + tau * hs)
-    Q[:w, w : 2 * w] = 2.0 * tau * hs
-    Q[:w, 2 * w :] = -2.0 * tau * hs
-    Q[w : 2 * w, :w] = 2.0 * tau * hs
-    Q[w : 2 * w, w : 2 * w] = 2.0 * tau * hs
-    Q[w : 2 * w, 2 * w :] = -2.0 * tau * hs
-    Q[2 * w :, :w] = -2.0 * tau * hs
-    Q[2 * w :, w : 2 * w] = -2.0 * tau * hs
-    Q[2 * w :, 2 * w :] = 2.0 * tau * hs
-    c = np.concatenate([
-        -2.0 * ((1.0 - tau) * gm + tau * gs),
-        -2.0 * tau * gs,
-        2.0 * tau * gs,
+    fm, fs = design.fm, design.fs
+    # the spread block is a_m + a+ - a-: its terms couple the parts with these signs
+    signs = np.array([1.0, 1.0, -1.0])
+    Q = np.kron(np.outer(signs, signs), 2.0 * tau * (fs.T @ fs))
+    Q[:w, :w] += 2.0 * (1.0 - tau) * (fm.T @ fm)
+    c = np.kron(-signs, 2.0 * tau * (fs.T @ design.vs))
+    c[:w] -= 2.0 * (1.0 - tau) * (fm.T @ design.vm)
+    eye, zeros = np.eye(w), np.zeros((w, w))
+    R = np.block([
+        [g, g, -g],                                           # fitted spreads >= 0
+        [zeros, eye, zeros],
+        [zeros, zeros, eye],
+        [np.zeros((1, w)), -np.ones((1, w)), -np.ones((1, w))],  # L1 budget
     ])
-    zeros_nw = np.zeros((n, w))
-    R = np.vstack([
-        np.hstack([g, g, -g]),                                # fitted spreads >= 0
-        np.hstack([np.zeros((w, w)), np.eye(w), np.zeros((w, w))]),
-        np.hstack([np.zeros((w, w)), np.zeros((w, w)), np.eye(w)]),
-        np.hstack([np.zeros((1, w)), -np.ones((1, w)), -np.ones((1, w))]),  # L1 budget
-    ])
-    r = np.concatenate([np.zeros(n), np.zeros(2 * w), [-t]])
+    r = np.concatenate([np.zeros(g.shape[0] + 2 * w), [-t]])
     return Qp(Q, c, R, r)
 
 

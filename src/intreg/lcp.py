@@ -17,10 +17,12 @@ Pivot selection is lexicographic, which rules out cycling on degenerate
 tableaus; the plain minimum ratio decides alone unless rows tie on it.  One
 pivot loop yields every basis of a run.  The solver reads the last one and
 re-solves it directly against (M, q), so the reported values do not carry
-accumulated elimination error.  The path reads all of them: the artificial
-variable z0 moves q along the covering vector 1, so one run solves the LCPs
-(M, q + t 1) for every t it passes, each by interpolation between the two
-bases around it (the homotopy path of Osborne, Presnell & Turlach, 2000).
+accumulated elimination error: the working-set QP loop decides from them
+which rows are still violated, before any polish.  The path reads all of
+them: the artificial variable z0 moves q along the covering vector 1, so one
+run solves the LCPs (M, q + t 1) for every t it passes, each by
+interpolation between the two bases around it (the homotopy path of
+Osborne, Presnell & Turlach, 2000).
 
 The QP solver pivots on a working set of rows rather than on all of them:
 in the estimators' programs there is one row per observation but only a
@@ -300,26 +302,27 @@ def _ray(T: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:
 def _lemke_path(lcp: Lcp, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solutions of the LCPs ``(M, q + t 1)`` at the positive ``ts`` from one
     Lemke run on ``(M, q)``, one row per ``t``, and a mask of the ``t`` reached.
-    The run stops at the first basis with ``z0 <= min(ts)``, or sooner, short
-    of the smaller ``t``, if ``z0`` rises, it ray-terminates or its budget ends."""
+
+    Every point of an edge between two bases, where ``z0 = t``, solves the
+    LCP at ``t``, so each ``t`` is read on the first edge that crosses it,
+    whether ``z0`` falls or rises there.  The run pivots only while a ``t``
+    is left to read, and stops short of the rest if it ray-terminates; it
+    raises :class:`PivotLimitExceeded` as :func:`lemke_solve` does."""
     d = lcp.dim
     z0, z = -float(np.min(lcp.q, initial=0.0)), np.zeros(d)
     out, reached = np.zeros((ts.size, d)), ts >= z0
-    try:
-        for T, basis in _lemke_pivots(lcp.M, lcp.q, 50 * max(d, 1)):
-            x = np.zeros(2 * d + 1)
-            x[basis] = T[:, -1]
-            if x[-1] > z0:
-                break
-            edge = (ts < z0) & (ts >= x[-1])
-            z_next = np.maximum(x[d:-1], 0.0)
-            out[edge] = z_next + (z - z_next) * ((ts[edge] - x[-1]) / (z0 - x[-1]))[:, None]
-            reached |= edge
-            z0, z = x[-1], z_next
-            if z0 <= ts.min():
-                break
-    except PivotLimitExceeded:
-        pass
+    if reached.all():
+        return out, reached
+    for T, basis in _lemke_pivots(lcp.M, lcp.q, 50 * max(d, 1)):
+        x = np.zeros(2 * d + 1)
+        x[basis] = T[:, -1]
+        z_next = np.maximum(x[d:-1], 0.0)
+        edge = ~reached & (ts >= min(z0, x[-1])) & (ts <= max(z0, x[-1]))
+        out[edge] = z_next + (z - z_next) * ((ts[edge] - x[-1]) / (z0 - x[-1]))[:, None]
+        reached |= edge
+        z0, z = x[-1], z_next
+        if reached.all():
+            break
     return out, reached
 
 

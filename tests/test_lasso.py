@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from intreg import (
 import intreg.lasso
 import intreg.lcp
 import intreg.least_squares
+from intreg.cli import main
 from intreg.errors import FoldTooSmall, IntregError, RayTermination, SubgradientGap
 from intreg.lasso import _lasso_gram, _mid_fits, mid_kkt_gap, soft_threshold
 from intreg.lasso_ir import _budget_path, default_budget_grid
-from intreg.lcp import RAY_TERMINATION, LcpSolution, lemke_solve
 from intreg.least_squares import _spr_path, solve_spread_block, spread_qp
 
 from conftest import (corrupt_continuation_steps, exact_fit_sample, random_sample, record_lemke_dims,
@@ -119,14 +120,25 @@ class TestBlockFits:
         with pytest.raises(SubgradientGap):
             fit_lasso_mid(d, 0.5 * lambda_grid(d, 2, 0.5, "mid")[0])
 
-    def test_ray_termination_is_typed_error(self, monkeypatch):
-        def ray(lcp_, max_pivots=None):
-            return LcpSolution(np.zeros(lcp_.dim), lcp_.q.copy(), RAY_TERMINATION, 1)
+    def test_ray_termination_is_typed_error(self, monkeypatch, capsys):
+        # a midpoint path that ray-terminates short of its penalty raises,
+        # and reaches the CLI as one error line
+        pivots = intreg.lcp._lemke_pivots
+
+        def ray(M, q, max_pivots):
+            # the run ends after z0 enters, with z0 still basic
+            yield next(pivots(M, q, max_pivots))
 
         d = build_design(random_sample(3, n=10), "full")
-        monkeypatch.setattr(intreg.lasso, "lemke_solve", ray)
-        with pytest.raises(RayTermination):
+        monkeypatch.setattr(intreg.lcp, "_lemke_pivots", ray)
+        with pytest.raises(RayTermination, match="midpoint Lasso"):
             fit_lasso_mid(d, 0.5 * lambda_grid(d, 2, 0.5, "mid")[0])
+        # cross-validation walks the midpoint grid of the first fold first
+        code = main(["--input-path", str(Path(__file__).parent / "fixtures/synthetic59.csv"), "--method", "lasso"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error code=RayTermination") and "midpoint Lasso" in err
+        assert err.count("\n") == 1
 
     def test_negative_penalty_rejected(self):
         s = random_sample(3, n=10)
@@ -542,25 +554,52 @@ class TestPathwiseCrossValidation:
     @pytest.mark.parametrize("variant", ["full", "model-m"])
     def test_midpoint_grid_pivots_only_where_the_signs_change(self, variant, monkeypatch):
         # one Lemke run per fold walks the whole grid, pivoting where a
-        # coefficient enters or leaves the support; no grid point is solved
-        # on its own
+        # coefficient enters or leaves the support; every other Lemke run
+        # is a spread QP's, and the held midpoint block of a spread-only
+        # pass, an empty grid, makes none
         d = build_design(split_model_sample(1, 100), variant)
-        runs, solves = [], []
-        path = intreg.lasso._lemke_path
+        runs, loops, caller = [], [], [None]
+        path, pivots = intreg.lasso._lemke_path, intreg.lcp._lemke_pivots
+
+        def within(name, fn):
+            def wrapped(*args, **kwargs):
+                outer, caller[0] = caller[0], name
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    caller[0] = outer
+            return wrapped
 
         def record_run(lcp_, ts):
             runs.append(ts.size)
             return path(lcp_, ts)
 
-        def record_solve(lcp_, max_pivots=None):
-            solves.append(lcp_.dim)
-            return lemke_solve(lcp_, max_pivots)
+        def record_loop(M, q, max_pivots):
+            loops.append(caller[0])
+            return pivots(M, q, max_pivots)
 
-        monkeypatch.setattr(intreg.lasso, "_lemke_path", record_run)
-        monkeypatch.setattr(intreg.lasso, "lemke_solve", record_solve)
+        monkeypatch.setattr(intreg.lasso, "_lemke_path", within("path", record_run))
+        monkeypatch.setattr(intreg.lcp, "_solve_qp_full", within("qp", intreg.lcp._solve_qp_full))
+        monkeypatch.setattr(intreg.lcp, "_lemke_pivots", record_loop)
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)
         assert runs == [100] * 5
-        assert solves == []
+        assert loops.count("path") == 5 and set(loops) == {"path", "qp"}
+        runs.clear()
+        loops.clear()
+        cross_validate(d, 0.5, folds=5, seed=0, blocks=("spr",), count=100)
+        assert runs == [0] * 5
+        assert set(loops) == {"qp"}
+
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_single_penalty_is_its_grid_row(self, variant):
+        # a single penalty is the one-point Lemke run, which takes the grid
+        # run's pivots up to the edge that crosses it and reads the same point
+        d = build_design(split_model_sample(3, 100), variant)
+        grid = lambda_grid(d, 100, 1e-3, "mid")
+        rows = _mid_fits(d, grid)[0]
+        for j in [*range(0, 100, 7), 99]:
+            (one,), _ = _mid_fits(d, [grid[j]])
+            assert np.max(np.abs(one - rows[j]), initial=0.0) <= 1e-12 * np.max(np.abs(rows[j]), initial=0.0)
 
     def test_midpoint_gram_is_formed_once_per_path(self, monkeypatch):
         d = build_design(split_model_sample(1, 100), "full")
@@ -580,31 +619,34 @@ class TestPathwiseCrossValidation:
         assert grams == [100] * 5
 
     @pytest.mark.parametrize("failure", ["ray-termination", "rising-z0"])
-    def test_failed_path_falls_back_to_cold_fits(self, failure, monkeypatch):
-        # a run that ray-terminates, or along which z0 rises, leaves the rest
-        # of the grid to one cold solve per point
+    def test_failed_path_raises_a_typed_error(self, failure, monkeypatch):
+        # a run that ray-terminates short of the grid raises; a run whose
+        # tableau reports a wrong z0, here one that rises, reads wrong
+        # points, which their subgradient test rejects; no penalty is solved
+        # again by a Lemke run of its own
         d = build_design(split_model_sample(101, 100), "full")
         grid = lambda_grid(d, 100, 1e-3, "mid")
-        cold = [fit_lasso_mid(d, lam) for lam in grid]
         pivots = intreg.lcp._lemke_pivots
-        runs = []
+        runs, z0s = [], []
 
         def failing(M, q, max_pivots):
             runs.append(q.size)
             for step, (T, basis) in enumerate(pivots(M, q, max_pivots)):
-                if len(runs) == 1 and step == 4:
+                if step == 4:
                     if failure == "ray-termination":
                         return
                     T = T.copy()
                     T[basis == 2 * q.size, -1] *= 2.0
+                z0s.append(float(np.sum(T[basis == 2 * q.size, -1])))  # 0 once z0 leaves
                 yield T, basis
 
         monkeypatch.setattr(intreg.lcp, "_lemke_pivots", failing)
-        for want, got in zip(cold, _mid_fits(d, grid)[0]):
-            assert np.array_equal(got == 0.0, want == 0.0)
-            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
-        # the path reached the top of the grid, the cold solves the rest
-        assert 1 < len(runs) < 1 + len(grid)
+        error = {"ray-termination": RayTermination, "rising-z0": SubgradientGap}[failure]
+        with pytest.raises(error):
+            _mid_fits(d, grid)
+        assert len(runs) == 1
+        if failure == "rising-z0":
+            assert z0s[4] > z0s[3]
 
     def test_every_grid_point_is_still_certified(self, monkeypatch):
         # zeros solve at most the top of a fold's grid; interpolating each

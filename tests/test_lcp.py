@@ -182,6 +182,56 @@ class TestLemkeSolve:
                 assert lcp._lexico_min_row(T, rows, lex_cols, piv) == full_sort(T, rows, lex_cols, piv)
 
 
+class TestLemkePath:
+    def test_reads_every_t_a_cold_run_solves(self, rng):
+        # every point of an edge where z0 = t solves LCP(M, q + t 1), on
+        # positive semidefinite M and on M that is neither, along which z0
+        # can rise; a cold run on (M, q + t 1) takes the run's own pivots up
+        # to the first edge that crosses t, so it solves no t the run misses
+        rises = 0
+        for i in range(300):
+            d = int(rng.integers(1, 6))
+            A = rng.normal(size=(d, d))
+            M, q = A @ A.T if i % 2 == 0 else A, rng.normal(size=d)
+            z0s = [float(np.sum(T[basis == 2 * d, -1])) for T, basis in lcp._lemke_pivots(M, q, 50 * d)]
+            rises += any(0.0 < z0s[j - 1] < z0s[j] for j in range(1, len(z0s)))
+            ts = rng.uniform(0.0, 1.2, size=10) * max(-q.min(), 0.1)
+            Z, reached = lcp._lemke_path(Lcp(M, q), ts)
+            for t, z, ok in zip(ts, Z, reached):
+                lcp_t = Lcp(M, q + t)
+                if ok:
+                    assert_lcp_invariants(lcp_t, LcpSolution(z, M @ z + lcp_t.q, SOLVED, 0))
+                else:
+                    assert lemke_solve(lcp_t).status == RAY_TERMINATION
+        assert rises >= 20
+
+    def test_pivots_only_while_a_t_is_left(self, monkeypatch):
+        # t at or above the first z0 are read at z = 0 without a pivot, as
+        # is an empty grid; the run stops at the edge that reaches the last t
+        loops = []
+        pivots = lcp._lemke_pivots
+
+        def record(M, q, max_pivots):
+            loops.append(0)
+            for step in pivots(M, q, max_pivots):
+                loops[-1] += 1
+                yield step
+
+        monkeypatch.setattr(lcp, "_lemke_pivots", record)
+        M, q = np.eye(2), np.array([-2.0, -1.0])
+        for ts, want in (([], []), ([2.0, 3.0], []), ([1.5], [2]), ([0.5], [3]), ([1.5, 0.5], [3])):
+            loops.clear()
+            Z, reached = lcp._lemke_path(Lcp(M, q), np.array(ts))
+            assert reached.all() and loops == want
+            assert np.allclose(Z, np.maximum(-(q + np.array(ts)[:, None]), 0.0), atol=1e-12)
+
+    def test_pivot_limit_propagates(self, monkeypatch):
+        pivots = lcp._lemke_pivots
+        monkeypatch.setattr(lcp, "_lemke_pivots", lambda M, q, max_pivots: pivots(M, q, 1))
+        with pytest.raises(PivotLimitExceeded):
+            lcp._lemke_path(Lcp(np.eye(2), np.array([-2.0, -1.0])), np.array([0.5]))
+
+
 class TestSolveQp:
     def test_interior_optimum(self):
         z = solve_qp(Qp(np.eye(2), np.array([-1.0, -1.0]), np.eye(2), np.zeros(2)))
