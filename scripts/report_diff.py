@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the CLI reports of two source trees on a fixed set of 800 runs.
+"""Compare the CLI reports of two source trees on a fixed set of 960 runs.
 
 The run set:
 
@@ -13,7 +13,11 @@ The run set:
 * the same ten configurations on ``generate(77, i, 60, 3,
   spread_noise=1.0)``, i < 6, at ``--tau`` 0.5 and 0.3;
 * the same ten configurations on the wide designs ``generate(7, i, n, 20)``,
-  for i < 3 and n in {300, 2000}.
+  for i < 3 and n in {300, 2000};
+* the same ten configurations on the bench's zero-spread probe inputs,
+  ``generate(PROBE_SEED, i, PROBE_N, 3, spread_noise=PROBE_SPREAD_NOISE)``
+  for i < ``PROBE_INPUTS``, whose few rows of spread exactly 0 make the
+  degenerate programs that a warm-started working set must not break.
 
 The samples are written once to a temporary directory, so both trees read
 identical input paths.  Each tree runs every report (JSON output) in its own
@@ -30,12 +34,13 @@ one-row step fails, including a restart from an empty working set.
 Prints every report field that moved, with its relative size
 ``|new - old| / max(|old|, |new|)``, every run whose exit code or stderr
 moved, how many runs now fail (exit 0 -> nonzero) and how many now fit
-(nonzero -> 0), both trees' Lemke and factorization totals, and the runs
-whose QP Lemke calls or pivots, midpoint Lemke calls or midpoint pivots
-differ.  Exits 2 when runs that now fit are the only difference; 1 when
-anything else moved beyond the ``--allow FIELD=REL`` tolerances (a field is
-named by its last key), any other move of an exit code or stderr included;
-0 otherwise, so never on a moved exit code.
+(nonzero -> 0), both trees' Lemke and factorization totals, overall and
+per method (``ls``, ``lasso``, ``lasso-ir``), and the runs whose QP Lemke
+calls or pivots, midpoint Lemke calls or midpoint pivots differ.  Exits 2
+when runs that now fit are the only difference; 1 when anything else moved
+beyond the ``--allow FIELD=REL`` tolerances (a field is named by its last
+key), any other move of an exit code or stderr included; 0 otherwise, so
+never on a moved exit code.
 
 Run from the repository root, for example against a checkout of the parent
 commit made with ``git archive``:
@@ -67,7 +72,7 @@ VARIANTS = ("full", "model-m")
 def run_set(workdir: Path) -> list[tuple[str, list[str]]]:
     """Write the generated samples under ``workdir``; return ``(label, argv)`` per run."""
     sys.path.insert(0, str(ROOT / "bench"))
-    from workloads import generate, write_csv
+    from workloads import PROBE_INPUTS, PROBE_N, PROBE_SEED, PROBE_SPREAD_NOISE, generate, write_csv
 
     inputs = [(path.stem, str(path), ()) for path in
               (ROOT / "tests/fixtures/synthetic59.csv", ROOT / "tests/fixtures/zero_spread20.csv")]
@@ -87,6 +92,10 @@ def run_set(workdir: Path) -> list[tuple[str, list[str]]]:
             path = workdir / f"gen_7_{i}_{n}_k20.csv"
             write_csv(path, generate(7, i, n, 20), "midspr")
             inputs.append((path.stem, str(path), ()))
+    for i in range(PROBE_INPUTS):
+        path = workdir / f"probe_{PROBE_SEED}_{i}_{PROBE_N}.csv"
+        write_csv(path, generate(PROBE_SEED, i, PROBE_N, 3, spread_noise=PROBE_SPREAD_NOISE), "midspr")
+        inputs.append((path.stem, str(path), ()))
     return [(f"{label}/{'/'.join(method)}/{variant}",
              ["--input-path", path, "--method", *method, "--variant", variant, "--output-format", "json", *extra])
             for label, path, extra in inputs for method in METHODS for variant in VARIANTS]
@@ -180,9 +189,13 @@ def compare(old: dict, new: dict, allow: dict[str, float]) -> int:
     print(f"{len(old)} runs: {len(old) - moved} byte-identical, {moved} moved, {refused} moves beyond tolerance; "
           f"nonzero exits {sum(r['code'] != 0 for r in old.values())} -> {sum(r['code'] != 0 for r in new.values())}, "
           f"{now_fail} now fail (exit 0 -> nonzero), {now_fit} now fit (nonzero -> 0)")
+    methods = sorted({label.split("/")[1] for label in old})
     for tree, results in (("old", old), ("new", new)):
-        totals = sum((Counter(r["counts"]) for r in results.values()), Counter())
-        print(f"{tree} tree: " + ", ".join(f"{key} {totals[key]}" for key in sorted(totals)))
+        for method in (None, *methods):
+            totals = sum((Counter(r["counts"]) for label, r in results.items()
+                          if method in (None, label.split("/")[1])), Counter())
+            print(f"{tree} tree{'' if method is None else f' {method}'}: "
+                  + ", ".join(f"{key} {totals[key]}" for key in sorted(totals)))
     for what, keys in (("QP Lemke calls or pivots", ("qp_solve_qp_full_calls", "qp_lemke_solve_calls", "qp_pivots")),
                        ("midpoint Lemke calls", ("mid_lemke_path_calls", "mid_lemke_solve_calls")),
                        ("midpoint pivots", ("mid_pivots",))):

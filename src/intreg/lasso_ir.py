@@ -13,9 +13,12 @@ by the same complementary-pivoting machinery as the other estimators.  The
 budget is cross-validated on the Lasso folds.  It enters only the
 right-hand side of the budget row, so the ``t > 0`` programs of the grid are
 walked by exact active-set continuation (:func:`intreg.lcp._qp_path`), and
-every point is certified against every row.  The path returns the grid's
-fits as stacks, one row per budget, with the ``t = 0`` program solved once
-for every zero budget; a single fit is row 0 of the one-point budget grid.
+every point is certified against every row.  The ``t = 0`` program is
+solved first, always: the rows that bind its fit, with every offset bound
+and the budget row, start the joint path's first working set.  The path
+returns the grid's fits as stacks, one row per budget, with the ``t = 0``
+fit for every zero budget; a single fit is row 0 of the one-point budget
+grid, so a fit at ``t > 0`` solves ``t = 0`` first as well.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .design import DesignSystem
 from .intervals import DEFAULT_TAU, Interval, validate_tau
 from .lasso import _cv_errors
-from .lcp import Qp, _qp_path
+from .lcp import Qp, _active_rows, _qp_path
 from .least_squares import METHOD_LASSO_IR, FitResult, _fit_result, _snap_zeros, ols_mid
 
 
@@ -102,24 +105,26 @@ def _budget_path(design: DesignSystem, tau: float,
     continuation (see :func:`intreg.lcp._qp_path`); offset entries within
     roundoff of zero are snapped to exact zeros, as the spread block's are.
     At ``t = 0`` the offset is zero and the program is the midpoint block
-    alone, under the rows that keep the tied fitted spreads nonnegative,
-    solved once for every zero budget of the grid.
+    alone, under the rows that keep the tied fitted spreads nonnegative.  It
+    is solved first, whatever the grid, and its fit serves every zero budget;
+    its binding spread rows, every offset bound row and the budget row are
+    the working set the joint path's first Lemke solve starts from.
     """
     grid = np.fromiter(grid, dtype=float)
     if not np.all((grid >= 0.0) & (grid < np.inf)):
         raise ValueError("the budget must be finite and nonnegative")
-    w = design.block_width
+    w, n = design.block_width, design.n
     qp = _joint_qp(design, tau, 0.0)
+    # t = 0: the midpoint block under the spread rows, sliced from the joint QP
+    a_m, lam, alone = _qp_path(qp.Q[:w, :w], qp.R[:n, :w], qp.c[None, :w], qp.r[None, :n])
     on = grid > 0.0
     RHS = np.tile(qp.r, (np.count_nonzero(on), 1))
     RHS[:, -1] = -grid[on]
-    U, _, info = _qp_path(qp.Q, qp.R, np.broadcast_to(qp.c, (RHS.shape[0], qp.c.size)), RHS)
+    # its binding spread rows, every offset bound and the budget row start the joint path
+    work = np.concatenate([_active_rows(lam[0])[0], np.arange(n, qp.R.shape[0])])
+    U, _, info = _qp_path(qp.Q, qp.R, np.broadcast_to(qp.c, (RHS.shape[0], qp.c.size)), RHS, work)
     A_m, A_a = U[:, :w], _snap_zeros(np.maximum(U[:, w : 2 * w], 0.0) - np.maximum(U[:, 2 * w :], 0.0))
-    if on.all():
-        return A_m, A_a, info
-    # the midpoint block under the spread rows, sliced from the joint QP; grid
-    # point i is row rows[i] of the t > 0 stacks with this one appended
-    a_m, _, alone = _qp_path(qp.Q[:w, :w], qp.R[: design.n, :w], qp.c[None, :w], qp.r[None, : design.n])
+    # grid point i is row rows[i] of the t > 0 stacks with the t = 0 fit appended
     rows = np.where(on, np.cumsum(on) - 1, A_m.shape[0])
     return (np.vstack([A_m, a_m])[rows], np.vstack([A_a, np.zeros((1, w))])[rows],
             {key: np.append(value, alone[key])[rows] for key, value in info.items()})

@@ -471,8 +471,8 @@ def _crossing_row(lam0: np.ndarray, slack0: np.ndarray, lam1: np.ndarray, slack1
     return int(fails[np.argmin(start / (start - end[fails]))])
 
 
-def _qp_path(Q: np.ndarray, R: np.ndarray, C: np.ndarray,
-             RHS: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+def _qp_path(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray,
+             work: Sequence[int] = ()) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Solutions, multipliers and diagnostics of a family of QPs along a grid.
 
     The QPs share ``Q`` and ``R``; grid point ``i`` has the linear term
@@ -502,7 +502,10 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, C: np.ndarray,
 
     A breakpoint is solved by :func:`_solve_qp_full` with the working set
     started at the active set the path last walked on and the Hessian
-    factored once for the whole path.  The rows that bind Lemke's iterate
+    factored once for the whole path.  The first grid point's working set
+    starts at ``work``, rows the caller expects to bind there (the budget
+    path passes the rows of its ``t = 0`` fit), as a breakpoint's starts
+    at the last active set.  The rows that bind Lemke's iterate
     (:func:`_active_rows`) start the new active set; the equality solve on
     it (the polish) is repeated, with every row it violates by the
     working-set loop's test added, until it violates none (a singular
@@ -519,7 +522,7 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, C: np.ndarray,
         return Z, LAM, info
     tol = 1e-12 * (1.0 + np.abs(RHS))
     bound = 1e-8 * (1.0 + R.shape[0])
-    factor, active, i = _ridge_factor(Q), (), 0
+    factor, active, i = _ridge_factor(Q), work, 0
     info["ridge_used"][:] = factor[1]
     while i < n:
         c, r = C[i], RHS[i]

@@ -13,7 +13,9 @@ from intreg import (
     ingest,
     select_budget,
 )
-from intreg.lasso_ir import _budget_path, default_budget_grid
+from intreg import lcp
+from intreg.lasso_ir import _budget_path, _joint_qp, default_budget_grid
+from intreg.least_squares import _snap_zeros
 
 from conftest import corrupt_continuation_steps, point_info, record_lemke_dims, record_qp_solves, split_model_sample
 from oracle import simulate
@@ -49,6 +51,15 @@ def one_point_fit(design, t):
     grid."""
     A_m, A_a, info = _budget_path(design, 0.5, [t])
     return A_m[0], A_a[0], point_info(info)
+
+
+def cold_joint_fit(design, tau, t):
+    """Midpoint block and offset at budget ``t`` from the joint QP alone: its
+    one-point path with no rows carried into the first working set."""
+    qp = _joint_qp(design, tau, t)
+    u = lcp._qp_path(qp.Q, qp.R, qp.c[None], qp.r[None])[0][0]
+    w = design.block_width
+    return u[:w], _snap_zeros(np.maximum(u[w : 2 * w], 0.0) - np.maximum(u[2 * w :], 0.0))
 
 
 class TestFitLassoIr:
@@ -207,7 +218,8 @@ class TestSelectBudget:
 
 
 class TestBudgetPath:
-    """The t > 0 budgets start each QP from the rows that bound the previous one."""
+    """The t > 0 budgets start each QP from the rows that bound the previous
+    one, the first from the rows that bind the t = 0 fit."""
 
     @pytest.mark.parametrize("n", [100, 200])
     @pytest.mark.parametrize("variant", ["full", "model-m"])
@@ -219,6 +231,41 @@ class TestBudgetPath:
             assert np.array_equal(a_a == 0.0, cold_a == 0.0)
             for got, want in ((a_m, cold_m), (a_a, cold_a)):
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
+
+    @pytest.mark.parametrize("tau", [0.3, 0.5])
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_warm_start_equals_cold_joint_path(self, variant, tau):
+        # the rows of the t = 0 fit start the joint path; starting it from an
+        # empty working set must give the same fits
+        for n in (100, 200):
+            d = build_design(split_model_sample(n + 2, n), variant)
+            grid = default_budget_grid(d)
+            for t, a_m, a_a in zip(grid, *_budget_path(d, tau, grid)[:2]):
+                cold_m, cold_a = cold_joint_fit(d, tau, t)
+                assert np.array_equal(a_a == 0.0, cold_a == 0.0), (n, t)
+                for got, want in ((a_m, cold_m), (a_a, cold_a)):
+                    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0), (n, t)
+
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_every_joint_solve_is_one_lemke_round(self, variant, monkeypatch):
+        # with the t = 0 fit's binding rows, every offset bound and the budget
+        # row in the first working set, no joint QP adds a row or restarts cold
+        calls, solves = record_lemke_dims(monkeypatch), []
+        solve = lcp._solve_qp_full
+
+        def record(Q, c, R, r, work=(), factor=None):
+            before = len(calls)
+            out = solve(Q, c, R, r, work, factor)
+            solves.append((Q.shape[0], len(calls) - before))
+            return out
+
+        monkeypatch.setattr(lcp, "_solve_qp_full", record)
+        for seed in range(1, 7):
+            d = build_design(split_model_sample(seed, 100), variant)
+            solves.clear()
+            select_budget(d, 0.5, folds=5, seed=0)
+            joint = [count for width, count in solves if width == 3 * d.block_width]
+            assert joint and joint == [1] * len(joint), seed
 
     def test_every_budget_meets_its_certificate(self):
         # the top budgets of these samples leave offset rows whose multiplier
@@ -232,12 +279,13 @@ class TestBudgetPath:
                 assert max(info[k][i] for k in info if k.startswith("kkt_")) <= bound, (seed, t)
 
     def test_about_one_lemke_call_per_budget(self, monkeypatch):
-        # the t = 0 program of each fold starts cold; cold starts throughout
-        # make 406 calls on this sample
+        # each fold's t = 0 fit and each joint breakpoint make at most one
+        # call: 18 on this sample for 105 grid points, 37 with each fold's
+        # joint path started from an empty working set
         d = build_design(split_model_sample(1, 100), "full")
         calls = record_lemke_dims(monkeypatch)
         select_budget(d, 0.5, folds=5, seed=0)
-        assert 0 < len(calls) <= 1.25 * 5 * len(default_budget_grid(d))
+        assert 0 < len(calls) <= 20
 
     def test_budget_grid_solves_qps_only_at_breakpoints(self, monkeypatch):
         # Lemke solves a path's first point and a point where a one-row step

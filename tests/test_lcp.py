@@ -339,8 +339,9 @@ def full_dimension_solve(qp):
 class TestWorkingSet:
     @pytest.mark.parametrize("n", [200, 2000])
     def test_caller_qps_match_full_dimension_solve(self, n, monkeypatch):
-        # the spread block (ls and lasso) and the lasso-ir joint QP at t = 0
-        # and t > 0, as their callers build them
+        # the spread block (ls and lasso), the lasso-ir t = 0 program and the
+        # joint QP at t > 0, as their callers build them; the fit at t > 0
+        # solves the t = 0 program first, whose binding rows start its path
         design = build_design(split_model_sample(n, n), "full")
         qps = []
         solve = lcp._solve_qp_full
@@ -355,7 +356,11 @@ class TestWorkingSet:
         lasso_ir.fit_lasso_ir(design, 0.5, 0.0)
         lasso_ir.fit_lasso_ir(design, 0.5, 0.3)
         monkeypatch.undo()
-        assert len(qps) == 4
+        assert len(qps) == 5
+        zero, again, joint = qps[2:]
+        for a, b in zip((zero.Q, zero.c, zero.R, zero.r), (again.Q, again.c, again.R, again.r)):
+            assert np.array_equal(a, b)
+        assert joint.num_vars == 3 * zero.num_vars and joint.num_constraints == n + 2 * zero.num_vars + 1
         dims = record_lemke_dims(monkeypatch)
         for qp in qps:
             dims.clear()
@@ -614,12 +619,12 @@ class TestQpPath:
         paths, current = [], []
         path, solve, active_solve = lasso_ir._qp_path, lcp._solve_qp_full, lcp._active_set_solve
 
-        def new_path(Q, R, C, RHS):
+        def new_path(Q, R, C, RHS, work=()):
             # the budget path walks two paths; each records its own
-            walk = {"rhs": RHS, "solves": [], "works": []}
+            walk = {"rhs": RHS, "start": np.asarray(work, dtype=int), "solves": [], "works": []}
             paths.append(walk)
             current[:] = [walk]
-            return path(Q, R, C, RHS)
+            return path(Q, R, C, RHS, work)
 
         def solved(pinv, c, r, active):
             # the grid points a solve covers: a stack the rest of the grid,
@@ -644,8 +649,10 @@ class TestQpPath:
         monkeypatch.setattr(lcp, "_active_set_solve", solved)
         lasso_ir.select_budget(design, 0.5)
         assert sum(len(walk["works"]) > 1 for walk in paths) > 1
+        assert sum(walk["start"].size > 0 for walk in paths) > 1
         for walk in paths:
-            assert walk["works"][0][0].size == 0
+            # the first point starts at the rows the caller passes
+            assert np.array_equal(walk["works"][0][0], walk["start"])
             for work, walked in walk["works"][1:]:
                 assert np.array_equal(work, walked)
 
