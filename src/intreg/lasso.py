@@ -123,10 +123,11 @@ def fit_lasso_spr(design: DesignSystem, lam: float, tau: float = DEFAULT_TAU) ->
     """Spread-block Lasso under the feasibility cone.
 
     Solved exactly as a QP because the cone forces nonnegative coefficients,
-    making the penalty linear.  In exact arithmetic the minimizer does not
-    depend on ``tau``, but the QP is scaled by ``2 tau`` and Lemke's pivot
-    test is absolute, so ``tau`` can change the computed solution's rounding
-    and whether pivoting ray-terminates.
+    making the penalty linear; zero-spread rows pin the coefficients they
+    touch to 0 first.  In exact arithmetic the minimizer does not depend on
+    ``tau``, but the QP is scaled by ``2 tau`` and Lemke's pivot test is
+    absolute, so ``tau`` can change the computed solution's rounding and
+    whether pivoting ray-terminates.
     """
     return solve_spread_block(design, validate_tau(tau), lam)[0]
 
@@ -199,6 +200,12 @@ class LassoPath:
     lambda_1se: float
 
 
+def _first_min(cv_mean: np.ndarray) -> int:
+    """First grid index whose mean CV error is within 1e-12 relative of the minimum."""
+    low = float(np.min(cv_mean))
+    return int(np.argmax(cv_mean <= low + 1e-12 * abs(low)))
+
+
 def _cv_errors(
     design: DesignSystem,
     tau: float,
@@ -253,9 +260,10 @@ def cross_validate(
     one pass over the folds.  Fold assignment is a seeded pseudorandom
     partition, so identical seeds give identical paths.  Per penalty,
     ``cv_mean`` is the mean held-out weighted squared error and
-    ``cv_stderr`` its standard error across folds; the selected penalties
-    are the error minimizer and the largest penalty within one standard
-    error of it.
+    ``cv_stderr`` its standard error across folds.  The ``mse`` penalty is
+    the largest whose mean error is within ``1e-12`` relative of the
+    minimum, so roundoff cannot pick on a flat curve; the ``1se`` penalty is
+    the largest within one standard error of it.
     """
     tau = validate_tau(tau)
     if not blocks or any(block not in BLOCKS for block in blocks):
@@ -278,7 +286,7 @@ def cross_validate(
         lambdas = grids[block]
         cv_mean = block_errors.mean(axis=0)
         cv_stderr = block_errors.std(axis=0, ddof=1) / np.sqrt(folds)
-        best = int(np.argmin(cv_mean))
+        best = _first_min(cv_mean)
         threshold = cv_mean[best] + cv_stderr[best]
         one_se = int(np.flatnonzero(cv_mean <= threshold)[0])
         paths.append(LassoPath(

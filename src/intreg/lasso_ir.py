@@ -29,7 +29,7 @@ import numpy as np
 
 from .design import DesignSystem
 from .intervals import DEFAULT_TAU, Interval, validate_tau
-from .lasso import _cv_errors
+from .lasso import _cv_errors, _first_min
 from .lcp import Qp, _active_rows, _qp_path
 from .least_squares import METHOD_LASSO_IR, FitResult, _fit_result, _snap_zeros, ols_mid
 
@@ -140,8 +140,9 @@ def select_budget(
     """Budget minimizing the cross-validated weighted squared error.
 
     Shares the Lasso cross-validation's fold routine, so a seed gives the
-    same partition and the same held-out error as there; ties resolve to the
-    earliest grid entry.
+    same partition and the same held-out error as there.  Errors within
+    ``1e-12`` relative of the minimum tie with it, and ties resolve to the
+    earliest grid entry (the smallest budget on the default grid).
     """
     tau = validate_tau(tau)
     if t_grid is None:
@@ -155,4 +156,4 @@ def select_budget(
         return A_m, A_m + A_a
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)
-    return grid[int(np.argmin(errors.mean(axis=0)))]
+    return grid[_first_min(errors.mean(axis=0))]

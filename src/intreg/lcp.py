@@ -15,14 +15,13 @@ primal solution is z = Q^{-1}(R' lam - c).
 
 Pivot selection is lexicographic, which rules out cycling on degenerate
 tableaus; the plain minimum ratio decides alone unless rows tie on it.  One
-pivot loop yields every basis of a run.  The solver reads the last one and
-re-solves it directly against (M, q), so the reported values do not carry
-accumulated elimination error: the working-set QP loop decides from them
-which rows are still violated, before any polish.  The path reads all of
-them: the artificial variable z0 moves q along the covering vector 1, so one
-run solves the LCPs (M, q + t 1) for every t it passes, each by
-interpolation between the two bases around it (the homotopy path of
-Osborne, Presnell & Turlach, 2000).
+pivot loop yields every basis of a run.  The solver reads the basic values
+of the last one as they stand: their elimination error, like the ridge bias
+of the factored Hessian, is removed by the QP path's one polish on the
+active set.  The path reads all of them: the artificial variable z0 moves q
+along the covering vector 1, so one run solves the LCPs (M, q + t 1) for
+every t it passes, each by interpolation between the two bases around it
+(the homotopy path of Osborne, Presnell & Turlach, 2000).
 
 The QP solver pivots on a working set of rows rather than on all of them:
 in the estimators' programs there is one row per observation but only a
@@ -205,34 +204,6 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row, col] = 1.0
 
 
-def _candidate_score(M: np.ndarray, q: np.ndarray, z: np.ndarray) -> float:
-    w = M @ z + q
-    neg = max(0.0, -float(np.min(z, initial=0.0)), -float(np.min(w, initial=0.0)))
-    comp = float(np.max(np.abs(z * w), initial=0.0))
-    return max(neg, comp)
-
-
-def _extract_solution(M: np.ndarray, q: np.ndarray, basis: np.ndarray, rhs_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = q.size
-    x = np.zeros(2 * d + 1)
-    x[basis] = rhs_vals
-    z = np.maximum(x[d : 2 * d], 0.0)
-    # re-solve the complementary basis directly to purge elimination error
-    active = np.flatnonzero(z > 0.0)
-    if active.size:
-        sub = M[np.ix_(active, active)]
-        try:
-            refined = np.linalg.solve(sub, -q[active])
-        except np.linalg.LinAlgError:
-            refined = None
-        if refined is not None and np.all(np.isfinite(refined)) and np.min(refined) > -1e-9:
-            cand = np.zeros(d)
-            cand[active] = np.maximum(refined, 0.0)
-            if _candidate_score(M, q, cand) <= _candidate_score(M, q, z):
-                z = cand
-    return z, M @ z + q
-
-
 def _lemke_pivots(M: np.ndarray, q: np.ndarray, max_pivots: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Lemke's pivots on the LCP ``(M, q)``: the tableau and the basis after
     each, updated in place.  Tableau columns are ``w`` (``0..d-1``), ``z``
@@ -266,14 +237,16 @@ def _lemke_pivots(M: np.ndarray, q: np.ndarray, max_pivots: int) -> Iterator[tup
 def lemke_solve(lcp: Lcp, max_pivots: Optional[int] = None) -> LcpSolution:
     """Solve an LCP by complementary pivoting with lexicographic tie-breaking.
 
-    Returns a solution with status ``solved``, or ``ray-termination`` with
-    ``z`` the ``z`` part of the secondary ray the run escapes on: the
-    nonbasic member of the one nonbasic complementary pair whose column has
-    no entry above ``PIVOT_EPS`` grows, and the basic variables move along
-    that column.  For the PSD systems of ``qp_to_lcp`` the ray ``y`` has
-    ``R'y = 0`` and ``r'y > 0``, Farkas' certificate that the constraint set
-    is empty (Eaves, 1971).  Raises :class:`PivotLimitExceeded` when the
-    pivot budget, 50 per dimension by default, runs out.
+    Returns a solution with status ``solved``, whose ``z`` is read off the
+    basic values of the last basis (clipped at 0), with ``w = M z + q``; or
+    with status ``ray-termination`` and ``z`` the ``z`` part of the secondary
+    ray the run escapes on: the nonbasic member of the one nonbasic
+    complementary pair whose column has no entry above ``PIVOT_EPS`` grows,
+    and the basic variables move along that column.  For the PSD systems of
+    ``qp_to_lcp`` the ray ``y`` has ``R'y = 0`` and ``r'y > 0``, Farkas'
+    certificate that the constraint set is empty (Eaves, 1971).  Raises
+    :class:`PivotLimitExceeded` when the pivot budget, 50 per dimension by
+    default, runs out.
     """
     M, q = lcp.M, lcp.q
     d = lcp.dim
@@ -286,8 +259,10 @@ def lemke_solve(lcp: Lcp, max_pivots: Optional[int] = None) -> LcpSolution:
         pivots += 1
     if 2 * d in basis:
         return LcpSolution(_ray(T, basis, d), q.copy(), RAY_TERMINATION, pivots)
-    z, w = _extract_solution(M, q, basis, T[:, -1])
-    return LcpSolution(z, w, SOLVED, pivots)
+    x = np.zeros(2 * d + 1)
+    x[basis] = T[:, -1]
+    z = np.maximum(x[d : 2 * d], 0.0)
+    return LcpSolution(z, M @ z + q, SOLVED, pivots)
 
 
 def _ray(T: np.ndarray, basis: np.ndarray, d: int) -> np.ndarray:

@@ -11,7 +11,8 @@ The spread block has one solver, the penalty path shared with the Lasso: an
 L1 penalty enters the spread QP's linear term alone, so a grid of penalties
 is one QP family walked by active-set continuation, returned as one stack
 with a row per penalty.  A single fit (the unpenalized one here, a fixed
-penalty in the Lasso) is row 0 of the one-point grid.
+penalty in the Lasso) is row 0 of the one-point grid.  Rows of observed
+spread 0 are presolved before it: they pin the coefficients they touch to 0.
 """
 
 from __future__ import annotations
@@ -105,17 +106,31 @@ def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> tup
 
     The penalty enters the QP's linear term alone, so the grid is one QP
     family solved by active-set continuation (:func:`intreg.lcp._qp_path`).
+
+    Rows of observed spread 0 are forcing constraints, presolved first: such
+    a row reads ``g_i a <= 0`` with ``g_i, a >= 0``, so it pins every ``a_j``
+    with ``g_ij > 0`` to exactly 0, and the program without those columns,
+    their bound rows and these rows is solved.  Its diagnostics certify the
+    full one: pinned coefficients are exact zeros, these rows have slack
+    exactly 0, and as each pinned ``j`` has some ``g_ij > 0``, multipliers
+    on these rows that make every pinned bound's multiplier nonnegative exist.
     """
     lambdas = np.fromiter(lambdas, dtype=float)
     if not np.all((lambdas >= 0.0) & (lambdas < np.inf)):
         raise ValueError("the penalty must be finite and nonnegative")
     qp = spread_qp(design, tau)
-    if float(np.trace(qp.Q)) == 0.0:
-        # no spread signal at all: the objective is constant (or linear with
+    w = design.block_width
+    forcing = np.concatenate([np.zeros(w, dtype=bool), qp.r[w:] == 0.0])
+    free = ~np.any(qp.R[forcing] < 0.0, axis=0)  # the spread rows are -g
+    rows = ~forcing & np.concatenate([free, np.ones(design.n, dtype=bool)])
+    Q = qp.Q[np.ix_(free, free)]
+    A = np.zeros((lambdas.size, w))
+    if float(np.trace(Q)) == 0.0:
+        # no spread signal left: the objective is constant (or linear with
         # nonnegative slope) over the cone, and zero is always feasible
-        return np.zeros((lambdas.size, design.block_width)), {key: np.zeros(lambdas.size) for key in PATH_DIAGNOSTICS}
-    C = _spread_linear(tau, lambdas[:, None], design.fs.T @ design.vs)
-    A, _, info = _qp_path(qp.Q, qp.R, C, np.broadcast_to(qp.r, (lambdas.size, qp.r.size)))
+        return A, {key: np.zeros(lambdas.size) for key in PATH_DIAGNOSTICS}
+    C = _spread_linear(tau, lambdas[:, None], design.fs.T @ design.vs)[:, free]
+    A[:, free], _, info = _qp_path(Q, qp.R[np.ix_(rows, free)], C, np.tile(qp.r[rows], (lambdas.size, 1)))
     return np.maximum(_snap_zeros(A), 0.0), info
 
 

@@ -276,16 +276,20 @@ class TestMain:
 
     def test_solver_failure_is_one_error_line(self, monkeypatch, capsys):
         # a ray termination on a feasible program is a solver failure, and
-        # reaches the CLI as one error line (this fixture's spread block has
-        # violated rows, so it reaches the Lemke solver)
+        # reaches the CLI as one error line (the joint QP of lasso-ir on this
+        # fixture has violated rows, so it reaches the Lemke solver)
         import intreg.lcp as lcp
 
+        calls = []
+
         def ray(lcp_, max_pivots=None):
+            calls.append(lcp_.dim)
             return lcp.LcpSolution(np.zeros(lcp_.dim), lcp_.q.copy(), lcp.RAY_TERMINATION, 1)
 
         monkeypatch.setattr(lcp, "lemke_solve", ray)
-        code = main(["--input-path", str(FIXTURES / "zero_spread20.csv"), "--method", "ls"])
+        code = main(["--input-path", FIXTURE_CSV, "--method", "lasso-ir"])
         err = capsys.readouterr().err
+        assert calls
         assert code == 1
         assert err.startswith("error code=RayTermination")
         assert err.count("\n") == 1

@@ -13,6 +13,7 @@ from intreg import (
     fit_lasso_mid,
     fit_lasso_spr,
     fit_ls,
+    ingest,
     lambda_grid,
     select_budget,
 )
@@ -352,6 +353,43 @@ class TestCrossValidate:
         reverse = cross_validate(d, 0.5, folds=folds, seed=7, blocks=("spr", "mid"), count=12)
         assert np.array_equal(reverse[0].cv_mean, joint[1].cv_mean)
         assert np.array_equal(reverse[1].cv_mean, joint[0].cv_mean)
+
+    def test_flat_curve_selects_the_largest_tied_penalty(self):
+        # bench/workloads.generate(0, 13, 300, 3, spread_noise=1.0), the
+        # zero-spread probe's input 13: under model-m its spread curve is
+        # flat to roundoff over most of the grid
+        d = build_design(split_model_sample([0, 13], 300, spread_noise=1.0), "model-m")
+        (path,) = cross_validate(d, 0.5, folds=5, seed=0, blocks=("spr",))
+        low = np.min(path.cv_mean)
+        tied = path.cv_mean <= low + 1e-12 * low
+        assert tied.sum() >= 90
+        assert path.lambda_mse == np.max(path.lambdas[tied])
+
+    def test_selections_ignore_roundoff_in_the_curve(self, monkeypatch):
+        import intreg.lasso_ir
+
+        d = {variant: build_design(ingest(Path(__file__).parent / "fixtures" / "synthetic59.csv"), variant)
+             for variant in ("full", "model-m")}
+
+        def selections():
+            picks = [select_budget(design, 0.5) for design in d.values()]
+            for design in d.values():
+                picks += [(p.lambda_mse, p.lambda_1se) for p in cross_validate(design, 0.5)]
+            return picks
+
+        want = selections()
+        cv_errors = intreg.lasso._cv_errors
+        for seed in range(3):
+            # every grid point's mean error moves by up to 1e-15 relative
+            wobble = np.random.default_rng(seed).uniform(-1e-15, 1e-15, 200)
+
+            def perturbed(*args):
+                errors = cv_errors(*args)
+                return errors * (1.0 + wobble[: errors.shape[1]])
+
+            monkeypatch.setattr(intreg.lasso, "_cv_errors", perturbed)
+            monkeypatch.setattr(intreg.lasso_ir, "_cv_errors", perturbed)
+            assert selections() == want
 
     def test_blocks_validation(self):
         d = build_design(random_sample(18, n=10), "full")

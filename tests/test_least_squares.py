@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
+import intreg.least_squares
 from intreg import (
     Interval,
     IntervalSample,
     build_design,
     estimate_intercept,
+    fit_lasso,
     fit_ls,
     mean_squared_unweighted,
 )
 from intreg.errors import LengthMismatch
-from intreg.least_squares import _msd_arrays, spread_qp
+from intreg.lcp import _kkt
+from intreg.least_squares import _msd_arrays, _spr_path, spread_qp
 
-from conftest import exact_fit_sample, random_sample, weighted_mse
+from conftest import exact_fit_sample, random_sample, split_model_sample, weighted_mse
 from oracle import brute_force_qp
 
 
@@ -172,3 +175,101 @@ class TestMeanSquaredDtau:
         s = random_sample(44, n=18, k=2)
         res = fit_ls(build_design(s, "full"), 0.5)
         assert res.mse == pytest.approx(weighted_mse(s, res, 0.5), abs=1e-10)
+
+
+def full_program_certificate(design, tau, lam, monkeypatch):
+    """The spread fit at penalty ``lam`` and its KKT residuals on the full
+    program, every zero-spread row and pinned bound included.
+
+    The rows the presolve keeps take the multipliers of the reduced program
+    (none is left when every column is pinned); each zero-spread row ``i``
+    takes ``max(0, max_j -grad_j / g_ij)`` over the columns it touches, and
+    each pinned bound ``j`` the multiplier ``grad_j + sum_i g_ij lam_i`` that
+    closes its stationarity.
+    """
+    reduced = []
+
+    def spy(Q, R, C, RHS, work=()):
+        Z, LAM, info = real(Q, R, C, RHS, work)
+        reduced.append(LAM[0])
+        return Z, LAM, info
+
+    real = intreg.least_squares._qp_path
+    monkeypatch.setattr(intreg.least_squares, "_qp_path", spy)
+    (a,), _ = _spr_path(design, [lam], tau)
+    monkeypatch.setattr(intreg.least_squares, "_qp_path", real)
+    qp = spread_qp(design, tau, lam)
+    g, w = design.gamma_matrix, design.block_width
+    forcing = design.sample.spr_y == 0.0
+    pinned = np.any(g[forcing] > 0.0, axis=0)
+    multipliers = np.zeros(qp.r.size)
+    if pinned.all():
+        assert not reduced  # nothing is left to solve
+    else:
+        (multipliers[np.concatenate([~pinned, ~forcing])],) = reduced
+    grad = qp.Q @ a + qp.c - qp.R.T @ multipliers
+    ratios = -grad / np.where(g[forcing] > 0.0, g[forcing], np.inf)  # 0 off the columns a row touches
+    multipliers[w:][forcing] = np.maximum(0.0, ratios.max(axis=1, initial=0.0))
+    multipliers[:w][pinned] = (grad + g[forcing].T @ multipliers[w:][forcing])[pinned]
+    assert np.all(multipliers >= 0.0)
+    return a, _kkt(qp.Q, qp.c, qp.R, a, multipliers, qp.R @ a - qp.r)
+
+
+class TestForcingRows:
+    """A row of observed spread 0 pins every spread coefficient it touches to
+    exactly 0; the spread block is solved on the remaining columns and rows."""
+
+    # the lasso runs (tau 0.5, default CV otherwise) that once raised
+    # RayTermination on these samples; seed [s, i] draws
+    # bench/workloads.generate(s, i, n, 3, spread_noise=1.0)
+    FORMER_RAY_TERMINATIONS = [
+        ([77, 2], 60, "full", {}),
+        ([77, 2], 60, "full", {"lambda_mid": 0.05}),
+        ([77, 2], 60, "full", {"lambda_spr": 0.05}),
+        ([0, 6], 300, "model-m", {}),
+        ([0, 6], 300, "model-m", {"lambda_mid": 0.05}),
+        ([0, 6], 300, "model-m", {"lambda_spr": 0.05}),
+        ([0, 13], 300, "full", {}),
+        ([0, 13], 300, "full", {"lambda_mid": 0.05}),
+    ]
+
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_zero_spread_rows_pin_their_columns(self, variant, monkeypatch):
+        s = split_model_sample([0, 2], 300, spread_noise=1.0)
+        forcing = s.spr_y == 0.0
+        # the third regressor has spread 0 and midpoint 0 on the zero-spread
+        # rows, so they leave its columns free
+        mid_x, spr_x = s.mid_x.copy(), s.spr_x.copy()
+        mid_x[forcing, 2] = spr_x[forcing, 2] = 0.0
+        d = build_design(IntervalSample(s.mid_y, s.spr_y, mid_x, spr_x), variant)
+        pinned = np.any(d.gamma_matrix[forcing] > 0.0, axis=0)
+        assert forcing.sum() > 1 and pinned.any() and not pinned.all()
+        for res in (fit_ls(d, 0.5), fit_lasso(d, 0.5, lambda_mid=0.05, lambda_spr=0.05)):
+            a = res.coefficients.spread_stack(variant)
+            assert np.all(a[pinned] == 0.0) and np.any(a[~pinned] > 0.0)
+            _, kkt = full_program_certificate(d, 0.5, res.lambda_spr, monkeypatch)
+            assert max(kkt.values()) <= 1e-8 * (1 + d.block_width + d.n)
+
+    def test_partial_pinning_matches_the_oracle(self, monkeypatch):
+        # row 0 has spread 0, but its second regressor has spread 0 and
+        # midpoint 0: the row pins the first regressor's columns alone
+        rng = np.random.default_rng(3)
+        mid_x = rng.normal(size=(8, 2))
+        spr_x = rng.uniform(0.2, 1.2, (8, 2))
+        mid_x[0], spr_x[0] = [1.0, 0.0], [0.5, 0.0]
+        spr_y = 0.6 * spr_x[:, 1] + 0.3 * np.abs(mid_x[:, 1]) + rng.uniform(-0.1, 0.1, 8)
+        spr_y[0] = 0.0
+        d = build_design(IntervalSample(mid_x @ [1.0, -0.5], spr_y, mid_x, spr_x), "full")
+        a = fit_ls(d, 0.5).coefficients.spread_stack("full")
+        assert np.all(a[[0, 2]] == 0.0) and np.all(a[[1, 3]] > 0.0)
+        assert np.allclose(a, brute_force_qp(spread_qp(d, 0.5)), atol=1e-9)
+        _, kkt = full_program_certificate(d, 0.5, 0.0, monkeypatch)
+        assert max(kkt.values()) <= 1e-8 * (1 + d.block_width + d.n)
+
+    @pytest.mark.parametrize("seed, n, variant, penalties", FORMER_RAY_TERMINATIONS)
+    def test_former_ray_terminations_fit(self, seed, n, variant, penalties, monkeypatch):
+        d = build_design(split_model_sample(seed, n, spread_noise=1.0), variant)
+        res = fit_lasso(d, 0.5, **penalties)
+        a, kkt = full_program_certificate(d, 0.5, res.lambda_spr, monkeypatch)
+        assert np.array_equal(a, res.coefficients.spread_stack(variant))
+        assert max(kkt.values()) <= 1e-8 * (1 + d.block_width + d.n)
