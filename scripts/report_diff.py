@@ -24,12 +24,16 @@ identical input paths.  Each tree runs every report (JSON output) in its own
 Python process, with ``<tree>/src`` first on the import path, and counts its
 Lemke calls and pivots: the QP calls (spread block and ``lasso-ir``), and the
 midpoint block's one-run paths and, in a tree that has them, its per-point
-solves.  It also counts the QP
-path's KKT factorizations (``qp_kkt_factor_calls``), which an active-set
-step makes in place of a Lemke run, and its working-set Lemke solves
-(``qp_solve_qp_full_calls``, calls of ``lcp._solve_qp_full``): the cold
-start of each path or single fit, and each fallback at a point where a
-one-row step fails, including a restart from an empty working set.
+solves.  It also counts the KKT factorizations (``qp_kkt_factor_calls``),
+which an active-set step or a homotopy segment makes in place of a Lemke
+run, and the working-set Lemke solves (``qp_solve_qp_full_calls``, calls of
+``lcp._solve_qp_full``): the start of each budget path and each single fit,
+each fallback at a point where a one-row step fails, including a restart
+from an empty working set, and the first point of a homotopy's fallback.
+In a tree that walks spread grids as homotopies (``lcp._qp_homotopy``), it
+counts the walks (``hom_qp_homotopy_calls``), their segments
+(``hom_segments``, the KKT factorizations a walk makes itself) and the grid
+points they leave to the Lemke path (``hom_fallback_points``).
 
 Prints every report field that moved, with its relative size
 ``|new - old| / max(|old|, |new|)``, every run whose exit code or stderr
@@ -106,6 +110,7 @@ def worker(runs_path: str, out_path: str) -> None:
     import intreg.cli
     import intreg.lasso as lasso
     import intreg.lcp as lcp
+    import intreg.least_squares as least_squares
 
     counts: Counter = Counter()
     block = ["qp"]
@@ -132,6 +137,34 @@ def worker(runs_path: str, out_path: str) -> None:
     count_calls(lcp, "lemke_solve", "qp")
     count_calls(lcp, "_kkt_factor", "qp")
     count_calls(lcp, "_solve_qp_full", "qp")
+    if hasattr(least_squares, "_qp_homotopy"):
+        factor, path = lcp._kkt_factor, lcp._qp_path
+
+        def segment(*args):
+            if block[0] == "hom":
+                counts["hom_segments"] += 1
+            return factor(*args)
+
+        def fallback(Q, R, C, RHS, work=()):
+            # a homotopy leaves the rest of its grid to the Lemke path, whose
+            # own factorizations are no segments
+            if block[0] == "hom":
+                counts["hom_fallback_points"] += len(C)
+            outer, block[0] = block[0], "qp"
+            try:
+                return path(Q, R, C, RHS, work)
+            finally:
+                block[0] = outer
+
+        lcp._kkt_factor, lcp._qp_path = segment, fallback
+        count_calls(least_squares, "_qp_homotopy", "hom")
+        walk = least_squares._qp_homotopy
+
+        def listed_walk(*args):
+            counts["hom_fallback_points"] += 0  # listed also when no point falls back
+            return walk(*args)
+
+        least_squares._qp_homotopy = listed_walk
     for name in ("lemke_solve", "_lemke_path"):
         if hasattr(lasso, name):
             count_calls(lasso, name, "mid")
@@ -192,10 +225,10 @@ def compare(old: dict, new: dict, allow: dict[str, float]) -> int:
     methods = sorted({label.split("/")[1] for label in old})
     for tree, results in (("old", old), ("new", new)):
         for method in (None, *methods):
-            totals = sum((Counter(r["counts"]) for label, r in results.items()
-                          if method in (None, label.split("/")[1])), Counter())
+            runs = [r["counts"] for label, r in results.items() if method in (None, label.split("/")[1])]
+            totals = sum(map(Counter, runs), Counter())
             print(f"{tree} tree{'' if method is None else f' {method}'}: "
-                  + ", ".join(f"{key} {totals[key]}" for key in sorted(totals)))
+                  + ", ".join(f"{key} {totals[key]}" for key in sorted(set().union(*runs))))
     for what, keys in (("QP Lemke calls or pivots", ("qp_solve_qp_full_calls", "qp_lemke_solve_calls", "qp_pivots")),
                        ("midpoint Lemke calls", ("mid_lemke_path_calls", "mid_lemke_solve_calls")),
                        ("midpoint pivots", ("mid_pivots",))):

@@ -15,24 +15,28 @@ depends only on the midpoint block and a spread part that depends only on
 the spread block, so the two validation curves can be minimized separately.
 When scanning one block, the other block is held at its unpenalized
 least-squares fit on the same training fold, which only shifts that
-block's validation curve by a constant.  That fit is the first row of the
-fold's path of the other block: each path starts at the zero penalty, the
-spread grid is walked upwards from it, and a block that is not scanned is
-fitted at zero alone, so one pass over the folds serves both blocks and
-equals the single-block passes bit for bit.
+block's validation curve by a constant.  That fit is the zero-penalty end
+of the fold's path of the other block: the midpoint path starts at the zero
+penalty, the spread path ends there, and a block that is not scanned is
+fitted at zero alone (the spread block by the same walk with no grid point
+on the way), so one pass over the folds serves both blocks and equals the
+single-block passes bit for bit.
 
 Each fold walks a block's grid as a path.  The midpoint Gram
 statistics ``F'F`` and ``F'v`` are formed once per path, and the penalty
 moves the midpoint LCP along Lemke's covering vector, so one Lemke run
 walks the whole midpoint grid; a single penalty is the one-point run.  The
-penalty enters the spread QP's linear term alone, so the spread grid is
-walked by exact active-set continuation
-(:func:`intreg.lcp._qp_path`), with Lemke only at a path's first point and
-where a one-row step fails.  Every grid point is still checked on its own
-(the midpoint subgradient-gap test and zero snap; the spread QP's
-certificate against every row).  Both paths return their fits as stacks,
-one row per penalty, and a single fit is row 0 of the one-point grid, so a
-fold's held-out errors for the whole grid are one matrix product per block.
+penalty enters the spread QP's linear term alone, so the spread solution
+is piecewise affine in it and 0 at and above the fold's zeroing penalty:
+the spread grid is walked down from there as an exact homotopy
+(:func:`intreg.lcp._qp_homotopy`), breakpoint to breakpoint, with no Lemke
+run unless a point fails its certificate.  Every grid point is still
+checked on its own (the midpoint subgradient-gap test and zero snap; the
+spread QP's certificate against every row).  Both paths return their fits
+as stacks, one row per penalty, and a single fit is row 0 of the one-point
+grid, so a fold's held-out errors for the whole grid are one matrix product
+per block.  The full-sample refit at the selected spread penalty is a
+single fit, solved by Lemke as the paper prescribes.
 """
 
 from __future__ import annotations
@@ -187,9 +191,11 @@ class LassoPath:
 
     The two blocks have different zeroing thresholds, hence separate path
     objects rather than one shared grid.  ``lambdas`` is the decreasing grid
-    without the zero penalty that each fold's paths start at for the held
-    block.  For the full-sample coefficient path, map :func:`fit_lasso_mid`
-    or :func:`fit_lasso_spr` over ``lambdas`` on the full-sample design.
+    without the zero penalty at which each fold fits the held block: the
+    midpoint path starts there and the spread path, walked down the grid,
+    ends there.  For the full-sample coefficient path, map
+    :func:`fit_lasso_mid` or :func:`fit_lasso_spr` over ``lambdas`` on the
+    full-sample design.
     """
 
     block: str
@@ -264,20 +270,24 @@ def cross_validate(
     the largest whose mean error is within ``1e-12`` relative of the
     minimum, so roundoff cannot pick on a flat curve; the ``1se`` penalty is
     the largest within one standard error of it.
+
+    Each fold walks the midpoint grid up from the zero penalty and the
+    spread grid down to it; each block held while the other is scanned is
+    its path's zero-penalty row.
     """
     tau = validate_tau(tau)
     if not blocks or any(block not in BLOCKS for block in blocks):
         raise ValueError(f"blocks must be a nonempty tuple drawn from {BLOCKS}, got {blocks!r}")
     grids = {block: lambda_grid(design, count, ratio, block) for block in BLOCKS}
     mid_grid = [0.0, *grids[BLOCK_MID]] if BLOCK_MID in blocks else [0.0]
-    spr_grid = [0.0, *grids[BLOCK_SPR][::-1]] if BLOCK_SPR in blocks else [0.0]
+    spr_grid = [*grids[BLOCK_SPR], 0.0] if BLOCK_SPR in blocks else [0.0]
 
     def fit_grid(train: DesignSystem):
         mid = _mid_fits(train, mid_grid)[0]
         spr = _spr_path(train, spr_grid, tau)[0]
         # each scanned block's path, the other held at its zero-penalty row
         A_m = [row for block in blocks for row in (mid[1:] if block == BLOCK_MID else [mid[0]] * count)]
-        A_s = [row for block in blocks for row in (spr[:0:-1] if block == BLOCK_SPR else [spr[0]] * count)]
+        A_s = [row for block in blocks for row in (spr[:-1] if block == BLOCK_SPR else [spr[-1]] * count)]
         return np.array(A_m), np.array(A_s)
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)

@@ -48,6 +48,17 @@ follow are solved on that set as one stack and certified against every
 row; where one fails, one row enters or leaves the set (the parametric
 active-set step of Best, 1996), and only if the point fails again is it
 solved by Lemke.  A single program is row 0 of the one-point grid.
+
+Where only the linear term moves, and the caller knows an active set that
+is optimal at one end (a penalty path, whose solution is 0 with every bound
+binding at and above its zeroing penalty), the homotopy routine walks the
+grid from there with no Lemke run: on each active set the solution and its
+multipliers are affine in the parameter, so one KKT factor gives the whole
+segment, a ratio test finds where a multiplier or a slack reaches zero, and
+the row that does enters or leaves the set (Osborne, Presnell & Turlach,
+2000; Gaines, Al & Zhou, 2018).  Its points are certified as the path's
+are, and from the first that fails the rest of the grid goes to the path
+routine.
 """
 
 from __future__ import annotations
@@ -549,6 +560,89 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray,
                 break
             rows = np.setdiff1d(active, row) if row in active else np.union1d(active, row)
             pinv, step = _kkt_factor(Q, R, rows), True
+    return Z, LAM, info
+
+
+def _qp_homotopy(Q: np.ndarray, R: np.ndarray, r: np.ndarray, c0: np.ndarray, dc: np.ndarray,
+                 thetas: np.ndarray, theta0: float,
+                 active: Sequence[int]) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Solutions, multipliers and diagnostics of the QPs ``(Q, c0 + theta dc,
+    R, r)`` at the non-increasing ``thetas``, walked down from ``theta0``,
+    where the rows ``active`` bind the solution; the same stacks as
+    :func:`_qp_path`.
+
+    On a fixed active set the solution and its multipliers are affine in
+    ``theta``, so one KKT factor (:func:`_kkt_factor`) of the set gives both
+    the point at ``theta = 0`` and the direction.  A ratio test over every
+    row finds where the segment ends: the largest ``theta`` below the current
+    one at which a multiplier of a row in the set or the slack of a row
+    outside it reaches 0 (a value that is at or below 0 already ends the
+    segment at once, and only values that change sign before the last grid
+    point are divided).  Every grid point
+    down to there is filled from the affine solution, the row crossing zero
+    enters or leaves the set, and the walk goes on from it: the exact
+    homotopy of the penalty path (Osborne, Presnell & Turlach, 2000; Gaines,
+    Al & Zhou, 2018).  Grid points above ``theta0`` are filled from the
+    first segment.  A multiplier in the set that is negative by no more than
+    ``1e-12`` of the point's multiplier scale is roundoff (at a breakpoint,
+    or on a row whose multiplier is 0 all along) and is read as 0.
+
+    The filled points are certified in one stack under :func:`_qp_path`'s
+    acceptance rule (slack of every row outside the set ``>= -1e-12 (1 +
+    |r|)``, multipliers nonnegative, KKT residuals within ``1e-8 (1 +
+    rows)``).  From the first point that fails, or that the walk leaves
+    unfilled after ``4 (1 + rows)`` segments, the rest of the grid is solved
+    by :func:`_qp_path` with the set the walk reached there as its first
+    working set.  Filled points report no ridge and no Lemke pivots.
+    """
+    n, p = thetas.size, R.shape[0]
+    C = c0 + thetas[:, None] * dc
+    Z, LAM = np.zeros((n, Q.shape[0])), np.zeros((n, p))
+    in_set = np.zeros((n, p), dtype=bool)
+    info = {key: np.zeros(n) for key in PATH_DIAGNOSTICS}
+    if n == 0:
+        return Z, LAM, info
+    rows = np.zeros(p, dtype=bool)
+    rows[np.asarray(active, dtype=int)] = True
+    theta, end, i = float(theta0), float(thetas[-1]), 0
+    # the solution at theta = 0 and its direction, as one two-program stack
+    terms, rhs = np.stack([c0, dc]), np.stack([r, np.zeros(p)])
+    for _ in range(4 * (1 + p)):
+        A = np.flatnonzero(rows)
+        (za, zb), (la, lb) = _active_set_solve(_kkt_factor(Q, R, A), terms, rhs, A)
+        # the values that must stay nonnegative: multipliers in the set, slacks outside
+        va, vb = np.where(rows, [la, lb], np.stack([za, zb]) @ R.T - rhs)
+        crossing = va + end * vb < 0.0
+        ahead = crossing & (va + theta * vb > 0.0)
+        at = np.where(crossing, theta, -np.inf)
+        np.divide(-va, vb, out=at, where=ahead)  # vb != 0: the value changes sign between theta and end
+        row = int(np.argmax(at))
+        stop = i + np.count_nonzero(thetas[i:] >= at[row])
+        if stop > i:
+            t = thetas[i:stop, None]
+            Z[i:stop] = za + t * zb
+            lam = la + t * lb
+            floor = -1e-12 * np.max(np.abs(la) + np.abs(t * lb), axis=1, keepdims=True)
+            LAM[i:stop] = np.where(lam >= floor, np.maximum(lam, 0.0), lam)
+            in_set[i:stop] = rows
+            i = stop
+            if i == n:
+                break
+        rows[row] = ~rows[row]
+        theta = float(at[row])
+    slack = (R @ Z[:i].T).T - r
+    kkt = _kkt(Q, C[:i], R, Z[:i], LAM[:i], slack)
+    ok = np.all((slack >= -1e-12 * (1.0 + np.abs(r))) | in_set[:i], axis=1) & np.all(LAM[:i] >= 0.0, axis=1)
+    for value in kkt.values():
+        ok &= value <= 1e-8 * (1.0 + p)
+    kept = i if ok.all() else int(np.argmin(ok))
+    for key, value in kkt.items():
+        info[key][:kept] = value[:kept]
+    if kept < n:
+        work = np.flatnonzero(in_set[kept] if kept < i else rows)
+        Z[kept:], LAM[kept:], rest = _qp_path(Q, R, C[kept:], np.broadcast_to(r, (n - kept, p)), work)
+        for key, value in rest.items():
+            info[key][kept:] = value
     return Z, LAM, info
 
 

@@ -7,12 +7,14 @@ by observed spreads) solved exactly through the complementarity machinery.
 The interval intercept is recovered last as the Hukuhara difference between
 the mean response and the mean fitted part.
 
-The spread block has one solver, the penalty path shared with the Lasso: an
-L1 penalty enters the spread QP's linear term alone, so a grid of penalties
-is one QP family walked by active-set continuation, returned as one stack
-with a row per penalty.  A single fit (the unpenalized one here, a fixed
-penalty in the Lasso) is row 0 of the one-point grid.  Rows of observed
-spread 0 are presolved before it: they pin the coefficients they touch to 0.
+The spread block has one program, shared with the Lasso: an L1 penalty
+enters the spread QP's linear term alone, so a grid of penalties is one QP
+family, returned as one stack with a row per penalty.  A grid is walked as
+the exact homotopy of that family, down from the penalty at and above which
+the solution is 0.  A single fit (the unpenalized one here, a fixed penalty
+in the Lasso) is row 0 of the one-point grid, solved by working-set Lemke
+pivoting and polished on its active set.  Rows of observed spread 0 are
+presolved before either: they pin the coefficients they touch to 0.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .design import Coefficients, DesignSystem
 from .errors import LengthMismatch
 from .intervals import DEFAULT_TAU, Interval, hukuhara_diff, validate_tau
-from .lcp import PATH_DIAGNOSTICS, Qp, _qp_path
+from .lcp import PATH_DIAGNOSTICS, Qp, _qp_homotopy, _qp_path
 
 METHOD_LS = "ls"
 METHOD_LASSO = "lasso"
@@ -100,12 +102,19 @@ def _snap_zeros(a: np.ndarray) -> np.ndarray:
     return np.where(np.abs(a) <= tol, 0.0, a)
 
 
-def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float,
+              lemke: bool = False) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Spread-block solutions and QP diagnostics along a penalty grid, as
     stacks with one row (one diagnostics entry) per penalty.
 
-    The penalty enters the QP's linear term alone, so the grid is one QP
-    family solved by active-set continuation (:func:`intreg.lcp._qp_path`).
+    The penalty enters the QP's linear term alone, ``2 tau (lam - g)`` with
+    ``g = F_s' v_s``, so the grid is one QP family.  At and above the zeroing
+    penalty ``max(0, max_j g_j)`` the solution is 0 with every bound row
+    binding, and below it the solution is piecewise affine in the penalty:
+    the grid, in any order, is walked down from there as that exact homotopy
+    (:func:`intreg.lcp._qp_homotopy`), with Lemke only where a point fails
+    its certificate.  ``lemke=True`` solves the grid by the working-set
+    Lemke path instead (:func:`intreg.lcp._qp_path`), as single fits are.
 
     Rows of observed spread 0 are forcing constraints, presolved first: such
     a row reads ``g_i a <= 0`` with ``g_i, a >= 0``, so it pins every ``a_j``
@@ -129,14 +138,25 @@ def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> tup
         # no spread signal left: the objective is constant (or linear with
         # nonnegative slope) over the cone, and zero is always feasible
         return A, {key: np.zeros(lambdas.size) for key in PATH_DIAGNOSTICS}
-    C = _spread_linear(tau, lambdas[:, None], design.fs.T @ design.vs)[:, free]
-    A[:, free], _, info = _qp_path(Q, qp.R[np.ix_(rows, free)], C, np.tile(qp.r[rows], (lambdas.size, 1)))
+    g = (design.fs.T @ design.vs)[free]
+    R, r = qp.R[np.ix_(rows, free)], qp.r[rows]
+    if lemke:
+        A[:, free], _, info = _qp_path(Q, R, _spread_linear(tau, lambdas[:, None], g),
+                                       np.tile(r, (lambdas.size, 1)))
+    else:
+        # the bound rows of the free columns come first and bind at the top
+        order = np.argsort(-lambdas, kind="stable")
+        Z, _, info = _qp_homotopy(Q, R, r, -2.0 * tau * g, np.full(g.size, 2.0 * tau), lambdas[order],
+                                  max(0.0, float(np.max(g))), np.arange(g.size))
+        back = np.argsort(order)
+        A[:, free], info = Z[back], {key: value[back] for key, value in info.items()}
     return np.maximum(_snap_zeros(A), 0.0), info
 
 
 def solve_spread_block(design: DesignSystem, tau: float, lam: float = 0.0) -> tuple[np.ndarray, dict]:
-    """Spread-block solution under the feasibility cone, with diagnostics: the one-point path."""
-    (a_s,), info = _spr_path(design, [lam], tau)
+    """Spread-block solution under the feasibility cone, with diagnostics: the
+    one-point working-set Lemke path."""
+    (a_s,), info = _spr_path(design, [lam], tau, lemke=True)
     return a_s, {key: float(value[0]) for key, value in info.items()}
 
 

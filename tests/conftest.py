@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import intreg.lcp
+import intreg.least_squares
 from intreg import Coefficients, Interval, IntervalSample, Qp, lemke_solve
 
 from oracle import simulate
@@ -123,6 +124,44 @@ def corrupt_continuation_steps(monkeypatch, corrupt):
         return z, -lam
 
     monkeypatch.setattr(intreg.lcp, "_active_set_solve", step)
+
+
+def record_homotopies(monkeypatch):
+    """Patch the spread path's homotopy to record the grid it walks and the
+    penalty it starts from, as ``(thetas, theta0)`` per walk."""
+    walks = []
+    homotopy = intreg.least_squares._qp_homotopy
+
+    def record(Q, R, r, c0, dc, thetas, theta0, active):
+        walks.append((thetas.copy(), theta0))
+        return homotopy(Q, R, r, c0, dc, thetas, theta0, active)
+
+    monkeypatch.setattr(intreg.least_squares, "_qp_homotopy", record)
+    return walks
+
+
+def corrupt_homotopy_segments(monkeypatch, corrupt, first):
+    """Make the segment solves of ``lcp._qp_homotopy``, from its ``first``
+    one on (counting from 0), propose wrong points: their primal points
+    shifted (``corrupt="primal"``) or their multipliers negated
+    (``"multipliers"``).  A segment solve is the one active-set solve of a
+    two-program stack whose second right-hand side, the direction's, is 0;
+    the solves of ``lcp._qp_path`` are left alone."""
+    solve = intreg.lcp._active_set_solve
+    segments = []
+
+    def segment(pinv, c, r, active):
+        z, lam = solve(pinv, c, r, active)
+        if r.ndim == 1 or r.shape[0] != 2 or r[1].any():
+            return z, lam
+        segments.append(1)
+        if len(segments) <= first:
+            return z, lam
+        if corrupt == "primal":
+            return z + 1e-3 * (1.0 + np.max(np.abs(z))), lam
+        return z, -lam
+
+    monkeypatch.setattr(intreg.lcp, "_active_set_solve", segment)
 
 
 def random_feasible_qp(rng, m, p):

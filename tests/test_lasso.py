@@ -26,8 +26,8 @@ from intreg.lasso import _lasso_gram, _mid_fits, mid_kkt_gap, soft_threshold
 from intreg.lasso_ir import _budget_path, default_budget_grid
 from intreg.least_squares import _spr_path, solve_spread_block, spread_qp
 
-from conftest import (corrupt_continuation_steps, exact_fit_sample, random_sample, record_lemke_dims,
-                      record_qp_solves, split_model_sample, weighted_mse)
+from conftest import (corrupt_homotopy_segments, exact_fit_sample, random_sample, record_homotopies,
+                      record_lemke_dims, record_qp_solves, split_model_sample, weighted_mse)
 
 
 def lasso_exact(F, v, lam):
@@ -470,7 +470,8 @@ class TestFitLasso:
 
 class TestPathwiseCrossValidation:
     """Each fold walks its penalty grids as paths: the midpoint grid in one
-    Lemke run, the spread grid by active-set continuation."""
+    Lemke run, the spread grid as an exact homotopy down from its zeroing
+    penalty."""
 
     @pytest.mark.parametrize("n", [100, 200])
     @pytest.mark.parametrize("variant", ["full", "model-m"])
@@ -481,88 +482,90 @@ class TestPathwiseCrossValidation:
             cold = fit_lasso_mid(d, lam)
             assert np.array_equal(warm == 0.0, cold == 0.0)
             assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
-        # the spread grid walked downwards, and upwards from zero as the
-        # folds of cross_validate walk it
+        # the spread grid as lambda_grid gives it, as the folds of
+        # cross_validate walk it (down to zero), and in increasing order
         spr_grid = lambda_grid(d, 100, 1e-3, "spr")
-        for grid in (spr_grid, np.concatenate([[0.0], spr_grid[::-1]])):
+        for grid in (spr_grid, np.append(spr_grid, 0.0), np.concatenate([[0.0], spr_grid[::-1]])):
             for lam, warm in zip(grid, _spr_path(d, grid, 0.5)[0]):
                 cold = fit_lasso_spr(d, lam, 0.5)
                 assert np.array_equal(warm == 0.0, cold == 0.0)
                 assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
 
     def test_spread_grid_makes_about_one_lemke_call_per_point(self, monkeypatch):
-        # cold starts make about twice as many calls (973 on this sample)
+        # cold starts made about two Lemke calls per point (973 on this
+        # sample), the continuation about one; the homotopy makes none
         d = build_design(split_model_sample(1, 100), "full")
         calls = record_lemke_dims(monkeypatch)
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("spr",), count=100)
-        assert 0 < len(calls) <= 1.1 * 5 * 100
-        assert max(calls) < d.n
+        assert calls == []
 
     def test_one_spread_path_per_fold(self, monkeypatch):
         # the spread block held for the midpoint block's errors is the zero
-        # row the fold's spread path starts at, not a cold solve of its own:
-        # the folds start one working-set solve each from an empty set
+        # row the fold's spread path ends at, not a solve of its own: each
+        # fold walks one homotopy, down from its zeroing penalty to 0, and
+        # no working-set Lemke solve runs
         d = build_design(split_model_sample(1, 100), "full")
-        works = []
-        solve = intreg.lcp._solve_qp_full
-
-        def record(Q, c, R, r, work=(), factor=None):
-            works.append(len(work))
-            return solve(Q, c, R, r, work, factor)
-
-        monkeypatch.setattr(intreg.lcp, "_solve_qp_full", record)
+        grids = record_homotopies(monkeypatch)
+        calls = record_qp_solves(monkeypatch)
         cross_validate(d, 0.5, folds=5, seed=0, count=100)
-        assert works.count(0) == 5
+        assert [(thetas.size, thetas[-1]) for thetas, _ in grids] == [(101, 0.0)] * 5
+        assert calls == []
 
     def test_midpoint_pass_fits_the_spread_block_at_zero_alone(self, monkeypatch):
-        # with the spread block not scanned, each fold solves its spread QP
-        # at the zero penalty only, as a single fit does
+        # with the spread block not scanned, each fold walks the same
+        # homotopy down to the zero penalty with no grid point on the way,
+        # and solves no QP by Lemke
         d = build_design(split_model_sample(1, 100), "full")
-        grids = []
-        path = intreg.least_squares._qp_path
-
-        def record(Q, R, C, RHS):
-            grids.append(C.shape[0])
-            return path(Q, R, C, RHS)
-
-        monkeypatch.setattr(intreg.least_squares, "_qp_path", record)
+        grids = record_homotopies(monkeypatch)
+        calls = record_qp_solves(monkeypatch)
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)
-        assert grids == [1] * 5
+        assert [thetas.tolist() for thetas, _ in grids] == [[0.0]] * 5
+        assert calls == []
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_zero_end_is_the_least_squares_spread_fit(self, seed):
         # on the training rows of each fold that cross_validate builds, and
-        # the grid it walks upwards from zero
+        # the grid it walks down to zero; the homotopy and the single fit's
+        # Lemke path are two algorithms, so they agree to roundoff, with the
+        # same zero pattern
         d = build_design(split_model_sample(seed, 100), "full")
-        grid = [0.0, *lambda_grid(d, 100, 1e-3, "spr")[::-1]]
+        grid = [*lambda_grid(d, 100, 1e-3, "spr"), 0.0]
         for held in np.array_split(np.random.default_rng(0).permutation(d.n), 5):
             train = build_design(d.sample.subset(np.setdiff1d(np.arange(d.n), held)), "full")
             want = solve_spread_block(train, 0.5)[0]
-            got = _spr_path(train, grid, 0.5)[0][0]
-            assert np.array_equal(got, want)
+            got = _spr_path(train, grid, 0.5)[0][-1]
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_spread_grid_solves_qps_only_at_breakpoints(self, monkeypatch):
-        # Lemke solves a path's first point and a point where a one-row step
-        # fails: 8 solves for the 505 grid points on this sample, each
-        # fold's grid walked upwards from its zero row
+        # the homotopy factors one KKT matrix per segment, between two
+        # breakpoints, about 8 per fold on this sample, and makes no
+        # working-set Lemke solve for the 505 grid points
         d = build_design(split_model_sample(1, 100), "full")
         calls = record_qp_solves(monkeypatch)
+        factors = []
+        factor = intreg.lcp._kkt_factor
+        monkeypatch.setattr(intreg.lcp, "_kkt_factor", lambda Q, R, active: factors.append(1) or factor(Q, R, active))
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("spr",), count=100)
-        assert 5 <= len(calls) <= 12
+        assert calls == []
+        assert 5 <= len(factors) <= 5 * 20
 
     @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
     def test_failed_continuation_step_falls_back_to_lemke(self, corrupt, monkeypatch):
-        # a continuation step that fails its checks makes its grid point a
-        # breakpoint, solved as a single fit would be
+        # a homotopy segment whose solve fails its certificate sends the
+        # rest of the grid, from its first point, to the working-set Lemke
+        # path, which solves it as single fits would be
         d = build_design(split_model_sample(101, 100), "full")
         grid = lambda_grid(d, 100, 1e-3, "spr")
         cold = [fit_lasso_spr(d, lam, 0.5) for lam in grid]
-        corrupt_continuation_steps(monkeypatch, corrupt)
+        corrupt_homotopy_segments(monkeypatch, corrupt, first=3)
         calls = record_qp_solves(monkeypatch)
-        for want, got in zip(cold, _spr_path(d, grid, 0.5)[0]):
-            assert np.array_equal(got == 0.0, want == 0.0)
-            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
-        assert len(calls) == len(grid)
+        got, info = _spr_path(d, grid, 0.5)
+        for want, row in zip(cold, got):
+            assert np.array_equal(row == 0.0, want == 0.0)
+            assert np.max(np.abs(row - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
+        assert 1 <= len(calls) < len(grid)
+        assert info["lemke_pivots"][0] == 0.0 and info["lemke_pivots"].any()
 
     @pytest.mark.parametrize("k", [10, 20])
     def test_wide_midpoint_paths_equal_cold_fits(self, k):
@@ -592,9 +595,9 @@ class TestPathwiseCrossValidation:
     @pytest.mark.parametrize("variant", ["full", "model-m"])
     def test_midpoint_grid_pivots_only_where_the_signs_change(self, variant, monkeypatch):
         # one Lemke run per fold walks the whole grid, pivoting where a
-        # coefficient enters or leaves the support; every other Lemke run
-        # is a spread QP's, and the held midpoint block of a spread-only
-        # pass, an empty grid, makes none
+        # coefficient enters or leaves the support; the spread paths, walked
+        # as homotopies, make no Lemke run, and the held midpoint block of a
+        # spread-only pass, an empty grid, makes none either
         d = build_design(split_model_sample(1, 100), variant)
         runs, loops, caller = [], [], [None]
         path, pivots = intreg.lasso._lemke_path, intreg.lcp._lemke_pivots
@@ -621,12 +624,12 @@ class TestPathwiseCrossValidation:
         monkeypatch.setattr(intreg.lcp, "_lemke_pivots", record_loop)
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("mid",), count=100)
         assert runs == [100] * 5
-        assert loops.count("path") == 5 and set(loops) == {"path", "qp"}
+        assert loops == ["path"] * 5
         runs.clear()
         loops.clear()
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("spr",), count=100)
         assert runs == [0] * 5
-        assert set(loops) == {"qp"}
+        assert loops == []
 
     @pytest.mark.parametrize("variant", ["full", "model-m"])
     def test_single_penalty_is_its_grid_row(self, variant):

@@ -660,7 +660,9 @@ class TestQpPath:
     def test_one_stacked_solve_per_breakpoint(self, path, monkeypatch):
         # the points after a breakpoint are solved in one stacked call, and
         # again in one per one-row step; the only one-point solves are the
-        # breakpoints' polishes
+        # breakpoints' polishes.  The spread path is a homotopy: one factor
+        # and one stacked solve (the point at 0 and the direction) per
+        # segment, no Lemke solve and no one-point solve
         design = build_design(split_model_sample(1, 100), "full")
         events = record_path_events(monkeypatch)
         if path == "spread":
@@ -671,6 +673,12 @@ class TestQpPath:
             points = lasso_ir._budget_path(design, 0.5, grid)[0]
         assert len(points) == len(grid)
         kinds = [kind for kind, _ in events]
+        if path == "spread":
+            segments = len(kinds) // 2
+            assert 1 <= segments < len(grid) // 2
+            assert kinds == ["factor", "stack"] * segments
+            assert [rows.tolist() for kind, rows in events[::2]] == [rows.tolist() for kind, rows in events[1::2]]
+            return
         lemke = kinds.count("lemke")
         assert 1 <= lemke < len(grid) // 2
         assert kinds.count("single") == lemke
@@ -678,6 +686,124 @@ class TestQpPath:
         assert set(stacked) <= {"single", "factor"}
         assert stacked.count("single") <= lemke
         assert stacked.count("factor") == len(steps(events)) > 0
+
+
+def zero_spread_sample():
+    """A split-model sample with two rows of spread 0 that pin some spread
+    columns and leave the third regressor's free."""
+    s = split_model_sample([0, 2], 300, spread_noise=1.0)
+    forcing = s.spr_y == 0.0
+    mid_x, spr_x = s.mid_x.copy(), s.spr_x.copy()
+    mid_x[forcing, 2] = spr_x[forcing, 2] = 0.0
+    return intreg.IntervalSample(s.mid_y, s.spr_y, mid_x, spr_x)
+
+
+def duplicate_column_sample():
+    """A split-model sample whose second spread regressor repeats the first:
+    the spread Hessian is singular."""
+    s = split_model_sample(4, 100)
+    spr_x = s.spr_x.copy()
+    spr_x[:, 1] = spr_x[:, 0]
+    return intreg.IntervalSample(s.mid_y, s.spr_y, s.mid_x, spr_x)
+
+
+# min 1/2 |z|^2 + (theta - g)'z over z >= 0 and, in the second family, z_2 <= 1,
+# walked down from theta0 with every bound binding: in "bounds", both bounds
+# leave at theta = 1; in "enter-leave", the bound of z_1 leaves at theta = 1
+# as the row z_2 <= 1 enters.  Both grids hold theta = 1.
+TIES = {
+    "bounds": (np.eye(2), np.zeros(2), np.ones(2), np.array([2.0, 1.0, 0.5, 0.0]), 1.0,
+               [[0.0, 0.0], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0]], [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    "enter-leave": (np.vstack([np.eye(2), [0.0, -1.0]]), np.array([0.0, 0.0, -1.0]), np.array([1.0, 2.0]),
+                    np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.0]), 2.0,
+                    [[0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [0.0, 1.0], [0.5, 1.0], [1.0, 1.0]],
+                    [[2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5],
+                     [0.0, 0.0, 1.0]]),
+}
+
+
+class TestQpHomotopy:
+    """The spread grid is walked as the exact homotopy of its QP family, down
+    from the zeroing penalty, with no Lemke solve where every point certifies."""
+
+    @pytest.mark.parametrize("sample, variant", [
+        (lambda: split_model_sample(1, 100), "full"),
+        (lambda: split_model_sample(2, 100), "model-m"),
+        (lambda: split_model_sample(20, 300, 20), "full"),
+        (zero_spread_sample, "full"),
+    ], ids=["full", "model-m", "k20", "zero-spread"])
+    def test_grid_points_equal_cold_fits(self, sample, variant, monkeypatch):
+        design = build_design(sample(), variant)
+        grid = np.append(lasso.lambda_grid(design, 100, 1e-3, "spr"), 0.0)
+        calls = record_qp_solves(monkeypatch)
+        path, info = least_squares._spr_path(design, grid, 0.5)
+        assert calls == [] and not info["lemke_pivots"].any()
+        monkeypatch.undo()
+        assert np.any(path[-1] > 0.0) and not path[0].any()
+        for lam, got in zip(grid, path):
+            want = fit_lasso_spr(design, lam, 0.5)
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-10 * np.max(np.abs(want), initial=0.0)
+
+    def test_walk_equals_single_solves(self, rng, monkeypatch):
+        # random families with the linear term affine in theta, each walked
+        # down from a point whose active set a single solve gives
+        thetas = np.linspace(3.0, 0.0, 40)
+        for _ in range(5):
+            qp, dc = random_feasible_qp(rng, 4, 40), rng.normal(size=4)
+            start = one_point_path(Qp(qp.Q, qp.c + 3.5 * dc, qp.R, qp.r))[1]
+            calls = record_qp_solves(monkeypatch)
+            Z, LAM, info = lcp._qp_homotopy(qp.Q, qp.R, qp.r, qp.c, dc, thetas, 3.5, lcp._active_rows(start)[0])
+            assert calls == []
+            monkeypatch.undo()
+            for z, lam, theta in zip(Z, LAM, thetas):
+                z_cold, lam_cold, _ = one_point_path(Qp(qp.Q, qp.c + theta * dc, qp.R, qp.r))
+                assert np.array_equal(lam > 0, lam_cold > 0)
+                assert np.max(np.abs(z - z_cold)) <= 1e-10 * (1.0 + np.max(np.abs(z_cold)))
+            assert max(np.max(info[key]) for key in info if key.startswith("kkt_")) <= 1e-8
+
+    def test_duplicate_spread_column_certifies(self, monkeypatch):
+        # with a singular Hessian the split of the weight between the two
+        # columns is not unique: the walk and Lemke may split it differently,
+        # and both reach the same objective
+        design = build_design(duplicate_column_sample(), "full")
+        qp = least_squares.spread_qp(design, 0.5)
+        assert np.linalg.matrix_rank(qp.Q) < qp.num_vars
+        grid = np.append(lasso.lambda_grid(design, 100, 1e-3, "spr"), 0.0)
+        calls = record_qp_solves(monkeypatch)
+        path, info = least_squares._spr_path(design, grid, 0.5)
+        assert calls == []
+        assert max(np.max(info[key]) for key in info if key.startswith("kkt_")) <= 1e-8 * (1 + qp.num_constraints)
+        monkeypatch.undo()
+        for lam, got in zip(grid, path):
+            penalized = least_squares.spread_qp(design, 0.5, lam)
+            want = penalized.objective(fit_lasso_spr(design, lam, 0.5))
+            assert np.all(qp.R @ got - qp.r >= -1e-12 * (1.0 + np.abs(qp.r)))
+            assert penalized.objective(got) - want <= 1e-12 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("tie", TIES)
+    def test_two_row_tie_certifies(self, tie, monkeypatch):
+        R, r, g, thetas, theta0, z_want, lam_want = TIES[tie]
+        calls = record_qp_solves(monkeypatch)
+        Z, LAM, info = lcp._qp_homotopy(np.eye(2), R, r, -g, np.ones(2), thetas, theta0, np.arange(2))
+        assert calls == []
+        assert Z == pytest.approx(np.array(z_want), abs=1e-15)
+        assert LAM == pytest.approx(np.array(lam_want), abs=1e-15)
+        assert np.all(LAM >= 0.0)
+        assert max(np.max(info[key]) for key in info if key.startswith("kkt_")) <= 1e-15
+
+    def test_walk_raises_no_floating_point_error(self):
+        # the CLI runs under np.errstate(over="raise", invalid="raise"); the
+        # ratio tests divide only where a value changes sign, so never by 0
+        designs = [build_design(sample, variant) for sample in (split_model_sample(1, 100), zero_spread_sample(),
+                                                                duplicate_column_sample())
+                   for variant in ("full", "model-m")]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for design in designs:
+                least_squares._spr_path(design, np.append(lasso.lambda_grid(design, 100, 1e-3, "spr"), 0.0), 0.5)
+                lasso.cross_validate(design, 0.5, folds=5, seed=0, blocks=("spr",), count=20)
+            for R, r, g, thetas, theta0, _, _ in TIES.values():
+                lcp._qp_homotopy(np.eye(2), R, r, -g, np.ones(2), thetas, theta0, np.arange(2))
 
 
 class TestStackedHelpers:

@@ -13,7 +13,7 @@ from intreg import (
 )
 from intreg.errors import LengthMismatch
 from intreg.lcp import _kkt
-from intreg.least_squares import _msd_arrays, _spr_path, spread_qp
+from intreg.least_squares import _msd_arrays, _spr_path, solve_spread_block, spread_qp
 
 from conftest import exact_fit_sample, random_sample, split_model_sample, weighted_mse
 from oracle import brute_force_qp
@@ -196,7 +196,7 @@ def full_program_certificate(design, tau, lam, monkeypatch):
 
     real = intreg.least_squares._qp_path
     monkeypatch.setattr(intreg.least_squares, "_qp_path", spy)
-    (a,), _ = _spr_path(design, [lam], tau)
+    a, _ = solve_spread_block(design, tau, lam)
     monkeypatch.setattr(intreg.least_squares, "_qp_path", real)
     qp = spread_qp(design, tau, lam)
     g, w = design.gamma_matrix, design.block_width
