@@ -25,15 +25,18 @@ Python process, with ``<tree>/src`` first on the import path, and counts its
 Lemke calls and pivots: the QP calls (spread block and ``lasso-ir``), and the
 midpoint block's one-run paths and, in a tree that has them, its per-point
 solves.  It also counts the KKT factorizations (``qp_kkt_factor_calls``),
-which an active-set step or a homotopy segment makes in place of a Lemke
+which a breakpoint's polish or an active-set step makes in place of a Lemke
 run, and the working-set Lemke solves (``qp_solve_qp_full_calls``, calls of
-``lcp._solve_qp_full``): the start of each budget path and each single fit,
-each fallback at a point where a one-row step fails, including a restart
-from an empty working set, and the first point of a homotopy's fallback.
-In a tree that walks spread grids as homotopies (``lcp._qp_homotopy``), it
-counts the walks (``hom_qp_homotopy_calls``), their segments
-(``hom_segments``, the KKT factorizations a walk makes itself) and the grid
-points they leave to the Lemke path (``hom_fallback_points``).
+``lcp._solve_qp_full``): each ``t = 0`` fit of a budget path, the start of
+each Lemke path (single fits), each fallback at a point where a one-row
+step fails, including a restart from an empty working set, and the first
+point of a homotopy's fallback.  In a tree that walks grids as homotopies
+(``lcp._qp_homotopy``, imported by ``least_squares`` for spread grids and,
+in a tree that walks budget grids too, by ``lasso_ir``), it counts the walks
+(``hom_qp_homotopy_calls``), their segments (``hom_segments``: calls of the
+reduced segment solve ``lcp._segment_solve``, or, in an older tree without
+it, the KKT factorizations a walk makes itself) and the grid points they
+leave to the Lemke path (``hom_fallback_points``).
 
 Prints every report field that moved, with its relative size
 ``|new - old| / max(|old|, |new|)``, every run whose exit code or stderr
@@ -109,6 +112,7 @@ def worker(runs_path: str, out_path: str) -> None:
     """Run every report of ``runs_path`` in this process and write the results."""
     import intreg.cli
     import intreg.lasso as lasso
+    import intreg.lasso_ir as lasso_ir
     import intreg.lcp as lcp
     import intreg.least_squares as least_squares
 
@@ -137,13 +141,17 @@ def worker(runs_path: str, out_path: str) -> None:
     count_calls(lcp, "lemke_solve", "qp")
     count_calls(lcp, "_kkt_factor", "qp")
     count_calls(lcp, "_solve_qp_full", "qp")
-    if hasattr(least_squares, "_qp_homotopy"):
-        factor, path = lcp._kkt_factor, lcp._qp_path
+    walkers = [module for module in (least_squares, lasso_ir) if hasattr(module, "_qp_homotopy")]
+    if walkers:
+        # a tree with the reduced segment solve counts segments there; an
+        # older one factors the full KKT matrix once per segment
+        seg_name = "_segment_solve" if hasattr(lcp, "_segment_solve") else "_kkt_factor"
+        solve, path = getattr(lcp, seg_name), lcp._qp_path
 
         def segment(*args):
             if block[0] == "hom":
                 counts["hom_segments"] += 1
-            return factor(*args)
+            return solve(*args)
 
         def fallback(Q, R, C, RHS, work=()):
             # a homotopy leaves the rest of its grid to the Lemke path, whose
@@ -156,15 +164,17 @@ def worker(runs_path: str, out_path: str) -> None:
             finally:
                 block[0] = outer
 
-        lcp._kkt_factor, lcp._qp_path = segment, fallback
-        count_calls(least_squares, "_qp_homotopy", "hom")
-        walk = least_squares._qp_homotopy
+        setattr(lcp, seg_name, segment)
+        lcp._qp_path = fallback
+        for module in walkers:
+            count_calls(module, "_qp_homotopy", "hom")
+            walk = module._qp_homotopy
 
-        def listed_walk(*args):
-            counts["hom_fallback_points"] += 0  # listed also when no point falls back
-            return walk(*args)
+            def listed_walk(*args, walk=walk):
+                counts["hom_fallback_points"] += 0  # listed also when no point falls back
+                return walk(*args)
 
-        least_squares._qp_homotopy = listed_walk
+            module._qp_homotopy = listed_walk
     for name in ("lemke_solve", "_lemke_path"):
         if hasattr(lasso, name):
             count_calls(lasso, name, "mid")

@@ -11,14 +11,19 @@ The joint problem is convex: with the offset split into its positive and
 negative parts it becomes a quadratic program with linear constraints, solved
 by the same complementary-pivoting machinery as the other estimators.  The
 budget is cross-validated on the Lasso folds.  It enters only the
-right-hand side of the budget row, so the ``t > 0`` programs of the grid are
-walked by exact active-set continuation (:func:`intreg.lcp._qp_path`), and
-every point is certified against every row.  The ``t = 0`` program is
-solved first, always: the rows that bind its fit, with every offset bound
-and the budget row, start the joint path's first working set.  The path
-returns the grid's fits as stacks, one row per budget, with the ``t = 0``
-fit for every zero budget; a single fit is row 0 of the one-point budget
-grid, so a fit at ``t > 0`` solves ``t = 0`` first as well.
+right-hand side of the budget row, so the solution is piecewise affine in
+it: the ``t = 0`` program is solved first, always, and each fold's
+``t > 0`` grid is walked up from that fit as the exact homotopy of the
+L1-constrained Lasso (Osborne, Presnell & Turlach, 2000;
+:func:`intreg.lcp._qp_homotopy`), breakpoint to breakpoint, with no joint
+Lemke run unless a point fails its certificate, which is checked against
+every row.  The walk ends where the budget's multiplier reaches 0; every
+larger budget gets that fit.  The path returns the grid's fits as stacks,
+one row per budget, with the ``t = 0`` fit for every zero budget.  A single
+fit (the refit at the selected budget, or a given one) is row 0 of the
+one-point budget grid on the working-set Lemke path, as the paper
+prescribes: it solves ``t = 0`` first as well, and the rows that bind that
+fit, with every offset bound and the budget row, start its working set.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from .design import DesignSystem
 from .intervals import DEFAULT_TAU, Interval, validate_tau
 from .lasso import _cv_errors, _first_min
-from .lcp import Qp, _active_rows, _qp_path
+from .lcp import Qp, _active_rows, _qp_homotopy, _qp_path
 from .least_squares import METHOD_LASSO_IR, FitResult, _fit_result, _snap_zeros, ols_mid
 
 
@@ -72,7 +77,7 @@ def fit_lasso_ir(design: DesignSystem, tau: float = DEFAULT_TAU, t: Optional[flo
     """
     tau = validate_tau(tau)
     t = select_budget(design, tau, folds=folds, seed=seed) if t is None else float(t)
-    (a_m,), (a_a,), info = _budget_path(design, tau, [t])
+    (a_m,), (a_a,), info = _budget_path(design, tau, [t], lemke=True)
     a_s = a_m + a_a
     delta_mid = design.mean_y.mid - float(design.mean_mid_xebl @ a_m)
     delta_spr = design.mean_y.spr - float(design.mean_spr_xebl @ a_s)
@@ -95,34 +100,62 @@ def default_budget_grid(design: DesignSystem, count: int = 20, ratio: float = 1e
     return [0.0] + list(np.geomspace(ratio * t_max, t_max, count))
 
 
-def _budget_path(design: DesignSystem, tau: float,
-                 grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+def _budget_path(design: DesignSystem, tau: float, grid: Sequence[float],
+                 lemke: bool = False) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Midpoint blocks, offsets and QP diagnostics along a budget grid, as
     stacks with one row (one diagnostics entry) per budget.
 
-    The ``t > 0`` programs share the joint QP but for the budget, which is
-    the right-hand side of its last row, so they are walked by active-set
-    continuation (see :func:`intreg.lcp._qp_path`); offset entries within
-    roundoff of zero are snapped to exact zeros, as the spread block's are.
     At ``t = 0`` the offset is zero and the program is the midpoint block
     alone, under the rows that keep the tied fitted spreads nonnegative.  It
-    is solved first, whatever the grid, and its fit serves every zero budget;
-    its binding spread rows, every offset bound row and the budget row are
-    the working set the joint path's first Lemke solve starts from.
+    is solved first, whatever the grid, and its fit serves every zero budget.
+    The ``t > 0`` programs share the joint QP but for the budget, the
+    right-hand side of its last row, so the grid, in any order, is walked
+    up from the ``t = 0`` fit as the exact homotopy in ``theta = -t``
+    (:func:`intreg.lcp._qp_homotopy`), with Lemke only where a point fails
+    its certificate.  The walk starts from the binding spread rows of the
+    ``t = 0`` fit, every offset bound but that of the offset whose gradient
+    ``g`` there (with the spread rows' multipliers) is most negative, and
+    the budget row.  Where no entry of ``g`` is negative, no offset lowers
+    the objective and every ``t > 0`` point is the ``t = 0`` fit.  The walk
+    ends where the budget's multiplier reaches 0, at the budget the
+    unbounded offset uses: every larger budget gets that released fit.
+
+    ``lemke=True`` solves the ``t > 0`` grid by the working-set Lemke path
+    instead (:func:`intreg.lcp._qp_path`), as single fits are: its first
+    working set is the binding spread rows of the ``t = 0`` fit, every
+    offset bound row and the budget row.  Offset entries within roundoff of
+    zero are snapped to exact zeros, as the spread block's are.
     """
     grid = np.fromiter(grid, dtype=float)
     if not np.all((grid >= 0.0) & (grid < np.inf)):
         raise ValueError("the budget must be finite and nonnegative")
     w, n = design.block_width, design.n
     qp = _joint_qp(design, tau, 0.0)
+    p = qp.R.shape[0]
     # t = 0: the midpoint block under the spread rows, sliced from the joint QP
     a_m, lam, alone = _qp_path(qp.Q[:w, :w], qp.R[:n, :w], qp.c[None, :w], qp.r[None, :n])
     on = grid > 0.0
-    RHS = np.tile(qp.r, (np.count_nonzero(on), 1))
-    RHS[:, -1] = -grid[on]
-    # its binding spread rows, every offset bound and the budget row start the joint path
-    work = np.concatenate([_active_rows(lam[0])[0], np.arange(n, qp.R.shape[0])])
-    U, _, info = _qp_path(qp.Q, qp.R, np.broadcast_to(qp.c, (RHS.shape[0], qp.c.size)), RHS, work)
+    t = grid[on]
+    spread = _active_rows(lam[0])[0]
+    u0 = np.concatenate([a_m[0], np.zeros(2 * w)])
+    # the offsets' gradient at the t = 0 fit, net of its spread rows' multipliers
+    g = (qp.Q @ u0 + qp.c - qp.R[spread].T @ lam[0, spread])[w:]
+    if lemke:
+        RHS = np.tile(qp.r, (t.size, 1))
+        RHS[:, -1] = -t
+        U, _, info = _qp_path(qp.Q, qp.R, np.broadcast_to(qp.c, (t.size, qp.c.size)), RHS,
+                              np.concatenate([spread, np.arange(n, p)]))
+    elif float(np.min(g)) < 0.0:
+        # budgets up is theta = -t down; the freed offset enters as the budget opens
+        order = np.argsort(t, kind="stable")
+        start = np.concatenate([spread, n + np.delete(np.arange(2 * w), np.argmin(g)), [p - 1]])
+        dr = np.zeros(p)
+        dr[-1] = 1.0
+        U, _, info = _qp_homotopy(qp.Q, qp.R, qp.r, qp.c, np.zeros(3 * w), -t[order], 0.0, start, dr)
+        back = np.argsort(order)
+        U, info = U[back], {key: value[back] for key, value in info.items()}
+    else:
+        U, info = np.tile(u0, (t.size, 1)), {key: np.repeat(value, t.size) for key, value in alone.items()}
     A_m, A_a = U[:, :w], _snap_zeros(np.maximum(U[:, w : 2 * w], 0.0) - np.maximum(U[:, 2 * w :], 0.0))
     # grid point i is row rows[i] of the t > 0 stacks with the t = 0 fit appended
     rows = np.where(on, np.cumsum(on) - 1, A_m.shape[0])

@@ -49,15 +49,25 @@ row; where one fails, one row enters or leaves the set (the parametric
 active-set step of Best, 1996), and only if the point fails again is it
 solved by Lemke.  A single program is row 0 of the one-point grid.
 
-Where only the linear term moves, and the caller knows an active set that
-is optimal at one end (a penalty path, whose solution is 0 with every bound
-binding at and above its zeroing penalty), the homotopy routine walks the
-grid from there with no Lemke run: on each active set the solution and its
-multipliers are affine in the parameter, so one KKT factor gives the whole
-segment, a ratio test finds where a multiplier or a slack reaches zero, and
-the row that does enters or leaves the set (Osborne, Presnell & Turlach,
-2000; Gaines, Al & Zhou, 2018).  Its points are certified as the path's
-are, and from the first that fails the rest of the grid goes to the path
+Where the caller knows an active set that is optimal at one end of such a
+grid (a penalty path, whose solution is 0 with every bound binding at and
+above its zeroing penalty; a budget path, whose zero-budget fit gives the
+rows that bind as the budget opens), the homotopy routine walks the grid
+from there with no Lemke run: on each active set the solution and its
+multipliers are affine in the parameter, so one solve of the set's KKT
+system gives the whole segment, a ratio test finds where a multiplier or a
+slack reaches zero, and the row that does enters or leaves the set
+(Osborne, Presnell & Turlach, 2000; Gaines, Al & Zhou, 2018).  Each segment
+solves the reduced system: a binding bound row (a unit row, with one entry
+equal to 1) only fixes its variable (Gill, Murray & Wright, 1981, section
+5.5), so the system holds the free variables and the other rows alone, and
+a bound's multiplier is the gradient at its variable.  Where the
+right-hand side moves (a budget), its row's multiplier reaches zero
+together with those of the bounds it ties to it; the tie goes to the
+moving row, and once it has left the set the rest of the grid is the
+point reached.  Its points are certified as the path's are, and from the
+first that fails, or where the walk toggles a row back at the parameter
+value where it just toggled it, the rest of the grid goes to the path
 routine.
 """
 
@@ -348,25 +358,57 @@ def _active_rows(lam: np.ndarray) -> tuple[np.ndarray, float]:
     return np.flatnonzero(lam > 1e-10 * scale), scale
 
 
-def _kkt_factor(Q: np.ndarray, R: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of the KKT equality matrix ``[[Q, A'], [A, 0]]`` of the
-    rows ``active`` (``A = R[active]``).
-
-    The pseudo-inverse comes from one singular value decomposition with the
-    cutoff of ``np.linalg.lstsq`` (singular values at most ``eps dim
-    sigma_max`` count as zero), so every right-hand side gets the minimum-norm
-    least-squares solution, also when ``Q`` is singular or rows of ``A``
-    depend on each other.
-    """
-    m = Q.shape[0]
-    s = active.size
+def _kkt_matrix(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The KKT equality matrix ``[[Q, A'], [A, 0]]``."""
+    m, s = Q.shape[0], A.shape[0]
     kkt = np.zeros((m + s, m + s))
     kkt[:m, :m] = Q
-    kkt[:m, m:] = R[active].T
-    kkt[m:, :m] = R[active]
+    kkt[:m, m:] = A.T
+    kkt[m:, :m] = A
+    return kkt
+
+
+def _pinv(kkt: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of a KKT equality matrix from one singular value
+    decomposition, with the cutoff of ``np.linalg.lstsq`` (singular values
+    at most ``eps dim sigma_max`` count as zero)."""
     U, sv, Vt = np.linalg.svd(kkt)
-    keep = sv > np.finfo(float).eps * (m + s) * sv[0]
+    keep = sv > np.finfo(float).eps * kkt.shape[0] * sv[0]
     return (Vt[keep].T / sv[keep]) @ U[:, keep].T
+
+
+def _kkt_factor(Q: np.ndarray, R: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of the KKT equality matrix ``[[Q, A'], [A, 0]]`` of the
+    rows ``active`` (``A = R[active]``, :func:`_pinv`), so every right-hand
+    side gets the minimum-norm least-squares solution, also when ``Q`` is
+    singular or rows of ``A`` depend on each other.
+    """
+    return _pinv(_kkt_matrix(Q, R[active]))
+
+
+def _kkt_inverse(kkt: np.ndarray) -> np.ndarray:
+    """Inverse of a KKT equality matrix, or its pseudo-inverse (:func:`_pinv`)
+    when it is singular to working precision.
+
+    The matrix is inverted with its rows and columns scaled by ``d_i = 1 /
+    sqrt(max_j |K_ij|)``, so that no entry exceeds 1 whatever the units of
+    the variables and rows; it counts as singular when it has a zero row,
+    when inversion fails, or when an entry of the scaled inverse exceeds
+    ``1e10`` (a lower bound of the scaled condition number within a factor
+    of its squared dimension; a matrix that is exactly singular gives about
+    ``1 / eps`` after roundoff).
+    """
+    top = np.abs(kkt).max(axis=1)
+    if top.all():
+        d = top**-0.5
+        scale = d[:, None] * d
+        try:
+            inv = np.linalg.inv(kkt * scale)
+        except np.linalg.LinAlgError:
+            return _pinv(kkt)
+        if np.abs(inv).max() <= 1e10:
+            return inv * scale
+    return _pinv(kkt)
 
 
 def _active_set_solve(pinv: np.ndarray, c: np.ndarray, r: np.ndarray,
@@ -384,6 +426,58 @@ def _active_set_solve(pinv: np.ndarray, c: np.ndarray, r: np.ndarray,
     lam = np.zeros(r.shape)
     lam[..., active] = -sol[..., m:]
     return sol[..., :m], lam
+
+
+def _unit_rows(R: np.ndarray) -> np.ndarray:
+    """The variable each row of ``R`` fixes when binding, for a unit row (one
+    entry, equal to 1: a bound ``z_j >= r_i``), and -1 for every other row."""
+    nonzero = R != 0.0
+    var = np.argmax(nonzero, axis=1)
+    unit = (np.count_nonzero(nonzero, axis=1) == 1) & (R[np.arange(R.shape[0]), var] == 1.0)
+    return np.where(unit, var, -1)
+
+
+def _segment_solve(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray, active: np.ndarray,
+                   unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of the KKT equality system of the rows ``active`` for a
+    stack of programs, as :func:`_active_set_solve` gives them, from the
+    reduced system, given the variables ``unit`` that the rows fix
+    (:func:`_unit_rows`).
+
+    A binding unit row fixes its variable at its right-hand side, so only
+    the free variables and the other rows of ``active`` enter the system,
+    whose matrix is inverted (:func:`_kkt_inverse`; the minimum-norm solution
+    when it is singular); a unit row's multiplier is then the gradient ``Qz
+    + c - R'lam`` of the other rows at its variable.  When two rows of the
+    set fix the same variable, the full system is solved.  Where other rows
+    of the set depend on each other only through fixed variables, the
+    multipliers are one valid split of the load, not the full system's
+    minimum-norm one.
+    """
+    fixes = unit[active]
+    bound = fixes >= 0
+    fixed, bounds, general = fixes[bound], active[bound], active[~bound]
+    m = Q.shape[0]
+    free = np.ones(m, dtype=bool)
+    free[fixed] = False
+    V = free.nonzero()[0]
+    v = V.size
+    if v + fixed.size > m:
+        return _active_set_solve(_kkt_factor(Q, R, active), C, RHS, active)
+    G = R[general]
+    z, lam = np.zeros(C.shape), np.zeros(RHS.shape)
+    z[:, fixed] = RHS[:, bounds]
+    lam_g = lam[:, general]
+    if v + general.size:
+        QV = Q[V]
+        rhs = np.concatenate([-C[:, V], RHS[:, general]], axis=1)
+        if z.any():
+            rhs -= z @ np.concatenate([QV, G]).T
+        sol = rhs @ _kkt_inverse(_kkt_matrix(QV[:, V], G[:, V])).T
+        z[:, V], lam_g = sol[:, :v], -sol[:, v:]
+        lam[:, general] = lam_g
+    lam[:, bounds] = (z @ Q + C - lam_g @ G)[:, fixed]
+    return z, lam
 
 
 def _solve_qp_full(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray, work: Sequence[int] = (),
@@ -564,39 +658,55 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray,
 
 
 def _qp_homotopy(Q: np.ndarray, R: np.ndarray, r: np.ndarray, c0: np.ndarray, dc: np.ndarray,
-                 thetas: np.ndarray, theta0: float,
-                 active: Sequence[int]) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+                 thetas: np.ndarray, theta0: float, active: Sequence[int],
+                 dr: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Solutions, multipliers and diagnostics of the QPs ``(Q, c0 + theta dc,
-    R, r)`` at the non-increasing ``thetas``, walked down from ``theta0``,
-    where the rows ``active`` bind the solution; the same stacks as
-    :func:`_qp_path`.
+    R, r + theta dr)`` at the non-increasing ``thetas``, walked down from
+    ``theta0``, where the rows ``active`` bind the solution; the same stacks
+    as :func:`_qp_path`.  ``dr`` defaults to 0.
 
     On a fixed active set the solution and its multipliers are affine in
-    ``theta``, so one KKT factor (:func:`_kkt_factor`) of the set gives both
-    the point at ``theta = 0`` and the direction.  A ratio test over every
-    row finds where the segment ends: the largest ``theta`` below the current
-    one at which a multiplier of a row in the set or the slack of a row
-    outside it reaches 0 (a value that is at or below 0 already ends the
-    segment at once, and only values that change sign before the last grid
-    point are divided).  Every grid point
+    ``theta``, so one solve of the set's KKT system for the two programs
+    ``(c0, r)`` and ``(dc, dr)`` gives both the point at ``theta = 0`` and
+    the direction.  The system is the reduced one of :func:`_segment_solve`:
+    the unit rows of ``R`` (:func:`_unit_rows`, found once per walk) fix
+    their variables, and only the free variables and the other rows are
+    solved for.  A ratio test over every row finds where the segment ends:
+    the largest ``theta`` below the current one at which a multiplier of a
+    row in the set or the slack of a row outside it reaches 0 (a value that
+    is at or below 0 already ends the segment at once, and only values that
+    change sign before the last grid point are divided).  Every grid point
     down to there is filled from the affine solution, the row crossing zero
     enters or leaves the set, and the walk goes on from it: the exact
-    homotopy of the penalty path (Osborne, Presnell & Turlach, 2000; Gaines,
-    Al & Zhou, 2018).  Grid points above ``theta0`` are filled from the
-    first segment.  A multiplier in the set that is negative by no more than
-    ``1e-12`` of the point's multiplier scale is roundoff (at a breakpoint,
-    or on a row whose multiplier is 0 all along) and is read as 0.
+    homotopy of the penalty or budget path (Osborne, Presnell & Turlach,
+    2000; Gaines, Al & Zhou, 2018).  Grid points above ``theta0`` are filled
+    from the first segment.  A multiplier in the set that is negative by no
+    more than ``1e-12`` of the point's multiplier scale is roundoff (at a
+    breakpoint, or on a row whose multiplier is 0 all along) and is read as
+    0.
+
+    Where ``dr`` moves rows, a row it moves that crosses within ``1e-9`` of
+    the first crossing (relative to that ``theta``) is the one toggled
+    there: a budget row's multiplier reaches 0 together with those of the
+    bounds it ties to it.  Where ``dc`` is 0 and ``dr`` is positive on the
+    rows it moves, once none of them is left in the set nothing in the
+    set's system moves with ``theta`` and their slacks only grow as it
+    falls, so the rest of the grid is the current point (the released
+    fit).  A walk that toggles a row back at the ``theta`` where it just
+    toggled it has stalled on a degenerate point and stops there.
 
     The filled points are certified in one stack under :func:`_qp_path`'s
     acceptance rule (slack of every row outside the set ``>= -1e-12 (1 +
     |r|)``, multipliers nonnegative, KKT residuals within ``1e-8 (1 +
     rows)``).  From the first point that fails, or that the walk leaves
-    unfilled after ``4 (1 + rows)`` segments, the rest of the grid is solved
-    by :func:`_qp_path` with the set the walk reached there as its first
-    working set.  Filled points report no ridge and no Lemke pivots.
+    unfilled when it stalls or after ``4 (1 + rows)`` segments, the rest of
+    the grid is solved by :func:`_qp_path` with the set the walk reached
+    there as its first working set.  Filled points report no ridge and no
+    Lemke pivots.
     """
     n, p = thetas.size, R.shape[0]
-    C = c0 + thetas[:, None] * dc
+    dr = np.zeros(p) if dr is None else dr
+    C, RHS = c0 + thetas[:, None] * dc, r + thetas[:, None] * dr
     Z, LAM = np.zeros((n, Q.shape[0])), np.zeros((n, p))
     in_set = np.zeros((n, p), dtype=bool)
     info = {key: np.zeros(n) for key in PATH_DIAGNOSTICS}
@@ -604,35 +714,52 @@ def _qp_homotopy(Q: np.ndarray, R: np.ndarray, r: np.ndarray, c0: np.ndarray, dc
         return Z, LAM, info
     rows = np.zeros(p, dtype=bool)
     rows[np.asarray(active, dtype=int)] = True
+    unit, moving = _unit_rows(R), np.flatnonzero(dr)
+    release = moving.size > 0 and not dc.any() and bool(np.all(dr[moving] > 0.0))
+    toggled = np.full(p, np.nan)
     theta, end, i = float(theta0), float(thetas[-1]), 0
     # the solution at theta = 0 and its direction, as one two-program stack
-    terms, rhs = np.stack([c0, dc]), np.stack([r, np.zeros(p)])
+    terms, rhs = np.stack([c0, dc]), np.stack([r, dr])
+
+    def fill(stop: int, t: np.ndarray) -> None:
+        Z[i:stop] = za + t * zb
+        step = t * lb
+        lam = la + step
+        floor = -1e-12 * (np.abs(la) + np.abs(step)).max(axis=1, keepdims=True)
+        LAM[i:stop] = np.maximum(lam, 0.0, out=lam, where=lam >= floor)
+        in_set[i:stop] = rows
+
     for _ in range(4 * (1 + p)):
-        A = np.flatnonzero(rows)
-        (za, zb), (la, lb) = _active_set_solve(_kkt_factor(Q, R, A), terms, rhs, A)
+        (za, zb), (la, lb) = sol, mult = _segment_solve(Q, R, terms, rhs, rows.nonzero()[0], unit)
         # the values that must stay nonnegative: multipliers in the set, slacks outside
-        va, vb = np.where(rows, [la, lb], np.stack([za, zb]) @ R.T - rhs)
+        va, vb = values = sol @ R.T - rhs
+        values[:, rows] = mult[:, rows]
         crossing = va + end * vb < 0.0
         ahead = crossing & (va + theta * vb > 0.0)
         at = np.where(crossing, theta, -np.inf)
         np.divide(-va, vb, out=at, where=ahead)  # vb != 0: the value changes sign between theta and end
-        row = int(np.argmax(at))
-        stop = i + np.count_nonzero(thetas[i:] >= at[row])
+        row = int(at.argmax())
+        cross = float(at[row])
+        if moving.size:
+            tied = moving[at[moving] >= cross - 1e-9 * abs(cross)]
+            row = int(tied[0]) if tied.size else row
+        stop = i + np.count_nonzero(thetas[i:] >= cross)
         if stop > i:
-            t = thetas[i:stop, None]
-            Z[i:stop] = za + t * zb
-            lam = la + t * lb
-            floor = -1e-12 * np.max(np.abs(la) + np.abs(t * lb), axis=1, keepdims=True)
-            LAM[i:stop] = np.where(lam >= floor, np.maximum(lam, 0.0), lam)
-            in_set[i:stop] = rows
+            fill(stop, thetas[i:stop, None])
             i = stop
             if i == n:
                 break
-        rows[row] = ~rows[row]
-        theta = float(at[row])
-    slack = (R @ Z[:i].T).T - r
+        if toggled[row] == cross:
+            break  # the row toggles back where it just toggled: the walk stalls
+        toggled[row], rows[row], theta = cross, ~rows[row], cross
+        if release and not rows[moving].any():
+            la[row] = lb[row] = 0.0
+            fill(n, np.full((n - i, 1), theta))
+            i = n
+            break
+    slack = (R @ Z[:i].T).T - RHS[:i]
     kkt = _kkt(Q, C[:i], R, Z[:i], LAM[:i], slack)
-    ok = np.all((slack >= -1e-12 * (1.0 + np.abs(r))) | in_set[:i], axis=1) & np.all(LAM[:i] >= 0.0, axis=1)
+    ok = np.all((slack >= -1e-12 * (1.0 + np.abs(RHS[:i]))) | in_set[:i], axis=1) & np.all(LAM[:i] >= 0.0, axis=1)
     for value in kkt.values():
         ok &= value <= 1e-8 * (1.0 + p)
     kept = i if ok.all() else int(np.argmin(ok))
@@ -640,7 +767,7 @@ def _qp_homotopy(Q: np.ndarray, R: np.ndarray, r: np.ndarray, c0: np.ndarray, dc
         info[key][:kept] = value[:kept]
     if kept < n:
         work = np.flatnonzero(in_set[kept] if kept < i else rows)
-        Z[kept:], LAM[kept:], rest = _qp_path(Q, R, C[kept:], np.broadcast_to(r, (n - kept, p)), work)
+        Z[kept:], LAM[kept:], rest = _qp_path(Q, R, C[kept:], RHS[kept:], work)
         for key, value in rest.items():
             info[key][kept:] = value
     return Z, LAM, info

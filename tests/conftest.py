@@ -141,19 +141,15 @@ def record_homotopies(monkeypatch):
 
 
 def corrupt_homotopy_segments(monkeypatch, corrupt, first):
-    """Make the segment solves of ``lcp._qp_homotopy``, from its ``first``
-    one on (counting from 0), propose wrong points: their primal points
-    shifted (``corrupt="primal"``) or their multipliers negated
-    (``"multipliers"``).  A segment solve is the one active-set solve of a
-    two-program stack whose second right-hand side, the direction's, is 0;
-    the solves of ``lcp._qp_path`` are left alone."""
-    solve = intreg.lcp._active_set_solve
+    """Make the segment solves of ``lcp._qp_homotopy`` (``lcp._segment_solve``),
+    from its ``first`` one on (counting from 0), propose wrong points: their
+    primal points shifted (``corrupt="primal"``) or their multipliers negated
+    (``"multipliers"``).  The solves of ``lcp._qp_path`` are left alone."""
+    solve = intreg.lcp._segment_solve
     segments = []
 
-    def segment(pinv, c, r, active):
-        z, lam = solve(pinv, c, r, active)
-        if r.ndim == 1 or r.shape[0] != 2 or r[1].any():
-            return z, lam
+    def segment(*args):
+        z, lam = solve(*args)
         segments.append(1)
         if len(segments) <= first:
             return z, lam
@@ -161,7 +157,7 @@ def corrupt_homotopy_segments(monkeypatch, corrupt, first):
             return z + 1e-3 * (1.0 + np.max(np.abs(z))), lam
         return z, -lam
 
-    monkeypatch.setattr(intreg.lcp, "_active_set_solve", segment)
+    monkeypatch.setattr(intreg.lcp, "_segment_solve", segment)
 
 
 def random_feasible_qp(rng, m, p):

@@ -538,17 +538,17 @@ class TestPathwiseCrossValidation:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_spread_grid_solves_qps_only_at_breakpoints(self, monkeypatch):
-        # the homotopy factors one KKT matrix per segment, between two
-        # breakpoints, about 8 per fold on this sample, and makes no
-        # working-set Lemke solve for the 505 grid points
+        # the homotopy makes one reduced KKT solve per segment, between two
+        # breakpoints, about 8 per fold on this sample, and no working-set
+        # Lemke solve for the 505 grid points
         d = build_design(split_model_sample(1, 100), "full")
         calls = record_qp_solves(monkeypatch)
-        factors = []
-        factor = intreg.lcp._kkt_factor
-        monkeypatch.setattr(intreg.lcp, "_kkt_factor", lambda Q, R, active: factors.append(1) or factor(Q, R, active))
+        segments = []
+        solve = intreg.lcp._segment_solve
+        monkeypatch.setattr(intreg.lcp, "_segment_solve", lambda *args: segments.append(1) or solve(*args))
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("spr",), count=100)
         assert calls == []
-        assert 5 <= len(factors) <= 5 * 20
+        assert 5 <= len(segments) <= 5 * 20
 
     @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
     def test_failed_continuation_step_falls_back_to_lemke(self, corrupt, monkeypatch):
@@ -578,15 +578,15 @@ class TestPathwiseCrossValidation:
 
     @pytest.mark.parametrize("k", [10, 20])
     def test_wide_spread_and_budget_paths_equal_cold_fits(self, k):
-        # on wide designs these paths make a few Lemke solves and reach
-        # every other point by continuation and one-row steps; each point
-        # must be the one-point path's fit, zero pattern included
+        # on wide designs both grids are walked as homotopies; each point
+        # must be the single fit's, from the one-point Lemke path, zero
+        # pattern included
         d = build_design(split_model_sample(k, 200, k), "full")
         grid = lambda_grid(d, 100, 1e-3, "spr")
         pairs = [(warm, fit_lasso_spr(d, lam, 0.5)) for lam, warm in zip(grid, _spr_path(d, grid, 0.5)[0])]
         grid = default_budget_grid(d)
         for t, a_m, a_a in zip(grid, *_budget_path(d, 0.5, grid)[:2]):
-            cold_m, cold_a, _ = _budget_path(d, 0.5, [t])
+            cold_m, cold_a, _ = _budget_path(d, 0.5, [t], lemke=True)
             pairs += [(a_m, cold_m[0]), (a_a, cold_a[0])]
         for warm, cold in pairs:
             assert np.array_equal(warm == 0.0, cold == 0.0)

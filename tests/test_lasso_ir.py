@@ -1,3 +1,4 @@
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,12 @@ from intreg import (
     ingest,
     select_budget,
 )
-from intreg import lcp
+from intreg import lasso_ir, lcp
 from intreg.lasso_ir import _budget_path, _joint_qp, default_budget_grid
 from intreg.least_squares import _snap_zeros
 
-from conftest import corrupt_continuation_steps, point_info, record_lemke_dims, record_qp_solves, split_model_sample
+from conftest import (corrupt_continuation_steps, corrupt_homotopy_segments, point_info, record_lemke_dims,
+                      record_qp_solves, split_model_sample)
 from oracle import simulate
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv"
@@ -48,8 +50,8 @@ def objective(design, result, tau):
 def one_point_fit(design, t):
     """Midpoint block, offset and diagnostics of a single fit at budget ``t``,
     as ``fit_lasso_ir`` solves it, before packaging: row 0 of the one-point
-    grid."""
-    A_m, A_a, info = _budget_path(design, 0.5, [t])
+    grid, on the Lemke path."""
+    A_m, A_a, info = _budget_path(design, 0.5, [t], lemke=True)
     return A_m[0], A_a[0], point_info(info)
 
 
@@ -218,8 +220,9 @@ class TestSelectBudget:
 
 
 class TestBudgetPath:
-    """The t > 0 budgets start each QP from the rows that bound the previous
-    one, the first from the rows that bind the t = 0 fit."""
+    """Every budget of a grid is its joint QP's fit.  On the Lemke path of
+    single fits, the t > 0 budgets start each QP from the rows that bound
+    the previous one, the first from the rows that bind the t = 0 fit."""
 
     @pytest.mark.parametrize("n", [100, 200])
     @pytest.mark.parametrize("variant", ["full", "model-m"])
@@ -234,13 +237,18 @@ class TestBudgetPath:
 
     @pytest.mark.parametrize("tau", [0.3, 0.5])
     @pytest.mark.parametrize("variant", ["full", "model-m"])
-    def test_warm_start_equals_cold_joint_path(self, variant, tau):
-        # the rows of the t = 0 fit start the joint path; starting it from an
-        # empty working set must give the same fits
+    def test_warm_start_equals_cold_joint_path(self, variant, tau, monkeypatch):
+        # the grid is walked up from the t = 0 fit as a homotopy, with no
+        # joint-QP Lemke solve; every point must be the joint QP's own fit,
+        # solved by Lemke from an empty working set
         for n in (100, 200):
             d = build_design(split_model_sample(n + 2, n), variant)
             grid = default_budget_grid(d)
-            for t, a_m, a_a in zip(grid, *_budget_path(d, tau, grid)[:2]):
+            calls = record_qp_solves(monkeypatch)
+            path = _budget_path(d, tau, grid)
+            assert [qp.num_vars for qp in calls] == [d.block_width]
+            monkeypatch.undo()
+            for t, a_m, a_a in zip(grid, *path[:2]):
                 cold_m, cold_a = cold_joint_fit(d, tau, t)
                 assert np.array_equal(a_a == 0.0, cold_a == 0.0), (n, t)
                 for got, want in ((a_m, cold_m), (a_a, cold_a)):
@@ -249,9 +257,12 @@ class TestBudgetPath:
     @pytest.mark.parametrize("variant", ["full", "model-m"])
     def test_every_joint_solve_is_one_lemke_round(self, variant, monkeypatch):
         # with the t = 0 fit's binding rows, every offset bound and the budget
-        # row in the first working set, no joint QP adds a row or restarts cold
+        # row in the first working set, no joint QP adds a row or restarts
+        # cold: the Lemke budget path of single fits, on the folds and grid
+        # that select_budget walks
         calls, solves = record_lemke_dims(monkeypatch), []
         solve = lcp._solve_qp_full
+        monkeypatch.setattr(lasso_ir, "_budget_path", functools.partial(_budget_path, lemke=True))
 
         def record(Q, c, R, r, work=(), factor=None):
             before = len(calls)
@@ -279,18 +290,18 @@ class TestBudgetPath:
                 assert max(info[k][i] for k in info if k.startswith("kkt_")) <= bound, (seed, t)
 
     def test_about_one_lemke_call_per_budget(self, monkeypatch):
-        # each fold's t = 0 fit and each joint breakpoint make at most one
-        # call: 18 on this sample for 105 grid points, 37 with each fold's
-        # joint path started from an empty working set
+        # each fold's t = 0 fit makes at most one call and its walk none: 4
+        # on this sample for 105 grid points (18 when each fold's joint path
+        # was solved by Lemke, 37 with it started from an empty working set)
         d = build_design(split_model_sample(1, 100), "full")
         calls = record_lemke_dims(monkeypatch)
         select_budget(d, 0.5, folds=5, seed=0)
         assert 0 < len(calls) <= 20
 
     def test_budget_grid_solves_qps_only_at_breakpoints(self, monkeypatch):
-        # Lemke solves a path's first point and a point where a one-row step
-        # fails: 19 solves for the 105 grid points on this sample (per fold,
-        # the t = 0 fit, the first budget t > 0 and about 2 more)
+        # Lemke solves each fold's t = 0 program, and the walk no point: 5
+        # solves for the 105 grid points on this sample (19 when each fold's
+        # joint path was solved by Lemke)
         d = build_design(split_model_sample(1, 100), "full")
         calls = record_qp_solves(monkeypatch)
         select_budget(d, 0.5, folds=5, seed=0)
@@ -298,15 +309,106 @@ class TestBudgetPath:
 
     @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
     def test_failed_continuation_step_falls_back_to_lemke(self, corrupt, monkeypatch):
-        # a continuation step that fails its checks makes its grid point a
-        # breakpoint, solved as a single fit would be
+        # on the Lemke budget path, a continuation step that fails its
+        # checks makes its grid point a breakpoint, solved as a single fit
+        # would be
         d = build_design(split_model_sample(103, 100), "full")
         grid = default_budget_grid(d)
         cold = [one_point_fit(d, t) for t in grid]
         corrupt_continuation_steps(monkeypatch, corrupt)
         calls = record_qp_solves(monkeypatch)
-        for (cold_m, cold_a, _), a_m, a_a in zip(cold, *_budget_path(d, 0.5, grid)[:2]):
+        for (cold_m, cold_a, _), a_m, a_a in zip(cold, *_budget_path(d, 0.5, grid, lemke=True)[:2]):
             assert np.array_equal(a_a == 0.0, cold_a == 0.0)
             for a, b in ((a_m, cold_m), (a_a, cold_a)):
                 assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b), initial=0.0)
         assert len(calls) == len(grid)
+
+
+class TestBudgetHomotopy:
+    """A cross-validated budget grid is walked as the exact homotopy of the
+    joint QP up from its t = 0 fit, with no joint-QP Lemke solve where every
+    point certifies; single fits stay on the Lemke path."""
+
+    @staticmethod
+    def joint_solves(calls, design):
+        return [qp for qp in calls if qp.num_vars == 3 * design.block_width]
+
+    def test_wide_walk_equals_cold_joint_fits(self, monkeypatch):
+        # k = 20: every t > 0 point is the joint QP's own fit (at t = 0 that
+        # program, from an empty working set, ray-terminates; the budget path
+        # solves the midpoint block's program there)
+        d = build_design(split_model_sample(20, 300, 20), "full")
+        grid = default_budget_grid(d)
+        calls = record_qp_solves(monkeypatch)
+        A_m, A_a, info = _budget_path(d, 0.5, grid)
+        assert self.joint_solves(calls, d) == [] and not info["lemke_pivots"][1:].any()
+        monkeypatch.undo()
+        assert np.any(A_a[-1] != 0.0) and not A_a[0].any()
+        for t, a_m, a_a in zip(grid[1:], A_m[1:], A_a[1:]):
+            cold_m, cold_a = cold_joint_fit(d, 0.5, t)
+            assert np.array_equal(a_a == 0.0, cold_a == 0.0), t
+            for got, want in ((a_m, cold_m), (a_a, cold_a)):
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0), t
+
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_budgets_past_budget_used_return_the_released_fit(self, variant):
+        # the walk ends where the budget's multiplier reaches 0: every larger
+        # budget gets that point, the fit with the offset unbounded
+        d = build_design(split_model_sample(5, 150), variant)
+        used = fit_lasso_ir(d, 0.5, 1e3 * default_budget_grid(d)[-1]).diagnostics["budget_used"]
+        grid = used * np.array([0.5, 1.0 + 1e-6, 1.5, 3.0, 100.0])
+        A_m, A_a, _ = _budget_path(d, 0.5, grid)
+        assert np.sum(np.abs(A_a[0])) == pytest.approx(0.5 * used, rel=1e-10)
+        for a_m, a_a in zip(A_m[2:], A_a[2:]):
+            assert np.array_equal(a_m, A_m[1]) and np.array_equal(a_a, A_a[1])
+        for t, a_m, a_a in zip(grid, A_m, A_a):
+            cold_m, cold_a = cold_joint_fit(d, 0.5, t)
+            for got, want in ((a_m, cold_m), (a_a, cold_a)):
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), t
+
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_select_budget_runs_no_joint_lemke_solve(self, variant, monkeypatch):
+        # each fold solves its t = 0 program by Lemke and walks the rest;
+        # the single fit at the selected budget is a joint Lemke solve
+        for seed in range(1, 4):
+            d = build_design(split_model_sample(seed, 100), variant)
+            calls = record_qp_solves(monkeypatch)
+            select_budget(d, 0.5, folds=5, seed=0)
+            assert len(calls) == 5 and self.joint_solves(calls, d) == []
+            fit_lasso_ir(d, 0.5)
+            assert len(self.joint_solves(calls, d)) == 1
+            monkeypatch.undo()
+
+    def test_budget_that_never_binds_keeps_the_zero_budget_fit(self, monkeypatch):
+        # constant regressor and response spreads leave the spread part of
+        # the objective constant: no offset gradient is negative at t = 0,
+        # so every budget is the t = 0 fit, walked by no segment
+        rng = np.random.default_rng(3)
+        mid_x = rng.normal(size=(40, 1))
+        sample = IntervalSample(2.0 * mid_x[:, 0] + rng.normal(0.0, 0.1, 40), np.ones(40), mid_x, np.full((40, 1), 0.5))
+        d = build_design(sample, "model-m")
+        assert not d.fs.any() and not d.vs.any()
+        segments = []
+        solve = lcp._segment_solve
+        monkeypatch.setattr(lcp, "_segment_solve", lambda *args: segments.append(1) or solve(*args))
+        A_m, A_a, info = _budget_path(d, 0.5, [0.0, 0.5, 2.0])
+        assert segments == [] and not A_a.any()
+        assert np.array_equal(A_m[1], A_m[0]) and np.array_equal(A_m[2], A_m[0])
+        assert all(np.array_equal(value, np.repeat(value[0], 3)) for value in info.values())
+
+    @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
+    def test_failed_segment_falls_back_to_lemke(self, corrupt, monkeypatch):
+        # a segment whose solve fails its certificate sends the rest of the
+        # grid, from its first point, to the working-set Lemke path
+        d = build_design(split_model_sample(103, 100), "full")
+        grid = default_budget_grid(d)
+        cold = [one_point_fit(d, t) for t in grid]
+        corrupt_homotopy_segments(monkeypatch, corrupt, first=2)
+        calls = record_qp_solves(monkeypatch)
+        A_m, A_a, info = _budget_path(d, 0.5, grid)
+        for (cold_m, cold_a, _), a_m, a_a in zip(cold, A_m, A_a):
+            assert np.array_equal(a_a == 0.0, cold_a == 0.0)
+            for a, b in ((a_m, cold_m), (a_a, cold_a)):
+                assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b), initial=0.0)
+        assert 1 <= len(self.joint_solves(calls, d)) < len(grid) - 1
+        assert info["lemke_pivots"][1] == 0.0 and info["lemke_pivots"].any()

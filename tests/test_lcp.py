@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -443,10 +444,16 @@ class TestWorkingSet:
 def record_path_events(monkeypatch):
     """Patch the QP path's solvers to log, in order, each working-set Lemke
     solve (``"lemke"``, with its starting working set), each KKT
-    factorization (``"factor"``, with its rows) and each active-set solve of
-    one point (``"single"``) or of a stack (``"stack"``), with its rows."""
+    factorization (``"factor"``, with its rows), each active-set solve of
+    one point (``"single"``) or of a stack (``"stack"``), with its rows, and
+    each homotopy segment's reduced solve (``"segment"``, with its rows)."""
     events = []
     solve, factor, active_solve = lcp._solve_qp_full, lcp._kkt_factor, lcp._active_set_solve
+    segment_solve = lcp._segment_solve
+
+    def segment(Q, R, C, RHS, active, unit):
+        events.append(("segment", active))
+        return segment_solve(Q, R, C, RHS, active, unit)
 
     def lemke(Q, c, R, r, work=(), factor=None):
         events.append(("lemke", np.asarray(work, dtype=int)))
@@ -463,6 +470,7 @@ def record_path_events(monkeypatch):
     monkeypatch.setattr(lcp, "_solve_qp_full", lemke)
     monkeypatch.setattr(lcp, "_kkt_factor", factored)
     monkeypatch.setattr(lcp, "_active_set_solve", solved)
+    monkeypatch.setattr(lcp, "_segment_solve", segment)
     return events
 
 
@@ -613,7 +621,9 @@ class TestQpPath:
         # the path last walked on, the set of its last point's solve: not the
         # rows with a positive multiplier (on this budget path a degenerate
         # row's polished multiplier is roundoff of about 4e-17, which must
-        # not decide the working set), and not the set of a step that failed
+        # not decide the working set), and not the set of a step that failed.
+        # The budget paths are the Lemke path of single fits, on the folds
+        # and grid that select_budget walks
         sample = ingest(Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv")
         design = build_design(sample, "model-m")
         paths, current = [], []
@@ -647,6 +657,7 @@ class TestQpPath:
         monkeypatch.setattr(lasso_ir, "_qp_path", new_path)
         monkeypatch.setattr(lcp, "_solve_qp_full", record)
         monkeypatch.setattr(lcp, "_active_set_solve", solved)
+        monkeypatch.setattr(lasso_ir, "_budget_path", functools.partial(lasso_ir._budget_path, lemke=True))
         lasso_ir.select_budget(design, 0.5)
         assert sum(len(walk["works"]) > 1 for walk in paths) > 1
         assert sum(walk["start"].size > 0 for walk in paths) > 1
@@ -660,9 +671,11 @@ class TestQpPath:
     def test_one_stacked_solve_per_breakpoint(self, path, monkeypatch):
         # the points after a breakpoint are solved in one stacked call, and
         # again in one per one-row step; the only one-point solves are the
-        # breakpoints' polishes.  The spread path is a homotopy: one factor
-        # and one stacked solve (the point at 0 and the direction) per
-        # segment, no Lemke solve and no one-point solve
+        # breakpoints' polishes.  The budget path is the Lemke path of single
+        # fits.  The spread path is a homotopy: one reduced solve of the
+        # two-program stack (the point at 0 and the direction) per segment,
+        # no Lemke solve, no factorization of the full KKT matrix and no
+        # one-point solve
         design = build_design(split_model_sample(1, 100), "full")
         events = record_path_events(monkeypatch)
         if path == "spread":
@@ -670,14 +683,12 @@ class TestQpPath:
             points = least_squares._spr_path(design, grid, 0.5)[0]
         else:
             grid = lasso_ir.default_budget_grid(design)
-            points = lasso_ir._budget_path(design, 0.5, grid)[0]
+            points = lasso_ir._budget_path(design, 0.5, grid, lemke=True)[0]
         assert len(points) == len(grid)
         kinds = [kind for kind, _ in events]
         if path == "spread":
-            segments = len(kinds) // 2
-            assert 1 <= segments < len(grid) // 2
-            assert kinds == ["factor", "stack"] * segments
-            assert [rows.tolist() for kind, rows in events[::2]] == [rows.tolist() for kind, rows in events[1::2]]
+            assert 1 <= len(kinds) < len(grid) // 2
+            assert kinds == ["segment"] * len(kinds)
             return
         lemke = kinds.count("lemke")
         assert 1 <= lemke < len(grid) // 2
@@ -794,7 +805,8 @@ class TestQpHomotopy:
 
     def test_walk_raises_no_floating_point_error(self):
         # the CLI runs under np.errstate(over="raise", invalid="raise"); the
-        # ratio tests divide only where a value changes sign, so never by 0
+        # ratio tests divide only where a value changes sign, so never by 0.
+        # Spread walks and budget walks alike
         designs = [build_design(sample, variant) for sample in (split_model_sample(1, 100), zero_spread_sample(),
                                                                 duplicate_column_sample())
                    for variant in ("full", "model-m")]
@@ -802,8 +814,38 @@ class TestQpHomotopy:
             for design in designs:
                 least_squares._spr_path(design, np.append(lasso.lambda_grid(design, 100, 1e-3, "spr"), 0.0), 0.5)
                 lasso.cross_validate(design, 0.5, folds=5, seed=0, blocks=("spr",), count=20)
+                lasso_ir._budget_path(design, 0.5, lasso_ir.default_budget_grid(design))
+                lasso_ir.select_budget(design, 0.5)
             for R, r, g, thetas, theta0, _, _ in TIES.values():
                 lcp._qp_homotopy(np.eye(2), R, r, -g, np.ones(2), thetas, theta0, np.arange(2))
+
+
+    def test_stalled_walk_falls_back_within_a_few_segments(self, monkeypatch):
+        # the budget walk of a sample, with a linear-term direction of 1e-300,
+        # which moves no program but keeps the release rule from filling the
+        # grid once the budget row leaves: the walk goes on into the released
+        # fit, a degenerate point where bound multipliers and slacks are
+        # roundoff about 0, and can toggle one bound row in and out at one
+        # theta (here, until the cap of 4 (1 + rows) = 296 segments).  It must
+        # hand the rest of the grid to the Lemke path within a few segments
+        design = build_design(split_model_sample(1, 60), "full")
+        walks = []
+        homotopy = lasso_ir._qp_homotopy
+        monkeypatch.setattr(lasso_ir, "_qp_homotopy", lambda *args: walks.append(args) or homotopy(*args))
+        lasso_ir._budget_path(design, 0.5, lasso_ir.default_budget_grid(design))
+        Q, R, r, c, dc, thetas, theta0, start, dr = walks[0]
+        segments = []
+        solve = lcp._segment_solve
+        monkeypatch.setattr(lcp, "_segment_solve", lambda *args: segments.append(1) or solve(*args))
+        Z, _, _ = lcp._qp_homotopy(Q, R, r, c, dc, thetas, theta0, start, dr)
+        released = len(segments)
+        segments.clear()
+        calls = record_qp_solves(monkeypatch)
+        Z_tiny, _, info = lcp._qp_homotopy(Q, R, r, c, np.full(c.size, 1e-300), thetas, theta0, start, dr)
+        assert len(segments) <= released + 4
+        assert len(calls) <= 1
+        assert np.max(np.abs(Z_tiny - Z)) <= 1e-10 * np.max(np.abs(Z))
+        assert max(np.max(info[key]) for key in info if key.startswith("kkt_")) <= 1e-8 * (1 + R.shape[0])
 
 
 class TestStackedHelpers:
@@ -908,3 +950,110 @@ class TestNumpyOnly:
         src = str(Path(intreg.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+class TestSegmentSolve:
+    """The homotopy's reduced solve, in which binding unit rows fix their
+    variables, gives the solutions of the full KKT system's pseudo-inverse
+    (:func:`lcp._active_set_solve`), for a stack of programs."""
+
+    @staticmethod
+    def assert_matches_full(Q, R, C, RHS, active):
+        # to 1e-10 of the solution's scale, or, on an ill-conditioned
+        # regular system, to what its condition number allows
+        z, lam = lcp._segment_solve(Q, R, C, RHS, active, lcp._unit_rows(R))
+        z_full, lam_full = lcp._active_set_solve(lcp._kkt_factor(Q, R, active), C, RHS, active)
+        sv = np.linalg.svd(kkt_matrix(Q, R[active]), compute_uv=False)
+        regular = sv[-1] > 1e-14 * sv[0] * sv.size
+        scale = (1.0 + np.max(np.abs(z_full)) + np.max(np.abs(lam_full), initial=0.0)) * max(
+            1e-10, 1e-14 * sv[0] / sv[-1] if regular else 0.0)
+        assert np.max(np.abs(z - z_full)) <= scale
+        assert np.max(np.abs(lam - lam_full), initial=0.0) <= scale
+        off = np.setdiff1d(np.arange(R.shape[0]), active)
+        assert not lam[:, off].any()
+
+    @staticmethod
+    def bounded(rng, qp, p_unit):
+        """The QP's rows below ``p_unit`` unit rows (``z_j >= r``) on random
+        variables, with a stack of two programs."""
+        m = qp.num_vars
+        unit = np.eye(m)[rng.choice(m, size=p_unit, replace=False)]
+        R = np.vstack([unit, qp.R])
+        C = np.stack([qp.c, rng.normal(size=m)])
+        RHS = np.stack([np.concatenate([rng.normal(size=p_unit), qp.r]), rng.normal(size=R.shape[0])])
+        return R, C, RHS
+
+    def test_unit_rows(self):
+        R = np.array([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0]])
+        assert lcp._unit_rows(R).tolist() == [1, -1, -1, -1, -1, 2]
+
+    def test_random_sets(self, rng):
+        for _ in range(30):
+            qp = random_feasible_qp(rng, 6, 12)
+            R, C, RHS = self.bounded(rng, qp, int(rng.integers(0, 7)))
+            active = np.sort(rng.choice(R.shape[0], size=int(rng.integers(0, 7)), replace=False))
+            self.assert_matches_full(qp.Q, R, C, RHS, active)
+
+    def test_every_variable_fixed(self, rng):
+        qp = random_feasible_qp(rng, 4, 6)
+        R, C, RHS = self.bounded(rng, qp, 4)
+        self.assert_matches_full(qp.Q, R, C, RHS, np.arange(4))
+
+    def test_singular_hessian(self, rng):
+        # a repeated column leaves Q singular along a direction of the free
+        # variables; both solves take the minimum-norm point along it
+        B = rng.normal(size=(8, 5))
+        B[:, 3] = B[:, 1]
+        Q = B.T @ B
+        assert np.linalg.matrix_rank(Q) < 5
+        qp = random_feasible_qp(rng, 5, 6)
+        R, C, RHS = self.bounded(rng, qp, 0)
+        R = np.vstack([np.eye(5)[[0, 4]], R])
+        RHS = np.hstack([rng.normal(size=(2, 2)), RHS])
+        for active in ([], [0], [0, 1], [0, 1, 4], [2, 3]):
+            self.assert_matches_full(Q, R, C, RHS, np.array(active, dtype=int))
+
+    def test_dependent_rows(self, rng):
+        # a repeated general row: both solves split its multiplier evenly
+        qp = random_feasible_qp(rng, 4, 5)
+        R, C, RHS = self.bounded(rng, qp, 2)
+        R, RHS = np.vstack([R, R[3]]), np.hstack([RHS, RHS[:, [3]]])
+        for active in ([3, 7], [0, 3, 7], [0, 1, 3, 4, 7]):
+            self.assert_matches_full(qp.Q, R, C, RHS, np.array(active))
+
+    def test_general_row_on_a_fixed_variable(self, rng):
+        # a general row that is twice a unit row of the set binds nothing the
+        # unit row does not: the reduced solve leaves its multiplier 0 and
+        # the unit row takes the whole gradient, one of the multiplier
+        # vectors the full system admits (its pseudo-inverse splits them)
+        qp = random_feasible_qp(rng, 4, 5)
+        R, C, RHS = self.bounded(rng, qp, 2)
+        R, RHS = np.vstack([R, 2.0 * R[0]]), np.hstack([RHS, 2.0 * RHS[:, [0]]])
+        active = np.array([0, 3, 7])
+        z, lam = lcp._segment_solve(qp.Q, R, C, RHS, active, lcp._unit_rows(R))
+        z_full, lam_full = lcp._active_set_solve(lcp._kkt_factor(qp.Q, R, active), C, RHS, active)
+        assert np.max(np.abs(z - z_full)) <= 1e-12 * np.max(np.abs(z_full))
+        assert not lam[:, 7].any() and np.all(lam_full[:, 7] != 0.0)
+        for got in (lam, lam_full):
+            assert np.max(np.abs(z @ qp.Q + C - got @ R)) <= 1e-12 * (1.0 + np.max(np.abs(got)))
+
+    def test_two_unit_rows_on_one_variable(self, rng):
+        # the full system decides how the two multipliers share the load
+        qp = random_feasible_qp(rng, 4, 5)
+        R, C, RHS = self.bounded(rng, qp, 2)
+        R, RHS = np.vstack([R, R[0]]), np.hstack([RHS, RHS[:, [0]]])
+        self.assert_matches_full(qp.Q, R, C, RHS, np.array([0, 1, 2, 7]))
+
+    @pytest.mark.parametrize("t", [0.05, 0.5])
+    def test_singular_joint_hessian(self, t):
+        # lasso-ir's Hessian over (midpoints, offset+, offset-), on the active
+        # set of its Lemke solve and on a budget walk's start set
+        sample = ingest(Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv")
+        design = build_design(sample, "full")
+        qp = lasso_ir._joint_qp(design, 0.5, t)
+        w, n, p = design.block_width, design.n, qp.num_constraints
+        _, lam, _ = lcp._solve_qp_full(qp.Q, qp.c, qp.R, qp.r)
+        C, RHS = np.stack([qp.c, np.zeros(3 * w)]), np.stack([qp.r, np.eye(p)[-1]])
+        for active in (lcp._active_rows(lam)[0], np.concatenate([n + np.arange(1, 2 * w), [p - 1]])):
+            self.assert_matches_full(qp.Q, qp.R, C, RHS, active)
