@@ -32,11 +32,16 @@ each Lemke path (single fits), each fallback at a point where a one-row
 step fails, including a restart from an empty working set, and the first
 point of a homotopy's fallback.  In a tree that walks grids as homotopies
 (``lcp._qp_homotopy``, imported by ``least_squares`` for spread grids and,
-in a tree that walks budget grids too, by ``lasso_ir``), it counts the walks
-(``hom_qp_homotopy_calls``), their segments (``hom_segments``: calls of the
-reduced segment solve ``lcp._segment_solve``, or, in an older tree without
-it, the KKT factorizations a walk makes itself) and the grid points they
-leave to the Lemke path (``hom_fallback_points``).
+in a tree that walks budget grids too, by ``lasso_ir``), it counts the calls
+of the walk (``hom_qp_homotopy_calls``: one per fold in a tree that walks
+each fold alone, one per grid fitter call in a tree that walks the folds in
+lockstep), the segments (``hom_segments``: one per walking fold and segment
+in either tree, that is, the folds in each call of the reduced segment
+solve ``lcp._segment_solve``, which takes a stack of folds in a lockstep
+tree and one fold otherwise, or, in an older tree without it, the KKT
+factorizations a walk makes itself), the steps (``hom_steps``: the calls of
+that solve, each a segment of every fold still walking) and the grid points
+the walks leave to the Lemke path (``hom_fallback_points``).
 
 Prints every report field that moved, with its relative size
 ``|new - old| / max(|old|, |new|)``, every run whose exit code or stderr
@@ -150,7 +155,9 @@ def worker(runs_path: str, out_path: str) -> None:
 
         def segment(*args):
             if block[0] == "hom":
-                counts["hom_segments"] += 1
+                # a lockstep tree passes the walking folds' Hessians as one stack
+                counts["hom_segments"] += len(args[0]) if args[0].ndim == 3 else 1
+                counts["hom_steps"] += 1
             return solve(*args)
 
         def fallback(Q, R, C, RHS, work=()):

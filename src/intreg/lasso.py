@@ -30,7 +30,9 @@ penalty enters the spread QP's linear term alone, so the spread solution
 is piecewise affine in it and 0 at and above the fold's zeroing penalty:
 the spread grid is walked down from there as an exact homotopy
 (:func:`intreg.lcp._qp_homotopy`), breakpoint to breakpoint, with no Lemke
-run unless a point fails its certificate.  Every grid point is still
+run unless a point fails its certificate, all folds in lockstep, so that
+each step solves every walking fold's segment at once; a fold whose point
+fails falls back to Lemke alone.  Every grid point is still
 checked on its own (the midpoint subgradient-gap test and zero snap; the
 spread QP's certificate against every row).  Both paths return their fits
 as stacks, one row per penalty, and a single fit is row 0 of the one-point
@@ -54,7 +56,7 @@ from .least_squares import (
     METHOD_LASSO,
     FitResult,
     _fit_result,
-    _spr_path,
+    _spr_paths,
     estimate_intercept,
     ols_mid,
     solve_spread_block,
@@ -217,32 +219,33 @@ def _cv_errors(
     tau: float,
     folds: int,
     seed: int,
-    fit_grid: Callable[[DesignSystem], tuple[np.ndarray, np.ndarray]],
+    fit_grid: Callable[[list[DesignSystem]], list[tuple[np.ndarray, np.ndarray]]],
 ) -> np.ndarray:
     """Held-out weighted squared errors, one row per fold, one column per grid point.
 
     Folds are a seeded pseudorandom partition of the rows of
-    ``design.sample``.  ``fit_grid`` receives each fold's training design and
-    returns the midpoint and spread blocks fitted at every grid point as two
-    stacks ``(A_m, A_s)``, one row per point; the intercept comes from the
-    training means, as in the full-sample fits.  A fold's held-out
-    predictions for the whole grid are one matrix product per block.
+    ``design.sample``.  ``fit_grid`` receives every fold's training design,
+    as one list, and returns for each the midpoint and spread blocks fitted
+    at every grid point as two stacks ``(A_m, A_s)``, one row per point; the
+    intercept comes from the training means, as in the full-sample fits.  A
+    fold's held-out predictions for the whole grid are one matrix product
+    per block.
     """
     sample = design.sample
     n = sample.n
     if folds < 2 or folds > n:
         raise ValueError(f"folds must lie between 2 and {n}, got {folds}")
-    parts = np.array_split(np.random.default_rng(seed).permutation(n), folds)
-    errors = []
+    parts = [np.sort(held) for held in np.array_split(np.random.default_rng(seed).permutation(n), folds)]
+    trains = []
     for f, held in enumerate(parts):
-        held = np.sort(held)
         train_rows = np.setdiff1d(np.arange(n), held)
         if train_rows.size < 2:
             raise FoldTooSmall(f"fold {f} leaves only {train_rows.size} training rows")
-        train = build_design(sample.subset(train_rows), design.variant)
+        trains.append(build_design(sample.subset(train_rows), design.variant))
+    errors = []
+    for held, train, (A_m, A_s) in zip(parts, trains, fit_grid(trains)):
         test = sample.subset(held)
         mid_side, spr_side = regressor_blocks(test, design.variant)
-        A_m, A_s = fit_grid(train)
         delta_mid = train.mean_y.mid - A_m @ train.mean_mid_xebl
         delta_spr = train.mean_y.spr - A_s @ train.mean_spr_xebl
         res_mid = test.mid_y - (A_m @ mid_side.T + delta_mid[:, None])
@@ -272,8 +275,10 @@ def cross_validate(
     the largest within one standard error of it.
 
     Each fold walks the midpoint grid up from the zero penalty and the
-    spread grid down to it; each block held while the other is scanned is
-    its path's zero-penalty row.
+    spread grid down to it, the folds' spread walks in lockstep (one step
+    makes a segment of every fold still walking, and a fold whose point
+    fails its certificate falls back to Lemke alone); each block held while
+    the other is scanned is its path's zero-penalty row.
     """
     tau = validate_tau(tau)
     if not blocks or any(block not in BLOCKS for block in blocks):
@@ -282,13 +287,15 @@ def cross_validate(
     mid_grid = [0.0, *grids[BLOCK_MID]] if BLOCK_MID in blocks else [0.0]
     spr_grid = [*grids[BLOCK_SPR], 0.0] if BLOCK_SPR in blocks else [0.0]
 
-    def fit_grid(train: DesignSystem):
-        mid = _mid_fits(train, mid_grid)[0]
-        spr = _spr_path(train, spr_grid, tau)[0]
-        # each scanned block's path, the other held at its zero-penalty row
-        A_m = [row for block in blocks for row in (mid[1:] if block == BLOCK_MID else [mid[0]] * count)]
-        A_s = [row for block in blocks for row in (spr[:-1] if block == BLOCK_SPR else [spr[-1]] * count)]
-        return np.array(A_m), np.array(A_s)
+    def fit_grid(trains: list[DesignSystem]):
+        fits = []
+        for train, (spr, _) in zip(trains, _spr_paths(trains, spr_grid, tau)):
+            mid = _mid_fits(train, mid_grid)[0]
+            # each scanned block's path, the other held at its zero-penalty row
+            A_m = [row for block in blocks for row in (mid[1:] if block == BLOCK_MID else [mid[0]] * count)]
+            A_s = [row for block in blocks for row in (spr[:-1] if block == BLOCK_SPR else [spr[-1]] * count)]
+            fits.append((np.array(A_m), np.array(A_s)))
+        return fits
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)
     paths = []

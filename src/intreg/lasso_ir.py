@@ -12,13 +12,15 @@ negative parts it becomes a quadratic program with linear constraints, solved
 by the same complementary-pivoting machinery as the other estimators.  The
 budget is cross-validated on the Lasso folds.  It enters only the
 right-hand side of the budget row, so the solution is piecewise affine in
-it: the ``t = 0`` program is solved first, always, and each fold's
+it: each fold's ``t = 0`` program is solved first, always, and each fold's
 ``t > 0`` grid is walked up from that fit as the exact homotopy of the
 L1-constrained Lasso (Osborne, Presnell & Turlach, 2000;
 :func:`intreg.lcp._qp_homotopy`), breakpoint to breakpoint, with no joint
 Lemke run unless a point fails its certificate, which is checked against
-every row.  The walk ends where the budget's multiplier reaches 0; every
-larger budget gets that fit.  The path returns the grid's fits as stacks,
+every row.  The folds walk in lockstep, each step a segment of every fold
+still walking, and a fold whose point fails falls back to Lemke alone.  A
+walk ends where the budget's multiplier reaches 0; every larger budget
+gets that fit.  The path returns the grid's fits as stacks,
 one row per budget, with the ``t = 0`` fit for every zero budget.  A single
 fit (the refit at the selected budget, or a given one) is row 0 of the
 one-point budget grid on the working-set Lemke path, as the paper
@@ -100,25 +102,27 @@ def default_budget_grid(design: DesignSystem, count: int = 20, ratio: float = 1e
     return [0.0] + list(np.geomspace(ratio * t_max, t_max, count))
 
 
-def _budget_path(design: DesignSystem, tau: float, grid: Sequence[float],
-                 lemke: bool = False) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Midpoint blocks, offsets and QP diagnostics along a budget grid, as
-    stacks with one row (one diagnostics entry) per budget.
+def _budget_paths(designs: Sequence[DesignSystem], tau: float, grid: Sequence[float], lemke: bool = False,
+                  ) -> list[tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
+    """Midpoint blocks, offsets and QP diagnostics of each design along one
+    budget grid, as stacks with one row (one diagnostics entry) per budget,
+    one triple of stacks per design.
 
     At ``t = 0`` the offset is zero and the program is the midpoint block
     alone, under the rows that keep the tied fitted spreads nonnegative.  It
     is solved first, whatever the grid, and its fit serves every zero budget.
     The ``t > 0`` programs share the joint QP but for the budget, the
     right-hand side of its last row, so the grid, in any order, is walked
-    up from the ``t = 0`` fit as the exact homotopy in ``theta = -t``
-    (:func:`intreg.lcp._qp_homotopy`), with Lemke only where a point fails
-    its certificate.  The walk starts from the binding spread rows of the
-    ``t = 0`` fit, every offset bound but that of the offset whose gradient
-    ``g`` there (with the spread rows' multipliers) is most negative, and
-    the budget row.  Where no entry of ``g`` is negative, no offset lowers
-    the objective and every ``t > 0`` point is the ``t = 0`` fit.  The walk
-    ends where the budget's multiplier reaches 0, at the budget the
-    unbounded offset uses: every larger budget gets that released fit.
+    up from the ``t = 0`` fit as the exact homotopy in ``theta = -t``, the
+    designs' walks in lockstep (:func:`intreg.lcp._qp_homotopy`), with Lemke
+    only where a point fails its certificate.  A walk starts from the
+    binding spread rows of the ``t = 0`` fit, every offset bound but that of
+    the offset whose gradient ``g`` there (with the spread rows'
+    multipliers) is most negative, and the budget row.  Where no entry of
+    ``g`` is negative, no offset lowers the objective and every ``t > 0``
+    point is the ``t = 0`` fit.  A walk ends where the budget's multiplier
+    reaches 0, at the budget the unbounded offset uses: every larger budget
+    gets that released fit.
 
     ``lemke=True`` solves the ``t > 0`` grid by the working-set Lemke path
     instead (:func:`intreg.lcp._qp_path`), as single fits are: its first
@@ -129,38 +133,59 @@ def _budget_path(design: DesignSystem, tau: float, grid: Sequence[float],
     grid = np.fromiter(grid, dtype=float)
     if not np.all((grid >= 0.0) & (grid < np.inf)):
         raise ValueError("the budget must be finite and nonnegative")
-    w, n = design.block_width, design.n
-    qp = _joint_qp(design, tau, 0.0)
-    p = qp.R.shape[0]
-    # t = 0: the midpoint block under the spread rows, sliced from the joint QP
-    a_m, lam, alone = _qp_path(qp.Q[:w, :w], qp.R[:n, :w], qp.c[None, :w], qp.r[None, :n])
     on = grid > 0.0
     t = grid[on]
-    spread = _active_rows(lam[0])[0]
-    u0 = np.concatenate([a_m[0], np.zeros(2 * w)])
-    # the offsets' gradient at the t = 0 fit, net of its spread rows' multipliers
-    g = (qp.Q @ u0 + qp.c - qp.R[spread].T @ lam[0, spread])[w:]
-    if lemke:
-        RHS = np.tile(qp.r, (t.size, 1))
-        RHS[:, -1] = -t
-        U, _, info = _qp_path(qp.Q, qp.R, np.broadcast_to(qp.c, (t.size, qp.c.size)), RHS,
-                              np.concatenate([spread, np.arange(n, p)]))
-    elif float(np.min(g)) < 0.0:
-        # budgets up is theta = -t down; the freed offset enters as the budget opens
-        order = np.argsort(t, kind="stable")
-        start = np.concatenate([spread, n + np.delete(np.arange(2 * w), np.argmin(g)), [p - 1]])
-        dr = np.zeros(p)
-        dr[-1] = 1.0
-        U, _, info = _qp_homotopy(qp.Q, qp.R, qp.r, qp.c, np.zeros(3 * w), -t[order], 0.0, start, dr)
+    # budgets up is theta = -t down
+    order = np.argsort(t, kind="stable")
+    # per design: the t = 0 fit and its diagnostics, then the t > 0 stacks
+    fits, walks = [], []
+    for design in designs:
+        w, n = design.block_width, design.n
+        qp = _joint_qp(design, tau, 0.0)
+        p = qp.R.shape[0]
+        # t = 0: the midpoint block under the spread rows, sliced from the joint QP
+        a_m, lam, alone = _qp_path(qp.Q[:w, :w], qp.R[:n, :w], qp.c[None, :w], qp.r[None, :n])
+        spread = _active_rows(lam[0])[0]
+        u0 = np.concatenate([a_m[0], np.zeros(2 * w)])
+        # the offsets' gradient at the t = 0 fit, net of its spread rows' multipliers
+        g = (qp.Q @ u0 + qp.c - qp.R[spread].T @ lam[0, spread])[w:]
+        if lemke:
+            RHS = np.tile(qp.r, (t.size, 1))
+            RHS[:, -1] = -t
+            U, _, info = _qp_path(qp.Q, qp.R, np.broadcast_to(qp.c, (t.size, qp.c.size)), RHS,
+                                  np.concatenate([spread, np.arange(n, p)]))
+        elif float(np.min(g)) < 0.0:
+            # the freed offset enters as the budget opens; walked below
+            dr = np.zeros(p)
+            dr[-1] = 1.0
+            walks.append((len(fits), qp, np.concatenate([spread, n + np.delete(np.arange(2 * w), np.argmin(g)),
+                                                         [p - 1]]), dr))
+            U = info = None
+        else:
+            U, info = np.tile(u0, (t.size, 1)), {key: np.repeat(value, t.size) for key, value in alone.items()}
+        fits.append([a_m, alone, U, info])
+    if walks:
+        index, qp, start, dr = zip(*walks)
+        paths = _qp_homotopy([x.Q for x in qp], [x.R for x in qp], [x.r for x in qp], [x.c for x in qp],
+                             [np.zeros(x.c.size) for x in qp], -t[order], [0.0] * len(qp), start, dr)
         back = np.argsort(order)
-        U, info = U[back], {key: value[back] for key, value in info.items()}
-    else:
-        U, info = np.tile(u0, (t.size, 1)), {key: np.repeat(value, t.size) for key, value in alone.items()}
-    A_m, A_a = U[:, :w], _snap_zeros(np.maximum(U[:, w : 2 * w], 0.0) - np.maximum(U[:, 2 * w :], 0.0))
-    # grid point i is row rows[i] of the t > 0 stacks with the t = 0 fit appended
-    rows = np.where(on, np.cumsum(on) - 1, A_m.shape[0])
-    return (np.vstack([A_m, a_m])[rows], np.vstack([A_a, np.zeros((1, w))])[rows],
-            {key: np.append(value, alone[key])[rows] for key, value in info.items()})
+        for k, (U, _, info) in zip(index, paths):
+            fits[k][2:] = U[back], {key: value[back] for key, value in info.items()}
+    out = []
+    for a_m, alone, U, info in fits:
+        w = a_m.shape[1]
+        A_m, A_a = U[:, :w], _snap_zeros(np.maximum(U[:, w : 2 * w], 0.0) - np.maximum(U[:, 2 * w :], 0.0))
+        # grid point i is row rows[i] of the t > 0 stacks with the t = 0 fit appended
+        rows = np.where(on, np.cumsum(on) - 1, A_m.shape[0])
+        out.append((np.vstack([A_m, a_m])[rows], np.vstack([A_a, np.zeros((1, w))])[rows],
+                    {key: np.append(value, alone[key])[rows] for key, value in info.items()}))
+    return out
+
+
+def _budget_path(design: DesignSystem, tau: float, grid: Sequence[float],
+                 lemke: bool = False) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """The one-design stack of :func:`_budget_paths`."""
+    return _budget_paths([design], tau, grid, lemke)[0]
 
 
 def select_budget(
@@ -173,7 +198,9 @@ def select_budget(
     """Budget minimizing the cross-validated weighted squared error.
 
     Shares the Lasso cross-validation's fold routine, so a seed gives the
-    same partition and the same held-out error as there.  Errors within
+    same partition and the same held-out error as there; the folds' budget
+    grids are walked in lockstep, and a fold whose point fails its
+    certificate falls back to Lemke alone.  Errors within
     ``1e-12`` relative of the minimum tie with it, and ties resolve to the
     earliest grid entry (the smallest budget on the default grid).
     """
@@ -184,9 +211,8 @@ def select_budget(
     if not grid:
         raise ValueError("the budget grid must be nonempty")
 
-    def fit_grid(train: DesignSystem):
-        A_m, A_a, _ = _budget_path(train, tau, grid)
-        return A_m, A_m + A_a
+    def fit_grid(trains: list[DesignSystem]):
+        return [(A_m, A_m + A_a) for A_m, A_a, _ in _budget_paths(trains, tau, grid)]
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)
     return grid[_first_min(errors.mean(axis=0))]

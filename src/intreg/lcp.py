@@ -68,7 +68,12 @@ moving row, and once it has left the set the rest of the grid is the
 point reached.  Its points are certified as the path's are, and from the
 first that fails, or where the walk toggles a row back at the parameter
 value where it just toggled it, the rest of the grid goes to the path
-routine.
+routine.  A stack of such grids, the folds of a cross-validation, is
+walked in lockstep (the pathwise cross-validation of Friedman, Hastie &
+Tibshirani, 2010): each step makes one segment for every walk still going,
+with one batched solve of their reduced systems, padded to one size, and
+one ratio test; the points of all walks are certified together, and a
+walk whose point fails goes to the path routine alone.
 """
 
 from __future__ import annotations
@@ -331,13 +336,19 @@ def _farkas(R: np.ndarray, r: np.ndarray, y: np.ndarray) -> bool:
             and float(r @ y) > 1e-9 * total * float(np.max(np.abs(r))))
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last two axes swapped (a vector as it is)."""
+    return a if a.ndim < 2 else np.swapaxes(a, -1, -2)
+
+
 def _kkt(Q: np.ndarray, c: np.ndarray, R: np.ndarray, z: np.ndarray, lam: np.ndarray,
          slack: np.ndarray) -> dict[str, float | np.ndarray]:
     """Worst stationarity, feasibility and complementarity residuals of
     ``(z, lam)`` for the QP ``(Q, c, R, r)``, given the slack ``Rz - r``.  A
     stack of points, one per row of ``c``, ``z``, ``lam`` and ``slack``,
-    gives one residual per row."""
-    grad = (Q @ z.T).T + c - (R.T @ lam.T).T
+    gives one residual per row; a stack of such stacks, one per program of a
+    stack ``(Q, R)``, gives one row of residuals per program."""
+    grad = _t(Q @ _t(z)) + c - _t(_t(R) @ _t(lam))
     kkt = {
         "kkt_stationarity": np.max(np.abs(grad), axis=-1, initial=0.0),
         "kkt_feasibility": np.fmax(0.0, -np.min(slack, axis=-1, initial=0.0)),
@@ -386,29 +397,36 @@ def _kkt_factor(Q: np.ndarray, R: np.ndarray, active: np.ndarray) -> np.ndarray:
     return _pinv(_kkt_matrix(Q, R[active]))
 
 
-def _kkt_inverse(kkt: np.ndarray) -> np.ndarray:
-    """Inverse of a KKT equality matrix, or its pseudo-inverse (:func:`_pinv`)
-    when it is singular to working precision.
+def _kkt_inverse(kkt: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of KKT equality matrices, each the identity past
+    its leading ``size`` rows and columns, or, for one that is singular to
+    working precision, the pseudo-inverse of that leading block
+    (:func:`_pinv`) beside the identity.
 
-    The matrix is inverted with its rows and columns scaled by ``d_i = 1 /
-    sqrt(max_j |K_ij|)``, so that no entry exceeds 1 whatever the units of
-    the variables and rows; it counts as singular when it has a zero row,
-    when inversion fails, or when an entry of the scaled inverse exceeds
-    ``1e10`` (a lower bound of the scaled condition number within a factor
-    of its squared dimension; a matrix that is exactly singular gives about
-    ``1 / eps`` after roundoff).
+    The stack is inverted in one batch with each matrix's rows and columns
+    scaled by ``d_i = 1 / sqrt(max_j |K_ij|)``, so that no entry exceeds 1
+    whatever the units of the variables and rows.  A matrix counts as
+    singular when it has a zero row, when its inversion fails, or when an
+    entry of its scaled inverse exceeds ``1e10`` (a lower bound of the
+    scaled condition number within a factor of its squared dimension; a
+    matrix that is exactly singular gives about ``1 / eps`` after roundoff);
+    when the batch has such a matrix, each matrix is inverted alone.
     """
-    top = np.abs(kkt).max(axis=1)
+    top = np.abs(kkt).max(axis=2, initial=0.0)
     if top.all():
-        d = top**-0.5
-        scale = d[:, None] * d
+        scale = top**-0.5
+        scale = scale[:, :, None] * scale[:, None, :]
         try:
             inv = np.linalg.inv(kkt * scale)
         except np.linalg.LinAlgError:
-            return _pinv(kkt)
-        if np.abs(inv).max() <= 1e10:
+            inv = None
+        if inv is not None and np.abs(inv).max(initial=0.0) <= 1e10:
             return inv * scale
-    return _pinv(kkt)
+    if len(kkt) > 1:
+        return np.concatenate([_kkt_inverse(kkt[k : k + 1], size[k : k + 1]) for k in range(len(kkt))])
+    inv = np.eye(kkt.shape[1])[None]
+    inv[0, : size[0], : size[0]] = _pinv(kkt[0, : size[0], : size[0]])
+    return inv
 
 
 def _active_set_solve(pinv: np.ndarray, c: np.ndarray, r: np.ndarray,
@@ -430,53 +448,74 @@ def _active_set_solve(pinv: np.ndarray, c: np.ndarray, r: np.ndarray,
 
 def _unit_rows(R: np.ndarray) -> np.ndarray:
     """The variable each row of ``R`` fixes when binding, for a unit row (one
-    entry, equal to 1: a bound ``z_j >= r_i``), and -1 for every other row."""
+    entry, equal to 1: a bound ``z_j >= r_i``), and -1 for every other row;
+    one row of them per matrix of a stack."""
     nonzero = R != 0.0
-    var = np.argmax(nonzero, axis=1)
-    unit = (np.count_nonzero(nonzero, axis=1) == 1) & (R[np.arange(R.shape[0]), var] == 1.0)
+    var = np.argmax(nonzero, axis=-1)
+    unit = (np.count_nonzero(nonzero, axis=-1) == 1) & (np.take_along_axis(R, var[..., None], axis=-1)[..., 0] == 1.0)
     return np.where(unit, var, -1)
 
 
 def _segment_solve(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray, active: np.ndarray,
                    unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions of the KKT equality system of the rows ``active`` for a
-    stack of programs, as :func:`_active_set_solve` gives them, from the
-    reduced system, given the variables ``unit`` that the rows fix
-    (:func:`_unit_rows`).
+    """Solutions of the KKT equality systems of the rows ``active`` (a mask)
+    for a stack of QPs ``(Q[k], R[k])``, each with a stack of programs
+    ``(C[k], RHS[k])``, as :func:`_active_set_solve` gives them, from the
+    reduced systems, given the variables ``unit`` that the rows fix
+    (:func:`_unit_rows`).  Returns the points and the multipliers, one stack
+    per QP.
 
     A binding unit row fixes its variable at its right-hand side, so only
-    the free variables and the other rows of ``active`` enter the system,
-    whose matrix is inverted (:func:`_kkt_inverse`; the minimum-norm solution
-    when it is singular); a unit row's multiplier is then the gradient ``Qz
-    + c - R'lam`` of the other rows at its variable.  When two rows of the
-    set fix the same variable, the full system is solved.  Where other rows
-    of the set depend on each other only through fixed variables, the
+    the free variables and the other rows of the set enter a QP's system;
+    the systems of the stack are padded to one size and inverted in one
+    batch (:func:`_kkt_inverse`; the minimum-norm solution for one that is
+    singular), and a unit row's multiplier is then the gradient ``Qz + c -
+    R'lam`` of the other rows at its variable.  A QP whose set has two rows
+    fixing one variable is solved alone on its full system.  Where other
+    rows of a set depend on each other only through fixed variables, the
     multipliers are one valid split of the load, not the full system's
     minimum-norm one.
     """
-    fixes = unit[active]
-    bound = fixes >= 0
-    fixed, bounds, general = fixes[bound], active[bound], active[~bound]
-    m = Q.shape[0]
-    free = np.ones(m, dtype=bool)
-    free[fixed] = False
-    V = free.nonzero()[0]
-    v = V.size
-    if v + fixed.size > m:
-        return _active_set_solve(_kkt_factor(Q, R, active), C, RHS, active)
-    G = R[general]
-    z, lam = np.zeros(C.shape), np.zeros(RHS.shape)
-    z[:, fixed] = RHS[:, bounds]
-    lam_g = lam[:, general]
-    if v + general.size:
-        QV = Q[V]
-        rhs = np.concatenate([-C[:, V], RHS[:, general]], axis=1)
-        if z.any():
-            rhs -= z @ np.concatenate([QV, G]).T
-        sol = rhs @ _kkt_inverse(_kkt_matrix(QV[:, V], G[:, V])).T
-        z[:, V], lam_g = sol[:, :v], -sol[:, v:]
-        lam[:, general] = lam_g
-    lam[:, bounds] = (z @ Q + C - lam_g @ G)[:, fixed]
+    K, p, m = R.shape
+    k = np.arange(K)[:, None]
+    fold, bound = np.nonzero(active & (unit >= 0))
+    fixed = unit[fold, bound]
+    # each QP's slots: its free variables, then the other rows of its set
+    slots = np.concatenate([np.ones((K, m), dtype=bool), active & (unit < 0)], axis=1)
+    slots[fold, fixed] = False
+    twice = np.zeros(K, dtype=bool)
+    if fold.size + np.count_nonzero(slots[:, :m]) > K * m:
+        twice = np.bincount(fold, minlength=K) > m - np.count_nonzero(slots[:, :m], axis=1)
+        slots[twice] = False
+    size = np.count_nonzero(slots, axis=1)
+    S = int(size.max(initial=0))
+    idx = np.argsort(~slots, axis=1, kind="stable")[:, :S]
+    pad = np.arange(S) >= size[:, None]
+    idx[pad] = m + p
+    # each slot's row of Q or R, then its entries on the slots that are variables
+    is_var, is_row = idx < m, (idx >= m) & (idx < m + p)
+    W = Q[k, idx * is_var] * is_var[:, :, None] + R[k, (idx - m) * is_row] * is_row[:, :, None]
+    kkt = W[k[:, :, None], np.arange(S)[:, None], (idx * is_var)[:, None, :]] * is_var[:, None, :]
+    kkt += np.swapaxes(kkt * ~is_var[:, :, None], 1, 2)
+    kkt.reshape(K, -1)[:, :: S + 1] += pad
+    # the fixed variables at their right-hand sides, moved to the right (a
+    # padding slot reads the last row's, which its identity block keeps apart)
+    z = np.zeros(C.shape)
+    z[fold, :, fixed] = RHS[fold, :, bound]
+    rhs = np.swapaxes(np.concatenate([-C, RHS], axis=2), 1, 2)[k, np.minimum(idx, m + p - 1)]
+    if fold.size:
+        rhs -= W @ _t(z)
+    sol = _kkt_inverse(kkt, size) @ rhs if S else rhs
+    full = np.zeros((K, m + p + 1, C.shape[1]))
+    full[k, idx] = sol
+    z += _t(full[:, :m])
+    lam = -_t(full[:, m:-1])
+    # the other rows' multipliers are -sol on their slots, so their load on
+    # the variables is sol'W there
+    lam[fold, :, bound] = (z @ Q + C + _t(sol * is_row[:, :, None]) @ W)[fold, :, fixed]
+    for j in np.flatnonzero(twice):
+        rows = np.flatnonzero(active[j])
+        z[j], lam[j] = _active_set_solve(_kkt_factor(Q[j], R[j], rows), C[j], RHS[j], rows)
     return z, lam
 
 
@@ -657,13 +696,16 @@ def _qp_path(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray,
     return Z, LAM, info
 
 
-def _qp_homotopy(Q: np.ndarray, R: np.ndarray, r: np.ndarray, c0: np.ndarray, dc: np.ndarray,
-                 thetas: np.ndarray, theta0: float, active: Sequence[int],
-                 dr: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Solutions, multipliers and diagnostics of the QPs ``(Q, c0 + theta dc,
-    R, r + theta dr)`` at the non-increasing ``thetas``, walked down from
-    ``theta0``, where the rows ``active`` bind the solution; the same stacks
-    as :func:`_qp_path`.  ``dr`` defaults to 0.
+def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[np.ndarray],
+                 c0: Sequence[np.ndarray], dc: Sequence[np.ndarray], thetas: np.ndarray, theta0: Sequence[float],
+                 active: Sequence[Sequence[int]], dr: Optional[Sequence[np.ndarray]] = None,
+                 ) -> list[tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
+    """Solutions, multipliers and diagnostics of a stack of QP families
+    along one grid: for each program ``k``, the QPs ``(Q[k], c0[k] + theta
+    dc[k], R[k], r[k] + theta dr[k])`` at the non-increasing ``thetas``,
+    walked down from ``theta0[k]``, where the rows ``active[k]`` bind the
+    solution; one triple of :func:`_qp_path`'s stacks per program.  ``dr``
+    defaults to 0.
 
     On a fixed active set the solution and its multipliers are affine in
     ``theta``, so one solve of the set's KKT system for the two programs
@@ -685,6 +727,15 @@ def _qp_homotopy(Q: np.ndarray, R: np.ndarray, r: np.ndarray, c0: np.ndarray, dc
     breakpoint, or on a row whose multiplier is 0 all along) and is read as
     0.
 
+    The programs advance in lockstep, as the folds of a pathwise
+    cross-validation do (Friedman, Hastie & Tibshirani, 2010): each step
+    makes one segment for every program still walking, with one batched
+    segment solve, one stacked slack product and one ratio test, and the
+    rules below apply to each program alone.  Programs of unequal shape are
+    padded to one: an extra variable is decoupled (``Q_jj = 1``, no linear
+    term, no row entry), so it stays 0, and an extra row reads ``0 z >=
+    -1``, so it never binds; the padding is stripped from what is returned.
+
     Where ``dr`` moves rows, a row it moves that crosses within ``1e-9`` of
     the first crossing (relative to that ``theta``) is the one toggled
     there: a budget row's multiplier reaches 0 together with those of the
@@ -695,82 +746,133 @@ def _qp_homotopy(Q: np.ndarray, R: np.ndarray, r: np.ndarray, c0: np.ndarray, dc
     fit).  A walk that toggles a row back at the ``theta`` where it just
     toggled it has stalled on a degenerate point and stops there.
 
-    The filled points are certified in one stack under :func:`_qp_path`'s
-    acceptance rule (slack of every row outside the set ``>= -1e-12 (1 +
-    |r|)``, multipliers nonnegative, KKT residuals within ``1e-8 (1 +
-    rows)``).  From the first point that fails, or that the walk leaves
-    unfilled when it stalls or after ``4 (1 + rows)`` segments, the rest of
-    the grid is solved by :func:`_qp_path` with the set the walk reached
-    there as its first working set.  Filled points report no ridge and no
-    Lemke pivots.
+    The filled points of all programs are certified together under
+    :func:`_qp_path`'s acceptance rule (slack of every row outside the set
+    ``>= -1e-12 (1 + |r|)``, multipliers nonnegative, KKT residuals within
+    ``1e-8 (1 + rows)``): stationarity and complementarity as one stack over
+    the rows some set held (every other multiplier is 0), the slack of every
+    row one program at a time.  From a program's first point that fails, or that
+    its walk leaves unfilled when it stalls or after ``4 (1 + rows)``
+    segments, the rest of its grid is solved by :func:`_qp_path` on that
+    program alone, with the set its walk reached there as the first working
+    set.  Filled points report no ridge and no Lemke pivots.
     """
-    n, p = thetas.size, R.shape[0]
-    dr = np.zeros(p) if dr is None else dr
-    C, RHS = c0 + thetas[:, None] * dc, r + thetas[:, None] * dr
-    Z, LAM = np.zeros((n, Q.shape[0])), np.zeros((n, p))
-    in_set = np.zeros((n, p), dtype=bool)
-    info = {key: np.zeros(n) for key in PATH_DIAGNOSTICS}
-    if n == 0:
-        return Z, LAM, info
-    rows = np.zeros(p, dtype=bool)
-    rows[np.asarray(active, dtype=int)] = True
-    unit, moving = _unit_rows(R), np.flatnonzero(dr)
-    release = moving.size > 0 and not dc.any() and bool(np.all(dr[moving] > 0.0))
-    toggled = np.full(p, np.nan)
-    theta, end, i = float(theta0), float(thetas[-1]), 0
-    # the solution at theta = 0 and its direction, as one two-program stack
-    terms, rhs = np.stack([c0, dc]), np.stack([r, dr])
-
-    def fill(stop: int, t: np.ndarray) -> None:
-        Z[i:stop] = za + t * zb
-        step = t * lb
-        lam = la + step
-        floor = -1e-12 * (np.abs(la) + np.abs(step)).max(axis=1, keepdims=True)
-        LAM[i:stop] = np.maximum(lam, 0.0, out=lam, where=lam >= floor)
-        in_set[i:stop] = rows
-
-    for _ in range(4 * (1 + p)):
-        (za, zb), (la, lb) = sol, mult = _segment_solve(Q, R, terms, rhs, rows.nonzero()[0], unit)
-        # the values that must stay nonnegative: multipliers in the set, slacks outside
-        va, vb = values = sol @ R.T - rhs
-        values[:, rows] = mult[:, rows]
-        crossing = va + end * vb < 0.0
-        ahead = crossing & (va + theta * vb > 0.0)
-        at = np.where(crossing, theta, -np.inf)
-        np.divide(-va, vb, out=at, where=ahead)  # vb != 0: the value changes sign between theta and end
-        row = int(at.argmax())
-        cross = float(at[row])
-        if moving.size:
-            tied = moving[at[moving] >= cross - 1e-9 * abs(cross)]
-            row = int(tied[0]) if tied.size else row
-        stop = i + np.count_nonzero(thetas[i:] >= cross)
-        if stop > i:
-            fill(stop, thetas[i:stop, None])
-            i = stop
-            if i == n:
-                break
-        if toggled[row] == cross:
-            break  # the row toggles back where it just toggled: the walk stalls
-        toggled[row], rows[row], theta = cross, ~rows[row], cross
-        if release and not rows[moving].any():
-            la[row] = lb[row] = 0.0
-            fill(n, np.full((n - i, 1), theta))
-            i = n
+    K, n = len(Q), thetas.size
+    m_k, p_k = [q.shape[0] for q in Q], [a.shape[0] for a in R]
+    if K == 0 or n == 0:
+        return [(np.zeros((n, m)), np.zeros((n, p)), {key: np.zeros(n) for key in PATH_DIAGNOSTICS})
+                for m, p in zip(m_k, p_k)]
+    m, p = max(m_k), max(p_k)
+    # the padded stack, with the programs (c0, r) and (dc, dr) of each
+    Qs, Rs, terms, rhs = np.zeros((K, m, m)), np.zeros((K, p, m)), np.zeros((K, 2, m)), np.zeros((K, 2, p))
+    Qs[:, np.arange(m), np.arange(m)], rhs[:, 0] = 1.0, -1.0
+    rows = np.zeros((K, p), dtype=bool)
+    for k, (mk, pk) in enumerate(zip(m_k, p_k)):
+        Qs[k, :mk, :mk], Rs[k, :pk, :mk], terms[k, :, :mk], rhs[k, 0, :pk] = Q[k], R[k], (c0[k], dc[k]), r[k]
+        if dr is not None:
+            rhs[k, 1, :pk] = dr[k]
+        rows[k, np.asarray(active[k], dtype=int)] = True
+    unit, moving = _unit_rows(Rs), rhs[:, 1] != 0.0
+    release = (moving.any(axis=1) & ~terms[:, 1].any(axis=1) & np.all(rhs[:, 1] >= 0.0, axis=1)).tolist()
+    toggled, theta, down, i = np.full((K, p), np.nan), np.array(theta0, dtype=float), -thetas, [0] * K
+    # each step's segments, one per walking program: the two solution
+    # stacks, the set, and the theta a released fit is read at (NaN: the
+    # grid point's); and the grid points each segment fills
+    segments, fills, count = [], [], 0
+    walking, live = list(range(K)), None
+    for step in range(4 * (1 + p)):
+        walking = [k for k in walking if step < 4 * (1 + p_k[k])]
+        if not walking:
             break
-    slack = (R @ Z[:i].T).T - RHS[:i]
-    kkt = _kkt(Q, C[:i], R, Z[:i], LAM[:i], slack)
-    ok = np.all((slack >= -1e-12 * (1.0 + np.abs(RHS[:i]))) | in_set[:i], axis=1) & np.all(LAM[:i] >= 0.0, axis=1)
-    for value in kkt.values():
-        ok &= value <= 1e-8 * (1.0 + p)
-    kept = i if ok.all() else int(np.argmin(ok))
-    for key, value in kkt.items():
-        info[key][:kept] = value[:kept]
-    if kept < n:
-        work = np.flatnonzero(in_set[kept] if kept < i else rows)
-        Z[kept:], LAM[kept:], rest = _qp_path(Q, R, C[kept:], RHS[kept:], work)
-        for key, value in rest.items():
-            info[key][kept:] = value
-    return Z, LAM, info
+        if walking != live:
+            # the stacks of the walking programs, taken once per change of the set
+            live, w = walking, slice(None) if len(walking) == K else np.array(walking)
+            Q_w, R_w, terms_w, rhs_w, unit_w = Qs[w], Rs[w], terms[w], rhs[w], unit[w]
+        in_set = rows[w].copy()
+        sol, mult = _segment_solve(Q_w, R_w, terms_w, rhs_w, in_set, unit_w)
+        segments.append((sol, mult, in_set, np.full(len(walking), np.nan)))
+        first, count = count, count + len(walking)
+        # the values that must stay nonnegative: multipliers in the set, slacks outside
+        values = np.where(in_set[:, None], mult, sol @ _t(R_w) - rhs_w)
+        va, vb, start = values[:, 0], values[:, 1], theta[w][:, None]
+        crossing = va + thetas[-1] * vb < 0.0
+        ahead = crossing & (va + start * vb > 0.0)
+        at = np.where(crossing, start, -np.inf)
+        np.divide(-va, vb, out=at, where=ahead)  # vb != 0: the value changes sign between theta and the end
+        row = at.argmax(axis=1)
+        cross = at[np.arange(len(walking)), row]
+        if moving.any():
+            tied = moving[w] & (at >= (cross - 1e-9 * np.abs(cross))[:, None])
+            row = np.where(tied.any(axis=1), tied.argmax(axis=1), row)
+        stop = np.searchsorted(down, -cross, side="right")  # the grid points at or above cross
+        still = []
+        for j, (k, row_k, cross_k, stop_k) in enumerate(zip(walking, row.tolist(), cross.tolist(), stop.tolist())):
+            stop_k = max(i[k], stop_k)
+            fills.append((k, i[k], stop_k, first + j))
+            i[k] = stop_k
+            if stop_k == n or toggled[k, row_k] == cross_k:
+                continue  # the grid is filled, or the row toggles back where it just toggled: a stall
+            toggled[k, row_k], rows[k, row_k], theta[k] = cross_k, not rows[k, row_k], cross_k
+            if release[k] and not np.any(rows[k] & moving[k]):
+                # released: the point reached, at every theta left
+                last = mult[j].copy()
+                last[:, row_k] = 0.0
+                segments.append((sol[j : j + 1], last[None], rows[k : k + 1].copy(), np.array([cross_k])))
+                fills.append((k, stop_k, n, count))
+                count, i[k] = count + 1, n
+                continue
+            still.append(k)
+        walking = still
+    sol, mult, in_set, at = (np.concatenate(parts) for parts in zip(*segments))
+    seg = np.zeros((K, n), dtype=int)
+    for k, begin, stop, index in fills:
+        seg[k, begin:stop] = index
+    filled = np.arange(n) < np.array(i)[:, None]
+    # every multiplier off the rows that some set held is 0
+    held = np.flatnonzero(in_set.any(axis=0))
+    t = np.where(np.isnan(at[seg]), thetas, at[seg])[:, :, None]
+    Z = np.where(filled[:, :, None], sol[seg, 0] + t * sol[seg, 1], 0.0)
+    mult = mult[:, :, held]
+    LAM, step = mult[seg, 0], mult[seg, 1]
+    step *= t
+    floor = np.abs(LAM)
+    floor += np.abs(step)
+    floor = -1e-12 * floor.max(axis=2, keepdims=True, initial=0.0)
+    LAM += step
+    np.maximum(LAM, 0.0, out=LAM, where=LAM >= floor)
+    LAM *= filled[:, :, None]
+    # the certificate: stationarity and complementarity in one stack over the
+    # held rows, then feasibility over every row, one program at a time
+    C = terms[:, None, 0] + thetas[:, None] * terms[:, None, 1]
+    RHS = rhs[:, None, 0, held] + thetas[:, None] * rhs[:, None, 1, held]
+    kkt = _kkt(Qs, C, Rs[:, held], Z, LAM, Z @ _t(Rs[:, held]) - RHS)
+    bound = 1e-8 * (1.0 + np.array(p_k))
+    ok = np.all(LAM >= 0.0, axis=2) & (kkt["kkt_stationarity"] <= bound[:, None])
+    ok &= kkt["kkt_complementarity"] <= bound[:, None]
+    in_held = in_set[:, held][seg]
+    out = []
+    for k, (mk, pk) in enumerate(zip(m_k, p_k)):
+        on = held < pk
+        RHS = rhs[k, 0, :pk] + thetas[:, None] * rhs[k, 1, :pk]
+        slack = Z[k, :, :mk] @ R[k].T - RHS
+        passes = slack >= -1e-12 * (1.0 + np.abs(RHS))
+        passes[:, held[on]] |= in_held[k][:, on]
+        kkt["kkt_feasibility"][k] = np.fmax(0.0, -np.min(slack, axis=1, initial=0.0))
+        fails = filled[k] & ~(ok[k] & passes.all(axis=1) & (kkt["kkt_feasibility"][k] <= bound[k]))
+        j = int(fails.argmax()) if fails.any() else i[k]
+        Zk, LAMk = Z[k, :, :mk], np.zeros((n, pk))
+        LAMk[:, held[on]] = LAM[k][:, on]
+        info = {key: np.zeros(n) for key in PATH_DIAGNOSTICS}
+        for key, value in kkt.items():
+            info[key][:j] = value[k, :j]
+        if j < n:
+            work = np.flatnonzero((in_set[seg[k, j]] if j < i[k] else rows[k])[:pk])
+            Zk[j:], LAMk[j:], rest = _qp_path(Q[k], R[k], terms[k, 0, :mk] + thetas[j:, None] * terms[k, 1, :mk],
+                                              rhs[k, 0, :pk] + thetas[j:, None] * rhs[k, 1, :pk], work)
+            for key, value in rest.items():
+                info[key][j:] = value
+        out.append((Zk, LAMk, info))
+    return out
 
 
 def solve_qp(qp: Qp) -> np.ndarray:

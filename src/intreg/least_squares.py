@@ -20,7 +20,7 @@ presolved before either: they pin the coefficients they touch to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,55 +102,80 @@ def _snap_zeros(a: np.ndarray) -> np.ndarray:
     return np.where(np.abs(a) <= tol, 0.0, a)
 
 
-def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float,
-              lemke: bool = False) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Spread-block solutions and QP diagnostics along a penalty grid, as
-    stacks with one row (one diagnostics entry) per penalty.
+def _spr_paths(designs: Sequence[DesignSystem], lambdas: Iterable[float],
+               tau: float, lemke: bool = False) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
+    """Spread-block solutions and QP diagnostics of each design along one
+    penalty grid, as stacks with one row (one diagnostics entry) per
+    penalty, one pair of stacks per design.
 
     The penalty enters the QP's linear term alone, ``2 tau (lam - g)`` with
     ``g = F_s' v_s``, so the grid is one QP family.  At and above the zeroing
-    penalty ``max(0, max_j g_j)`` the solution is 0 with every bound row
-    binding, and below it the solution is piecewise affine in the penalty:
-    the grid, in any order, is walked down from there as that exact homotopy
-    (:func:`intreg.lcp._qp_homotopy`), with Lemke only where a point fails
-    its certificate.  ``lemke=True`` solves the grid by the working-set
-    Lemke path instead (:func:`intreg.lcp._qp_path`), as single fits are.
+    penalty ``lam0 = max(0, max_j g_j)`` the solution is 0 with every bound
+    row binding, with multipliers ``2 tau (lam - g) >= 0``, and KKT residuals
+    exactly 0.  Below it the solution is piecewise affine in the penalty:
+    the grid, in any order, is walked down from ``lam0`` as that exact
+    homotopy, the designs' walks in lockstep (:func:`intreg.lcp._qp_homotopy`),
+    with Lemke only where a point fails its certificate; the points at and
+    above ``lam0`` are read off the first segment, on which every bound
+    binds.  ``lemke=True`` solves the points below ``lam0`` by the
+    working-set Lemke path instead (:func:`intreg.lcp._qp_path`), as single
+    fits are, and returns the others in closed form, with no ridge and no
+    pivots, as the walk does.
 
     Rows of observed spread 0 are forcing constraints, presolved first: such
     a row reads ``g_i a <= 0`` with ``g_i, a >= 0``, so it pins every ``a_j``
     with ``g_ij > 0`` to exactly 0, and the program without those columns,
-    their bound rows and these rows is solved.  Its diagnostics certify the
-    full one: pinned coefficients are exact zeros, these rows have slack
-    exactly 0, and as each pinned ``j`` has some ``g_ij > 0``, multipliers
-    on these rows that make every pinned bound's multiplier nonnegative exist.
+    their bound rows and these rows is solved (``g`` and ``lam0`` are those
+    of this program).  Its diagnostics certify the full one: pinned
+    coefficients are exact zeros, these rows have slack exactly 0, and as
+    each pinned ``j`` has some ``g_ij > 0``, multipliers on these rows that
+    make every pinned bound's multiplier nonnegative exist.
     """
     lambdas = np.fromiter(lambdas, dtype=float)
     if not np.all((lambdas >= 0.0) & (lambdas < np.inf)):
         raise ValueError("the penalty must be finite and nonnegative")
-    qp = spread_qp(design, tau)
-    w = design.block_width
-    forcing = np.concatenate([np.zeros(w, dtype=bool), qp.r[w:] == 0.0])
-    free = ~np.any(qp.R[forcing] < 0.0, axis=0)  # the spread rows are -g
-    rows = ~forcing & np.concatenate([free, np.ones(design.n, dtype=bool)])
-    Q = qp.Q[np.ix_(free, free)]
-    A = np.zeros((lambdas.size, w))
-    if float(np.trace(Q)) == 0.0:
-        # no spread signal left: the objective is constant (or linear with
-        # nonnegative slope) over the cone, and zero is always feasible
-        return A, {key: np.zeros(lambdas.size) for key in PATH_DIAGNOSTICS}
-    g = (design.fs.T @ design.vs)[free]
-    R, r = qp.R[np.ix_(rows, free)], qp.r[rows]
-    if lemke:
-        A[:, free], _, info = _qp_path(Q, R, _spread_linear(tau, lambdas[:, None], g),
-                                       np.tile(r, (lambdas.size, 1)))
-    else:
+    fits, walks = [], []
+    for design in designs:
+        qp = spread_qp(design, tau)
+        w = design.block_width
+        forcing = np.concatenate([np.zeros(w, dtype=bool), qp.r[w:] == 0.0])
+        free = ~np.any(qp.R[forcing] < 0.0, axis=0)  # the spread rows are -g
+        rows = ~forcing & np.concatenate([free, np.ones(design.n, dtype=bool)])
+        Q = qp.Q[np.ix_(free, free)]
+        A = np.zeros((lambdas.size, w))
+        info = {key: np.zeros(lambdas.size) for key in PATH_DIAGNOSTICS}
+        fits.append((A, info))
+        if float(np.trace(Q)) == 0.0:
+            # no spread signal left: the objective is constant (or linear with
+            # nonnegative slope) over the cone, and zero is always feasible
+            continue
+        g = (design.fs.T @ design.vs)[free]
+        R, r, lam0 = qp.R[np.ix_(rows, free)], qp.r[rows], max(0.0, float(np.max(g)))
+        if not lemke:
+            walks.append((A, info, free, Q, R, r, g, lam0))
+            continue
+        below = lambdas < lam0
+        A[np.ix_(below, free)], _, part = _qp_path(Q, R, _spread_linear(tau, lambdas[below, None], g),
+                                                   np.tile(r, (np.count_nonzero(below), 1)))
+        for key, value in part.items():
+            info[key][below] = value
+    if walks:
         # the bound rows of the free columns come first and bind at the top
         order = np.argsort(-lambdas, kind="stable")
-        Z, _, info = _qp_homotopy(Q, R, r, -2.0 * tau * g, np.full(g.size, 2.0 * tau), lambdas[order],
-                                  max(0.0, float(np.max(g))), np.arange(g.size))
+        A, info, free, Q, R, r, g, lam0 = zip(*walks)
+        paths = _qp_homotopy(Q, R, r, [-2.0 * tau * x for x in g], [np.full(x.size, 2.0 * tau) for x in g],
+                             lambdas[order], lam0, [np.arange(x.size) for x in g])
         back = np.argsort(order)
-        A[:, free], info = Z[back], {key: value[back] for key, value in info.items()}
-    return np.maximum(_snap_zeros(A), 0.0), info
+        for a, part, cols, (Z, _, walked) in zip(A, info, free, paths):
+            a[:, cols] = Z[back]
+            part.update({key: value[back] for key, value in walked.items()})
+    return [(np.maximum(_snap_zeros(A), 0.0), info) for A, info in fits]
+
+
+def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float,
+              lemke: bool = False) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The one-design stack of :func:`_spr_paths`."""
+    return _spr_paths([design], lambdas, tau, lemke)[0]
 
 
 def solve_spread_block(design: DesignSystem, tau: float, lam: float = 0.0) -> tuple[np.ndarray, dict]:

@@ -128,34 +128,41 @@ def corrupt_continuation_steps(monkeypatch, corrupt):
 
 def record_homotopies(monkeypatch):
     """Patch the spread path's homotopy to record the grid it walks and the
-    penalty it starts from, as ``(thetas, theta0)`` per walk."""
+    penalty it starts from, as ``(thetas, theta0)`` per walked program (per
+    fold of a cross-validation, whose folds walk in one call)."""
     walks = []
     homotopy = intreg.least_squares._qp_homotopy
 
     def record(Q, R, r, c0, dc, thetas, theta0, active):
-        walks.append((thetas.copy(), theta0))
+        walks.extend((thetas.copy(), start) for start in theta0)
         return homotopy(Q, R, r, c0, dc, thetas, theta0, active)
 
     monkeypatch.setattr(intreg.least_squares, "_qp_homotopy", record)
     return walks
 
 
+def walk_alone(Q, R, r, c0, dc, thetas, theta0, active, dr=None):
+    """``lcp._qp_homotopy`` on the one-program stack: the program's stacks."""
+    return intreg.lcp._qp_homotopy([Q], [R], [r], [c0], [dc], thetas, [theta0], [active],
+                                   None if dr is None else [dr])[0]
+
+
 def corrupt_homotopy_segments(monkeypatch, corrupt, first):
-    """Make the segment solves of ``lcp._qp_homotopy`` (``lcp._segment_solve``),
-    from its ``first`` one on (counting from 0), propose wrong points: their
-    primal points shifted (``corrupt="primal"``) or their multipliers negated
+    """Make the segments of ``lcp._qp_homotopy`` (solved by
+    ``lcp._segment_solve``, one per walking program in each call), from its
+    ``first`` one on (counting from 0), propose wrong points: their primal
+    points shifted (``corrupt="primal"``) or their multipliers negated
     (``"multipliers"``).  The solves of ``lcp._qp_path`` are left alone."""
     solve = intreg.lcp._segment_solve
     segments = []
 
     def segment(*args):
         z, lam = solve(*args)
-        segments.append(1)
-        if len(segments) <= first:
-            return z, lam
+        bad = (len(segments) + np.arange(len(z)) >= first)[:, None, None]
+        segments.extend([1] * len(z))
         if corrupt == "primal":
-            return z + 1e-3 * (1.0 + np.max(np.abs(z))), lam
-        return z, -lam
+            return np.where(bad, z + 1e-3 * (1.0 + np.max(np.abs(z), axis=(1, 2), keepdims=True)), z), lam
+        return z, np.where(bad, -lam, lam)
 
     monkeypatch.setattr(intreg.lcp, "_segment_solve", segment)
 

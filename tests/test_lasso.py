@@ -545,7 +545,9 @@ class TestPathwiseCrossValidation:
         calls = record_qp_solves(monkeypatch)
         segments = []
         solve = intreg.lcp._segment_solve
-        monkeypatch.setattr(intreg.lcp, "_segment_solve", lambda *args: segments.append(1) or solve(*args))
+        # one segment per walking fold of each batched solve
+        monkeypatch.setattr(intreg.lcp, "_segment_solve", lambda *args: segments.extend([1] * len(args[0]))
+                            or solve(*args))
         cross_validate(d, 0.5, folds=5, seed=0, blocks=("spr",), count=100)
         assert calls == []
         assert 5 <= len(segments) <= 5 * 20
@@ -731,7 +733,7 @@ def per_point_cv_errors(design, tau, folds, seed, fit_grid):
         test = sample.subset(held)
         mid_side, spr_side = regressor_blocks(test, design.variant)
         row = []
-        for a_m, a_s in zip(*fit_grid(train)):
+        for a_m, a_s in zip(*fit_grid([train])[0]):
             mid_hat = mid_side @ a_m + train.mean_y.mid - float(train.mean_mid_xebl @ a_m)
             spr_hat = spr_side @ a_s + train.mean_y.spr - float(train.mean_spr_xebl @ a_s)
             row.append(_msd_arrays(test.mid_y - mid_hat, test.spr_y - spr_hat, tau))

@@ -262,7 +262,7 @@ class TestBudgetPath:
         # that select_budget walks
         calls, solves = record_lemke_dims(monkeypatch), []
         solve = lcp._solve_qp_full
-        monkeypatch.setattr(lasso_ir, "_budget_path", functools.partial(_budget_path, lemke=True))
+        monkeypatch.setattr(lasso_ir, "_budget_paths", functools.partial(lasso_ir._budget_paths, lemke=True))
 
         def record(Q, c, R, r, work=(), factor=None):
             before = len(calls)

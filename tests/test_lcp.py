@@ -18,7 +18,7 @@ from intreg.lasso import fit_lasso_spr
 from intreg.lcp import RAY_TERMINATION, SOLVED, LcpSolution
 
 from conftest import (lemke_bases, point_info, random_feasible_qp, record_lemke_dims, record_qp_solves,
-                      split_model_sample)
+                      split_model_sample, walk_alone)
 from oracle import brute_force_qp
 
 
@@ -657,7 +657,7 @@ class TestQpPath:
         monkeypatch.setattr(lasso_ir, "_qp_path", new_path)
         monkeypatch.setattr(lcp, "_solve_qp_full", record)
         monkeypatch.setattr(lcp, "_active_set_solve", solved)
-        monkeypatch.setattr(lasso_ir, "_budget_path", functools.partial(lasso_ir._budget_path, lemke=True))
+        monkeypatch.setattr(lasso_ir, "_budget_paths", functools.partial(lasso_ir._budget_paths, lemke=True))
         lasso_ir.select_budget(design, 0.5)
         assert sum(len(walk["works"]) > 1 for walk in paths) > 1
         assert sum(walk["start"].size > 0 for walk in paths) > 1
@@ -764,7 +764,7 @@ class TestQpHomotopy:
             qp, dc = random_feasible_qp(rng, 4, 40), rng.normal(size=4)
             start = one_point_path(Qp(qp.Q, qp.c + 3.5 * dc, qp.R, qp.r))[1]
             calls = record_qp_solves(monkeypatch)
-            Z, LAM, info = lcp._qp_homotopy(qp.Q, qp.R, qp.r, qp.c, dc, thetas, 3.5, lcp._active_rows(start)[0])
+            Z, LAM, info = walk_alone(qp.Q, qp.R, qp.r, qp.c, dc, thetas, 3.5, lcp._active_rows(start)[0])
             assert calls == []
             monkeypatch.undo()
             for z, lam, theta in zip(Z, LAM, thetas):
@@ -796,7 +796,7 @@ class TestQpHomotopy:
     def test_two_row_tie_certifies(self, tie, monkeypatch):
         R, r, g, thetas, theta0, z_want, lam_want = TIES[tie]
         calls = record_qp_solves(monkeypatch)
-        Z, LAM, info = lcp._qp_homotopy(np.eye(2), R, r, -g, np.ones(2), thetas, theta0, np.arange(2))
+        Z, LAM, info = walk_alone(np.eye(2), R, r, -g, np.ones(2), thetas, theta0, np.arange(2))
         assert calls == []
         assert Z == pytest.approx(np.array(z_want), abs=1e-15)
         assert LAM == pytest.approx(np.array(lam_want), abs=1e-15)
@@ -817,7 +817,7 @@ class TestQpHomotopy:
                 lasso_ir._budget_path(design, 0.5, lasso_ir.default_budget_grid(design))
                 lasso_ir.select_budget(design, 0.5)
             for R, r, g, thetas, theta0, _, _ in TIES.values():
-                lcp._qp_homotopy(np.eye(2), R, r, -g, np.ones(2), thetas, theta0, np.arange(2))
+                walk_alone(np.eye(2), R, r, -g, np.ones(2), thetas, theta0, np.arange(2))
 
 
     def test_stalled_walk_falls_back_within_a_few_segments(self, monkeypatch):
@@ -833,19 +833,166 @@ class TestQpHomotopy:
         homotopy = lasso_ir._qp_homotopy
         monkeypatch.setattr(lasso_ir, "_qp_homotopy", lambda *args: walks.append(args) or homotopy(*args))
         lasso_ir._budget_path(design, 0.5, lasso_ir.default_budget_grid(design))
-        Q, R, r, c, dc, thetas, theta0, start, dr = walks[0]
+        (Q,), (R,), (r,), (c,), (dc,), thetas, (theta0,), (start,), (dr,) = walks[0]
         segments = []
         solve = lcp._segment_solve
         monkeypatch.setattr(lcp, "_segment_solve", lambda *args: segments.append(1) or solve(*args))
-        Z, _, _ = lcp._qp_homotopy(Q, R, r, c, dc, thetas, theta0, start, dr)
+        Z, _, _ = walk_alone(Q, R, r, c, dc, thetas, theta0, start, dr)
         released = len(segments)
         segments.clear()
         calls = record_qp_solves(monkeypatch)
-        Z_tiny, _, info = lcp._qp_homotopy(Q, R, r, c, np.full(c.size, 1e-300), thetas, theta0, start, dr)
+        Z_tiny, _, info = walk_alone(Q, R, r, c, np.full(c.size, 1e-300), thetas, theta0, start, dr)
         assert len(segments) <= released + 4
         assert len(calls) <= 1
         assert np.max(np.abs(Z_tiny - Z)) <= 1e-10 * np.max(np.abs(Z))
         assert max(np.max(info[key]) for key in info if key.startswith("kkt_")) <= 1e-8 * (1 + R.shape[0])
+
+
+def fold_designs(sample, variant="full"):
+    """The training designs of the five folds cross-validation makes at seed 0."""
+    n = sample.n
+    return [build_design(sample.subset(np.setdiff1d(np.arange(n), held)), variant)
+            for held in np.array_split(np.random.default_rng(0).permutation(n), 5)]
+
+
+def recorded_walks(monkeypatch, module, run):
+    """The arguments of each call ``run`` makes to ``module``'s homotopy."""
+    walks, homotopy = [], module._qp_homotopy
+    monkeypatch.setattr(module, "_qp_homotopy", lambda *args: walks.append(args) or homotopy(*args))
+    run()
+    monkeypatch.undo()
+    return walks
+
+
+def segment_counter(monkeypatch, shifted=None, first=0):
+    """Patch ``lcp._segment_solve`` to count the segments of each walked
+    program, known by its Hessian (the leading block of a padded one); with
+    ``shifted``, a Hessian, shift that program's primal points from its
+    ``first`` segment on (counting from 0).  Returns the count function."""
+    stacks, solve = [], lcp._segment_solve
+
+    def made(Q):
+        return sum(any(np.array_equal(S[: Q.shape[0], : Q.shape[0]], Q) for S in stack) for stack in stacks)
+
+    def segment(*args):
+        z, lam = solve(*args)
+        stacks.append(args[0].copy())
+        if shifted is not None and made(shifted) > first:
+            for j, S in enumerate(args[0]):
+                if np.array_equal(S[: shifted.shape[0], : shifted.shape[0]], shifted):
+                    z[j] += 1e-3 * (1.0 + np.max(np.abs(z[j])))
+        return z, lam
+
+    monkeypatch.setattr(lcp, "_segment_solve", segment)
+    return made
+
+
+class TestLockstepWalk:
+    """The folds walked in lockstep, padded to one shape, give what each fold
+    walked alone (a one-program stack) gives: the same points to 1e-12
+    relative, the same zero pattern and the same segments."""
+
+    @staticmethod
+    def assert_lockstep_equals_alone(monkeypatch, args, shifted=None):
+        Q, R, r, c0, dc, thetas, theta0, active, *dr = args
+        dr = dr[0] if dr else None
+        made = segment_counter(monkeypatch, shifted, first=2)
+        together = lcp._qp_homotopy(*args)
+        counts = [made(q) for q in Q]
+        monkeypatch.undo()
+        assert len(together) == len(Q) > 1
+        for k, (Z, LAM, info) in enumerate(together):
+            made = segment_counter(monkeypatch, shifted if shifted is Q[k] else None, first=2)
+            Z_alone, LAM_alone, info_alone = walk_alone(Q[k], R[k], r[k], c0[k], dc[k], thetas, theta0[k], active[k],
+                                                        None if dr is None else dr[k])
+            assert made(Q[k]) == counts[k] > 0, k
+            monkeypatch.undo()
+            assert Z.shape == Z_alone.shape and LAM.shape == LAM_alone.shape
+            assert np.array_equal(Z == 0.0, Z_alone == 0.0), k
+            assert np.max(np.abs(Z - Z_alone)) <= 1e-12 * np.max(np.abs(Z_alone)), k
+            assert np.array_equal(info["lemke_pivots"] > 0, info_alone["lemke_pivots"] > 0), k
+        return together
+
+    @pytest.mark.parametrize("n", [100, 101])
+    @pytest.mark.parametrize("path", ["spread", "budget"])
+    def test_folds_of_unequal_size(self, n, path, monkeypatch):
+        # 101 rows leave one fold's training set a row larger
+        designs = fold_designs(split_model_sample(1, n))
+        if path == "spread":
+            grid = np.append(lasso.lambda_grid(build_design(split_model_sample(1, n), "full"), 100, 1e-3, "spr"), 0.0)
+            (args,) = recorded_walks(monkeypatch, least_squares,
+                                     lambda: least_squares._spr_paths(designs, grid, 0.5))
+        else:
+            grid = lasso_ir.default_budget_grid(build_design(split_model_sample(1, n), "full"))
+            (args,) = recorded_walks(monkeypatch, lasso_ir, lambda: lasso_ir._budget_paths(designs, 0.5, grid))
+        assert len({R.shape[0] for R in args[1]}) == (2 if n == 101 else 1)
+        self.assert_lockstep_equals_alone(monkeypatch, args)
+
+    def test_presolve_pads_columns(self, monkeypatch):
+        # the four folds that train on the row of spread 0 lose the columns
+        # it pins; the fold that holds it out keeps them
+        s = split_model_sample(1, 100)
+        spr_y, mid_x, spr_x = s.spr_y.copy(), s.mid_x.copy(), s.spr_x.copy()
+        spr_y[7] = mid_x[7, 2] = spr_x[7, 2] = 0.0
+        sample = intreg.IntervalSample(s.mid_y, spr_y, mid_x, spr_x)
+        designs = fold_designs(sample)
+        grid = np.append(lasso.lambda_grid(build_design(sample, "full"), 100, 1e-3, "spr"), 0.0)
+        (args,) = recorded_walks(monkeypatch, least_squares, lambda: least_squares._spr_paths(designs, grid, 0.5))
+        assert len({Q.shape[0] for Q in args[0]}) > 1
+        self.assert_lockstep_equals_alone(monkeypatch, args)
+
+    def test_singular_reduced_system(self, monkeypatch):
+        # a repeated spread column: the free columns' Hessian is singular, and
+        # each fold takes the pseudo-inverse of its own system where it would
+        # alone, while the others keep the inverse
+        designs = fold_designs(duplicate_column_sample())
+        grid = np.append(lasso.lambda_grid(build_design(duplicate_column_sample(), "full"), 100, 1e-3, "spr"), 0.0)
+        (args,) = recorded_walks(monkeypatch, least_squares, lambda: least_squares._spr_paths(designs, grid, 0.5))
+        Q, R, r, c0, dc, thetas, theta0, active = args
+        pinvs, pinv = [], lcp._pinv
+        monkeypatch.setattr(lcp, "_pinv", lambda kkt: pinvs.append(kkt.shape) or pinv(kkt))
+        lcp._qp_homotopy(*args)
+        together, pinvs[:] = sorted(pinvs), []
+        for k in range(len(Q)):
+            walk_alone(Q[k], R[k], r[k], c0[k], dc[k], thetas, theta0[k], active[k])
+        assert together and together == sorted(pinvs)
+        monkeypatch.undo()
+        self.assert_lockstep_equals_alone(monkeypatch, args)
+
+    @pytest.mark.parametrize("path", ["spread", "budget"])
+    def test_one_fold_falls_back_alone(self, path, monkeypatch):
+        # the third fold's segments propose wrong points from its third one
+        # on: it falls back to the Lemke path, the other folds walk on
+        designs = fold_designs(split_model_sample(2, 100))
+        d = build_design(split_model_sample(2, 100), "full")
+        if path == "spread":
+            grid = np.append(lasso.lambda_grid(d, 100, 1e-3, "spr"), 0.0)
+            (args,) = recorded_walks(monkeypatch, least_squares, lambda: least_squares._spr_paths(designs, grid, 0.5))
+        else:
+            grid = lasso_ir.default_budget_grid(d)
+            (args,) = recorded_walks(monkeypatch, lasso_ir, lambda: lasso_ir._budget_paths(designs, 0.5, grid))
+        together = self.assert_lockstep_equals_alone(monkeypatch, args, shifted=args[0][2])
+        fell_back = [bool(info["lemke_pivots"].any()) for _, _, info in together]
+        assert fell_back == [False, False, True, False, False]
+
+    def test_budget_fold_with_no_negative_gradient(self, monkeypatch):
+        # constant spreads leave no offset gradient negative: that design is
+        # not walked, and its neighbours in the stack walk as they would alone
+        rng = np.random.default_rng(3)
+        mid_x = rng.normal(size=(40, 1))
+        flat = build_design(intreg.IntervalSample(2.0 * mid_x[:, 0] + rng.normal(0.0, 0.1, 40), np.ones(40), mid_x,
+                                                  np.full((40, 1), 0.5)), "model-m")
+        designs = [flat, *fold_designs(split_model_sample(1, 60), "model-m")[:2]]
+        grid = lasso_ir.default_budget_grid(designs[1])
+        walks = recorded_walks(monkeypatch, lasso_ir, lambda: lasso_ir._budget_paths(designs, 0.5, grid))
+        assert [len(args[0]) for args in walks] == [2]
+        self.assert_lockstep_equals_alone(monkeypatch, walks[0])
+        for design, (A_m, A_a, info) in zip(designs, lasso_ir._budget_paths(designs, 0.5, grid)):
+            alone = lasso_ir._budget_path(design, 0.5, grid)
+            for got, want in zip((A_m, A_a), alone[:2]):
+                assert np.array_equal(got == 0.0, want == 0.0)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+            assert np.array_equal(info["lemke_pivots"], alone[2]["lemke_pivots"])
 
 
 class TestStackedHelpers:
@@ -952,6 +1099,15 @@ class TestNumpyOnly:
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+def segment_solve(Q, R, C, RHS, active):
+    """``lcp._segment_solve`` on the one-QP stack, given the rows ``active``
+    as indices: the QP's points and multipliers."""
+    mask = np.zeros(R.shape[0], dtype=bool)
+    mask[active] = True
+    z, lam = lcp._segment_solve(Q[None], R[None], C[None], RHS[None], mask[None], lcp._unit_rows(R)[None])
+    return z[0], lam[0]
+
+
 class TestSegmentSolve:
     """The homotopy's reduced solve, in which binding unit rows fix their
     variables, gives the solutions of the full KKT system's pseudo-inverse
@@ -961,7 +1117,7 @@ class TestSegmentSolve:
     def assert_matches_full(Q, R, C, RHS, active):
         # to 1e-10 of the solution's scale, or, on an ill-conditioned
         # regular system, to what its condition number allows
-        z, lam = lcp._segment_solve(Q, R, C, RHS, active, lcp._unit_rows(R))
+        z, lam = segment_solve(Q, R, C, RHS, active)
         z_full, lam_full = lcp._active_set_solve(lcp._kkt_factor(Q, R, active), C, RHS, active)
         sv = np.linalg.svd(kkt_matrix(Q, R[active]), compute_uv=False)
         regular = sv[-1] > 1e-14 * sv[0] * sv.size
@@ -1031,7 +1187,7 @@ class TestSegmentSolve:
         R, C, RHS = self.bounded(rng, qp, 2)
         R, RHS = np.vstack([R, 2.0 * R[0]]), np.hstack([RHS, 2.0 * RHS[:, [0]]])
         active = np.array([0, 3, 7])
-        z, lam = lcp._segment_solve(qp.Q, R, C, RHS, active, lcp._unit_rows(R))
+        z, lam = segment_solve(qp.Q, R, C, RHS, active)
         z_full, lam_full = lcp._active_set_solve(lcp._kkt_factor(qp.Q, R, active), C, RHS, active)
         assert np.max(np.abs(z - z_full)) <= 1e-12 * np.max(np.abs(z_full))
         assert not lam[:, 7].any() and np.all(lam_full[:, 7] != 0.0)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from intreg import (
     estimate_intercept,
     fit_lasso,
     fit_ls,
+    ingest,
     mean_squared_unweighted,
 )
 from intreg.errors import LengthMismatch
@@ -273,3 +276,26 @@ class TestForcingRows:
         a, kkt = full_program_certificate(d, 0.5, res.lambda_spr, monkeypatch)
         assert np.array_equal(a, res.coefficients.spread_stack(variant))
         assert max(kkt.values()) <= 1e-8 * (1 + d.block_width + d.n)
+
+
+class TestZeroingPenalty:
+    """At and above the zeroing penalty ``lam0 = max(0, max_j g_j)``, ``g =
+    F_s' v_s``, the spread fit is exactly 0 with every bound binding, however
+    large the penalty: the Lemke path of single fits returns it in closed
+    form and the walk reads it off its first segment."""
+
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_large_penalties_fit_zero(self, variant):
+        d = build_design(ingest(Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv"), variant)
+        lam0 = max(0.0, float(np.max(d.fs.T @ d.vs)))
+        penalties = [lam0, 10.0 * lam0, 1e8, 1e15, 1e300]
+        bound = 1e-8 * (1 + spread_qp(d, 0.5).num_constraints)
+        walked, walk_info = _spr_path(d, penalties, 0.5)
+        assert not walked.any()
+        for i, lam in enumerate(penalties):
+            a_s, info = solve_spread_block(d, 0.5, lam)
+            assert not a_s.any() and info["lemke_pivots"] == 0.0 and info["ridge_used"] == 0.0
+            assert max(info[key] for key in info if key.startswith("kkt_")) <= bound
+            assert max(walk_info[key][i] for key in walk_info if key.startswith("kkt_")) <= bound
+            res = fit_lasso(d, 0.5, lambda_mid=0.05, lambda_spr=lam)
+            assert not res.coefficients.spread_stack(variant).any()
