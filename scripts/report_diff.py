@@ -24,15 +24,17 @@ identical input paths.  Each tree runs every report (JSON output) in its own
 Python process, with ``<tree>/src`` first on the import path, and counts its
 Lemke calls and pivots: the QP calls (spread block and ``lasso-ir``), and the
 midpoint block's one-run paths and, in a tree that has them, its per-point
-solves.  It also counts the KKT factorizations (``qp_kkt_factor_calls``),
-which a breakpoint's polish or an active-set step makes in place of a Lemke
-run, and the working-set Lemke solves (``qp_solve_qp_full_calls``, calls of
-``lcp._solve_qp_full``): each ``t = 0`` fit of a budget path, the start of
-each Lemke path (single fits), each fallback at a point where a one-row
-step fails, including a restart from an empty working set, and the first
-point of a homotopy's fallback.  In a tree that walks grids as homotopies
-(``lcp._qp_homotopy``, imported by ``least_squares`` for spread grids and,
-in a tree that walks budget grids too, by ``lasso_ir``), it counts the calls
+solves.  In a tree with ``lcp._kkt_factor``, it also counts the full KKT
+factorizations (``qp_kkt_factor_calls``), which a breakpoint's polish or an
+active-set step of the continuation ``lcp._qp_path`` makes in place of a
+Lemke run.  It counts the working-set Lemke solves
+(``qp_solve_qp_full_calls``, calls of ``lcp._solve_qp_full``): each single
+fit and each ``t = 0`` fit of a budget path, a restart from an empty
+working set, each point where a homotopy hands its grid to Lemke, and, in
+a tree with ``lcp._qp_path``, each point where its one-row step fails.  In
+a tree that walks grids as homotopies (``lcp._qp_homotopy``, imported by
+``least_squares`` for spread grids and, in a tree that walks budget grids
+too, by ``lasso_ir``), it counts the calls
 of the walk (``hom_qp_homotopy_calls``: one per fold in a tree that walks
 each fold alone, one per grid fitter call in a tree that walks the folds in
 lockstep), the segments (``hom_segments``: one per walking fold and segment
@@ -41,7 +43,12 @@ solve ``lcp._segment_solve``, which takes a stack of folds in a lockstep
 tree and one fold otherwise, or, in an older tree without it, the KKT
 factorizations a walk makes itself), the steps (``hom_steps``: the calls of
 that solve, each a segment of every fold still walking) and the grid points
-the walks leave to the Lemke path (``hom_fallback_points``).
+the walks leave to Lemke (``hom_fallback_points``): in a tree with
+``lcp._qp_path``, the points a walk hands to that path, the rest of its
+grid; in a tree without it, the points a walk solves by Lemke itself
+(calls of ``lcp._solve_qp`` inside a walk), after each of which it walks
+on.  The segment solves of a single fit's polish, or of a fallback's, are
+no segments.
 
 Prints every report field that moved, with its relative size
 ``|new - old| / max(|old|, |new|)``, every run whose exit code or stderr
@@ -144,14 +151,18 @@ def worker(runs_path: str, out_path: str) -> None:
 
     lcp._pivot = counted_pivot
     count_calls(lcp, "lemke_solve", "qp")
-    count_calls(lcp, "_kkt_factor", "qp")
+    if hasattr(lcp, "_kkt_factor"):
+        count_calls(lcp, "_kkt_factor", "qp")
     count_calls(lcp, "_solve_qp_full", "qp")
     walkers = [module for module in (least_squares, lasso_ir) if hasattr(module, "_qp_homotopy")]
     if walkers:
         # a tree with the reduced segment solve counts segments there; an
         # older one factors the full KKT matrix once per segment
         seg_name = "_segment_solve" if hasattr(lcp, "_segment_solve") else "_kkt_factor"
-        solve, path = getattr(lcp, seg_name), lcp._qp_path
+        # a walk hands a failing point to the Lemke path, with the rest of its
+        # grid, or, in a tree without that path, to the one-point solve
+        path_name = "_qp_path" if hasattr(lcp, "_qp_path") else "_solve_qp"
+        solve, path = getattr(lcp, seg_name), getattr(lcp, path_name)
 
         def segment(*args):
             if block[0] == "hom":
@@ -160,19 +171,18 @@ def worker(runs_path: str, out_path: str) -> None:
                 counts["hom_steps"] += 1
             return solve(*args)
 
-        def fallback(Q, R, C, RHS, work=()):
-            # a homotopy leaves the rest of its grid to the Lemke path, whose
-            # own factorizations are no segments
+        def fallback(*args):
+            # the Lemke solves' own factorizations and polish are no segments
             if block[0] == "hom":
-                counts["hom_fallback_points"] += len(C)
+                counts["hom_fallback_points"] += len(args[2]) if path_name == "_qp_path" else 1
             outer, block[0] = block[0], "qp"
             try:
-                return path(Q, R, C, RHS, work)
+                return path(*args)
             finally:
                 block[0] = outer
 
         setattr(lcp, seg_name, segment)
-        lcp._qp_path = fallback
+        setattr(lcp, path_name, fallback)
         for module in walkers:
             count_calls(module, "_qp_homotopy", "hom")
             walk = module._qp_homotopy

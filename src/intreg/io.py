@@ -123,6 +123,13 @@ def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
                 what = "spread" if np.isfinite(mid[j, v]) else "midpoint"
                 detail = f"the {what} of inf {lo} and sup {hi} overflows"
             raise InvertedInterval(int(j) + 1, variables[v], detail)
+    # beyond |x| sqrt(n) = sqrt(max) / 2, the fit's sums of squares overflow
+    limit = np.sqrt(np.finfo(float).max / len(mid)) / 2.0
+    bad = np.argwhere((np.abs(mid) > limit) | (spr > limit))
+    if bad.size:
+        j, v = bad[0]
+        what, value = ("midpoint", mid[j, v]) if abs(mid[j, v]) > limit else ("spread", spr[j, v])
+        raise InvertedInterval(int(j) + 1, variables[v], f"the {what} {value} overflows the fit's sums of squares")
     return IntervalSample(mid[:, 0], spr[:, 0], mid[:, 1:], spr[:, 1:])
 
 

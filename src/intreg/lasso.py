@@ -32,13 +32,13 @@ the spread grid is walked down from there as an exact homotopy
 (:func:`intreg.lcp._qp_homotopy`), breakpoint to breakpoint, with no Lemke
 run unless a point fails its certificate, all folds in lockstep, so that
 each step solves every walking fold's segment at once; a fold whose point
-fails falls back to Lemke alone.  Every grid point is still
-checked on its own (the midpoint subgradient-gap test and zero snap; the
-spread QP's certificate against every row).  Both paths return their fits
-as stacks, one row per penalty, and a single fit is row 0 of the one-point
-grid, so a fold's held-out errors for the whole grid are one matrix product
-per block.  The full-sample refit at the selected spread penalty is a
-single fit, solved by Lemke as the paper prescribes.
+fails is solved there by Lemke alone and walks on.  Every grid point is
+still checked on its own (the midpoint subgradient-gap test and zero snap;
+the spread QP's certificate against every row).  Both paths return their
+fits as stacks, one row per penalty, so a fold's held-out errors for the
+whole grid are one matrix product per block.  The full-sample refit at the
+selected spread penalty is a single fit, solved by Lemke as the paper
+prescribes.
 """
 
 from __future__ import annotations
@@ -277,7 +277,7 @@ def cross_validate(
     Each fold walks the midpoint grid up from the zero penalty and the
     spread grid down to it, the folds' spread walks in lockstep (one step
     makes a segment of every fold still walking, and a fold whose point
-    fails its certificate falls back to Lemke alone); each block held while
+    fails its certificate is solved there by Lemke alone); each block held while
     the other is scanned is its path's zero-penalty row.
     """
     tau = validate_tau(tau)

@@ -18,14 +18,14 @@ L1-constrained Lasso (Osborne, Presnell & Turlach, 2000;
 :func:`intreg.lcp._qp_homotopy`), breakpoint to breakpoint, with no joint
 Lemke run unless a point fails its certificate, which is checked against
 every row.  The folds walk in lockstep, each step a segment of every fold
-still walking, and a fold whose point fails falls back to Lemke alone.  A
-walk ends where the budget's multiplier reaches 0; every larger budget
-gets that fit.  The path returns the grid's fits as stacks,
-one row per budget, with the ``t = 0`` fit for every zero budget.  A single
-fit (the refit at the selected budget, or a given one) is row 0 of the
-one-point budget grid on the working-set Lemke path, as the paper
-prescribes: it solves ``t = 0`` first as well, and the rows that bind that
-fit, with every offset bound and the budget row, start its working set.
+still walking; a fold whose point fails is solved there by Lemke alone and
+walks on from that fit.  A walk ends where the budget's multiplier reaches
+0; every larger budget gets that fit.  The path returns the grid's fits as
+stacks, one row per budget, with the ``t = 0`` fit for every zero budget.
+A single fit (the refit at the selected budget, or a given one) is one
+working-set Lemke solve of the joint QP, as the paper prescribes: it solves
+``t = 0`` first as well, and the rows that bind that fit, with every offset
+bound and the budget row, start its working set.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import numpy as np
 from .design import DesignSystem
 from .intervals import DEFAULT_TAU, Interval, validate_tau
 from .lasso import _cv_errors, _first_min
-from .lcp import Qp, _active_rows, _qp_homotopy, _qp_path
-from .least_squares import METHOD_LASSO_IR, FitResult, _fit_result, _snap_zeros, ols_mid
+from .lcp import Qp, _active_rows, _qp_homotopy, _solve_qp
+from .least_squares import METHOD_LASSO_IR, FitResult, _finite_nonnegative, _fit_result, _snap_zeros, ols_mid
 
 
 def _joint_qp(design: DesignSystem, tau: float, t: float) -> Qp:
@@ -65,9 +65,9 @@ def _joint_qp(design: DesignSystem, tau: float, t: float) -> Qp:
 
 def fit_lasso_ir(design: DesignSystem, tau: float = DEFAULT_TAU, t: Optional[float] = None,
                  folds: int = 5, seed: int = 0) -> FitResult:
-    """Fit the budgeted-offset estimator at budget ``t``, the one-point
-    budget grid; without ``t``, at the budget :func:`select_budget` picks
-    on ``folds`` and ``seed``.
+    """Fit the budgeted-offset estimator at budget ``t`` (:func:`_budget_fit`);
+    without ``t``, at the budget :func:`select_budget` picks on ``folds`` and
+    ``seed``.
 
     With ``t = 0`` the offset is identically zero, so the spread coefficients
     equal the midpoint coefficients exactly.  Nothing bounds the fitted
@@ -79,12 +79,12 @@ def fit_lasso_ir(design: DesignSystem, tau: float = DEFAULT_TAU, t: Optional[flo
     """
     tau = validate_tau(tau)
     t = select_budget(design, tau, folds=folds, seed=seed) if t is None else float(t)
-    (a_m,), (a_a,), info = _budget_path(design, tau, [t], lemke=True)
+    a_m, a_a, info = _budget_fit(design, tau, t)
     a_s = a_m + a_a
     delta_mid = design.mean_y.mid - float(design.mean_mid_xebl @ a_m)
     delta_spr = design.mean_y.spr - float(design.mean_spr_xebl @ a_s)
     fitted_spr = design.gamma_matrix @ a_s + delta_spr
-    diagnostics = {key: float(value[0]) for key, value in info.items()}
+    diagnostics = dict(info)
     diagnostics["budget_used"] = float(np.sum(np.abs(a_a)))
     diagnostics["fitted_spr_min"] = float(np.min(fitted_spr))
     diagnostics["fitted_spr_nonneg"] = float(np.all(fitted_spr >= -1e-9))
@@ -102,37 +102,59 @@ def default_budget_grid(design: DesignSystem, count: int = 20, ratio: float = 1e
     return [0.0] + list(np.geomspace(ratio * t_max, t_max, count))
 
 
-def _budget_paths(designs: Sequence[DesignSystem], tau: float, grid: Sequence[float], lemke: bool = False,
+def _zero_budget(design: DesignSystem, tau: float) -> tuple[Qp, np.ndarray, dict[str, float], np.ndarray, np.ndarray]:
+    """The joint QP at ``t = 0`` and its fit: the midpoint block alone under
+    the rows that keep the tied fitted spreads nonnegative, sliced from the
+    joint QP and solved by :func:`intreg.lcp._solve_qp`; its diagnostics,
+    the spread rows that bind it, and the offsets' gradient there, net of
+    those rows' multipliers."""
+    w, n = design.block_width, design.n
+    qp = _joint_qp(design, tau, 0.0)
+    a_m, lam, info, _ = _solve_qp(qp.Q[:w, :w], qp.c[:w], qp.R[:n, :w], qp.r[:n])
+    spread = _active_rows(lam)[0]
+    u0 = np.concatenate([a_m, np.zeros(2 * w)])
+    return qp, a_m, info, spread, (qp.Q @ u0 + qp.c - qp.R[spread].T @ lam[spread])[w:]
+
+
+def _budget_fit(design: DesignSystem, tau: float, t: float) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+    """Midpoint block, offset and QP diagnostics of the single fit at budget
+    ``t``.  The ``t = 0`` fit comes first (:func:`_zero_budget`); at ``t >
+    0`` the joint QP is solved by :func:`intreg.lcp._solve_qp`, its working
+    set started at the spread rows that bind the ``t = 0`` fit, every offset
+    bound row and the budget row."""
+    (t,), w = _finite_nonnegative([t], "budget"), design.block_width
+    qp, a_m, info, spread, _ = _zero_budget(design, tau)
+    if t == 0.0:
+        return a_m, np.zeros(w), info
+    r = qp.r.copy()
+    r[-1] = -t
+    u, _, info, _ = _solve_qp(qp.Q, qp.c, qp.R, r, np.concatenate([spread, np.arange(design.n, r.size)]))
+    return u[:w], _snap_zeros(np.maximum(u[w : 2 * w], 0.0) - np.maximum(u[2 * w :], 0.0)), info
+
+
+def _budget_paths(designs: Sequence[DesignSystem], tau: float, grid: Sequence[float],
                   ) -> list[tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
     """Midpoint blocks, offsets and QP diagnostics of each design along one
     budget grid, as stacks with one row (one diagnostics entry) per budget,
     one triple of stacks per design.
 
-    At ``t = 0`` the offset is zero and the program is the midpoint block
-    alone, under the rows that keep the tied fitted spreads nonnegative.  It
-    is solved first, whatever the grid, and its fit serves every zero budget.
-    The ``t > 0`` programs share the joint QP but for the budget, the
-    right-hand side of its last row, so the grid, in any order, is walked
-    up from the ``t = 0`` fit as the exact homotopy in ``theta = -t``, the
-    designs' walks in lockstep (:func:`intreg.lcp._qp_homotopy`), with Lemke
-    only where a point fails its certificate.  A walk starts from the
+    The ``t = 0`` fit (:func:`_zero_budget`) is solved first, whatever the
+    grid, and serves every zero budget.  The ``t > 0`` programs share the
+    joint QP but for the budget, the right-hand side of its last row, so the
+    grid, in any order, is walked up from the ``t = 0`` fit as the exact
+    homotopy in ``theta = -t``, the designs' walks in lockstep
+    (:func:`intreg.lcp._qp_homotopy`); a point that fails its certificate is
+    solved by Lemke and the walk restarts from it.  A walk starts from the
     binding spread rows of the ``t = 0`` fit, every offset bound but that of
-    the offset whose gradient ``g`` there (with the spread rows'
-    multipliers) is most negative, and the budget row.  Where no entry of
-    ``g`` is negative, no offset lowers the objective and every ``t > 0``
-    point is the ``t = 0`` fit.  A walk ends where the budget's multiplier
-    reaches 0, at the budget the unbounded offset uses: every larger budget
-    gets that released fit.
-
-    ``lemke=True`` solves the ``t > 0`` grid by the working-set Lemke path
-    instead (:func:`intreg.lcp._qp_path`), as single fits are: its first
-    working set is the binding spread rows of the ``t = 0`` fit, every
-    offset bound row and the budget row.  Offset entries within roundoff of
-    zero are snapped to exact zeros, as the spread block's are.
+    the offset whose gradient ``g`` there is most negative, and the budget
+    row.  Where no entry of ``g`` is negative, no offset lowers the
+    objective and every ``t > 0`` point is the ``t = 0`` fit.  A walk ends
+    where the budget's multiplier reaches 0, at the budget the unbounded
+    offset uses: every larger budget gets that released fit.  Offset entries
+    within roundoff of zero are snapped to exact zeros, as the spread
+    block's are.
     """
-    grid = np.fromiter(grid, dtype=float)
-    if not np.all((grid >= 0.0) & (grid < np.inf)):
-        raise ValueError("the budget must be finite and nonnegative")
+    grid = _finite_nonnegative(grid, "budget")
     on = grid > 0.0
     t = grid[on]
     # budgets up is theta = -t down
@@ -140,21 +162,9 @@ def _budget_paths(designs: Sequence[DesignSystem], tau: float, grid: Sequence[fl
     # per design: the t = 0 fit and its diagnostics, then the t > 0 stacks
     fits, walks = [], []
     for design in designs:
-        w, n = design.block_width, design.n
-        qp = _joint_qp(design, tau, 0.0)
-        p = qp.R.shape[0]
-        # t = 0: the midpoint block under the spread rows, sliced from the joint QP
-        a_m, lam, alone = _qp_path(qp.Q[:w, :w], qp.R[:n, :w], qp.c[None, :w], qp.r[None, :n])
-        spread = _active_rows(lam[0])[0]
-        u0 = np.concatenate([a_m[0], np.zeros(2 * w)])
-        # the offsets' gradient at the t = 0 fit, net of its spread rows' multipliers
-        g = (qp.Q @ u0 + qp.c - qp.R[spread].T @ lam[0, spread])[w:]
-        if lemke:
-            RHS = np.tile(qp.r, (t.size, 1))
-            RHS[:, -1] = -t
-            U, _, info = _qp_path(qp.Q, qp.R, np.broadcast_to(qp.c, (t.size, qp.c.size)), RHS,
-                                  np.concatenate([spread, np.arange(n, p)]))
-        elif float(np.min(g)) < 0.0:
+        qp, a_m, alone, spread, g = _zero_budget(design, tau)
+        w, n, p = design.block_width, design.n, qp.R.shape[0]
+        if float(np.min(g)) < 0.0:
             # the freed offset enters as the budget opens; walked below
             dr = np.zeros(p)
             dr[-1] = 1.0
@@ -162,18 +172,19 @@ def _budget_paths(designs: Sequence[DesignSystem], tau: float, grid: Sequence[fl
                                                          [p - 1]]), dr))
             U = info = None
         else:
-            U, info = np.tile(u0, (t.size, 1)), {key: np.repeat(value, t.size) for key, value in alone.items()}
+            U = np.tile(np.concatenate([a_m, np.zeros(2 * w)]), (t.size, 1))
+            info = {key: np.repeat(value, t.size) for key, value in alone.items()}
         fits.append([a_m, alone, U, info])
     if walks:
         index, qp, start, dr = zip(*walks)
         paths = _qp_homotopy([x.Q for x in qp], [x.R for x in qp], [x.r for x in qp], [x.c for x in qp],
                              [np.zeros(x.c.size) for x in qp], -t[order], [0.0] * len(qp), start, dr)
         back = np.argsort(order)
-        for k, (U, _, info) in zip(index, paths):
+        for k, (U, info) in zip(index, paths):
             fits[k][2:] = U[back], {key: value[back] for key, value in info.items()}
     out = []
     for a_m, alone, U, info in fits:
-        w = a_m.shape[1]
+        w = a_m.size
         A_m, A_a = U[:, :w], _snap_zeros(np.maximum(U[:, w : 2 * w], 0.0) - np.maximum(U[:, 2 * w :], 0.0))
         # grid point i is row rows[i] of the t > 0 stacks with the t = 0 fit appended
         rows = np.where(on, np.cumsum(on) - 1, A_m.shape[0])
@@ -182,10 +193,10 @@ def _budget_paths(designs: Sequence[DesignSystem], tau: float, grid: Sequence[fl
     return out
 
 
-def _budget_path(design: DesignSystem, tau: float, grid: Sequence[float],
-                 lemke: bool = False) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+def _budget_path(design: DesignSystem, tau: float,
+                 grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """The one-design stack of :func:`_budget_paths`."""
-    return _budget_paths([design], tau, grid, lemke)[0]
+    return _budget_paths([design], tau, grid)[0]
 
 
 def select_budget(
@@ -200,7 +211,7 @@ def select_budget(
     Shares the Lasso cross-validation's fold routine, so a seed gives the
     same partition and the same held-out error as there; the folds' budget
     grids are walked in lockstep, and a fold whose point fails its
-    certificate falls back to Lemke alone.  Errors within
+    certificate is solved there by Lemke alone.  Errors within
     ``1e-12`` relative of the minimum tie with it, and ties resolve to the
     earliest grid entry (the smallest budget on the default grid).
     """

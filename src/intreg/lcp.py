@@ -17,7 +17,7 @@ Pivot selection is lexicographic, which rules out cycling on degenerate
 tableaus; the plain minimum ratio decides alone unless rows tie on it.  One
 pivot loop yields every basis of a run.  The solver reads the basic values
 of the last one as they stand: their elimination error, like the ridge bias
-of the factored Hessian, is removed by the QP path's one polish on the
+of the factored Hessian, is removed by the QP solve's one polish on the
 active set.  The path reads all of them: the artificial variable z0 moves q
 along the covering vector 1, so one run solves the LCPs (M, q + t 1) for
 every t it passes, each by interpolation between the two bases around it
@@ -31,49 +31,24 @@ exactly, until no other row is violated; the working set only grows, so
 the rounds are finitely many.  The loop returns Lemke's iterate, or, when
 Lemke ray-terminates on a ray that is Farkas' certificate that the working
 set's rows have no common point (Eaves, 1971), reports the program empty.
+A single program is solved by that loop once, then polished on the rows
+that bind the iterate: the equality solve on that set removes the ridge
+bias of pivoting, and is kept when its certificate is no worse.
 
 Along a grid of programs that share Q and R and whose linear term and
 right-hand side are affine in one parameter (a penalty or budget path), the
-solution on a fixed active set is affine in that parameter as well, so
-neighbouring grid points mostly share their active set (the grid-sampled
-parametric LCP of Cottle, Pang & Stone, 1992, section 4.5).  The path
-routine is the one place that solves on an active set.  It takes the grid
-as two stacks, the linear terms and the right-hand sides with one row per
-point, and returns its points as stacks: primal points, multipliers and one
-array per diagnostic.  A breakpoint is solved by the working-set Lemke loop
-with one Cholesky factor of the shared Hessian, then polished on its active
-set, whose KKT equality matrix is factored once (a minimum-norm
-pseudo-inverse), which removes the ridge bias of pivoting.  The points that
-follow are solved on that set as one stack and certified against every
-row; where one fails, one row enters or leaves the set (the parametric
-active-set step of Best, 1996), and only if the point fails again is it
-solved by Lemke.  A single program is row 0 of the one-point grid.
-
-Where the caller knows an active set that is optimal at one end of such a
-grid (a penalty path, whose solution is 0 with every bound binding at and
-above its zeroing penalty; a budget path, whose zero-budget fit gives the
-rows that bind as the budget opens), the homotopy routine walks the grid
-from there with no Lemke run: on each active set the solution and its
-multipliers are affine in the parameter, so one solve of the set's KKT
-system gives the whole segment, a ratio test finds where a multiplier or a
-slack reaches zero, and the row that does enters or leaves the set
-(Osborne, Presnell & Turlach, 2000; Gaines, Al & Zhou, 2018).  Each segment
-solves the reduced system: a binding bound row (a unit row, with one entry
-equal to 1) only fixes its variable (Gill, Murray & Wright, 1981, section
-5.5), so the system holds the free variables and the other rows alone, and
-a bound's multiplier is the gradient at its variable.  Where the
-right-hand side moves (a budget), its row's multiplier reaches zero
-together with those of the bounds it ties to it; the tie goes to the
-moving row, and once it has left the set the rest of the grid is the
-point reached.  Its points are certified as the path's are, and from the
-first that fails, or where the walk toggles a row back at the parameter
-value where it just toggled it, the rest of the grid goes to the path
-routine.  A stack of such grids, the folds of a cross-validation, is
-walked in lockstep (the pathwise cross-validation of Friedman, Hastie &
-Tibshirani, 2010): each step makes one segment for every walk still going,
-with one batched solve of their reduced systems, padded to one size, and
-one ratio test; the points of all walks are certified together, and a
-walk whose point fails goes to the path routine alone.
+solution on a fixed active set is affine in that parameter as well (the
+parametric LCP of Cottle, Pang & Stone, 1992, section 4.5).  Where the
+caller knows an active set that is optimal at one end of such a grid, the
+homotopy routine walks the grid from there with no Lemke run, breakpoint to
+breakpoint, one row entering or leaving the set at each (Osborne, Presnell
+& Turlach, 2000; Gaines, Al & Zhou, 2018).  Each segment solves the reduced
+KKT system, in which a binding bound row only fixes its variable (Gill,
+Murray & Wright, 1981, section 5.5); a single program's polish is the same
+solve.  Every point is certified against every row; one that fails is
+solved by Lemke, and the walk restarts from there.  The folds of a
+cross-validation walk in lockstep (Friedman, Hastie & Tibshirani, 2010),
+one batched segment solve per step.
 """
 
 from __future__ import annotations
@@ -371,12 +346,7 @@ def _active_rows(lam: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _kkt_matrix(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
     """The KKT equality matrix ``[[Q, A'], [A, 0]]``."""
-    m, s = Q.shape[0], A.shape[0]
-    kkt = np.zeros((m + s, m + s))
-    kkt[:m, :m] = Q
-    kkt[:m, m:] = A.T
-    kkt[m:, :m] = A
-    return kkt
+    return np.block([[Q, A.T], [A, np.zeros((A.shape[0], A.shape[0]))]])
 
 
 def _pinv(kkt: np.ndarray) -> np.ndarray:
@@ -386,15 +356,6 @@ def _pinv(kkt: np.ndarray) -> np.ndarray:
     U, sv, Vt = np.linalg.svd(kkt)
     keep = sv > np.finfo(float).eps * kkt.shape[0] * sv[0]
     return (Vt[keep].T / sv[keep]) @ U[:, keep].T
-
-
-def _kkt_factor(Q: np.ndarray, R: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of the KKT equality matrix ``[[Q, A'], [A, 0]]`` of the
-    rows ``active`` (``A = R[active]``, :func:`_pinv`), so every right-hand
-    side gets the minimum-norm least-squares solution, also when ``Q`` is
-    singular or rows of ``A`` depend on each other.
-    """
-    return _pinv(_kkt_matrix(Q, R[active]))
 
 
 def _kkt_inverse(kkt: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -429,23 +390,6 @@ def _kkt_inverse(kkt: np.ndarray, size: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _active_set_solve(pinv: np.ndarray, c: np.ndarray, r: np.ndarray,
-                      active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solution of the KKT equality system ``Qz + c = A'lam_A``, ``Az = r_A``
-    of the rows ``active``, given the pseudo-inverse of its matrix
-    (:func:`_kkt_factor`).
-
-    Returns the primal point and the multipliers on every row (zero off the
-    active set).  A stack of programs, one ``(c, r)`` per row, is solved in
-    one matrix product and gives one point and one multiplier vector per row.
-    """
-    m = c.shape[-1]
-    sol = (pinv @ np.concatenate([-c, r[..., active]], axis=-1).T).T
-    lam = np.zeros(r.shape)
-    lam[..., active] = -sol[..., m:]
-    return sol[..., :m], lam
-
-
 def _unit_rows(R: np.ndarray) -> np.ndarray:
     """The variable each row of ``R`` fixes when binding, for a unit row (one
     entry, equal to 1: a bound ``z_j >= r_i``), and -1 for every other row;
@@ -458,12 +402,12 @@ def _unit_rows(R: np.ndarray) -> np.ndarray:
 
 def _segment_solve(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray, active: np.ndarray,
                    unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions of the KKT equality systems of the rows ``active`` (a mask)
-    for a stack of QPs ``(Q[k], R[k])``, each with a stack of programs
-    ``(C[k], RHS[k])``, as :func:`_active_set_solve` gives them, from the
-    reduced systems, given the variables ``unit`` that the rows fix
-    (:func:`_unit_rows`).  Returns the points and the multipliers, one stack
-    per QP.
+    """Solutions of the KKT equality systems ``Qz + c = A'lam_A``, ``Az =
+    r_A`` of the rows ``active`` (a mask, ``A = R[active]``) for a stack of
+    QPs ``(Q[k], R[k])``, each with a stack of programs ``(C[k], RHS[k])``,
+    from the reduced systems, given the variables ``unit`` that the rows fix
+    (:func:`_unit_rows`).  Returns the points and the multipliers on every
+    row (zero off the set), one stack per QP.
 
     A binding unit row fixes its variable at its right-hand side, so only
     the free variables and the other rows of the set enter a QP's system;
@@ -471,10 +415,10 @@ def _segment_solve(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray,
     batch (:func:`_kkt_inverse`; the minimum-norm solution for one that is
     singular), and a unit row's multiplier is then the gradient ``Qz + c -
     R'lam`` of the other rows at its variable.  A QP whose set has two rows
-    fixing one variable is solved alone on its full system.  Where other
-    rows of a set depend on each other only through fixed variables, the
-    multipliers are one valid split of the load, not the full system's
-    minimum-norm one.
+    fixing one variable is solved alone on its full system, through the
+    pseudo-inverse of its matrix (:func:`_pinv`).  Where other rows of a set
+    depend on each other only through fixed variables, the multipliers are
+    one valid split of the load, not the full system's minimum-norm one.
     """
     K, p, m = R.shape
     k = np.arange(K)[:, None]
@@ -494,7 +438,9 @@ def _segment_solve(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray,
     idx[pad] = m + p
     # each slot's row of Q or R, then its entries on the slots that are variables
     is_var, is_row = idx < m, (idx >= m) & (idx < m + p)
-    W = Q[k, idx * is_var] * is_var[:, :, None] + R[k, (idx - m) * is_row] * is_row[:, :, None]
+    W = Q[k, idx * is_var] * is_var[:, :, None]
+    if p:
+        W += R[k, (idx - m) * is_row] * is_row[:, :, None]
     kkt = W[k[:, :, None], np.arange(S)[:, None], (idx * is_var)[:, None, :]] * is_var[:, None, :]
     kkt += np.swapaxes(kkt * ~is_var[:, :, None], 1, 2)
     kkt.reshape(K, -1)[:, :: S + 1] += pad
@@ -515,12 +461,14 @@ def _segment_solve(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray,
     lam[fold, :, bound] = (z @ Q + C + _t(sol * is_row[:, :, None]) @ W)[fold, :, fixed]
     for j in np.flatnonzero(twice):
         rows = np.flatnonzero(active[j])
-        z[j], lam[j] = _active_set_solve(_kkt_factor(Q[j], R[j], rows), C[j], RHS[j], rows)
+        sol = (_pinv(_kkt_matrix(Q[j], R[j, rows])) @ np.concatenate([-C[j], RHS[j][:, rows]], axis=1).T).T
+        z[j], lam[j] = sol[:, :m], 0.0
+        lam[j][:, rows] = -sol[:, m:]
     return z, lam
 
 
-def _solve_qp_full(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray, work: Sequence[int] = (),
-                   factor: Optional[tuple[np.ndarray, float]] = None) -> tuple[np.ndarray, np.ndarray, dict]:
+def _solve_qp_full(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
+                   work: Sequence[int] = ()) -> tuple[np.ndarray, np.ndarray, dict]:
     """Lemke's iterate for the QP ``(Q, c, R, r)`` of :class:`Qp`, taken as
     valid float arrays: primal point, multipliers and solver diagnostics
     (``ridge_used``, and ``lemke_pivots`` summed over rounds).
@@ -529,20 +477,18 @@ def _solve_qp_full(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray, w
     round adds up to one row per variable, the most violated ones, to a
     working set and solves the LCP of the working set alone, until no row
     outside it is violated.  The point carries the ridge bias of the
-    factored Hessian; :func:`_qp_path` polishes it and certifies it against
+    factored Hessian; :func:`_solve_qp` polishes it and certifies it against
     every row.  A ray termination whose ray is Farkas' certificate for the
     working set (:func:`_farkas`) raises :class:`InfeasibleQp`.
 
     ``work`` names rows that start in the working set when the unconstrained
-    minimizer is infeasible (a path of related QPs passes the active set it
-    last walked on); the first round then solves on them before any
-    row is added.  If Lemke ray-terminates on such a working set, the
-    program is solved again from an empty one; from an empty one, a ray
-    that is no certificate raises :class:`RayTermination`.  ``factor`` is the
-    ``(L, ridge)`` pair of :func:`_ridge_factor` for ``Q``, when a path of
-    programs sharing the Hessian has it already.
+    minimizer is infeasible (a walk passes the active set it reached, a
+    budget fit the rows of its ``t = 0`` fit); the first round then solves
+    on them before any row is added.  If Lemke ray-terminates on such a
+    working set, the program is solved again from an empty one; from an
+    empty one, a ray that is no certificate raises :class:`RayTermination`.
     """
-    L, ridge = _ridge_factor(Q) if factor is None else factor
+    L, ridge = _ridge_factor(Q)
     info = {"ridge_used": float(ridge), "lemke_pivots": 0.0}
     lam = np.zeros(R.shape[0])
     qc = _chol_solve(L, c)
@@ -563,7 +509,7 @@ def _solve_qp_full(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray, w
                 if len(work):
                     # rows carried over from a neighbouring program can be
                     # degenerate here; decide from an empty working set
-                    return _solve_qp_full(Q, c, R, r, factor=(L, ridge))
+                    return _solve_qp_full(Q, c, R, r)
                 raise RayTermination("complementary pivoting ray-terminated on a feasible program")
             lam[rows] = sol.z
             z = _chol_solve(L, R.T @ lam - c)
@@ -574,138 +520,54 @@ def _solve_qp_full(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray, w
         in_work[violated[np.argsort(slack[violated], kind="stable")[: Q.shape[0]]]] = True
 
 
-def _crossing_row(lam0: np.ndarray, slack0: np.ndarray, lam1: np.ndarray, slack1: np.ndarray,
-                  active: np.ndarray, tol: np.ndarray) -> Optional[int]:
-    """The row that crosses zero first on the segment from a kept point
-    ``(lam0, slack0)`` to a rejected one ``(lam1, slack1)`` solved on the rows
-    ``active``: a row outside the set whose slack fails the working-set
-    loop's test ``>= -tol``, or a row in the set whose multiplier is
-    negative.  ``None`` when no row fails either way."""
-    floor, start, end = -tol, slack0.copy(), slack1.copy()
-    floor[active], start[active], end[active] = 0.0, lam0[active], lam1[active]
-    fails = np.flatnonzero(end < floor)
-    if fails.size == 0:
-        return None
-    start = np.maximum(start[fails], 0.0)
-    return int(fails[np.argmin(start / (start - end[fails]))])
+def _solve_qp(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
+              work: Sequence[int] = ()) -> tuple[np.ndarray, np.ndarray, dict[str, float], np.ndarray]:
+    """Solution, multipliers, diagnostics (``ridge_used``, ``lemke_pivots``,
+    ``kkt_*`` over every row) and active rows of the QP ``(Q, c, R, r)`` of
+    :class:`Qp`, taken as valid float arrays.
 
-
-def _qp_path(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray,
-             work: Sequence[int] = ()) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Solutions, multipliers and diagnostics of a family of QPs along a grid.
-
-    The QPs share ``Q`` and ``R``; grid point ``i`` has the linear term
-    ``C[i]`` and the right-hand side ``RHS[i]``, taken as given (callers
-    build them through :class:`Qp`, which checks them once per path).
-    Returns the stacks ``(Z, LAM, info)``, one row per point, with one array
-    in ``info`` per diagnostic (``ridge_used``, ``lemke_pivots``, ``kkt_*``);
-    an empty grid gives empty stacks.
-
-    Lemke runs for the first grid point and for a point where a one-row
-    step fails (a breakpoint); every other point is solved on an active set
-    by one matrix product, through the pseudo-inverse of the set's KKT
-    matrix.  After a breakpoint, every later grid point is solved that way
-    on the breakpoint's active set, as one stack.  A point is kept when the
-    slack of every row outside the set passes the working-set loop's ``>=
-    -1e-12 (1 + |r|)`` test, the multiplier of every row in the set is
-    nonnegative (the slack of such a row is roundoff about zero, which the
-    sign test would misread) and its KKT residuals over every row are
-    within ``1e-8 (1 + rows)``; the points before the first one that fails
-    are kept.  For that point one step is tried: the row that crosses zero
-    first on the segment from the last kept point to it
-    (:func:`_crossing_row`) joins the set if it is outside, or leaves it,
-    and the remaining points are solved and certified on the new set the
-    same way.  If the failed point passes there, the leading run is kept and
-    the walk goes on from the new set; otherwise that point is a
-    breakpoint.  Steps are not repeated within one grid interval.
-
-    A breakpoint is solved by :func:`_solve_qp_full` with the working set
-    started at the active set the path last walked on and the Hessian
-    factored once for the whole path.  The first grid point's working set
-    starts at ``work``, rows the caller expects to bind there (the budget
-    path passes the rows of its ``t = 0`` fit), as a breakpoint's starts
-    at the last active set.  The rows that bind Lemke's iterate
-    (:func:`_active_rows`) start the new active set; the equality solve on
-    it (the polish) is repeated, with every row it violates by the
+    The working-set Lemke loop (:func:`_solve_qp_full`, started at ``work``)
+    gives an iterate, whose binding rows (:func:`_active_rows`) start the
+    active set.  The equality solve on the set (the polish,
+    :func:`_segment_solve`) is repeated, with every row it violates by the
     working-set loop's test added, until it violates none (a singular
     Hessian's minimum-norm polish can violate rows whose multiplier is
-    roundoff at the iterate), and the walk goes on from the final set.  The
-    polish replaces the iterate when its multipliers are nonnegative up to
-    ``1e-8`` of their scale (the small negative ones are clipped to 0) and
-    its worst residual is no larger than the iterate's.
+    roundoff at the iterate).  The polish replaces the iterate when its
+    multipliers are nonnegative up to ``1e-8`` of their scale (the small
+    negative ones are clipped to 0) and its worst residual is no larger.
     """
-    n = C.shape[0]
-    Z, LAM = np.zeros((n, Q.shape[0])), np.zeros((n, R.shape[0]))
-    info = {key: np.zeros(n) for key in PATH_DIAGNOSTICS}
-    if n == 0:
-        return Z, LAM, info
-    tol = 1e-12 * (1.0 + np.abs(RHS))
-    bound = 1e-8 * (1.0 + R.shape[0])
-    factor, active, i = _ridge_factor(Q), work, 0
-    info["ridge_used"][:] = factor[1]
-    while i < n:
-        c, r = C[i], RHS[i]
-        z, lam, solved = _solve_qp_full(Q, c, R, r, work=active, factor=factor)
-        kkt = _kkt(Q, c, R, z, lam, R @ z - r)
-        active, scale = _active_rows(lam)
-        while True:
-            pinv = _kkt_factor(Q, R, active)
-            z_p, lam_p = _active_set_solve(pinv, c, r, active)
-            violated = np.setdiff1d(np.flatnonzero(R @ z_p - r < -tol[i]), active)
-            if violated.size == 0:
-                break
-            active = np.union1d(active, violated)
-        if float(np.min(lam_p, initial=0.0)) >= -1e-8 * scale:
-            lam_p = np.maximum(lam_p, 0.0)
-            kkt_p = _kkt(Q, c, R, z_p, lam_p, R @ z_p - r)
-            if _kkt_score(kkt_p, lam_p) <= _kkt_score(kkt, lam):
-                z, lam, kkt = z_p, lam_p, kkt_p
-        Z[i], LAM[i], info["lemke_pivots"][i] = z, lam, solved["lemke_pivots"]
-        for key, value in kkt.items():
-            info[key][i] = value
-        i += 1
-        # the later points as one stack on this active set, then on one-row
-        # steps from it, one per rejected point
-        kept, rows, step = (lam, R @ z - r), active, False
-        while i < n:
-            Zs, LAMs = _active_set_solve(pinv, C[i:], RHS[i:], rows)
-            slack = (R @ Zs.T).T - RHS[i:]
-            kkt = _kkt(Q, C[i:], R, Zs, LAMs, slack)
-            passes = slack >= -tol[i:]
-            passes[:, rows] = True  # rows in the set are judged by their multipliers
-            ok = np.all(passes, axis=1) & np.all(LAMs >= 0.0, axis=1)
-            for value in kkt.values():
-                ok &= value <= bound
-            run = ok.size if ok.all() else int(np.argmin(ok))
-            if step and run == 0:
-                break
-            active = rows
-            if run:
-                Z[i : i + run], LAM[i : i + run] = Zs[:run], LAMs[:run]
-                for key, value in kkt.items():
-                    info[key][i : i + run] = value[:run]
-                kept = LAMs[run - 1], slack[run - 1]
-                i += run
-            if i == n:
-                break
-            row = _crossing_row(*kept, LAMs[run], slack[run], active, tol[i])
-            if row is None:
-                break
-            rows = np.setdiff1d(active, row) if row in active else np.union1d(active, row)
-            pinv, step = _kkt_factor(Q, R, rows), True
-    return Z, LAM, info
+    z, lam, info = _solve_qp_full(Q, c, R, r, work)
+    kkt = _kkt(Q, c, R, z, lam, R @ z - r)
+    active, scale = _active_rows(lam)
+    in_set = np.zeros(R.shape[0], dtype=bool)
+    in_set[active] = True
+    unit, tol = _unit_rows(R)[None], 1e-12 * (1.0 + np.abs(r))
+    while True:
+        z_p, lam_p = (x[0, 0] for x in _segment_solve(Q[None], R[None], c[None, None], r[None, None], in_set[None],
+                                                      unit))
+        violated = (R @ z_p - r < -tol) & ~in_set
+        if not violated.any():
+            break
+        in_set |= violated
+    if float(np.min(lam_p, initial=0.0)) >= -1e-8 * scale:
+        lam_p = np.maximum(lam_p, 0.0)
+        kkt_p = _kkt(Q, c, R, z_p, lam_p, R @ z_p - r)
+        if _kkt_score(kkt_p, lam_p) <= _kkt_score(kkt, lam):
+            z, lam, kkt = z_p, lam_p, kkt_p
+    return z, lam, {**info, **kkt}, np.flatnonzero(in_set)
 
 
 def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[np.ndarray],
                  c0: Sequence[np.ndarray], dc: Sequence[np.ndarray], thetas: np.ndarray, theta0: Sequence[float],
                  active: Sequence[Sequence[int]], dr: Optional[Sequence[np.ndarray]] = None,
-                 ) -> list[tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
-    """Solutions, multipliers and diagnostics of a stack of QP families
-    along one grid: for each program ``k``, the QPs ``(Q[k], c0[k] + theta
-    dc[k], R[k], r[k] + theta dr[k])`` at the non-increasing ``thetas``,
-    walked down from ``theta0[k]``, where the rows ``active[k]`` bind the
-    solution; one triple of :func:`_qp_path`'s stacks per program.  ``dr``
-    defaults to 0.
+                 ) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
+    """Solutions and diagnostics of a stack of QP families along one grid:
+    for each program ``k``, the QPs ``(Q[k], c0[k] + theta dc[k], R[k],
+    r[k] + theta dr[k])`` at the non-increasing ``thetas``, walked down from
+    ``theta0[k]``, where the rows ``active[k]`` bind the solution.  Returns
+    one pair per program: the primal points, one row per grid point, and one
+    array per diagnostic (``ridge_used``, ``lemke_pivots``, ``kkt_*``), one
+    entry per grid point.  ``dr`` defaults to 0.
 
     On a fixed active set the solution and its multipliers are affine in
     ``theta``, so one solve of the set's KKT system for the two programs
@@ -746,22 +608,21 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     fit).  A walk that toggles a row back at the ``theta`` where it just
     toggled it has stalled on a degenerate point and stops there.
 
-    The filled points of all programs are certified together under
-    :func:`_qp_path`'s acceptance rule (slack of every row outside the set
-    ``>= -1e-12 (1 + |r|)``, multipliers nonnegative, KKT residuals within
-    ``1e-8 (1 + rows)``): stationarity and complementarity as one stack over
-    the rows some set held (every other multiplier is 0), the slack of every
-    row one program at a time.  From a program's first point that fails, or that
-    its walk leaves unfilled when it stalls or after ``4 (1 + rows)``
-    segments, the rest of its grid is solved by :func:`_qp_path` on that
-    program alone, with the set its walk reached there as the first working
-    set.  Filled points report no ridge and no Lemke pivots.
+    The filled points of all programs are certified together: the slack of
+    every row outside the set passes the working-set loop's test ``>=
+    -1e-12 (1 + |r|)``, every multiplier in the set is nonnegative, and the
+    KKT residuals over every row are within ``1e-8 (1 + rows)``.  A
+    program's first point that fails, or that its walk leaves unfilled when
+    it stalls or after ``4 (1 + rows)`` segments, is solved by
+    :func:`_solve_qp` alone, started at the set the walk reached there, and
+    the walk restarts from the polished set on that program alone over the
+    rest of the grid; each restart uses up a grid point.  Filled points
+    report no ridge and no Lemke pivots.
     """
     K, n = len(Q), thetas.size
     m_k, p_k = [q.shape[0] for q in Q], [a.shape[0] for a in R]
     if K == 0 or n == 0:
-        return [(np.zeros((n, m)), np.zeros((n, p)), {key: np.zeros(n) for key in PATH_DIAGNOSTICS})
-                for m, p in zip(m_k, p_k)]
+        return [(np.zeros((n, m)), {key: np.zeros(n) for key in PATH_DIAGNOSTICS}) for m in m_k]
     m, p = max(m_k), max(p_k)
     # the padded stack, with the programs (c0, r) and (dc, dr) of each
     Qs, Rs, terms, rhs = np.zeros((K, m, m)), np.zeros((K, p, m)), np.zeros((K, 2, m)), np.zeros((K, 2, p))
@@ -860,28 +721,30 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
         kkt["kkt_feasibility"][k] = np.fmax(0.0, -np.min(slack, axis=1, initial=0.0))
         fails = filled[k] & ~(ok[k] & passes.all(axis=1) & (kkt["kkt_feasibility"][k] <= bound[k]))
         j = int(fails.argmax()) if fails.any() else i[k]
-        Zk, LAMk = Z[k, :, :mk], np.zeros((n, pk))
-        LAMk[:, held[on]] = LAM[k][:, on]
-        info = {key: np.zeros(n) for key in PATH_DIAGNOSTICS}
+        Zk, info = Z[k, :, :mk], {key: np.zeros(n) for key in PATH_DIAGNOSTICS}
         for key, value in kkt.items():
             info[key][:j] = value[k, :j]
         if j < n:
+            # Lemke at the failing point, from the set the walk reached there;
+            # then the walk again from the polished set
             work = np.flatnonzero((in_set[seg[k, j]] if j < i[k] else rows[k])[:pk])
-            Zk[j:], LAMk[j:], rest = _qp_path(Q[k], R[k], terms[k, 0, :mk] + thetas[j:, None] * terms[k, 1, :mk],
-                                              rhs[k, 0, :pk] + thetas[j:, None] * rhs[k, 1, :pk], work)
-            for key, value in rest.items():
-                info[key][j:] = value
-        out.append((Zk, LAMk, info))
+            Zk[j], _, point, work = _solve_qp(Q[k], terms[k, 0, :mk] + thetas[j] * terms[k, 1, :mk], R[k],
+                                              rhs[k, 0, :pk] + thetas[j] * rhs[k, 1, :pk], work)
+            ((Zk[j + 1 :], rest),) = _qp_homotopy([Q[k]], [R[k]], [r[k]], [c0[k]], [dc[k]], thetas[j + 1 :],
+                                                  [thetas[j]], [work], None if dr is None else [dr[k]])
+            for key, value in info.items():
+                value[j], value[j + 1 :] = point[key], rest[key]
+        out.append((Zk, info))
     return out
 
 
 def solve_qp(qp: Qp) -> np.ndarray:
     """Minimizer of an inequality-constrained convex QP via Lemke pivoting.
 
-    The one-point path (:func:`_qp_path`): a working-set Lemke solve (see
-    :func:`_solve_qp_full`), polished on its active set.  Raises
+    A working-set Lemke solve (see :func:`_solve_qp_full`), polished on
+    its active set (:func:`_solve_qp`).  Raises
     :class:`InfeasibleQp` when pivoting ray-terminates on a ray that is
     Farkas' certificate that the constraint set is empty, and
     :class:`RayTermination` when it ray-terminates on one that is not.
     """
-    return _qp_path(qp.Q, qp.R, qp.c[None], qp.r[None])[0][0]
+    return _solve_qp(qp.Q, qp.c, qp.R, qp.r)[0]

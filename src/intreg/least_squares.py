@@ -12,9 +12,9 @@ enters the spread QP's linear term alone, so a grid of penalties is one QP
 family, returned as one stack with a row per penalty.  A grid is walked as
 the exact homotopy of that family, down from the penalty at and above which
 the solution is 0.  A single fit (the unpenalized one here, a fixed penalty
-in the Lasso) is row 0 of the one-point grid, solved by working-set Lemke
-pivoting and polished on its active set.  Rows of observed spread 0 are
-presolved before either: they pin the coefficients they touch to 0.
+in the Lasso) is one working-set Lemke solve, polished on its active set.
+Rows of observed spread 0 are presolved before either: they pin the
+coefficients they touch to 0.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .design import Coefficients, DesignSystem
 from .errors import LengthMismatch
 from .intervals import DEFAULT_TAU, Interval, hukuhara_diff, validate_tau
-from .lcp import PATH_DIAGNOSTICS, Qp, _qp_homotopy, _qp_path
+from .lcp import PATH_DIAGNOSTICS, Qp, _qp_homotopy, _solve_qp
 
 METHOD_LS = "ls"
 METHOD_LASSO = "lasso"
@@ -102,8 +102,42 @@ def _snap_zeros(a: np.ndarray) -> np.ndarray:
     return np.where(np.abs(a) <= tol, 0.0, a)
 
 
+def _spread_program(design: DesignSystem, tau: float):
+    """The spread program of ``design`` at weight ``tau`` without its L1
+    term, with the rows of observed spread 0 presolved: the free columns (a
+    mask), the program's ``Q``, ``R`` and ``r`` on them, and ``g = F_s'
+    v_s`` there; ``None`` when no spread signal is left.
+
+    Rows of observed spread 0 are forcing constraints: such a row reads
+    ``g_i a <= 0`` with ``g_i, a >= 0``, so it pins every ``a_j`` with
+    ``g_ij > 0`` to exactly 0, and the program without those columns, their
+    bound rows and these rows is solved.  Its diagnostics certify the full
+    one: pinned coefficients are exact zeros, these rows have slack exactly
+    0, and as each pinned ``j`` has some ``g_ij > 0``, multipliers on these
+    rows that make every pinned bound's multiplier nonnegative exist.  With
+    ``Q = 0`` the objective is linear with nonnegative slope over the cone,
+    which holds 0: the solution is 0 at every penalty.
+    """
+    qp = spread_qp(design, tau)
+    w = design.block_width
+    forcing = np.concatenate([np.zeros(w, dtype=bool), qp.r[w:] == 0.0])
+    free = ~np.any(qp.R[forcing] < 0.0, axis=0)  # the spread rows are -g
+    rows = ~forcing & np.concatenate([free, np.ones(design.n, dtype=bool)])
+    Q = qp.Q[np.ix_(free, free)]
+    if float(np.trace(Q)) == 0.0:
+        return None
+    return free, Q, qp.R[np.ix_(rows, free)], qp.r[rows], (design.fs.T @ design.vs)[free]
+
+
+def _finite_nonnegative(values: Iterable[float], what: str) -> np.ndarray:
+    values = np.fromiter(values, dtype=float)
+    if not np.all((values >= 0.0) & (values < np.inf)):
+        raise ValueError(f"the {what} must be finite and nonnegative")
+    return values
+
+
 def _spr_paths(designs: Sequence[DesignSystem], lambdas: Iterable[float],
-               tau: float, lemke: bool = False) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
+               tau: float) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
     """Spread-block solutions and QP diagnostics of each design along one
     penalty grid, as stacks with one row (one diagnostics entry) per
     penalty, one pair of stacks per design.
@@ -114,75 +148,58 @@ def _spr_paths(designs: Sequence[DesignSystem], lambdas: Iterable[float],
     row binding, with multipliers ``2 tau (lam - g) >= 0``, and KKT residuals
     exactly 0.  Below it the solution is piecewise affine in the penalty:
     the grid, in any order, is walked down from ``lam0`` as that exact
-    homotopy, the designs' walks in lockstep (:func:`intreg.lcp._qp_homotopy`),
-    with Lemke only where a point fails its certificate; the points at and
-    above ``lam0`` are read off the first segment, on which every bound
-    binds.  ``lemke=True`` solves the points below ``lam0`` by the
-    working-set Lemke path instead (:func:`intreg.lcp._qp_path`), as single
-    fits are, and returns the others in closed form, with no ridge and no
-    pivots, as the walk does.
-
-    Rows of observed spread 0 are forcing constraints, presolved first: such
-    a row reads ``g_i a <= 0`` with ``g_i, a >= 0``, so it pins every ``a_j``
-    with ``g_ij > 0`` to exactly 0, and the program without those columns,
-    their bound rows and these rows is solved (``g`` and ``lam0`` are those
-    of this program).  Its diagnostics certify the full one: pinned
-    coefficients are exact zeros, these rows have slack exactly 0, and as
-    each pinned ``j`` has some ``g_ij > 0``, multipliers on these rows that
-    make every pinned bound's multiplier nonnegative exist.
+    homotopy, the designs' walks in lockstep (:func:`intreg.lcp._qp_homotopy`);
+    a point that fails its certificate is solved by Lemke and the walk
+    restarts from it.  The points at and above ``lam0`` are read off the
+    first segment, on which every bound binds.  Each design's program is
+    presolved first (:func:`_spread_program`); ``g`` and ``lam0`` are those
+    of the presolved program.
     """
-    lambdas = np.fromiter(lambdas, dtype=float)
-    if not np.all((lambdas >= 0.0) & (lambdas < np.inf)):
-        raise ValueError("the penalty must be finite and nonnegative")
+    lambdas = _finite_nonnegative(lambdas, "penalty")
     fits, walks = [], []
     for design in designs:
-        qp = spread_qp(design, tau)
-        w = design.block_width
-        forcing = np.concatenate([np.zeros(w, dtype=bool), qp.r[w:] == 0.0])
-        free = ~np.any(qp.R[forcing] < 0.0, axis=0)  # the spread rows are -g
-        rows = ~forcing & np.concatenate([free, np.ones(design.n, dtype=bool)])
-        Q = qp.Q[np.ix_(free, free)]
-        A = np.zeros((lambdas.size, w))
+        A = np.zeros((lambdas.size, design.block_width))
         info = {key: np.zeros(lambdas.size) for key in PATH_DIAGNOSTICS}
         fits.append((A, info))
-        if float(np.trace(Q)) == 0.0:
-            # no spread signal left: the objective is constant (or linear with
-            # nonnegative slope) over the cone, and zero is always feasible
-            continue
-        g = (design.fs.T @ design.vs)[free]
-        R, r, lam0 = qp.R[np.ix_(rows, free)], qp.r[rows], max(0.0, float(np.max(g)))
-        if not lemke:
-            walks.append((A, info, free, Q, R, r, g, lam0))
-            continue
-        below = lambdas < lam0
-        A[np.ix_(below, free)], _, part = _qp_path(Q, R, _spread_linear(tau, lambdas[below, None], g),
-                                                   np.tile(r, (np.count_nonzero(below), 1)))
-        for key, value in part.items():
-            info[key][below] = value
+        program = _spread_program(design, tau)
+        if program is not None:
+            walks.append((A, info, *program))
     if walks:
         # the bound rows of the free columns come first and bind at the top
         order = np.argsort(-lambdas, kind="stable")
-        A, info, free, Q, R, r, g, lam0 = zip(*walks)
+        A, info, free, Q, R, r, g = zip(*walks)
         paths = _qp_homotopy(Q, R, r, [-2.0 * tau * x for x in g], [np.full(x.size, 2.0 * tau) for x in g],
-                             lambdas[order], lam0, [np.arange(x.size) for x in g])
+                             lambdas[order], [max(0.0, float(np.max(x))) for x in g],
+                             [np.arange(x.size) for x in g])
         back = np.argsort(order)
-        for a, part, cols, (Z, _, walked) in zip(A, info, free, paths):
+        for a, part, cols, (Z, walked) in zip(A, info, free, paths):
             a[:, cols] = Z[back]
             part.update({key: value[back] for key, value in walked.items()})
     return [(np.maximum(_snap_zeros(A), 0.0), info) for A, info in fits]
 
 
-def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float,
-              lemke: bool = False) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """The one-design stack of :func:`_spr_paths`."""
-    return _spr_paths([design], lambdas, tau, lemke)[0]
+    return _spr_paths([design], lambdas, tau)[0]
 
 
 def solve_spread_block(design: DesignSystem, tau: float, lam: float = 0.0) -> tuple[np.ndarray, dict]:
-    """Spread-block solution under the feasibility cone, with diagnostics: the
-    one-point working-set Lemke path."""
-    (a_s,), info = _spr_path(design, [lam], tau, lemke=True)
-    return a_s, {key: float(value[0]) for key, value in info.items()}
+    """Spread-block solution under the feasibility cone, with diagnostics.
+
+    The presolved program (:func:`_spread_program`) is solved by one
+    working-set Lemke solve, polished on its active set
+    (:func:`intreg.lcp._solve_qp`), below the zeroing penalty ``lam0 =
+    max(0, max_j g_j)``; at and above it the solution is 0, with no ridge, no
+    pivots and KKT residuals exactly 0, as on a walked grid.
+    """
+    (lam,) = _finite_nonnegative([lam], "penalty")
+    a_s, info = np.zeros(design.block_width), dict.fromkeys(PATH_DIAGNOSTICS, 0.0)
+    program = _spread_program(design, tau)
+    if program is not None:
+        free, Q, R, r, g = program
+        if lam < max(0.0, float(np.max(g))):
+            a_s[free], _, info, _ = _solve_qp(Q, _spread_linear(tau, lam, g), R, r)
+    return np.maximum(_snap_zeros(a_s), 0.0), info
 
 
 def estimate_intercept(design: DesignSystem, a_m: np.ndarray, a_s: np.ndarray) -> Interval:

@@ -89,11 +89,6 @@ def lemke_bases(lcp_):
     return [frozenset(basis.tolist()) for _, basis in intreg.lcp._lemke_pivots(lcp_.M, lcp_.q, 50 * lcp_.dim)]
 
 
-def point_info(info, i=0):
-    """The diagnostics of point ``i`` of a QP path's ``info`` stack, as floats."""
-    return {key: float(value[i]) for key, value in info.items()}
-
-
 def record_qp_solves(monkeypatch):
     """Patch the working-set QP solver to record the QPs it solves."""
     calls = []
@@ -105,25 +100,6 @@ def record_qp_solves(monkeypatch):
 
     monkeypatch.setattr(intreg.lcp, "_solve_qp_full", record)
     return calls
-
-
-def corrupt_continuation_steps(monkeypatch, corrupt):
-    """Make every stacked solve of ``lcp._qp_path``, a continuation on a
-    breakpoint's active set or a one-row step from it, propose wrong points:
-    their primal points shifted (``corrupt="primal"``) or their multipliers
-    negated (``"multipliers"``).  A breakpoint's polish, the one one-point
-    active-set solve, is left alone."""
-    solve = intreg.lcp._active_set_solve
-
-    def step(pinv, c, r, active):
-        z, lam = solve(pinv, c, r, active)
-        if c.ndim == 1:
-            return z, lam
-        if corrupt == "primal":
-            return z + 1e-3 * (1.0 + np.max(np.abs(z))), lam
-        return z, -lam
-
-    monkeypatch.setattr(intreg.lcp, "_active_set_solve", step)
 
 
 def record_homotopies(monkeypatch):
@@ -142,23 +118,29 @@ def record_homotopies(monkeypatch):
 
 
 def walk_alone(Q, R, r, c0, dc, thetas, theta0, active, dr=None):
-    """``lcp._qp_homotopy`` on the one-program stack: the program's stacks."""
+    """``lcp._qp_homotopy`` on the one-program stack: the program's points
+    and diagnostics."""
     return intreg.lcp._qp_homotopy([Q], [R], [r], [c0], [dc], thetas, [theta0], [active],
                                    None if dr is None else [dr])[0]
 
 
-def corrupt_homotopy_segments(monkeypatch, corrupt, first):
+def corrupt_homotopy_segments(monkeypatch, corrupt, first, stop=None):
     """Make the segments of ``lcp._qp_homotopy`` (solved by
-    ``lcp._segment_solve``, one per walking program in each call), from its
-    ``first`` one on (counting from 0), propose wrong points: their primal
-    points shifted (``corrupt="primal"``) or their multipliers negated
-    (``"multipliers"``).  The solves of ``lcp._qp_path`` are left alone."""
+    ``lcp._segment_solve`` on the two-program stacks ``(c0, dc)``, one per
+    walking program in each call), from its ``first`` one up to its
+    ``stop`` one (counting from 0, ``stop`` excluded, all the rest when
+    ``None``), propose wrong points: their primal points shifted
+    (``corrupt="primal"``) or their multipliers negated (``"multipliers"``).
+    The one-program polish of a single solve is left alone."""
     solve = intreg.lcp._segment_solve
     segments = []
 
     def segment(*args):
         z, lam = solve(*args)
-        bad = (len(segments) + np.arange(len(z)) >= first)[:, None, None]
+        if args[2].shape[1] != 2:
+            return z, lam
+        index = len(segments) + np.arange(len(z))
+        bad = ((index >= first) & (stop is None or index < stop))[:, None, None]
         segments.extend([1] * len(z))
         if corrupt == "primal":
             return np.where(bad, z + 1e-3 * (1.0 + np.max(np.abs(z), axis=(1, 2), keepdims=True)), z), lam

@@ -75,6 +75,26 @@ def _equality_restricted(Q: np.ndarray, c: np.ndarray, A: np.ndarray, b: np.ndar
     return sol[:m]
 
 
+def kkt_min_norm(Q: np.ndarray, R: np.ndarray, c: np.ndarray, r: np.ndarray,
+                 active: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solution of the KKT equality system ``Qz +
+    c = A'lam_A``, ``Az = r_A`` of the rows ``active`` (``A = R[active]``),
+    by ``np.linalg.lstsq`` on the full system, also when ``Q`` is singular or
+    rows of ``A`` depend on each other.
+
+    Returns the point and the multipliers on every row (zero off the set).
+    A stack of programs, one ``(c, r)`` per row, gives one point and one
+    multiplier vector per row.
+    """
+    m, active = Q.shape[0], np.asarray(active, dtype=int)
+    A = R[active]
+    kkt = np.block([[Q, A.T], [A, np.zeros((active.size, active.size))]])
+    sol = np.linalg.lstsq(kkt, np.concatenate([-c, r[..., active]], axis=-1).T, rcond=None)[0].T
+    lam = np.zeros(r.shape)
+    lam[..., active] = -sol[..., m:]
+    return sol[..., :m], lam
+
+
 def _best_feasible(qp: Qp, subsets: Iterable[tuple]) -> Optional[np.ndarray]:
     feas_scale = _FEAS_TOL * (1.0 + float(np.max(np.abs(qp.r), initial=0.0)))
     best = None

@@ -274,6 +274,28 @@ class TestMain:
             assert out == ""
             assert err.startswith("error code=") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("magnitude", ["1e154", "-1e154"])
+    def test_huge_magnitude_is_rejected_at_ingest(self, tmp_path, capsys, magnitude):
+        # |mid_x1| sqrt(n) beyond sqrt(max float) / 2 would overflow the fit's
+        # sums of squares (ls reported a failing certificate with exit 0,
+        # lasso and lasso-ir other error codes): every method ends in the same
+        # one error line, which names the row and the column
+        rows = Path(FIXTURE_CSV).read_text().splitlines()
+        cells = rows[5].split(",")
+        cells[2] = magnitude
+        rows[5] = ",".join(cells)
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(rows) + "\n")
+        errors = set()
+        for method in ("ls", "lasso", "lasso-ir"):
+            assert main(["--input-path", str(path), "--method", method]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.add(err)
+        value = float(magnitude)
+        assert errors == {f"error code=InvertedInterval detail=invalid interval for 'x1' at data row 5: "
+                          f"the midpoint {value} overflows the fit's sums of squares\n"}
+
     def test_solver_failure_is_one_error_line(self, monkeypatch, capsys):
         # a ray termination on a feasible program is a solver failure, and
         # reaches the CLI as one error line (the joint QP of lasso-ir on this

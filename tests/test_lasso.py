@@ -23,7 +23,7 @@ import intreg.least_squares
 from intreg.cli import main
 from intreg.errors import FoldTooSmall, IntregError, RayTermination, SubgradientGap
 from intreg.lasso import _lasso_gram, _mid_fits, mid_kkt_gap, soft_threshold
-from intreg.lasso_ir import _budget_path, default_budget_grid
+from intreg.lasso_ir import _budget_fit, _budget_path, default_budget_grid
 from intreg.least_squares import _spr_path, solve_spread_block, spread_qp
 
 from conftest import (corrupt_homotopy_segments, exact_fit_sample, random_sample, record_homotopies,
@@ -554,9 +554,9 @@ class TestPathwiseCrossValidation:
 
     @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
     def test_failed_continuation_step_falls_back_to_lemke(self, corrupt, monkeypatch):
-        # a homotopy segment whose solve fails its certificate sends the
-        # rest of the grid, from its first point, to the working-set Lemke
-        # path, which solves it as single fits would be
+        # a homotopy segment whose solve fails its certificate sends its
+        # first point to working-set Lemke, solved as a single fit would be,
+        # and the walk restarts from there
         d = build_design(split_model_sample(101, 100), "full")
         grid = lambda_grid(d, 100, 1e-3, "spr")
         cold = [fit_lasso_spr(d, lam, 0.5) for lam in grid]
@@ -581,15 +581,15 @@ class TestPathwiseCrossValidation:
     @pytest.mark.parametrize("k", [10, 20])
     def test_wide_spread_and_budget_paths_equal_cold_fits(self, k):
         # on wide designs both grids are walked as homotopies; each point
-        # must be the single fit's, from the one-point Lemke path, zero
+        # must be the single fit's, one working-set Lemke solve, zero
         # pattern included
         d = build_design(split_model_sample(k, 200, k), "full")
         grid = lambda_grid(d, 100, 1e-3, "spr")
         pairs = [(warm, fit_lasso_spr(d, lam, 0.5)) for lam, warm in zip(grid, _spr_path(d, grid, 0.5)[0])]
         grid = default_budget_grid(d)
         for t, a_m, a_a in zip(grid, *_budget_path(d, 0.5, grid)[:2]):
-            cold_m, cold_a, _ = _budget_path(d, 0.5, [t], lemke=True)
-            pairs += [(a_m, cold_m[0]), (a_a, cold_a[0])]
+            cold_m, cold_a, _ = _budget_fit(d, 0.5, t)
+            pairs += [(a_m, cold_m), (a_a, cold_a)]
         for warm, cold in pairs:
             assert np.array_equal(warm == 0.0, cold == 0.0)
             assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
@@ -710,7 +710,8 @@ def test_empty_grid_gives_empty_stacks(path):
     w, p = d.block_width, qp.num_constraints
     info = {key: (0,) for key in intreg.lcp.PATH_DIAGNOSTICS}
     got, want = {
-        "qp": lambda: (intreg.lcp._qp_path(qp.Q, qp.R, np.zeros((0, w)), np.zeros((0, p))), [(0, w), (0, p), info]),
+        "qp": lambda: (intreg.lcp._qp_homotopy([qp.Q], [qp.R], [qp.r], [qp.c], [np.zeros(w)], np.zeros(0), [0.0],
+                                               [np.arange(w)])[0], [(0, w), info]),
         "spread": lambda: (_spr_path(d, [], 0.5), [(0, w), info]),
         "midpoint": lambda: (_mid_fits(d, []), [(0, w), (0,)]),
         "budget": lambda: (_budget_path(d, 0.5, []), [(0, w), (0, w), info]),

@@ -1,4 +1,3 @@
-import functools
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +13,11 @@ from intreg import (
     ingest,
     select_budget,
 )
-from intreg import lasso_ir, lcp
-from intreg.lasso_ir import _budget_path, _joint_qp, default_budget_grid
+from intreg import lcp
+from intreg.lasso_ir import _budget_fit, _budget_path, _joint_qp, default_budget_grid
 from intreg.least_squares import _snap_zeros
 
-from conftest import (corrupt_continuation_steps, corrupt_homotopy_segments, point_info, record_lemke_dims,
-                      record_qp_solves, split_model_sample)
+from conftest import corrupt_homotopy_segments, record_lemke_dims, record_qp_solves, split_model_sample
 from oracle import simulate
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv"
@@ -47,19 +45,11 @@ def objective(design, result, tau):
                  + tau * np.sum((design.vs - design.fs @ a_s) ** 2))
 
 
-def one_point_fit(design, t):
-    """Midpoint block, offset and diagnostics of a single fit at budget ``t``,
-    as ``fit_lasso_ir`` solves it, before packaging: row 0 of the one-point
-    grid, on the Lemke path."""
-    A_m, A_a, info = _budget_path(design, 0.5, [t], lemke=True)
-    return A_m[0], A_a[0], point_info(info)
-
-
 def cold_joint_fit(design, tau, t):
-    """Midpoint block and offset at budget ``t`` from the joint QP alone: its
-    one-point path with no rows carried into the first working set."""
+    """Midpoint block and offset at budget ``t`` from the joint QP alone: one
+    solve with no rows carried into the first working set."""
     qp = _joint_qp(design, tau, t)
-    u = lcp._qp_path(qp.Q, qp.R, qp.c[None], qp.r[None])[0][0]
+    u = lcp._solve_qp(qp.Q, qp.c, qp.R, qp.r)[0]
     w = design.block_width
     return u[:w], _snap_zeros(np.maximum(u[w : 2 * w], 0.0) - np.maximum(u[2 * w :], 0.0))
 
@@ -138,7 +128,7 @@ class TestToFitResult:
     def test_packaging_and_mse(self):
         d = build_design(adversarial_sample(), "model-m")
         res = fit_lasso_ir(d, 0.5, 0.1)
-        a_m, a_a, _ = one_point_fit(d, 0.1)
+        a_m, a_a, _ = _budget_fit(d, 0.5, 0.1)
         a_s = a_m + a_a
         assert res.method == "lasso-ir"
         assert res.t_budget == 0.1
@@ -155,7 +145,7 @@ class TestToFitResult:
     def test_fitted_spreads_clamped_at_zero(self):
         d = build_design(adversarial_sample(), "model-m")
         res = fit_lasso_ir(d, 0.5, 0.1)
-        a_m, a_a, _ = one_point_fit(d, 0.1)
+        a_m, a_a, _ = _budget_fit(d, 0.5, 0.1)
         raw = d.fs @ (a_m + a_a) + d.mean_y.spr
         assert np.min(raw) < 0.0
         assert np.array_equal(res.fitted_spr, np.maximum(raw, 0.0))
@@ -220,9 +210,9 @@ class TestSelectBudget:
 
 
 class TestBudgetPath:
-    """Every budget of a grid is its joint QP's fit.  On the Lemke path of
-    single fits, the t > 0 budgets start each QP from the rows that bound
-    the previous one, the first from the rows that bind the t = 0 fit."""
+    """Every budget of a grid is its joint QP's fit.  A single fit at t > 0
+    starts its joint QP from the rows that bind the t = 0 fit, every offset
+    bound and the budget row."""
 
     @pytest.mark.parametrize("n", [100, 200])
     @pytest.mark.parametrize("variant", ["full", "model-m"])
@@ -230,7 +220,7 @@ class TestBudgetPath:
         d = build_design(split_model_sample(n + 2, n), variant)
         grid = default_budget_grid(d)
         for t, a_m, a_a in zip(grid, *_budget_path(d, 0.5, grid)[:2]):
-            cold_m, cold_a, _ = one_point_fit(d, t)
+            cold_m, cold_a, _ = _budget_fit(d, 0.5, t)
             assert np.array_equal(a_a == 0.0, cold_a == 0.0)
             for got, want in ((a_m, cold_m), (a_a, cold_a)):
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
@@ -258,15 +248,13 @@ class TestBudgetPath:
     def test_every_joint_solve_is_one_lemke_round(self, variant, monkeypatch):
         # with the t = 0 fit's binding rows, every offset bound and the budget
         # row in the first working set, no joint QP adds a row or restarts
-        # cold: the Lemke budget path of single fits, on the folds and grid
-        # that select_budget walks
+        # cold: single fits at every budget of the grid select_budget walks
         calls, solves = record_lemke_dims(monkeypatch), []
         solve = lcp._solve_qp_full
-        monkeypatch.setattr(lasso_ir, "_budget_paths", functools.partial(lasso_ir._budget_paths, lemke=True))
 
-        def record(Q, c, R, r, work=(), factor=None):
+        def record(Q, c, R, r, work=()):
             before = len(calls)
-            out = solve(Q, c, R, r, work, factor)
+            out = solve(Q, c, R, r, work)
             solves.append((Q.shape[0], len(calls) - before))
             return out
 
@@ -274,9 +262,10 @@ class TestBudgetPath:
         for seed in range(1, 7):
             d = build_design(split_model_sample(seed, 100), variant)
             solves.clear()
-            select_budget(d, 0.5, folds=5, seed=0)
+            for t in default_budget_grid(d)[1:]:
+                fit_lasso_ir(d, 0.5, t)
             joint = [count for width, count in solves if width == 3 * d.block_width]
-            assert joint and joint == [1] * len(joint), seed
+            assert len(joint) == 20 and joint == [1] * len(joint), seed
 
     def test_every_budget_meets_its_certificate(self):
         # the top budgets of these samples leave offset rows whose multiplier
@@ -309,25 +298,26 @@ class TestBudgetPath:
 
     @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
     def test_failed_continuation_step_falls_back_to_lemke(self, corrupt, monkeypatch):
-        # on the Lemke budget path, a continuation step that fails its
-        # checks makes its grid point a breakpoint, solved as a single fit
-        # would be
+        # with every walk segment failing its checks, each t > 0 point is
+        # solved by Lemke, once, as a single fit would be, and each restarted
+        # walk fails at its first point again
         d = build_design(split_model_sample(103, 100), "full")
         grid = default_budget_grid(d)
-        cold = [one_point_fit(d, t) for t in grid]
-        corrupt_continuation_steps(monkeypatch, corrupt)
+        cold = [_budget_fit(d, 0.5, t) for t in grid]
+        corrupt_homotopy_segments(monkeypatch, corrupt, first=0)
         calls = record_qp_solves(monkeypatch)
-        for (cold_m, cold_a, _), a_m, a_a in zip(cold, *_budget_path(d, 0.5, grid, lemke=True)[:2]):
+        A_m, A_a, info = _budget_path(d, 0.5, grid)
+        for (cold_m, cold_a, _), a_m, a_a in zip(cold, A_m, A_a):
             assert np.array_equal(a_a == 0.0, cold_a == 0.0)
             for a, b in ((a_m, cold_m), (a_a, cold_a)):
                 assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b), initial=0.0)
-        assert len(calls) == len(grid)
+        assert len(calls) == len(grid) and info["lemke_pivots"].all()
 
 
 class TestBudgetHomotopy:
     """A cross-validated budget grid is walked as the exact homotopy of the
     joint QP up from its t = 0 fit, with no joint-QP Lemke solve where every
-    point certifies; single fits stay on the Lemke path."""
+    point certifies; a single fit is one joint Lemke solve."""
 
     @staticmethod
     def joint_solves(calls, design):
@@ -382,7 +372,8 @@ class TestBudgetHomotopy:
     def test_budget_that_never_binds_keeps_the_zero_budget_fit(self, monkeypatch):
         # constant regressor and response spreads leave the spread part of
         # the objective constant: no offset gradient is negative at t = 0,
-        # so every budget is the t = 0 fit, walked by no segment
+        # so every budget is the t = 0 fit, walked by no segment (the t = 0
+        # fit's polish solves a one-program stack)
         rng = np.random.default_rng(3)
         mid_x = rng.normal(size=(40, 1))
         sample = IntervalSample(2.0 * mid_x[:, 0] + rng.normal(0.0, 0.1, 40), np.ones(40), mid_x, np.full((40, 1), 0.5))
@@ -390,19 +381,20 @@ class TestBudgetHomotopy:
         assert not d.fs.any() and not d.vs.any()
         segments = []
         solve = lcp._segment_solve
-        monkeypatch.setattr(lcp, "_segment_solve", lambda *args: segments.append(1) or solve(*args))
+        monkeypatch.setattr(lcp, "_segment_solve", lambda *args: segments.append(args[2].shape[1]) or solve(*args))
         A_m, A_a, info = _budget_path(d, 0.5, [0.0, 0.5, 2.0])
-        assert segments == [] and not A_a.any()
+        assert segments == [1] and not A_a.any()
         assert np.array_equal(A_m[1], A_m[0]) and np.array_equal(A_m[2], A_m[0])
         assert all(np.array_equal(value, np.repeat(value[0], 3)) for value in info.values())
 
     @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
     def test_failed_segment_falls_back_to_lemke(self, corrupt, monkeypatch):
-        # a segment whose solve fails its certificate sends the rest of the
-        # grid, from its first point, to the working-set Lemke path
+        # a segment whose solve fails its certificate sends its first point
+        # to working-set Lemke, and the walk restarts from there; the points
+        # before it stay walked
         d = build_design(split_model_sample(103, 100), "full")
         grid = default_budget_grid(d)
-        cold = [one_point_fit(d, t) for t in grid]
+        cold = [_budget_fit(d, 0.5, t) for t in grid]
         corrupt_homotopy_segments(monkeypatch, corrupt, first=2)
         calls = record_qp_solves(monkeypatch)
         A_m, A_a, info = _budget_path(d, 0.5, grid)

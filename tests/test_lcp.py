@@ -1,4 +1,3 @@
-import functools
 import os
 import subprocess
 import sys
@@ -17,9 +16,9 @@ from intreg.errors import InfeasibleQp, PivotLimitExceeded, SingularQ
 from intreg.lasso import fit_lasso_spr
 from intreg.lcp import RAY_TERMINATION, SOLVED, LcpSolution
 
-from conftest import (lemke_bases, point_info, random_feasible_qp, record_lemke_dims, record_qp_solves,
-                      split_model_sample, walk_alone)
-from oracle import brute_force_qp
+from conftest import (corrupt_homotopy_segments, lemke_bases, random_feasible_qp, record_lemke_dims,
+                      record_qp_solves, split_model_sample, walk_alone)
+from oracle import brute_force_qp, kkt_min_norm
 
 
 def assert_lcp_invariants(lcp, sol):
@@ -287,7 +286,7 @@ class TestSolveQp:
     def test_kkt_stationarity(self, rng):
         for i in range(20):
             qp = random_feasible_qp(rng, m=3, p=5)
-            z, lam, info = one_point_path(qp)
+            z, lam, info = single_solve(qp)
             assert info["kkt_stationarity"] <= 1e-8
             assert info["kkt_feasibility"] <= 1e-8
             assert np.min(lam, initial=0.0) >= -1e-9
@@ -297,37 +296,23 @@ class TestSolveQp:
         assert np.allclose(solve_qp(qp), [3.0, -4.0], atol=1e-10)
 
 
-def one_point_path(qp):
-    """Solution, multipliers and diagnostics of one QP: row 0 of the
-    one-point path."""
-    Z, LAM, info = lcp._qp_path(qp.Q, qp.R, qp.c[None], qp.r[None])
-    return Z[0], LAM[0], point_info(info)
-
-
-def stacks(terms, thetas):
-    """The linear terms and right-hand sides ``terms(theta)`` of a grid, as
-    the two stacks ``lcp._qp_path`` takes."""
-    points = [terms(theta) for theta in thetas]
-    return np.array([c for c, _ in points]), np.array([r for _, r in points])
-
-
-def path_points(Q, R, terms, thetas):
-    """The points of ``lcp._qp_path`` along a grid, one ``(z, lam, info)``
-    per grid point, with float diagnostics."""
-    Z, LAM, info = lcp._qp_path(Q, R, *stacks(terms, thetas))
-    return [(Z[i], LAM[i], point_info(info, i)) for i in range(len(Z))]
+def single_solve(qp, work=()):
+    """Solution, multipliers and diagnostics of one QP: one working-set Lemke
+    solve, polished on its active set."""
+    return lcp._solve_qp(qp.Q, qp.c, qp.R, qp.r, work)[:3]
 
 
 def full_dimension_solve(qp):
     """Lemke on every row at once, z = Q^{-1}(R' lam - c), then the same
-    active-set polish: the solve that the working set replaces."""
+    acceptance of the polish on its active set, here the full KKT system's
+    minimum-norm solution: the solve that the working set replaces."""
     sol = lemke_solve(qp_to_lcp(qp))
     assert sol.status == SOLVED
     L, _ = lcp._ridge_factor(qp.Q)
     lam = sol.z
     z = lcp._chol_solve(L, qp.R.T @ lam - qp.c)
     active, scale = lcp._active_rows(lam)
-    z_p, lam_p = lcp._active_set_solve(lcp._kkt_factor(qp.Q, qp.R, active), qp.c, qp.r, active)
+    z_p, lam_p = kkt_min_norm(qp.Q, qp.R, qp.c, qp.r, active)
 
     def score(z, lam):
         return lcp._kkt_score(lcp._kkt(qp.Q, qp.c, qp.R, z, lam, qp.R @ z - qp.r), lam)
@@ -342,14 +327,15 @@ class TestWorkingSet:
     def test_caller_qps_match_full_dimension_solve(self, n, monkeypatch):
         # the spread block (ls and lasso), the lasso-ir t = 0 program and the
         # joint QP at t > 0, as their callers build them; the fit at t > 0
-        # solves the t = 0 program first, whose binding rows start its path
+        # solves the t = 0 program first, whose binding rows start its
+        # working set
         design = build_design(split_model_sample(n, n), "full")
         qps = []
         solve = lcp._solve_qp_full
 
-        def record(Q, c, R, r, **kwargs):
+        def record(Q, c, R, r, *args):
             qps.append(Qp(Q, c, R, r))
-            return solve(Q, c, R, r, **kwargs)
+            return solve(Q, c, R, r, *args)
 
         monkeypatch.setattr(lcp, "_solve_qp_full", record)
         least_squares.solve_spread_block(design, 0.5)
@@ -365,7 +351,7 @@ class TestWorkingSet:
         dims = record_lemke_dims(monkeypatch)
         for qp in qps:
             dims.clear()
-            z, lam, _ = one_point_path(qp)
+            z, lam, _ = single_solve(qp)
             assert max(dims) < qp.num_constraints
             z_ref, lam_ref = full_dimension_solve(qp)
             assert np.count_nonzero(lam_ref) > 0
@@ -387,17 +373,14 @@ class TestWorkingSet:
         assert np.max(np.abs(z_warm - z)) <= 1e-10 * np.max(np.abs(z))
 
     def test_feasible_unconstrained_minimizer_skips_carried_rows(self, monkeypatch):
-        # the second program's breakpoint starts from the first one's active
+        # the second program's working set starts at the first one's active
         # set, rows 0 and 1, but its unconstrained minimizer is feasible
         dims = record_lemke_dims(monkeypatch)
-        first = path_points(np.eye(2), np.eye(2), lambda sign: (sign * np.ones(2), np.zeros(2)), [1.0])
-        first_dims = list(dims)
+        _, lam, _, rows = lcp._solve_qp(np.eye(2), np.ones(2), np.eye(2), np.zeros(2))
+        assert np.array_equal(lam, [1.0, 1.0]) and rows.tolist() == [0, 1] and dims
         dims.clear()
-        path = path_points(np.eye(2), np.eye(2), lambda sign: (sign * np.ones(2), np.zeros(2)), [1.0, -1.0])
-        assert np.array_equal(first[0][1], [1.0, 1.0]) and np.array_equal(path[0][1], [1.0, 1.0])
-        # the second point adds no Lemke call to the first one's
-        assert first_dims and dims == first_dims
-        z, lam, _ = path[1]
+        z, lam, _ = single_solve(Qp(np.eye(2), -np.ones(2), np.eye(2), np.zeros(2)), rows)
+        assert dims == []
         assert np.array_equal(z, [1.0, 1.0]) and np.array_equal(lam, [0.0, 0.0])
 
     def test_ray_termination_on_carried_rows_restarts_cold(self, monkeypatch):
@@ -442,125 +425,132 @@ class TestWorkingSet:
 
 
 def record_path_events(monkeypatch):
-    """Patch the QP path's solvers to log, in order, each working-set Lemke
-    solve (``"lemke"``, with its starting working set), each KKT
-    factorization (``"factor"``, with its rows), each active-set solve of
-    one point (``"single"``) or of a stack (``"stack"``), with its rows, and
-    each homotopy segment's reduced solve (``"segment"``, with its rows)."""
+    """Patch the QP solvers to log, in order, each working-set Lemke solve
+    (``"lemke"``, with its starting working set) and each reduced KKT
+    solve, with its rows (those of the stack's first QP): a walk's segment,
+    on the two-program stack ``(c0, dc)`` (``"segment"``), or a single
+    solve's polish (``"polish"``)."""
     events = []
-    solve, factor, active_solve = lcp._solve_qp_full, lcp._kkt_factor, lcp._active_set_solve
-    segment_solve = lcp._segment_solve
+    solve, segment_solve = lcp._solve_qp_full, lcp._segment_solve
 
     def segment(Q, R, C, RHS, active, unit):
-        events.append(("segment", active))
+        events.append(("segment" if C.shape[1] == 2 else "polish", np.flatnonzero(active[0])))
         return segment_solve(Q, R, C, RHS, active, unit)
 
-    def lemke(Q, c, R, r, work=(), factor=None):
+    def lemke(Q, c, R, r, work=()):
         events.append(("lemke", np.asarray(work, dtype=int)))
-        return solve(Q, c, R, r, work, factor)
-
-    def factored(Q, R, active):
-        events.append(("factor", active))
-        return factor(Q, R, active)
-
-    def solved(pinv, c, r, active):
-        events.append(("single" if c.ndim == 1 else "stack", active))
-        return active_solve(pinv, c, r, active)
+        return solve(Q, c, R, r, work)
 
     monkeypatch.setattr(lcp, "_solve_qp_full", lemke)
-    monkeypatch.setattr(lcp, "_kkt_factor", factored)
-    monkeypatch.setattr(lcp, "_active_set_solve", solved)
     monkeypatch.setattr(lcp, "_segment_solve", segment)
     return events
 
 
-def steps(events):
-    """The one-row steps of a path's event log: the factorizations that
-    directly follow a stacked solve, as ``(rows before, rows after)``."""
-    return [(events[j - 1][1], rows) for j, (kind, rows) in enumerate(events)
-            if kind == "factor" and events[j - 1][0] == "stack"]
-
-
 def affine_family(rng, m=4, p=40):
     """A feasible QP whose linear term and right-hand side both move with
-    theta; r only decreases, so every program on theta >= 0 is feasible."""
+    theta, ``(c + theta dc, r + theta dr)``: the QP and ``dc`` and ``dr``; r
+    only decreases, so every program on theta >= 0 is feasible."""
     qp = random_feasible_qp(rng, m, p)
-    dc = rng.normal(size=m)
-    dr = -rng.uniform(0.0, 0.3, p)
-    return qp, lambda theta: (qp.c + theta * dc, qp.r + theta * dr)
+    return qp, rng.normal(size=m), -rng.uniform(0.0, 0.3, p)
+
+
+def at(qp, dc, dr, theta):
+    """The program of an affine family at ``theta``."""
+    return Qp(qp.Q, qp.c + theta * dc, qp.R, qp.r + theta * dr)
+
+
+def start_set(qp):
+    """The rows of a single solve's active set."""
+    return lcp._solve_qp(qp.Q, qp.c, qp.R, qp.r)[3]
+
+
+def walk_family(qp, dc, dr, thetas, start):
+    """The affine family walked down the grid ``thetas`` from its first point,
+    where the rows ``start`` bind: the points and diagnostics."""
+    return walk_alone(qp.Q, qp.R, qp.r, qp.c, dc, thetas, thetas[0], start, dr)
 
 
 class TestQpPath:
+    """A grid of related QPs, a path, is walked as the homotopy; a point that
+    fails its certificate is solved by one working-set Lemke solve,
+    polished, and the walk restarts from there.  A single QP is that one
+    solve."""
+
     def test_path_equals_single_solves(self, rng, monkeypatch):
-        thetas = np.linspace(0.0, 3.0, 60)
+        thetas = np.linspace(3.0, 0.0, 60)
         for _ in range(5):
-            qp, terms = affine_family(rng)
-            cold = [one_point_path(Qp(qp.Q, c, qp.R, r)) for c, r in map(terms, thetas)]
+            qp, dc, dr = affine_family(rng)
+            cold = [single_solve(at(qp, dc, dr, theta))[0] for theta in thetas]
+            start = start_set(at(qp, dc, dr, thetas[0]))
             calls = record_qp_solves(monkeypatch)
-            path = path_points(qp.Q, qp.R, terms, thetas)
+            Z, info = walk_family(qp, dc, dr, thetas, start)
             monkeypatch.undo()
-            assert 1 <= len(calls) <= len(thetas) // 4
-            for (z, lam, info), (z_cold, lam_cold, _) in zip(path, cold):
-                assert np.array_equal(lam > 0, lam_cold > 0)
+            assert len(calls) <= len(thetas) // 4
+            for z, z_cold in zip(Z, cold):
                 assert np.max(np.abs(z - z_cold)) <= 1e-10 * (1.0 + np.max(np.abs(z_cold)))
-                assert max(info[k] for k in info if k.startswith("kkt_")) <= 1e-8
+            assert max(np.max(info[k]) for k in info if k.startswith("kkt_")) <= 1e-8
 
     def test_no_point_skips_its_certificate(self, rng, monkeypatch):
-        # with every certificate reported as failing, no continuation step
-        # is accepted and every grid point is solved by the QP solver
-        qp, terms = affine_family(rng)
-        thetas = np.linspace(0.0, 3.0, 30)
+        # with every certificate reported as failing, no walked point is
+        # accepted: every grid point is solved by the QP solver, once, and
+        # each restarted walk fails at its first point
+        qp, dc, dr = affine_family(rng)
+        thetas = np.linspace(3.0, 0.0, 30)
+        start = start_set(at(qp, dc, dr, thetas[0]))
         kkt = lcp._kkt
 
         def failing(*args):
-            return dict(kkt(*args), kkt_stationarity=1.0)
+            out = kkt(*args)
+            return dict(out, kkt_stationarity=out["kkt_stationarity"] * 0.0 + 1.0)
 
         monkeypatch.setattr(lcp, "_kkt", failing)
         calls = record_qp_solves(monkeypatch)
-        assert len(path_points(qp.Q, qp.R, terms, thetas)) == len(thetas)
+        assert len(walk_family(qp, dc, dr, thetas, start)[0]) == len(thetas)
         assert len(calls) == len(thetas)
 
     def test_step_keeps_the_working_set_feasibility_test(self, monkeypatch):
-        # min 1/2 |z|^2 - z_1 subject to z_1 <= 2, then z_1 <= 1 - 1e-9 twice:
-        # on the first point's empty active set the continuation lands 1e-9
-        # outside the row, which the KKT bound 1e-8 (1 + rows) would let
-        # through but the slack test rejects; the one-row step adds the row,
-        # and both later points are solved on it
+        # min 1/2 |z|^2 - z_1 subject to z_1 <= 1 + 1e-9 (1 - theta), walked
+        # down from theta = 0 on its empty active set: the grid point theta
+        # = 2, above the start, is read off the first segment 1e-9 outside
+        # the row, which the KKT bound 1e-8 (1 + rows) would let through but
+        # the slack test rejects.  Lemke solves it, and the walk restarts on
+        # the row, which leaves at theta = 1
         Q, c, R = np.eye(2), np.array([-1.0, 0.0]), np.array([[-1.0, 0.0]])
-        bounds = [2.0, 1.0 - 1e-9, 1.0 - 1e-9]
         events = record_path_events(monkeypatch)
-        path = path_points(Q, R, lambda i: (c, np.array([-bounds[i]])), range(3))
-        assert [kind for kind, _ in events] == ["lemke", "factor", "single", "stack", "factor", "stack"]
-        assert [(a.tolist(), b.tolist()) for a, b in steps(events)] == [([], [0])]
-        for z, lam, info in path[1:]:
-            assert z == pytest.approx([1.0 - 1e-9, 0.0], abs=1e-15)
-            assert lam == pytest.approx([1e-9], abs=1e-15)
-            assert info["lemke_pivots"] == 0.0
+        Z, info = walk_alone(Q, R, np.array([-1.0 - 1e-9]), c, np.zeros(2), np.array([2.0, 0.0, 0.0]), 0.0, [],
+                             np.array([1e-9]))
+        assert [(kind, rows.tolist()) for kind, rows in events] == [
+            ("segment", []), ("lemke", []), ("polish", [0]), ("segment", [0])]
+        assert Z[0] == pytest.approx([1.0 - 1e-9, 0.0], abs=1e-15)
+        for z in Z[1:]:
+            assert z == pytest.approx([1.0, 0.0], abs=1e-15)
+        assert info["lemke_pivots"][0] > 0.0 and not info["lemke_pivots"][1:].any()
 
     @pytest.mark.parametrize("thetas", [np.linspace(0.0, 3.0, 13), np.linspace(3.0, 0.0, 13)],
                              ids=["row-enters", "row-leaves"])
     def test_one_row_step_replaces_lemke(self, thetas, monkeypatch):
         # min 1/2 |z|^2 - theta z_1 - z_2 / 2 subject to z_1 <= 1 and
         # z_2 <= 2: the first row binds for theta > 1 only, the second never;
-        # walking theta up, the row enters mid-path, walking it down, it
-        # leaves, and either time one step on it replaces a Lemke solve
+        # walking theta up (the walk's parameter is then -theta), the row
+        # enters mid-path, walking it down, it leaves, and either time one
+        # segment on each set replaces every Lemke solve
         Q, R, r = np.eye(2), -np.eye(2), np.array([-1.0, -2.0])
-        terms = lambda theta: (np.array([-theta, -0.5]), r)
-        cold = [one_point_path(Qp(Q, terms(theta)[0], R, r)) for theta in thetas]
-        events = record_path_events(monkeypatch)
-        path = path_points(Q, R, terms, thetas)
-        assert [kind for kind, _ in events].count("lemke") == 1 and events[0][0] == "lemke"
+        cold = [single_solve(Qp(Q, np.array([-theta, -0.5]), R, r))[0] for theta in thetas]
         enters = thetas[0] < thetas[-1]
-        assert [(a.tolist(), b.tolist()) for a, b in steps(events)] == [([], [0]) if enters else ([0], [])]
-        for (z, lam, _), (z_cold, lam_cold, _) in zip(path, cold):
+        sign = -1.0 if enters else 1.0
+        start = lcp._solve_qp(Q, np.array([-thetas[0], -0.5]), R, r)[3]
+        events = record_path_events(monkeypatch)
+        Z, _ = walk_alone(Q, R, r, np.array([0.0, -0.5]), np.array([-sign, 0.0]), sign * thetas, sign * thetas[0],
+                          start)
+        assert [(kind, rows.tolist()) for kind, rows in events] == (
+            [("segment", []), ("segment", [0])] if enters else [("segment", [0]), ("segment", [])])
+        for z, z_cold in zip(Z, cold):
             assert z == pytest.approx(z_cold, rel=1e-15, abs=1e-15)
-            assert lam == pytest.approx(lam_cold, rel=1e-15, abs=1e-15)
 
     def test_active_rows_are_judged_by_their_multipliers(self, monkeypatch):
-        # at n = 2000, k = 20 the stacked solve leaves many rows of the set
-        # with a slack of -1e-12 relative or so, roundoff about zero; were
-        # they held to the slack sign test, these paths would make 29 and 20
-        # Lemke solves, not 1 and 4
+        # at n = 2000, k = 20 a walk leaves many rows of its set with a slack
+        # of -1e-12 relative or so, roundoff about zero; were they held to
+        # the slack sign test, these walks would hand points to Lemke
         design = build_design(split_model_sample(20, 2000, 20), "full")
         calls = record_qp_solves(monkeypatch)
         spread = least_squares._spr_path(design, lasso.lambda_grid(design, 100, 1e-3, "spr"), 0.5)[-1]
@@ -580,102 +570,87 @@ class TestQpPath:
         # polish on the empty set, (1/4, -1/4), violates it; the row joins
         # the set and the polish on it is exact
         Q, c = np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([-0.5, 0.5])
-        z, lam, info = one_point_path(Qp(Q, c, np.eye(2), np.zeros(2)))
+        z, lam, info = single_solve(Qp(Q, c, np.eye(2), np.zeros(2)))
         assert z == pytest.approx([0.5, 0.0], abs=1e-15)
         assert lam == pytest.approx([0.0, 0.0], abs=1e-15)
         assert info["kkt_stationarity"] <= 1e-15 and info["kkt_feasibility"] <= 1e-15
 
     def test_hessian_is_factored_once_per_path(self, rng, monkeypatch):
-        qp, terms = affine_family(rng)
+        # the walk factors no Hessian: the only Cholesky factorizations of a
+        # path are those of the Lemke solves at the points that fail, one each
+        qp, dc, dr = affine_family(rng)
+        thetas = np.linspace(3.0, 0.0, 60)
+        start = start_set(at(qp, dc, dr, thetas[0]))
         factors = []
         ridge_factor = lcp._ridge_factor
         monkeypatch.setattr(lcp, "_ridge_factor", lambda Q: factors.append(1) or ridge_factor(Q))
         calls = record_qp_solves(monkeypatch)
-        lcp._qp_path(qp.Q, qp.R, *stacks(terms, np.linspace(0.0, 3.0, 60)))
-        assert len(calls) > 1 and factors == [1]
+        walk_family(qp, dc, dr, thetas, start)
+        assert calls == [] and factors == []
+        corrupt_homotopy_segments(monkeypatch, "primal", first=3)
+        walk_family(qp, dc, dr, thetas, start)
+        assert len(calls) > 1 and len(factors) == len(calls)
 
     def test_kkt_is_factored_once_per_breakpoint(self, rng, monkeypatch):
-        # a breakpoint factors its active set's KKT matrix once, right after
-        # its Lemke solve (again only when its polish violates a row outside
-        # the set, which no point of this family does); the polish and the
-        # continuation that follow share that factor.  Every other
-        # factorization is a one-row step, right after the stacked solve
-        # whose first point it rejected, so factorizations are Lemke
-        # breakpoints plus steps tried
-        qp, terms = affine_family(rng)
+        # a single solve polishes its Lemke iterate with one reduced solve on
+        # its active set (again only when the polish violates a row outside
+        # the set, which no point of this family does).  A walk makes one
+        # reduced solve per segment, each on a set one row away from the
+        # last, and no other
+        qp, dc, dr = affine_family(rng)
+        thetas = np.linspace(3.0, 0.0, 60)
         events = record_path_events(monkeypatch)
-        lcp._qp_path(qp.Q, qp.R, *stacks(terms, np.linspace(0.0, 3.0, 60)))
-        kinds = [kind for kind, _ in events]
-        tried = steps(events)
-        assert kinds.count("lemke") >= 1 and tried
-        assert kinds.count("factor") == kinds.count("lemke") + len(tried)
-        assert all(kinds[j + 1] == "factor" for j, kind in enumerate(kinds) if kind == "lemke")
-        for before, after in tried:
-            assert np.setxor1d(before, after).size == 1
+        start = start_set(at(qp, dc, dr, thetas[0]))
+        assert [kind for kind, _ in events] == ["lemke", "polish"]
         events.clear()
-        lcp._qp_path(qp.Q, qp.R, *stacks(terms, [1.0]))
-        assert [kind for kind, _ in events] == ["lemke", "factor", "single"]
+        walk_family(qp, dc, dr, thetas, start)
+        assert len(events) > 1 and {kind for kind, _ in events} == {"segment"}
+        assert np.array_equal(events[0][1], start)
+        for (_, before), (_, after) in zip(events, events[1:]):
+            assert np.setxor1d(before, after).size == 1
 
-    def test_breakpoint_starts_at_the_last_active_set(self, monkeypatch):
-        # the rows carried into a breakpoint's working set are the active set
-        # the path last walked on, the set of its last point's solve: not the
-        # rows with a positive multiplier (on this budget path a degenerate
-        # row's polished multiplier is roundoff of about 4e-17, which must
-        # not decide the working set), and not the set of a step that failed.
-        # The budget paths are the Lemke path of single fits, on the folds
-        # and grid that select_budget walks
-        sample = ingest(Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv")
-        design = build_design(sample, "model-m")
-        paths, current = [], []
-        path, solve, active_solve = lasso_ir._qp_path, lcp._solve_qp_full, lcp._active_set_solve
+    def test_breakpoint_starts_at_the_last_active_set(self, rng, monkeypatch):
+        # the point a walk hands to Lemke starts its working set at the set
+        # the walk reached there, the cold solution's at that point; the
+        # walk then restarts from the polished solve's set, over the rest of
+        # the grid
+        qp, dc, dr = affine_family(rng)
+        thetas, j = np.linspace(3.0, 0.0, 40), 20
+        start = start_set(at(qp, dc, dr, thetas[0]))
+        kkt, solve_qp, homotopy = lcp._kkt, lcp._solve_qp, lcp._qp_homotopy
+        solves, walks = [], []
 
-        def new_path(Q, R, C, RHS, work=()):
-            # the budget path walks two paths; each records its own
-            walk = {"rhs": RHS, "start": np.asarray(work, dtype=int), "solves": [], "works": []}
-            paths.append(walk)
-            current[:] = [walk]
-            return path(Q, R, C, RHS, work)
+        def failing(*args):
+            # point j fails the first walk's certificate
+            out = kkt(*args)
+            if args[3].ndim == 3 and not walks[1:]:
+                out["kkt_stationarity"][0, j] = 1.0
+            return out
 
-        def solved(pinv, c, r, active):
-            # the grid points a solve covers: a stack the rest of the grid,
-            # a one-point solve the breakpoint Lemke last solved
-            walk = current[0]
-            first = len(walk["rhs"]) - len(r) if r.ndim == 2 else walk["lemke_at"]
-            walk["solves"].append((first, len(walk["rhs"]) if r.ndim == 2 else first + 1, active))
-            return active_solve(pinv, c, r, active)
+        def solve(*args):
+            solves.append((args[4], solve_qp(*args)))
+            return solves[-1][1]
 
-        def record(Q, c, R, r, work=(), factor=None):
-            walk = current[0]
-            i = int(np.flatnonzero(np.all(walk["rhs"] == r, axis=1))[0])
-            walk["lemke_at"] = i
-            # the set the path last walked on: that of the last solve
-            # covering the point before, the solve its value came from
-            covering = [active for first, end, active in walk["solves"] if first <= i - 1 < end]
-            walk["works"].append((np.asarray(work, dtype=int), covering[-1] if covering else None))
-            return solve(Q, c, R, r, work, factor)
-
-        monkeypatch.setattr(lasso_ir, "_qp_path", new_path)
-        monkeypatch.setattr(lcp, "_solve_qp_full", record)
-        monkeypatch.setattr(lcp, "_active_set_solve", solved)
-        monkeypatch.setattr(lasso_ir, "_budget_paths", functools.partial(lasso_ir._budget_paths, lemke=True))
-        lasso_ir.select_budget(design, 0.5)
-        assert sum(len(walk["works"]) > 1 for walk in paths) > 1
-        assert sum(walk["start"].size > 0 for walk in paths) > 1
-        for walk in paths:
-            # the first point starts at the rows the caller passes
-            assert np.array_equal(walk["works"][0][0], walk["start"])
-            for work, walked in walk["works"][1:]:
-                assert np.array_equal(work, walked)
+        monkeypatch.setattr(lcp, "_kkt", failing)
+        monkeypatch.setattr(lcp, "_solve_qp", solve)
+        monkeypatch.setattr(lcp, "_qp_homotopy", lambda *args: walks.append(args) or homotopy(*args))
+        Z, _ = walk_family(qp, dc, dr, thetas, start)
+        monkeypatch.undo()
+        ((work, (z, _, _, polished)),) = solves
+        assert np.array_equal(work, start_set(at(qp, dc, dr, thetas[j])))
+        assert len(walks) == 2
+        assert np.array_equal(walks[1][5], thetas[j + 1 :]) and walks[1][6] == [thetas[j]]
+        assert np.array_equal(walks[1][7][0], polished)
+        for z, theta in zip(Z, thetas):
+            z_cold = single_solve(at(qp, dc, dr, theta))[0]
+            assert np.max(np.abs(z - z_cold)) <= 1e-10 * (1.0 + np.max(np.abs(z_cold)))
 
     @pytest.mark.parametrize("path", ["spread", "budget"])
     def test_one_stacked_solve_per_breakpoint(self, path, monkeypatch):
-        # the points after a breakpoint are solved in one stacked call, and
-        # again in one per one-row step; the only one-point solves are the
-        # breakpoints' polishes.  The budget path is the Lemke path of single
-        # fits.  The spread path is a homotopy: one reduced solve of the
-        # two-program stack (the point at 0 and the direction) per segment,
-        # no Lemke solve, no factorization of the full KKT matrix and no
-        # one-point solve
+        # a walk makes one reduced solve of the two-program stack (the point
+        # at 0 and the direction) per segment, and no Lemke solve; the
+        # budget path's one Lemke solve and one-program polish are its t = 0
+        # fit's
         design = build_design(split_model_sample(1, 100), "full")
         events = record_path_events(monkeypatch)
         if path == "spread":
@@ -683,20 +658,14 @@ class TestQpPath:
             points = least_squares._spr_path(design, grid, 0.5)[0]
         else:
             grid = lasso_ir.default_budget_grid(design)
-            points = lasso_ir._budget_path(design, 0.5, grid, lemke=True)[0]
+            points = lasso_ir._budget_path(design, 0.5, grid)[0]
         assert len(points) == len(grid)
         kinds = [kind for kind, _ in events]
-        if path == "spread":
-            assert 1 <= len(kinds) < len(grid) // 2
-            assert kinds == ["segment"] * len(kinds)
-            return
-        lemke = kinds.count("lemke")
-        assert 1 <= lemke < len(grid) // 2
-        assert kinds.count("single") == lemke
-        stacked = [kinds[j - 1] for j, kind in enumerate(kinds) if kind == "stack"]
-        assert set(stacked) <= {"single", "factor"}
-        assert stacked.count("single") <= lemke
-        assert stacked.count("factor") == len(steps(events)) > 0
+        lead = [] if path == "spread" else ["lemke", "polish"]
+        assert kinds[: len(lead)] == lead
+        walk = kinds[len(lead) :]
+        assert 1 <= len(walk) < len(grid) // 2
+        assert walk == ["segment"] * len(walk)
 
 
 def zero_spread_sample():
@@ -721,15 +690,14 @@ def duplicate_column_sample():
 # min 1/2 |z|^2 + (theta - g)'z over z >= 0 and, in the second family, z_2 <= 1,
 # walked down from theta0 with every bound binding: in "bounds", both bounds
 # leave at theta = 1; in "enter-leave", the bound of z_1 leaves at theta = 1
-# as the row z_2 <= 1 enters.  Both grids hold theta = 1.
+# as the row z_2 <= 1 enters.  Both grids hold theta = 1.  A tie resolved
+# wrong leaves a negative multiplier, which the certificate rejects.
 TIES = {
     "bounds": (np.eye(2), np.zeros(2), np.ones(2), np.array([2.0, 1.0, 0.5, 0.0]), 1.0,
-               [[0.0, 0.0], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0]], [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+               [[0.0, 0.0], [0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]),
     "enter-leave": (np.vstack([np.eye(2), [0.0, -1.0]]), np.array([0.0, 0.0, -1.0]), np.array([1.0, 2.0]),
                     np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.0]), 2.0,
-                    [[0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [0.0, 1.0], [0.5, 1.0], [1.0, 1.0]],
-                    [[2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5],
-                     [0.0, 0.0, 1.0]]),
+                    [[0.0, 0.0], [0.0, 0.0], [0.0, 0.5], [0.0, 1.0], [0.5, 1.0], [1.0, 1.0]]),
 }
 
 
@@ -762,14 +730,13 @@ class TestQpHomotopy:
         thetas = np.linspace(3.0, 0.0, 40)
         for _ in range(5):
             qp, dc = random_feasible_qp(rng, 4, 40), rng.normal(size=4)
-            start = one_point_path(Qp(qp.Q, qp.c + 3.5 * dc, qp.R, qp.r))[1]
+            start = single_solve(Qp(qp.Q, qp.c + 3.5 * dc, qp.R, qp.r))[1]
             calls = record_qp_solves(monkeypatch)
-            Z, LAM, info = walk_alone(qp.Q, qp.R, qp.r, qp.c, dc, thetas, 3.5, lcp._active_rows(start)[0])
+            Z, info = walk_alone(qp.Q, qp.R, qp.r, qp.c, dc, thetas, 3.5, lcp._active_rows(start)[0])
             assert calls == []
             monkeypatch.undo()
-            for z, lam, theta in zip(Z, LAM, thetas):
-                z_cold, lam_cold, _ = one_point_path(Qp(qp.Q, qp.c + theta * dc, qp.R, qp.r))
-                assert np.array_equal(lam > 0, lam_cold > 0)
+            for z, theta in zip(Z, thetas):
+                z_cold = single_solve(Qp(qp.Q, qp.c + theta * dc, qp.R, qp.r))[0]
                 assert np.max(np.abs(z - z_cold)) <= 1e-10 * (1.0 + np.max(np.abs(z_cold)))
             assert max(np.max(info[key]) for key in info if key.startswith("kkt_")) <= 1e-8
 
@@ -794,13 +761,11 @@ class TestQpHomotopy:
 
     @pytest.mark.parametrize("tie", TIES)
     def test_two_row_tie_certifies(self, tie, monkeypatch):
-        R, r, g, thetas, theta0, z_want, lam_want = TIES[tie]
+        R, r, g, thetas, theta0, z_want = TIES[tie]
         calls = record_qp_solves(monkeypatch)
-        Z, LAM, info = walk_alone(np.eye(2), R, r, -g, np.ones(2), thetas, theta0, np.arange(2))
+        Z, info = walk_alone(np.eye(2), R, r, -g, np.ones(2), thetas, theta0, np.arange(2))
         assert calls == []
         assert Z == pytest.approx(np.array(z_want), abs=1e-15)
-        assert LAM == pytest.approx(np.array(lam_want), abs=1e-15)
-        assert np.all(LAM >= 0.0)
         assert max(np.max(info[key]) for key in info if key.startswith("kkt_")) <= 1e-15
 
     def test_walk_raises_no_floating_point_error(self):
@@ -816,7 +781,7 @@ class TestQpHomotopy:
                 lasso.cross_validate(design, 0.5, folds=5, seed=0, blocks=("spr",), count=20)
                 lasso_ir._budget_path(design, 0.5, lasso_ir.default_budget_grid(design))
                 lasso_ir.select_budget(design, 0.5)
-            for R, r, g, thetas, theta0, _, _ in TIES.values():
+            for R, r, g, thetas, theta0, _ in TIES.values():
                 walk_alone(np.eye(2), R, r, -g, np.ones(2), thetas, theta0, np.arange(2))
 
 
@@ -837,11 +802,11 @@ class TestQpHomotopy:
         segments = []
         solve = lcp._segment_solve
         monkeypatch.setattr(lcp, "_segment_solve", lambda *args: segments.append(1) or solve(*args))
-        Z, _, _ = walk_alone(Q, R, r, c, dc, thetas, theta0, start, dr)
+        Z, _ = walk_alone(Q, R, r, c, dc, thetas, theta0, start, dr)
         released = len(segments)
         segments.clear()
         calls = record_qp_solves(monkeypatch)
-        Z_tiny, _, info = walk_alone(Q, R, r, c, np.full(c.size, 1e-300), thetas, theta0, start, dr)
+        Z_tiny, info = walk_alone(Q, R, r, c, np.full(c.size, 1e-300), thetas, theta0, start, dr)
         assert len(segments) <= released + 4
         assert len(calls) <= 1
         assert np.max(np.abs(Z_tiny - Z)) <= 1e-10 * np.max(np.abs(Z))
@@ -868,7 +833,8 @@ def segment_counter(monkeypatch, shifted=None, first=0):
     """Patch ``lcp._segment_solve`` to count the segments of each walked
     program, known by its Hessian (the leading block of a padded one); with
     ``shifted``, a Hessian, shift that program's primal points from its
-    ``first`` segment on (counting from 0).  Returns the count function."""
+    ``first`` segment on (counting from 0).  The one-program polish of a
+    single solve is no segment.  Returns the count function."""
     stacks, solve = [], lcp._segment_solve
 
     def made(Q):
@@ -876,6 +842,8 @@ def segment_counter(monkeypatch, shifted=None, first=0):
 
     def segment(*args):
         z, lam = solve(*args)
+        if args[2].shape[1] != 2:
+            return z, lam
         stacks.append(args[0].copy())
         if shifted is not None and made(shifted) > first:
             for j, S in enumerate(args[0]):
@@ -901,13 +869,13 @@ class TestLockstepWalk:
         counts = [made(q) for q in Q]
         monkeypatch.undo()
         assert len(together) == len(Q) > 1
-        for k, (Z, LAM, info) in enumerate(together):
+        for k, (Z, info) in enumerate(together):
             made = segment_counter(monkeypatch, shifted if shifted is Q[k] else None, first=2)
-            Z_alone, LAM_alone, info_alone = walk_alone(Q[k], R[k], r[k], c0[k], dc[k], thetas, theta0[k], active[k],
+            Z_alone, info_alone = walk_alone(Q[k], R[k], r[k], c0[k], dc[k], thetas, theta0[k], active[k],
                                                         None if dr is None else dr[k])
             assert made(Q[k]) == counts[k] > 0, k
             monkeypatch.undo()
-            assert Z.shape == Z_alone.shape and LAM.shape == LAM_alone.shape
+            assert Z.shape == Z_alone.shape
             assert np.array_equal(Z == 0.0, Z_alone == 0.0), k
             assert np.max(np.abs(Z - Z_alone)) <= 1e-12 * np.max(np.abs(Z_alone)), k
             assert np.array_equal(info["lemke_pivots"] > 0, info_alone["lemke_pivots"] > 0), k
@@ -972,8 +940,32 @@ class TestLockstepWalk:
             grid = lasso_ir.default_budget_grid(d)
             (args,) = recorded_walks(monkeypatch, lasso_ir, lambda: lasso_ir._budget_paths(designs, 0.5, grid))
         together = self.assert_lockstep_equals_alone(monkeypatch, args, shifted=args[0][2])
-        fell_back = [bool(info["lemke_pivots"].any()) for _, _, info in together]
+        fell_back = [bool(info["lemke_pivots"].any()) for _, info in together]
         assert fell_back == [False, False, True, False, False]
+
+    def test_one_corrupted_fold_segment_restarts_its_walk(self, monkeypatch):
+        # one fold-segment of a lockstep spread walk proposes a wrong point:
+        # that fold solves the first point that fails by Lemke and walks on
+        # from there, so it makes fewer Lemke solves than it has grid points
+        # left; every point of every fold is still its cold single fit
+        sample = split_model_sample(2, 100)
+        designs = fold_designs(sample)
+        grid = np.append(lasso.lambda_grid(build_design(sample, "full"), 100, 1e-3, "spr"), 0.0)
+        corrupt_homotopy_segments(monkeypatch, "primal", first=7, stop=8)
+        calls = record_qp_solves(monkeypatch)
+        paths = least_squares._spr_paths(designs, grid, 0.5)
+        monkeypatch.undo()
+        programs = [least_squares._spread_program(design, 0.5) for design in designs]
+        hit = [[k for k, (_, Q, _, _, g) in enumerate(programs) if np.array_equal(qp.Q, Q)] for qp in calls]
+        assert calls and all(len(k) == 1 for k in hit) and len({k[0] for k in hit}) == 1
+        # the penalty of each solve, from its linear term 2 tau (lam - g)
+        g = programs[hit[0][0]][4]
+        first = min(int(np.argmin(np.abs(grid - (qp.c[0] + g[0])))) for qp in calls)
+        assert len(calls) < len(grid) - first
+        for design, (A, _) in zip(designs, paths):
+            for lam, a in zip(grid, A):
+                want = least_squares.solve_spread_block(design, 0.5, lam)[0]
+                assert np.max(np.abs(a - want)) <= 1e-9 * np.max(np.abs(want), initial=0.0)
 
     def test_budget_fold_with_no_negative_gradient(self, monkeypatch):
         # constant spreads leave no offset gradient negative: that design is
@@ -997,11 +989,11 @@ class TestLockstepWalk:
 
 class TestStackedHelpers:
     """A stack of programs, one per row, gives the one-program results row by
-    row, and the same continuation decisions."""
+    row, and the same certificate decisions."""
 
     @staticmethod
     def accepted(R, r, lam, slack, kkt):
-        # the three tests of a continuation step in lcp._qp_path
+        # the three tests of a walk's certificate
         bound = 1e-8 * (1.0 + R.shape[0])
         return bool(np.all(slack >= -1e-12 * (1.0 + np.abs(r))) and np.all(lam >= 0.0)
                     and all(value <= bound for value in kkt.values()))
@@ -1010,23 +1002,19 @@ class TestStackedHelpers:
         thetas = np.linspace(0.0, 3.0, 60)
         decisions = []
         for _ in range(5):
-            qp, terms = affine_family(rng)
-            C = np.array([terms(theta)[0] for theta in thetas])
-            RHS = np.array([terms(theta)[1] for theta in thetas])
+            qp, dc, dr = affine_family(rng)
+            C, RHS = qp.c + thetas[:, None] * dc, qp.r + thetas[:, None] * dr
             for theta in (0.0, 1.5, 3.0):
-                # the active set of a breakpoint at theta
-                c, r = terms(theta)
-                _, lam, _ = one_point_path(Qp(qp.Q, c, qp.R, r))
-                active = lcp._active_rows(lam)[0]
-                pinv = lcp._kkt_factor(qp.Q, qp.R, active)
-                Z, LAM = lcp._active_set_solve(pinv, C, RHS, active)
+                # the active set of a single solve at theta
+                active = start_set(at(qp, dc, dr, theta))
+                Z, LAM = segment_solve(qp.Q, qp.R, C, RHS, active)
                 SLACK = (qp.R @ Z.T).T - RHS
                 KKT = lcp._kkt(qp.Q, C, qp.R, Z, LAM, SLACK)
                 for i, (c, r) in enumerate(zip(C, RHS)):
-                    z, lam = lcp._active_set_solve(pinv, c, r, active)
-                    scale = np.max(np.abs(pinv)) * (np.max(np.abs(c)) + np.max(np.abs(r)))
-                    assert np.max(np.abs(Z[i] - z)) <= 1e-14 * scale
-                    assert np.max(np.abs(LAM[i] - lam)) <= 1e-14 * scale
+                    z, lam = (x[0] for x in segment_solve(qp.Q, qp.R, c[None], r[None], active))
+                    scale = 1e-13 * (1.0 + np.max(np.abs(z)) + np.max(np.abs(lam), initial=0.0))
+                    assert np.max(np.abs(Z[i] - z)) <= scale
+                    assert np.max(np.abs(LAM[i] - lam)) <= scale
                     assert np.array_equal(LAM[i] == 0.0, lam == 0.0)
                     slack = qp.R @ z - r
                     kkt = lcp._kkt(qp.Q, c, qp.R, z, lam, slack)
@@ -1049,12 +1037,13 @@ def kkt_matrix(Q, A):
 
 
 class TestKktFactor:
-    """The factored active-set solve gives ``np.linalg.lstsq``'s minimum-norm
-    solution of the KKT equality system."""
+    """A single solve's polish, the reduced solve of one program, gives
+    ``np.linalg.lstsq``'s minimum-norm solution of the KKT equality system
+    when no two rows of the set fix one variable."""
 
     @staticmethod
     def assert_matches_lstsq(Q, c, R, r, active):
-        z, lam = lcp._active_set_solve(lcp._kkt_factor(Q, R, active), c, r, active)
+        z, lam = (x[0] for x in segment_solve(Q, R, c[None], r[None], active))
         want = np.linalg.lstsq(kkt_matrix(Q, R[active]), np.concatenate([-c, r[active]]), rcond=None)[0]
         got = np.concatenate([z, -lam[active]])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -1109,16 +1098,16 @@ def segment_solve(Q, R, C, RHS, active):
 
 
 class TestSegmentSolve:
-    """The homotopy's reduced solve, in which binding unit rows fix their
-    variables, gives the solutions of the full KKT system's pseudo-inverse
-    (:func:`lcp._active_set_solve`), for a stack of programs."""
+    """The reduced solve, in which binding unit rows fix their variables,
+    gives the full KKT system's minimum-norm solutions
+    (:func:`oracle.kkt_min_norm`), for a stack of programs."""
 
     @staticmethod
     def assert_matches_full(Q, R, C, RHS, active):
         # to 1e-10 of the solution's scale, or, on an ill-conditioned
         # regular system, to what its condition number allows
         z, lam = segment_solve(Q, R, C, RHS, active)
-        z_full, lam_full = lcp._active_set_solve(lcp._kkt_factor(Q, R, active), C, RHS, active)
+        z_full, lam_full = kkt_min_norm(Q, R, C, RHS, active)
         sv = np.linalg.svd(kkt_matrix(Q, R[active]), compute_uv=False)
         regular = sv[-1] > 1e-14 * sv[0] * sv.size
         scale = (1.0 + np.max(np.abs(z_full)) + np.max(np.abs(lam_full), initial=0.0)) * max(
@@ -1182,13 +1171,14 @@ class TestSegmentSolve:
         # a general row that is twice a unit row of the set binds nothing the
         # unit row does not: the reduced solve leaves its multiplier 0 and
         # the unit row takes the whole gradient, one of the multiplier
-        # vectors the full system admits (its pseudo-inverse splits them)
+        # vectors the full system admits (its minimum-norm solution splits
+        # them)
         qp = random_feasible_qp(rng, 4, 5)
         R, C, RHS = self.bounded(rng, qp, 2)
         R, RHS = np.vstack([R, 2.0 * R[0]]), np.hstack([RHS, 2.0 * RHS[:, [0]]])
         active = np.array([0, 3, 7])
         z, lam = segment_solve(qp.Q, R, C, RHS, active)
-        z_full, lam_full = lcp._active_set_solve(lcp._kkt_factor(qp.Q, R, active), C, RHS, active)
+        z_full, lam_full = kkt_min_norm(qp.Q, R, C, RHS, active)
         assert np.max(np.abs(z - z_full)) <= 1e-12 * np.max(np.abs(z_full))
         assert not lam[:, 7].any() and np.all(lam_full[:, 7] != 0.0)
         for got in (lam, lam_full):
@@ -1200,6 +1190,15 @@ class TestSegmentSolve:
         R, C, RHS = self.bounded(rng, qp, 2)
         R, RHS = np.vstack([R, R[0]]), np.hstack([RHS, RHS[:, [0]]])
         self.assert_matches_full(qp.Q, R, C, RHS, np.array([0, 1, 2, 7]))
+
+    def test_no_rows(self, rng):
+        # a program with no rows at all, as an unconstrained single solve
+        # polishes: the stationary point, with no multiplier
+        qp = random_feasible_qp(rng, 4, 5)
+        C = np.stack([qp.c, rng.normal(size=4)])
+        z, lam = segment_solve(qp.Q, np.zeros((0, 4)), C, np.zeros((2, 0)), np.array([], dtype=int))
+        assert lam.shape == (2, 0)
+        assert np.max(np.abs(z - np.linalg.solve(qp.Q, -C.T).T)) <= 1e-12 * np.max(np.abs(z))
 
     @pytest.mark.parametrize("t", [0.05, 0.5])
     def test_singular_joint_hessian(self, t):

@@ -192,15 +192,15 @@ def full_program_certificate(design, tau, lam, monkeypatch):
     """
     reduced = []
 
-    def spy(Q, R, C, RHS, work=()):
-        Z, LAM, info = real(Q, R, C, RHS, work)
-        reduced.append(LAM[0])
-        return Z, LAM, info
+    def spy(Q, c, R, r, work=()):
+        z, lam, info, rows = real(Q, c, R, r, work)
+        reduced.append(lam)
+        return z, lam, info, rows
 
-    real = intreg.least_squares._qp_path
-    monkeypatch.setattr(intreg.least_squares, "_qp_path", spy)
+    real = intreg.least_squares._solve_qp
+    monkeypatch.setattr(intreg.least_squares, "_solve_qp", spy)
     a, _ = solve_spread_block(design, tau, lam)
-    monkeypatch.setattr(intreg.least_squares, "_qp_path", real)
+    monkeypatch.setattr(intreg.least_squares, "_solve_qp", real)
     qp = spread_qp(design, tau, lam)
     g, w = design.gamma_matrix, design.block_width
     forcing = design.sample.spr_y == 0.0
