@@ -22,38 +22,26 @@ The run set:
 The samples are written once to a temporary directory, so both trees read
 identical input paths.  Each tree runs every report (JSON output) in its own
 Python process, with ``<tree>/src`` first on the import path, and counts its
-Lemke calls and pivots: the QP calls (spread block and ``lasso-ir``), and the
-midpoint block's one-run paths and, in a tree that has them, its per-point
-solves.  In a tree with ``lcp._kkt_factor``, it also counts the full KKT
-factorizations (``qp_kkt_factor_calls``), which a breakpoint's polish or an
-active-set step of the continuation ``lcp._qp_path`` makes in place of a
-Lemke run.  It counts the working-set Lemke solves
-(``qp_solve_qp_full_calls``, calls of ``lcp._solve_qp_full``): each single
-fit and each ``t = 0`` fit of a budget path, a restart from an empty
-working set, each point where a homotopy hands its grid to Lemke, and, in
-a tree with ``lcp._qp_path``, each point where its one-row step fails.  In
-a tree that walks grids as homotopies (``lcp._qp_homotopy``, imported by
-``least_squares`` for spread grids and, in a tree that walks budget grids
-too, by ``lasso_ir``), it counts the calls
-of the walk (``hom_qp_homotopy_calls``: one per fold in a tree that walks
-each fold alone, one per grid fitter call in a tree that walks the folds in
-lockstep), the segments (``hom_segments``: one per walking fold and segment
-in either tree, that is, the folds in each call of the reduced segment
-solve ``lcp._segment_solve``, which takes a stack of folds in a lockstep
-tree and one fold otherwise, or, in an older tree without it, the KKT
-factorizations a walk makes itself), the steps (``hom_steps``: the calls of
-that solve, each a segment of every fold still walking) and the grid points
-the walks leave to Lemke (``hom_fallback_points``): in a tree with
-``lcp._qp_path``, the points a walk hands to that path, the rest of its
-grid; in a tree without it, the points a walk solves by Lemke itself
-(calls of ``lcp._solve_qp`` inside a walk), after each of which it walks
-on.  The segment solves of a single fit's polish, or of a fallback's, are
-no segments.
+Lemke calls and pivots: the QP calls (spread block and ``lasso-ir``) and the
+midpoint block's one-run paths (``lasso._lemke_path``).  It counts the
+working-set Lemke solves (``qp_solve_qp_full_calls``, calls of
+``lcp._solve_qp_full``): each single fit and each ``t = 0`` fit of a budget
+path, a restart from an empty working set, and each point where a homotopy
+hands its grid to Lemke.  Of the homotopy walks of spread and budget grids
+(``lcp._qp_homotopy``, as ``least_squares`` and ``lasso_ir`` import it), it
+counts the calls (``hom_qp_homotopy_calls``: one per grid fitter call, the
+folds walking in lockstep), the segments (``hom_segments``: the walking
+folds in each call of the reduced segment solve ``lcp._segment_solve``),
+the steps (``hom_steps``: the calls of that solve) and the grid points a
+walk solves by Lemke itself (``hom_fallback_points``: calls of
+``lcp._solve_qp`` inside a walk), after each of which it walks on.  The
+segment solves of a single fit's polish, or of a fallback's, are no
+segments.
 
 Prints every report field that moved, with its relative size
 ``|new - old| / max(|old|, |new|)``, every run whose exit code or stderr
 moved, how many runs now fail (exit 0 -> nonzero) and how many now fit
-(nonzero -> 0), both trees' Lemke and factorization totals, overall and
+(nonzero -> 0), both trees' Lemke and homotopy totals, overall and
 per method (``ls``, ``lasso``, ``lasso-ir``), and the runs whose QP Lemke
 calls or pivots, midpoint Lemke calls or midpoint pivots differ.  Exits 2
 when runs that now fit are the only difference; 1 when anything else moved
@@ -151,50 +139,37 @@ def worker(runs_path: str, out_path: str) -> None:
 
     lcp._pivot = counted_pivot
     count_calls(lcp, "lemke_solve", "qp")
-    if hasattr(lcp, "_kkt_factor"):
-        count_calls(lcp, "_kkt_factor", "qp")
     count_calls(lcp, "_solve_qp_full", "qp")
-    walkers = [module for module in (least_squares, lasso_ir) if hasattr(module, "_qp_homotopy")]
-    if walkers:
-        # a tree with the reduced segment solve counts segments there; an
-        # older one factors the full KKT matrix once per segment
-        seg_name = "_segment_solve" if hasattr(lcp, "_segment_solve") else "_kkt_factor"
-        # a walk hands a failing point to the Lemke path, with the rest of its
-        # grid, or, in a tree without that path, to the one-point solve
-        path_name = "_qp_path" if hasattr(lcp, "_qp_path") else "_solve_qp"
-        solve, path = getattr(lcp, seg_name), getattr(lcp, path_name)
+    segment_solve, solve_qp = lcp._segment_solve, lcp._solve_qp
 
-        def segment(*args):
-            if block[0] == "hom":
-                # a lockstep tree passes the walking folds' Hessians as one stack
-                counts["hom_segments"] += len(args[0]) if args[0].ndim == 3 else 1
-                counts["hom_steps"] += 1
-            return solve(*args)
+    def segment(*args):
+        if block[0] == "hom":
+            # the walking folds' Hessians come as one stack
+            counts["hom_segments"] += len(args[0])
+            counts["hom_steps"] += 1
+        return segment_solve(*args)
 
-        def fallback(*args):
-            # the Lemke solves' own factorizations and polish are no segments
-            if block[0] == "hom":
-                counts["hom_fallback_points"] += len(args[2]) if path_name == "_qp_path" else 1
-            outer, block[0] = block[0], "qp"
-            try:
-                return path(*args)
-            finally:
-                block[0] = outer
+    def fallback(*args):
+        # the Lemke solve's own polish is no segment
+        if block[0] == "hom":
+            counts["hom_fallback_points"] += 1
+        outer, block[0] = block[0], "qp"
+        try:
+            return solve_qp(*args)
+        finally:
+            block[0] = outer
 
-        setattr(lcp, seg_name, segment)
-        setattr(lcp, path_name, fallback)
-        for module in walkers:
-            count_calls(module, "_qp_homotopy", "hom")
-            walk = module._qp_homotopy
+    lcp._segment_solve, lcp._solve_qp = segment, fallback
+    for module in (least_squares, lasso_ir):
+        count_calls(module, "_qp_homotopy", "hom")
+        walk = module._qp_homotopy
 
-            def listed_walk(*args, walk=walk):
-                counts["hom_fallback_points"] += 0  # listed also when no point falls back
-                return walk(*args)
+        def listed_walk(*args, walk=walk):
+            counts["hom_fallback_points"] += 0  # listed also when no point falls back
+            return walk(*args)
 
-            module._qp_homotopy = listed_walk
-    for name in ("lemke_solve", "_lemke_path"):
-        if hasattr(lasso, name):
-            count_calls(lasso, name, "mid")
+        module._qp_homotopy = listed_walk
+    count_calls(lasso, "_lemke_path", "mid")
     results = {}
     for label, argv in json.loads(Path(runs_path).read_text()):
         counts.clear()
@@ -257,7 +232,7 @@ def compare(old: dict, new: dict, allow: dict[str, float]) -> int:
             print(f"{tree} tree{'' if method is None else f' {method}'}: "
                   + ", ".join(f"{key} {totals[key]}" for key in sorted(set().union(*runs))))
     for what, keys in (("QP Lemke calls or pivots", ("qp_solve_qp_full_calls", "qp_lemke_solve_calls", "qp_pivots")),
-                       ("midpoint Lemke calls", ("mid_lemke_path_calls", "mid_lemke_solve_calls")),
+                       ("midpoint Lemke calls", ("mid_lemke_path_calls",)),
                        ("midpoint pivots", ("mid_pivots",))):
         differ = [label for label in old if any(old[label]["counts"].get(k, 0) != new[label]["counts"].get(k, 0)
                                                 for k in keys)]

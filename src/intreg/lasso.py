@@ -55,6 +55,7 @@ from .lcp import Lcp, _lemke_path
 from .least_squares import (
     METHOD_LASSO,
     FitResult,
+    _finite_nonnegative,
     _fit_result,
     _spr_paths,
     estimate_intercept,
@@ -145,9 +146,7 @@ def _mid_fits(design: DesignSystem, lambdas: Iterable[float]) -> tuple[np.ndarra
     and the certificate's bound are formed once per grid, and the gaps of
     all points come from one matrix product.
     """
-    lambdas = np.fromiter(lambdas, dtype=float)
-    if not np.all((lambdas >= 0.0) & (lambdas < np.inf)):
-        raise ValueError("the penalty must be finite and nonnegative")
+    lambdas = _finite_nonnegative(lambdas, "penalty")
     F, v = design.fm, design.vm
     G, b = F.T @ F, F.T @ v
     bound = 1e-8 * (1.0 + float(np.max(np.abs(b), initial=0.0)))
@@ -277,8 +276,10 @@ def cross_validate(
     Each fold walks the midpoint grid up from the zero penalty and the
     spread grid down to it, the folds' spread walks in lockstep (one step
     makes a segment of every fold still walking, and a fold whose point
-    fails its certificate is solved there by Lemke alone); each block held while
-    the other is scanned is its path's zero-penalty row.
+    fails its certificate is solved there by Lemke alone); each block held
+    while the other is scanned is its path's zero-penalty row.  A walk
+    returns its points alone, one row per penalty: they serve only the
+    held-out errors.
     """
     tau = validate_tau(tau)
     if not blocks or any(block not in BLOCKS for block in blocks):
@@ -289,7 +290,7 @@ def cross_validate(
 
     def fit_grid(trains: list[DesignSystem]):
         fits = []
-        for train, (spr, _) in zip(trains, _spr_paths(trains, spr_grid, tau)):
+        for train, spr in zip(trains, _spr_paths(trains, spr_grid, tau)):
             mid = _mid_fits(train, mid_grid)[0]
             # each scanned block's path, the other held at its zero-penalty row
             A_m = [row for block in blocks for row in (mid[1:] if block == BLOCK_MID else [mid[0]] * count)]

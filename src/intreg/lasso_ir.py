@@ -132,11 +132,10 @@ def _budget_fit(design: DesignSystem, tau: float, t: float) -> tuple[np.ndarray,
     return u[:w], _snap_zeros(np.maximum(u[w : 2 * w], 0.0) - np.maximum(u[2 * w :], 0.0)), info
 
 
-def _budget_paths(designs: Sequence[DesignSystem], tau: float, grid: Sequence[float],
-                  ) -> list[tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]]:
-    """Midpoint blocks, offsets and QP diagnostics of each design along one
-    budget grid, as stacks with one row (one diagnostics entry) per budget,
-    one triple of stacks per design.
+def _budget_paths(designs: Sequence[DesignSystem], tau: float,
+                  grid: Sequence[float]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Midpoint blocks and offsets of each design along one budget grid, as
+    stacks with one row per budget, one pair of stacks per design.
 
     The ``t = 0`` fit (:func:`_zero_budget`) is solved first, whatever the
     grid, and serves every zero budget.  The ``t > 0`` programs share the
@@ -157,46 +156,33 @@ def _budget_paths(designs: Sequence[DesignSystem], tau: float, grid: Sequence[fl
     grid = _finite_nonnegative(grid, "budget")
     on = grid > 0.0
     t = grid[on]
-    # budgets up is theta = -t down
-    order = np.argsort(t, kind="stable")
-    # per design: the t = 0 fit and its diagnostics, then the t > 0 stacks
+    # per design: the t = 0 fit, and the t > 0 stack, that fit on every row
+    # unless the design is walked below
     fits, walks = [], []
     for design in designs:
-        qp, a_m, alone, spread, g = _zero_budget(design, tau)
+        qp, a_m, _, spread, g = _zero_budget(design, tau)
         w, n, p = design.block_width, design.n, qp.R.shape[0]
+        fits.append((a_m, np.tile(np.concatenate([a_m, np.zeros(2 * w)]), (t.size, 1))))
         if float(np.min(g)) < 0.0:
-            # the freed offset enters as the budget opens; walked below
+            # the freed offset enters as the budget opens; budgets up is theta = -t down
             dr = np.zeros(p)
             dr[-1] = 1.0
-            walks.append((len(fits), qp, np.concatenate([spread, n + np.delete(np.arange(2 * w), np.argmin(g)),
-                                                         [p - 1]]), dr))
-            U = info = None
-        else:
-            U = np.tile(np.concatenate([a_m, np.zeros(2 * w)]), (t.size, 1))
-            info = {key: np.repeat(value, t.size) for key, value in alone.items()}
-        fits.append([a_m, alone, U, info])
+            walks.append((fits[-1][1], qp, np.concatenate([spread, n + np.delete(np.arange(2 * w), np.argmin(g)),
+                                                           [p - 1]]), dr))
     if walks:
-        index, qp, start, dr = zip(*walks)
+        U, qp, start, dr = zip(*walks)
         paths = _qp_homotopy([x.Q for x in qp], [x.R for x in qp], [x.r for x in qp], [x.c for x in qp],
-                             [np.zeros(x.c.size) for x in qp], -t[order], [0.0] * len(qp), start, dr)
-        back = np.argsort(order)
-        for k, (U, info) in zip(index, paths):
-            fits[k][2:] = U[back], {key: value[back] for key, value in info.items()}
+                             [np.zeros(x.c.size) for x in qp], -t, [0.0] * len(qp), start, dr)
+        for u, Z in zip(U, paths):
+            u[:] = Z
     out = []
-    for a_m, alone, U, info in fits:
+    for a_m, U in fits:
         w = a_m.size
         A_m, A_a = U[:, :w], _snap_zeros(np.maximum(U[:, w : 2 * w], 0.0) - np.maximum(U[:, 2 * w :], 0.0))
         # grid point i is row rows[i] of the t > 0 stacks with the t = 0 fit appended
         rows = np.where(on, np.cumsum(on) - 1, A_m.shape[0])
-        out.append((np.vstack([A_m, a_m])[rows], np.vstack([A_a, np.zeros((1, w))])[rows],
-                    {key: np.append(value, alone[key])[rows] for key, value in info.items()}))
+        out.append((np.vstack([A_m, a_m])[rows], np.vstack([A_a, np.zeros((1, w))])[rows]))
     return out
-
-
-def _budget_path(design: DesignSystem, tau: float,
-                 grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """The one-design stack of :func:`_budget_paths`."""
-    return _budget_paths([design], tau, grid)[0]
 
 
 def select_budget(
@@ -223,7 +209,7 @@ def select_budget(
         raise ValueError("the budget grid must be nonempty")
 
     def fit_grid(trains: list[DesignSystem]):
-        return [(A_m, A_m + A_a) for A_m, A_a, _ in _budget_paths(trains, tau, grid)]
+        return [(A_m, A_m + A_a) for A_m, A_a in _budget_paths(trains, tau, grid)]
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)
     return grid[_first_min(errors.mean(axis=0))]

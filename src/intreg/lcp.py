@@ -69,8 +69,8 @@ PIVOT_EPS = 1e-11
 SOLVED = "solved"
 RAY_TERMINATION = "ray-termination"
 
-# the diagnostics a QP path reports for each of its points
-PATH_DIAGNOSTICS = ("ridge_used", "lemke_pivots", "kkt_stationarity", "kkt_feasibility", "kkt_complementarity")
+# the diagnostics a single QP fit reports (:func:`_solve_qp`)
+FIT_DIAGNOSTICS = ("ridge_used", "lemke_pivots", "kkt_stationarity", "kkt_feasibility", "kkt_complementarity")
 
 
 @dataclass(frozen=True)
@@ -559,15 +559,13 @@ def _solve_qp(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
 
 def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[np.ndarray],
                  c0: Sequence[np.ndarray], dc: Sequence[np.ndarray], thetas: np.ndarray, theta0: Sequence[float],
-                 active: Sequence[Sequence[int]], dr: Optional[Sequence[np.ndarray]] = None,
-                 ) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
-    """Solutions and diagnostics of a stack of QP families along one grid:
-    for each program ``k``, the QPs ``(Q[k], c0[k] + theta dc[k], R[k],
-    r[k] + theta dr[k])`` at the non-increasing ``thetas``, walked down from
-    ``theta0[k]``, where the rows ``active[k]`` bind the solution.  Returns
-    one pair per program: the primal points, one row per grid point, and one
-    array per diagnostic (``ridge_used``, ``lemke_pivots``, ``kkt_*``), one
-    entry per grid point.  ``dr`` defaults to 0.
+                 active: Sequence[Sequence[int]], dr: Optional[Sequence[np.ndarray]] = None) -> list[np.ndarray]:
+    """Solutions of a stack of QP families along one grid: for each program
+    ``k``, the QPs ``(Q[k], c0[k] + theta dc[k], R[k], r[k] + theta dr[k])``
+    at the ``thetas``, in any order, walked down from ``theta0[k]``, where
+    the rows ``active[k]`` bind the solution.  Returns one stack per
+    program, one row per grid point in the order of ``thetas``.  ``dr``
+    defaults to 0.
 
     On a fixed active set the solution and its multipliers are affine in
     ``theta``, so one solve of the set's KKT system for the two programs
@@ -616,13 +614,15 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     it stalls or after ``4 (1 + rows)`` segments, is solved by
     :func:`_solve_qp` alone, started at the set the walk reached there, and
     the walk restarts from the polished set on that program alone over the
-    rest of the grid; each restart uses up a grid point.  Filled points
-    report no ridge and no Lemke pivots.
+    rest of the grid; each restart uses up a grid point.
     """
     K, n = len(Q), thetas.size
     m_k, p_k = [q.shape[0] for q in Q], [a.shape[0] for a in R]
     if K == 0 or n == 0:
-        return [(np.zeros((n, m)), {key: np.zeros(n) for key in PATH_DIAGNOSTICS}) for m in m_k]
+        return [np.zeros((n, m)) for m in m_k]
+    # the walk goes down the grid; the rows return in the grid's order
+    order = np.argsort(-thetas, kind="stable")
+    thetas = thetas[order]
     m, p = max(m_k), max(p_k)
     # the padded stack, with the programs (c0, r) and (dc, dr) of each
     Qs, Rs, terms, rhs = np.zeros((K, m, m)), np.zeros((K, p, m)), np.zeros((K, 2, m)), np.zeros((K, 2, p))
@@ -718,24 +718,21 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
         slack = Z[k, :, :mk] @ R[k].T - RHS
         passes = slack >= -1e-12 * (1.0 + np.abs(RHS))
         passes[:, held[on]] |= in_held[k][:, on]
-        kkt["kkt_feasibility"][k] = np.fmax(0.0, -np.min(slack, axis=1, initial=0.0))
-        fails = filled[k] & ~(ok[k] & passes.all(axis=1) & (kkt["kkt_feasibility"][k] <= bound[k]))
+        feasible = -np.min(slack, axis=1, initial=0.0) <= bound[k]
+        fails = filled[k] & ~(ok[k] & passes.all(axis=1) & feasible)
         j = int(fails.argmax()) if fails.any() else i[k]
-        Zk, info = Z[k, :, :mk], {key: np.zeros(n) for key in PATH_DIAGNOSTICS}
-        for key, value in kkt.items():
-            info[key][:j] = value[k, :j]
+        Zk = Z[k, :, :mk]
         if j < n:
             # Lemke at the failing point, from the set the walk reached there;
             # then the walk again from the polished set
             work = np.flatnonzero((in_set[seg[k, j]] if j < i[k] else rows[k])[:pk])
-            Zk[j], _, point, work = _solve_qp(Q[k], terms[k, 0, :mk] + thetas[j] * terms[k, 1, :mk], R[k],
-                                              rhs[k, 0, :pk] + thetas[j] * rhs[k, 1, :pk], work)
-            ((Zk[j + 1 :], rest),) = _qp_homotopy([Q[k]], [R[k]], [r[k]], [c0[k]], [dc[k]], thetas[j + 1 :],
-                                                  [thetas[j]], [work], None if dr is None else [dr[k]])
-            for key, value in info.items():
-                value[j], value[j + 1 :] = point[key], rest[key]
-        out.append((Zk, info))
-    return out
+            Zk[j], _, _, work = _solve_qp(Q[k], terms[k, 0, :mk] + thetas[j] * terms[k, 1, :mk], R[k],
+                                          rhs[k, 0, :pk] + thetas[j] * rhs[k, 1, :pk], work)
+            (Zk[j + 1 :],) = _qp_homotopy([Q[k]], [R[k]], [r[k]], [c0[k]], [dc[k]], thetas[j + 1 :], [thetas[j]],
+                                          [work], None if dr is None else [dr[k]])
+        out.append(Zk)
+    back = np.argsort(order)
+    return [Zk[back] for Zk in out]
 
 
 def solve_qp(qp: Qp) -> np.ndarray:

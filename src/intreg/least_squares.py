@@ -27,7 +27,7 @@ import numpy as np
 from .design import Coefficients, DesignSystem
 from .errors import LengthMismatch
 from .intervals import DEFAULT_TAU, Interval, hukuhara_diff, validate_tau
-from .lcp import PATH_DIAGNOSTICS, Qp, _qp_homotopy, _solve_qp
+from .lcp import FIT_DIAGNOSTICS, Qp, _qp_homotopy, _solve_qp
 
 METHOD_LS = "ls"
 METHOD_LASSO = "lasso"
@@ -136,51 +136,38 @@ def _finite_nonnegative(values: Iterable[float], what: str) -> np.ndarray:
     return values
 
 
-def _spr_paths(designs: Sequence[DesignSystem], lambdas: Iterable[float],
-               tau: float) -> list[tuple[np.ndarray, dict[str, np.ndarray]]]:
-    """Spread-block solutions and QP diagnostics of each design along one
-    penalty grid, as stacks with one row (one diagnostics entry) per
-    penalty, one pair of stacks per design.
+def _spr_paths(designs: Sequence[DesignSystem], lambdas: Iterable[float], tau: float) -> list[np.ndarray]:
+    """Spread-block solutions of each design along one penalty grid, one
+    stack per design with one row per penalty.
 
     The penalty enters the QP's linear term alone, ``2 tau (lam - g)`` with
     ``g = F_s' v_s``, so the grid is one QP family.  At and above the zeroing
     penalty ``lam0 = max(0, max_j g_j)`` the solution is 0 with every bound
-    row binding, with multipliers ``2 tau (lam - g) >= 0``, and KKT residuals
-    exactly 0.  Below it the solution is piecewise affine in the penalty:
-    the grid, in any order, is walked down from ``lam0`` as that exact
-    homotopy, the designs' walks in lockstep (:func:`intreg.lcp._qp_homotopy`);
-    a point that fails its certificate is solved by Lemke and the walk
-    restarts from it.  The points at and above ``lam0`` are read off the
-    first segment, on which every bound binds.  Each design's program is
-    presolved first (:func:`_spread_program`); ``g`` and ``lam0`` are those
-    of the presolved program.
+    row binding, with multipliers ``2 tau (lam - g) >= 0``.  Below it the
+    solution is piecewise affine in the penalty: the grid, in any order, is
+    walked down from ``lam0`` as that exact homotopy, the designs' walks in
+    lockstep (:func:`intreg.lcp._qp_homotopy`); a point that fails its
+    certificate is solved by Lemke and the walk restarts from it.  The
+    points at and above ``lam0`` are read off the first segment, on which
+    every bound binds.  Each design's program is presolved first
+    (:func:`_spread_program`); ``g`` and ``lam0`` are those of the presolved
+    program.
     """
     lambdas = _finite_nonnegative(lambdas, "penalty")
-    fits, walks = [], []
+    stacks, walks = [], []
     for design in designs:
-        A = np.zeros((lambdas.size, design.block_width))
-        info = {key: np.zeros(lambdas.size) for key in PATH_DIAGNOSTICS}
-        fits.append((A, info))
+        stacks.append(np.zeros((lambdas.size, design.block_width)))
         program = _spread_program(design, tau)
         if program is not None:
-            walks.append((A, info, *program))
+            walks.append((stacks[-1], *program))
     if walks:
         # the bound rows of the free columns come first and bind at the top
-        order = np.argsort(-lambdas, kind="stable")
-        A, info, free, Q, R, r, g = zip(*walks)
-        paths = _qp_homotopy(Q, R, r, [-2.0 * tau * x for x in g], [np.full(x.size, 2.0 * tau) for x in g],
-                             lambdas[order], [max(0.0, float(np.max(x))) for x in g],
-                             [np.arange(x.size) for x in g])
-        back = np.argsort(order)
-        for a, part, cols, (Z, walked) in zip(A, info, free, paths):
-            a[:, cols] = Z[back]
-            part.update({key: value[back] for key, value in walked.items()})
-    return [(np.maximum(_snap_zeros(A), 0.0), info) for A, info in fits]
-
-
-def _spr_path(design: DesignSystem, lambdas: Iterable[float], tau: float) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The one-design stack of :func:`_spr_paths`."""
-    return _spr_paths([design], lambdas, tau)[0]
+        A, free, Q, R, r, g = zip(*walks)
+        paths = _qp_homotopy(Q, R, r, [-2.0 * tau * x for x in g], [np.full(x.size, 2.0 * tau) for x in g], lambdas,
+                             [max(0.0, float(np.max(x))) for x in g], [np.arange(x.size) for x in g])
+        for a, cols, Z in zip(A, free, paths):
+            a[:, cols] = Z
+    return [np.maximum(_snap_zeros(A), 0.0) for A in stacks]
 
 
 def solve_spread_block(design: DesignSystem, tau: float, lam: float = 0.0) -> tuple[np.ndarray, dict]:
@@ -190,10 +177,10 @@ def solve_spread_block(design: DesignSystem, tau: float, lam: float = 0.0) -> tu
     working-set Lemke solve, polished on its active set
     (:func:`intreg.lcp._solve_qp`), below the zeroing penalty ``lam0 =
     max(0, max_j g_j)``; at and above it the solution is 0, with no ridge, no
-    pivots and KKT residuals exactly 0, as on a walked grid.
+    pivots and KKT residuals exactly 0.
     """
     (lam,) = _finite_nonnegative([lam], "penalty")
-    a_s, info = np.zeros(design.block_width), dict.fromkeys(PATH_DIAGNOSTICS, 0.0)
+    a_s, info = np.zeros(design.block_width), dict.fromkeys(FIT_DIAGNOSTICS, 0.0)
     program = _spread_program(design, tau)
     if program is not None:
         free, Q, R, r, g = program

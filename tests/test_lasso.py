@@ -23,8 +23,8 @@ import intreg.least_squares
 from intreg.cli import main
 from intreg.errors import FoldTooSmall, IntregError, RayTermination, SubgradientGap
 from intreg.lasso import _lasso_gram, _mid_fits, mid_kkt_gap, soft_threshold
-from intreg.lasso_ir import _budget_fit, _budget_path, default_budget_grid
-from intreg.least_squares import _spr_path, solve_spread_block, spread_qp
+from intreg.lasso_ir import _budget_fit, _budget_paths, default_budget_grid
+from intreg.least_squares import _spr_paths, _spread_linear, _spread_program, solve_spread_block, spread_qp
 
 from conftest import (corrupt_homotopy_segments, exact_fit_sample, random_sample, record_homotopies,
                       record_lemke_dims, record_qp_solves, split_model_sample, weighted_mse)
@@ -158,7 +158,7 @@ class TestBlockFits:
         d = build_design(random_sample(3, n=10), "full")
         for grid in ([0.1, float("nan")], [float("inf")], [0.1, -1.0]):
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                _spr_path(d, grid, 0.5)
+                _spr_paths([d], grid, 0.5)
 
     def test_spread_path_stays_feasible(self):
         s = random_sample(4, n=20, k=2)
@@ -486,7 +486,7 @@ class TestPathwiseCrossValidation:
         # cross_validate walk it (down to zero), and in increasing order
         spr_grid = lambda_grid(d, 100, 1e-3, "spr")
         for grid in (spr_grid, np.append(spr_grid, 0.0), np.concatenate([[0.0], spr_grid[::-1]])):
-            for lam, warm in zip(grid, _spr_path(d, grid, 0.5)[0]):
+            for lam, warm in zip(grid, _spr_paths([d], grid, 0.5)[0]):
                 cold = fit_lasso_spr(d, lam, 0.5)
                 assert np.array_equal(warm == 0.0, cold == 0.0)
                 assert np.max(np.abs(warm - cold)) <= 1e-10 * np.max(np.abs(cold), initial=0.0)
@@ -533,7 +533,7 @@ class TestPathwiseCrossValidation:
         for held in np.array_split(np.random.default_rng(0).permutation(d.n), 5):
             train = build_design(d.sample.subset(np.setdiff1d(np.arange(d.n), held)), "full")
             want = solve_spread_block(train, 0.5)[0]
-            got = _spr_path(train, grid, 0.5)[0][-1]
+            got = _spr_paths([train], grid, 0.5)[0][-1]
             assert np.array_equal(got == 0.0, want == 0.0)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -562,12 +562,14 @@ class TestPathwiseCrossValidation:
         cold = [fit_lasso_spr(d, lam, 0.5) for lam in grid]
         corrupt_homotopy_segments(monkeypatch, corrupt, first=3)
         calls = record_qp_solves(monkeypatch)
-        got, info = _spr_path(d, grid, 0.5)
+        (got,) = _spr_paths([d], grid, 0.5)
         for want, row in zip(cold, got):
             assert np.array_equal(row == 0.0, want == 0.0)
             assert np.max(np.abs(row - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
-        assert 1 <= len(calls) < len(grid)
-        assert info["lemke_pivots"][0] == 0.0 and info["lemke_pivots"].any()
+        # the grid points Lemke solved, known by their programs' linear terms
+        g = _spread_program(d, 0.5)[4]
+        solved = [int(np.argmin([np.max(np.abs(qp.c - _spread_linear(0.5, lam, g))) for lam in grid])) for qp in calls]
+        assert 1 <= len(solved) < len(grid) and 0 not in solved
 
     @pytest.mark.parametrize("k", [10, 20])
     def test_wide_midpoint_paths_equal_cold_fits(self, k):
@@ -585,9 +587,9 @@ class TestPathwiseCrossValidation:
         # pattern included
         d = build_design(split_model_sample(k, 200, k), "full")
         grid = lambda_grid(d, 100, 1e-3, "spr")
-        pairs = [(warm, fit_lasso_spr(d, lam, 0.5)) for lam, warm in zip(grid, _spr_path(d, grid, 0.5)[0])]
+        pairs = [(warm, fit_lasso_spr(d, lam, 0.5)) for lam, warm in zip(grid, _spr_paths([d], grid, 0.5)[0])]
         grid = default_budget_grid(d)
-        for t, a_m, a_a in zip(grid, *_budget_path(d, 0.5, grid)[:2]):
+        for t, a_m, a_a in zip(grid, *_budget_paths([d], 0.5, grid)[0]):
             cold_m, cold_a, _ = _budget_fit(d, 0.5, t)
             pairs += [(a_m, cold_m), (a_a, cold_a)]
         for warm, cold in pairs:
@@ -703,20 +705,18 @@ class TestPathwiseCrossValidation:
 
 @pytest.mark.parametrize("path", ["qp", "spread", "midpoint", "budget"])
 def test_empty_grid_gives_empty_stacks(path):
-    # an empty grid has no points: every stack has no rows, every
-    # diagnostics array no entries
+    # an empty grid has no points: every stack has no rows
     d = build_design(random_sample(5, n=12), "full")
     qp = spread_qp(d, 0.5)
-    w, p = d.block_width, qp.num_constraints
-    info = {key: (0,) for key in intreg.lcp.PATH_DIAGNOSTICS}
+    w = d.block_width
     got, want = {
         "qp": lambda: (intreg.lcp._qp_homotopy([qp.Q], [qp.R], [qp.r], [qp.c], [np.zeros(w)], np.zeros(0), [0.0],
-                                               [np.arange(w)])[0], [(0, w), info]),
-        "spread": lambda: (_spr_path(d, [], 0.5), [(0, w), info]),
+                                               [np.arange(w)]), [(0, w)]),
+        "spread": lambda: (_spr_paths([d], [], 0.5), [(0, w)]),
         "midpoint": lambda: (_mid_fits(d, []), [(0, w), (0,)]),
-        "budget": lambda: (_budget_path(d, 0.5, []), [(0, w), (0, w), info]),
+        "budget": lambda: (_budget_paths([d], 0.5, [])[0], [(0, w), (0, w)]),
     }[path]()
-    assert [{k: v.shape for k, v in x.items()} if isinstance(x, dict) else x.shape for x in got] == want
+    assert [x.shape for x in got] == want
 
 
 def per_point_cv_errors(design, tau, folds, seed, fit_grid):

@@ -14,7 +14,7 @@ from intreg import (
     select_budget,
 )
 from intreg import lcp
-from intreg.lasso_ir import _budget_fit, _budget_path, _joint_qp, default_budget_grid
+from intreg.lasso_ir import _budget_fit, _budget_paths, _joint_qp, default_budget_grid
 from intreg.least_squares import _snap_zeros
 
 from conftest import corrupt_homotopy_segments, record_lemke_dims, record_qp_solves, split_model_sample
@@ -94,7 +94,7 @@ class TestFitLassoIr:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 fit_lasso_ir(d, 0.5, t)
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                _budget_path(d, 0.5, [0.0, 0.1, t])
+                _budget_paths([d], 0.5, [0.0, 0.1, t])
 
     def test_cross_effects_out_of_reach(self):
         # data generated with a real midpoint<->spread cross effect: the full
@@ -219,7 +219,7 @@ class TestBudgetPath:
     def test_warm_path_equals_cold_fits(self, n, variant):
         d = build_design(split_model_sample(n + 2, n), variant)
         grid = default_budget_grid(d)
-        for t, a_m, a_a in zip(grid, *_budget_path(d, 0.5, grid)[:2]):
+        for t, a_m, a_a in zip(grid, *_budget_paths([d], 0.5, grid)[0]):
             cold_m, cold_a, _ = _budget_fit(d, 0.5, t)
             assert np.array_equal(a_a == 0.0, cold_a == 0.0)
             for got, want in ((a_m, cold_m), (a_a, cold_a)):
@@ -235,10 +235,10 @@ class TestBudgetPath:
             d = build_design(split_model_sample(n + 2, n), variant)
             grid = default_budget_grid(d)
             calls = record_qp_solves(monkeypatch)
-            path = _budget_path(d, tau, grid)
+            (path,) = _budget_paths([d], tau, grid)
             assert [qp.num_vars for qp in calls] == [d.block_width]
             monkeypatch.undo()
-            for t, a_m, a_a in zip(grid, *path[:2]):
+            for t, a_m, a_a in zip(grid, *path):
                 cold_m, cold_a = cold_joint_fit(d, tau, t)
                 assert np.array_equal(a_a == 0.0, cold_a == 0.0), (n, t)
                 for got, want in ((a_m, cold_m), (a_a, cold_a)):
@@ -270,13 +270,17 @@ class TestBudgetPath:
     def test_every_budget_meets_its_certificate(self):
         # the top budgets of these samples leave offset rows whose multiplier
         # is roundoff out of the Lemke iterate's active rows; the polish must
-        # close over them, or the ridge-biased iterate is reported
+        # close over them, or the ridge-biased iterate is reported.  Each
+        # point of the walked grid is its certified single fit
         bound = 1e-8 * (1 + 30)
         for seed in ([s, i] for s in (1, 7) for i in range(20)):
             d = build_design(split_model_sample(seed, 30), "full")
-            info = _budget_path(d, 0.5, default_budget_grid(d))[2]
-            for i, t in enumerate(default_budget_grid(d)):
-                assert max(info[k][i] for k in info if k.startswith("kkt_")) <= bound, (seed, t)
+            grid = default_budget_grid(d)
+            for t, a_m, a_a in zip(grid, *_budget_paths([d], 0.5, grid)[0]):
+                cold_m, cold_a, info = _budget_fit(d, 0.5, t)
+                assert max(info[k] for k in info if k.startswith("kkt_")) <= bound, (seed, t)
+                for got, want in ((a_m, cold_m), (a_a, cold_a)):
+                    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0), (seed, t)
 
     def test_about_one_lemke_call_per_budget(self, monkeypatch):
         # each fold's t = 0 fit makes at most one call and its walk none: 4
@@ -306,12 +310,15 @@ class TestBudgetPath:
         cold = [_budget_fit(d, 0.5, t) for t in grid]
         corrupt_homotopy_segments(monkeypatch, corrupt, first=0)
         calls = record_qp_solves(monkeypatch)
-        A_m, A_a, info = _budget_path(d, 0.5, grid)
+        ((A_m, A_a),) = _budget_paths([d], 0.5, grid)
         for (cold_m, cold_a, _), a_m, a_a in zip(cold, A_m, A_a):
             assert np.array_equal(a_a == 0.0, cold_a == 0.0)
             for a, b in ((a_m, cold_m), (a_a, cold_a)):
                 assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b), initial=0.0)
-        assert len(calls) == len(grid) and info["lemke_pivots"].all()
+        # the t = 0 program, then the joint program of every t > 0, known by
+        # its budget row's right-hand side -t
+        assert len(calls) == len(grid) and calls[0].num_vars == d.block_width
+        assert [-qp.r[-1] for qp in calls[1:]] == grid[1:]
 
 
 class TestBudgetHomotopy:
@@ -330,8 +337,8 @@ class TestBudgetHomotopy:
         d = build_design(split_model_sample(20, 300, 20), "full")
         grid = default_budget_grid(d)
         calls = record_qp_solves(monkeypatch)
-        A_m, A_a, info = _budget_path(d, 0.5, grid)
-        assert self.joint_solves(calls, d) == [] and not info["lemke_pivots"][1:].any()
+        ((A_m, A_a),) = _budget_paths([d], 0.5, grid)
+        assert self.joint_solves(calls, d) == []
         monkeypatch.undo()
         assert np.any(A_a[-1] != 0.0) and not A_a[0].any()
         for t, a_m, a_a in zip(grid[1:], A_m[1:], A_a[1:]):
@@ -347,7 +354,7 @@ class TestBudgetHomotopy:
         d = build_design(split_model_sample(5, 150), variant)
         used = fit_lasso_ir(d, 0.5, 1e3 * default_budget_grid(d)[-1]).diagnostics["budget_used"]
         grid = used * np.array([0.5, 1.0 + 1e-6, 1.5, 3.0, 100.0])
-        A_m, A_a, _ = _budget_path(d, 0.5, grid)
+        ((A_m, A_a),) = _budget_paths([d], 0.5, grid)
         assert np.sum(np.abs(A_a[0])) == pytest.approx(0.5 * used, rel=1e-10)
         for a_m, a_a in zip(A_m[2:], A_a[2:]):
             assert np.array_equal(a_m, A_m[1]) and np.array_equal(a_a, A_a[1])
@@ -382,10 +389,10 @@ class TestBudgetHomotopy:
         segments = []
         solve = lcp._segment_solve
         monkeypatch.setattr(lcp, "_segment_solve", lambda *args: segments.append(args[2].shape[1]) or solve(*args))
-        A_m, A_a, info = _budget_path(d, 0.5, [0.0, 0.5, 2.0])
-        assert segments == [1] and not A_a.any()
+        calls = record_qp_solves(monkeypatch)
+        ((A_m, A_a),) = _budget_paths([d], 0.5, [0.0, 0.5, 2.0])
+        assert segments == [1] and len(calls) == 1 and not A_a.any()
         assert np.array_equal(A_m[1], A_m[0]) and np.array_equal(A_m[2], A_m[0])
-        assert all(np.array_equal(value, np.repeat(value[0], 3)) for value in info.values())
 
     @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
     def test_failed_segment_falls_back_to_lemke(self, corrupt, monkeypatch):
@@ -397,10 +404,12 @@ class TestBudgetHomotopy:
         cold = [_budget_fit(d, 0.5, t) for t in grid]
         corrupt_homotopy_segments(monkeypatch, corrupt, first=2)
         calls = record_qp_solves(monkeypatch)
-        A_m, A_a, info = _budget_path(d, 0.5, grid)
+        ((A_m, A_a),) = _budget_paths([d], 0.5, grid)
         for (cold_m, cold_a, _), a_m, a_a in zip(cold, A_m, A_a):
             assert np.array_equal(a_a == 0.0, cold_a == 0.0)
             for a, b in ((a_m, cold_m), (a_a, cold_a)):
                 assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b), initial=0.0)
-        assert 1 <= len(self.joint_solves(calls, d)) < len(grid) - 1
-        assert info["lemke_pivots"][1] == 0.0 and info["lemke_pivots"].any()
+        # the budgets Lemke solved, from their budget rows' right-hand sides:
+        # not the first t > 0, which the walk keeps
+        solved = [-qp.r[-1] for qp in self.joint_solves(calls, d)]
+        assert 1 <= len(solved) < len(grid) - 1 and grid[1] not in solved

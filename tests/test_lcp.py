@@ -466,7 +466,7 @@ def start_set(qp):
 
 def walk_family(qp, dc, dr, thetas, start):
     """The affine family walked down the grid ``thetas`` from its first point,
-    where the rows ``start`` bind: the points and diagnostics."""
+    where the rows ``start`` bind: the points."""
     return walk_alone(qp.Q, qp.R, qp.r, qp.c, dc, thetas, thetas[0], start, dr)
 
 
@@ -480,15 +480,16 @@ class TestQpPath:
         thetas = np.linspace(3.0, 0.0, 60)
         for _ in range(5):
             qp, dc, dr = affine_family(rng)
-            cold = [single_solve(at(qp, dc, dr, theta))[0] for theta in thetas]
+            cold = [single_solve(at(qp, dc, dr, theta)) for theta in thetas]
             start = start_set(at(qp, dc, dr, thetas[0]))
             calls = record_qp_solves(monkeypatch)
-            Z, info = walk_family(qp, dc, dr, thetas, start)
+            Z = walk_family(qp, dc, dr, thetas, start)
             monkeypatch.undo()
             assert len(calls) <= len(thetas) // 4
-            for z, z_cold in zip(Z, cold):
+            # each point is its certified single solve
+            for z, (z_cold, _, info) in zip(Z, cold):
                 assert np.max(np.abs(z - z_cold)) <= 1e-10 * (1.0 + np.max(np.abs(z_cold)))
-            assert max(np.max(info[k]) for k in info if k.startswith("kkt_")) <= 1e-8
+                assert max(info[k] for k in info if k.startswith("kkt_")) <= 1e-8
 
     def test_no_point_skips_its_certificate(self, rng, monkeypatch):
         # with every certificate reported as failing, no walked point is
@@ -505,7 +506,7 @@ class TestQpPath:
 
         monkeypatch.setattr(lcp, "_kkt", failing)
         calls = record_qp_solves(monkeypatch)
-        assert len(walk_family(qp, dc, dr, thetas, start)[0]) == len(thetas)
+        assert len(walk_family(qp, dc, dr, thetas, start)) == len(thetas)
         assert len(calls) == len(thetas)
 
     def test_step_keeps_the_working_set_feasibility_test(self, monkeypatch):
@@ -517,14 +518,16 @@ class TestQpPath:
         # the row, which leaves at theta = 1
         Q, c, R = np.eye(2), np.array([-1.0, 0.0]), np.array([[-1.0, 0.0]])
         events = record_path_events(monkeypatch)
-        Z, info = walk_alone(Q, R, np.array([-1.0 - 1e-9]), c, np.zeros(2), np.array([2.0, 0.0, 0.0]), 0.0, [],
-                             np.array([1e-9]))
+        calls = record_qp_solves(monkeypatch)
+        Z = walk_alone(Q, R, np.array([-1.0 - 1e-9]), c, np.zeros(2), np.array([2.0, 0.0, 0.0]), 0.0, [],
+                       np.array([1e-9]))
         assert [(kind, rows.tolist()) for kind, rows in events] == [
             ("segment", []), ("lemke", []), ("polish", [0]), ("segment", [0])]
         assert Z[0] == pytest.approx([1.0 - 1e-9, 0.0], abs=1e-15)
         for z in Z[1:]:
             assert z == pytest.approx([1.0, 0.0], abs=1e-15)
-        assert info["lemke_pivots"][0] > 0.0 and not info["lemke_pivots"][1:].any()
+        # Lemke solves the program of theta = 2 alone
+        assert [qp.r.tolist() for qp in calls] == [[-1.0 - 1e-9 + 2.0 * 1e-9]]
 
     @pytest.mark.parametrize("thetas", [np.linspace(0.0, 3.0, 13), np.linspace(3.0, 0.0, 13)],
                              ids=["row-enters", "row-leaves"])
@@ -540,8 +543,7 @@ class TestQpPath:
         sign = -1.0 if enters else 1.0
         start = lcp._solve_qp(Q, np.array([-thetas[0], -0.5]), R, r)[3]
         events = record_path_events(monkeypatch)
-        Z, _ = walk_alone(Q, R, r, np.array([0.0, -0.5]), np.array([-sign, 0.0]), sign * thetas, sign * thetas[0],
-                          start)
+        Z = walk_alone(Q, R, r, np.array([0.0, -0.5]), np.array([-sign, 0.0]), sign * thetas, sign * thetas[0], start)
         assert [(kind, rows.tolist()) for kind, rows in events] == (
             [("segment", []), ("segment", [0])] if enters else [("segment", [0]), ("segment", [])])
         for z, z_cold in zip(Z, cold):
@@ -552,16 +554,24 @@ class TestQpPath:
         # of -1e-12 relative or so, roundoff about zero; were they held to
         # the slack sign test, these walks would hand points to Lemke
         design = build_design(split_model_sample(20, 2000, 20), "full")
+        penalties, budgets = lasso.lambda_grid(design, 100, 1e-3, "spr"), lasso_ir.default_budget_grid(design)
         calls = record_qp_solves(monkeypatch)
-        spread = least_squares._spr_path(design, lasso.lambda_grid(design, 100, 1e-3, "spr"), 0.5)[-1]
+        (spread,) = least_squares._spr_paths([design], penalties, 0.5)
         assert len(calls) <= 3
         calls.clear()
-        budget = lasso_ir._budget_path(design, 0.5, lasso_ir.default_budget_grid(design))[-1]
+        ((A_m, A_a),) = lasso_ir._budget_paths([design], 0.5, budgets)
         assert len(calls) <= 8
-        # every kept point still meets the certificate's bound on every row
-        qps = least_squares.spread_qp(design, 0.5), lasso_ir._joint_qp(design, 0.5, 0.0)
-        for info, qp in zip((spread, budget), qps):
-            assert max(np.max(info[key]) for key in info if key.startswith("kkt_")) <= 1e-8 * (1 + qp.num_constraints)
+        monkeypatch.undo()
+        # every kept point is still its single fit, which meets the
+        # certificate's bound on every row (every tenth penalty, every budget)
+        fits = [(a, *least_squares.solve_spread_block(design, 0.5, lam))
+                for a, lam in zip(spread[::10], penalties[::10])]
+        fits += [(np.concatenate([a_m, a_a]), np.concatenate(cold[:2]), cold[2])
+                 for a_m, a_a, t in zip(A_m, A_a, budgets) for cold in [lasso_ir._budget_fit(design, 0.5, t)]]
+        bound = 1e-8 * (1 + lasso_ir._joint_qp(design, 0.5, 0.0).num_constraints)
+        for got, want, info in fits:
+            assert max(info[key] for key in info if key.startswith("kkt_")) <= bound
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0)
 
     def test_polish_closes_over_the_rows_it_violates(self):
         # min 1/2 (u - v)^2 - (u - v)/2 over u, v >= 0: at Lemke's
@@ -634,7 +644,7 @@ class TestQpPath:
         monkeypatch.setattr(lcp, "_kkt", failing)
         monkeypatch.setattr(lcp, "_solve_qp", solve)
         monkeypatch.setattr(lcp, "_qp_homotopy", lambda *args: walks.append(args) or homotopy(*args))
-        Z, _ = walk_family(qp, dc, dr, thetas, start)
+        Z = walk_family(qp, dc, dr, thetas, start)
         monkeypatch.undo()
         ((work, (z, _, _, polished)),) = solves
         assert np.array_equal(work, start_set(at(qp, dc, dr, thetas[j])))
@@ -655,10 +665,10 @@ class TestQpPath:
         events = record_path_events(monkeypatch)
         if path == "spread":
             grid = lasso.lambda_grid(design, 100, 1e-3, "spr")
-            points = least_squares._spr_path(design, grid, 0.5)[0]
+            points = least_squares._spr_paths([design], grid, 0.5)[0]
         else:
             grid = lasso_ir.default_budget_grid(design)
-            points = lasso_ir._budget_path(design, 0.5, grid)[0]
+            points = lasso_ir._budget_paths([design], 0.5, grid)[0][0]
         assert len(points) == len(grid)
         kinds = [kind for kind, _ in events]
         lead = [] if path == "spread" else ["lemke", "polish"]
@@ -715,8 +725,8 @@ class TestQpHomotopy:
         design = build_design(sample(), variant)
         grid = np.append(lasso.lambda_grid(design, 100, 1e-3, "spr"), 0.0)
         calls = record_qp_solves(monkeypatch)
-        path, info = least_squares._spr_path(design, grid, 0.5)
-        assert calls == [] and not info["lemke_pivots"].any()
+        (path,) = least_squares._spr_paths([design], grid, 0.5)
+        assert calls == []
         monkeypatch.undo()
         assert np.any(path[-1] > 0.0) and not path[0].any()
         for lam, got in zip(grid, path):
@@ -732,13 +742,14 @@ class TestQpHomotopy:
             qp, dc = random_feasible_qp(rng, 4, 40), rng.normal(size=4)
             start = single_solve(Qp(qp.Q, qp.c + 3.5 * dc, qp.R, qp.r))[1]
             calls = record_qp_solves(monkeypatch)
-            Z, info = walk_alone(qp.Q, qp.R, qp.r, qp.c, dc, thetas, 3.5, lcp._active_rows(start)[0])
+            Z = walk_alone(qp.Q, qp.R, qp.r, qp.c, dc, thetas, 3.5, lcp._active_rows(start)[0])
             assert calls == []
             monkeypatch.undo()
+            # each point is its certified single solve
             for z, theta in zip(Z, thetas):
-                z_cold = single_solve(Qp(qp.Q, qp.c + theta * dc, qp.R, qp.r))[0]
+                z_cold, _, info = single_solve(Qp(qp.Q, qp.c + theta * dc, qp.R, qp.r))
                 assert np.max(np.abs(z - z_cold)) <= 1e-10 * (1.0 + np.max(np.abs(z_cold)))
-            assert max(np.max(info[key]) for key in info if key.startswith("kkt_")) <= 1e-8
+                assert max(info[key] for key in info if key.startswith("kkt_")) <= 1e-8
 
     def test_duplicate_spread_column_certifies(self, monkeypatch):
         # with a singular Hessian the split of the weight between the two
@@ -748,10 +759,10 @@ class TestQpHomotopy:
         qp = least_squares.spread_qp(design, 0.5)
         assert np.linalg.matrix_rank(qp.Q) < qp.num_vars
         grid = np.append(lasso.lambda_grid(design, 100, 1e-3, "spr"), 0.0)
+        # no Lemke solve: the walk certifies every point
         calls = record_qp_solves(monkeypatch)
-        path, info = least_squares._spr_path(design, grid, 0.5)
+        (path,) = least_squares._spr_paths([design], grid, 0.5)
         assert calls == []
-        assert max(np.max(info[key]) for key in info if key.startswith("kkt_")) <= 1e-8 * (1 + qp.num_constraints)
         monkeypatch.undo()
         for lam, got in zip(grid, path):
             penalized = least_squares.spread_qp(design, 0.5, lam)
@@ -763,10 +774,9 @@ class TestQpHomotopy:
     def test_two_row_tie_certifies(self, tie, monkeypatch):
         R, r, g, thetas, theta0, z_want = TIES[tie]
         calls = record_qp_solves(monkeypatch)
-        Z, info = walk_alone(np.eye(2), R, r, -g, np.ones(2), thetas, theta0, np.arange(2))
+        Z = walk_alone(np.eye(2), R, r, -g, np.ones(2), thetas, theta0, np.arange(2))
         assert calls == []
         assert Z == pytest.approx(np.array(z_want), abs=1e-15)
-        assert max(np.max(info[key]) for key in info if key.startswith("kkt_")) <= 1e-15
 
     def test_walk_raises_no_floating_point_error(self):
         # the CLI runs under np.errstate(over="raise", invalid="raise"); the
@@ -777,9 +787,9 @@ class TestQpHomotopy:
                    for variant in ("full", "model-m")]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for design in designs:
-                least_squares._spr_path(design, np.append(lasso.lambda_grid(design, 100, 1e-3, "spr"), 0.0), 0.5)
+                least_squares._spr_paths([design], np.append(lasso.lambda_grid(design, 100, 1e-3, "spr"), 0.0), 0.5)
                 lasso.cross_validate(design, 0.5, folds=5, seed=0, blocks=("spr",), count=20)
-                lasso_ir._budget_path(design, 0.5, lasso_ir.default_budget_grid(design))
+                lasso_ir._budget_paths([design], 0.5, lasso_ir.default_budget_grid(design))
                 lasso_ir.select_budget(design, 0.5)
             for R, r, g, thetas, theta0, _ in TIES.values():
                 walk_alone(np.eye(2), R, r, -g, np.ones(2), thetas, theta0, np.arange(2))
@@ -797,20 +807,29 @@ class TestQpHomotopy:
         walks = []
         homotopy = lasso_ir._qp_homotopy
         monkeypatch.setattr(lasso_ir, "_qp_homotopy", lambda *args: walks.append(args) or homotopy(*args))
-        lasso_ir._budget_path(design, 0.5, lasso_ir.default_budget_grid(design))
+        lasso_ir._budget_paths([design], 0.5, lasso_ir.default_budget_grid(design))
         (Q,), (R,), (r,), (c,), (dc,), thetas, (theta0,), (start,), (dr,) = walks[0]
         segments = []
         solve = lcp._segment_solve
         monkeypatch.setattr(lcp, "_segment_solve", lambda *args: segments.append(1) or solve(*args))
-        Z, _ = walk_alone(Q, R, r, c, dc, thetas, theta0, start, dr)
+        Z = walk_alone(Q, R, r, c, dc, thetas, theta0, start, dr)
         released = len(segments)
         segments.clear()
         calls = record_qp_solves(monkeypatch)
-        Z_tiny, info = walk_alone(Q, R, r, c, np.full(c.size, 1e-300), thetas, theta0, start, dr)
+        Z_tiny = walk_alone(Q, R, r, c, np.full(c.size, 1e-300), thetas, theta0, start, dr)
         assert len(segments) <= released + 4
         assert len(calls) <= 1
         assert np.max(np.abs(Z_tiny - Z)) <= 1e-10 * np.max(np.abs(Z))
-        assert max(np.max(info[key]) for key in info if key.startswith("kkt_")) <= 1e-8 * (1 + R.shape[0])
+        monkeypatch.undo()
+        # each point's midpoint block and net offset are its certified single
+        # solve's (the offset's two parts can split differently once the
+        # budget no longer binds)
+        w = c.size // 3
+        for z, theta in zip(Z_tiny, thetas):
+            z_cold, _, info = single_solve(Qp(Q, c, R, r + theta * dr))
+            assert max(info[key] for key in info if key.startswith("kkt_")) <= 1e-8 * (1 + R.shape[0])
+            for got, want in ((z[:w], z_cold[:w]), (z[w : 2 * w] - z[2 * w :], z_cold[w : 2 * w] - z_cold[2 * w :])):
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(z_cold))
 
 
 def fold_designs(sample, variant="full"):
@@ -862,24 +881,35 @@ class TestLockstepWalk:
 
     @staticmethod
     def assert_lockstep_equals_alone(monkeypatch, args, shifted=None):
+        """Also the same grid points solved by Lemke; returns how many each
+        program has."""
         Q, R, r, c0, dc, thetas, theta0, active, *dr = args
         dr = dr[0] if dr else None
+
+        def programs(calls):
+            # a Lemke-solved grid point, known by its linear term and right-hand side
+            return [(qp.c.tobytes(), qp.r.tobytes()) for qp in calls]
+
         made = segment_counter(monkeypatch, shifted, first=2)
+        calls = record_qp_solves(monkeypatch)
         together = lcp._qp_homotopy(*args)
         counts = [made(q) for q in Q]
         monkeypatch.undo()
         assert len(together) == len(Q) > 1
-        for k, (Z, info) in enumerate(together):
+        solved = []
+        for k, Z in enumerate(together):
             made = segment_counter(monkeypatch, shifted if shifted is Q[k] else None, first=2)
-            Z_alone, info_alone = walk_alone(Q[k], R[k], r[k], c0[k], dc[k], thetas, theta0[k], active[k],
-                                                        None if dr is None else dr[k])
+            alone = record_qp_solves(monkeypatch)
+            Z_alone = walk_alone(Q[k], R[k], r[k], c0[k], dc[k], thetas, theta0[k], active[k],
+                                 None if dr is None else dr[k])
             assert made(Q[k]) == counts[k] > 0, k
             monkeypatch.undo()
             assert Z.shape == Z_alone.shape
             assert np.array_equal(Z == 0.0, Z_alone == 0.0), k
             assert np.max(np.abs(Z - Z_alone)) <= 1e-12 * np.max(np.abs(Z_alone)), k
-            assert np.array_equal(info["lemke_pivots"] > 0, info_alone["lemke_pivots"] > 0), k
-        return together
+            solved.append(programs(qp for qp in calls if np.array_equal(qp.Q, Q[k])))
+            assert solved[k] == programs(alone), k
+        return [len(points) for points in solved]
 
     @pytest.mark.parametrize("n", [100, 101])
     @pytest.mark.parametrize("path", ["spread", "budget"])
@@ -939,9 +969,8 @@ class TestLockstepWalk:
         else:
             grid = lasso_ir.default_budget_grid(d)
             (args,) = recorded_walks(monkeypatch, lasso_ir, lambda: lasso_ir._budget_paths(designs, 0.5, grid))
-        together = self.assert_lockstep_equals_alone(monkeypatch, args, shifted=args[0][2])
-        fell_back = [bool(info["lemke_pivots"].any()) for _, info in together]
-        assert fell_back == [False, False, True, False, False]
+        solved = self.assert_lockstep_equals_alone(monkeypatch, args, shifted=args[0][2])
+        assert [count > 0 for count in solved] == [False, False, True, False, False]
 
     def test_one_corrupted_fold_segment_restarts_its_walk(self, monkeypatch):
         # one fold-segment of a lockstep spread walk proposes a wrong point:
@@ -962,7 +991,7 @@ class TestLockstepWalk:
         g = programs[hit[0][0]][4]
         first = min(int(np.argmin(np.abs(grid - (qp.c[0] + g[0])))) for qp in calls)
         assert len(calls) < len(grid) - first
-        for design, (A, _) in zip(designs, paths):
+        for design, A in zip(designs, paths):
             for lam, a in zip(grid, A):
                 want = least_squares.solve_spread_block(design, 0.5, lam)[0]
                 assert np.max(np.abs(a - want)) <= 1e-9 * np.max(np.abs(want), initial=0.0)
@@ -979,12 +1008,41 @@ class TestLockstepWalk:
         walks = recorded_walks(monkeypatch, lasso_ir, lambda: lasso_ir._budget_paths(designs, 0.5, grid))
         assert [len(args[0]) for args in walks] == [2]
         self.assert_lockstep_equals_alone(monkeypatch, walks[0])
-        for design, (A_m, A_a, info) in zip(designs, lasso_ir._budget_paths(designs, 0.5, grid)):
-            alone = lasso_ir._budget_path(design, 0.5, grid)
-            for got, want in zip((A_m, A_a), alone[:2]):
+        together, alone = record_qp_solves(monkeypatch), []
+        pairs = lasso_ir._budget_paths(designs, 0.5, grid)
+        monkeypatch.undo()
+        for design, pair in zip(designs, pairs):
+            calls = record_qp_solves(monkeypatch)
+            (fit,) = lasso_ir._budget_paths([design], 0.5, grid)
+            monkeypatch.undo()
+            alone += calls
+            for got, want in zip(pair, fit):
                 assert np.array_equal(got == 0.0, want == 0.0)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
-            assert np.array_equal(info["lemke_pivots"], alone[2]["lemke_pivots"])
+        # the same programs solved by Lemke, together as alone
+        assert sorted((qp.Q.tobytes(), qp.c.tobytes(), qp.r.tobytes()) for qp in together) == sorted(
+            (qp.Q.tobytes(), qp.c.tobytes(), qp.r.tobytes()) for qp in alone)
+
+    @pytest.mark.parametrize("path", ["qp", "spread", "budget"])
+    def test_shuffled_grid_gives_its_rows_in_its_order(self, path, monkeypatch):
+        # the walk sorts the grid itself: on a shuffled grid, every fold's
+        # stacks are the walk-ordered grid's rows, reordered, bit for bit
+        sample = split_model_sample(1, 100)
+        designs, d = fold_designs(sample), build_design(sample, "full")
+        if path == "budget":
+            grid = np.array(lasso_ir.default_budget_grid(d))
+            run = lambda grid: [np.hstack(pair) for pair in lasso_ir._budget_paths(designs, 0.5, grid)]
+        else:
+            grid = np.append(lasso.lambda_grid(d, 100, 1e-3, "spr"), 0.0)
+            run = lambda grid: least_squares._spr_paths(designs, grid, 0.5)
+        if path == "qp":
+            (args,) = recorded_walks(monkeypatch, least_squares, lambda: run(grid))
+            run = lambda grid: lcp._qp_homotopy(*args[:5], grid, *args[6:])
+        shuffle = np.random.default_rng(0).permutation(grid.size)
+        walked, shuffled = run(grid), run(grid[shuffle])
+        assert len(walked) == len(shuffled) == len(designs)
+        for A, A_shuffled in zip(walked, shuffled):
+            assert A_shuffled.tobytes() == A[shuffle].tobytes()
 
 
 class TestStackedHelpers:

@@ -16,9 +16,9 @@ from intreg import (
 )
 from intreg.errors import LengthMismatch
 from intreg.lcp import _kkt
-from intreg.least_squares import _msd_arrays, _spr_path, solve_spread_block, spread_qp
+from intreg.least_squares import _msd_arrays, _spr_paths, solve_spread_block, spread_qp
 
-from conftest import exact_fit_sample, random_sample, split_model_sample, weighted_mse
+from conftest import exact_fit_sample, random_sample, record_qp_solves, split_model_sample, weighted_mse
 from oracle import brute_force_qp
 
 
@@ -285,17 +285,19 @@ class TestZeroingPenalty:
     form and the walk reads it off its first segment."""
 
     @pytest.mark.parametrize("variant", ["full", "model-m"])
-    def test_large_penalties_fit_zero(self, variant):
+    def test_large_penalties_fit_zero(self, variant, monkeypatch):
+        # the walk certifies every point it keeps, so a grid with no Lemke
+        # solve is certified throughout
         d = build_design(ingest(Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv"), variant)
         lam0 = max(0.0, float(np.max(d.fs.T @ d.vs)))
         penalties = [lam0, 10.0 * lam0, 1e8, 1e15, 1e300]
         bound = 1e-8 * (1 + spread_qp(d, 0.5).num_constraints)
-        walked, walk_info = _spr_path(d, penalties, 0.5)
-        assert not walked.any()
-        for i, lam in enumerate(penalties):
+        calls = record_qp_solves(monkeypatch)
+        (walked,) = _spr_paths([d], penalties, 0.5)
+        assert not walked.any() and calls == []
+        for lam in penalties:
             a_s, info = solve_spread_block(d, 0.5, lam)
             assert not a_s.any() and info["lemke_pivots"] == 0.0 and info["ridge_used"] == 0.0
             assert max(info[key] for key in info if key.startswith("kkt_")) <= bound
-            assert max(walk_info[key][i] for key in walk_info if key.startswith("kkt_")) <= bound
             res = fit_lasso(d, 0.5, lambda_mid=0.05, lambda_spr=lam)
             assert not res.coefficients.spread_stack(variant).any()
