@@ -25,9 +25,14 @@ Python process, with ``<tree>/src`` first on the import path, and counts its
 Lemke calls and pivots: the QP calls (spread block and ``lasso-ir``) and the
 midpoint block's one-run paths (``lasso._lemke_path``).  It counts the
 working-set Lemke solves (``qp_solve_qp_full_calls``, calls of
-``lcp._solve_qp_full``): each single fit and each ``t = 0`` fit of a budget
-path, a restart from an empty working set, and each point where a homotopy
-hands its grid to Lemke.  Of the homotopy walks of spread and budget grids
+``lcp._solve_qp_full``): each single fit, a restart from an empty working
+set, each ``t = 0`` program of a budget path that fails its certificate,
+and each point where a homotopy hands its grid to Lemke.  The ``t = 0``
+programs of a call's budget paths are solved as one stack
+(``lcp._solve_qp_stack``, as ``lasso_ir`` imports it, where the tree has
+it): it counts them (``stack_programs``) and those handed to Lemke
+(``stack_fallbacks``, calls of ``lcp._solve_qp`` inside it), so the two
+give the fallback rate.  Of the homotopy walks of spread and budget grids
 (``lcp._qp_homotopy``, as ``least_squares`` and ``lasso_ir`` import it), it
 counts the calls (``hom_qp_homotopy_calls``: one per grid fitter call, the
 folds walking in lockstep), the segments (``hom_segments``: the walking
@@ -35,8 +40,8 @@ folds in each call of the reduced segment solve ``lcp._segment_solve``),
 the steps (``hom_steps``: the calls of that solve) and the grid points a
 walk solves by Lemke itself (``hom_fallback_points``: calls of
 ``lcp._solve_qp`` inside a walk), after each of which it walks on.  The
-segment solves of a single fit's polish, or of a fallback's, are no
-segments.
+segment solves of a single fit's polish, of a fallback's, or of a stack's
+rounds are no segments.
 
 Prints every report field that moved, with its relative size
 ``|new - old| / max(|old|, |new|)``, every run whose exit code or stderr
@@ -153,6 +158,8 @@ def worker(runs_path: str, out_path: str) -> None:
         # the Lemke solve's own polish is no segment
         if block[0] == "hom":
             counts["hom_fallback_points"] += 1
+        elif block[0] == "stack":
+            counts["stack_fallbacks"] += 1
         outer, block[0] = block[0], "qp"
         try:
             return solve_qp(*args)
@@ -169,6 +176,19 @@ def worker(runs_path: str, out_path: str) -> None:
             return walk(*args)
 
         module._qp_homotopy = listed_walk
+    stack = getattr(lasso_ir, "_solve_qp_stack", None)
+
+    def counted_stack(*args):
+        counts["stack_programs"] += len(args[0])
+        counts["stack_fallbacks"] += 0  # listed also when no program falls back
+        outer, block[0] = block[0], "stack"
+        try:
+            return stack(*args)
+        finally:
+            block[0] = outer
+
+    if stack is not None:
+        lasso_ir._solve_qp_stack = counted_stack
     count_calls(lasso, "_lemke_path", "mid")
     results = {}
     for label, argv in json.loads(Path(runs_path).read_text()):

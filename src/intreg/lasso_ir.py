@@ -12,20 +12,22 @@ negative parts it becomes a quadratic program with linear constraints, solved
 by the same complementary-pivoting machinery as the other estimators.  The
 budget is cross-validated on the Lasso folds.  It enters only the
 right-hand side of the budget row, so the solution is piecewise affine in
-it: each fold's ``t = 0`` program is solved first, always, and each fold's
-``t > 0`` grid is walked up from that fit as the exact homotopy of the
-L1-constrained Lasso (Osborne, Presnell & Turlach, 2000;
-:func:`intreg.lcp._qp_homotopy`), breakpoint to breakpoint, with no joint
-Lemke run unless a point fails its certificate, which is checked against
-every row.  The folds walk in lockstep, each step a segment of every fold
-still walking; a fold whose point fails is solved there by Lemke alone and
-walks on from that fit.  A walk ends where the budget's multiplier reaches
-0; every larger budget gets that fit.  The path returns the grid's fits as
-stacks, one row per budget, with the ``t = 0`` fit for every zero budget.
-A single fit (the refit at the selected budget, or a given one) is one
-working-set Lemke solve of the joint QP, as the paper prescribes: it solves
-``t = 0`` first as well, and the rows that bind that fit, with every offset
-bound and the budget row, start its working set.
+it.  The folds' ``t = 0`` programs are solved first, always, as one stack
+(:func:`intreg.lcp._solve_qp_stack`; Lemke only for a fold whose fit fails
+its certificate), and each fold's ``t > 0`` grid is walked up from that
+fit as the exact homotopy of the L1-constrained Lasso (Osborne, Presnell &
+Turlach, 2000; :func:`intreg.lcp._qp_homotopy`), breakpoint to breakpoint,
+with no joint Lemke run unless a point fails its certificate, which is
+checked against every row.  The folds walk in lockstep, each step a
+segment of every fold still walking; a fold whose point fails is solved
+there by Lemke alone and walks on from that fit.  A walk ends where the
+budget's multiplier reaches 0; every larger budget gets that fit.  The
+path returns the grid's fits as stacks, one row per budget, with the ``t
+= 0`` fit for every zero budget.  A single fit (the refit at the selected
+budget, or a given one) is one working-set Lemke solve of the joint QP, as
+the paper prescribes: it solves ``t = 0`` by Lemke first, and the rows that
+bind that fit, with every offset bound and the budget row, start its
+working set.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .design import DesignSystem
 from .intervals import DEFAULT_TAU, Interval, validate_tau
 from .lasso import _cv_errors, _first_min
-from .lcp import Qp, _active_rows, _qp_homotopy, _solve_qp
+from .lcp import Qp, _active_rows, _qp_homotopy, _solve_qp, _solve_qp_stack
 from .least_squares import METHOD_LASSO_IR, FitResult, _finite_nonnegative, _fit_result, _snap_zeros, ols_mid
 
 
@@ -102,33 +104,30 @@ def default_budget_grid(design: DesignSystem, count: int = 20, ratio: float = 1e
     return [0.0] + list(np.geomspace(ratio * t_max, t_max, count))
 
 
-def _zero_budget(design: DesignSystem, tau: float) -> tuple[Qp, np.ndarray, dict[str, float], np.ndarray, np.ndarray]:
-    """The joint QP at ``t = 0`` and its fit: the midpoint block alone under
-    the rows that keep the tied fitted spreads nonnegative, sliced from the
-    joint QP and solved by :func:`intreg.lcp._solve_qp`; its diagnostics,
-    the spread rows that bind it, and the offsets' gradient there, net of
-    those rows' multipliers."""
+def _zero_budget(design: DesignSystem, tau: float) -> tuple[Qp, tuple[np.ndarray, ...]]:
+    """The joint QP at ``t = 0`` and its ``t = 0`` program ``(Q, c, R, r)``:
+    the midpoint block alone under the rows that keep the tied fitted spreads
+    nonnegative, sliced from the joint QP."""
     w, n = design.block_width, design.n
     qp = _joint_qp(design, tau, 0.0)
-    a_m, lam, info, _ = _solve_qp(qp.Q[:w, :w], qp.c[:w], qp.R[:n, :w], qp.r[:n])
-    spread = _active_rows(lam)[0]
-    u0 = np.concatenate([a_m, np.zeros(2 * w)])
-    return qp, a_m, info, spread, (qp.Q @ u0 + qp.c - qp.R[spread].T @ lam[spread])[w:]
+    return qp, (qp.Q[:w, :w], qp.c[:w], qp.R[:n, :w], qp.r[:n])
 
 
 def _budget_fit(design: DesignSystem, tau: float, t: float) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
     """Midpoint block, offset and QP diagnostics of the single fit at budget
-    ``t``.  The ``t = 0`` fit comes first (:func:`_zero_budget`); at ``t >
-    0`` the joint QP is solved by :func:`intreg.lcp._solve_qp`, its working
-    set started at the spread rows that bind the ``t = 0`` fit, every offset
-    bound row and the budget row."""
+    ``t``.  The ``t = 0`` program (:func:`_zero_budget`) is solved first by
+    :func:`intreg.lcp._solve_qp`; at ``t > 0`` so is the joint QP, its
+    working set started at the spread rows that bind the ``t = 0`` fit,
+    every offset bound row and the budget row."""
     (t,), w = _finite_nonnegative([t], "budget"), design.block_width
-    qp, a_m, info, spread, _ = _zero_budget(design, tau)
+    qp, program = _zero_budget(design, tau)
+    a_m, lam, info, _ = _solve_qp(*program)
     if t == 0.0:
         return a_m, np.zeros(w), info
     r = qp.r.copy()
     r[-1] = -t
-    u, _, info, _ = _solve_qp(qp.Q, qp.c, qp.R, r, np.concatenate([spread, np.arange(design.n, r.size)]))
+    work = np.concatenate([_active_rows(lam)[0], np.arange(design.n, r.size)])
+    u, _, info, _ = _solve_qp(qp.Q, qp.c, qp.R, r, work)
     return u[:w], _snap_zeros(np.maximum(u[w : 2 * w], 0.0) - np.maximum(u[2 * w :], 0.0)), info
 
 
@@ -137,8 +136,9 @@ def _budget_paths(designs: Sequence[DesignSystem], tau: float,
     """Midpoint blocks and offsets of each design along one budget grid, as
     stacks with one row per budget, one pair of stacks per design.
 
-    The ``t = 0`` fit (:func:`_zero_budget`) is solved first, whatever the
-    grid, and serves every zero budget.  The ``t > 0`` programs share the
+    The designs' ``t = 0`` programs (:func:`_zero_budget`) are solved first,
+    whatever the grid, as one stack (:func:`intreg.lcp._solve_qp_stack`),
+    and their fits serve every zero budget.  The ``t > 0`` programs share the
     joint QP but for the budget, the right-hand side of its last row, so the
     grid, in any order, is walked up from the ``t = 0`` fit as the exact
     homotopy in ``theta = -t``, the designs' walks in lockstep
@@ -156,12 +156,14 @@ def _budget_paths(designs: Sequence[DesignSystem], tau: float,
     grid = _finite_nonnegative(grid, "budget")
     on = grid > 0.0
     t = grid[on]
+    zero = [_zero_budget(design, tau) for design in designs]
     # per design: the t = 0 fit, and the t > 0 stack, that fit on every row
     # unless the design is walked below
     fits, walks = [], []
-    for design in designs:
-        qp, a_m, _, spread, g = _zero_budget(design, tau)
+    for design, (qp, _), (a_m, lam) in zip(designs, zero, _solve_qp_stack(*zip(*(program for _, program in zero)))):
         w, n, p = design.block_width, design.n, qp.R.shape[0]
+        spread = _active_rows(lam)[0]
+        g = qp.Q[w:, :w] @ a_m + qp.c[w:] - qp.R[spread, w:].T @ lam[spread]
         fits.append((a_m, np.tile(np.concatenate([a_m, np.zeros(2 * w)]), (t.size, 1))))
         if float(np.min(g)) < 0.0:
             # the freed offset enters as the budget opens; budgets up is theta = -t down

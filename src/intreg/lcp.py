@@ -49,6 +49,14 @@ solve.  Every point is certified against every row; one that fails is
 solved by Lemke, and the walk restarts from there.  The folds of a
 cross-validation walk in lockstep (Friedman, Hastie & Tibshirani, 2010),
 one batched segment solve per step.
+
+A stack of programs with no known active set (the folds' ``t = 0`` budget
+programs) is solved by the opening of the dual active-set method of
+Goldfarb & Idnani (1983): from the unconstrained minimizer, each program
+adds the row it violates most, one batched reduced solve per round, until
+none is violated.  Rows are only added, so a set can keep one whose
+multiplier turned negative: every point is certified as a walk's are, and
+a program that fails is solved by the working-set Lemke loop from there.
 """
 
 from __future__ import annotations
@@ -482,7 +490,7 @@ def _solve_qp_full(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
     working set (:func:`_farkas`) raises :class:`InfeasibleQp`.
 
     ``work`` names rows that start in the working set when the unconstrained
-    minimizer is infeasible (a walk passes the active set it reached, a
+    minimizer is infeasible (a walk or a stack passes the set it reached, a
     budget fit the rows of its ``t = 0`` fit); the first round then solves
     on them before any row is added.  If Lemke ray-terminates on such a
     working set, the program is solved again from an empty one; from an
@@ -557,6 +565,82 @@ def _solve_qp(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
     return z, lam, {**info, **kkt}, np.flatnonzero(in_set)
 
 
+def _padded(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], terms: Sequence[Sequence[np.ndarray]],
+            rhs: Sequence[Sequence[np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """QP families ``(Q[k], R[k])`` padded to one stack, with their programs
+    ``(terms[k, 0] + theta terms[k, 1], rhs[k, 0] + theta rhs[k, 1])`` (a
+    second term or right-hand side not given is 0).  An extra variable is
+    decoupled (``Q_jj = 1``, no linear term, no row entry), so it stays 0;
+    an extra row reads ``0 z >= -1``."""
+    K, m, p = len(Q), max(q.shape[0] for q in Q), max(a.shape[0] for a in R)
+    Qs, Rs, Ts, Hs = np.zeros((K, m, m)), np.zeros((K, p, m)), np.zeros((K, 2, m)), np.zeros((K, 2, p))
+    Qs[:, np.arange(m), np.arange(m)], Hs[:, 0] = 1.0, -1.0
+    for k, (q, a) in enumerate(zip(Q, R)):
+        pk, mk = a.shape
+        Qs[k, :mk, :mk], Rs[k, :pk, :mk] = q, a
+        Ts[k, : len(terms[k]), :mk], Hs[k, : len(rhs[k]), :pk] = terms[k], rhs[k]
+    return Qs, Rs, Ts, Hs
+
+
+def _certified(Q: np.ndarray, R: np.ndarray, terms: np.ndarray, rhs: np.ndarray, thetas: np.ndarray, Z: np.ndarray,
+               LAM: np.ndarray, held: np.ndarray, in_held: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """Whether each point ``Z[k, i]`` of a padded stack of QP families
+    (:func:`_padded`; ``rows[k]`` rows unpadded) at ``thetas[i]``, with
+    multipliers ``LAM[k, i]`` on the rows ``held`` (0 on every other) and
+    the held rows ``in_held[k, i]`` in its active set, is certified: every
+    multiplier is nonnegative, the stationarity and complementarity
+    residuals (:func:`_kkt`) are within ``1e-8 (1 + rows)``, every row
+    outside the set passes the working-set loop's test ``slack >= -1e-12 (1
+    + |r|)``, and no row's slack is below ``-1e-8 (1 + rows)``."""
+    C = terms[:, None, 0] + thetas[:, None] * terms[:, None, 1]
+    RHS = rhs[:, None, 0, held] + thetas[:, None] * rhs[:, None, 1, held]
+    kkt = _kkt(Q, C, R[:, held], Z, LAM, Z @ _t(R[:, held]) - RHS)
+    bound = 1e-8 * (1.0 + np.array(rows))
+    ok = np.all(LAM >= 0.0, axis=2) & (kkt["kkt_stationarity"] <= bound[:, None])
+    ok &= kkt["kkt_complementarity"] <= bound[:, None]
+    # feasibility over every row, one program at a time
+    for k, pk in enumerate(rows):
+        on = held < pk
+        RHS = rhs[k, 0, :pk] + thetas[:, None] * rhs[k, 1, :pk]
+        slack = Z[k] @ R[k, :pk].T - RHS
+        passes = slack >= -1e-12 * (1.0 + np.abs(RHS))
+        passes[:, held[on]] |= in_held[k][:, on]
+        ok[k] &= passes.all(axis=1) & (-np.min(slack, axis=1, initial=0.0) <= bound[k])
+    return ok
+
+
+def _solve_qp_stack(Q: Sequence[np.ndarray], c: Sequence[np.ndarray], R: Sequence[np.ndarray],
+                    r: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Solution and multipliers of each QP ``(Q[k], c[k], R[k], r[k])`` of
+    a nonempty stack, taken as valid float arrays, by the closure of the
+    module docstring: one batched :func:`_segment_solve` per round, at most
+    ``m + 1`` rounds (``m`` the most variables), the working-set loop's test
+    for a violated row.  A point that fails :func:`_certified` (a multiplier
+    negative by ``1e-12`` of the point's scale or less read as 0), or is cut
+    off, is solved by :func:`_solve_qp` alone from the closure's set."""
+    Qs, Rs, terms, rhs = _padded(Q, R, [(x,) for x in c], [(x,) for x in r])
+    K, p, m = Rs.shape
+    unit, in_set = _unit_rows(Rs), np.zeros((K, p), dtype=bool)
+    Z, LAM = np.zeros((K, 1, m)), np.zeros((K, 1, p))
+    tol, left = 1e-12 * (1.0 + np.abs(rhs[:, 0])), np.arange(K)
+    for _ in range(m + 1):
+        Z[left], LAM[left] = _segment_solve(*(a[left] for a in (Qs, Rs, terms[:, :1], rhs[:, :1], in_set, unit)))
+        slack = (Z[left] @ _t(Rs[left]))[:, 0] - rhs[left, 0]
+        violated = (slack < -tol[left]) & ~in_set[left]
+        more = violated.any(axis=1)
+        left, violated, slack = left[more], violated[more], slack[more]
+        if not left.size:
+            break
+        in_set[left, np.where(violated, slack, np.inf).argmin(axis=1)] = True
+    floor = -1e-12 * np.abs(LAM).max(axis=2, keepdims=True, initial=0.0)
+    np.maximum(LAM, 0.0, out=LAM, where=LAM >= floor)
+    held, rows = np.flatnonzero(in_set.any(axis=0)), [x.size for x in r]
+    ok = _certified(Qs, Rs, terms, rhs, np.zeros(1), Z, LAM[:, :, held], held, in_set[:, None, held], rows)[:, 0]
+    ok[left] = False
+    return [(Z[k, 0, : c[k].size], LAM[k, 0, :pk]) if ok[k] else
+            _solve_qp(Q[k], c[k], R[k], r[k], np.flatnonzero(in_set[k, :pk]))[:2] for k, pk in enumerate(rows)]
+
+
 def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[np.ndarray],
                  c0: Sequence[np.ndarray], dc: Sequence[np.ndarray], thetas: np.ndarray, theta0: Sequence[float],
                  active: Sequence[Sequence[int]], dr: Optional[Sequence[np.ndarray]] = None) -> list[np.ndarray]:
@@ -570,14 +654,13 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     On a fixed active set the solution and its multipliers are affine in
     ``theta``, so one solve of the set's KKT system for the two programs
     ``(c0, r)`` and ``(dc, dr)`` gives both the point at ``theta = 0`` and
-    the direction.  The system is the reduced one of :func:`_segment_solve`:
-    the unit rows of ``R`` (:func:`_unit_rows`, found once per walk) fix
-    their variables, and only the free variables and the other rows are
-    solved for.  A ratio test over every row finds where the segment ends:
-    the largest ``theta`` below the current one at which a multiplier of a
-    row in the set or the slack of a row outside it reaches 0 (a value that
-    is at or below 0 already ends the segment at once, and only values that
-    change sign before the last grid point are divided).  Every grid point
+    the direction, from the reduced system of :func:`_segment_solve` (its
+    unit rows found once per walk).  A ratio test over every row finds where
+    the segment ends: the largest ``theta`` below the current one at which a
+    multiplier of a row in the set or the slack of a row outside it reaches
+    0 (a value that is at or below 0 already ends the segment at once, and
+    only values that change sign before the last grid point are divided).
+    Every grid point
     down to there is filled from the affine solution, the row crossing zero
     enters or leaves the set, and the walk goes on from it: the exact
     homotopy of the penalty or budget path (Osborne, Presnell & Turlach,
@@ -592,9 +675,7 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     makes one segment for every program still walking, with one batched
     segment solve, one stacked slack product and one ratio test, and the
     rules below apply to each program alone.  Programs of unequal shape are
-    padded to one: an extra variable is decoupled (``Q_jj = 1``, no linear
-    term, no row entry), so it stays 0, and an extra row reads ``0 z >=
-    -1``, so it never binds; the padding is stripped from what is returned.
+    padded to one (:func:`_padded`), and the padding is stripped again.
 
     Where ``dr`` moves rows, a row it moves that crosses within ``1e-9`` of
     the first crossing (relative to that ``theta``) is the one toggled
@@ -606,15 +687,13 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     fit).  A walk that toggles a row back at the ``theta`` where it just
     toggled it has stalled on a degenerate point and stops there.
 
-    The filled points of all programs are certified together: the slack of
-    every row outside the set passes the working-set loop's test ``>=
-    -1e-12 (1 + |r|)``, every multiplier in the set is nonnegative, and the
-    KKT residuals over every row are within ``1e-8 (1 + rows)``.  A
-    program's first point that fails, or that its walk leaves unfilled when
-    it stalls or after ``4 (1 + rows)`` segments, is solved by
-    :func:`_solve_qp` alone, started at the set the walk reached there, and
-    the walk restarts from the polished set on that program alone over the
-    rest of the grid; each restart uses up a grid point.
+    The filled points of all programs are certified together
+    (:func:`_certified`).  A program's first point that fails, or that its
+    walk leaves unfilled when it stalls or after ``4 (1 + rows)`` segments,
+    is solved by :func:`_solve_qp` alone, started at the set the walk
+    reached there, and the walk restarts from the polished set on that
+    program alone over the rest of the grid; each restart uses up a grid
+    point.
     """
     K, n = len(Q), thetas.size
     m_k, p_k = [q.shape[0] for q in Q], [a.shape[0] for a in R]
@@ -623,15 +702,11 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     # the walk goes down the grid; the rows return in the grid's order
     order = np.argsort(-thetas, kind="stable")
     thetas = thetas[order]
-    m, p = max(m_k), max(p_k)
-    # the padded stack, with the programs (c0, r) and (dc, dr) of each
-    Qs, Rs, terms, rhs = np.zeros((K, m, m)), np.zeros((K, p, m)), np.zeros((K, 2, m)), np.zeros((K, 2, p))
-    Qs[:, np.arange(m), np.arange(m)], rhs[:, 0] = 1.0, -1.0
+    Qs, Rs, terms, rhs = _padded(Q, R, list(zip(c0, dc)),
+                                 [(r[k],) if dr is None else (r[k], dr[k]) for k in range(K)])
+    p = Rs.shape[1]
     rows = np.zeros((K, p), dtype=bool)
-    for k, (mk, pk) in enumerate(zip(m_k, p_k)):
-        Qs[k, :mk, :mk], Rs[k, :pk, :mk], terms[k, :, :mk], rhs[k, 0, :pk] = Q[k], R[k], (c0[k], dc[k]), r[k]
-        if dr is not None:
-            rhs[k, 1, :pk] = dr[k]
+    for k in range(K):
         rows[k, np.asarray(active[k], dtype=int)] = True
     unit, moving = _unit_rows(Rs), rhs[:, 1] != 0.0
     release = (moving.any(axis=1) & ~terms[:, 1].any(axis=1) & np.all(rhs[:, 1] >= 0.0, axis=1)).tolist()
@@ -702,24 +777,10 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     LAM += step
     np.maximum(LAM, 0.0, out=LAM, where=LAM >= floor)
     LAM *= filled[:, :, None]
-    # the certificate: stationarity and complementarity in one stack over the
-    # held rows, then feasibility over every row, one program at a time
-    C = terms[:, None, 0] + thetas[:, None] * terms[:, None, 1]
-    RHS = rhs[:, None, 0, held] + thetas[:, None] * rhs[:, None, 1, held]
-    kkt = _kkt(Qs, C, Rs[:, held], Z, LAM, Z @ _t(Rs[:, held]) - RHS)
-    bound = 1e-8 * (1.0 + np.array(p_k))
-    ok = np.all(LAM >= 0.0, axis=2) & (kkt["kkt_stationarity"] <= bound[:, None])
-    ok &= kkt["kkt_complementarity"] <= bound[:, None]
-    in_held = in_set[:, held][seg]
+    ok = _certified(Qs, Rs, terms, rhs, thetas, Z, LAM, held, in_set[:, held][seg], p_k)
     out = []
     for k, (mk, pk) in enumerate(zip(m_k, p_k)):
-        on = held < pk
-        RHS = rhs[k, 0, :pk] + thetas[:, None] * rhs[k, 1, :pk]
-        slack = Z[k, :, :mk] @ R[k].T - RHS
-        passes = slack >= -1e-12 * (1.0 + np.abs(RHS))
-        passes[:, held[on]] |= in_held[k][:, on]
-        feasible = -np.min(slack, axis=1, initial=0.0) <= bound[k]
-        fails = filled[k] & ~(ok[k] & passes.all(axis=1) & feasible)
+        fails = filled[k] & ~ok[k]
         j = int(fails.argmax()) if fails.any() else i[k]
         Zk = Z[k, :, :mk]
         if j < n:

@@ -229,14 +229,15 @@ class TestBudgetPath:
     @pytest.mark.parametrize("variant", ["full", "model-m"])
     def test_warm_start_equals_cold_joint_path(self, variant, tau, monkeypatch):
         # the grid is walked up from the t = 0 fit as a homotopy, with no
-        # joint-QP Lemke solve; every point must be the joint QP's own fit,
-        # solved by Lemke from an empty working set
+        # joint-QP Lemke solve (Lemke solves the t = 0 program only where
+        # the stack's certificate rejects its fit); every point must be the
+        # joint QP's own fit, solved by Lemke from an empty working set
         for n in (100, 200):
             d = build_design(split_model_sample(n + 2, n), variant)
             grid = default_budget_grid(d)
             calls = record_qp_solves(monkeypatch)
             (path,) = _budget_paths([d], tau, grid)
-            assert [qp.num_vars for qp in calls] == [d.block_width]
+            assert [qp.num_vars for qp in calls] in ([], [d.block_width])
             monkeypatch.undo()
             for t, a_m, a_a in zip(grid, *path):
                 cold_m, cold_a = cold_joint_fit(d, tau, t)
@@ -292,19 +293,21 @@ class TestBudgetPath:
         assert 0 < len(calls) <= 20
 
     def test_budget_grid_solves_qps_only_at_breakpoints(self, monkeypatch):
-        # Lemke solves each fold's t = 0 program, and the walk no point: 5
-        # solves for the 105 grid points on this sample (19 when each fold's
-        # joint path was solved by Lemke)
+        # Lemke solves only the t = 0 programs whose stacked fit fails its
+        # certificate, and the walk no point: 1 solve for the 105 grid
+        # points on this sample (5 when Lemke solved every fold's t = 0
+        # program, 19 when each fold's joint path was solved by Lemke)
         d = build_design(split_model_sample(1, 100), "full")
         calls = record_qp_solves(monkeypatch)
         select_budget(d, 0.5, folds=5, seed=0)
-        assert 5 <= len(calls) <= 28
+        assert 1 <= len(calls) <= 2 and all(qp.num_vars == d.block_width for qp in calls)
 
     @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
     def test_failed_continuation_step_falls_back_to_lemke(self, corrupt, monkeypatch):
         # with every walk segment failing its checks, each t > 0 point is
         # solved by Lemke, once, as a single fit would be, and each restarted
-        # walk fails at its first point again
+        # walk fails at its first point again; the t = 0 fit is the stack's,
+        # which certifies on this sample
         d = build_design(split_model_sample(103, 100), "full")
         grid = default_budget_grid(d)
         cold = [_budget_fit(d, 0.5, t) for t in grid]
@@ -315,10 +318,10 @@ class TestBudgetPath:
             assert np.array_equal(a_a == 0.0, cold_a == 0.0)
             for a, b in ((a_m, cold_m), (a_a, cold_a)):
                 assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b), initial=0.0)
-        # the t = 0 program, then the joint program of every t > 0, known by
-        # its budget row's right-hand side -t
-        assert len(calls) == len(grid) and calls[0].num_vars == d.block_width
-        assert [-qp.r[-1] for qp in calls[1:]] == grid[1:]
+        # the joint program of every t > 0, known by its budget row's
+        # right-hand side -t, and no other
+        assert [qp.num_vars for qp in calls] == [3 * d.block_width] * (len(grid) - 1)
+        assert [-qp.r[-1] for qp in calls] == grid[1:]
 
 
 class TestBudgetHomotopy:
@@ -365,13 +368,16 @@ class TestBudgetHomotopy:
 
     @pytest.mark.parametrize("variant", ["full", "model-m"])
     def test_select_budget_runs_no_joint_lemke_solve(self, variant, monkeypatch):
-        # each fold solves its t = 0 program by Lemke and walks the rest;
-        # the single fit at the selected budget is a joint Lemke solve
+        # the folds' t = 0 programs are one certified stack, with Lemke only
+        # for a fold whose fit fails the certificate (one fold of seed 1's
+        # full design: its closure keeps a row whose multiplier is
+        # negative), and each fold walks the rest; the single fit at the
+        # selected budget is a joint Lemke solve
         for seed in range(1, 4):
             d = build_design(split_model_sample(seed, 100), variant)
             calls = record_qp_solves(monkeypatch)
             select_budget(d, 0.5, folds=5, seed=0)
-            assert len(calls) == 5 and self.joint_solves(calls, d) == []
+            assert len(calls) <= 1 and self.joint_solves(calls, d) == []
             fit_lasso_ir(d, 0.5)
             assert len(self.joint_solves(calls, d)) == 1
             monkeypatch.undo()
@@ -379,8 +385,10 @@ class TestBudgetHomotopy:
     def test_budget_that_never_binds_keeps_the_zero_budget_fit(self, monkeypatch):
         # constant regressor and response spreads leave the spread part of
         # the objective constant: no offset gradient is negative at t = 0,
-        # so every budget is the t = 0 fit, walked by no segment (the t = 0
-        # fit's polish solves a one-program stack)
+        # so every budget is the t = 0 fit, walked by no segment.  The t = 0
+        # program's stacked fit is one one-program solve, the unconstrained
+        # minimizer, which violates no row and certifies, so Lemke solves
+        # nothing
         rng = np.random.default_rng(3)
         mid_x = rng.normal(size=(40, 1))
         sample = IntervalSample(2.0 * mid_x[:, 0] + rng.normal(0.0, 0.1, 40), np.ones(40), mid_x, np.full((40, 1), 0.5))
@@ -391,7 +399,7 @@ class TestBudgetHomotopy:
         monkeypatch.setattr(lcp, "_segment_solve", lambda *args: segments.append(args[2].shape[1]) or solve(*args))
         calls = record_qp_solves(monkeypatch)
         ((A_m, A_a),) = _budget_paths([d], 0.5, [0.0, 0.5, 2.0])
-        assert segments == [1] and len(calls) == 1 and not A_a.any()
+        assert segments == [1] and calls == [] and not A_a.any()
         assert np.array_equal(A_m[1], A_m[0]) and np.array_equal(A_m[2], A_m[0])
 
     @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])

@@ -428,8 +428,9 @@ def record_path_events(monkeypatch):
     """Patch the QP solvers to log, in order, each working-set Lemke solve
     (``"lemke"``, with its starting working set) and each reduced KKT
     solve, with its rows (those of the stack's first QP): a walk's segment,
-    on the two-program stack ``(c0, dc)`` (``"segment"``), or a single
-    solve's polish (``"polish"``)."""
+    on the two-program stack ``(c0, dc)`` (``"segment"``), or a one-program
+    solve, a single solve's polish or a round of a stacked closure
+    (``"polish"``)."""
     events = []
     solve, segment_solve = lcp._solve_qp_full, lcp._segment_solve
 
@@ -659,8 +660,9 @@ class TestQpPath:
     def test_one_stacked_solve_per_breakpoint(self, path, monkeypatch):
         # a walk makes one reduced solve of the two-program stack (the point
         # at 0 and the direction) per segment, and no Lemke solve; the
-        # budget path's one Lemke solve and one-program polish are its t = 0
-        # fit's
+        # budget path's t = 0 fit comes first, one one-program solve per
+        # round of its stack's closure (two: one row binds), and no Lemke
+        # solve
         design = build_design(split_model_sample(1, 100), "full")
         events = record_path_events(monkeypatch)
         if path == "spread":
@@ -671,7 +673,7 @@ class TestQpPath:
             points = lasso_ir._budget_paths([design], 0.5, grid)[0][0]
         assert len(points) == len(grid)
         kinds = [kind for kind, _ in events]
-        lead = [] if path == "spread" else ["lemke", "polish"]
+        lead = [] if path == "spread" else ["polish", "polish"]
         assert kinds[: len(lead)] == lead
         walk = kinds[len(lead) :]
         assert 1 <= len(walk) < len(grid) // 2
@@ -1043,6 +1045,100 @@ class TestLockstepWalk:
         assert len(walked) == len(shuffled) == len(designs)
         for A, A_shuffled in zip(walked, shuffled):
             assert A_shuffled.tobytes() == A[shuffle].tobytes()
+
+
+class TestSolveQpStack:
+    """Programs with no known active set, solved as one stack: from the
+    unconstrained minimizer, each adds the row it violates most until none
+    is, and a program whose point fails the certificate is solved by Lemke
+    alone, from the set its closure reached."""
+
+    @staticmethod
+    def solve_stack(qps):
+        return lcp._solve_qp_stack([qp.Q for qp in qps], [qp.c for qp in qps], [qp.R for qp in qps],
+                                   [qp.r for qp in qps])
+
+    def test_random_programs_of_unequal_shape(self, rng, monkeypatch):
+        # every point is its program's single solve and oracle optimum, and
+        # Lemke solves exactly the programs whose stacked point the
+        # certificate rejects
+        certified, verdicts, fallbacks = lcp._certified, [], 0
+        for _ in range(10):
+            qps = [random_feasible_qp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 11))) for _ in range(6)]
+            monkeypatch.setattr(lcp, "_certified", lambda *args: verdicts.append(certified(*args)) or verdicts[-1])
+            calls = record_qp_solves(monkeypatch)
+            points = self.solve_stack(qps)
+            monkeypatch.undo()
+            rejected = [qp.Q.tobytes() for qp, ok in zip(qps, verdicts[-1][:, 0]) if not ok]
+            assert [qp.Q.tobytes() for qp in calls] == rejected
+            fallbacks += len(rejected)
+            for qp, (z, lam) in zip(qps, points):
+                assert z.shape == (qp.num_vars,) and lam.shape == (qp.num_constraints,)
+                for want in (single_solve(qp)[0], brute_force_qp(qp)):
+                    assert np.max(np.abs(z - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+        assert 0 < fallbacks < 30
+
+    def test_negative_multiplier_falls_back_to_lemke(self, monkeypatch):
+        # min 1/2 |z - (0, -3)|^2 subject to 10 z_1 + 10 z_2 >= -20 and z_2
+        # >= 0: the first row is the more violated at the unconstrained
+        # minimizer (slack -10 against -3), the projection on it, (1/2,
+        # -5/2), violates the second, and on both rows the vertex (-2, 0)
+        # has the multiplier -0.2 on the first.  The certificate rejects it,
+        # and Lemke, started at both rows, gives the fit on the second alone
+        Q, c = np.eye(2), np.array([0.0, 3.0])
+        R, r = np.array([[10.0, 10.0], [0.0, 1.0]]), np.array([-20.0, 0.0])
+        events = record_path_events(monkeypatch)
+        ((z, lam),) = lcp._solve_qp_stack([Q], [c], [R], [r])
+        assert [(kind, rows.tolist()) for kind, rows in events] == [
+            ("polish", []), ("polish", [0]), ("polish", [0, 1]), ("lemke", [0, 1]), ("polish", [1])]
+        monkeypatch.undo()
+        z_cold, lam_cold, _ = single_solve(Qp(Q, c, R, r))
+        assert np.array_equal(z, z_cold) and np.array_equal(lam, lam_cold)
+        assert z == pytest.approx([0.0, 0.0], abs=1e-15)
+
+    def test_empty_program_raises(self):
+        # z >= 1 and -z >= 0 cannot hold together; the feasible program
+        # beside it does not hide that
+        empty = Qp(np.eye(1), np.zeros(1), np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
+        with pytest.raises(InfeasibleQp):
+            self.solve_stack([Qp(np.eye(2), np.ones(2), np.eye(2), np.zeros(2)), empty])
+
+    def test_singular_hessian(self, monkeypatch):
+        # constant regressor and response spreads leave the offsets of the
+        # joint program out of the objective, so its Hessian is singular; it
+        # fits beside the t = 0 program, of another width, each program as
+        # its single solve would, with no Lemke solve
+        rng = np.random.default_rng(3)
+        mid_x = rng.normal(size=(40, 1))
+        flat = build_design(intreg.IntervalSample(2.0 * mid_x[:, 0] + rng.normal(0.0, 0.1, 40), np.ones(40), mid_x,
+                                                  np.full((40, 1), 0.5)), "model-m")
+        qps = [lasso_ir._joint_qp(flat, 0.5, 0.5), Qp(*lasso_ir._zero_budget(flat, 0.5)[1])]
+        assert np.linalg.matrix_rank(qps[0].Q) < qps[0].num_vars != qps[1].num_vars
+        calls = record_qp_solves(monkeypatch)
+        points = self.solve_stack(qps)
+        assert calls == []
+        monkeypatch.undo()
+        for qp, (z, _) in zip(qps, points):
+            want = single_solve(qp)[0]
+            assert np.max(np.abs(z - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+
+    def test_certificate_bounds_the_slack_of_rows_in_the_set(self, monkeypatch):
+        # min 1/2 |z|^2 - 2 z_1 subject to z_1 <= 1 and z_2 >= -5, with every
+        # one-program solve made to ignore its set: the closure adds the
+        # first row and ends on the unconstrained minimizer (2, 0), whose
+        # one violated row is in the set with multiplier 0.  Multiplier
+        # signs, stationarity, complementarity and the slack test of the
+        # rows outside the set all pass; only the bound on the slack of
+        # every row rejects it (the walks share this certificate), and
+        # Lemke gives the fit
+        solve = lcp._segment_solve
+        monkeypatch.setattr(lcp, "_segment_solve",
+                            lambda Q, R, C, RHS, active, unit: solve(Q, R, C, RHS, np.zeros_like(active), unit))
+        calls = record_qp_solves(monkeypatch)
+        R, r = np.array([[-1.0, 0.0], [0.0, 1.0]]), np.array([-1.0, -5.0])
+        ((z, _),) = lcp._solve_qp_stack([np.eye(2)], [np.array([-2.0, 0.0])], [R], [r])
+        assert len(calls) == 1
+        assert z == pytest.approx([1.0, 0.0], abs=1e-8)
 
 
 class TestStackedHelpers:
