@@ -29,10 +29,10 @@ working-set Lemke solves (``qp_solve_qp_full_calls``, calls of
 set, each ``t = 0`` program of a budget path that fails its certificate,
 and each point where a homotopy hands its grid to Lemke.  The ``t = 0``
 programs of a call's budget paths are solved as one stack
-(``lcp._solve_qp_stack``, as ``lasso_ir`` imports it, where the tree has
-it): it counts them (``stack_programs``) and those handed to Lemke
-(``stack_fallbacks``, calls of ``lcp._solve_qp`` inside it), so the two
-give the fallback rate.  Of the homotopy walks of spread and budget grids
+(``lcp._solve_qp_stack``, as ``lasso_ir`` imports it): it counts them
+(``stack_programs``) and those handed to Lemke (``stack_fallbacks``, calls
+of ``lcp._solve_qp`` inside it), so the two give the fallback rate.
+Of the homotopy walks of spread and budget grids
 (``lcp._qp_homotopy``, as ``least_squares`` and ``lasso_ir`` import it), it
 counts the calls (``hom_qp_homotopy_calls``: one per grid fitter call, the
 folds walking in lockstep), the segments (``hom_segments``: the walking
@@ -176,7 +176,7 @@ def worker(runs_path: str, out_path: str) -> None:
             return walk(*args)
 
         module._qp_homotopy = listed_walk
-    stack = getattr(lasso_ir, "_solve_qp_stack", None)
+    stack = lasso_ir._solve_qp_stack
 
     def counted_stack(*args):
         counts["stack_programs"] += len(args[0])
@@ -187,8 +187,7 @@ def worker(runs_path: str, out_path: str) -> None:
         finally:
             block[0] = outer
 
-    if stack is not None:
-        lasso_ir._solve_qp_stack = counted_stack
+    lasso_ir._solve_qp_stack = counted_stack
     count_calls(lasso, "_lemke_path", "mid")
     results = {}
     for label, argv in json.loads(Path(runs_path).read_text()):

@@ -12,22 +12,20 @@ negative parts it becomes a quadratic program with linear constraints, solved
 by the same complementary-pivoting machinery as the other estimators.  The
 budget is cross-validated on the Lasso folds.  It enters only the
 right-hand side of the budget row, so the solution is piecewise affine in
-it.  The folds' ``t = 0`` programs are solved first, always, as one stack
-(:func:`intreg.lcp._solve_qp_stack`; Lemke only for a fold whose fit fails
-its certificate), and each fold's ``t > 0`` grid is walked up from that
-fit as the exact homotopy of the L1-constrained Lasso (Osborne, Presnell &
-Turlach, 2000; :func:`intreg.lcp._qp_homotopy`), breakpoint to breakpoint,
-with no joint Lemke run unless a point fails its certificate, which is
-checked against every row.  The folds walk in lockstep, each step a
-segment of every fold still walking; a fold whose point fails is solved
-there by Lemke alone and walks on from that fit.  A walk ends where the
-budget's multiplier reaches 0; every larger budget gets that fit.  The
-path returns the grid's fits as stacks, one row per budget, with the ``t
-= 0`` fit for every zero budget.  A single fit (the refit at the selected
-budget, or a given one) is one working-set Lemke solve of the joint QP, as
-the paper prescribes: it solves ``t = 0`` by Lemke first, and the rows that
-bind that fit, with every offset bound and the budget row, start its
-working set.
+it: all folds' ``t = 0`` programs are solved first, as a stack, and each fold's
+``t > 0`` grid is walked up from that fit as the exact homotopy of the
+L1-constrained Lasso (Osborne, Presnell & Turlach, 2000;
+:func:`intreg.lcp._qp_homotopy`), breakpoint to breakpoint, with no joint
+Lemke run unless a point fails its certificate, which is checked against
+every row.  The folds walk in lockstep, each step a segment of every fold
+still walking; a fold whose point fails is solved there by Lemke alone and
+walks on from that fit.  A walk ends where the budget's multiplier reaches
+0; every larger budget gets that fit.  The path returns the grid's fits as
+stacks, one row per budget, with the ``t = 0`` fit for every zero budget.
+A single fit (the refit at the selected budget, or a given one) is one
+working-set Lemke solve of the joint QP, as the paper prescribes: it solves
+``t = 0`` by Lemke first, and the rows that bind that fit, with every offset
+bound and the budget row, start its working set.
 """
 
 from __future__ import annotations
@@ -156,11 +154,11 @@ def _budget_paths(designs: Sequence[DesignSystem], tau: float,
     grid = _finite_nonnegative(grid, "budget")
     on = grid > 0.0
     t = grid[on]
-    zero = [_zero_budget(design, tau) for design in designs]
+    qps, programs = zip(*(_zero_budget(design, tau) for design in designs))
     # per design: the t = 0 fit, and the t > 0 stack, that fit on every row
     # unless the design is walked below
     fits, walks = [], []
-    for design, (qp, _), (a_m, lam) in zip(designs, zero, _solve_qp_stack(*zip(*(program for _, program in zero)))):
+    for design, qp, (a_m, lam) in zip(designs, qps, _solve_qp_stack(*zip(*programs))):
         w, n, p = design.block_width, design.n, qp.R.shape[0]
         spread = _active_rows(lam)[0]
         g = qp.Q[w:, :w] @ a_m + qp.c[w:] - qp.R[spread, w:].T @ lam[spread]

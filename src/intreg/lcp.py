@@ -48,15 +48,11 @@ Murray & Wright, 1981, section 5.5); a single program's polish is the same
 solve.  Every point is certified against every row; one that fails is
 solved by Lemke, and the walk restarts from there.  The folds of a
 cross-validation walk in lockstep (Friedman, Hastie & Tibshirani, 2010),
-one batched segment solve per step.
-
-A stack of programs with no known active set (the folds' ``t = 0`` budget
-programs) is solved by the opening of the dual active-set method of
-Goldfarb & Idnani (1983): from the unconstrained minimizer, each program
-adds the row it violates most, one batched reduced solve per round, until
-none is violated.  Rows are only added, so a set can keep one whose
-multiplier turned negative: every point is certified as a walk's are, and
-a program that fails is solved by the working-set Lemke loop from there.
+one batched segment solve per step.  A stack of programs with no known
+active set is solved by the opening of the dual active-set method
+(Goldfarb & Idnani, 1983): from the unconstrained minimizer, each program
+adds the row it violates most, one batched reduced solve per round, and
+each point is certified as a walk's are.
 """
 
 from __future__ import annotations
@@ -567,11 +563,10 @@ def _solve_qp(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
 
 def _padded(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], terms: Sequence[Sequence[np.ndarray]],
             rhs: Sequence[Sequence[np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """QP families ``(Q[k], R[k])`` padded to one stack, with their programs
-    ``(terms[k, 0] + theta terms[k, 1], rhs[k, 0] + theta rhs[k, 1])`` (a
-    second term or right-hand side not given is 0).  An extra variable is
-    decoupled (``Q_jj = 1``, no linear term, no row entry), so it stays 0;
-    an extra row reads ``0 z >= -1``."""
+    """QP families ``(Q[k], R[k])`` and their programs ``(terms[k, 0] + theta
+    terms[k, 1], rhs[k, 0] + theta rhs[k, 1])`` (a missing one is 0) padded
+    to one stack: an extra variable is decoupled (``Q_jj = 1``, no linear
+    term, no row entry), so it stays 0; an extra row reads ``0 z >= -1``."""
     K, m, p = len(Q), max(q.shape[0] for q in Q), max(a.shape[0] for a in R)
     Qs, Rs, Ts, Hs = np.zeros((K, m, m)), np.zeros((K, p, m)), np.zeros((K, 2, m)), np.zeros((K, 2, p))
     Qs[:, np.arange(m), np.arange(m)], Hs[:, 0] = 1.0, -1.0
@@ -584,40 +579,34 @@ def _padded(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], terms: Sequence[Se
 
 def _certified(Q: np.ndarray, R: np.ndarray, terms: np.ndarray, rhs: np.ndarray, thetas: np.ndarray, Z: np.ndarray,
                LAM: np.ndarray, held: np.ndarray, in_held: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-    """Whether each point ``Z[k, i]`` of a padded stack of QP families
-    (:func:`_padded`; ``rows[k]`` rows unpadded) at ``thetas[i]``, with
-    multipliers ``LAM[k, i]`` on the rows ``held`` (0 on every other) and
-    the held rows ``in_held[k, i]`` in its active set, is certified: every
-    multiplier is nonnegative, the stationarity and complementarity
-    residuals (:func:`_kkt`) are within ``1e-8 (1 + rows)``, every row
-    outside the set passes the working-set loop's test ``slack >= -1e-12 (1
-    + |r|)``, and no row's slack is below ``-1e-8 (1 + rows)``."""
+    """Whether each point ``Z[k, i]`` at ``thetas[i]`` of a padded stack
+    (:func:`_padded`; ``rows[k]`` rows before padding), with multipliers
+    ``LAM[k, i]`` on the rows ``held`` and ``in_held[k, i]`` of them in its
+    set, is certified: its multipliers are nonnegative, its stationarity and
+    complementarity residuals (:func:`_kkt`) and every row's negative slack
+    are within ``1e-8 (1 + rows)``, and every row outside the set passes
+    the working-set loop's test ``slack >= -1e-12 (1 + |r|)``."""
     C = terms[:, None, 0] + thetas[:, None] * terms[:, None, 1]
     RHS = rhs[:, None, 0, held] + thetas[:, None] * rhs[:, None, 1, held]
     kkt = _kkt(Q, C, R[:, held], Z, LAM, Z @ _t(R[:, held]) - RHS)
-    bound = 1e-8 * (1.0 + np.array(rows))
-    ok = np.all(LAM >= 0.0, axis=2) & (kkt["kkt_stationarity"] <= bound[:, None])
-    ok &= kkt["kkt_complementarity"] <= bound[:, None]
-    # feasibility over every row, one program at a time
-    for k, pk in enumerate(rows):
-        on = held < pk
-        RHS = rhs[k, 0, :pk] + thetas[:, None] * rhs[k, 1, :pk]
-        slack = Z[k] @ R[k, :pk].T - RHS
+    bound = 1e-8 * (1.0 + np.array(rows))[:, None]
+    ok = np.all(LAM >= 0.0, axis=2) & (kkt["kkt_stationarity"] <= bound) & (kkt["kkt_complementarity"] <= bound)
+    for k in range(len(Z)):  # every row's slack, one program at a time
+        RHS = rhs[k, 0] + thetas[:, None] * rhs[k, 1]
+        slack = Z[k] @ R[k].T - RHS
         passes = slack >= -1e-12 * (1.0 + np.abs(RHS))
-        passes[:, held[on]] |= in_held[k][:, on]
+        passes[:, held] |= in_held[k]
         ok[k] &= passes.all(axis=1) & (-np.min(slack, axis=1, initial=0.0) <= bound[k])
     return ok
 
 
 def _solve_qp_stack(Q: Sequence[np.ndarray], c: Sequence[np.ndarray], R: Sequence[np.ndarray],
                     r: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Solution and multipliers of each QP ``(Q[k], c[k], R[k], r[k])`` of
-    a nonempty stack, taken as valid float arrays, by the closure of the
-    module docstring: one batched :func:`_segment_solve` per round, at most
-    ``m + 1`` rounds (``m`` the most variables), the working-set loop's test
-    for a violated row.  A point that fails :func:`_certified` (a multiplier
-    negative by ``1e-12`` of the point's scale or less read as 0), or is cut
-    off, is solved by :func:`_solve_qp` alone from the closure's set."""
+    """Solution and multipliers of each QP ``(Q[k], c[k], R[k], r[k])`` of a
+    nonempty stack by the closure of the module docstring, for at most ``m +
+    1`` rounds (``m`` the most variables).  A point that fails
+    :func:`_certified`, or is cut off, is solved by :func:`_solve_qp` from
+    the set the closure reached."""
     Qs, Rs, terms, rhs = _padded(Q, R, [(x,) for x in c], [(x,) for x in r])
     K, p, m = Rs.shape
     unit, in_set = _unit_rows(Rs), np.zeros((K, p), dtype=bool)
@@ -660,15 +649,14 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     multiplier of a row in the set or the slack of a row outside it reaches
     0 (a value that is at or below 0 already ends the segment at once, and
     only values that change sign before the last grid point are divided).
-    Every grid point
-    down to there is filled from the affine solution, the row crossing zero
-    enters or leaves the set, and the walk goes on from it: the exact
-    homotopy of the penalty or budget path (Osborne, Presnell & Turlach,
-    2000; Gaines, Al & Zhou, 2018).  Grid points above ``theta0`` are filled
-    from the first segment.  A multiplier in the set that is negative by no
-    more than ``1e-12`` of the point's multiplier scale is roundoff (at a
-    breakpoint, or on a row whose multiplier is 0 all along) and is read as
-    0.
+    Every grid point down to there is filled from the affine solution, the
+    row crossing zero enters or leaves the set, and the walk goes on from
+    it: the exact homotopy of the penalty or budget path (Osborne, Presnell
+    & Turlach, 2000; Gaines, Al & Zhou, 2018).  Grid points above ``theta0``
+    are filled from the first segment.  A multiplier in the set that is
+    negative by no more than ``1e-12`` of the point's multiplier scale is
+    roundoff (at a breakpoint, or on a row whose multiplier is 0 all along)
+    and is read as 0.
 
     The programs advance in lockstep, as the folds of a pathwise
     cross-validation do (Friedman, Hastie & Tibshirani, 2010): each step
@@ -692,8 +680,7 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     walk leaves unfilled when it stalls or after ``4 (1 + rows)`` segments,
     is solved by :func:`_solve_qp` alone, started at the set the walk
     reached there, and the walk restarts from the polished set on that
-    program alone over the rest of the grid; each restart uses up a grid
-    point.
+    program alone over the rest of the grid; each restart uses a grid point.
     """
     K, n = len(Q), thetas.size
     m_k, p_k = [q.shape[0] for q in Q], [a.shape[0] for a in R]
