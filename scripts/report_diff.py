@@ -26,22 +26,19 @@ Lemke calls and pivots: the QP calls (spread block and ``lasso-ir``) and the
 midpoint block's one-run paths (``lasso._lemke_path``).  It counts the
 working-set Lemke solves (``qp_solve_qp_full_calls``, calls of
 ``lcp._solve_qp_full``): each single fit, a restart from an empty working
-set, each ``t = 0`` program of a budget path that fails its certificate,
-and each point where a homotopy hands its grid to Lemke.  The ``t = 0``
-programs of a call's budget paths are solved as one stack
-(``lcp._solve_qp_stack``, as ``lasso_ir`` imports it): it counts them
-(``stack_programs``) and those handed to Lemke (``stack_fallbacks``, calls
-of ``lcp._solve_qp`` inside it), so the two give the fallback rate.
-Of the homotopy walks of spread and budget grids
-(``lcp._qp_homotopy``, as ``least_squares`` and ``lasso_ir`` import it), it
-counts the calls (``hom_qp_homotopy_calls``: one per grid fitter call, the
-folds walking in lockstep), the segments (``hom_segments``: the walking
-folds in each call of the reduced segment solve ``lcp._segment_solve``),
-the steps (``hom_steps``: the calls of that solve) and the grid points a
-walk solves by Lemke itself (``hom_fallback_points``: calls of
-``lcp._solve_qp`` inside a walk), after each of which it walks on.  The
-segment solves of a single fit's polish, of a fallback's, or of a stack's
-rounds are no segments.
+set, and each point where a homotopy hands its grid to Lemke.  Of the
+homotopy walks (``lcp._qp_homotopy``, as ``least_squares`` and
+``lasso_ir`` import it: spread and budget grids, and the ``t = 0`` programs
+of budget paths, walked down from where no row binds), it counts the calls
+(``hom_qp_homotopy_calls``: one per grid fitter call, or per budget path's
+``t = 0`` programs, the folds walking in lockstep), the programs a walk
+starts from an empty set (``hom_walks_from_empty``: the ``t = 0``
+programs), the segments (``hom_segments``: the walking folds in each call
+of the reduced segment solve ``lcp._segment_solve``), the steps
+(``hom_steps``: the calls of that solve) and the grid points a walk solves
+by Lemke itself (``hom_fallback_points``: calls of ``lcp._solve_qp``
+inside a walk), after each of which it walks on.  The segment solves of a
+single fit's polish or of a fallback's are no segments.
 
 Prints every report field that moved, with its relative size
 ``|new - old| / max(|old|, |new|)``, every run whose exit code or stderr
@@ -158,8 +155,6 @@ def worker(runs_path: str, out_path: str) -> None:
         # the Lemke solve's own polish is no segment
         if block[0] == "hom":
             counts["hom_fallback_points"] += 1
-        elif block[0] == "stack":
-            counts["stack_fallbacks"] += 1
         outer, block[0] = block[0], "qp"
         try:
             return solve_qp(*args)
@@ -173,21 +168,10 @@ def worker(runs_path: str, out_path: str) -> None:
 
         def listed_walk(*args, walk=walk):
             counts["hom_fallback_points"] += 0  # listed also when no point falls back
+            counts["hom_walks_from_empty"] += sum(len(start) == 0 for start in args[7])
             return walk(*args)
 
         module._qp_homotopy = listed_walk
-    stack = lasso_ir._solve_qp_stack
-
-    def counted_stack(*args):
-        counts["stack_programs"] += len(args[0])
-        counts["stack_fallbacks"] += 0  # listed also when no program falls back
-        outer, block[0] = block[0], "stack"
-        try:
-            return stack(*args)
-        finally:
-            block[0] = outer
-
-    lasso_ir._solve_qp_stack = counted_stack
     count_calls(lasso, "_lemke_path", "mid")
     results = {}
     for label, argv in json.loads(Path(runs_path).read_text()):

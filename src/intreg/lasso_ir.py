@@ -12,15 +12,15 @@ negative parts it becomes a quadratic program with linear constraints, solved
 by the same complementary-pivoting machinery as the other estimators.  The
 budget is cross-validated on the Lasso folds.  It enters only the
 right-hand side of the budget row, so the solution is piecewise affine in
-it: all folds' ``t = 0`` programs are solved first, as a stack, and each fold's
-``t > 0`` grid is walked up from that fit as the exact homotopy of the
-L1-constrained Lasso (Osborne, Presnell & Turlach, 2000;
-:func:`intreg.lcp._qp_homotopy`), breakpoint to breakpoint, with no joint
-Lemke run unless a point fails its certificate, which is checked against
-every row.  The folds walk in lockstep, each step a segment of every fold
-still walking; a fold whose point fails is solved there by Lemke alone and
-walks on from that fit.  A walk ends where the budget's multiplier reaches
-0; every larger budget gets that fit.  The path returns the grid's fits as
+it: all folds' ``t = 0`` programs are walked first, down from where no row
+binds (Best, 1996), and each fold's ``t > 0`` grid is walked up from that
+fit as the exact homotopy of the L1-constrained Lasso (Osborne, Presnell &
+Turlach, 2000; :func:`intreg.lcp._qp_homotopy`), breakpoint to breakpoint,
+with no Lemke run unless a point fails its certificate, which is checked
+against every row.  The folds walk in lockstep, each step a segment of
+every fold still walking; a fold whose point fails is solved there by Lemke
+alone and walks on from that fit.  A walk ends where the budget's
+multiplier reaches 0; every larger budget gets that fit.  The path returns the grid's fits as
 stacks, one row per budget, with the ``t = 0`` fit for every zero budget.
 A single fit (the refit at the selected budget, or a given one) is one
 working-set Lemke solve of the joint QP, as the paper prescribes: it solves
@@ -37,29 +37,24 @@ import numpy as np
 from .design import DesignSystem
 from .intervals import DEFAULT_TAU, Interval, validate_tau
 from .lasso import _cv_errors, _first_min
-from .lcp import Qp, _active_rows, _qp_homotopy, _solve_qp, _solve_qp_stack
+from .lcp import Qp, _active_rows, _qp_homotopy, _solve_qp
 from .least_squares import METHOD_LASSO_IR, FitResult, _finite_nonnegative, _fit_result, _snap_zeros, ols_mid
 
 
 def _joint_qp(design: DesignSystem, tau: float, t: float) -> Qp:
     """QP over (midpoint block, offset+ part, offset- part)."""
-    w = design.block_width
-    g = design.gamma_matrix
+    w, n = design.block_width, design.n
     fm, fs = design.fm, design.fs
     # the spread block is a_m + a+ - a-: its terms couple the parts with these signs
     signs = np.array([1.0, 1.0, -1.0])
-    Q = np.kron(np.outer(signs, signs), 2.0 * tau * (fs.T @ fs))
+    Q = (np.outer(signs, signs)[:, None, :, None] * (2.0 * tau * (fs.T @ fs))[:, None, :]).reshape(3 * w, 3 * w)
     Q[:w, :w] += 2.0 * (1.0 - tau) * (fm.T @ fm)
-    c = np.kron(-signs, 2.0 * tau * (fs.T @ design.vs))
+    c = (-signs[:, None] * (2.0 * tau * (fs.T @ design.vs))).ravel()
     c[:w] -= 2.0 * (1.0 - tau) * (fm.T @ design.vm)
-    eye, zeros = np.eye(w), np.zeros((w, w))
-    R = np.block([
-        [g, g, -g],                                           # fitted spreads >= 0
-        [zeros, eye, zeros],
-        [zeros, zeros, eye],
-        [np.zeros((1, w)), -np.ones((1, w)), -np.ones((1, w))],  # L1 budget
-    ])
-    r = np.concatenate([np.zeros(g.shape[0] + 2 * w), [-t]])
+    R, r = np.zeros((n + 2 * w + 1, 3 * w)), np.zeros(n + 2 * w + 1)
+    R[:n] = (signs[:, None] * design.gamma_matrix[:, None, :]).reshape(n, 3 * w)  # fitted spreads >= 0
+    R[n:-1, w:] = np.eye(2 * w)
+    R[-1, w:], r[-1] = -1.0, -t  # L1 budget
     return Qp(Q, c, R, r)
 
 
@@ -135,17 +130,21 @@ def _budget_paths(designs: Sequence[DesignSystem], tau: float,
     stacks with one row per budget, one pair of stacks per design.
 
     The designs' ``t = 0`` programs (:func:`_zero_budget`) are solved first,
-    whatever the grid, as one stack (:func:`intreg.lcp._solve_qp_stack`),
-    and their fits serve every zero budget.  The ``t > 0`` programs share the
-    joint QP but for the budget, the right-hand side of its last row, so the
-    grid, in any order, is walked up from the ``t = 0`` fit as the exact
-    homotopy in ``theta = -t``, the designs' walks in lockstep
-    (:func:`intreg.lcp._qp_homotopy`); a point that fails its certificate is
-    solved by Lemke and the walk restarts from it.  A walk starts from the
-    binding spread rows of the ``t = 0`` fit, every offset bound but that of
-    the offset whose gradient ``g`` there is most negative, and the budget
-    row.  Where no entry of ``g`` is negative, no offset lowers the
-    objective and every ``t > 0`` point is the ``t = 0`` fit.  A walk ends
+    whatever the grid, by one lockstep walk (:func:`intreg.lcp._qp_homotopy`)
+    with every row's right-hand side lowered by ``theta``, from the largest
+    float, where no row binds, down to 0; their fits serve every zero
+    budget.  The ``t > 0`` programs share the joint QP but for the budget,
+    the right-hand side of its last row, so the grid, in any order, is
+    walked up from the ``t = 0`` fit as the exact homotopy in ``theta =
+    -t``, the designs' walks in lockstep; a point of either walk that fails
+    its certificate is solved by Lemke and the walk restarts from it.  A
+    budget walk starts from the spread rows of the set the ``t = 0`` walk
+    ends on, every offset bound but that of the offset whose gradient ``g``
+    there is most negative, and the budget row.  By the ``t = 0``
+    stationarity, ``g = [-h, h]`` with ``h = 2 (1 - tau) F_m'(F_m a_m -
+    v_m)`` where a spread row binds; where none does, ``g`` is the
+    objective's own.  Where no entry of ``g`` is negative, no offset lowers
+    the objective and every ``t > 0`` point is the ``t = 0`` fit.  A walk ends
     where the budget's multiplier reaches 0, at the budget the unbounded
     offset uses: every larger budget gets that released fit.  Offset entries
     within roundoff of zero are snapped to exact zeros, as the spread
@@ -155,13 +154,19 @@ def _budget_paths(designs: Sequence[DesignSystem], tau: float,
     on = grid > 0.0
     t = grid[on]
     qps, programs = zip(*(_zero_budget(design, tau) for design in designs))
+    Q, c, R, r = zip(*programs)
+    # every row lowered by theta: none binds at theta0, and theta = 0 is the program
+    zero = _qp_homotopy(Q, R, r, c, [np.zeros(x.size) for x in c], np.zeros(1), [np.finfo(float).max] * len(c),
+                        [()] * len(c), [np.full(x.size, -1.0) for x in r])
     # per design: the t = 0 fit, and the t > 0 stack, that fit on every row
     # unless the design is walked below
     fits, walks = [], []
-    for design, qp, (a_m, lam) in zip(designs, qps, _solve_qp_stack(*zip(*programs))):
+    for design, qp, ((a_m,), spread) in zip(designs, qps, zero):
         w, n, p = design.block_width, design.n, qp.R.shape[0]
-        spread = _active_rows(lam)[0]
-        g = qp.Q[w:, :w] @ a_m + qp.c[w:] - qp.R[spread, w:].T @ lam[spread]
+        # the offsets' gradient at the t = 0 fit: the objective's, less the
+        # spread rows' load, which by stationarity is [-h, h] where one binds
+        h = 2.0 * (1.0 - tau) * (design.fm.T @ (design.fm @ a_m - design.vm))
+        g = np.concatenate([-h, h]) if spread.size else qp.Q[w:, :w] @ a_m + qp.c[w:]
         fits.append((a_m, np.tile(np.concatenate([a_m, np.zeros(2 * w)]), (t.size, 1))))
         if float(np.min(g)) < 0.0:
             # the freed offset enters as the budget opens; budgets up is theta = -t down
@@ -173,7 +178,7 @@ def _budget_paths(designs: Sequence[DesignSystem], tau: float,
         U, qp, start, dr = zip(*walks)
         paths = _qp_homotopy([x.Q for x in qp], [x.R for x in qp], [x.r for x in qp], [x.c for x in qp],
                              [np.zeros(x.c.size) for x in qp], -t, [0.0] * len(qp), start, dr)
-        for u, Z in zip(U, paths):
+        for u, (Z, _) in zip(U, paths):
             u[:] = Z
     out = []
     for a_m, U in fits:

@@ -48,11 +48,9 @@ Murray & Wright, 1981, section 5.5); a single program's polish is the same
 solve.  Every point is certified against every row; one that fails is
 solved by Lemke, and the walk restarts from there.  The folds of a
 cross-validation walk in lockstep (Friedman, Hastie & Tibshirani, 2010),
-one batched segment solve per step.  A stack of programs with no known
-active set is solved by the opening of the dual active-set method
-(Goldfarb & Idnani, 1983): from the unconstrained minimizer, each program
-adds the row it violates most, one batched reduced solve per round, and
-each point is certified as a walk's are.
+one batched segment solve per step.  A program with no known active set
+is walked too: with every row's right-hand side lowered by the parameter,
+from where no row binds down to the program itself (Best, 1996).
 """
 
 from __future__ import annotations
@@ -486,8 +484,8 @@ def _solve_qp_full(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
     working set (:func:`_farkas`) raises :class:`InfeasibleQp`.
 
     ``work`` names rows that start in the working set when the unconstrained
-    minimizer is infeasible (a walk or a stack passes the set it reached, a
-    budget fit the rows of its ``t = 0`` fit); the first round then solves
+    minimizer is infeasible (a walk passes the set it reached, a budget fit
+    the rows of its ``t = 0`` fit); the first round then solves
     on them before any row is added.  If Lemke ray-terminates on such a
     working set, the program is solved again from an empty one; from an
     empty one, a ray that is no certificate raises :class:`RayTermination`.
@@ -600,45 +598,20 @@ def _certified(Q: np.ndarray, R: np.ndarray, terms: np.ndarray, rhs: np.ndarray,
     return ok
 
 
-def _solve_qp_stack(Q: Sequence[np.ndarray], c: Sequence[np.ndarray], R: Sequence[np.ndarray],
-                    r: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Solution and multipliers of each QP ``(Q[k], c[k], R[k], r[k])`` of a
-    nonempty stack by the closure of the module docstring, for at most ``m +
-    1`` rounds (``m`` the most variables).  A point that fails
-    :func:`_certified`, or is cut off, is solved by :func:`_solve_qp` from
-    the set the closure reached."""
-    Qs, Rs, terms, rhs = _padded(Q, R, [(x,) for x in c], [(x,) for x in r])
-    K, p, m = Rs.shape
-    unit, in_set = _unit_rows(Rs), np.zeros((K, p), dtype=bool)
-    Z, LAM = np.zeros((K, 1, m)), np.zeros((K, 1, p))
-    tol, left = 1e-12 * (1.0 + np.abs(rhs[:, 0])), np.arange(K)
-    for _ in range(m + 1):
-        Z[left], LAM[left] = _segment_solve(*(a[left] for a in (Qs, Rs, terms[:, :1], rhs[:, :1], in_set, unit)))
-        slack = (Z[left] @ _t(Rs[left]))[:, 0] - rhs[left, 0]
-        violated = (slack < -tol[left]) & ~in_set[left]
-        more = violated.any(axis=1)
-        left, violated, slack = left[more], violated[more], slack[more]
-        if not left.size:
-            break
-        in_set[left, np.where(violated, slack, np.inf).argmin(axis=1)] = True
-    floor = -1e-12 * np.abs(LAM).max(axis=2, keepdims=True, initial=0.0)
-    np.maximum(LAM, 0.0, out=LAM, where=LAM >= floor)
-    held, rows = np.flatnonzero(in_set.any(axis=0)), [x.size for x in r]
-    ok = _certified(Qs, Rs, terms, rhs, np.zeros(1), Z, LAM[:, :, held], held, in_set[:, None, held], rows)[:, 0]
-    ok[left] = False
-    return [(Z[k, 0, : c[k].size], LAM[k, 0, :pk]) if ok[k] else
-            _solve_qp(Q[k], c[k], R[k], r[k], np.flatnonzero(in_set[k, :pk]))[:2] for k, pk in enumerate(rows)]
-
-
 def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[np.ndarray],
                  c0: Sequence[np.ndarray], dc: Sequence[np.ndarray], thetas: np.ndarray, theta0: Sequence[float],
-                 active: Sequence[Sequence[int]], dr: Optional[Sequence[np.ndarray]] = None) -> list[np.ndarray]:
+                 active: Sequence[Sequence[int]],
+                 dr: Optional[Sequence[np.ndarray]] = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Solutions of a stack of QP families along one grid: for each program
     ``k``, the QPs ``(Q[k], c0[k] + theta dc[k], R[k], r[k] + theta dr[k])``
     at the ``thetas``, in any order, walked down from ``theta0[k]``, where
-    the rows ``active[k]`` bind the solution.  Returns one stack per
-    program, one row per grid point in the order of ``thetas``.  ``dr``
-    defaults to 0.
+    the rows ``active[k]`` bind the solution.  Returns, per program, its
+    stack, one row per grid point in the order of ``thetas``, and the rows
+    of the set its walk ends on, at the lowest ``theta``.  ``dr`` defaults
+    to 0.  With ``dc = 0`` and ``dr = -1`` on every row, a ``theta0`` of
+    ``np.finfo(float).max`` lowers every row past any violation: the empty
+    set binds there, found with no solve (``np.inf`` would make ``inf * 0``
+    on a padded row, whose ``dr`` is 0).
 
     On a fixed active set the solution and its multipliers are affine in
     ``theta``, so one solve of the set's KKT system for the two programs
@@ -680,12 +653,13 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     walk leaves unfilled when it stalls or after ``4 (1 + rows)`` segments,
     is solved by :func:`_solve_qp` alone, started at the set the walk
     reached there, and the walk restarts from the polished set on that
-    program alone over the rest of the grid; each restart uses a grid point.
+    program alone over the rest of the grid; each restart uses a grid point,
+    and the restarted walk's end set is the program's.
     """
     K, n = len(Q), thetas.size
     m_k, p_k = [q.shape[0] for q in Q], [a.shape[0] for a in R]
     if K == 0 or n == 0:
-        return [np.zeros((n, m)) for m in m_k]
+        return [(np.zeros((n, m)), np.asarray(a, dtype=int)) for m, a in zip(m_k, active)]
     # the walk goes down the grid; the rows return in the grid's order
     order = np.argsort(-thetas, kind="stable")
     thetas = thetas[order]
@@ -769,18 +743,18 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     for k, (mk, pk) in enumerate(zip(m_k, p_k)):
         fails = filled[k] & ~ok[k]
         j = int(fails.argmax()) if fails.any() else i[k]
-        Zk = Z[k, :, :mk]
+        Zk, end = Z[k, :, :mk], np.flatnonzero(rows[k, :pk])
         if j < n:
             # Lemke at the failing point, from the set the walk reached there;
             # then the walk again from the polished set
             work = np.flatnonzero((in_set[seg[k, j]] if j < i[k] else rows[k])[:pk])
             Zk[j], _, _, work = _solve_qp(Q[k], terms[k, 0, :mk] + thetas[j] * terms[k, 1, :mk], R[k],
                                           rhs[k, 0, :pk] + thetas[j] * rhs[k, 1, :pk], work)
-            (Zk[j + 1 :],) = _qp_homotopy([Q[k]], [R[k]], [r[k]], [c0[k]], [dc[k]], thetas[j + 1 :], [thetas[j]],
-                                          [work], None if dr is None else [dr[k]])
-        out.append(Zk)
+            ((Zk[j + 1 :], end),) = _qp_homotopy([Q[k]], [R[k]], [r[k]], [c0[k]], [dc[k]], thetas[j + 1 :],
+                                                 [thetas[j]], [work], None if dr is None else [dr[k]])
+        out.append((Zk, end))
     back = np.argsort(order)
-    return [Zk[back] for Zk in out]
+    return [(Zk[back], end) for Zk, end in out]
 
 
 def solve_qp(qp: Qp) -> np.ndarray:

@@ -165,7 +165,7 @@ def _spr_paths(designs: Sequence[DesignSystem], lambdas: Iterable[float], tau: f
         A, free, Q, R, r, g = zip(*walks)
         paths = _qp_homotopy(Q, R, r, [-2.0 * tau * x for x in g], [np.full(x.size, 2.0 * tau) for x in g], lambdas,
                              [max(0.0, float(np.max(x))) for x in g], [np.arange(x.size) for x in g])
-        for a, cols, Z in zip(A, free, paths):
+        for a, cols, (Z, _) in zip(A, free, paths):
             a[:, cols] = Z
     return [np.maximum(_snap_zeros(A), 0.0) for A in stacks]
 

@@ -120,7 +120,7 @@ def record_homotopies(monkeypatch):
 def walk_alone(Q, R, r, c0, dc, thetas, theta0, active, dr=None):
     """``lcp._qp_homotopy`` on the one-program stack: the program's points."""
     return intreg.lcp._qp_homotopy([Q], [R], [r], [c0], [dc], thetas, [theta0], [active],
-                                   None if dr is None else [dr])[0]
+                                   None if dr is None else [dr])[0][0]
 
 
 def corrupt_homotopy_segments(monkeypatch, corrupt, first, stop=None):

@@ -705,13 +705,14 @@ class TestPathwiseCrossValidation:
 
 @pytest.mark.parametrize("path", ["qp", "spread", "midpoint", "budget"])
 def test_empty_grid_gives_empty_stacks(path):
-    # an empty grid has no points: every stack has no rows
+    # an empty grid has no points: every stack has no rows, and a walk ends
+    # on the set it starts from
     d = build_design(random_sample(5, n=12), "full")
     qp = spread_qp(d, 0.5)
     w = d.block_width
     got, want = {
         "qp": lambda: (intreg.lcp._qp_homotopy([qp.Q], [qp.R], [qp.r], [qp.c], [np.zeros(w)], np.zeros(0), [0.0],
-                                               [np.arange(w)]), [(0, w)]),
+                                               [np.arange(w)])[0], [(0, w), (w,)]),
         "spread": lambda: (_spr_paths([d], [], 0.5), [(0, w)]),
         "midpoint": lambda: (_mid_fits(d, []), [(0, w), (0,)]),
         "budget": lambda: (_budget_paths([d], 0.5, [])[0], [(0, w), (0, w)]),

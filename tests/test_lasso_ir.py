@@ -13,7 +13,7 @@ from intreg import (
     ingest,
     select_budget,
 )
-from intreg import lcp
+from intreg import lasso_ir, lcp
 from intreg.lasso_ir import _budget_fit, _budget_paths, _joint_qp, default_budget_grid
 from intreg.least_squares import _snap_zeros
 
@@ -43,6 +43,17 @@ def objective(design, result, tau):
     a_m, a_s, _ = blocks(design, result)
     return float((1.0 - tau) * np.sum((design.vm - design.fm @ a_m) ** 2)
                  + tau * np.sum((design.vs - design.fs @ a_s) ** 2))
+
+
+def zero_walk_segments(monkeypatch, design):
+    """The segments of the walk that solves the design's ``t = 0`` program,
+    the first ones a budget path makes (a grid of ``t = 0`` alone walks no
+    budget)."""
+    segments, solve = [], lcp._segment_solve
+    monkeypatch.setattr(lcp, "_segment_solve", lambda *args: segments.append(args[2].shape[1]) or solve(*args))
+    _budget_paths([design], 0.5, [0.0])
+    monkeypatch.undo()
+    return segments.count(2)
 
 
 def cold_joint_fit(design, tau, t):
@@ -230,7 +241,7 @@ class TestBudgetPath:
     def test_warm_start_equals_cold_joint_path(self, variant, tau, monkeypatch):
         # the grid is walked up from the t = 0 fit as a homotopy, with no
         # joint-QP Lemke solve (Lemke solves the t = 0 program only where
-        # the stack's certificate rejects its fit); every point must be the
+        # its walk's certificate rejects its fit); every point must be the
         # joint QP's own fit, solved by Lemke from an empty working set
         for n in (100, 200):
             d = build_design(split_model_sample(n + 2, n), variant)
@@ -284,34 +295,38 @@ class TestBudgetPath:
                     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want), initial=0.0), (seed, t)
 
     def test_about_one_lemke_call_per_budget(self, monkeypatch):
-        # each fold's t = 0 fit makes at most one call and its walk none: 4
-        # on this sample for 105 grid points (18 when each fold's joint path
-        # was solved by Lemke, 37 with it started from an empty working set)
+        # each fold walks its t = 0 program and its budget grid with no
+        # call: none on this sample for 105 grid points (4 when a fold's t =
+        # 0 fit could fall back to Lemke, 18 when each fold's joint path was
+        # solved by Lemke, 37 with it started from an empty working set).
+        # The single fit at the selected budget makes the rest
         d = build_design(split_model_sample(1, 100), "full")
         calls = record_lemke_dims(monkeypatch)
         select_budget(d, 0.5, folds=5, seed=0)
-        assert 0 < len(calls) <= 20
+        assert calls == []
+        fit_lasso_ir(d, 0.5)
+        assert 0 < len(calls) <= 4
 
     def test_budget_grid_solves_qps_only_at_breakpoints(self, monkeypatch):
-        # Lemke solves only the t = 0 programs whose stacked fit fails its
-        # certificate, and the walk no point: 1 solve for the 105 grid
-        # points on this sample (5 when Lemke solved every fold's t = 0
-        # program, 19 when each fold's joint path was solved by Lemke)
+        # the walks solve every program at their breakpoints, and Lemke no
+        # point: no solve for the 105 grid points on this sample (1 when a
+        # fold's t = 0 program could fall back to Lemke, 5 when Lemke solved
+        # every one, 19 when each fold's joint path was solved by Lemke)
         d = build_design(split_model_sample(1, 100), "full")
         calls = record_qp_solves(monkeypatch)
         select_budget(d, 0.5, folds=5, seed=0)
-        assert 1 <= len(calls) <= 2 and all(qp.num_vars == d.block_width for qp in calls)
+        assert calls == []
 
     @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
     def test_failed_continuation_step_falls_back_to_lemke(self, corrupt, monkeypatch):
-        # with every walk segment failing its checks, each t > 0 point is
-        # solved by Lemke, once, as a single fit would be, and each restarted
-        # walk fails at its first point again; the t = 0 fit is the stack's,
-        # which certifies on this sample
+        # with every segment of the budget walk failing its checks, each t >
+        # 0 point is solved by Lemke, once, as a single fit would be, and
+        # each restarted walk fails at its first point again; the t = 0 fit
+        # is its own walk's, whose segments come first and are left alone
         d = build_design(split_model_sample(103, 100), "full")
         grid = default_budget_grid(d)
         cold = [_budget_fit(d, 0.5, t) for t in grid]
-        corrupt_homotopy_segments(monkeypatch, corrupt, first=0)
+        corrupt_homotopy_segments(monkeypatch, corrupt, first=zero_walk_segments(monkeypatch, d))
         calls = record_qp_solves(monkeypatch)
         ((A_m, A_a),) = _budget_paths([d], 0.5, grid)
         for (cold_m, cold_a, _), a_m, a_a in zip(cold, A_m, A_a):
@@ -368,16 +383,15 @@ class TestBudgetHomotopy:
 
     @pytest.mark.parametrize("variant", ["full", "model-m"])
     def test_select_budget_runs_no_joint_lemke_solve(self, variant, monkeypatch):
-        # the folds' t = 0 programs are one certified stack, with Lemke only
-        # for a fold whose fit fails the certificate (one fold of seed 1's
-        # full design: its closure keeps a row whose multiplier is
-        # negative), and each fold walks the rest; the single fit at the
+        # each fold walks its t = 0 program down from where no row binds,
+        # then its budget grid up from that fit, with Lemke only for a point
+        # that fails its certificate (none here); the single fit at the
         # selected budget is a joint Lemke solve
         for seed in range(1, 4):
             d = build_design(split_model_sample(seed, 100), variant)
             calls = record_qp_solves(monkeypatch)
             select_budget(d, 0.5, folds=5, seed=0)
-            assert len(calls) <= 1 and self.joint_solves(calls, d) == []
+            assert calls == []
             fit_lasso_ir(d, 0.5)
             assert len(self.joint_solves(calls, d)) == 1
             monkeypatch.undo()
@@ -386,9 +400,8 @@ class TestBudgetHomotopy:
         # constant regressor and response spreads leave the spread part of
         # the objective constant: no offset gradient is negative at t = 0,
         # so every budget is the t = 0 fit, walked by no segment.  The t = 0
-        # program's stacked fit is one one-program solve, the unconstrained
-        # minimizer, which violates no row and certifies, so Lemke solves
-        # nothing
+        # program's walk is one segment, the unconstrained minimizer, which
+        # violates no row and certifies, so Lemke solves nothing
         rng = np.random.default_rng(3)
         mid_x = rng.normal(size=(40, 1))
         sample = IntervalSample(2.0 * mid_x[:, 0] + rng.normal(0.0, 0.1, 40), np.ones(40), mid_x, np.full((40, 1), 0.5))
@@ -399,18 +412,18 @@ class TestBudgetHomotopy:
         monkeypatch.setattr(lcp, "_segment_solve", lambda *args: segments.append(args[2].shape[1]) or solve(*args))
         calls = record_qp_solves(monkeypatch)
         ((A_m, A_a),) = _budget_paths([d], 0.5, [0.0, 0.5, 2.0])
-        assert segments == [1] and calls == [] and not A_a.any()
+        assert segments == [2] and calls == [] and not A_a.any()
         assert np.array_equal(A_m[1], A_m[0]) and np.array_equal(A_m[2], A_m[0])
 
     @pytest.mark.parametrize("corrupt", ["primal", "multipliers"])
     def test_failed_segment_falls_back_to_lemke(self, corrupt, monkeypatch):
-        # a segment whose solve fails its certificate sends its first point
-        # to working-set Lemke, and the walk restarts from there; the points
-        # before it stay walked
+        # a segment of the budget walk whose solve fails its certificate
+        # sends its first point to working-set Lemke, and the walk restarts
+        # from there; the points before it stay walked
         d = build_design(split_model_sample(103, 100), "full")
         grid = default_budget_grid(d)
         cold = [_budget_fit(d, 0.5, t) for t in grid]
-        corrupt_homotopy_segments(monkeypatch, corrupt, first=2)
+        corrupt_homotopy_segments(monkeypatch, corrupt, first=zero_walk_segments(monkeypatch, d) + 2)
         calls = record_qp_solves(monkeypatch)
         ((A_m, A_a),) = _budget_paths([d], 0.5, grid)
         for (cold_m, cold_a, _), a_m, a_a in zip(cold, A_m, A_a):
@@ -421,3 +434,50 @@ class TestBudgetHomotopy:
         # not the first t > 0, which the walk keeps
         solved = [-qp.r[-1] for qp in self.joint_solves(calls, d)]
         assert 1 <= len(solved) < len(grid) - 1 and grid[1] not in solved
+
+    @pytest.mark.parametrize("seed, n, variant", [(202, 200, "model-m"), (1, 100, "full")])
+    def test_zero_budget_walk_drops_rows_without_lemke(self, seed, n, variant, monkeypatch):
+        # on these samples a fold's t = 0 program passes a set on which a
+        # row's multiplier turns negative (a closure that only adds rows ends
+        # there and needs Lemke); the walk drops the row where its multiplier
+        # reaches 0, so select_budget makes no Lemke solve
+        d = build_design(split_model_sample(seed, n), variant)
+        sets, solve = [], lcp._segment_solve
+
+        def segment(Q, R, C, RHS, active, unit):
+            if len(Q) == 1:
+                sets.append(set(np.flatnonzero(active[0])))
+            return solve(Q, R, C, RHS, active, unit)
+
+        walks = []
+        homotopy = lasso_ir._qp_homotopy
+        monkeypatch.setattr(lasso_ir, "_qp_homotopy", lambda *args: walks.append(args) or homotopy(*args))
+        calls = record_qp_solves(monkeypatch)
+        select_budget(d, 0.5, folds=5, seed=0)
+        assert calls == []
+        # each fold's t = 0 program walked alone: some set loses a row
+        monkeypatch.setattr(lcp, "_segment_solve", segment)
+        Q, R, r, c, dc, thetas, theta0, active, dr = walks[0]
+        dropped = False
+        for k in range(len(Q)):
+            sets.clear()
+            lcp._qp_homotopy([Q[k]], [R[k]], [r[k]], [c[k]], [dc[k]], thetas, [theta0[k]], [active[k]], [dr[k]])
+            dropped |= any(not before <= after for before, after in zip(sets, sets[1:]))
+        assert dropped and calls == []
+
+    def test_budget_walk_starts_from_the_zero_budget_walks_end(self, monkeypatch):
+        # each fold's budget walk starts from the spread rows of the set its
+        # t = 0 walk ends on, with every offset bound but one and the budget
+        # row; some fold's end set holds a spread row
+        d = build_design(split_model_sample(1, 100), "full")
+        walks, homotopy = [], lasso_ir._qp_homotopy
+        monkeypatch.setattr(lasso_ir, "_qp_homotopy",
+                            lambda *args: walks.append((args, homotopy(*args))) or walks[-1][1])
+        select_budget(d, 0.5, folds=5, seed=0)
+        ((zero_args, zero), (budget_args, _)) = walks
+        assert len(zero) == len(budget_args[0]) == 5 and any(end.size for _, end in zero)
+        for R, (_, end), qp_R, start in zip(zero_args[1], zero, budget_args[1], budget_args[7]):
+            n, w = R.shape[0], R.shape[1]
+            assert qp_R.shape[0] == n + 2 * w + 1
+            assert np.array_equal(start[start < n], end)
+            assert start[start >= n].size == 2 * w

@@ -429,8 +429,7 @@ def record_path_events(monkeypatch):
     (``"lemke"``, with its starting working set) and each reduced KKT
     solve, with its rows (those of the stack's first QP): a walk's segment,
     on the two-program stack ``(c0, dc)`` (``"segment"``), or a one-program
-    solve, a single solve's polish or a round of a stacked closure
-    (``"polish"``)."""
+    solve, a single solve's polish (``"polish"``)."""
     events = []
     solve, segment_solve = lcp._solve_qp_full, lcp._segment_solve
 
@@ -660,9 +659,8 @@ class TestQpPath:
     def test_one_stacked_solve_per_breakpoint(self, path, monkeypatch):
         # a walk makes one reduced solve of the two-program stack (the point
         # at 0 and the direction) per segment, and no Lemke solve; the
-        # budget path's t = 0 fit comes first, one one-program solve per
-        # round of its stack's closure (two: one row binds), and no Lemke
-        # solve
+        # budget path's t = 0 fit comes first, its own walk from the empty
+        # set (two segments: one row binds)
         design = build_design(split_model_sample(1, 100), "full")
         events = record_path_events(monkeypatch)
         if path == "spread":
@@ -673,11 +671,11 @@ class TestQpPath:
             points = lasso_ir._budget_paths([design], 0.5, grid)[0][0]
         assert len(points) == len(grid)
         kinds = [kind for kind, _ in events]
-        lead = [] if path == "spread" else ["polish", "polish"]
-        assert kinds[: len(lead)] == lead
-        walk = kinds[len(lead) :]
-        assert 1 <= len(walk) < len(grid) // 2
-        assert walk == ["segment"] * len(walk)
+        assert kinds == ["segment"] * len(kinds)
+        # the sizes of the t = 0 walk's sets
+        lead = [] if path == "spread" else [0, 1]
+        assert [rows.size for _, rows in events[: len(lead)]] == lead
+        assert 1 <= len(kinds) - len(lead) < len(grid) // 2
 
 
 def zero_spread_sample():
@@ -894,7 +892,7 @@ class TestLockstepWalk:
 
         made = segment_counter(monkeypatch, shifted, first=2)
         calls = record_qp_solves(monkeypatch)
-        together = lcp._qp_homotopy(*args)
+        together = [Z for Z, _ in lcp._qp_homotopy(*args)]
         counts = [made(q) for q in Q]
         monkeypatch.undo()
         assert len(together) == len(Q) > 1
@@ -920,13 +918,15 @@ class TestLockstepWalk:
         designs = fold_designs(split_model_sample(1, n))
         if path == "spread":
             grid = np.append(lasso.lambda_grid(build_design(split_model_sample(1, n), "full"), 100, 1e-3, "spr"), 0.0)
-            (args,) = recorded_walks(monkeypatch, least_squares,
-                                     lambda: least_squares._spr_paths(designs, grid, 0.5))
+            walks = recorded_walks(monkeypatch, least_squares, lambda: least_squares._spr_paths(designs, grid, 0.5))
         else:
+            # the t = 0 walk, then the budget walk
             grid = lasso_ir.default_budget_grid(build_design(split_model_sample(1, n), "full"))
-            (args,) = recorded_walks(monkeypatch, lasso_ir, lambda: lasso_ir._budget_paths(designs, 0.5, grid))
-        assert len({R.shape[0] for R in args[1]}) == (2 if n == 101 else 1)
-        self.assert_lockstep_equals_alone(monkeypatch, args)
+            walks = recorded_walks(monkeypatch, lasso_ir, lambda: lasso_ir._budget_paths(designs, 0.5, grid))
+            assert len(walks) == 2
+        for args in walks:
+            assert len({R.shape[0] for R in args[1]}) == (2 if n == 101 else 1)
+            self.assert_lockstep_equals_alone(monkeypatch, args)
 
     def test_presolve_pads_columns(self, monkeypatch):
         # the four folds that train on the row of spread 0 lose the columns
@@ -962,7 +962,8 @@ class TestLockstepWalk:
     @pytest.mark.parametrize("path", ["spread", "budget"])
     def test_one_fold_falls_back_alone(self, path, monkeypatch):
         # the third fold's segments propose wrong points from its third one
-        # on: it falls back to the Lemke path, the other folds walk on
+        # on: it falls back to the Lemke path, the other folds walk on (the
+        # budget walk, after the t = 0 walk)
         designs = fold_designs(split_model_sample(2, 100))
         d = build_design(split_model_sample(2, 100), "full")
         if path == "spread":
@@ -970,7 +971,7 @@ class TestLockstepWalk:
             (args,) = recorded_walks(monkeypatch, least_squares, lambda: least_squares._spr_paths(designs, grid, 0.5))
         else:
             grid = lasso_ir.default_budget_grid(d)
-            (args,) = recorded_walks(monkeypatch, lasso_ir, lambda: lasso_ir._budget_paths(designs, 0.5, grid))
+            _, args = recorded_walks(monkeypatch, lasso_ir, lambda: lasso_ir._budget_paths(designs, 0.5, grid))
         solved = self.assert_lockstep_equals_alone(monkeypatch, args, shifted=args[0][2])
         assert [count > 0 for count in solved] == [False, False, True, False, False]
 
@@ -999,8 +1000,9 @@ class TestLockstepWalk:
                 assert np.max(np.abs(a - want)) <= 1e-9 * np.max(np.abs(want), initial=0.0)
 
     def test_budget_fold_with_no_negative_gradient(self, monkeypatch):
-        # constant spreads leave no offset gradient negative: that design is
-        # not walked, and its neighbours in the stack walk as they would alone
+        # constant spreads leave no offset gradient negative: that design's
+        # t = 0 program is walked with the others', but not its budgets, and
+        # its neighbours in the stack walk as they would alone
         rng = np.random.default_rng(3)
         mid_x = rng.normal(size=(40, 1))
         flat = build_design(intreg.IntervalSample(2.0 * mid_x[:, 0] + rng.normal(0.0, 0.1, 40), np.ones(40), mid_x,
@@ -1008,8 +1010,9 @@ class TestLockstepWalk:
         designs = [flat, *fold_designs(split_model_sample(1, 60), "model-m")[:2]]
         grid = lasso_ir.default_budget_grid(designs[1])
         walks = recorded_walks(monkeypatch, lasso_ir, lambda: lasso_ir._budget_paths(designs, 0.5, grid))
-        assert [len(args[0]) for args in walks] == [2]
-        self.assert_lockstep_equals_alone(monkeypatch, walks[0])
+        assert [len(args[0]) for args in walks] == [3, 2]
+        for args in walks:
+            self.assert_lockstep_equals_alone(monkeypatch, args)
         together, alone = record_qp_solves(monkeypatch), []
         pairs = lasso_ir._budget_paths(designs, 0.5, grid)
         monkeypatch.undo()
@@ -1039,7 +1042,7 @@ class TestLockstepWalk:
             run = lambda grid: least_squares._spr_paths(designs, grid, 0.5)
         if path == "qp":
             (args,) = recorded_walks(monkeypatch, least_squares, lambda: run(grid))
-            run = lambda grid: lcp._qp_homotopy(*args[:5], grid, *args[6:])
+            run = lambda grid: [Z for Z, _ in lcp._qp_homotopy(*args[:5], grid, *args[6:])]
         shuffle = np.random.default_rng(0).permutation(grid.size)
         walked, shuffled = run(grid), run(grid[shuffle])
         assert len(walked) == len(shuffled) == len(designs)
@@ -1048,53 +1051,65 @@ class TestLockstepWalk:
 
 
 class TestSolveQpStack:
-    """Programs with no known active set, solved as one stack: from the
-    unconstrained minimizer, each adds the row it violates most until none
-    is, and a program whose point fails the certificate is solved by Lemke
-    alone, from the set its closure reached."""
+    """Programs with no known active set, solved as one stack, as the budget
+    path solves its t = 0 programs: each walked down from where no row binds,
+    its rows' right-hand sides lowered by theta, to theta = 0.  Rows enter
+    where their slack reaches 0 and leave where their multiplier does, and a
+    program whose point fails the certificate is solved by Lemke alone, from
+    the set its walk reached."""
 
     @staticmethod
     def solve_stack(qps):
-        return lcp._solve_qp_stack([qp.Q for qp in qps], [qp.c for qp in qps], [qp.R for qp in qps],
-                                   [qp.r for qp in qps])
+        """Each program's point and the set its walk ends on."""
+        walks = lcp._qp_homotopy([qp.Q for qp in qps], [qp.R for qp in qps], [qp.r for qp in qps],
+                                 [qp.c for qp in qps], [np.zeros(qp.num_vars) for qp in qps], np.zeros(1),
+                                 [np.finfo(float).max] * len(qps), [()] * len(qps),
+                                 [np.full(qp.num_constraints, -1.0) for qp in qps])
+        return [(Z[0], end) for Z, end in walks]
 
     def test_random_programs_of_unequal_shape(self, rng, monkeypatch):
         # every point is its program's single solve and oracle optimum, and
-        # Lemke solves exactly the programs whose stacked point the
-        # certificate rejects
+        # its end set the single solve's active set; Lemke solves exactly
+        # the programs whose walked point the certificate rejects.  No
+        # theta0 * dr overflows or makes NaN, padded rows included
         certified, verdicts, fallbacks = lcp._certified, [], 0
         for _ in range(10):
             qps = [random_feasible_qp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 11))) for _ in range(6)]
             monkeypatch.setattr(lcp, "_certified", lambda *args: verdicts.append(certified(*args)) or verdicts[-1])
             calls = record_qp_solves(monkeypatch)
-            points = self.solve_stack(qps)
+            with np.errstate(over="raise", invalid="raise"):
+                points = self.solve_stack(qps)
             monkeypatch.undo()
             rejected = [qp.Q.tobytes() for qp, ok in zip(qps, verdicts[-1][:, 0]) if not ok]
             assert [qp.Q.tobytes() for qp in calls] == rejected
             fallbacks += len(rejected)
-            for qp, (z, lam) in zip(qps, points):
-                assert z.shape == (qp.num_vars,) and lam.shape == (qp.num_constraints,)
-                for want in (single_solve(qp)[0], brute_force_qp(qp)):
+            for qp, (z, end) in zip(qps, points):
+                assert z.shape == (qp.num_vars,)
+                single = lcp._solve_qp(qp.Q, qp.c, qp.R, qp.r)
+                assert np.array_equal(end, single[3])
+                for want in (single[0], brute_force_qp(qp)):
                     assert np.max(np.abs(z - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
         assert 0 < fallbacks < 30
 
     def test_negative_multiplier_falls_back_to_lemke(self, monkeypatch):
         # min 1/2 |z - (0, -3)|^2 subject to 10 z_1 + 10 z_2 >= -20 and z_2
-        # >= 0: the first row is the more violated at the unconstrained
-        # minimizer (slack -10 against -3), the projection on it, (1/2,
-        # -5/2), violates the second, and on both rows the vertex (-2, 0)
-        # has the multiplier -0.2 on the first.  The certificate rejects it,
-        # and Lemke, started at both rows, gives the fit on the second alone
+        # >= 0: the first row enters at theta = 10 (slack -10 at the
+        # unconstrained minimizer, against -3), the second at 50/19, and on
+        # both the first row's multiplier (0.9 theta - 2) / 10 falls to 0 at
+        # theta = 20/9.  A closure that only adds rows ends on the vertex (-2,
+        # 0) with the multiplier -0.2 there and needs Lemke; the walk drops
+        # the row instead and ends on the second alone, at the cold fit,
+        # with no Lemke solve
         Q, c = np.eye(2), np.array([0.0, 3.0])
         R, r = np.array([[10.0, 10.0], [0.0, 1.0]]), np.array([-20.0, 0.0])
         events = record_path_events(monkeypatch)
-        ((z, lam),) = lcp._solve_qp_stack([Q], [c], [R], [r])
+        ((z, end),) = self.solve_stack([Qp(Q, c, R, r)])
         assert [(kind, rows.tolist()) for kind, rows in events] == [
-            ("polish", []), ("polish", [0]), ("polish", [0, 1]), ("lemke", [0, 1]), ("polish", [1])]
+            ("segment", []), ("segment", [0]), ("segment", [0, 1]), ("segment", [1])]
         monkeypatch.undo()
-        z_cold, lam_cold, _ = single_solve(Qp(Q, c, R, r))
-        assert np.array_equal(z, z_cold) and np.array_equal(lam, lam_cold)
-        assert z == pytest.approx([0.0, 0.0], abs=1e-15)
+        z_cold, _, _ = single_solve(Qp(Q, c, R, r))
+        assert end.tolist() == [1]
+        assert z == pytest.approx(z_cold, abs=1e-15) and z == pytest.approx([0.0, 0.0], abs=1e-15)
 
     def test_empty_program_raises(self):
         # z >= 1 and -z >= 0 cannot hold together; the feasible program
@@ -1124,19 +1139,19 @@ class TestSolveQpStack:
 
     def test_certificate_bounds_the_slack_of_rows_in_the_set(self, monkeypatch):
         # min 1/2 |z|^2 - 2 z_1 subject to z_1 <= 1 and z_2 >= -5, with every
-        # one-program solve made to ignore its set: the closure adds the
-        # first row and ends on the unconstrained minimizer (2, 0), whose
-        # one violated row is in the set with multiplier 0.  Multiplier
-        # signs, stationarity, complementarity and the slack test of the
-        # rows outside the set all pass; only the bound on the slack of
-        # every row rejects it (the walks share this certificate), and
-        # Lemke gives the fit
+        # reduced solve made to ignore its set: the first row enters at
+        # theta = 1, and the walk ends on the unconstrained minimizer (2, 0),
+        # whose one violated row is in the set with multiplier 0.
+        # Multiplier signs, stationarity, complementarity and the slack test
+        # of the rows outside the set all pass; only the bound on the slack
+        # of every row rejects it (the grid walks share this certificate),
+        # and Lemke gives the fit
         solve = lcp._segment_solve
         monkeypatch.setattr(lcp, "_segment_solve",
                             lambda Q, R, C, RHS, active, unit: solve(Q, R, C, RHS, np.zeros_like(active), unit))
         calls = record_qp_solves(monkeypatch)
         R, r = np.array([[-1.0, 0.0], [0.0, 1.0]]), np.array([-1.0, -5.0])
-        ((z, _),) = lcp._solve_qp_stack([np.eye(2)], [np.array([-2.0, 0.0])], [R], [r])
+        ((z, _),) = self.solve_stack([Qp(np.eye(2), np.array([-2.0, 0.0]), R, r)])
         assert len(calls) == 1
         assert z == pytest.approx([1.0, 0.0], abs=1e-8)
 
