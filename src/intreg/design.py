@@ -17,6 +17,7 @@ coefficients to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,10 +88,12 @@ class DesignSystem:
     def block_width(self) -> int:
         return self.fm.shape[1]
 
-    @property
+    @cached_property
     def gamma_matrix(self) -> np.ndarray:
-        """Uncentered spread-side regressor matrix used by the constraints."""
-        return regressor_blocks(self.sample, self.variant)[1]
+        """Uncentered spread-side regressor matrix used by the constraints, built once, read-only."""
+        g = regressor_blocks(self.sample, self.variant)[1]
+        g.setflags(write=False)
+        return g
 
     def spread_constraints(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``R a >= r`` encoding nonnegativity and spread domination.
@@ -113,12 +116,19 @@ def build_design(sample: IntervalSample, variant: str = VARIANT_FULL) -> DesignS
     available, since centering then destroys all information.
     """
     validate_variant(variant)
+    return _center(sample, variant, *regressor_blocks(sample, variant))
+
+
+def _center(sample: IntervalSample, variant: str, mid_side: np.ndarray, spr_side: np.ndarray,
+            keep_gamma: bool = False) -> DesignSystem:
+    """The design of ``sample`` from its uncentered regressor blocks (its own,
+    or row slices of a larger sample's); ``keep_gamma`` keeps ``spr_side`` as
+    its ``gamma_matrix``."""
     if sample.n < 2:
         raise DegenerateSample(f"need at least 2 observations to center, got {sample.n}")
-    mid_side, spr_side = regressor_blocks(sample, variant)
     mean_mid = mid_side.mean(axis=0)
     mean_spr = spr_side.mean(axis=0)
-    return DesignSystem(
+    design = DesignSystem(
         sample=sample,
         variant=variant,
         fm=mid_side - mean_mid,
@@ -129,6 +139,10 @@ def build_design(sample: IntervalSample, variant: str = VARIANT_FULL) -> DesignS
         mean_spr_xebl=mean_spr,
         mean_y=Interval(float(sample.mid_y.mean()), float(sample.spr_y.mean())),
     )
+    if keep_gamma:
+        spr_side.setflags(write=False)
+        design.__dict__["gamma_matrix"] = spr_side  # the cached property's slot
+    return design
 
 
 @dataclass(frozen=True)

@@ -209,14 +209,15 @@ class IntervalSample:
         return self.mid_x.shape[1]
 
     def subset(self, rows: Iterable[int]) -> "IntervalSample":
-        idx = np.asarray(list(rows), dtype=int)
-        return IntervalSample(
-            self.mid_y[idx],
-            self.spr_y[idx],
-            self.mid_x[idx],
-            self.spr_x[idx],
-            self.variable_names,
-        )
+        """The sample of the given rows, in their order; a valid sample's rows are not checked again."""
+        idx = np.asarray(rows, dtype=int) if isinstance(rows, np.ndarray) else np.fromiter(rows, dtype=int)
+        if idx.ndim != 1 or idx.size == 0:
+            raise ValueError("a subset needs a nonempty 1-d selection of rows")
+        sub = IntervalSample.__new__(IntervalSample)
+        for name in ("mid_y", "spr_y", "mid_x", "spr_x"):
+            setattr(sub, name, _readonly(getattr(self, name)[idx]))
+        sub.variable_names = self.variable_names
+        return sub
 
     def __repr__(self) -> str:
         return f"IntervalSample(n={self.n}, k={self.k})"

@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .design import DesignSystem, build_design, regressor_blocks
+from .design import DesignSystem, _center, regressor_blocks
 from .errors import FoldTooSmall, RayTermination, SubgradientGap
 from .intervals import DEFAULT_TAU, validate_tau
 from .lcp import Lcp, _lemke_path
@@ -223,32 +223,35 @@ def _cv_errors(
     """Held-out weighted squared errors, one row per fold, one column per grid point.
 
     Folds are a seeded pseudorandom partition of the rows of
-    ``design.sample``.  ``fit_grid`` receives every fold's training design,
-    as one list, and returns for each the midpoint and spread blocks fitted
-    at every grid point as two stacks ``(A_m, A_s)``, one row per point; the
-    intercept comes from the training means, as in the full-sample fits.  A
-    fold's held-out predictions for the whole grid are one matrix product
-    per block.
+    ``design.sample``.  Each fold's training design is the row slice of the
+    full sample's regressor blocks, centered by :func:`build_design`'s own
+    routine; its held-out rows are read from those blocks.  ``fit_grid``
+    receives every fold's training design, as one list, and returns for
+    each the midpoint and spread blocks fitted at every grid point as two
+    stacks ``(A_m, A_s)``, one row per point; the intercept comes from the
+    training means, as in the full-sample fits.  A fold's held-out
+    predictions for the whole grid are one matrix product per block.
     """
     sample = design.sample
     n = sample.n
     if folds < 2 or folds > n:
         raise ValueError(f"folds must lie between 2 and {n}, got {folds}")
     parts = [np.sort(held) for held in np.array_split(np.random.default_rng(seed).permutation(n), folds)]
+    mid_side, spr_side = regressor_blocks(sample, design.variant)
     trains = []
     for f, held in enumerate(parts):
-        train_rows = np.setdiff1d(np.arange(n), held)
-        if train_rows.size < 2:
-            raise FoldTooSmall(f"fold {f} leaves only {train_rows.size} training rows")
-        trains.append(build_design(sample.subset(train_rows), design.variant))
+        if n - held.size < 2:
+            raise FoldTooSmall(f"fold {f} leaves only {n - held.size} training rows")
+        rows = np.ones(n, dtype=bool)
+        rows[held] = False
+        trains.append(_center(sample.subset(np.flatnonzero(rows)), design.variant, mid_side[rows], spr_side[rows],
+                              keep_gamma=True))
     errors = []
     for held, train, (A_m, A_s) in zip(parts, trains, fit_grid(trains)):
-        test = sample.subset(held)
-        mid_side, spr_side = regressor_blocks(test, design.variant)
         delta_mid = train.mean_y.mid - A_m @ train.mean_mid_xebl
         delta_spr = train.mean_y.spr - A_s @ train.mean_spr_xebl
-        res_mid = test.mid_y - (A_m @ mid_side.T + delta_mid[:, None])
-        res_spr = test.spr_y - (A_s @ spr_side.T + delta_spr[:, None])
+        res_mid = sample.mid_y[held] - (A_m @ mid_side[held].T + delta_mid[:, None])
+        res_spr = sample.spr_y[held] - (A_s @ spr_side[held].T + delta_spr[:, None])
         errors.append(np.mean((1.0 - tau) * res_mid**2 + tau * res_spr**2, axis=1))
     return np.array(errors)
 
@@ -293,9 +296,9 @@ def cross_validate(
         for train, spr in zip(trains, _spr_paths(trains, spr_grid, tau)):
             mid = _mid_fits(train, mid_grid)[0]
             # each scanned block's path, the other held at its zero-penalty row
-            A_m = [row for block in blocks for row in (mid[1:] if block == BLOCK_MID else [mid[0]] * count)]
-            A_s = [row for block in blocks for row in (spr[:-1] if block == BLOCK_SPR else [spr[-1]] * count)]
-            fits.append((np.array(A_m), np.array(A_s)))
+            A_m = np.concatenate([mid[1:] if block == BLOCK_MID else np.tile(mid[0], (count, 1)) for block in blocks])
+            A_s = np.concatenate([spr[:-1] if block == BLOCK_SPR else np.tile(spr[-1], (count, 1)) for block in blocks])
+            fits.append((A_m, A_s))
         return fits
 
     errors = _cv_errors(design, tau, folds, seed, fit_grid)

@@ -157,7 +157,13 @@ class TestDefaultCrossValidation:
 
 
 class TestDesignBuiltOnce:
-    """A CLI run centers the full sample once, plus once per training fold."""
+    """A CLI run centers the full sample once, plus once per training fold.
+
+    Every design is centered by one routine, ``design._center``:
+    :func:`build_design` calls it for the full sample, and the
+    cross-validation for each training fold's row slice of the full
+    sample's blocks, so its calls are counted wherever a module binds it.
+    """
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -165,7 +171,7 @@ class TestDesignBuiltOnce:
 
         import intreg.design
 
-        original = intreg.design.build_design
+        original = intreg.design._center
         calls = []
 
         def counting(*args, **kwargs):
@@ -174,10 +180,10 @@ class TestDesignBuiltOnce:
 
         bound = [module for name, module in list(sys.modules.items())
                  if (name == "intreg" or name.startswith("intreg."))
-                 and getattr(module, "build_design", None) is original]
-        assert intreg.design in bound
+                 and getattr(module, "_center", None) is original]
+        assert intreg.design in bound and intreg.lasso in bound
         for module in bound:
-            monkeypatch.setattr(module, "build_design", counting)
+            monkeypatch.setattr(module, "_center", counting)
         return calls
 
     @pytest.mark.parametrize("method, extra, expected", [

@@ -54,6 +54,17 @@ class TestBuildDesign:
         assert np.array_equal(restricted.fs, full.fs[:, :k])
         assert np.array_equal(restricted.gamma_matrix, full.gamma_matrix[:, :k])
 
+    @pytest.mark.parametrize("variant", [VARIANT_FULL, VARIANT_MODEL_M])
+    def test_gamma_matrix_is_built_on_first_use_and_kept(self, variant):
+        s = random_sample(4, n=9)
+        d = build_design(s, variant)
+        assert "gamma_matrix" not in vars(d)
+        g = d.gamma_matrix
+        assert d.gamma_matrix is g and not g.flags.writeable
+        assert np.array_equal(g, regressor_blocks(s, variant)[1])
+        R, _ = d.spread_constraints()
+        assert np.array_equal(R[d.block_width:], -g)
+
     def test_row_permutation_invariance(self):
         s = random_sample(7, n=15)
         perm = np.random.default_rng(0).permutation(s.n)

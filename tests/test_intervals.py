@@ -215,6 +215,37 @@ class TestIntervalSample:
         assert sub.n == 2
         assert [Interval(m, r) for m, r in zip(sub.mid_y, sub.spr_y)] == [y[2], y[0]]
 
+    @pytest.mark.parametrize("rows", [
+        lambda: [3, 0, 3],
+        lambda: (i for i in [3, 0, 3]),
+        lambda: np.array([3, 0, 3]),
+        lambda: np.array([3, 0, 3], dtype=np.int32),
+        lambda: range(3, -1, -3),
+    ], ids=["list", "generator", "index-array", "int32-array", "range"])
+    def test_subset_takes_any_iterable_of_rows(self, rows):
+        rng = np.random.default_rng(0)
+        s = IntervalSample(rng.normal(size=5), rng.uniform(size=5), rng.normal(size=(5, 2)),
+                           rng.uniform(size=(5, 2)), ["v", "a", "b"])
+        sub = s.subset(rows())
+        idx = np.fromiter(rows(), dtype=int)
+        for name in ("mid_y", "spr_y", "mid_x", "spr_x"):
+            assert np.array_equal(getattr(sub, name), getattr(s, name)[idx])
+            assert getattr(sub, name).dtype == float and not getattr(sub, name).flags.writeable
+        assert sub.variable_names == s.variable_names
+        assert (sub.n, sub.k) == (idx.size, 2)
+
+    @pytest.mark.parametrize("rows", [[], (), iter([]), np.array([], dtype=int), range(0)])
+    def test_subset_rejects_an_empty_selection(self, rows):
+        s = IntervalSample([0.0, 1.0], [1.0, 1.0], [[0.0], [1.0]], [[0.0], [0.5]])
+        with pytest.raises(ValueError):
+            s.subset(rows)
+
+    @pytest.mark.parametrize("rows", [[0, 2], np.array([2]), (i for i in [1, -3])])
+    def test_subset_rejects_an_out_of_range_row(self, rows):
+        s = IntervalSample([0.0, 1.0], [1.0, 1.0], [[0.0], [1.0]], [[0.0], [0.5]])
+        with pytest.raises(IndexError):
+            s.subset(rows)
+
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             IntervalSample.from_intervals([iv(0, 1), iv(0, 1)], [[iv(0, 1)], [iv(0, 1), iv(1, 2)]])

@@ -789,3 +789,48 @@ class TestCvErrorMatrix:
         assert errors.shape == reference.shape == (5, len(grid))
         assert np.max(np.abs(errors - reference) / reference) <= 1e-13
         assert t == grid[int(np.argmin(reference.mean(axis=0)))]
+
+
+class TestFoldsAreRowSlices:
+    """Every training design of the cross-validation, built as the row slice
+    of the full sample's regressor blocks, equals the design built from the
+    fold's own sample, array for array, and the held-out errors equal those
+    read from a per-fold test sample, exactly."""
+
+    @pytest.mark.parametrize("folds", [2, 3, 5, 23], ids=["2", "3", "5", "loo"])
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_training_designs_and_errors_match_per_fold_samples(self, variant, folds):
+        from intreg.design import regressor_blocks
+
+        sample = random_sample(3, n=23, k=2)
+        design = build_design(sample, variant)
+        rng = np.random.default_rng(folds)
+        # stacks of three grid points, arbitrary but fixed per fold
+        stacks = [(rng.normal(size=(3, design.block_width)), rng.uniform(size=(3, design.block_width)))
+                  for _ in range(folds)]
+        seen = []
+
+        def fit_grid(trains):
+            seen.extend(trains)
+            return stacks
+
+        tau = 0.3
+        errors = intreg.lasso._cv_errors(design, tau, folds, 4, fit_grid)
+        parts = np.array_split(np.random.default_rng(4).permutation(sample.n), folds)
+        assert len(seen) == folds and errors.shape == (folds, 3)
+        for f, (held, train, (A_m, A_s)) in enumerate(zip(parts, seen, stacks)):
+            held = np.sort(held)
+            want = build_design(sample.subset(np.setdiff1d(np.arange(sample.n), held)), variant)
+            for name in ("fm", "fs", "vm", "vs", "mean_mid_xebl", "mean_spr_xebl", "gamma_matrix"):
+                assert np.array_equal(getattr(train, name), getattr(want, name)), name
+            assert train.mean_y == want.mean_y and train.variant == variant
+            for name in ("mid_y", "spr_y", "mid_x", "spr_x"):
+                assert np.array_equal(getattr(train.sample, name), getattr(want.sample, name)), name
+            # the fold's spread-side block is its slice, kept, not rebuilt
+            assert "gamma_matrix" in vars(train) and not train.gamma_matrix.flags.writeable
+            test = sample.subset(held)
+            mid_side, spr_side = regressor_blocks(test, variant)
+            res_mid = test.mid_y - (A_m @ mid_side.T + (want.mean_y.mid - A_m @ want.mean_mid_xebl)[:, None])
+            res_spr = test.spr_y - (A_s @ spr_side.T + (want.mean_y.spr - A_s @ want.mean_spr_xebl)[:, None])
+            assert np.array_equal(errors[f], np.mean((1.0 - tau) * res_mid**2 + tau * res_spr**2, axis=1))
+        assert "gamma_matrix" not in vars(design)
