@@ -208,9 +208,13 @@ class IntervalSample:
     def k(self) -> int:
         return self.mid_x.shape[1]
 
-    def subset(self, rows: Iterable[int]) -> "IntervalSample":
-        """The sample of the given rows, in their order; a valid sample's rows are not checked again."""
-        idx = np.asarray(rows, dtype=int) if isinstance(rows, np.ndarray) else np.fromiter(rows, dtype=int)
+    def subset(self, rows: Iterable[int] | Iterable[bool]) -> "IntervalSample":
+        """The sample of the given rows, in their order, or of the rows that a
+        boolean mask of length ``n`` selects; valid rows are not checked again."""
+        idx = rows if isinstance(rows, np.ndarray) else np.array(list(rows))
+        if idx.dtype == bool and idx.shape != (self.n,):
+            raise ValueError("a row mask needs one entry per row")
+        idx = np.flatnonzero(idx) if idx.dtype == bool else idx.astype(int, copy=False)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("a subset needs a nonempty 1-d selection of rows")
         sub = IntervalSample.__new__(IntervalSample)

@@ -244,7 +244,7 @@ def _cv_errors(
             raise FoldTooSmall(f"fold {f} leaves only {n - held.size} training rows")
         rows = np.ones(n, dtype=bool)
         rows[held] = False
-        trains.append(_center(sample.subset(np.flatnonzero(rows)), design.variant, mid_side[rows], spr_side[rows],
+        trains.append(_center(sample.subset(rows), design.variant, mid_side[rows], spr_side[rows],
                               keep_gamma=True))
     errors = []
     for held, train, (A_m, A_s) in zip(parts, trains, fit_grid(trains)):

@@ -158,36 +158,30 @@ def _budget_paths(designs: Sequence[DesignSystem], tau: float,
     # every row lowered by theta: none binds at theta0, and theta = 0 is the program
     zero = _qp_homotopy(Q, R, r, c, [np.zeros(x.size) for x in c], np.zeros(1), [np.finfo(float).max] * len(c),
                         [()] * len(c), [np.full(x.size, -1.0) for x in r])
-    # per design: the t = 0 fit, and the t > 0 stack, that fit on every row
-    # unless the design is walked below
-    fits, walks = [], []
+    # per design: a stack over the whole grid, the t = 0 fit on every row
+    # but those of positive budgets where the design is walked below
+    stacks, walks = [], []
     for design, qp, ((a_m,), spread) in zip(designs, qps, zero):
         w, n, p = design.block_width, design.n, qp.R.shape[0]
         # the offsets' gradient at the t = 0 fit: the objective's, less the
         # spread rows' load, which by stationarity is [-h, h] where one binds
         h = 2.0 * (1.0 - tau) * (design.fm.T @ (design.fm @ a_m - design.vm))
         g = np.concatenate([-h, h]) if spread.size else qp.Q[w:, :w] @ a_m + qp.c[w:]
-        fits.append((a_m, np.tile(np.concatenate([a_m, np.zeros(2 * w)]), (t.size, 1))))
+        stacks.append(np.tile(np.concatenate([a_m, np.zeros(2 * w)]), (grid.size, 1)))
         if float(np.min(g)) < 0.0:
             # the freed offset enters as the budget opens; budgets up is theta = -t down
             dr = np.zeros(p)
             dr[-1] = 1.0
-            walks.append((fits[-1][1], qp, np.concatenate([spread, n + np.delete(np.arange(2 * w), np.argmin(g)),
+            walks.append((stacks[-1], qp, np.concatenate([spread, n + np.delete(np.arange(2 * w), np.argmin(g)),
                                                            [p - 1]]), dr))
     if walks:
         U, qp, start, dr = zip(*walks)
         paths = _qp_homotopy([x.Q for x in qp], [x.R for x in qp], [x.r for x in qp], [x.c for x in qp],
                              [np.zeros(x.c.size) for x in qp], -t, [0.0] * len(qp), start, dr)
         for u, (Z, _) in zip(U, paths):
-            u[:] = Z
-    out = []
-    for a_m, U in fits:
-        w = a_m.size
-        A_m, A_a = U[:, :w], _snap_zeros(np.maximum(U[:, w : 2 * w], 0.0) - np.maximum(U[:, 2 * w :], 0.0))
-        # grid point i is row rows[i] of the t > 0 stacks with the t = 0 fit appended
-        rows = np.where(on, np.cumsum(on) - 1, A_m.shape[0])
-        out.append((np.vstack([A_m, a_m])[rows], np.vstack([A_a, np.zeros((1, w))])[rows]))
-    return out
+            u[on] = Z
+    return [(A_m, _snap_zeros(np.maximum(A_p, 0.0) - np.maximum(A_n, 0.0)))
+            for A_m, A_p, A_n in (np.split(U, 3, axis=1) for U in stacks)]
 
 
 def select_budget(

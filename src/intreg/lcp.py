@@ -346,11 +346,6 @@ def _active_rows(lam: np.ndarray) -> tuple[np.ndarray, float]:
     return np.flatnonzero(lam > 1e-10 * scale), scale
 
 
-def _kkt_matrix(Q: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """The KKT equality matrix ``[[Q, A'], [A, 0]]``."""
-    return np.block([[Q, A.T], [A, np.zeros((A.shape[0], A.shape[0]))]])
-
-
 def _pinv(kkt: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of a KKT equality matrix from one singular value
     decomposition, with the cutoff of ``np.linalg.lstsq`` (singular values
@@ -416,11 +411,10 @@ def _segment_solve(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray,
     the systems of the stack are padded to one size and inverted in one
     batch (:func:`_kkt_inverse`; the minimum-norm solution for one that is
     singular), and a unit row's multiplier is then the gradient ``Qz + c -
-    R'lam`` of the other rows at its variable.  A QP whose set has two rows
-    fixing one variable is solved alone on its full system, through the
-    pseudo-inverse of its matrix (:func:`_pinv`).  Where other rows of a set
-    depend on each other only through fixed variables, the multipliers are
-    one valid split of the load, not the full system's minimum-norm one.
+    R'lam`` of the other rows at its variable.  A second unit row on a fixed
+    variable is one of the other rows.  Where other rows of a set depend on
+    each other only through fixed variables, the multipliers are one valid
+    split of the load, not the full system's minimum-norm one.
     """
     K, p, m = R.shape
     k = np.arange(K)[:, None]
@@ -429,10 +423,12 @@ def _segment_solve(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray,
     # each QP's slots: its free variables, then the other rows of its set
     slots = np.concatenate([np.ones((K, m), dtype=bool), active & (unit < 0)], axis=1)
     slots[fold, fixed] = False
-    twice = np.zeros(K, dtype=bool)
     if fold.size + np.count_nonzero(slots[:, :m]) > K * m:
-        twice = np.bincount(fold, minlength=K) > m - np.count_nonzero(slots[:, :m], axis=1)
-        slots[twice] = False
+        # a variable fixed twice: its first row fixes it, the others are other rows
+        first = np.zeros(fold.size, dtype=bool)
+        first[np.unique(fold * m + fixed, return_index=True)[1]] = True
+        slots[fold[~first], m + bound[~first]] = True
+        fold, bound, fixed = fold[first], bound[first], fixed[first]
     size = np.count_nonzero(slots, axis=1)
     S = int(size.max(initial=0))
     idx = np.argsort(~slots, axis=1, kind="stable")[:, :S]
@@ -461,11 +457,6 @@ def _segment_solve(Q: np.ndarray, R: np.ndarray, C: np.ndarray, RHS: np.ndarray,
     # the other rows' multipliers are -sol on their slots, so their load on
     # the variables is sol'W there
     lam[fold, :, bound] = (z @ Q + C + _t(sol * is_row[:, :, None]) @ W)[fold, :, fixed]
-    for j in np.flatnonzero(twice):
-        rows = np.flatnonzero(active[j])
-        sol = (_pinv(_kkt_matrix(Q[j], R[j, rows])) @ np.concatenate([-C[j], RHS[j][:, rows]], axis=1).T).T
-        z[j], lam[j] = sol[:, :m], 0.0
-        lam[j][:, rows] = -sol[:, m:]
     return z, lam
 
 

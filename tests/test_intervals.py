@@ -234,6 +234,23 @@ class TestIntervalSample:
         assert sub.variable_names == s.variable_names
         assert (sub.n, sub.k) == (idx.size, 2)
 
+    @pytest.mark.parametrize("mask", [np.array([True, False, True, False, True]), [True, False, True, False, True]],
+                             ids=["array", "list"])
+    def test_subset_takes_a_mask_as_a_mask(self, mask):
+        rng = np.random.default_rng(0)
+        s = IntervalSample(rng.normal(size=5), rng.uniform(size=5), rng.normal(size=(5, 2)),
+                           rng.uniform(size=(5, 2)))
+        sub, want = s.subset(mask), s.subset([0, 2, 4])
+        for name in ("mid_y", "spr_y", "mid_x", "spr_x"):
+            assert np.array_equal(getattr(sub, name), getattr(want, name))
+
+    @pytest.mark.parametrize("mask", [np.array([True, False, True]), [True], np.zeros(2, dtype=bool), [False, False]],
+                             ids=["long", "short", "none-array", "none-list"])
+    def test_subset_rejects_a_mask_of_the_wrong_length_or_no_row(self, mask):
+        s = IntervalSample([0.0, 1.0], [1.0, 1.0], [[0.0], [1.0]], [[0.0], [0.5]])
+        with pytest.raises(ValueError):
+            s.subset(mask)
+
     @pytest.mark.parametrize("rows", [[], (), iter([]), np.array([], dtype=int), range(0)])
     def test_subset_rejects_an_empty_selection(self, rows):
         s = IntervalSample([0.0, 1.0], [1.0, 1.0], [[0.0], [1.0]], [[0.0], [0.5]])

@@ -295,6 +295,13 @@ class TestSolveQp:
         qp = Qp(np.eye(2), np.array([-3.0, 4.0]), np.zeros((0, 2)), np.zeros(0))
         assert np.allclose(solve_qp(qp), [3.0, -4.0], atol=1e-10)
 
+    def test_duplicated_bound_row_matches_oracle(self, rng):
+        for _ in range(40):
+            qp, _ = duplicated_bound_qp(rng, int(rng.integers(1, 5)), int(rng.integers(0, 7)))
+            z = solve_qp(qp)
+            assert qp.objective(z) == pytest.approx(qp.objective(brute_force_qp(qp)), rel=1e-9, abs=1e-12)
+            assert np.min(qp.R @ z - qp.r) >= -1e-8
+
 
 def single_solve(qp, work=()):
     """Solution, multipliers and diagnostics of one QP: one working-set Lemke
@@ -452,6 +459,22 @@ def affine_family(rng, m=4, p=40):
     only decreases, so every program on theta >= 0 is feasible."""
     qp = random_feasible_qp(rng, m, p)
     return qp, rng.normal(size=m), -rng.uniform(0.0, 0.3, p)
+
+
+def duplicated_bound_qp(rng, m, p):
+    """A feasible QP whose rows are a lower bound on each variable, above the
+    unconstrained minimizer, then the bound on a random variable ``j`` once
+    more (row ``m``), then ``p`` general rows on the other variables: the QP
+    and ``j``."""
+    A = rng.normal(size=(m + 2, m))
+    Q = A.T @ A + 0.5 * np.eye(m)
+    c = rng.normal(size=m)
+    lower = rng.uniform(0.0, 1.0, m) - np.linalg.solve(Q, c)
+    j = int(rng.integers(m))
+    R = rng.normal(size=(p, m))
+    R[:, j] = 0.0
+    r = R @ (lower + rng.uniform(0.1, 1.0, m)) - rng.uniform(0.1, 1.0, p)
+    return Qp(Q, c, np.vstack([np.eye(m), np.eye(m)[j], R]), np.concatenate([lower, [lower[j]], r])), j
 
 
 def at(qp, dc, dr, theta):
@@ -751,6 +774,28 @@ class TestQpHomotopy:
                 assert np.max(np.abs(z - z_cold)) <= 1e-10 * (1.0 + np.max(np.abs(z_cold)))
                 assert max(info[key] for key in info if key.startswith("kkt_")) <= 1e-8
 
+    def test_duplicated_bound_row_walk_equals_single_solves(self, rng, monkeypatch):
+        # families whose bound on j binds at the top of the grid (Lemke puts
+        # it in either of its rows), walked from a set that holds both: the
+        # second is one of the set's other rows, with multiplier 0, and each
+        # point is still its single solve
+        thetas = np.linspace(3.0, 0.0, 40)
+        for _ in range(5):
+            qp, j = duplicated_bound_qp(rng, 4, 6)
+            dc = rng.normal(size=4)
+            dc[j] = 10.0
+            start = start_set(Qp(qp.Q, qp.c + thetas[0] * dc, qp.R, qp.r))
+            assert np.isin([j, 4], start).sum() == 1
+            events = record_path_events(monkeypatch)
+            calls = record_qp_solves(monkeypatch)
+            Z = walk_alone(qp.Q, qp.R, qp.r, qp.c, dc, thetas, thetas[0], np.union1d(start, [j, 4]))
+            monkeypatch.undo()
+            assert calls == [] and any(kind == "segment" and {j, 4} <= set(rows) for kind, rows in events)
+            for z, theta in zip(Z, thetas):
+                z_cold, _, info = single_solve(Qp(qp.Q, qp.c + theta * dc, qp.R, qp.r))
+                assert np.max(np.abs(z - z_cold)) <= 1e-10 * (1.0 + np.max(np.abs(z_cold)))
+                assert max(info[key] for key in info if key.startswith("kkt_")) <= 1e-8
+
     def test_duplicate_spread_column_certifies(self, monkeypatch):
         # with a singular Hessian the split of the weight between the two
         # columns is not unique: the walk and Lemke may split it differently,
@@ -958,6 +1003,34 @@ class TestLockstepWalk:
         assert together and together == sorted(pinvs)
         monkeypatch.undo()
         self.assert_lockstep_equals_alone(monkeypatch, args)
+
+    def test_one_program_fixes_a_variable_twice(self, rng, monkeypatch):
+        # one segment solve of three programs, of which only the second has
+        # two unit rows on one variable in its set: that program's system
+        # is singular and is inverted alone, through the pseudo-inverse, as
+        # it is in a stack of its own; the others keep the inverse
+        stacks = []
+        for k in range(3):
+            qp = random_feasible_qp(rng, 4, 5)
+            R, C, RHS = TestSegmentSolve.bounded(rng, qp, 2)
+            # the last row: the second program's first unit row again, a general row for the others
+            row, rhs = (R[0], RHS[:, 0]) if k == 1 else (rng.normal(size=4), rng.normal(size=2))
+            stacks.append((qp.Q, np.vstack([R, row]), C, np.column_stack([RHS, rhs])))
+        Q, R, C, RHS = (np.stack(x) for x in zip(*stacks))
+        active = np.zeros(R.shape[:2], dtype=bool)
+        active[:, [0, 1, 2, 7]] = True
+        pinvs, pinv = [], lcp._pinv
+        monkeypatch.setattr(lcp, "_pinv", lambda kkt: pinvs.append(kkt) or pinv(kkt))
+        z, lam = lcp._segment_solve(Q, R, C, RHS, active, lcp._unit_rows(R))
+        together, pinvs[:] = pinvs[:], []
+        for k in range(3):
+            z_k, lam_k = segment_solve(Q[k], R[k], C[k], RHS[k], np.array([0, 1, 2, 7]))
+            assert len(pinvs) == (k >= 1)  # the second program's own pseudo-inverse, and no other
+            assert np.max(np.abs(z[k] - z_k)) <= 1e-12 * np.max(np.abs(z_k)), k
+            assert np.array_equal(lam[k] == 0.0, lam_k == 0.0), k
+            assert np.max(np.abs(lam[k] - lam_k)) <= 1e-12 * np.max(np.abs(lam_k)), k
+        assert len(together) == 1 and np.array_equal(together[0], pinvs[0])
+        assert np.all(lam[1, :, 7] == 0.0)
 
     @pytest.mark.parametrize("path", ["spread", "budget"])
     def test_one_fold_falls_back_alone(self, path, monkeypatch):
@@ -1354,11 +1427,23 @@ class TestSegmentSolve:
             assert np.max(np.abs(z @ qp.Q + C - got @ R)) <= 1e-12 * (1.0 + np.max(np.abs(got)))
 
     def test_two_unit_rows_on_one_variable(self, rng):
-        # the full system decides how the two multipliers share the load
+        # the second unit row on a fixed variable is one of the set's other
+        # rows, whose reduced row is 0: its multiplier is 0 and the first
+        # takes the whole gradient, one of the multiplier vectors the full
+        # system admits (its minimum-norm solution splits them evenly)
         qp = random_feasible_qp(rng, 4, 5)
         R, C, RHS = self.bounded(rng, qp, 2)
         R, RHS = np.vstack([R, R[0]]), np.hstack([RHS, RHS[:, [0]]])
-        self.assert_matches_full(qp.Q, R, C, RHS, np.array([0, 1, 2, 7]))
+        active = np.array([0, 1, 2, 7])
+        z, lam = segment_solve(qp.Q, R, C, RHS, active)
+        z_full, lam_full = kkt_min_norm(qp.Q, R, C, RHS, active)
+        assert np.max(np.abs(z - z_full)) <= 1e-12 * np.max(np.abs(z_full))
+        assert np.all(lam[:, 7] == 0.0) and np.all(lam_full[:, 7] != 0.0)
+        load = lam_full[:, 0] + lam_full[:, 7]
+        assert np.max(np.abs(lam[:, 0] - load)) <= 1e-12 * np.max(np.abs(load))
+        terms = (z @ qp.Q, C, lam @ R)
+        scale = max(np.max(np.abs(x)) for x in terms)
+        assert np.max(np.abs(terms[0] + terms[1] - terms[2])) <= 1e-12 * scale
 
     def test_no_rows(self, rng):
         # a program with no rows at all, as an unconstrained single solve
