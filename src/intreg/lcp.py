@@ -319,19 +319,14 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 def _kkt(Q: np.ndarray, c: np.ndarray, R: np.ndarray, z: np.ndarray, lam: np.ndarray,
-         slack: np.ndarray) -> dict[str, float | np.ndarray]:
+         slack: np.ndarray) -> dict[str, float]:
     """Worst stationarity, feasibility and complementarity residuals of
-    ``(z, lam)`` for the QP ``(Q, c, R, r)``, given the slack ``Rz - r``.  A
-    stack of points, one per row of ``c``, ``z``, ``lam`` and ``slack``,
-    gives one residual per row; a stack of such stacks, one per program of a
-    stack ``(Q, R)``, gives one row of residuals per program."""
-    grad = _t(Q @ _t(z)) + c - _t(_t(R) @ _t(lam))
-    kkt = {
-        "kkt_stationarity": np.max(np.abs(grad), axis=-1, initial=0.0),
-        "kkt_feasibility": np.fmax(0.0, -np.min(slack, axis=-1, initial=0.0)),
-        "kkt_complementarity": np.max(np.abs(lam * slack), axis=-1, initial=0.0),
+    ``(z, lam)`` for the QP ``(Q, c, R, r)``, given the slack ``Rz - r``."""
+    return {
+        "kkt_stationarity": float(np.max(np.abs(Q @ z + c - R.T @ lam), initial=0.0)),
+        "kkt_feasibility": float(np.fmax(0.0, -np.min(slack, initial=0.0))),
+        "kkt_complementarity": float(np.max(np.abs(lam * slack), initial=0.0)),
     }
-    return {key: float(value) for key, value in kkt.items()} if z.ndim == 1 else kkt
 
 
 def _kkt_score(kkt: dict[str, float], lam: np.ndarray) -> float:
@@ -567,26 +562,27 @@ def _padded(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], terms: Sequence[Se
 
 
 def _certified(Q: np.ndarray, R: np.ndarray, terms: np.ndarray, rhs: np.ndarray, thetas: np.ndarray, Z: np.ndarray,
-               LAM: np.ndarray, held: np.ndarray, in_held: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-    """Whether each point ``Z[k, i]`` at ``thetas[i]`` of a padded stack
-    (:func:`_padded`; ``rows[k]`` rows before padding), with multipliers
-    ``LAM[k, i]`` on the rows ``held`` and ``in_held[k, i]`` of them in its
-    set, is certified: its multipliers are nonnegative, its stationarity and
-    complementarity residuals (:func:`_kkt`) and every row's negative slack
-    are within ``1e-8 (1 + rows)``, and every row outside the set passes
-    the working-set loop's test ``slack >= -1e-12 (1 + |r|)``."""
-    C = terms[:, None, 0] + thetas[:, None] * terms[:, None, 1]
-    RHS = rhs[:, None, 0, held] + thetas[:, None] * rhs[:, None, 1, held]
-    kkt = _kkt(Q, C, R[:, held], Z, LAM, Z @ _t(R[:, held]) - RHS)
-    bound = 1e-8 * (1.0 + np.array(rows))[:, None]
-    ok = np.all(LAM >= 0.0, axis=2) & (kkt["kkt_stationarity"] <= bound) & (kkt["kkt_complementarity"] <= bound)
-    for k in range(len(Z)):  # every row's slack, one program at a time
-        RHS = rhs[k, 0] + thetas[:, None] * rhs[k, 1]
-        slack = Z[k] @ R[k].T - RHS
-        passes = slack >= -1e-12 * (1.0 + np.abs(RHS))
-        passes[:, held] |= in_held[k]
-        ok[k] &= passes.all(axis=1) & (-np.min(slack, axis=1, initial=0.0) <= bound[k])
-    return ok
+               LAM: np.ndarray, held: np.ndarray, in_held: np.ndarray) -> np.ndarray:
+    """Whether each point ``Z[i]`` of the QPs ``(Q, terms[0] + theta
+    terms[1], R, rhs[0] + theta rhs[1])`` at ``thetas[i]``, with multipliers
+    ``LAM[i]`` on the rows ``held`` and ``in_held[i]`` of them in its set, is
+    certified: its multipliers are nonnegative, every row outside its set
+    passes the working-set loop's test ``slack >= -1e-12 (1 + |r|)``, and,
+    with ``b = 1e-8 (1 + rows)`` and ``c`` and ``r`` the terms at the grid's
+    two ends (both are affine in ``theta``), its stationarity residual is
+    within ``b (1 + max|c|)``, every row's negative slack within ``b (1 +
+    max|r|)`` and its complementarity within ``b (1 + max|r|) (1 + max
+    lam)``, ``lam`` over all the points."""
+    C = terms[0] + thetas[:, None] * terms[1]
+    RHS = rhs[0] + thetas[:, None] * rhs[1]
+    slack = Z @ R.T - RHS
+    ends = slice(None, None, max(thetas.size - 1, 1))  # the first and last grid points
+    b_c, b_r = (1e-8 * (1.0 + R.shape[0]) * (1.0 + np.abs(x[ends]).max(initial=0.0)) for x in (C, RHS))
+    passes = slack >= -1e-12 * (1.0 + np.abs(RHS))
+    passes[:, held] |= in_held
+    return (passes.all(axis=1) & np.all(LAM >= 0.0, axis=1) & (-slack.min(axis=1, initial=0.0) <= b_r)
+            & (np.abs(Z @ Q + C - LAM @ R[held]).max(axis=1, initial=0.0) <= b_c)
+            & (np.abs(LAM * slack[:, held]).max(axis=1, initial=0.0) <= b_r * (1.0 + LAM.max(initial=0.0))))
 
 
 def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[np.ndarray],
@@ -639,11 +635,12 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     fit).  A walk that toggles a row back at the ``theta`` where it just
     toggled it has stalled on a degenerate point and stops there.
 
-    The filled points of all programs are certified together
-    (:func:`_certified`).  A program's first point that fails, or that its
-    walk leaves unfilled when it stalls or after ``4 (1 + rows)`` segments,
-    is solved by :func:`_solve_qp` alone, started at the set the walk
-    reached there, and the walk restarts from the polished set on that
+    Each program's filled points are then certified on their own, against
+    bounds relative to its own linear terms, right-hand sides and
+    multipliers (:func:`_certified`).  Its first point that fails, or that
+    its walk leaves unfilled when it stalls or after ``4 (1 + rows)``
+    segments, is solved by :func:`_solve_qp` alone, started at the set the
+    walk reached there, and the walk restarts from the polished set on that
     program alone over the rest of the grid; each restart uses a grid point,
     and the restarted walk's end set is the program's.
     """
@@ -663,10 +660,11 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     unit, moving = _unit_rows(Rs), rhs[:, 1] != 0.0
     release = (moving.any(axis=1) & ~terms[:, 1].any(axis=1) & np.all(rhs[:, 1] >= 0.0, axis=1)).tolist()
     toggled, theta, down, i = np.full((K, p), np.nan), np.array(theta0, dtype=float), -thetas, [0] * K
-    # each step's segments, one per walking program: the two solution
-    # stacks, the set, and the theta a released fit is read at (NaN: the
-    # grid point's); and the grid points each segment fills
-    segments, fills, count = [], [], 0
+    # each step's segments, one per walking program: the two solution stacks
+    # and the set; and for each grid point, the segment it is read from and
+    # the theta it is read at (a released fit's, where it was released)
+    segments, count = [], 0
+    seg, read = np.zeros((K, n), dtype=int), np.tile(thetas, (K, 1))
     walking, live = list(range(K)), None
     for step in range(4 * (1 + p)):
         walking = [k for k in walking if step < 4 * (1 + p_k[k])]
@@ -678,7 +676,7 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
             Q_w, R_w, terms_w, rhs_w, unit_w = Qs[w], Rs[w], terms[w], rhs[w], unit[w]
         in_set = rows[w].copy()
         sol, mult = _segment_solve(Q_w, R_w, terms_w, rhs_w, in_set, unit_w)
-        segments.append((sol, mult, in_set, np.full(len(walking), np.nan)))
+        segments.append((sol, mult, in_set))
         first, count = count, count + len(walking)
         # the values that must stay nonnegative: multipliers in the set, slacks outside
         values = np.where(in_set[:, None], mult, sol @ _t(R_w) - rhs_w)
@@ -696,8 +694,7 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
         still = []
         for j, (k, row_k, cross_k, stop_k) in enumerate(zip(walking, row.tolist(), cross.tolist(), stop.tolist())):
             stop_k = max(i[k], stop_k)
-            fills.append((k, i[k], stop_k, first + j))
-            i[k] = stop_k
+            seg[k, i[k] : stop_k], i[k] = first + j, stop_k
             if stop_k == n or toggled[k, row_k] == cross_k:
                 continue  # the grid is filled, or the row toggles back where it just toggled: a stall
             toggled[k, row_k], rows[k, row_k], theta[k] = cross_k, not rows[k, row_k], cross_k
@@ -705,21 +702,18 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
                 # released: the point reached, at every theta left
                 last = mult[j].copy()
                 last[:, row_k] = 0.0
-                segments.append((sol[j : j + 1], last[None], rows[k : k + 1].copy(), np.array([cross_k])))
-                fills.append((k, stop_k, n, count))
+                segments.append((sol[j : j + 1], last[None], rows[k : k + 1].copy()))
+                seg[k, stop_k:], read[k, stop_k:] = count, cross_k
                 count, i[k] = count + 1, n
                 continue
             still.append(k)
         walking = still
-    sol, mult, in_set, at = (np.concatenate(parts) for parts in zip(*segments))
-    seg = np.zeros((K, n), dtype=int)
-    for k, begin, stop, index in fills:
-        seg[k, begin:stop] = index
-    filled = np.arange(n) < np.array(i)[:, None]
-    # every multiplier off the rows that some set held is 0
+    sol, mult, in_set = (np.concatenate(parts) for parts in zip(*segments))
+    # every multiplier off the rows that some set held is 0; the points past
+    # a program's filled ones read its first segment, and are never certified
     held = np.flatnonzero(in_set.any(axis=0))
-    t = np.where(np.isnan(at[seg]), thetas, at[seg])[:, :, None]
-    Z = np.where(filled[:, :, None], sol[seg, 0] + t * sol[seg, 1], 0.0)
+    in_held, t = in_set[:, held], read[:, :, None]
+    Z = sol[seg, 0] + t * sol[seg, 1]
     mult = mult[:, :, held]
     LAM, step = mult[seg, 0], mult[seg, 1]
     step *= t
@@ -728,17 +722,17 @@ def _qp_homotopy(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], r: Sequence[n
     floor = -1e-12 * floor.max(axis=2, keepdims=True, initial=0.0)
     LAM += step
     np.maximum(LAM, 0.0, out=LAM, where=LAM >= floor)
-    LAM *= filled[:, :, None]
-    ok = _certified(Qs, Rs, terms, rhs, thetas, Z, LAM, held, in_set[:, held][seg], p_k)
     out = []
     for k, (mk, pk) in enumerate(zip(m_k, p_k)):
-        fails = filled[k] & ~ok[k]
-        j = int(fails.argmax()) if fails.any() else i[k]
-        Zk, end = Z[k, :, :mk], np.flatnonzero(rows[k, :pk])
+        # its held rows are those below pk: a padded row never binds
+        Zk, end, ik, h = Z[k, :, :mk], np.flatnonzero(rows[k, :pk]), i[k], np.searchsorted(held, pk)
+        ok = _certified(Q[k], R[k], terms[k, :, :mk], rhs[k, :, :pk], thetas[:ik], Zk[:ik], LAM[k, :ik, :h],
+                        held[:h], in_held[seg[k, :ik], :h])
+        j = int(ok.argmin()) if not ok.all() else ik
         if j < n:
             # Lemke at the failing point, from the set the walk reached there;
             # then the walk again from the polished set
-            work = np.flatnonzero((in_set[seg[k, j]] if j < i[k] else rows[k])[:pk])
+            work = np.flatnonzero((in_set[seg[k, j]] if j < ik else rows[k])[:pk])
             Zk[j], _, _, work = _solve_qp(Q[k], terms[k, 0, :mk] + thetas[j] * terms[k, 1, :mk], R[k],
                                           rhs[k, 0, :pk] + thetas[j] * rhs[k, 1, :pk], work)
             ((Zk[j + 1 :], end),) = _qp_homotopy([Q[k]], [R[k]], [r[k]], [c0[k]], [dc[k]], thetas[j + 1 :],

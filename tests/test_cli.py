@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intreg import FORMAT_MIDSPR, build_design, fit_lasso, fit_ls, ingest, write_sample
+from intreg import FORMAT_MIDSPR, IntervalSample, build_design, fit_lasso, fit_lasso_ir, fit_ls, ingest, write_sample
 from intreg.cli import RunConfig, build_parser, config_from_args, main, run
+from intreg.errors import RayTermination
 
 from conftest import exact_fit_sample, random_sample, split_model_sample
 
@@ -199,6 +200,32 @@ class TestDesignBuiltOnce:
     def test_build_design_calls(self, sample_csv, calls, capsys, method, extra, expected):
         assert main(["--input-path", sample_csv, "--method", method, *extra]) == 0
         assert len(calls) == expected
+
+
+class TestScaledSample:
+    """Every value of the fixture times 1e5.  The walk's certificate bounds
+    are relative to each program's own terms, so a fit is the unscaled fit,
+    scaled: the coefficients as they are, the intercept times 1e5, and the
+    penalties and the error, which are squared, times 1e10."""
+
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    @pytest.mark.parametrize("fit", [
+        fit_ls, fit_lasso,
+        # the budget walk's KKT systems are judged singular at this scale
+        # and the Lemke fallback ray-terminates; open, so it stays in view
+        pytest.param(fit_lasso_ir, marks=pytest.mark.xfail(strict=True, raises=RayTermination)),
+    ], ids=["ls", "lasso", "lasso-ir"])
+    def test_fit_is_the_unscaled_fit_scaled(self, fit, variant):
+        sample = ingest(FIXTURE_CSV)
+        scaled = IntervalSample(*(1e5 * x for x in (sample.mid_y, sample.spr_y, sample.mid_x, sample.spr_x)))
+        want, got = (fit(build_design(x, variant), 0.5) for x in (sample, scaled))
+        blocks = [np.concatenate([getattr(result.coefficients, b) for b in ("b1", "b2", "b3", "b4")])
+                  for result in (want, got)]
+        assert np.max(np.abs(blocks[1] - blocks[0])) <= 1e-9 * np.max(np.abs(blocks[0]))
+        assert [got.lambda_mid, got.lambda_spr, got.mse] == pytest.approx(
+            [1e10 * want.lambda_mid, 1e10 * want.lambda_spr, 1e10 * want.mse], rel=1e-9)
+        delta = (want.coefficients.delta, got.coefficients.delta)
+        assert [delta[1].mid, delta[1].spr] == pytest.approx([1e5 * delta[0].mid, 1e5 * delta[0].spr], rel=1e-9)
 
 
 class TestMain:

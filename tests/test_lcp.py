@@ -521,13 +521,7 @@ class TestQpPath:
         qp, dc, dr = affine_family(rng)
         thetas = np.linspace(3.0, 0.0, 30)
         start = start_set(at(qp, dc, dr, thetas[0]))
-        kkt = lcp._kkt
-
-        def failing(*args):
-            out = kkt(*args)
-            return dict(out, kkt_stationarity=out["kkt_stationarity"] * 0.0 + 1.0)
-
-        monkeypatch.setattr(lcp, "_kkt", failing)
+        monkeypatch.setattr(lcp, "_certified", lambda *args: np.zeros(args[4].size, dtype=bool))
         calls = record_qp_solves(monkeypatch)
         assert len(walk_family(qp, dc, dr, thetas, start)) == len(thetas)
         assert len(calls) == len(thetas)
@@ -650,21 +644,21 @@ class TestQpPath:
         qp, dc, dr = affine_family(rng)
         thetas, j = np.linspace(3.0, 0.0, 40), 20
         start = start_set(at(qp, dc, dr, thetas[0]))
-        kkt, solve_qp, homotopy = lcp._kkt, lcp._solve_qp, lcp._qp_homotopy
+        certified, solve_qp, homotopy = lcp._certified, lcp._solve_qp, lcp._qp_homotopy
         solves, walks = [], []
 
         def failing(*args):
             # point j fails the first walk's certificate
-            out = kkt(*args)
-            if args[3].ndim == 3 and not walks[1:]:
-                out["kkt_stationarity"][0, j] = 1.0
-            return out
+            ok = certified(*args)
+            if not walks[1:]:
+                ok[j] = False
+            return ok
 
         def solve(*args):
             solves.append((args[4], solve_qp(*args)))
             return solves[-1][1]
 
-        monkeypatch.setattr(lcp, "_kkt", failing)
+        monkeypatch.setattr(lcp, "_certified", failing)
         monkeypatch.setattr(lcp, "_solve_qp", solve)
         monkeypatch.setattr(lcp, "_qp_homotopy", lambda *args: walks.append(args) or homotopy(*args))
         Z = walk_family(qp, dc, dr, thetas, start)
@@ -1145,15 +1139,18 @@ class TestSolveQpStack:
         # its end set the single solve's active set; Lemke solves exactly
         # the programs whose walked point the certificate rejects.  No
         # theta0 * dr overflows or makes NaN, padded rows included
-        certified, verdicts, fallbacks = lcp._certified, [], 0
+        certified, fallbacks = lcp._certified, 0
         for _ in range(10):
             qps = [random_feasible_qp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 11))) for _ in range(6)]
+            verdicts = []
             monkeypatch.setattr(lcp, "_certified", lambda *args: verdicts.append(certified(*args)) or verdicts[-1])
             calls = record_qp_solves(monkeypatch)
             with np.errstate(over="raise", invalid="raise"):
                 points = self.solve_stack(qps)
             monkeypatch.undo()
-            rejected = [qp.Q.tobytes() for qp, ok in zip(qps, verdicts[-1][:, 0]) if not ok]
+            # one verdict per program, in their order; an unfilled point has none
+            assert len(verdicts) == len(qps)
+            rejected = [qp.Q.tobytes() for qp, ok in zip(qps, verdicts) if ok.tolist() != [True]]
             assert [qp.Q.tobytes() for qp in calls] == rejected
             fallbacks += len(rejected)
             for qp, (z, end) in zip(qps, points):
@@ -1229,45 +1226,92 @@ class TestSolveQpStack:
         assert z == pytest.approx([1.0, 0.0], abs=1e-8)
 
 
+class TestCertified:
+    """The certificate of one walked program's points: each point passes or
+    fails on its own tests, against bounds taken once for the program."""
+
+    def test_each_broken_test_rejects_its_point_alone(self, rng):
+        # one affine family at seven grid points, each solved on its true
+        # active set: every point passes.  Then one test is broken at point
+        # i, five ways, and only that point is rejected
+        qp, dc, dr = affine_family(rng)
+        thetas = np.linspace(3.0, 0.0, 7)
+        terms, rhs = np.stack([qp.c, dc]), np.stack([qp.r, dr])
+        sets = [start_set(at(qp, dc, dr, theta)) for theta in thetas]
+        held = np.unique(np.concatenate(sets))
+
+        def solve(i, row=0, shift=0.0):
+            """Point i on its set, with the right-hand side of ``row`` moved by ``shift``."""
+            r = qp.r + thetas[i] * dr
+            r[row] += shift
+            z, lam = segment_solve(qp.Q, qp.R, (qp.c + thetas[i] * dc)[None], r[None], sets[i])
+            return z[0], lam[0, held]
+
+        Z, LAM = (np.array(x) for x in zip(*[solve(k) for k in range(thetas.size)]))
+        IN = np.array([np.isin(held, rows) for rows in sets])
+
+        def verdict(i, z, lam, in_set):
+            """The verdicts, with point i replaced by ``(z, lam, in_set)``."""
+            Zi, LAMi, INi = Z.copy(), LAM.copy(), IN.copy()
+            Zi[i], LAMi[i], INi[i] = z, lam, in_set
+            return lcp._certified(qp.Q, qp.R, terms, rhs, thetas, Zi, LAMi, held, INi).tolist()
+
+        assert lcp._certified(qp.Q, qp.R, terms, rhs, thetas, Z, LAM, held, IN).all()
+        i = 3
+        z, lam, in_set = Z[i], LAM[i], IN[i]
+        # a row of the set with a small multiplier, and a held row outside it
+        a = np.flatnonzero(in_set)[lam[in_set].argmin()]
+        o = np.flatnonzero(~in_set)[0]
+        assert 0.0 < 2.0 * lam[a] < 1.0 + lam.max()
+        bound = 1e-8 * (1 + qp.num_constraints) * (1.0 + np.max(np.abs(rhs[0] + thetas[[0, -1], None] * rhs[1])))
+        negative, stationary = lam.copy(), lam.copy()
+        negative[o], stationary[a] = -1e-20, lam[a] + 1e-3
+        broken = {
+            "negative multiplier": (z, negative, in_set),
+            "stationarity": (z, stationary, in_set),
+            # row a holds 1e-3 above its right-hand side, with its multiplier
+            "complementarity": (*solve(i, held[a], 1e-3), in_set),
+            # row a, in the set, holds 2 bounds below it: its small multiplier
+            # keeps complementarity within its bound
+            "slack of a held row": (*solve(i, held[a], -2.0 * bound), in_set),
+            # row a 1e-9 below it, well within the bound, but outside the set
+            "working-set test": (*solve(i, held[a], -1e-9), in_set & (held != held[a])),
+        }
+        for name, point in broken.items():
+            assert verdict(i, *point) == [k != i for k in range(thetas.size)], name
+        # an empty grid has an empty verdict
+        empty = lcp._certified(qp.Q, qp.R, terms, rhs, thetas[:0], np.zeros((0, qp.num_vars)),
+                               np.zeros((0, held.size)), held, np.zeros((0, held.size), dtype=bool))
+        assert empty.shape == (0,)
+
+
 class TestStackedHelpers:
     """A stack of programs, one per row, gives the one-program results row by
     row, and the same certificate decisions."""
-
-    @staticmethod
-    def accepted(R, r, lam, slack, kkt):
-        # the three tests of a walk's certificate
-        bound = 1e-8 * (1.0 + R.shape[0])
-        return bool(np.all(slack >= -1e-12 * (1.0 + np.abs(r))) and np.all(lam >= 0.0)
-                    and all(value <= bound for value in kkt.values()))
 
     def test_stack_equals_rows(self, rng):
         thetas = np.linspace(0.0, 3.0, 60)
         decisions = []
         for _ in range(5):
             qp, dc, dr = affine_family(rng)
+            terms, rhs = np.stack([qp.c, dc]), np.stack([qp.r, dr])
             C, RHS = qp.c + thetas[:, None] * dc, qp.r + thetas[:, None] * dr
             for theta in (0.0, 1.5, 3.0):
-                # the active set of a single solve at theta
+                # the active set of a single solve at theta, held by every point
                 active = start_set(at(qp, dc, dr, theta))
+                in_held = np.ones((thetas.size, active.size), dtype=bool)
                 Z, LAM = segment_solve(qp.Q, qp.R, C, RHS, active)
-                SLACK = (qp.R @ Z.T).T - RHS
-                KKT = lcp._kkt(qp.Q, C, qp.R, Z, LAM, SLACK)
+                stacked = lcp._certified(qp.Q, qp.R, terms, rhs, thetas, Z, LAM[:, active], active, in_held)
                 for i, (c, r) in enumerate(zip(C, RHS)):
                     z, lam = (x[0] for x in segment_solve(qp.Q, qp.R, c[None], r[None], active))
                     scale = 1e-13 * (1.0 + np.max(np.abs(z)) + np.max(np.abs(lam), initial=0.0))
                     assert np.max(np.abs(Z[i] - z)) <= scale
                     assert np.max(np.abs(LAM[i] - lam)) <= scale
                     assert np.array_equal(LAM[i] == 0.0, lam == 0.0)
-                    slack = qp.R @ z - r
-                    kkt = lcp._kkt(qp.Q, c, qp.R, z, lam, slack)
-                    # the residuals of the stacked point itself, one at a time
-                    row = lcp._kkt(qp.Q, c, qp.R, Z[i], LAM[i], SLACK[i])
-                    terms_scale = 1.0 + max(np.max(np.abs(v)) for v in (qp.Q @ Z[i], c, qp.R.T @ LAM[i]))
-                    for key, value in row.items():
-                        assert isinstance(value, float)
-                        assert abs(KKT[key][i] - value) <= 1e-14 * terms_scale
-                    decision = self.accepted(qp.R, r, lam, slack, kkt)
-                    assert self.accepted(qp.R, r, LAM[i], SLACK[i], {k: v[i] for k, v in KKT.items()}) == decision
+                    # the row's own solve, certified alone
+                    (decision,) = lcp._certified(qp.Q, qp.R, terms, rhs, thetas[i : i + 1], z[None],
+                                                 lam[None, active], active, in_held[:1])
+                    assert stacked[i] == decision
                     decisions.append(decision)
         # both decisions occur
         assert 0 < sum(decisions) < len(decisions)
