@@ -76,9 +76,9 @@ class NonNumericCell(IntregError):
         self.value = value
 
 
-class InvertedInterval(IntregError):
-    """A parsed interval has its endpoints reversed, a negative spread, or a
-    midpoint or spread that overflows."""
+class InvertedInterval(IntregError, ValueError):
+    """An interval of a sample, parsed or built directly, has its endpoints
+    reversed, a negative spread, or a midpoint or spread that overflows."""
 
     def __init__(self, row: int, variable: str, detail: str = ""):
         message = f"invalid interval for {variable!r} at data row {row}"

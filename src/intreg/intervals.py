@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySample, LengthMismatch, NotHukuharaDecomposable
+from .errors import EmptySample, InvertedInterval, LengthMismatch, NotHukuharaDecomposable
 
 DEFAULT_TAU = 0.5
 
@@ -151,14 +151,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class IntervalSample:
     """``n`` observations of a response interval and ``k`` regressor intervals.
 
-    Data are held as read-only float arrays in mid/spr form.
+    Data are held as read-only float arrays in mid/spr form.  Entries must be
+    finite (``ValueError``); the first cell in row-major order with a negative
+    spread, or else with a midpoint or spread whose squares overflow the fit's
+    sums, is an :class:`InvertedInterval` naming its data row and variable.
     """
 
     def __init__(self, mid_y, spr_y, mid_x, spr_x, variable_names=None):
-        mid_y = _readonly(mid_y)
-        spr_y = _readonly(spr_y)
-        mid_x = _readonly(mid_x)
-        spr_x = _readonly(spr_x)
+        mid_y, spr_y, mid_x, spr_x = map(_readonly, (mid_y, spr_y, mid_x, spr_x))
         if mid_y.ndim != 1 or spr_y.shape != mid_y.shape:
             raise ValueError("response arrays must be 1-d and equally shaped")
         if mid_x.ndim != 2 or spr_x.shape != mid_x.shape:
@@ -168,21 +168,27 @@ class IntervalSample:
             raise ValueError(f"{mid_y.size} responses but {n} regressor rows")
         if n < 1 or k < 1:
             raise ValueError("need at least one observation and one regressor")
-        if not (np.all(np.isfinite(mid_y)) and np.all(np.isfinite(mid_x))):
-            raise ValueError("midpoints must be finite")
-        if np.any(spr_y < 0.0) or np.any(spr_x < 0.0) or not (
-            np.all(np.isfinite(spr_y)) and np.all(np.isfinite(spr_x))
-        ):
-            raise ValueError("spreads must be finite and nonnegative")
         if variable_names is None:
             variable_names = ["y"] + [f"x{i + 1}" for i in range(k)]
         variable_names = [str(s) for s in variable_names]
         if len(variable_names) != k + 1:
             raise ValueError(f"expected {k + 1} variable names, got {len(variable_names)}")
-        self.mid_y = mid_y
-        self.spr_y = spr_y
-        self.mid_x = mid_x
-        self.spr_x = spr_x
+        mid, spr = np.column_stack([mid_y, mid_x]), np.column_stack([spr_y, spr_x])
+        if not (np.isfinite(mid).all() and np.isfinite(spr).all()):
+            raise ValueError("midpoints and spreads must be finite")
+        bad = np.argwhere(spr < 0.0)
+        if bad.size:
+            j, v = bad[0]
+            raise InvertedInterval(int(j) + 1, variable_names[v], f"negative spread {spr[j, v]}")
+        # beyond |x| sqrt(n) = sqrt(max) / 2, the fit's sums of squares overflow
+        limit = np.sqrt(np.finfo(float).max / n) / 2.0
+        bad = np.argwhere((np.abs(mid) > limit) | (spr > limit))
+        if bad.size:
+            j, v = bad[0]
+            what, value = ("midpoint", mid[j, v]) if abs(mid[j, v]) > limit else ("spread", spr[j, v])
+            detail = f"the {what} {value} overflows the fit's sums of squares"
+            raise InvertedInterval(int(j) + 1, variable_names[v], detail)
+        self.mid_y, self.spr_y, self.mid_x, self.spr_x = mid_y, spr_y, mid_x, spr_x
         self.variable_names = tuple(variable_names)
 
     @classmethod

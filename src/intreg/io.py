@@ -3,7 +3,8 @@
 Two column layouts are supported: mid/spr pairs (``mid_y, spr_y, mid_x1,
 spr_x1, ...``) and endpoint pairs (``inf_y, sup_y, inf_x1, sup_x1, ...``).
 Floats are written with full precision, so writing and re-ingesting a sample
-reproduces it exactly.
+reproduces it exactly.  Ingest parses, and checks the header, the cells and the
+endpoint pairs; a value's own rules are :class:`IntervalSample`'s to check.
 
 The dialect is the ``csv`` module's default (``"`` quotes; LF, CRLF or CR line
 ends; blank or whitespace-only lines skipped), with any cell that ``float`` reads
@@ -101,14 +102,9 @@ def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
             raise NonNumericCell(int(j) + 1, header[c], data[j][c])
         if unreadable is not None:
             raise unreadable
-    variables = ["y"] + [f"x{i}" for i in range(1, k + 1)]
     first, second = values[:, 0::2], values[:, 1::2]
     if fmt == FORMAT_MIDSPR:
         mid, spr = first, second
-        bad = np.argwhere(spr < 0.0)
-        if bad.size:
-            j, v = bad[0]
-            raise InvertedInterval(int(j) + 1, variables[v], f"negative spread {spr[j, v]}")
     else:
         with np.errstate(over="ignore"):
             mid = (first + second) / 2.0
@@ -122,14 +118,7 @@ def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
             else:
                 what = "spread" if np.isfinite(mid[j, v]) else "midpoint"
                 detail = f"the {what} of inf {lo} and sup {hi} overflows"
-            raise InvertedInterval(int(j) + 1, variables[v], detail)
-    # beyond |x| sqrt(n) = sqrt(max) / 2, the fit's sums of squares overflow
-    limit = np.sqrt(np.finfo(float).max / len(mid)) / 2.0
-    bad = np.argwhere((np.abs(mid) > limit) | (spr > limit))
-    if bad.size:
-        j, v = bad[0]
-        what, value = ("midpoint", mid[j, v]) if abs(mid[j, v]) > limit else ("spread", spr[j, v])
-        raise InvertedInterval(int(j) + 1, variables[v], f"the {what} {value} overflows the fit's sums of squares")
+            raise InvertedInterval(int(j) + 1, f"x{v}" if v else "y", detail)
     return IntervalSample(mid[:, 0], spr[:, 0], mid[:, 1:], spr[:, 1:])
 
 

@@ -1,9 +1,15 @@
 import csv
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intreg import FORMAT_MIDSPR, IntervalSample, build_design, fit_lasso, fit_lasso_ir, fit_ls, ingest, write_sample
 from intreg.cli import RunConfig, build_parser, config_from_args, main, run
@@ -413,3 +419,61 @@ class TestMain:
         assert main(["--input-path", str(path), "--method", "lasso-ir", "--output-format", "json"]) == 0
         diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
         assert max(diagnostics[key] for key in diagnostics if key.startswith("kkt_")) <= 1e-8 * (1 + 30)
+
+
+# a mutated cell: any finite float, the magnitudes around the ingest cut,
+# negative spreads (on a spread column), non-finite values and text
+_MUTANT_CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=-10.0, max_value=10.0).map(repr),
+    st.sampled_from(["1e154", "-1e154", "1e200", "-1e200", "1e308", "-0.5", "-1e-300", "0", "-0",
+                     "nan", "inf", "-inf", "1e999", "x", "", " ", "1,5"]),
+)
+
+
+@st.composite
+def fixture_mutants(draw):
+    """The fixture in either layout with cells replaced, rows blanked or
+    dropped (or all but the first few), and LF or CRLF line ends, with the
+    flags of a run."""
+    fmt = draw(st.sampled_from(["midspr", "infsup"]))
+    rows = Path(FIXTURE_CSV).read_text().splitlines()
+    if fmt == "infsup":
+        rows[1:] = [",".join(repr(f) for m, r in zip(row[::2], row[1::2]) for f in (m - r, m + r))
+                    for row in ([float(x) for x in line.split(",")] for line in rows[1:])]
+        rows[0] = rows[0].replace("mid_", "inf_").replace("spr_", "sup_")
+    for _ in range(draw(st.integers(0, 4))):
+        j = draw(st.integers(1, len(rows) - 1))
+        cells = rows[j].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(_MUTANT_CELL)
+        rows[j] = ",".join(cells)
+    blanked = draw(st.sets(st.integers(1, len(rows) - 1), max_size=3))
+    dropped = draw(st.sets(st.integers(1, len(rows) - 1), max_size=5))
+    rows = ["" if j in blanked else row for j, row in enumerate(rows) if j not in dropped]
+    rows = rows[: 1 + draw(st.one_of(st.just(len(rows)), st.integers(0, 12)))]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    flags = ["--format", fmt, "--method", draw(st.sampled_from(["ls", "lasso", "lasso-ir"])),
+             "--variant", draw(st.sampled_from(["full", "model-m"]))]
+    return end.join(rows) + end, flags
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(case=fixture_mutants())
+def test_mutated_fixture_is_a_report_or_one_error_line(tmp_path_factory, case):
+    # whatever the file holds, a run prints a JSON report and nothing on
+    # stderr, or exits 1 after exactly one error line and prints nothing,
+    # with no numpy warning on the way
+    text, flags = case
+    path = tmp_path_factory.getbasetemp() / "mutant.csv"
+    path.write_bytes(text.encode("utf-8"))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["--input-path", str(path), *flags, "--output-format", "json"])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        json.loads(out)
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("error code=") and err.count("\n") == 1, err

@@ -2,6 +2,7 @@ import csv
 import os
 import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -213,6 +214,61 @@ class TestRoundTrip:
         back = ingest(p, FORMAT_INFSUP)
         np.testing.assert_allclose(back.mid_y, s.mid_y, rtol=0, atol=1e-12)
         np.testing.assert_allclose(back.spr_y, s.spr_y, rtol=0, atol=1e-12)
+
+
+class TestSampleChecksAsIngest:
+    """A sample's own value checks raise, for a sample built directly, the
+    error that ingest raises for the same values written to a file: the
+    first bad cell in row-major order, negative spreads before the overflow
+    cut, and an :class:`InvertedInterval` that is also a ``ValueError``."""
+
+    @pytest.mark.parametrize("cells, fmts, want", [
+        ([("spr_y", 2, -0.5)], [FORMAT_MIDSPR], (3, "y", "negative spread -0.5")),
+        ([("spr_x", (1, 0), -0.25)], [FORMAT_MIDSPR], (2, "x1", "negative spread -0.25")),
+        ([("mid_x", (4, 1), 1e154)], [FORMAT_MIDSPR, FORMAT_INFSUP],
+         (5, "x2", "the midpoint 1e+154 overflows the fit's sums of squares")),
+        ([("mid_y", 0, -1e154)], [FORMAT_MIDSPR, FORMAT_INFSUP],
+         (1, "y", "the midpoint -1e+154 overflows the fit's sums of squares")),
+        ([("mid_x", (3, 0), 1e200)], [FORMAT_MIDSPR, FORMAT_INFSUP],
+         (4, "x1", "the midpoint 1e+200 overflows the fit's sums of squares")),
+        ([("spr_x", (2, 1), 1e200)], [FORMAT_MIDSPR, FORMAT_INFSUP],
+         (3, "x2", "the spread 1e+200 overflows the fit's sums of squares")),
+        # row-major order: row 2's x2 before row 4's y, and row 4's y before its x1
+        ([("spr_y", 3, -1.0), ("spr_x", (1, 1), -2.0), ("spr_x", (3, 0), -3.0)], [FORMAT_MIDSPR],
+         (2, "x2", "negative spread -2.0")),
+        ([("mid_x", (3, 0), 1e200), ("mid_y", 3, 1e200)], [FORMAT_MIDSPR, FORMAT_INFSUP],
+         (4, "y", "the midpoint 1e+200 overflows the fit's sums of squares")),
+        # a negative spread in a later row goes before the cut in an earlier one
+        ([("mid_x", (0, 0), 1e200), ("spr_y", 5, -0.5)], [FORMAT_MIDSPR], (6, "y", "negative spread -0.5")),
+    ])
+    def test_sample_raises_what_ingest_raises(self, tmp_path, cells, fmts, want):
+        s = random_sample(5, n=6, k=2)
+        arrays = {name: np.array(getattr(s, name)) for name in ("mid_y", "spr_y", "mid_x", "spr_x")}
+        for name, index, value in cells:
+            arrays[name][index] = value
+        row, variable, detail = want
+        message = f"invalid interval for {variable!r} at data row {row}: {detail}"
+        with pytest.raises(InvertedInterval) as direct:
+            IntervalSample(**arrays)
+        assert (direct.value.row, direct.value.variable, str(direct.value)) == (row, variable, message)
+        with pytest.raises(ValueError, match="^invalid interval"):
+            IntervalSample(**arrays)
+        for fmt in fmts:
+            path = tmp_path / f"{fmt}.csv"
+            write_sample(SimpleNamespace(n=6, k=2, **arrays), path, fmt)
+            with pytest.raises(InvertedInterval) as parsed:
+                ingest(path, fmt)
+            assert (parsed.value.row, parsed.value.variable, str(parsed.value)) == (row, variable, message)
+
+    def test_named_variables_are_named(self):
+        with pytest.raises(InvertedInterval) as exc:
+            IntervalSample([1.0, 2.0], [0.5, 0.5], [[0.0], [1e200]], [[0.5], [0.5]], ["dbp", "pulse"])
+        assert (exc.value.row, exc.value.variable) == (2, "pulse")
+
+    def test_non_finite_entry_is_a_plain_value_error(self):
+        with pytest.raises(ValueError, match="must be finite") as exc:
+            IntervalSample([1.0, 2.0], [0.5, -0.5], [[0.0], [np.inf]], [[0.5], [0.5]])
+        assert not isinstance(exc.value, InvertedInterval)
 
 
 class TestWriteSample:

@@ -14,7 +14,7 @@ from intreg import (
     ingest,
     mean_squared_unweighted,
 )
-from intreg.errors import LengthMismatch
+from intreg.errors import LengthMismatch, RayTermination
 from intreg.lcp import _kkt
 from intreg.least_squares import _msd_arrays, _spr_paths, solve_spread_block, spread_qp
 
@@ -128,6 +128,18 @@ class TestFitLs:
         assert c.b1[0] == pytest.approx(2.0, abs=1e-8)
         assert c.b2[0] == pytest.approx(2.0, abs=1e-8)
         assert np.all(c.b3 == 0.0) and np.all(c.b4 == 0.0)
+
+    # one regressor interval [0, 1e6] among values of order 1: the spread
+    # block's Lemke run ray-terminates on a feasible program (its pivot
+    # tolerance is absolute); open, so it stays in view
+    @pytest.mark.xfail(strict=True, raises=RayTermination)
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_one_wide_regressor_interval_fits(self, variant):
+        s = ingest(Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv")
+        mid_x, spr_x = np.array(s.mid_x), np.array(s.spr_x)
+        mid_x[1, 0] = spr_x[1, 0] = 5e5
+        res = fit_ls(build_design(IntervalSample(s.mid_y, s.spr_y, mid_x, spr_x), variant), 0.5)
+        assert res.diagnostics["kkt_stationarity"] <= 1e-8 * (1.0 + 5e5) ** 2
 
 
 class TestEstimateIntercept:
