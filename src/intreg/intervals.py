@@ -148,6 +148,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def default_variable_names(k: int) -> list[str]:
+    """``y, x1, ..., xk``: the variables of a sample with ``k`` regressors
+    built without names, and the stems of its CSV header."""
+    return ["y"] + [f"x{i}" for i in range(1, k + 1)]
+
+
 class IntervalSample:
     """``n`` observations of a response interval and ``k`` regressor intervals.
 
@@ -158,7 +164,10 @@ class IntervalSample:
     """
 
     def __init__(self, mid_y, spr_y, mid_x, spr_x, variable_names=None):
-        mid_y, spr_y, mid_x, spr_x = map(_readonly, (mid_y, spr_y, mid_x, spr_x))
+        mid_y = _readonly(mid_y)
+        spr_y = _readonly(spr_y)
+        mid_x = _readonly(mid_x)
+        spr_x = _readonly(spr_x)
         if mid_y.ndim != 1 or spr_y.shape != mid_y.shape:
             raise ValueError("response arrays must be 1-d and equally shaped")
         if mid_x.ndim != 2 or spr_x.shape != mid_x.shape:
@@ -169,7 +178,7 @@ class IntervalSample:
         if n < 1 or k < 1:
             raise ValueError("need at least one observation and one regressor")
         if variable_names is None:
-            variable_names = ["y"] + [f"x{i + 1}" for i in range(k)]
+            variable_names = default_variable_names(k)
         variable_names = [str(s) for s in variable_names]
         if len(variable_names) != k + 1:
             raise ValueError(f"expected {k + 1} variable names, got {len(variable_names)}")
@@ -188,7 +197,10 @@ class IntervalSample:
             what, value = ("midpoint", mid[j, v]) if abs(mid[j, v]) > limit else ("spread", spr[j, v])
             detail = f"the {what} {value} overflows the fit's sums of squares"
             raise InvertedInterval(int(j) + 1, variable_names[v], detail)
-        self.mid_y, self.spr_y, self.mid_x, self.spr_x = mid_y, spr_y, mid_x, spr_x
+        self.mid_y = mid_y
+        self.spr_y = spr_y
+        self.mid_x = mid_x
+        self.spr_x = spr_x
         self.variable_names = tuple(variable_names)
 
     @classmethod

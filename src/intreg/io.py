@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyFile, InvertedInterval, MalformedHeader, NonNumericCell
-from .intervals import IntervalSample
+from .intervals import IntervalSample, default_variable_names
 
 FORMAT_MIDSPR = "midspr"
 FORMAT_INFSUP = "infsup"
@@ -37,10 +37,7 @@ def validate_format(fmt: str) -> str:
 def expected_header(k: int, fmt: str) -> list[str]:
     validate_format(fmt)
     pre = ("mid", "spr") if fmt == FORMAT_MIDSPR else ("inf", "sup")
-    header = [f"{pre[0]}_y", f"{pre[1]}_y"]
-    for i in range(1, k + 1):
-        header += [f"{pre[0]}_x{i}", f"{pre[1]}_x{i}"]
-    return header
+    return [f"{p}_{name}" for name in default_variable_names(k) for p in pre]
 
 
 def _rows(fh):
@@ -118,7 +115,7 @@ def ingest(path, fmt: str = FORMAT_MIDSPR) -> IntervalSample:
             else:
                 what = "spread" if np.isfinite(mid[j, v]) else "midpoint"
                 detail = f"the {what} of inf {lo} and sup {hi} overflows"
-            raise InvertedInterval(int(j) + 1, f"x{v}" if v else "y", detail)
+            raise InvertedInterval(int(j) + 1, default_variable_names(k)[v], detail)
     return IntervalSample(mid[:, 0], spr[:, 0], mid[:, 1:], spr[:, 1:])
 
 

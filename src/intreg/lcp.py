@@ -529,12 +529,10 @@ def _solve_qp(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
     active, scale = _active_rows(lam)
     in_set = np.zeros(R.shape[0], dtype=bool)
     in_set[active] = True
-    tol, lam_p = 1e-12 * (1.0 + np.abs(r)), np.zeros(R.shape[0])
-    while True:  # the polish reads the set's rows alone
-        rows = np.flatnonzero(in_set)
-        R_s = R[None, rows]
-        z_p, lam_p[rows] = (x[0, 0] for x in _segment_solve(Q[None], R_s, c[None, None], r[None, None, rows],
-                                                            np.ones(R_s.shape[:2], dtype=bool), _unit_rows(R_s)))
+    unit, tol = _unit_rows(R)[None], 1e-12 * (1.0 + np.abs(r))
+    while True:
+        z_p, lam_p = (x[0, 0] for x in _segment_solve(Q[None], R[None], c[None, None], r[None, None], in_set[None],
+                                                      unit))
         violated = (R @ z_p - r < -tol) & ~in_set
         if not violated.any():
             break
@@ -544,7 +542,7 @@ def _solve_qp(Q: np.ndarray, c: np.ndarray, R: np.ndarray, r: np.ndarray,
         kkt_p = _kkt(Q, c, R, z_p, lam_p, R @ z_p - r)
         if _kkt_score(kkt_p, lam_p) <= _kkt_score(kkt, lam):
             z, lam, kkt = z_p, lam_p, kkt_p
-    return z, lam, {**info, **kkt}, rows
+    return z, lam, {**info, **kkt}, np.flatnonzero(in_set)
 
 
 def _padded(Q: Sequence[np.ndarray], R: Sequence[np.ndarray], terms: Sequence[Sequence[np.ndarray]],
