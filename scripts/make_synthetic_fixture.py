@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 import tempfile
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,7 @@ from intreg import (  # noqa: E402
 )
 from intreg.lasso import fit_lasso_mid, fit_lasso_spr, lambda_grid  # noqa: E402
 from intreg.least_squares import spread_qp  # noqa: E402
-from oracle import active_set_optimum, simulate  # noqa: E402
+from oracle import active_set_optimum, sign_pattern_lasso, simulate  # noqa: E402
 
 SEED = 20260810
 N, K = 59, 2
@@ -61,32 +60,6 @@ CSV_NAME = "synthetic59.csv"
 EXPECTED_NAME = "synthetic59_expected.json"
 # per-fit numbers that the acceptance suite checks to 1e-9
 FITTED_FIELDS = ("b1", "b2", "b3", "b4", "delta_mid", "delta_spr", "mse")
-
-
-def sign_pattern_lasso(F, v, lam):
-    """Exact Lasso minimizer by enumerating sign patterns (small widths only)."""
-    w = F.shape[1]
-    best, best_obj = None, np.inf
-    for signs in product((-1, 0, 1), repeat=w):
-        signs = np.array(signs, dtype=float)
-        active = np.flatnonzero(signs != 0)
-        a = np.zeros(w)
-        if active.size:
-            FA = F[:, active]
-            try:
-                a[active] = np.linalg.solve(FA.T @ FA, FA.T @ v - lam * signs[active])
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(np.sign(a[active]) != signs[active]):
-                continue
-        grad = F.T @ (v - F @ a)
-        zero = np.flatnonzero(signs == 0)
-        if zero.size and np.max(np.abs(grad[zero])) > lam + 1e-10:
-            continue
-        obj = 0.5 * np.sum((v - F @ a) ** 2) + lam * np.sum(np.abs(a))
-        if obj < best_obj:
-            best, best_obj = a, obj
-    return best
 
 
 def check(label, a, b, tol):
@@ -151,7 +124,7 @@ def generate(out_dir: Path) -> None:
     design_m = build_design(sample, "model-m")
     a_mid = fit_lasso_mid(design_m, LAMBDA_MID)
     check("lasso mid vs sign enumeration", a_mid,
-          sign_pattern_lasso(design_m.fm, design_m.vm, LAMBDA_MID), 1e-9)
+          sign_pattern_lasso(design_m.fm, design_m.vm, LAMBDA_MID)[0], 1e-9)
     a_spr = fit_lasso_spr(design_m, LAMBDA_SPR, TAU)
     pen_qp = spread_qp(design_m, TAU, LAMBDA_SPR)
     check("lasso spread vs enumeration", a_spr,

@@ -115,20 +115,12 @@ def build_design(sample: IntervalSample, variant: str = VARIANT_FULL) -> DesignS
     Raises :class:`DegenerateSample` when fewer than two observations are
     available, since centering then destroys all information.
     """
-    validate_variant(variant)
-    return _center(sample, variant, *regressor_blocks(sample, variant))
-
-
-def _center(sample: IntervalSample, variant: str, mid_side: np.ndarray, spr_side: np.ndarray,
-            keep_gamma: bool = False) -> DesignSystem:
-    """The design of ``sample`` from its uncentered regressor blocks (its own,
-    or row slices of a larger sample's); ``keep_gamma`` keeps ``spr_side`` as
-    its ``gamma_matrix``."""
+    mid_side, spr_side = regressor_blocks(sample, variant)
     if sample.n < 2:
         raise DegenerateSample(f"need at least 2 observations to center, got {sample.n}")
     mean_mid = mid_side.mean(axis=0)
     mean_spr = spr_side.mean(axis=0)
-    design = DesignSystem(
+    return DesignSystem(
         sample=sample,
         variant=variant,
         fm=mid_side - mean_mid,
@@ -139,10 +131,6 @@ def _center(sample: IntervalSample, variant: str, mid_side: np.ndarray, spr_side
         mean_spr_xebl=mean_spr,
         mean_y=Interval(float(sample.mid_y.mean()), float(sample.spr_y.mean())),
     )
-    if keep_gamma:
-        spr_side.setflags(write=False)
-        design.__dict__["gamma_matrix"] = spr_side  # the cached property's slot
-    return design
 
 
 @dataclass(frozen=True)

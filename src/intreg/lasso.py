@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .design import DesignSystem, _center, regressor_blocks
+from .design import DesignSystem, build_design, regressor_blocks
 from .errors import FoldTooSmall, RayTermination, SubgradientGap
 from .intervals import DEFAULT_TAU, validate_tau
 from .lcp import Lcp, _lemke_path
@@ -223,9 +223,9 @@ def _cv_errors(
     """Held-out weighted squared errors, one row per fold, one column per grid point.
 
     Folds are a seeded pseudorandom partition of the rows of
-    ``design.sample``.  Each fold's training design is the row slice of the
-    full sample's regressor blocks, centered by :func:`build_design`'s own
-    routine; its held-out rows are read from those blocks.  ``fit_grid``
+    ``design.sample``.  Each fold's training design is built by
+    :func:`build_design` from the fold's training rows; its held-out rows
+    are read from the full sample's regressor blocks.  ``fit_grid``
     receives every fold's training design, as one list, and returns for
     each the midpoint and spread blocks fitted at every grid point as two
     stacks ``(A_m, A_s)``, one row per point; the intercept comes from the
@@ -237,15 +237,14 @@ def _cv_errors(
     if folds < 2 or folds > n:
         raise ValueError(f"folds must lie between 2 and {n}, got {folds}")
     parts = [np.sort(held) for held in np.array_split(np.random.default_rng(seed).permutation(n), folds)]
-    mid_side, spr_side = regressor_blocks(sample, design.variant)
     trains = []
     for f, held in enumerate(parts):
         if n - held.size < 2:
             raise FoldTooSmall(f"fold {f} leaves only {n - held.size} training rows")
         rows = np.ones(n, dtype=bool)
         rows[held] = False
-        trains.append(_center(sample.subset(rows), design.variant, mid_side[rows], spr_side[rows],
-                              keep_gamma=True))
+        trains.append(build_design(sample.subset(rows), design.variant))
+    mid_side, spr_side = regressor_blocks(sample, design.variant)
     errors = []
     for held, train, (A_m, A_s) in zip(parts, trains, fit_grid(trains)):
         delta_mid = train.mean_y.mid - A_m @ train.mean_mid_xebl

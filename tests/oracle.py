@@ -3,8 +3,9 @@ and acceptance suites and the fixture generator script.
 
 These deliberately share nothing with the production solvers beyond
 elementary matrix products: optima are found by enumerating active sets of
-the constraint system and solving each equality-restricted problem directly,
-so they are slow but independent.  Imported as ``oracle`` with this
+the constraint system (or, for the midpoint Lasso, coefficient sign
+patterns) and solving each equality-restricted problem directly, so they
+are slow but independent.  Imported as ``oracle`` with this
 directory on the import path, as ``conftest`` is.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -147,6 +148,33 @@ def active_set_optimum(qp: Qp, max_active: Optional[int] = None) -> np.ndarray:
     if best is None:
         raise InfeasibleQp("no active set yields a feasible point")
     return best
+
+
+def sign_pattern_lasso(F: np.ndarray, v: np.ndarray, lam: float) -> tuple[Optional[np.ndarray], float]:
+    """Exact small-width Lasso minimizer of ``1/2 ||v - F a||^2 + lam ||a||_1``
+    and its objective, by enumerating coefficient sign patterns."""
+    w = F.shape[1]
+    best, best_obj = None, np.inf
+    for signs in product((-1, 0, 1), repeat=w):
+        signs = np.array(signs, dtype=float)
+        active = np.flatnonzero(signs != 0)
+        a = np.zeros(w)
+        if active.size:
+            FA = F[:, active]
+            try:
+                a[active] = np.linalg.solve(FA.T @ FA, FA.T @ v - lam * signs[active])
+            except np.linalg.LinAlgError:
+                continue
+            if np.any(np.sign(a[active]) != signs[active]):
+                continue
+        grad = F.T @ (v - F @ a)
+        zero = np.flatnonzero(signs == 0)
+        if zero.size and np.max(np.abs(grad[zero])) > lam + 1e-10:
+            continue
+        obj = 0.5 * np.sum((v - F @ a) ** 2) + lam * np.sum(np.abs(a))
+        if obj < best_obj:
+            best, best_obj = a, obj
+    return best, best_obj
 
 
 def simulate(n: int, k: int, b_true: Coefficients, noise: float = 0.0, seed: int = 0) -> IntervalSample:

@@ -166,10 +166,9 @@ class TestDefaultCrossValidation:
 class TestDesignBuiltOnce:
     """A CLI run centers the full sample once, plus once per training fold.
 
-    Every design is centered by one routine, ``design._center``:
-    :func:`build_design` calls it for the full sample, and the
-    cross-validation for each training fold's row slice of the full
-    sample's blocks, so its calls are counted wherever a module binds it.
+    Every design is built by :func:`build_design`, the full sample's by the
+    CLI and each training fold's by the cross-validation from the fold's
+    rows, so its calls are counted wherever a module binds it.
     """
 
     @pytest.fixture
@@ -178,7 +177,7 @@ class TestDesignBuiltOnce:
 
         import intreg.design
 
-        original = intreg.design._center
+        original = intreg.design.build_design
         calls = []
 
         def counting(*args, **kwargs):
@@ -187,10 +186,10 @@ class TestDesignBuiltOnce:
 
         bound = [module for name, module in list(sys.modules.items())
                  if (name == "intreg" or name.startswith("intreg."))
-                 and getattr(module, "_center", None) is original]
+                 and getattr(module, "build_design", None) is original]
         assert intreg.design in bound and intreg.lasso in bound
         for module in bound:
-            monkeypatch.setattr(module, "_center", counting)
+            monkeypatch.setattr(module, "build_design", counting)
         return calls
 
     @pytest.mark.parametrize("method, extra, expected", [

@@ -28,6 +28,7 @@ from intreg.least_squares import _spr_paths, _spread_linear, _spread_program, so
 
 from conftest import (corrupt_homotopy_segments, exact_fit_sample, random_sample, record_homotopies,
                       record_lemke_dims, record_qp_solves, split_model_sample, weighted_mse)
+from oracle import sign_pattern_lasso
 
 
 def lasso_exact(F, v, lam):
@@ -176,34 +177,6 @@ class TestBlockFits:
         for norms in (mid_norms, spr_norms):
             diffs = np.diff(norms)  # lambdas decrease, norms must not
             assert np.all(diffs >= -1e-8)
-
-
-def sign_pattern_lasso(F, v, lam):
-    """Exact small-width Lasso optimum by enumerating coefficient signs."""
-    from itertools import product
-
-    w = F.shape[1]
-    best, best_obj = None, np.inf
-    for signs in product((-1, 0, 1), repeat=w):
-        signs = np.array(signs, dtype=float)
-        active = np.flatnonzero(signs != 0)
-        a = np.zeros(w)
-        if active.size:
-            FA = F[:, active]
-            try:
-                a[active] = np.linalg.solve(FA.T @ FA, FA.T @ v - lam * signs[active])
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(np.sign(a[active]) != signs[active]):
-                continue
-        grad = F.T @ (v - F @ a)
-        zero = np.flatnonzero(signs == 0)
-        if zero.size and np.max(np.abs(grad[zero])) > lam + 1e-10:
-            continue
-        obj = 0.5 * np.sum((v - F @ a) ** 2) + lam * np.sum(np.abs(a))
-        if obj < best_obj:
-            best, best_obj = a, obj
-    return best, best_obj
 
 
 class TestObjectiveCertificates:
@@ -466,6 +439,19 @@ class TestFitLasso:
         s = random_sample(16, n=18, k=2)
         res = fit_lasso(build_design(s, "full"), 0.5, lambda_mid=0.2, lambda_spr=0.02)
         assert res.mse == pytest.approx(weighted_mse(s, res, 0.5), abs=1e-10)
+
+    # one regressor midpoint of 1e12 among values of order 1 (data row 2 of
+    # the fixture): the midpoint Lasso leaves a subgradient gap far beyond
+    # its bound; open, so it stays in view
+    @pytest.mark.xfail(strict=True, raises=SubgradientGap)
+    @pytest.mark.parametrize("variant", ["full", "model-m"])
+    def test_one_midpoint_outlier_fits(self, variant):
+        s = ingest(Path(__file__).resolve().parent / "fixtures" / "synthetic59.csv")
+        mid_x = np.array(s.mid_x)
+        mid_x[1, 0] = 1e12
+        d = build_design(IntervalSample(s.mid_y, s.spr_y, mid_x, s.spr_x), variant)
+        res = fit_lasso(d, 0.5)
+        assert res.diagnostics["mid_kkt_gap"] <= 1e-8 * (1.0 + np.max(np.abs(d.fm.T @ d.vm)))
 
 
 class TestPathwiseCrossValidation:
@@ -792,10 +778,10 @@ class TestCvErrorMatrix:
 
 
 class TestFoldsAreRowSlices:
-    """Every training design of the cross-validation, built as the row slice
-    of the full sample's regressor blocks, equals the design built from the
-    fold's own sample, array for array, and the held-out errors equal those
-    read from a per-fold test sample, exactly."""
+    """Every training design of the cross-validation equals the design built
+    from the fold's own sample, array for array, and the held-out errors,
+    read from the row slices of the full sample's regressor blocks, equal
+    those read from a per-fold test sample, exactly."""
 
     @pytest.mark.parametrize("folds", [2, 3, 5, 23], ids=["2", "3", "5", "loo"])
     @pytest.mark.parametrize("variant", ["full", "model-m"])
@@ -826,8 +812,6 @@ class TestFoldsAreRowSlices:
             assert train.mean_y == want.mean_y and train.variant == variant
             for name in ("mid_y", "spr_y", "mid_x", "spr_x"):
                 assert np.array_equal(getattr(train.sample, name), getattr(want.sample, name)), name
-            # the fold's spread-side block is its slice, kept, not rebuilt
-            assert "gamma_matrix" in vars(train) and not train.gamma_matrix.flags.writeable
             test = sample.subset(held)
             mid_side, spr_side = regressor_blocks(test, variant)
             res_mid = test.mid_y - (A_m @ mid_side.T + (want.mean_y.mid - A_m @ want.mean_mid_xebl)[:, None])
